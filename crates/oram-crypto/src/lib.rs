@@ -42,6 +42,10 @@
 //! # }
 //! ```
 #![warn(missing_docs)]
+// The crate's only `unsafe` is the SIMD keystream kernel (the private
+// `chacha::x86` module); every block of it must say why it is sound.
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod chacha;
 pub mod keys;

@@ -415,6 +415,29 @@ mod tests {
         assert_eq!(open_envelope(&keys(), 3, &sealed).unwrap(), body);
     }
 
+    /// The snapshot envelope, pinned like `seal::tests::sealed_bytes_are_pinned`:
+    /// values recorded from the scalar-keystream build (PR 11).
+    #[test]
+    fn envelope_bytes_are_pinned() {
+        let body: Vec<u8> = (0..1041).map(|i| (i * 7 + 3) as u8).collect();
+        let sealed = seal_envelope(&keys(), 3, 0x0123_4567_89ab_cdef, &body);
+        assert_eq!(sealed.len(), HEADER_LEN + 1041 + TAG_LEN);
+        let ciphertext = &sealed[HEADER_LEN..HEADER_LEN + 1041];
+        assert_eq!(
+            ciphertext[..16],
+            0x07ff8d40_885812d8_1593f5ed_cb054111_u128.to_be_bytes()
+        );
+        assert_eq!(
+            ciphertext[1025..],
+            0xe7cc11a3_003d83b8_4ebee45e_edeaa715_u128.to_be_bytes()
+        );
+        assert_eq!(
+            sealed[HEADER_LEN + 1041..],
+            0x009d_4fe9_daf7_1922_u64.to_le_bytes()
+        );
+        assert_eq!(open_envelope(&keys(), 3, &sealed).unwrap(), body);
+    }
+
     #[test]
     fn envelope_hides_the_body() {
         let body = b"a very secret stash".to_vec();

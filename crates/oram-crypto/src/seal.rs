@@ -206,14 +206,19 @@ impl BlockSealer {
     /// i.e. the block was corrupted, truncated, replayed across epochs, or
     /// sealed under different keys. No plaintext is returned in that case.
     pub fn open(&self, block: &SealedBlock) -> Result<Vec<u8>, CryptoError> {
-        self.open_in_place(block.clone())
+        // Tag first, on the borrowed body: a forged block costs one MAC
+        // pass and allocates nothing.
+        self.verify(block.block_id, block.epoch, &block.body, block.tag)?;
+        let mut plaintext = block.body.clone();
+        ChaCha20::from_key(&self.enc_key, &Self::nonce(block.block_id, block.epoch), 0)
+            .apply_keystream(&mut plaintext);
+        Ok(plaintext)
     }
 
     /// Verifies and decrypts a sealed block the caller owns, reusing its
     /// ciphertext buffer as the plaintext output — no copy.
-    /// [`open`](Self::open) is a thin wrapper that clones once to satisfy
-    /// a borrowed input; bulk paths (batched loads, the shuffle stream)
-    /// call this directly on blocks taken out of the device.
+    /// Bulk paths (batched loads, the shuffle stream) call this on blocks
+    /// taken out of the device; [`open`](Self::open) serves a borrowed one.
     ///
     /// # Errors
     ///
@@ -225,10 +230,7 @@ impl BlockSealer {
             mut body,
             tag,
         } = block;
-        let expected = self.compute_tag(block_id, epoch, &body);
-        if expected != tag {
-            return Err(CryptoError::TagMismatch { block_id });
-        }
+        self.verify(block_id, epoch, &body, tag)?;
         ChaCha20::from_key(&self.enc_key, &Self::nonce(block_id, epoch), 0)
             .apply_keystream(&mut body);
         Ok(body)
@@ -248,6 +250,14 @@ impl BlockSealer {
         nonce[..8].copy_from_slice(&block_id.to_le_bytes());
         nonce[8..].copy_from_slice(&(epoch as u32).to_le_bytes());
         nonce
+    }
+
+    fn verify(&self, block_id: u64, epoch: u64, body: &[u8], tag: u64) -> Result<(), CryptoError> {
+        if self.compute_tag(block_id, epoch, body) == tag {
+            Ok(())
+        } else {
+            Err(CryptoError::TagMismatch { block_id })
+        }
     }
 
     fn compute_tag(&self, block_id: u64, epoch: u64, ciphertext: &[u8]) -> u64 {
@@ -275,6 +285,31 @@ mod tests {
         let sealer = sealer();
         let sealed = sealer.seal(1, 0, b"payload");
         assert_eq!(sealer.open(&sealed).unwrap(), b"payload");
+    }
+
+    /// The on-disk format, pinned: device files and snapshots written by
+    /// one build must open under the next, whatever computes the
+    /// keystream. Values recorded from the scalar-keystream build (PR 11).
+    #[test]
+    fn sealed_bytes_are_pinned() {
+        let sealer = BlockSealer::from_raw_keys([0x42; 32], [0x17; 16]);
+        let body: Vec<u8> = (0..1041).map(|i| (i * 7 + 3) as u8).collect();
+        let sealed = sealer.seal(0x0123_4567_89ab_cdef, 0x1_0000_0002, &body);
+        assert_eq!(
+            sealed,
+            sealer.seal_into(sealed.block_id, sealed.epoch, body.clone())
+        );
+        assert_eq!(sealed.tag(), 0x5999_6d04_789e_e8d7);
+        assert_eq!(
+            sealed.ciphertext()[..16],
+            0x266c12bb_f0a90f63_cf1f58d6_a7cc415a_u128.to_be_bytes()
+        );
+        assert_eq!(
+            sealed.ciphertext()[1025..],
+            0x4ad57789_0a388e37_1b5804d3_e9de8037_u128.to_be_bytes()
+        );
+        assert_eq!(sealer.open(&sealed).unwrap(), body);
+        assert_eq!(sealer.open_in_place(sealed).unwrap(), body);
     }
 
     #[test]
