@@ -484,14 +484,13 @@ mod io_pipeline {
     struct ModeRow {
         mode: &'static str,
         io_batch: u64,
-        zero_copy: bool,
         /// Simulated storage occupancy of the access periods' loads, µs.
         sim_io_us: f64,
         /// Mean simulated latency per I/O load, µs.
         mean_io_latency_us: f64,
         /// Simulated end-to-end wall time (access + shuffle), µs.
         sim_wall_us: f64,
-        /// Host-side wall clock of the run, ms (allocation/copy ablation).
+        /// Host-side wall clock of the run, ms.
         host_ms: f64,
     }
 
@@ -500,9 +499,9 @@ mod io_pipeline {
         workload: &'static str,
         requests: usize,
         modes: Vec<ModeRow>,
-        /// per-block simulated I/O time over batched+zero-copy.
+        /// per-block simulated I/O time over batched.
         io_speedup: f64,
-        /// per-block simulated wall time over batched+zero-copy.
+        /// per-block simulated wall time over batched.
         wall_speedup: f64,
         responses_match: bool,
     }
@@ -519,13 +518,11 @@ mod io_pipeline {
     fn run_mode(
         mode: &'static str,
         io_batch: u64,
-        zero_copy: bool,
         requests: &[Request],
     ) -> (ModeRow, Vec<Vec<u8>>) {
         let config = HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS)
             .with_seed(SEED)
-            .with_io_batch(io_batch)
-            .with_zero_copy_io(zero_copy);
+            .with_io_batch(io_batch);
         let mut oram = HOram::new(
             config,
             MemoryHierarchy::dac2019(),
@@ -539,7 +536,6 @@ mod io_pipeline {
         let row = ModeRow {
             mode,
             io_batch,
-            zero_copy,
             sim_io_us: stats.io_time.as_micros_f64(),
             mean_io_latency_us: stats.mean_io_latency().as_micros_f64(),
             sim_wall_us: stats.total_wall_time().as_micros_f64(),
@@ -549,17 +545,15 @@ mod io_pipeline {
     }
 
     fn run_workload(workload: &'static str, requests: Vec<Request>) -> WorkloadReport {
-        let (per_block, base_responses) = run_mode("per-block", 1, false, &requests);
-        let (batched, batched_responses) = run_mode("batched", IO_BATCH, false, &requests);
-        let (zero_copy, zc_responses) = run_mode("batched+zero-copy", IO_BATCH, true, &requests);
-        let responses_match = base_responses == batched_responses && base_responses == zc_responses;
+        let (per_block, base_responses) = run_mode("per-block", 1, &requests);
+        let (batched, batched_responses) = run_mode("batched", IO_BATCH, &requests);
         WorkloadReport {
             workload,
             requests: requests.len(),
-            io_speedup: per_block.sim_io_us / zero_copy.sim_io_us.max(f64::MIN_POSITIVE),
-            wall_speedup: per_block.sim_wall_us / zero_copy.sim_wall_us.max(f64::MIN_POSITIVE),
-            modes: vec![per_block, batched, zero_copy],
-            responses_match,
+            io_speedup: per_block.sim_io_us / batched.sim_io_us.max(f64::MIN_POSITIVE),
+            wall_speedup: per_block.sim_wall_us / batched.sim_wall_us.max(f64::MIN_POSITIVE),
+            modes: vec![per_block, batched],
+            responses_match: base_responses == batched_responses,
         }
     }
 
@@ -606,7 +600,7 @@ mod io_pipeline {
             );
             println!("{table}");
             println!(
-                "  sim I/O speedup (per-block / batched+zero-copy): {:.2}x   wall: {:.2}x   \
+                "  sim I/O speedup (per-block / batched): {:.2}x   wall: {:.2}x   \
                  responses match: {}\n",
                 report.io_speedup, report.wall_speedup, report.responses_match
             );
@@ -616,8 +610,8 @@ mod io_pipeline {
         let pass = gate.io_speedup >= MIN_IO_SPEEDUP && reports.iter().all(|r| r.responses_match);
         if pass {
             println!(
-                "OK: batched+zero-copy >= {MIN_IO_SPEEDUP}x simulated I/O speedup on the \
-                 hit-bound Zipf workload, responses identical across modes.\n"
+                "OK: batched >= {MIN_IO_SPEEDUP}x simulated I/O speedup on the hit-bound \
+                 Zipf workload, responses identical across modes.\n"
             );
         } else {
             println!("REGRESSION: pipeline gate failed.\n");
@@ -637,7 +631,7 @@ mod io_pipeline {
     }
 }
 
-/// The I/O-pipeline gate: batched+zero-copy must keep ≥ 1.5× simulated
+/// The I/O-pipeline gate: the batched window must keep ≥ 1.5× simulated
 /// I/O speedup over the per-block path, with byte-identical responses.
 pub fn io_pipeline_gate(quick: bool) -> GateOutcome {
     io_pipeline::gate(quick)

@@ -1,13 +1,17 @@
 //! H-ORAM configuration.
 //!
-//! Collects every knob the paper defines: dataset size `N`, memory tree
-//! budget `n`, the stage schedule for the grouping factor `c` (§4.2,
+//! **The paper's parameters:** dataset size `N`, block payload, memory
+//! tree budget `n`, the stage schedule for the grouping factor `c` (§4.2,
 //! evaluated with `{c₁=1, c₂=3, c₃=5}` over fractions `{0.20, 0.13,
 //! 0.67}` of the period, ĉ ≈ 3.94), the prefetch distance `d > c`, the
-//! oblivious shuffle used by the tree evict, and the partial-shuffle ratio
-//! of §5.3.1.
+//! oblivious shuffle used by the tree evict (§4.3.1), and the
+//! partial-shuffle ratio of §5.3.1.
+//!
+//! **Deployment settings** (not in the paper; each changes cost, never
+//! answers or the bus trace): the I/O batch window, the block cache, the
+//! position-map implementation, the worker-thread count, the pipeline
+//! depth, and the seed. `docs/TUNING.md` says when to move each.
 
-use crate::pipeline::PipelineConfig;
 use oram_shuffle::ShuffleAlgorithm;
 
 /// One stage of the scheduler's `c` schedule (§4.2): during the given
@@ -43,17 +47,12 @@ pub struct HOramConfig {
     pub payload_len: usize,
     /// Memory tree budget `n` in block slots.
     pub memory_slots: u64,
-    /// Path ORAM bucket size (paper: 4).
-    pub z: u32,
     /// The `c` schedule (paper default: 1/3/5 over 0.20/0.13/0.67).
     pub stages: Vec<StagePlan>,
     /// Prefetch window `d` in ROB entries; must exceed every stage `c`.
     pub prefetch_distance: usize,
     /// Oblivious shuffle for the tree-evict buffer (§4.3.1).
     pub evict_shuffle: ShuffleAlgorithm,
-    /// In-enclave shuffle for partition rebuilds (§4.3.2; paper uses
-    /// CacheShuffle).
-    pub partition_shuffle: ShuffleAlgorithm,
     /// Partial-shuffle ratio `r` (§5.3.1): shuffle `⌈r·√N⌉` partitions per
     /// period. `None` (the default) shuffles every partition.
     pub partial_shuffle_ratio: Option<f64>,
@@ -67,10 +66,6 @@ pub struct HOramConfig {
     ///
     /// [`StorageLayer::load_batch`]: crate::storage_layer::StorageLayer::load_batch
     pub io_batch: u64,
-    /// Route block crypto through the zero-copy path (in-place open/seal,
-    /// pooled buffers). Simulated timing is identical either way; `false`
-    /// restores the allocating legacy path for host-cost ablations.
-    pub zero_copy_io: bool,
     /// Wall-clock worker threads for the parallel execution engine:
     /// per-shard cycle windows (`ShardedOram`) and the shuffle's
     /// data-parallel seal/open stream (`StorageLayer::rebuild_window`)
@@ -85,29 +80,21 @@ pub struct HOramConfig {
     /// threaded round finishes its sibling shards before reporting where
     /// the serial round stops at the first failure.
     pub worker_threads: usize,
-    /// Extra slot headroom per storage partition, as a factor ≥ 1.0. The
-    /// tree evict randomizes which partition each hot block lands in, so
-    /// partition occupancy drifts; headroom absorbs it (excess flows to
-    /// later partitions via capacity-aware piece sizing). Default 1.10:
-    /// per-period flux is ~√(2·hot/√N) blocks per partition, well under
-    /// 10 % for every evaluated configuration, and the shuffle streams
-    /// every physical slot, so headroom directly scales shuffle time.
-    pub partition_headroom: f64,
-    /// Optional block cache (and middle tier) installed in front of the
-    /// storage device. `Some` overrides whatever the machine's
-    /// `MachineConfig` installed; `None` (the default) leaves the
-    /// machine's choice in place. Caching changes simulated I/O time
-    /// only: responses, protocol counters, and the device-visible trace
-    /// shape are byte-identical cache-on vs. cache-off (see
-    /// `oram_storage::cache` and `docs/ARCHITECTURE.md` §10).
+    /// Optional block cache installed in front of the storage device;
+    /// `None` (the default) reproduces the paper's uncached setup.
+    /// Caching changes simulated I/O time only: responses, protocol
+    /// counters, and the device-visible trace shape are byte-identical
+    /// cache-on vs. cache-off (see `oram_storage::cache` and
+    /// `docs/ARCHITECTURE.md` §10).
     pub cache: Option<oram_storage::cache::CacheConfig>,
-    /// Pipelined cycle scheduling: how many scheduling windows may be in
-    /// flight at once (see [`crate::pipeline`]). `depth: None` (the
-    /// default) adopts the machine's hint, falling back to 1 — the
-    /// strictly sequential scheduler. Responses, traces, stats, and the
-    /// simulated clock are byte-identical at every depth
+    /// Pipelined cycle scheduling: maximum scheduling windows in flight,
+    /// counting the one whose device+crypto phase is executing (see
+    /// [`crate::pipeline`]). `1` (the default) is the strictly sequential
+    /// scheduler; depth `k` plans up to `k − 1` windows ahead while a
+    /// commit's decrypt runs on the worker pool. Responses, traces,
+    /// stats, and the simulated clock are byte-identical at every depth
     /// (`tests/pipeline.rs`); the knob changes wall-clock time only.
-    pub pipeline: PipelineConfig,
+    pub pipeline_depth: u64,
     /// Position-map implementation: flat in-RAM tables (the default) or
     /// the recursive O(log N)-trusted-memory variant (see
     /// [`crate::posmap`] and `docs/ARCHITECTURE.md` §12). The choice is
@@ -134,14 +121,9 @@ pub enum PosmapMode {
 /// Sizing knobs for the recursive position map.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecursivePosmapConfig {
-    /// Position entries packed per page. `None` derives it: 32, or from
-    /// [`levels`](Self::levels) when that is set. Must be ≥ 2 when given.
+    /// Position entries packed per page. `None` (the default) means 32.
+    /// Must be ≥ 2 when given.
     pub fanout: Option<u64>,
-    /// Target number of recursion levels. `None` (the default) recurses
-    /// until a level fits under [`root_threshold`](Self::root_threshold);
-    /// `Some(k)` instead solves for the fanout that reaches the threshold
-    /// in `k` levels.
-    pub levels: Option<u32>,
     /// Recursion stops once a level has at most this many pages; their
     /// leaf labels form the flat trusted root. Default 64.
     pub root_threshold: u64,
@@ -159,7 +141,6 @@ impl Default for RecursivePosmapConfig {
     fn default() -> Self {
         Self {
             fanout: None,
-            levels: None,
             root_threshold: 64,
             cache_pages: 8,
             backing_dir: None,
@@ -168,42 +149,21 @@ impl Default for RecursivePosmapConfig {
 }
 
 impl RecursivePosmapConfig {
-    /// The fanout actually used for a table of `entries` entries:
-    /// explicit [`fanout`](Self::fanout) wins; otherwise a
-    /// [`levels`](Self::levels) target solves `⌈(entries/threshold)^(1/k)⌉`
-    /// (clamped to ≥ 2); otherwise 32.
-    pub fn effective_fanout(&self, entries: u64) -> u64 {
-        if let Some(fanout) = self.fanout {
-            return fanout.max(2);
-        }
-        let Some(levels) = self.levels else {
-            return 32;
-        };
-        let ratio = entries.max(1) as f64 / self.root_threshold.max(1) as f64;
-        let mut fanout = (ratio.powf(1.0 / levels as f64).ceil() as u64).max(2);
-        // Float round-off can leave the estimate one level short or long;
-        // fix up against the actual level count.
-        while fanout > 2 && count_levels(entries, fanout - 1, self.root_threshold) <= levels {
-            fanout -= 1;
-        }
-        while count_levels(entries, fanout, self.root_threshold) > levels {
-            fanout += 1;
-        }
-        fanout
+    /// The fanout actually used: an explicit [`fanout`](Self::fanout),
+    /// otherwise 32.
+    pub fn effective_fanout(&self) -> u64 {
+        self.fanout.unwrap_or(32).max(2)
     }
 
     /// Validates the knobs (called from [`HOramConfig::validate`]).
     ///
     /// # Panics
     ///
-    /// Panics on a fanout below 2, a zero cache budget, a zero root
-    /// threshold, or a zero level target.
+    /// Panics on a fanout below 2, a zero cache budget, or a zero root
+    /// threshold.
     pub fn validate(&self) {
         if let Some(fanout) = self.fanout {
             assert!(fanout >= 2, "posmap fanout must be at least 2");
-        }
-        if let Some(levels) = self.levels {
-            assert!(levels >= 1, "posmap levels must be at least 1");
         }
         assert!(
             self.root_threshold >= 1,
@@ -216,18 +176,6 @@ impl RecursivePosmapConfig {
     }
 }
 
-/// Levels a recursion over `entries` entries needs at `fanout` before
-/// fitting under `root_threshold` pages.
-fn count_levels(entries: u64, fanout: u64, root_threshold: u64) -> u32 {
-    let mut pages = entries.div_ceil(fanout.max(2)).max(1);
-    let mut levels = 1;
-    while pages > root_threshold {
-        pages = pages.div_ceil(fanout.max(2));
-        levels += 1;
-    }
-    levels
-}
-
 impl HOramConfig {
     /// A configuration with the paper's defaults for everything but the
     /// three sizing parameters.
@@ -236,18 +184,14 @@ impl HOramConfig {
             capacity,
             payload_len,
             memory_slots,
-            z: 4,
             stages: Self::paper_stages(),
             prefetch_distance: 15, // 3 × c_max, like the paper's d=9 for c=3
             evict_shuffle: ShuffleAlgorithm::Bitonic,
-            partition_shuffle: ShuffleAlgorithm::Cache,
             partial_shuffle_ratio: None,
             io_batch: 1,
-            zero_copy_io: true,
             worker_threads: default_worker_threads(),
-            partition_headroom: 1.10,
             cache: None,
-            pipeline: PipelineConfig::default(),
+            pipeline_depth: 1,
             posmap: PosmapMode::Flat,
             seed: DEFAULT_SEED,
         }
@@ -337,13 +281,6 @@ impl HOramConfig {
         self
     }
 
-    /// Toggles the zero-copy crypto path (see
-    /// [`zero_copy_io`](Self::zero_copy_io)).
-    pub fn with_zero_copy_io(mut self, zero_copy: bool) -> Self {
-        self.zero_copy_io = zero_copy;
-        self
-    }
-
     /// Sets the wall-clock worker-thread count (see
     /// [`worker_threads`](Self::worker_threads); `1` = serial).
     ///
@@ -363,36 +300,29 @@ impl HOramConfig {
         self
     }
 
-    /// Pins the pipeline depth (see [`pipeline`](Self::pipeline); `1` =
-    /// the sequential scheduler, ignoring any machine hint).
+    /// Sets the pipeline depth (see
+    /// [`pipeline_depth`](Self::pipeline_depth); `1` = the sequential
+    /// scheduler).
     ///
     /// # Panics
     ///
     /// Panics if `depth` is zero.
-    pub fn with_pipeline_depth(self, depth: u64) -> Self {
-        self.with_pipeline(PipelineConfig::with_depth(depth))
-    }
-
-    /// Replaces the pipeline configuration wholesale (see
-    /// [`pipeline`](Self::pipeline)).
-    pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        pipeline.validate();
-        self.pipeline = pipeline;
+    pub fn with_pipeline_depth(mut self, depth: u64) -> Self {
+        assert!(depth >= 1, "pipeline depth must be at least 1");
+        self.pipeline_depth = depth;
         self
     }
 
-    /// Switches to the recursive position map: `levels` is a target level
-    /// count (`None` = auto-recurse to the default root threshold),
-    /// `cache_pages` the pinned page budget per level. For full control
-    /// (fanout, root threshold, file backing) use
+    /// Switches to the recursive position map with `cache_pages` pinned
+    /// pages per level and the default fanout and root threshold. For
+    /// full control (fanout, root threshold, file backing) use
     /// [`with_posmap`](Self::with_posmap).
     ///
     /// # Panics
     ///
-    /// Panics if `cache_pages` is zero or `levels` is `Some(0)`.
-    pub fn with_recursive_posmap(mut self, levels: Option<u32>, cache_pages: usize) -> Self {
+    /// Panics if `cache_pages` is zero.
+    pub fn with_recursive_posmap(mut self, cache_pages: usize) -> Self {
         let rcfg = RecursivePosmapConfig {
-            levels,
             cache_pages,
             ..RecursivePosmapConfig::default()
         };
@@ -418,10 +348,9 @@ impl HOramConfig {
         assert!(self.capacity > 0, "capacity must be positive");
         assert!(self.payload_len > 0, "payload length must be positive");
         assert!(
-            self.memory_slots >= self.z as u64,
+            self.memory_slots >= MEMORY_BUCKET_SLOTS,
             "memory budget smaller than one bucket"
         );
-        assert!(self.z > 0, "bucket size must be positive");
         let c_max = self
             .stages
             .iter()
@@ -439,10 +368,9 @@ impl HOramConfig {
         if let PosmapMode::Recursive(rcfg) = &self.posmap {
             rcfg.validate();
         }
-        self.pipeline.validate();
         assert!(
-            self.partition_headroom >= 1.0,
-            "headroom factor must be ≥ 1.0"
+            self.pipeline_depth >= 1,
+            "pipeline depth must be at least 1"
         );
         assert!(self.io_batch >= 1, "io_batch must be at least 1");
         assert!(
@@ -486,7 +414,7 @@ impl HOramConfig {
     /// Slots per storage partition including headroom.
     pub fn partition_slots(&self) -> u64 {
         let balanced = self.capacity.div_ceil(self.partition_count());
-        ((balanced as f64 * self.partition_headroom).ceil() as u64).max(balanced + 2)
+        ((balanced as f64 * PARTITION_HEADROOM).ceil() as u64).max(balanced + 2)
     }
 
     /// Partitions reshuffled per period under the configured ratio.
@@ -497,6 +425,19 @@ impl HOramConfig {
         }
     }
 }
+
+/// Bucket size of the memory tree (`PathOram::for_slot_budget` fixes
+/// `Z = 4`, the paper's value); the memory budget must hold one bucket.
+const MEMORY_BUCKET_SLOTS: u64 = 4;
+
+/// Extra slot headroom per storage partition. The tree evict randomizes
+/// which partition each hot block lands in, so partition occupancy
+/// drifts; headroom absorbs it (excess flows to later partitions via
+/// capacity-aware piece sizing). Per-period flux is ~√(2·hot/√N) blocks
+/// per partition, well under 10 % for every evaluated configuration, and
+/// the shuffle streams every physical slot, so headroom directly scales
+/// shuffle time.
+const PARTITION_HEADROOM: f64 = 1.10;
 
 /// Default protocol seed (arbitrary; fixed for replayability).
 const DEFAULT_SEED: u64 = 0x04a3_2019;
@@ -557,18 +498,14 @@ mod tests {
 
     #[test]
     fn io_pipeline_knobs() {
-        let config = HOramConfig::new(1024, 64, 256)
-            .with_io_batch(32)
-            .with_zero_copy_io(false);
+        let config = HOramConfig::new(1024, 64, 256).with_io_batch(32);
         config.validate();
         assert_eq!(config.io_batch, 32);
-        assert!(!config.zero_copy_io);
         let defaults = HOramConfig::new(1024, 64, 256);
         assert_eq!(
             defaults.io_batch, 1,
             "default must reproduce the sequential path"
         );
-        assert!(defaults.zero_copy_io);
     }
 
     #[test]
@@ -580,15 +517,10 @@ mod tests {
     #[test]
     fn pipeline_knob() {
         let defaults = HOramConfig::new(1024, 64, 256);
-        assert_eq!(
-            defaults.pipeline.depth, None,
-            "default adopts the machine hint (or sequential)"
-        );
-        assert_eq!(defaults.pipeline.effective_depth(None), 1);
+        assert_eq!(defaults.pipeline_depth, 1, "default is sequential");
         let deep = HOramConfig::new(1024, 64, 256).with_pipeline_depth(4);
         deep.validate();
-        assert_eq!(deep.pipeline.depth, Some(4));
-        assert_eq!(deep.pipeline.effective_depth(Some(2)), 4);
+        assert_eq!(deep.pipeline_depth, 4);
     }
 
     #[test]
@@ -650,32 +582,18 @@ mod tests {
 
     #[test]
     fn recursive_posmap_builder() {
-        let config = HOramConfig::new(1 << 16, 64, 1 << 10).with_recursive_posmap(None, 4);
+        let config = HOramConfig::new(1 << 16, 64, 1 << 10).with_recursive_posmap(4);
         config.validate();
         let PosmapMode::Recursive(rcfg) = &config.posmap else {
             panic!("expected recursive mode");
         };
         assert_eq!(rcfg.cache_pages, 4);
-        assert_eq!(rcfg.effective_fanout(1 << 16), 32);
-    }
-
-    #[test]
-    fn level_target_solves_fanout() {
-        let rcfg = RecursivePosmapConfig {
-            levels: Some(2),
-            ..RecursivePosmapConfig::default()
-        };
-        let fanout = rcfg.effective_fanout(1 << 20);
-        assert_eq!(count_levels(1 << 20, fanout, rcfg.root_threshold), 2);
-        // And the next smaller fanout would need more levels.
-        assert!(count_levels(1 << 20, fanout - 1, rcfg.root_threshold) > 2);
-        // Degenerate tiny tables still work.
-        assert!(rcfg.effective_fanout(4) >= 2);
+        assert_eq!(rcfg.effective_fanout(), 32);
     }
 
     #[test]
     #[should_panic(expected = "cache budget must be at least 1")]
     fn zero_posmap_cache_rejected() {
-        let _ = HOramConfig::new(1024, 64, 256).with_recursive_posmap(None, 0);
+        let _ = HOramConfig::new(1024, 64, 256).with_recursive_posmap(0);
     }
 }

@@ -100,10 +100,6 @@ pub struct HOram {
     period_seq: u64,
     seed_prf: Prf,
     stats: HOramStats,
-    /// Resolved pipeline depth: how many I/O windows may be in flight at
-    /// once (config knob, falling back to the machine hint; 1 =
-    /// sequential).
-    pipeline_depth: u64,
     /// Structural-hazard ledger for in-flight windows.
     hazards: HazardTracker,
     /// Volatile pipeline counters (never part of snapshots or
@@ -139,7 +135,6 @@ impl HOram {
         config.validate();
         let clock = hierarchy.clock().clone();
         let trace = hierarchy.trace().clone();
-        let pipeline_depth = config.pipeline.effective_depth(hierarchy.pipeline_hint());
         let MemoryHierarchy {
             memory: memory_device,
             storage: storage_device,
@@ -170,7 +165,6 @@ impl HOram {
             period_seq: 0,
             seed_prf,
             stats: HOramStats::default(),
-            pipeline_depth,
             hazards: HazardTracker::new(),
             pipeline_stats: PipelineStats::default(),
             hazard_skip: false,
@@ -284,7 +278,6 @@ impl HOram {
 
         let clock = hierarchy.clock().clone();
         let trace = hierarchy.trace().clone();
-        let pipeline_depth = config.pipeline.effective_depth(hierarchy.pipeline_hint());
         let MemoryHierarchy {
             memory: memory_device,
             storage: storage_device,
@@ -332,7 +325,6 @@ impl HOram {
             period_seq,
             seed_prf,
             stats,
-            pipeline_depth,
             hazards: HazardTracker::new(),
             pipeline_stats: PipelineStats::default(),
             hazard_skip: false,
@@ -427,13 +419,13 @@ impl HOram {
         self.storage.device().retry_stats()
     }
 
-    /// The resolved cycle-pipeline depth this instance runs at: the
-    /// [`HOramConfig::pipeline`] knob, falling back to the machine's
-    /// [`MemoryHierarchy::pipeline_hint`], falling back to 1 (sequential).
+    /// The cycle-pipeline depth this instance runs at
+    /// ([`HOramConfig::pipeline_depth`]; 1 = sequential). A restored
+    /// instance keeps the depth of the configuration in its snapshot.
     ///
-    /// [`HOramConfig::pipeline`]: crate::config::HOramConfig::pipeline
+    /// [`HOramConfig::pipeline_depth`]: crate::config::HOramConfig::pipeline_depth
     pub fn pipeline_depth(&self) -> u64 {
-        self.pipeline_depth
+        self.config.pipeline_depth
     }
 
     /// Volatile pipeline counters: overlapped commits, windows planned
@@ -742,7 +734,7 @@ impl HOram {
         planned_windows: &mut u64,
         queued: &mut VecDeque<PlannedWindow>,
     ) -> Result<(), OramError> {
-        while (queued.len() as u64) < self.pipeline_depth.saturating_sub(1)
+        while (queued.len() as u64) < self.pipeline_depth().saturating_sub(1)
             && *planned_windows < max_windows
             && !self.queue.is_drained()
         {
@@ -780,7 +772,7 @@ impl HOram {
         planned_windows: &mut u64,
         queued: &mut VecDeque<PlannedWindow>,
     ) -> Result<BatchLoad, OramError> {
-        if self.pipeline_depth <= 1 {
+        if self.pipeline_depth() <= 1 {
             return opener.open(raw);
         }
         match self.storage.workers() {
@@ -894,7 +886,7 @@ impl HOram {
         //    and will be reconstructed again") — overlapped with the
         //    shuffle's position-map rewrite when pipelining allows.
         let shuffle_seed = self.period_seed(2);
-        let pool = if self.pipeline_depth > 1 && self.config.partial_shuffle_ratio.is_none() {
+        let pool = if self.pipeline_depth() > 1 && self.config.partial_shuffle_ratio.is_none() {
             self.storage.workers()
         } else {
             None

@@ -62,7 +62,7 @@ pub use evict::{oblivious_tree_evict, EvictOutcome};
 pub use horam::HOram;
 pub use multi_user::{run_multi_user, MultiUserReport, UserId};
 pub use permutation_list::{Location, PermutationList};
-pub use pipeline::{HazardTracker, PipelineConfig, PipelineStats};
+pub use pipeline::{HazardTracker, PipelineStats};
 pub use pool::WorkerPool;
 pub use posmap::{
     build_posmap, FlatPositionMap, PositionMap, PosmapLevelView, PosmapStats, RecursivePositionMap,

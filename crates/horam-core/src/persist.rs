@@ -29,10 +29,9 @@
 //! its configuration so restore can validate geometry).
 
 use crate::config::{HOramConfig, PosmapMode, RecursivePosmapConfig, StagePlan};
-use crate::pipeline::PipelineConfig;
 use oram_crypto::persist::{PersistError, StateReader, StateWriter};
 use oram_shuffle::ShuffleAlgorithm;
-use oram_storage::cache::{CacheConfig, CachePolicy, MidTierConfig};
+use oram_storage::cache::CacheConfig;
 
 /// Envelope kind of a single-instance snapshot.
 pub const KIND_SINGLE: u32 = 1;
@@ -88,34 +87,48 @@ fn decode_shuffle(byte: u8) -> Result<ShuffleAlgorithm, PersistError> {
 
 /// Serializes a full [`HOramConfig`] (embedded in every snapshot so
 /// restore can rebuild derived structures and validate geometry).
+///
+/// The three `save_*` functions destructure their struct exhaustively
+/// (no `..`), so a field added without a codec line fails to compile.
 pub fn save_config(config: &HOramConfig, w: &mut StateWriter) {
-    w.put_u64(config.capacity);
-    w.put_usize(config.payload_len);
-    w.put_u64(config.memory_slots);
-    w.put_u32(config.z);
-    w.put_usize(config.stages.len());
-    for stage in &config.stages {
-        w.put_u32(stage.c);
-        w.put_f64(stage.fraction);
+    let HOramConfig {
+        capacity,
+        payload_len,
+        memory_slots,
+        stages,
+        prefetch_distance,
+        evict_shuffle,
+        partial_shuffle_ratio,
+        io_batch,
+        worker_threads,
+        cache,
+        pipeline_depth,
+        posmap,
+        seed,
+    } = config;
+    w.put_u64(*capacity);
+    w.put_usize(*payload_len);
+    w.put_u64(*memory_slots);
+    w.put_usize(stages.len());
+    for StagePlan { c, fraction } in stages {
+        w.put_u32(*c);
+        w.put_f64(*fraction);
     }
-    w.put_usize(config.prefetch_distance);
-    w.put_u8(encode_shuffle(config.evict_shuffle));
-    w.put_u8(encode_shuffle(config.partition_shuffle));
-    match config.partial_shuffle_ratio {
+    w.put_usize(*prefetch_distance);
+    w.put_u8(encode_shuffle(*evict_shuffle));
+    match partial_shuffle_ratio {
         None => w.put_bool(false),
         Some(r) => {
             w.put_bool(true);
-            w.put_f64(r);
+            w.put_f64(*r);
         }
     }
-    w.put_u64(config.io_batch);
-    w.put_bool(config.zero_copy_io);
-    w.put_usize(config.worker_threads);
-    w.put_f64(config.partition_headroom);
-    w.put_opt_u64(config.pipeline.depth);
-    save_cache_config(config.cache.as_ref(), w);
-    save_posmap_mode(&config.posmap, w);
-    w.put_u64(config.seed);
+    w.put_u64(*io_batch);
+    w.put_usize(*worker_threads);
+    w.put_u64(*pipeline_depth);
+    save_cache_config(cache.as_ref(), w);
+    save_posmap_mode(posmap, w);
+    w.put_u64(*seed);
 }
 
 fn save_posmap_mode(posmap: &PosmapMode, w: &mut StateWriter) {
@@ -123,12 +136,17 @@ fn save_posmap_mode(posmap: &PosmapMode, w: &mut StateWriter) {
         w.put_bool(false);
         return;
     };
+    let RecursivePosmapConfig {
+        fanout,
+        root_threshold,
+        cache_pages,
+        backing_dir,
+    } = rcfg;
     w.put_bool(true);
-    w.put_opt_u64(rcfg.fanout);
-    w.put_opt_u64(rcfg.levels.map(u64::from));
-    w.put_u64(rcfg.root_threshold);
-    w.put_usize(rcfg.cache_pages);
-    match &rcfg.backing_dir {
+    w.put_opt_u64(*fanout);
+    w.put_u64(*root_threshold);
+    w.put_usize(*cache_pages);
+    match backing_dir {
         None => w.put_bool(false),
         Some(dir) => {
             w.put_bool(true);
@@ -142,13 +160,6 @@ fn load_posmap_mode(r: &mut StateReader<'_>) -> Result<PosmapMode, PersistError>
         return Ok(PosmapMode::Flat);
     }
     let fanout = r.get_opt_u64()?;
-    let levels = match r.get_opt_u64()? {
-        None => None,
-        Some(levels) => Some(
-            u32::try_from(levels)
-                .map_err(|_| PersistError::Malformed(format!("posmap levels {levels}")))?,
-        ),
-    };
     let root_threshold = r.get_u64()?;
     let cache_pages = r.get_usize()?;
     let backing_dir = if r.get_bool()? {
@@ -160,7 +171,6 @@ fn load_posmap_mode(r: &mut StateReader<'_>) -> Result<PosmapMode, PersistError>
     };
     Ok(PosmapMode::Recursive(RecursivePosmapConfig {
         fanout,
-        levels,
         root_threshold,
         cache_pages,
         backing_dir,
@@ -172,72 +182,28 @@ fn save_cache_config(cache: Option<&CacheConfig>, w: &mut StateWriter) {
         w.put_bool(false);
         return;
     };
+    let CacheConfig {
+        capacity_blocks,
+        hit_nanos,
+        writeback_sync_fraction,
+        leaky_hits,
+    } = cache;
     w.put_bool(true);
-    w.put_u64(cache.capacity_blocks);
-    w.put_u8(match cache.policy {
-        CachePolicy::Lru => 0,
-        CachePolicy::Clock => 1,
-    });
-    w.put_u64(cache.hit_nanos);
-    w.put_f64(cache.writeback_sync_fraction);
-    match &cache.mid {
-        None => w.put_bool(false),
-        Some(mid) => {
-            w.put_bool(true);
-            w.put_u64(mid.capacity_blocks);
-            match &mid.file {
-                None => w.put_bool(false),
-                Some(path) => {
-                    w.put_bool(true);
-                    w.put_bytes(path.as_bytes());
-                }
-            }
-            w.put_usize(mid.file_slot_bytes);
-        }
-    }
-    w.put_bool(cache.leaky_hits);
+    w.put_u64(*capacity_blocks);
+    w.put_u64(*hit_nanos);
+    w.put_f64(*writeback_sync_fraction);
+    w.put_bool(*leaky_hits);
 }
 
 fn load_cache_config(r: &mut StateReader<'_>) -> Result<Option<CacheConfig>, PersistError> {
     if !r.get_bool()? {
         return Ok(None);
     }
-    let capacity_blocks = r.get_u64()?;
-    let policy = match r.get_u8()? {
-        0 => CachePolicy::Lru,
-        1 => CachePolicy::Clock,
-        other => {
-            return Err(PersistError::Malformed(format!("cache policy tag {other}")));
-        }
-    };
-    let hit_nanos = r.get_u64()?;
-    let writeback_sync_fraction = r.get_f64()?;
-    let mid = if r.get_bool()? {
-        let capacity_blocks = r.get_u64()?;
-        let file = if r.get_bool()? {
-            let path = String::from_utf8(r.get_bytes()?.to_vec())
-                .map_err(|_| PersistError::Malformed("mid-tier path not UTF-8".into()))?;
-            Some(path)
-        } else {
-            None
-        };
-        let file_slot_bytes = r.get_usize()?;
-        Some(MidTierConfig {
-            capacity_blocks,
-            file,
-            file_slot_bytes,
-        })
-    } else {
-        None
-    };
-    let leaky_hits = r.get_bool()?;
     Ok(Some(CacheConfig {
-        capacity_blocks,
-        policy,
-        hit_nanos,
-        writeback_sync_fraction,
-        mid,
-        leaky_hits,
+        capacity_blocks: r.get_u64()?,
+        hit_nanos: r.get_u64()?,
+        writeback_sync_fraction: r.get_f64()?,
+        leaky_hits: r.get_bool()?,
     }))
 }
 
@@ -250,7 +216,6 @@ pub fn load_config(r: &mut StateReader<'_>) -> Result<HOramConfig, PersistError>
     let capacity = r.get_u64()?;
     let payload_len = r.get_usize()?;
     let memory_slots = r.get_u64()?;
-    let z = r.get_u32()?;
     let stage_count = r.get_usize()?;
     if stage_count == 0 || stage_count > 64 {
         return Err(PersistError::Malformed(format!(
@@ -266,19 +231,14 @@ pub fn load_config(r: &mut StateReader<'_>) -> Result<HOramConfig, PersistError>
     }
     let prefetch_distance = r.get_usize()?;
     let evict_shuffle = decode_shuffle(r.get_u8()?)?;
-    let partition_shuffle = decode_shuffle(r.get_u8()?)?;
     let partial_shuffle_ratio = if r.get_bool()? {
         Some(r.get_f64()?)
     } else {
         None
     };
     let io_batch = r.get_u64()?;
-    let zero_copy_io = r.get_bool()?;
     let worker_threads = r.get_usize()?;
-    let partition_headroom = r.get_f64()?;
-    let pipeline = PipelineConfig {
-        depth: r.get_opt_u64()?,
-    };
+    let pipeline_depth = r.get_u64()?;
     let cache = load_cache_config(r)?;
     let posmap = load_posmap_mode(r)?;
     let seed = r.get_u64()?;
@@ -286,18 +246,14 @@ pub fn load_config(r: &mut StateReader<'_>) -> Result<HOramConfig, PersistError>
         capacity,
         payload_len,
         memory_slots,
-        z,
         stages,
         prefetch_distance,
         evict_shuffle,
-        partition_shuffle,
         partial_shuffle_ratio,
         io_batch,
-        zero_copy_io,
         worker_threads,
-        partition_headroom,
         cache,
-        pipeline,
+        pipeline_depth,
         posmap,
         seed,
     })
@@ -307,50 +263,30 @@ pub fn load_config(r: &mut StateReader<'_>) -> Result<HOramConfig, PersistError>
 mod tests {
     use super::*;
 
+    /// Every surviving field — of the engine config, the cache config and
+    /// the recursive posmap config — at a non-default value.
     #[test]
-    fn config_roundtrips_exactly() {
+    fn config_roundtrips_exactly_with_every_field_non_default() {
+        let mut cache = CacheConfig::lru(128);
+        cache.hit_nanos = 750;
+        cache.writeback_sync_fraction = 0.5;
+        cache.leaky_hits = true;
         let config = HOramConfig::new(4096, 16, 1024)
-            .with_seed(99)
-            .with_io_batch(8)
+            .with_fixed_c(2)
+            .with_prefetch_distance(7)
+            .with_evict_shuffle(ShuffleAlgorithm::Melbourne)
             .with_partial_shuffle(0.25)
+            .with_io_batch(8)
             .with_worker_threads(3)
-            .with_zero_copy_io(false)
-            .with_pipeline_depth(4);
-        let mut w = StateWriter::new();
-        save_config(&config, &mut w);
-        let bytes = w.into_bytes();
-        let mut r = StateReader::new(&bytes);
-        let back = load_config(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(config, back);
-    }
-
-    #[test]
-    fn cached_config_roundtrips_exactly() {
-        let mut cache = CacheConfig::clock(128).with_mid_tier(512);
-        cache.mid.as_mut().unwrap().file = Some("/tmp/mid.dat".into());
-        cache.mid.as_mut().unwrap().file_slot_bytes = 96;
-        let config = HOramConfig::new(4096, 16, 1024).with_cache(cache);
-        let mut w = StateWriter::new();
-        save_config(&config, &mut w);
-        let bytes = w.into_bytes();
-        let mut r = StateReader::new(&bytes);
-        let back = load_config(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(config, back);
-    }
-
-    #[test]
-    fn recursive_posmap_config_roundtrips_exactly() {
-        let config = HOramConfig::new(1 << 14, 32, 512).with_posmap(PosmapMode::Recursive(
-            RecursivePosmapConfig {
+            .with_cache(cache)
+            .with_pipeline_depth(4)
+            .with_posmap(PosmapMode::Recursive(RecursivePosmapConfig {
                 fanout: Some(16),
-                levels: Some(2),
                 root_threshold: 32,
                 cache_pages: 4,
                 backing_dir: Some("/tmp/posmap".into()),
-            },
-        ));
+            }))
+            .with_seed(99);
         let mut w = StateWriter::new();
         save_config(&config, &mut w);
         let bytes = w.into_bytes();

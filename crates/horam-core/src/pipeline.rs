@@ -1,5 +1,6 @@
-//! The pipelined cycle scheduler's configuration, hazard tracking, and
-//! host-side accounting.
+//! The pipelined cycle scheduler's hazard tracking and host-side
+//! accounting (the depth knob is
+//! [`HOramConfig::pipeline_depth`](crate::config::HOramConfig::pipeline_depth)).
 //!
 //! PR 2's plan/commit split already separates each scheduling cycle into a
 //! **control sweep** (ROB scan, position-map lookups, period markers, stash
@@ -41,56 +42,6 @@
 
 use oram_protocols::error::OramError;
 use std::collections::{HashSet, VecDeque};
-
-/// Pipelining knobs, surfaced as
-/// [`HOramConfig::pipeline`](crate::config::HOramConfig::pipeline) and
-/// through `ServiceConfig`/`MachineConfig` (see the [module docs](self)).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PipelineConfig {
-    /// Maximum scheduling windows in flight, counting the one whose
-    /// device+crypto phase is executing: `1` is the strictly sequential
-    /// scheduler, depth `k` plans up to `k − 1` windows ahead while a
-    /// commit's decrypt runs on the worker pool. Observables are
-    /// byte-identical at every depth — the knob trades host CPU (one
-    /// worker decrypting concurrently) for wall-clock time only.
-    ///
-    /// `None` (the default) adopts the machine description's
-    /// [`pipeline_depth`](oram_storage::calibration::MachineConfig::pipeline_depth)
-    /// hint, falling back to 1 — mirroring how the machine's cache choice
-    /// is adopted unless the engine config overrides it.
-    pub depth: Option<u64>,
-}
-
-impl PipelineConfig {
-    /// A configuration pinning the depth explicitly (ignoring any machine
-    /// hint).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn with_depth(depth: u64) -> Self {
-        assert!(depth >= 1, "pipeline depth must be at least 1");
-        Self { depth: Some(depth) }
-    }
-
-    /// The depth to run at, resolving the machine hint: an explicit
-    /// [`depth`](Self::depth) wins, then the machine's hint, then 1 (the
-    /// sequential scheduler).
-    pub fn effective_depth(&self, machine_hint: Option<u64>) -> u64 {
-        self.depth.or(machine_hint).unwrap_or(1).max(1)
-    }
-
-    /// Validates the knobs (called from `HOramConfig::validate`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an explicit depth of zero.
-    pub fn validate(&self) {
-        if let Some(depth) = self.depth {
-            assert!(depth >= 1, "pipeline depth must be at least 1");
-        }
-    }
-}
 
 /// Host-side pipeline counters: how often the overlap actually engaged.
 ///
@@ -219,21 +170,6 @@ impl HazardTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn effective_depth_resolution() {
-        assert_eq!(PipelineConfig::default().effective_depth(None), 1);
-        assert_eq!(PipelineConfig::default().effective_depth(Some(4)), 4);
-        assert_eq!(PipelineConfig::with_depth(2).effective_depth(Some(4)), 2);
-        // A degenerate zero hint falls back to the sequential scheduler.
-        assert_eq!(PipelineConfig::default().effective_depth(Some(0)), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "pipeline depth must be at least 1")]
-    fn zero_depth_rejected() {
-        let _ = PipelineConfig::with_depth(0);
-    }
 
     #[test]
     fn tracker_enforces_slot_disjointness() {

@@ -29,7 +29,7 @@
 //! use oram_protocols::BlockId;
 //!
 //! # fn main() -> Result<(), oram_protocols::OramError> {
-//! let config = HOramConfig::new(256, 16, 64).with_recursive_posmap(None, 8);
+//! let config = HOramConfig::new(256, 16, 64).with_recursive_posmap(8);
 //! let mut map = build_posmap(&config, &MasterKey::from_bytes([7; 32]), false)?;
 //! map.place(BlockId(3), 42)?;
 //! assert_eq!(map.location(BlockId(3))?, Location::Storage { slot: 42 });
@@ -830,7 +830,7 @@ impl RecursiveTable {
         seed: u64,
         backing_dir: Option<&std::path::Path>,
     ) -> Result<Self, OramError> {
-        let fanout = rcfg.effective_fanout(entries);
+        let fanout = rcfg.effective_fanout();
         let page_counts = level_page_counts(entries, fanout, rcfg.root_threshold);
         let mut levels = Vec::with_capacity(page_counts.len());
         for (index, &page_count) in page_counts.iter().enumerate() {
@@ -1279,7 +1279,6 @@ mod tests {
     fn recursive_map(capacity: u64, slots: u64) -> RecursivePositionMap {
         let rcfg = RecursivePosmapConfig {
             fanout: Some(8),
-            levels: None,
             root_threshold: 4,
             cache_pages: 2,
             backing_dir: None,
@@ -1489,7 +1488,6 @@ mod tests {
 
         let rcfg = RecursivePosmapConfig {
             fanout: Some(8),
-            levels: None,
             root_threshold: 4,
             cache_pages: 2,
             backing_dir: None,

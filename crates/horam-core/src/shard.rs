@@ -540,6 +540,12 @@ impl ShardedOram {
         &self.config
     }
 
+    /// The cycle-pipeline depth every shard runs at (inherited from the
+    /// base configuration; after a restore, the snapshot's).
+    pub fn pipeline_depth(&self) -> u64 {
+        self.config.base.pipeline_depth
+    }
+
     /// The address-space partition (for balance reporting and tests).
     pub fn mapper(&self) -> &ShardMapper {
         &self.mapper
@@ -880,16 +886,10 @@ impl ShardedOram {
     /// failure; [`OramError::UnknownTicket`] for tickets never issued or
     /// already collected.
     pub fn drain(&mut self, tickets: &[u64]) -> Result<Vec<Vec<u8>>, HOramError> {
-        // Burst rounds: each shard gets its resolved pipeline depth's
-        // worth of windows per round (1 when sequential — exactly the
-        // old round-robin), so per-shard lookahead engages while
-        // draining. Every shard resolves the same depth from the shared
-        // base configuration.
-        let depth = self
-            .shards
-            .first()
-            .map(|shard| shard.pipeline_depth())
-            .unwrap_or(1);
+        // Burst rounds: each shard gets its pipeline depth's worth of
+        // windows per round (1 when sequential — exactly the old
+        // round-robin), so per-shard lookahead engages while draining.
+        let depth = self.pipeline_depth();
         while !self.is_drained() {
             self.run_cycle_burst(self.config.base.io_batch, depth)?;
         }
@@ -1087,6 +1087,10 @@ impl OramEngine for ShardedOram {
 
     fn run_cycle_burst(&mut self, max_cycles: u64, max_windows: u64) -> Result<u64, HOramError> {
         self.run_cycle_burst(max_cycles, max_windows)
+    }
+
+    fn pipeline_depth(&self) -> u64 {
+        self.pipeline_depth()
     }
 
     fn pending_requests(&self) -> usize {

@@ -168,14 +168,13 @@ impl RawBatch {
 #[derive(Debug, Clone)]
 pub struct BatchOpener {
     sealer: BlockSealer,
-    zero_copy: bool,
     device: String,
 }
 
 impl BatchOpener {
     /// Opens every load: blocks expected live are verified and decrypted
-    /// (in place on the zero-copy path); stale/dummy reads discard their
-    /// bytes unopened, exactly like the sequential path.
+    /// in place; stale/dummy reads discard their bytes unopened, exactly
+    /// like the sequential path.
     ///
     /// # Errors
     ///
@@ -202,11 +201,7 @@ impl BatchOpener {
                             addr: slot,
                         }));
                     };
-                    let body = if self.zero_copy {
-                        self.sealer.open_in_place(sealed)
-                    } else {
-                        self.sealer.open(&sealed)
-                    }?;
+                    let body = self.sealer.open_in_place(sealed)?;
                     match BlockContent::decode_owned(body, slot)? {
                         BlockContent::Real {
                             id: stored,
@@ -276,27 +271,17 @@ struct PassCrypto<'a> {
     read_sealer: &'a BlockSealer,
     /// Sealer for the fresh epoch (the pass writes under it).
     write_sealer: &'a BlockSealer,
-    zero_copy: bool,
     payload_len: usize,
     wire_len: usize,
     /// Device name for fail-stop error reports.
     device: &'a str,
 }
 
-/// Pops a wire-sized buffer (pooled in zero-copy mode, fresh otherwise).
-fn take_wire_buffer(ctx: &PassCrypto<'_>, pool: &mut BufferPool) -> Vec<u8> {
-    if ctx.zero_copy {
-        pool.take(ctx.wire_len)
-    } else {
-        vec![0u8; ctx.wire_len]
-    }
-}
-
-/// Returns a spent buffer to `pool` (dropped in legacy mode). Undersized
-/// buffers (e.g. bare payloads) are dropped rather than recycled —
-/// pooling them would just turn the next take into a reallocation.
+/// Returns a spent buffer to `pool`. Undersized buffers (e.g. bare
+/// payloads) are dropped rather than recycled — pooling them would just
+/// turn the next take into a reallocation.
 fn recycle_wire_buffer(ctx: &PassCrypto<'_>, pool: &mut BufferPool, buffer: Vec<u8>) {
-    if ctx.zero_copy && buffer.capacity() >= ctx.wire_len {
+    if buffer.capacity() >= ctx.wire_len {
         pool.recycle(buffer);
     }
 }
@@ -330,11 +315,7 @@ fn open_pass_slot(
             Ok(None)
         }
         Some(owner) => {
-            let body = if ctx.zero_copy {
-                ctx.read_sealer.open_in_place(sealed)
-            } else {
-                ctx.read_sealer.open(&sealed)
-            }?;
+            let body = ctx.read_sealer.open_in_place(sealed)?;
             match BlockContent::decode_ref(&body, addr)? {
                 BlockContentRef::Real { id, .. } if id == owner => Ok(Some((id, body))),
                 _ => Err(OramError::MalformedBlock { slot: addr }),
@@ -360,7 +341,7 @@ fn seal_pass_slot(
             body
         }
         Some(PassEntry::Hot(id, payload)) => {
-            let mut body = take_wire_buffer(ctx, pool);
+            let mut body = pool.take(ctx.wire_len);
             let content = BlockContent::Real {
                 id,
                 leaf: 0,
@@ -373,16 +354,12 @@ fn seal_pass_slot(
             body
         }
         None => {
-            let mut body = take_wire_buffer(ctx, pool);
+            let mut body = pool.take(ctx.wire_len);
             BlockContent::Dummy.encode_into(ctx.payload_len, &mut body);
             body
         }
     };
-    if ctx.zero_copy {
-        ctx.write_sealer.seal_into(addr, seq, body)
-    } else {
-        ctx.write_sealer.seal(addr, seq, &body)
-    }
+    ctx.write_sealer.seal_into(addr, seq, body)
 }
 
 /// Chunk length for splitting one pass's slots across `threads` workers.
@@ -463,7 +440,7 @@ pub struct StorageLayer {
     dummy_key: [u8; 16],
     /// Loads staged by [`plan_io`](Self::plan_io) awaiting commit.
     pending: Vec<PlannedLoad>,
-    /// Recycled wire-body buffers for the zero-copy seal/open stream.
+    /// Recycled wire-body buffers for the in-place seal/open stream.
     pool: BufferPool,
     /// Wall-clock worker pool for the rebuild stream's data-parallel
     /// crypto (`None` at `worker_threads = 1` — the serial path).
@@ -473,10 +450,6 @@ pub struct StorageLayer {
     /// chunk `i`'s pool with exactly the buffers its slots will take, so
     /// chunked execution allocates no more than the serial path.
     worker_pools: Vec<BufferPool>,
-    /// Zero-copy crypto path toggle (see [`HOramConfig::zero_copy_io`]);
-    /// simulated timing is identical either way — this ablates host-side
-    /// allocation and copying only.
-    zero_copy: bool,
     partition_count: u64,
     partition_slots: u64,
     capacity: u64,
@@ -503,11 +476,8 @@ impl StorageLayer {
         keys: KeyHierarchy,
         posmap: Box<dyn PositionMap>,
     ) -> Result<Self, OramError> {
-        // A cache chosen at the engine level overrides whatever the
-        // machine description installed; `None` leaves the machine's
-        // cache (if any) in place.
         if let Some(cache) = &config.cache {
-            device.install_cache(cache.clone())?;
+            device.install_cache(cache.clone());
         }
         let partition_count = config.partition_count();
         let partition_slots = config.partition_slots();
@@ -537,7 +507,6 @@ impl StorageLayer {
             worker_pools: (0..config.worker_threads)
                 .map(|_| BufferPool::new())
                 .collect(),
-            zero_copy: config.zero_copy_io,
             partition_count,
             partition_slots,
             capacity: config.capacity,
@@ -772,7 +741,7 @@ impl StorageLayer {
         // restored store, and a presence mismatch fails closed inside
         // `load_state`.
         if let Some(cache) = &config.cache {
-            device.install_cache(cache.clone())?;
+            device.install_cache(cache.clone());
         }
         device.load_state(r)?;
 
@@ -798,7 +767,6 @@ impl StorageLayer {
             worker_pools: (0..config.worker_threads)
                 .map(|_| BufferPool::new())
                 .collect(),
-            zero_copy: config.zero_copy_io,
             partition_count,
             partition_slots,
             capacity: config.capacity,
@@ -888,7 +856,6 @@ impl StorageLayer {
     pub fn batch_opener(&self) -> BatchOpener {
         BatchOpener {
             sealer: self.sealer.clone(),
-            zero_copy: self.zero_copy,
             device: self.device.name().to_string(),
         }
     }
@@ -1252,14 +1219,9 @@ impl StorageLayer {
         for (pass, &partition) in window.iter().enumerate() {
             let base = partition * self.partition_slots;
 
-            // Read stream: one streaming op. Zero-copy mode takes the
-            // ciphertexts out of the store (every slot is rewritten below);
-            // legacy mode clones them like the original implementation.
-            let mut taken = if self.zero_copy {
-                self.device.take_run(base, self.partition_slots)?
-            } else {
-                self.device.read_run(base, self.partition_slots)?
-            };
+            // Read stream: one streaming op that takes the ciphertexts
+            // out of the store (every slot is rewritten below).
+            let mut taken = self.device.take_run(base, self.partition_slots)?;
 
             // Control sweep: release every slot's ownership up front so
             // the crypto half below is pure over its inputs (the order of
@@ -1279,7 +1241,6 @@ impl StorageLayer {
                 let ctx = PassCrypto {
                     read_sealer: &read_sealer,
                     write_sealer: &self.sealer,
-                    zero_copy: self.zero_copy,
                     payload_len: self.payload_len,
                     wire_len,
                     device: self.device.name(),
@@ -1391,7 +1352,6 @@ impl StorageLayer {
             let ctx = PassCrypto {
                 read_sealer: &read_sealer,
                 write_sealer: &self.sealer,
-                zero_copy: self.zero_copy,
                 payload_len: self.payload_len,
                 wire_len,
                 device: self.device.name(),
@@ -1493,11 +1453,9 @@ mod tests {
     fn build_threaded(
         capacity: u64,
         trace: Option<AccessTrace>,
-        zero_copy: bool,
         worker_threads: usize,
     ) -> StorageLayer {
-        let mut config = HOramConfig::new(capacity, 8, 64).with_worker_threads(worker_threads);
-        config.zero_copy_io = zero_copy;
+        let config = HOramConfig::new(capacity, 8, 64).with_worker_threads(worker_threads);
         let device = MachineConfig::dac2019().build_storage(SimClock::new(), trace);
         let master = MasterKey::from_bytes([8; 32]);
         let keys = KeyHierarchy::new(master.clone(), "storage-layer-test");
@@ -1508,17 +1466,17 @@ mod tests {
     // The baseline fixtures pin `worker_threads = 1` (the serial path) so
     // assertions about the shared pool's counters stay machine-independent;
     // the `parallel_*` tests below compare the threaded path against them.
-    fn build_with(capacity: u64, trace: Option<AccessTrace>, zero_copy: bool) -> StorageLayer {
-        build_threaded(capacity, trace, zero_copy, 1)
+    fn build_with(capacity: u64, trace: Option<AccessTrace>) -> StorageLayer {
+        build_threaded(capacity, trace, 1)
     }
 
     fn build(capacity: u64) -> StorageLayer {
-        build_with(capacity, None, true)
+        build_with(capacity, None)
     }
 
     fn build_traced(capacity: u64) -> (StorageLayer, AccessTrace) {
         let trace = AccessTrace::new();
-        let layer = build_with(capacity, Some(trace.clone()), true);
+        let layer = build_with(capacity, Some(trace.clone()));
         trace.clear();
         (layer, trace)
     }
@@ -1760,37 +1718,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_crypto_mode_is_observably_identical() {
-        // zero_copy off must produce the same data, trace, and simulated
-        // timing — it ablates host-side copies only.
-        let trace_zc = AccessTrace::new();
-        let mut zc = build_with(64, Some(trace_zc.clone()), true);
-        let trace_legacy = AccessTrace::new();
-        let mut legacy = build_with(64, Some(trace_legacy.clone()), false);
-        let plan = [
-            LoadPlan::Miss(BlockId(7)),
-            LoadPlan::Dummy,
-            LoadPlan::Miss(BlockId(3)),
-            LoadPlan::Dummy,
-        ];
-        let batch_zc = zc.load_batch(&plan).unwrap();
-        let batch_legacy = legacy.load_batch(&plan).unwrap();
-        assert_eq!(batch_zc, batch_legacy);
-        let hot = vec![(BlockId(7), vec![1u8; 8]), (BlockId(3), vec![0u8; 8])];
-        zc.rebuild_full(hot.clone(), 9).unwrap();
-        legacy.rebuild_full(hot, 9).unwrap();
-        assert_eq!(
-            trace_zc.address_sequence(zc.device().id()),
-            trace_legacy.address_sequence(legacy.device().id())
-        );
-        assert_eq!(zc.device().stats(), legacy.device().stats());
-        assert_eq!(
-            zc.fetch(BlockId(7)).unwrap().block,
-            legacy.fetch(BlockId(7)).unwrap().block
-        );
-    }
-
-    #[test]
     fn partition_live_counts_stay_consistent() {
         let mut layer = build(256);
         layer.fetch(BlockId(3)).unwrap();
@@ -1880,7 +1807,7 @@ mod tests {
         let serial_fp = shuffle_fingerprint(&mut serial, &serial_trace);
         for threads in [2usize, 4] {
             let trace = AccessTrace::new();
-            let mut layer = build_threaded(256, Some(trace.clone()), true, threads);
+            let mut layer = build_threaded(256, Some(trace.clone()), threads);
             trace.clear();
             let fp = shuffle_fingerprint(&mut layer, &trace);
             assert_eq!(serial_fp, fp, "threads={threads} diverged");
@@ -1893,25 +1820,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rebuild_legacy_mode_matches_too() {
-        let trace_a = AccessTrace::new();
-        let mut serial = build_threaded(256, Some(trace_a.clone()), false, 1);
-        trace_a.clear();
-        let fp_a = shuffle_fingerprint(&mut serial, &trace_a);
-        let trace_b = AccessTrace::new();
-        let mut threaded = build_threaded(256, Some(trace_b.clone()), false, 4);
-        trace_b.clear();
-        let fp_b = shuffle_fingerprint(&mut threaded, &trace_b);
-        assert_eq!(fp_a, fp_b);
-    }
-
-    #[test]
     fn parallel_steady_state_shuffle_recycles_buffers() {
         // The per-worker pools (pre-stocked per chunk, drained back each
         // phase) must preserve the zero-allocation steady state: after a
         // warm-up period, whole periods allocate nothing across the shared
         // pool and every worker pool combined.
-        let mut layer = build_threaded(256, None, true, 4);
+        let mut layer = build_threaded(256, None, 4);
         let period = |layer: &mut StorageLayer, seed: u64| {
             let mut hot = Vec::new();
             for id in [seed % 256, (seed + 100) % 256] {

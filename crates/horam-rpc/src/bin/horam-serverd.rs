@@ -36,7 +36,7 @@ struct Args {
     shards: u64,
     tenants: u32,
     batch_size: usize,
-    pipeline_depth: Option<u64>,
+    pipeline_depth: u64,
     max_connections: usize,
     max_inflight: usize,
     dedup_window: usize,
@@ -57,7 +57,7 @@ impl Args {
             shards: 4,
             tenants: 8,
             batch_size: 128,
-            pipeline_depth: None,
+            pipeline_depth: 1,
             max_connections: 16,
             max_inflight: 256,
             dedup_window: 1024,
@@ -82,7 +82,10 @@ impl Args {
                 "--tenants" => args.tenants = parse(&value("--tenants")?)?,
                 "--batch-size" => args.batch_size = parse(&value("--batch-size")?)?,
                 "--pipeline-depth" => {
-                    args.pipeline_depth = Some(parse(&value("--pipeline-depth")?)?)
+                    args.pipeline_depth = parse(&value("--pipeline-depth")?)?;
+                    if args.pipeline_depth == 0 {
+                        return Err("--pipeline-depth must be at least 1".into());
+                    }
                 }
                 "--max-connections" => args.max_connections = parse(&value("--max-connections")?)?,
                 "--max-inflight" => args.max_inflight = parse(&value("--max-inflight")?)?,
@@ -112,8 +115,9 @@ const USAGE: &str = "horam-serverd — H-ORAM network server
   --tenants N            tenants 0..N, equal disjoint block ranges
   --batch-size N         admission batch size (default 128)
   --pipeline-depth N     I/O windows the engine keeps in flight per shard
-                         (default: the machine hint; 1 = sequential).
-                         Responses are byte-identical at any depth
+                         (default 1 = sequential). Applies at first start
+                         only: a restored engine keeps its checkpoint's
+                         depth. Responses are byte-identical at any depth
   --max-connections / --max-inflight / --dedup-window
   --token T              require this Hello token
   --seed S / --key K     engine seed and master-key byte
@@ -139,19 +143,17 @@ fn main() -> ExitCode {
 fn run() -> Result<(), String> {
     let args = Args::parse()?;
 
-    let mut service_config = ServiceConfig {
+    let service_config = ServiceConfig {
         batch_size: args.batch_size,
         ..ServiceConfig::default()
     };
-    if let Some(depth) = args.pipeline_depth {
-        service_config.pipeline = horam_core::PipelineConfig::with_depth(depth);
-    }
     let base = service_config
         .engine_config(HOramConfig::new(
             args.capacity,
             args.payload_len,
             args.memory_slots,
         ))
+        .with_pipeline_depth(args.pipeline_depth)
         .with_seed(args.seed);
     let sharded = ShardedConfig::new(base, args.shards);
     let master = MasterKey::from_bytes([args.key; 32]);

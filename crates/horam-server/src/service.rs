@@ -82,32 +82,6 @@ pub struct ServiceConfig {
     /// Responses and stats are byte-identical at any value. Defaults to
     /// the host's available parallelism.
     pub worker_threads: usize,
-    /// Optional storage block cache the deployment should build its
-    /// engine with (`HOramConfig::cache`). Like
-    /// [`worker_threads`](Self::worker_threads), this changes simulated
-    /// I/O time only — responses, protocol counters, and the
-    /// device-visible trace shape are byte-identical with or without it.
-    /// Consume through [`engine_config`](Self::engine_config). `None`
-    /// (the default) leaves the engine's machine description in charge.
-    pub cache: Option<oram_storage::cache::CacheConfig>,
-    /// Position-map mode the deployment should build its engine with
-    /// (`HOramConfig::posmap`): the flat in-RAM table, or the recursive
-    /// oblivious map whose trusted state is O(log N) (see
-    /// `horam_core::posmap`). Like [`cache`](Self::cache), consumed
-    /// through [`engine_config`](Self::engine_config); responses are
-    /// byte-identical in either mode.
-    pub posmap: horam_core::config::PosmapMode,
-    /// Cycle-pipeline configuration the deployment should build its
-    /// engine with (`HOramConfig::pipeline`): how many I/O windows the
-    /// engine may keep in flight per pump. Consumed through
-    /// [`engine_config`](Self::engine_config); the pump also reads the
-    /// resolved depth to issue `run_cycle_burst` calls that keep the
-    /// engine's pipeline fed. Like [`worker_threads`](Self::worker_threads),
-    /// this changes wall-clock behaviour only — responses, statistics,
-    /// traces, and simulated time are byte-identical at any depth. The
-    /// default leaves the depth to the engine's machine hint (sequential
-    /// when unset).
-    pub pipeline: horam_core::PipelineConfig,
 }
 
 impl Default for ServiceConfig {
@@ -120,9 +94,6 @@ impl Default for ServiceConfig {
             worker_threads: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
-            cache: None,
-            posmap: horam_core::config::PosmapMode::Flat,
-            pipeline: horam_core::PipelineConfig::default(),
         }
     }
 }
@@ -138,14 +109,7 @@ impl ServiceConfig {
         &self,
         base: horam_core::config::HOramConfig,
     ) -> horam_core::config::HOramConfig {
-        let base = base
-            .with_worker_threads(self.worker_threads)
-            .with_posmap(self.posmap.clone())
-            .with_pipeline(self.pipeline.clone());
-        match &self.cache {
-            Some(cache) => base.with_cache(cache.clone()),
-            None => base,
-        }
+        base.with_worker_threads(self.worker_threads)
     }
 }
 
@@ -592,7 +556,10 @@ impl<E: OramEngine> OramService<E> {
         // hands the engine several windows at once so lookahead planning
         // overlaps in-flight commits; results are byte-identical either
         // way, so the watermark drain logic does not care about depth.
-        let depth = self.config.pipeline.effective_depth(None);
+        // The depth is the engine's own (after a restore, its snapshot's),
+        // so the burst can never run at one depth over an engine built
+        // for another.
+        let depth = self.oram.pipeline_depth();
         while self.oram.pending_requests() > watermark {
             let above = (self.oram.pending_requests() - watermark) as u64;
             self.oram

@@ -1,24 +1,16 @@
-//! The oblivious block cache and the tiered storage backend.
+//! The oblivious block cache.
 //!
 //! The paper's thesis is a *cacheable* ORAM interface: the permuted flat
 //! layout lets a block-device cache sit under the ORAM without touching
 //! the security argument. This module supplies that cache as a device
-//! tier, plus an optional middle (SSD-class) tier, composing the full
-//! RAM cache → SSD → HDD hierarchy:
-//!
-//! * [`BlockCache`] — a RAM tier of **sealed** blocks in front of a
-//!   [`crate::device::Device`]'s backing store: LRU or CLOCK replacement
-//!   over a configurable capacity, write-back with dirty tracking.
-//! * [`TieredStore`] — the middle tier: a second [`DataStore`] (in-memory
-//!   or file-backed) with its own (SSD-class) timing model. Blocks are
-//!   *promoted* into it when a cold read misses both upper tiers and
-//!   *demoted* into it when the RAM cache evicts a clean copy; the tier
-//!   itself demotes least-recently-used copies back to cold when full.
+//! tier: [`BlockCache`], a RAM tier of **sealed** blocks in front of a
+//! [`crate::device::Device`]'s backing store, with LRU replacement over a
+//! configurable capacity and write-back with dirty tracking.
 //!
 //! **Obliviousness.** The cache changes *when* an access completes, never
 //! *what the bus shows*: every device operation records exactly the same
 //! trace event — device, direction, slot, byte count, submission order —
-//! whether it hit the RAM tier, the middle tier, or cold storage. Hits
+//! whether it hit the RAM tier or went to cold storage. Hits
 //! are timing-padded, not elided: the op is recorded unconditionally and
 //! only its charged [`SimDuration`] differs. Which tier serves a slot is
 //! a function of the *physical slot access history* alone, which the
@@ -30,73 +22,29 @@
 //! response/trace equivalence against the uncached device.
 //!
 //! **Authority.** The RAM tier is the authority for slots it holds dirty;
-//! everywhere else the cold store is authoritative and upper tiers hold
+//! everywhere else the cold store is authoritative and the cache holds
 //! clean copies. Streamed shuffle writes (`write_run`) are write-through
 //! (cold is updated immediately, the cache keeps a clean copy); random
 //! writes (`write_block`/`write_scatter`) are write-back (absorbed dirty,
 //! flushed on eviction or [`sync`](crate::device::Device::sync)).
 
 use crate::clock::SimDuration;
-use crate::device::TimingModel;
-use crate::store::{BlockStore, DataStore};
+use crate::store::DataStore;
 use crate::StorageError;
 use oram_crypto::seal::SealedBlock;
 use std::collections::{BTreeMap, HashMap};
 
-/// Replacement policy of the RAM tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum CachePolicy {
-    /// Exact least-recently-used, via a monotone use tick.
-    Lru,
-    /// CLOCK (second chance): a ring with reference bits — near-LRU at
-    /// O(1) amortized bookkeeping.
-    Clock,
-}
-
-/// Configuration of the middle (SSD-class) tier.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct MidTierConfig {
-    /// Capacity of the tier in blocks.
-    pub capacity_blocks: u64,
-    /// Optional backing file for the tier's copies. `None` (the default)
-    /// keeps them in memory; a path puts them in a
-    /// [`crate::file::FileStore`] of `capacity_blocks` slots ×
-    /// `file_slot_bytes` bytes. Either way the tier holds *clean copies
-    /// only* — cold storage stays authoritative — so its contents are
-    /// reconstructible and never needed for recovery.
-    pub file: Option<String>,
-    /// Sealed-body bytes per slot of a file-backed tier (ignored for the
-    /// in-memory tier).
-    pub file_slot_bytes: usize,
-}
-
-impl MidTierConfig {
-    /// An in-memory middle tier of `capacity_blocks` blocks with
-    /// SSD-class timing.
-    pub fn in_memory(capacity_blocks: u64) -> Self {
-        Self {
-            capacity_blocks,
-            file: None,
-            file_slot_bytes: 0,
-        }
-    }
-}
-
-/// Configuration of the block cache (and, optionally, the tier below it).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// Configuration of the block cache.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
     /// RAM-tier capacity in blocks.
     pub capacity_blocks: u64,
-    /// Replacement policy.
-    pub policy: CachePolicy,
     /// Cost of serving one cached block (DRAM copy + lookup).
     pub hit_nanos: u64,
     /// Fraction of the cold write cost charged synchronously when a
     /// random write is absorbed write-back (the rest is assumed flushed
     /// in the background). `1.0` = fully synchronous.
     pub writeback_sync_fraction: f64,
-    /// Optional middle (SSD-class) tier under the RAM cache.
-    pub mid: Option<MidTierConfig>,
     /// **Test fixture — deliberately insecure.** When set, RAM-tier hits
     /// skip the device trace and statistics entirely, so the bus shape
     /// depends on the hit pattern. Exists only so the leakage tests in
@@ -108,30 +56,14 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// An LRU cache of `capacity_blocks` blocks with DRAM-copy hit cost
-    /// (1 µs) and mostly asynchronous write-back, no middle tier.
+    /// (1 µs) and mostly asynchronous write-back.
     pub fn lru(capacity_blocks: u64) -> Self {
         Self {
             capacity_blocks,
-            policy: CachePolicy::Lru,
             hit_nanos: 1_000,
             writeback_sync_fraction: 0.2,
-            mid: None,
             leaky_hits: false,
         }
-    }
-
-    /// The same geometry under the CLOCK policy.
-    pub fn clock(capacity_blocks: u64) -> Self {
-        Self {
-            policy: CachePolicy::Clock,
-            ..Self::lru(capacity_blocks)
-        }
-    }
-
-    /// Adds an in-memory SSD-class middle tier of `capacity_blocks`.
-    pub fn with_mid_tier(mut self, capacity_blocks: u64) -> Self {
-        self.mid = Some(MidTierConfig::in_memory(capacity_blocks));
-        self
     }
 
     /// Checks invariants; called by device installation.
@@ -145,52 +77,40 @@ impl CacheConfig {
             (0.0..=1.0).contains(&self.writeback_sync_fraction),
             "writeback_sync_fraction must be within [0, 1]"
         );
-        if let Some(mid) = &self.mid {
-            assert!(mid.capacity_blocks > 0, "mid tier must hold at least 1");
-        }
     }
 }
 
-/// Counters of the cache and tier, surfaced through
+/// Counters of the cache, surfaced through
 /// [`crate::device::Device::cache_stats`] and the ORAM layers above.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CacheStats {
     /// Random reads served by the RAM tier.
     pub hits: u64,
-    /// Random reads served by the middle tier.
-    pub mid_hits: u64,
     /// Random reads that went to cold storage.
     pub misses: u64,
     /// RAM-tier evictions.
     pub evictions: u64,
     /// Dirty blocks flushed to cold storage (eviction or sync).
     pub writebacks: u64,
-    /// Blocks promoted into the middle tier.
-    pub promotions: u64,
-    /// Blocks demoted out of the middle tier (copy dropped).
-    pub demotions: u64,
 }
 
 impl CacheStats {
-    /// Hit rate of random reads over both cache tiers.
+    /// Hit rate of random reads.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.mid_hits + self.misses;
+        let total = self.hits + self.misses;
         if total == 0 {
             0.0
         } else {
-            (self.hits + self.mid_hits) as f64 / total as f64
+            self.hits as f64 / total as f64
         }
     }
 
     /// Merges another instance's counters (sharded aggregation).
     pub fn merge(&mut self, other: &CacheStats) {
         self.hits += other.hits;
-        self.mid_hits += other.mid_hits;
         self.misses += other.misses;
         self.evictions += other.evictions;
         self.writebacks += other.writebacks;
-        self.promotions += other.promotions;
-        self.demotions += other.demotions;
     }
 }
 
@@ -199,117 +119,11 @@ impl CacheStats {
 struct Entry {
     block: SealedBlock,
     dirty: bool,
-    /// LRU use tick (unused under CLOCK).
+    /// LRU use tick.
     tick: u64,
-    /// CLOCK reference bit (unused under LRU).
-    referenced: bool,
 }
 
-/// The middle (SSD-class) storage tier. See the [module docs](self).
-#[derive(Debug)]
-pub struct TieredStore {
-    store: Box<dyn DataStore>,
-    timing: Box<dyn TimingModel>,
-    capacity_blocks: u64,
-    /// slot → last-use tick; `BTreeMap` keeps eviction order-independent
-    /// of hash state. Ticks are shared with the cache's monotone counter.
-    residency: BTreeMap<u64, u64>,
-    /// tick → slot reverse index for O(log n) LRU demotion.
-    by_tick: BTreeMap<u64, u64>,
-}
-
-impl TieredStore {
-    /// Builds the tier from its configuration.
-    ///
-    /// # Errors
-    ///
-    /// File-backed tiers propagate open/recovery errors.
-    pub fn open(config: &MidTierConfig) -> Result<Self, StorageError> {
-        let store: Box<dyn DataStore> = match &config.file {
-            None => Box::new(BlockStore::new()),
-            Some(path) => Box::new(crate::file::FileStore::open(
-                path,
-                crate::file::FileStoreConfig::new(config.capacity_blocks, config.file_slot_bytes),
-            )?),
-        };
-        Ok(Self {
-            store,
-            timing: Box::new(crate::ssd::SsdModel::sata_2019()),
-            capacity_blocks: config.capacity_blocks,
-            residency: BTreeMap::new(),
-            by_tick: BTreeMap::new(),
-        })
-    }
-
-    fn contains(&self, addr: u64) -> bool {
-        self.residency.contains_key(&addr)
-    }
-
-    fn touch(&mut self, addr: u64, tick: u64) {
-        if let Some(old) = self.residency.insert(addr, tick) {
-            self.by_tick.remove(&old);
-        }
-        self.by_tick.insert(tick, addr);
-    }
-
-    /// Inserts a clean copy, demoting the LRU resident if full. Returns
-    /// whether a demotion happened.
-    fn insert(&mut self, addr: u64, block: SealedBlock, tick: u64) -> bool {
-        let mut demoted = false;
-        if !self.contains(addr) && self.residency.len() as u64 >= self.capacity_blocks {
-            if let Some((&victim_tick, &victim)) = self.by_tick.iter().next() {
-                self.by_tick.remove(&victim_tick);
-                self.residency.remove(&victim);
-                self.store
-                    .remove(victim)
-                    .expect("mid-tier demotion is fail-stop");
-                demoted = true;
-            }
-        }
-        self.store
-            .put(addr, block)
-            .expect("mid-tier put is fail-stop");
-        self.touch(addr, tick);
-        demoted
-    }
-
-    fn get(&mut self, addr: u64) -> Option<SealedBlock> {
-        self.store.get(addr).expect("mid-tier get is fail-stop")
-    }
-
-    fn invalidate(&mut self, addr: u64) {
-        if let Some(tick) = self.residency.remove(&addr) {
-            self.by_tick.remove(&tick);
-            self.store
-                .remove(addr)
-                .expect("mid-tier invalidate is fail-stop");
-        }
-    }
-
-    fn clear(&mut self) {
-        self.residency.clear();
-        self.by_tick.clear();
-        self.store.clear().expect("mid-tier clear is fail-stop");
-    }
-
-    /// Residency metadata, sorted by slot (snapshot serialization).
-    fn metadata(&self) -> Vec<(u64, u64)> {
-        self.residency.iter().map(|(&a, &t)| (a, t)).collect()
-    }
-}
-
-/// Which tier resolved a random-read lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReadTier {
-    /// Served by the RAM tier.
-    Ram,
-    /// Served by the middle tier.
-    Mid,
-    /// Went to cold storage.
-    Cold,
-}
-
-/// The RAM cache tier (plus the optional tier below it). Lives inside a
+/// The RAM cache tier. Lives inside a
 /// [`crate::device::Device`]; all methods are crate-internal — the public
 /// surface is the device's, which keeps trace/stat recording and cache
 /// consultation in lockstep.
@@ -317,41 +131,29 @@ pub(crate) enum ReadTier {
 pub struct BlockCache {
     config: CacheConfig,
     entries: HashMap<u64, Entry>,
-    /// tick → slot reverse index (LRU policy only).
+    /// tick → slot reverse index for O(log n) LRU eviction; `BTreeMap`
+    /// keeps eviction order independent of hash state.
     by_tick: BTreeMap<u64, u64>,
-    /// CLOCK ring of resident slots plus the sweep hand (CLOCK policy
-    /// only). Slots keep their insertion position until evicted.
-    ring: Vec<u64>,
-    hand: usize,
-    /// Monotone use counter; shared with the middle tier's residency.
+    /// Monotone use counter.
     tick: u64,
     stats: CacheStats,
-    mid: Option<TieredStore>,
 }
 
 impl BlockCache {
-    /// Builds the cache (and middle tier, when configured).
-    ///
-    /// # Errors
-    ///
-    /// File-backed middle tiers propagate open errors.
+    /// Builds the cache.
     ///
     /// # Panics
     ///
     /// Panics on an invalid configuration (see [`CacheConfig::validate`]).
-    pub fn new(config: CacheConfig) -> Result<Self, StorageError> {
+    pub fn new(config: CacheConfig) -> Self {
         config.validate();
-        let mid = config.mid.as_ref().map(TieredStore::open).transpose()?;
-        Ok(Self {
+        Self {
             config,
             entries: HashMap::new(),
             by_tick: BTreeMap::new(),
-            ring: Vec::new(),
-            hand: 0,
             tick: 0,
             stats: CacheStats::default(),
-            mid,
-        })
+        }
     }
 
     /// The configuration this cache was built from.
@@ -385,22 +187,10 @@ impl BlockCache {
         self.config.writeback_sync_fraction
     }
 
-    /// Whether `addr` is resident in the RAM tier (no LRU touch).
-    #[cfg(test)]
+    /// Whether a random read of `addr` will hit (no state change, no LRU
+    /// touch) — the planning half of a scatter's hit/miss split.
     pub(crate) fn contains(&self, addr: u64) -> bool {
         self.entries.contains_key(&addr)
-    }
-
-    /// Which tier a random read of `addr` will be served from (no state
-    /// change) — the planning half of a scatter's hit/miss split.
-    pub(crate) fn probe(&self, addr: u64) -> ReadTier {
-        if self.entries.contains_key(&addr) {
-            ReadTier::Ram
-        } else if self.mid.as_ref().is_some_and(|m| m.contains(addr)) {
-            ReadTier::Mid
-        } else {
-            ReadTier::Cold
-        }
     }
 
     fn next_tick(&mut self) -> u64 {
@@ -411,41 +201,16 @@ impl BlockCache {
     fn touch_entry(&mut self, addr: u64) {
         let tick = self.next_tick();
         if let Some(entry) = self.entries.get_mut(&addr) {
-            match self.config.policy {
-                CachePolicy::Lru => {
-                    self.by_tick.remove(&entry.tick);
-                    entry.tick = tick;
-                    self.by_tick.insert(tick, addr);
-                }
-                CachePolicy::Clock => entry.referenced = true,
-            }
+            self.by_tick.remove(&entry.tick);
+            entry.tick = tick;
+            self.by_tick.insert(tick, addr);
         }
     }
 
-    /// Picks and removes the replacement victim. Caller guarantees the
-    /// cache is non-empty.
+    /// Picks and removes the least-recently-used entry. Caller guarantees
+    /// the cache is non-empty.
     fn evict_victim(&mut self) -> (u64, Entry) {
-        let victim = match self.config.policy {
-            CachePolicy::Lru => {
-                let (&tick, &addr) = self.by_tick.iter().next().expect("cache non-empty");
-                self.by_tick.remove(&tick);
-                addr
-            }
-            CachePolicy::Clock => loop {
-                let addr = self.ring[self.hand];
-                let entry = self.entries.get_mut(&addr).expect("ring tracks entries");
-                if entry.referenced {
-                    entry.referenced = false;
-                    self.hand = (self.hand + 1) % self.ring.len();
-                } else {
-                    self.ring.remove(self.hand);
-                    if self.hand >= self.ring.len() {
-                        self.hand = 0;
-                    }
-                    break addr;
-                }
-            },
-        };
+        let (_, victim) = self.by_tick.pop_first().expect("cache non-empty");
         let entry = self.entries.remove(&victim).expect("victim resident");
         self.stats.evictions += 1;
         (victim, entry)
@@ -454,7 +219,7 @@ impl BlockCache {
     /// Inserts (or refreshes) an entry, evicting to capacity. Evicted
     /// dirty blocks are flushed to `cold` (data movement only — the sync
     /// fraction was charged when the write was absorbed); evicted clean
-    /// blocks are demoted into the middle tier when one exists.
+    /// copies are dropped.
     pub(crate) fn insert(
         &mut self,
         addr: u64,
@@ -473,56 +238,22 @@ impl BlockCache {
             if entry.dirty {
                 cold.put(victim, entry.block)?;
                 self.stats.writebacks += 1;
-                if let Some(mid) = &mut self.mid {
-                    // The tier's copy (if any) is stale now.
-                    mid.invalidate(victim);
-                }
-            } else if self.mid.is_some() {
-                let tick = self.next_tick();
-                let mid = self.mid.as_mut().expect("checked above");
-                if mid.insert(victim, entry.block, tick) {
-                    self.stats.demotions += 1;
-                }
-                self.stats.promotions += 1;
             }
         }
         let tick = self.next_tick();
-        self.entries.insert(
-            addr,
-            Entry {
-                block,
-                dirty,
-                tick,
-                referenced: true,
-            },
-        );
-        match self.config.policy {
-            CachePolicy::Lru => {
-                self.by_tick.insert(tick, addr);
-            }
-            CachePolicy::Clock => self.ring.push(addr),
-        }
+        self.entries.insert(addr, Entry { block, dirty, tick });
+        self.by_tick.insert(tick, addr);
         Ok(())
     }
 
-    /// Serves a RAM-tier hit: clones the block, touches recency, counts
-    /// the hit. Caller guarantees residency (a prior
-    /// [`probe`](Self::probe) said [`ReadTier::Ram`] and no insertion
-    /// happened since).
-    pub(crate) fn serve_ram(&mut self, addr: u64) -> SealedBlock {
+    /// Serves a hit: clones the block, touches recency, counts the hit.
+    /// Caller guarantees residency ([`contains`](Self::contains) said so
+    /// and no insertion happened since).
+    pub(crate) fn serve_hit(&mut self, addr: u64) -> SealedBlock {
         let block = self.entries[&addr].block.clone();
         self.touch_entry(addr);
         self.stats.hits += 1;
         block
-    }
-
-    /// Serves a middle-tier hit (see [`serve_ram`](Self::serve_ram)).
-    pub(crate) fn serve_mid(&mut self, addr: u64) -> SealedBlock {
-        let tick = self.next_tick();
-        let mid = self.mid.as_mut().expect("mid hit requires a mid tier");
-        mid.touch(addr, tick);
-        self.stats.mid_hits += 1;
-        mid.get(addr).expect("mid residency tracked")
     }
 
     /// Counts a cold miss (the device serves it from its own store and
@@ -531,32 +262,27 @@ impl BlockCache {
         self.stats.misses += 1;
     }
 
-    /// Serves a random read: probe + dispatch. Cold misses return
-    /// `(None, Cold)` — resolution and promotion stay with the caller.
+    /// Serves a random read. Cold misses return `None` — resolution and
+    /// promotion stay with the caller.
     #[cfg(test)]
-    pub(crate) fn read(&mut self, addr: u64) -> (Option<SealedBlock>, ReadTier) {
-        match self.probe(addr) {
-            ReadTier::Ram => (Some(self.serve_ram(addr)), ReadTier::Ram),
-            ReadTier::Mid => (Some(self.serve_mid(addr)), ReadTier::Mid),
-            ReadTier::Cold => {
-                self.note_miss();
-                (None, ReadTier::Cold)
-            }
+    pub(crate) fn read(&mut self, addr: u64) -> Option<SealedBlock> {
+        if self.contains(addr) {
+            Some(self.serve_hit(addr))
+        } else {
+            self.note_miss();
+            None
         }
     }
 
     /// Populates a clean copy after a write-through (`write_run`): the
-    /// cold store already holds the new bytes, so any middle-tier copy is
-    /// stale and the RAM entry enters clean.
+    /// cold store already holds the new bytes, so the RAM entry enters
+    /// clean.
     pub(crate) fn populate(
         &mut self,
         addr: u64,
         block: SealedBlock,
         cold: &mut dyn DataStore,
     ) -> Result<(), StorageError> {
-        if let Some(mid) = &mut self.mid {
-            mid.invalidate(addr);
-        }
         if let Some(entry) = self.entries.get_mut(&addr) {
             // Overwrite in place: the old copy (dirty or not) is obsolete.
             entry.block = block;
@@ -585,33 +311,15 @@ impl BlockCache {
         block: SealedBlock,
         cold: &mut dyn DataStore,
     ) -> Result<(), StorageError> {
-        if let Some(mid) = &mut self.mid {
-            mid.invalidate(addr);
-        }
         self.insert(addr, block, true, cold)
     }
 
-    /// Removes `addr` from every cache tier, returning the RAM copy if it
-    /// was the authority (dirty).
+    /// Removes `addr` from the cache, returning the RAM copy if it was
+    /// the authority (dirty).
     pub(crate) fn invalidate(&mut self, addr: u64) -> Option<SealedBlock> {
         let removed = self.entries.remove(&addr);
         if let Some(entry) = &removed {
-            match self.config.policy {
-                CachePolicy::Lru => {
-                    self.by_tick.remove(&entry.tick);
-                }
-                CachePolicy::Clock => {
-                    if let Some(pos) = self.ring.iter().position(|&a| a == addr) {
-                        self.ring.remove(pos);
-                        if self.hand > pos || self.hand >= self.ring.len() {
-                            self.hand = self.hand.saturating_sub(1);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(mid) = &mut self.mid {
-            mid.invalidate(addr);
+            self.by_tick.remove(&entry.tick);
         }
         removed.and_then(|e| e.dirty.then_some(e.block))
     }
@@ -645,32 +353,16 @@ impl BlockCache {
             cold.put(addr, entry.block.clone())?;
             entry.dirty = false;
             self.stats.writebacks += 1;
-            if let Some(mid) = &mut self.mid {
-                mid.invalidate(addr);
-            }
         }
         Ok(())
     }
 
-    /// Drops every tier's contents (device [`clear`]).
+    /// Drops the cache's contents (device [`clear`]).
     ///
     /// [`clear`]: crate::device::Device::clear
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.by_tick.clear();
-        self.ring.clear();
-        self.hand = 0;
-        if let Some(mid) = &mut self.mid {
-            mid.clear();
-        }
-    }
-
-    /// Middle-tier timing access for the device's cost attribution.
-    pub(crate) fn mid_timing(&mut self) -> Option<&mut dyn TimingModel> {
-        match &mut self.mid {
-            Some(m) => Some(&mut *m.timing),
-            None => None,
-        }
     }
 
     /// Serializes residency metadata + counters. Blocks are **not**
@@ -688,42 +380,17 @@ impl BlockCache {
             "cache snapshot requires a prior flush"
         );
         w.put_u64(self.tick);
-        w.put_u64(self.hand as u64);
-        let stats = self.stats;
-        for word in [
-            stats.hits,
-            stats.mid_hits,
-            stats.misses,
-            stats.evictions,
-            stats.writebacks,
-            stats.promotions,
-            stats.demotions,
-        ] {
+        let CacheStats {
+            hits,
+            misses,
+            evictions,
+            writebacks,
+        } = self.stats;
+        for word in [hits, misses, evictions, writebacks] {
             w.put_u64(word);
         }
-        match self.config.policy {
-            CachePolicy::Lru => {
-                // tick order doubles as both recency and (unused) ring order.
-                w.put_usize(self.by_tick.len());
-                for (&tick, &addr) in &self.by_tick {
-                    w.put_u64(addr);
-                    w.put_u64(tick);
-                    w.put_bool(self.entries[&addr].referenced);
-                }
-            }
-            CachePolicy::Clock => {
-                w.put_usize(self.ring.len());
-                for &addr in &self.ring {
-                    let entry = &self.entries[&addr];
-                    w.put_u64(addr);
-                    w.put_u64(entry.tick);
-                    w.put_bool(entry.referenced);
-                }
-            }
-        }
-        let mid_meta = self.mid.as_ref().map(|m| m.metadata()).unwrap_or_default();
-        w.put_usize(mid_meta.len());
-        for (addr, tick) in mid_meta {
+        w.put_usize(self.by_tick.len());
+        for (&tick, &addr) in &self.by_tick {
             w.put_u64(addr);
             w.put_u64(tick);
         }
@@ -744,69 +411,33 @@ impl BlockCache {
         use oram_crypto::persist::PersistError;
         self.clear();
         self.tick = r.get_u64()?;
-        self.hand = r.get_u64()? as usize;
         self.stats = CacheStats {
             hits: r.get_u64()?,
-            mid_hits: r.get_u64()?,
             misses: r.get_u64()?,
             evictions: r.get_u64()?,
             writebacks: r.get_u64()?,
-            promotions: r.get_u64()?,
-            demotions: r.get_u64()?,
-        };
-        let fetch = |addr: u64, cold: &mut dyn DataStore| {
-            cold.get(addr)
-                .map_err(|e| PersistError::Malformed(format!("repopulating cache: {e}")))?
-                .ok_or_else(|| {
-                    PersistError::Malformed(format!(
-                        "cache snapshot references slot {addr}, absent from the store"
-                    ))
-                })
         };
         let count = r.get_usize()?;
         for _ in 0..count {
             let addr = r.get_u64()?;
             let tick = r.get_u64()?;
-            let referenced = r.get_bool()?;
-            let block = fetch(addr, cold)?;
+            let block = cold
+                .get(addr)
+                .map_err(|e| PersistError::Malformed(format!("repopulating cache: {e}")))?
+                .ok_or_else(|| {
+                    PersistError::Malformed(format!(
+                        "cache snapshot references slot {addr}, absent from the store"
+                    ))
+                })?;
             self.entries.insert(
                 addr,
                 Entry {
                     block,
                     dirty: false,
                     tick,
-                    referenced,
                 },
             );
-            match self.config.policy {
-                CachePolicy::Lru => {
-                    self.by_tick.insert(tick, addr);
-                }
-                CachePolicy::Clock => self.ring.push(addr),
-            }
-        }
-        if self.hand > self.ring.len() {
-            return Err(PersistError::Malformed(format!(
-                "clock hand {} beyond ring of {}",
-                self.hand,
-                self.ring.len()
-            )));
-        }
-        let mid_count = r.get_usize()?;
-        if mid_count > 0 && self.mid.is_none() {
-            return Err(PersistError::Malformed(
-                "snapshot has a middle tier, device has none".into(),
-            ));
-        }
-        for _ in 0..mid_count {
-            let addr = r.get_u64()?;
-            let tick = r.get_u64()?;
-            let block = fetch(addr, cold)?;
-            let mid = self.mid.as_mut().expect("checked above");
-            mid.store
-                .put(addr, block)
-                .map_err(|e| PersistError::Malformed(format!("repopulating tier: {e}")))?;
-            mid.touch(addr, tick);
+            self.by_tick.insert(tick, addr);
         }
         Ok(())
     }
@@ -815,6 +446,7 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::BlockStore;
     use oram_crypto::keys::MasterKey;
     use oram_crypto::seal::BlockSealer;
 
@@ -829,7 +461,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut cold = BlockStore::new();
-        let mut cache = BlockCache::new(CacheConfig::lru(2)).unwrap();
+        let mut cache = BlockCache::new(CacheConfig::lru(2));
         cache.insert(1, sealed(1), false, &mut cold).unwrap();
         cache.insert(2, sealed(2), false, &mut cold).unwrap();
         cache.read(1); // 2 is now LRU
@@ -839,24 +471,9 @@ mod tests {
     }
 
     #[test]
-    fn clock_gives_second_chances() {
-        let mut cold = BlockStore::new();
-        let mut cache = BlockCache::new(CacheConfig::clock(2)).unwrap();
-        cache.insert(1, sealed(1), false, &mut cold).unwrap();
-        cache.insert(2, sealed(2), false, &mut cold).unwrap();
-        cache.read(1); // reference 1
-        cache.insert(3, sealed(3), false, &mut cold).unwrap();
-        // The sweep clears both fresh bits, then evicts in ring order —
-        // slot 1 was re-referenced by the read, so it survives the first
-        // sweep only if its bit was still set when the hand passed.
-        assert_eq!(cache.entries.len(), 2);
-        assert!(cache.contains(3));
-    }
-
-    #[test]
     fn dirty_eviction_writes_back_to_cold() {
         let mut cold = BlockStore::new();
-        let mut cache = BlockCache::new(CacheConfig::lru(1)).unwrap();
+        let mut cache = BlockCache::new(CacheConfig::lru(1));
         cache.absorb_write(7, sealed(7), &mut cold).unwrap();
         assert!(
             DataStore::get(&mut cold, 7).unwrap().is_none(),
@@ -874,7 +491,7 @@ mod tests {
     #[test]
     fn flush_cleans_every_dirty_entry() {
         let mut cold = BlockStore::new();
-        let mut cache = BlockCache::new(CacheConfig::lru(8)).unwrap();
+        let mut cache = BlockCache::new(CacheConfig::lru(8));
         for a in 0..4u64 {
             cache.absorb_write(a, sealed(a), &mut cold).unwrap();
         }
@@ -889,37 +506,9 @@ mod tests {
     }
 
     #[test]
-    fn clean_eviction_demotes_into_mid_tier() {
-        let mut cold = BlockStore::new();
-        let mut cache = BlockCache::new(CacheConfig::lru(1).with_mid_tier(2)).unwrap();
-        cache.insert(1, sealed(1), false, &mut cold).unwrap();
-        cache.insert(2, sealed(2), false, &mut cold).unwrap(); // evicts 1 → mid
-        assert_eq!(cache.probe(1), ReadTier::Mid);
-        let (block, tier) = cache.read(1);
-        assert_eq!(tier, ReadTier::Mid);
-        assert_eq!(block.unwrap().block_id(), 1);
-        assert_eq!(cache.stats().promotions, 1);
-    }
-
-    #[test]
-    fn mid_tier_demotes_lru_when_full() {
-        let mut cold = BlockStore::new();
-        let mut cache = BlockCache::new(CacheConfig::lru(1).with_mid_tier(2)).unwrap();
-        for a in 1..=4u64 {
-            cache.insert(a, sealed(a), false, &mut cold).unwrap();
-        }
-        // RAM holds 4; mid holds the two most recently evicted of 1..3.
-        assert_eq!(cache.probe(4), ReadTier::Ram);
-        assert_eq!(cache.probe(1), ReadTier::Cold, "demoted out of the tier");
-        assert_eq!(cache.probe(2), ReadTier::Mid);
-        assert_eq!(cache.probe(3), ReadTier::Mid);
-        assert!(cache.stats().demotions >= 1);
-    }
-
-    #[test]
     fn invalidate_returns_dirty_authority_only() {
         let mut cold = BlockStore::new();
-        let mut cache = BlockCache::new(CacheConfig::lru(4)).unwrap();
+        let mut cache = BlockCache::new(CacheConfig::lru(4));
         cache.insert(1, sealed(1), false, &mut cold).unwrap();
         cache.absorb_write(2, sealed(2), &mut cold).unwrap();
         assert!(cache.invalidate(1).is_none(), "clean copy is not authority");
@@ -929,47 +518,47 @@ mod tests {
 
     #[test]
     fn state_roundtrip_preserves_residency_and_stats() {
-        for config in [
-            CacheConfig::lru(3).with_mid_tier(2),
-            CacheConfig::clock(3).with_mid_tier(2),
-        ] {
-            let mut cold = BlockStore::new();
-            let mut cache = BlockCache::new(config.clone()).unwrap();
-            for a in 0..6u64 {
-                DataStore::put(&mut cold, a, sealed(a)).unwrap();
-                cache.insert(a, sealed(a), false, &mut cold).unwrap();
-            }
-            cache.read(2);
-            let mut w = oram_crypto::persist::StateWriter::new();
-            cache.save_state(&mut w);
-            let bytes = w.into_bytes();
+        let config = CacheConfig::lru(3);
+        let mut cold = BlockStore::new();
+        let mut cache = BlockCache::new(config.clone());
+        for a in 0..6u64 {
+            DataStore::put(&mut cold, a, sealed(a)).unwrap();
+            cache.insert(a, sealed(a), false, &mut cold).unwrap();
+        }
+        cache.read(3); // 4 is now LRU
+        let mut w = oram_crypto::persist::StateWriter::new();
+        cache.save_state(&mut w);
+        let bytes = w.into_bytes();
 
-            let mut restored = BlockCache::new(config).unwrap();
-            let mut r = oram_crypto::persist::StateReader::new(&bytes);
-            restored.load_state(&mut r, &mut cold).unwrap();
-            assert_eq!(restored.stats(), cache.stats());
-            for a in 0..6u64 {
-                assert_eq!(restored.probe(a), cache.probe(a), "slot {a}");
-            }
-            // Replacement behavior continues identically.
-            cache.insert(100, sealed(100), false, &mut cold).unwrap();
-            restored.insert(100, sealed(100), false, &mut cold).unwrap();
-            for a in 0..6u64 {
-                assert_eq!(restored.probe(a), cache.probe(a), "post-insert slot {a}");
-            }
+        let mut restored = BlockCache::new(config);
+        let mut r = oram_crypto::persist::StateReader::new(&bytes);
+        restored.load_state(&mut r, &mut cold).unwrap();
+        assert_eq!(restored.stats(), cache.stats());
+        for a in 0..6u64 {
+            assert_eq!(restored.contains(a), cache.contains(a), "slot {a}");
+        }
+        // Replacement behavior continues identically.
+        cache.insert(100, sealed(100), false, &mut cold).unwrap();
+        restored.insert(100, sealed(100), false, &mut cold).unwrap();
+        for a in 0..6u64 {
+            assert_eq!(
+                restored.contains(a),
+                cache.contains(a),
+                "post-insert slot {a}"
+            );
         }
     }
 
     #[test]
     fn load_state_rejects_missing_store_slot() {
         let mut cold = BlockStore::new();
-        let mut cache = BlockCache::new(CacheConfig::lru(2)).unwrap();
+        let mut cache = BlockCache::new(CacheConfig::lru(2));
         cache.insert(9, sealed(9), false, &mut cold).unwrap();
         let mut w = oram_crypto::persist::StateWriter::new();
         cache.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut empty = BlockStore::new();
-        let mut restored = BlockCache::new(CacheConfig::lru(2)).unwrap();
+        let mut restored = BlockCache::new(CacheConfig::lru(2));
         let mut r = oram_crypto::persist::StateReader::new(&bytes);
         assert!(restored.load_state(&mut r, &mut empty).is_err());
     }
@@ -978,13 +567,5 @@ mod tests {
     #[should_panic(expected = "at least 1 block")]
     fn zero_capacity_rejected() {
         let _ = BlockCache::new(CacheConfig::lru(0));
-    }
-
-    #[test]
-    fn config_serde_roundtrip() {
-        let config = CacheConfig::clock(64).with_mid_tier(256);
-        let json = serde_json::to_string(&config).unwrap();
-        let back: CacheConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(config, back);
     }
 }

@@ -66,16 +66,6 @@ pub struct MachineConfig {
     /// Logical ORAM block size in bytes, charged per block access
     /// (the paper uses 1 KB).
     pub block_bytes: u64,
-    /// Optional block cache (and middle tier) installed in front of the
-    /// storage device; `None` reproduces the paper's uncached setup.
-    pub cache: Option<crate::cache::CacheConfig>,
-    /// Suggested cycle-pipeline depth for engines built on this machine
-    /// (how many scheduling windows they may keep in flight). A *hint*:
-    /// engines adopt it only when their own configuration leaves the
-    /// depth unset, and results are byte-identical at any depth — the
-    /// hint only tunes wall-clock behaviour to the host. `None` (the
-    /// default, serialized as `null`) leaves engines sequential.
-    pub pipeline_depth: Option<u64>,
 }
 
 impl MachineConfig {
@@ -85,8 +75,6 @@ impl MachineConfig {
             label: "DAC'19 testbed (Table 5-2)".into(),
             storage: StorageKind::PaperHdd,
             block_bytes: 1024,
-            cache: None,
-            pipeline_depth: None,
         }
     }
 
@@ -96,22 +84,7 @@ impl MachineConfig {
             label: "DAC'19 testbed, SSD ablation".into(),
             storage: StorageKind::Ssd,
             block_bytes: 1024,
-            cache: None,
-            pipeline_depth: None,
         }
-    }
-
-    /// Adds a block cache in front of the storage device.
-    pub fn with_cache(mut self, cache: crate::cache::CacheConfig) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Suggests a cycle-pipeline depth to engines built on this machine
-    /// (see [`pipeline_depth`](Self::pipeline_depth)).
-    pub fn with_pipeline_depth(mut self, depth: u64) -> Self {
-        self.pipeline_depth = Some(depth);
-        self
     }
 
     /// Builds the memory device (DRAM).
@@ -146,10 +119,6 @@ impl MachineConfig {
             ),
         };
         dev.set_charged_block_bytes(self.block_bytes);
-        if let Some(cache) = &self.cache {
-            dev.install_cache(cache.clone())
-                .expect("machine cache configuration is valid");
-        }
         dev
     }
 
@@ -170,10 +139,6 @@ impl MachineConfig {
         };
         let mut dev = Device::with_store(device_ids::STORAGE, name, timing, clock, trace, store);
         dev.set_charged_block_bytes(self.block_bytes);
-        if let Some(cache) = &self.cache {
-            dev.install_cache(cache.clone())
-                .expect("machine cache configuration is valid");
-        }
         dev
     }
 

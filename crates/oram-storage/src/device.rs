@@ -16,7 +16,7 @@
 //! for the paper's full logical block size, keeping simulated time faithful
 //! at a fraction of the host cost. See DESIGN.md §2.
 
-use crate::cache::{BlockCache, CacheConfig, CacheStats, ReadTier};
+use crate::cache::{BlockCache, CacheConfig, CacheStats};
 use crate::clock::{SimClock, SimDuration};
 use crate::stats::DeviceStats;
 use crate::store::{BlockStore, DataStore};
@@ -263,17 +263,12 @@ impl Device {
         }
     }
 
-    /// Installs a block cache (and optional middle tier) in front of the
-    /// store, replacing any existing one. Residency starts empty; the
-    /// cache warms from subsequent traffic ([`write_run`](Self::write_run)
-    /// populates it write-through, random reads promote on miss).
-    ///
-    /// # Errors
-    ///
-    /// File-backed middle tiers propagate open errors.
-    pub fn install_cache(&mut self, config: CacheConfig) -> Result<(), StorageError> {
-        self.cache = Some(BlockCache::new(config)?);
-        Ok(())
+    /// Installs a block cache in front of the store, replacing any
+    /// existing one. Residency starts empty; the cache warms from
+    /// subsequent traffic ([`write_run`](Self::write_run) populates it
+    /// write-through, random reads promote on miss).
+    pub fn install_cache(&mut self, config: CacheConfig) {
+        self.cache = Some(BlockCache::new(config));
     }
 
     /// The installed cache's configuration, if any.
@@ -366,9 +361,6 @@ impl Device {
         self.timing.reset();
         if let Some(cache) = &mut self.cache {
             cache.reset_stats();
-            if let Some(mid_timing) = cache.mid_timing() {
-                mid_timing.reset();
-            }
         }
     }
 
@@ -512,29 +504,16 @@ impl Device {
     pub fn read_block(&mut self, addr: u64) -> Result<SealedBlock, StorageError> {
         self.check_capacity(addr)?;
         let bytes = self.charged_block_bytes;
-        match self.cache.as_ref().map(|c| c.probe(addr)) {
-            Some(ReadTier::Ram) => {
-                let cache = self.cache.as_mut().expect("probed");
-                let block = cache.serve_ram(addr);
+        if let Some(cache) = &mut self.cache {
+            if cache.contains(addr) {
+                let block = cache.serve_hit(addr);
                 let cost = cache.hit_cost();
-                let leaky = cache.leaky_hits();
-                if !leaky {
+                if !cache.leaky_hits() {
                     self.record(AccessKind::Read, addr, bytes, cost);
                 }
                 return Ok(block);
             }
-            Some(ReadTier::Mid) => {
-                let cache = self.cache.as_mut().expect("probed");
-                let block = cache.serve_mid(addr);
-                let cost = cache
-                    .mid_timing()
-                    .expect("mid hit requires a mid tier")
-                    .access_cost(AccessKind::Read, addr * bytes, bytes);
-                self.record(AccessKind::Read, addr, bytes, cost);
-                return Ok(block);
-            }
-            Some(ReadTier::Cold) => self.cache.as_mut().expect("probed").note_miss(),
-            None => {}
+            cache.note_miss();
         }
         let (fetched, backoff) =
             self.with_store_retry(AccessKind::Read, addr, bytes, |s| s.get(addr))?;
@@ -620,9 +599,8 @@ impl Device {
     }
 
     /// The cached half of [`read_scatter`](Self::read_scatter): the batch
-    /// splits into per-tier sub-batches — RAM hits at the flat hit cost,
-    /// middle-tier hits through the tier's own queued-batch timing, cold
-    /// misses through the device's — while the *recorded* op sequence
+    /// splits into cache hits at the flat hit cost and cold misses priced
+    /// by the device's queued-batch timing, while the *recorded* op sequence
     /// stays exactly the uncached one: one event per slot, in submission
     /// order, same addresses and byte counts. Only the attributed costs
     /// change; see [`crate::cache`] for the obliviousness argument.
@@ -632,42 +610,23 @@ impl Device {
         bytes: u64,
     ) -> Result<Vec<ScatterItem>, StorageError> {
         let cache = self.cache.as_mut().expect("caller checked");
-        let tiers: Vec<ReadTier> = addrs.iter().map(|&a| cache.probe(a)).collect();
+        let hits: Vec<bool> = addrs.iter().map(|&a| cache.contains(a)).collect();
         let leaky = cache.leaky_hits();
         let hit_cost = cache.hit_cost();
 
-        // Each tier prices its own sub-batch as the command sequence that
-        // tier actually receives, in submission order.
-        let mid_offsets: Vec<u64> = addrs
-            .iter()
-            .zip(&tiers)
-            .filter(|(_, t)| **t == ReadTier::Mid)
-            .map(|(&a, _)| a * bytes)
-            .collect();
-        let mut mid_costs = if mid_offsets.is_empty() {
-            Vec::new()
-        } else {
-            cache
-                .mid_timing()
-                .expect("mid hits require a mid tier")
-                .scatter_costs(AccessKind::Read, &mid_offsets, bytes)
-        }
-        .into_iter();
-        // Serve upper-tier hits *before* any cold promotion can evict a
-        // planned hit out from under the batch.
+        // Serve hits *before* any cold promotion can evict a planned hit
+        // out from under the batch.
         let mut blocks: Vec<Option<SealedBlock>> = addrs
             .iter()
-            .zip(&tiers)
-            .map(|(&addr, tier)| match tier {
-                ReadTier::Ram => Some(cache.serve_ram(addr)),
-                ReadTier::Mid => Some(cache.serve_mid(addr)),
-                ReadTier::Cold => None,
-            })
+            .zip(&hits)
+            .map(|(&addr, &hit)| hit.then(|| cache.serve_hit(addr)))
             .collect();
+        // The device prices the misses as the command sequence it
+        // actually receives, in submission order.
         let cold_offsets: Vec<u64> = addrs
             .iter()
-            .zip(&tiers)
-            .filter(|(_, t)| **t == ReadTier::Cold)
+            .zip(&hits)
+            .filter(|(_, &hit)| !hit)
             .map(|(&a, _)| a * bytes)
             .collect();
         let mut cold_costs = self
@@ -675,8 +634,8 @@ impl Device {
             .scatter_costs(AccessKind::Read, &cold_offsets, bytes)
             .into_iter();
         let mut backoffs = vec![SimDuration::ZERO; addrs.len()];
-        for (i, (&addr, tier)) in addrs.iter().zip(&tiers).enumerate() {
-            if *tier == ReadTier::Cold {
+        for (i, (&addr, &hit)) in addrs.iter().zip(&hits).enumerate() {
+            if !hit {
                 self.cache.as_mut().expect("caller checked").note_miss();
                 let (got, backoff) =
                     self.with_store_retry(AccessKind::Read, addr, bytes, |s| s.get(addr))?;
@@ -689,13 +648,13 @@ impl Device {
             }
         }
         let mut out = Vec::with_capacity(addrs.len());
-        for (i, ((&addr, tier), block)) in addrs.iter().zip(&tiers).zip(blocks).enumerate() {
-            let cost = match tier {
-                ReadTier::Ram => hit_cost,
-                ReadTier::Mid => mid_costs.next().expect("one cost per mid op"),
-                ReadTier::Cold => cold_costs.next().expect("one cost per cold op") + backoffs[i],
+        for (i, ((&addr, &hit), block)) in addrs.iter().zip(&hits).zip(blocks).enumerate() {
+            let cost = if hit {
+                hit_cost
+            } else {
+                cold_costs.next().expect("one cost per cold op") + backoffs[i]
             };
-            if !(leaky && *tier == ReadTier::Ram) {
+            if !(leaky && hit) {
                 self.record(AccessKind::Read, addr, bytes, cost);
             }
             out.push(ScatterItem { block, cost });

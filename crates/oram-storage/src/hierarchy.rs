@@ -106,13 +106,6 @@ impl MemoryHierarchy {
         &self.config
     }
 
-    /// The machine's suggested cycle-pipeline depth, adopted by engines
-    /// whose own configuration leaves the depth unset (see
-    /// [`MachineConfig::pipeline_depth`]).
-    pub fn pipeline_hint(&self) -> Option<u64> {
-        self.config.pipeline_depth
-    }
-
     /// Overrides the charged block size on both devices (payload scaling).
     pub fn set_charged_block_bytes(&mut self, bytes: u64) {
         self.memory.set_charged_block_bytes(bytes);

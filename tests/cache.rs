@@ -1,6 +1,5 @@
 //! Differential battery for the oblivious block cache: with caching
-//! enabled — any policy, any capacity, with or without the SSD mid tier —
-//! the engine must be **observably identical** to an uncached run on
+//! enabled, at any capacity, the engine must be **observably identical** to an uncached run on
 //! everything except simulated time:
 //!
 //! * byte-identical responses over arbitrary request sequences;
@@ -149,31 +148,16 @@ fn hit_bound_cache_hits_and_saves_simulated_time() {
     );
 }
 
-/// Capacity and policy are pure performance knobs: every point in the
-/// (policy × capacity × mid-tier) grid returns byte-identical responses
-/// and an identical bus shape.
+/// Capacity is a pure performance knob: every capacity returns
+/// byte-identical responses and an identical bus shape.
 #[test]
-fn responses_identical_across_policies_capacities_and_tiers() {
+fn responses_identical_across_capacities() {
     let requests = workload(300, 79);
     let reference = observe(None, &requests);
 
-    let mut grid: Vec<CacheConfig> = Vec::new();
-    for capacity in [1u64, 4, 64, 1 << 20] {
-        grid.push(CacheConfig::lru(capacity));
-        grid.push(CacheConfig::clock(capacity));
-    }
-    grid.push(CacheConfig::lru(8).with_mid_tier(64));
-    grid.push(CacheConfig::clock(8).with_mid_tier(64));
-
-    for cache in grid {
-        let label = format!(
-            "{:?} cap {} mid {}",
-            cache.policy,
-            cache.capacity_blocks,
-            cache.mid.is_some()
-        );
-        let has_mid = cache.mid.is_some();
-        let observed = observe(Some(cache), &requests);
+    for capacity in [1u64, 4, 8, 64, 1 << 20] {
+        let label = format!("cap {capacity}");
+        let observed = observe(Some(CacheConfig::lru(capacity)), &requests);
         assert_eq!(
             observed.responses, reference.responses,
             "{label}: responses diverged"
@@ -183,16 +167,9 @@ fn responses_identical_across_policies_capacities_and_tiers() {
             "{label}: counters diverged"
         );
         assert_eq!(observed.shape, reference.shape, "{label}: shape diverged");
-        // RAM hits are strictly cheaper than any device access, so the
-        // clock can only speed up. The SSD mid tier carries no such
-        // guarantee at this micro-scale geometry: the whole dataset spans
-        // a few hundred KB of a 500 GB disk, so a calibrated HDD seek
-        // (~66 µs) undercuts a single SSD read (80 µs) — the tier pays
-        // off in queued batches and at realistic spans (ARCHITECTURE
-        // §10). Equivalence above is what matters; timing is a knob.
-        if !has_mid {
-            assert!(observed.clock <= reference.clock, "{label}: clock slowed");
-        }
+        // Hits are strictly cheaper than any device access, so the
+        // clock can only speed up.
+        assert!(observed.clock <= reference.clock, "{label}: clock slowed");
     }
 }
 
@@ -271,9 +248,8 @@ mod properties {
     fn cache_points() -> Vec<CacheConfig> {
         vec![
             CacheConfig::lru(2),
-            CacheConfig::clock(2),
+            CacheConfig::lru(8),
             CacheConfig::lru(1 << 16),
-            CacheConfig::clock(8).with_mid_tier(32),
         ]
     }
 
@@ -294,21 +270,16 @@ mod properties {
             let expected_shape = shape(&reference.trace().snapshot());
 
             for cache in cache_points() {
-                let label = format!("{:?} cap {}", cache.policy, cache.capacity_blocks);
-                let has_mid = cache.mid.is_some();
+                let label = format!("cap {}", cache.capacity_blocks);
                 let mut oram = small(Some(cache));
                 let responses = oram.run_batch(&requests).expect("cached runs");
                 prop_assert_eq!(&responses, &expected, "{}: responses", label);
                 prop_assert_eq!(counters(&oram.stats()), expected_counters, "{}: counters", label);
                 prop_assert_eq!(&shape(&oram.trace().snapshot()), &expected_shape, "{}: shape", label);
-                // See the grid test: the mid tier's SSD timing carries no
-                // clock bound at micro-scale spans; RAM-only caches do.
-                if !has_mid {
-                    prop_assert!(
-                        oram.clock().now() <= reference.clock().now(),
-                        "{}: clock slowed", label
-                    );
-                }
+                prop_assert!(
+                    oram.clock().now() <= reference.clock().now(),
+                    "{}: clock slowed", label
+                );
             }
         }
 
@@ -335,7 +306,7 @@ mod properties {
             let mut reference = sharded(None);
             let expected = reference.run_batch(&requests).expect("uncached runs");
 
-            let mut cached = sharded(Some(CacheConfig::clock(1 << 16)));
+            let mut cached = sharded(Some(CacheConfig::lru(1 << 16)));
             let responses = cached.run_batch(&requests).expect("cached runs");
             prop_assert_eq!(responses, expected);
             prop_assert_eq!(counters(&cached.stats()), counters(&reference.stats()));

@@ -1,4 +1,4 @@
-//! End-to-end guarantees of the batched zero-copy I/O pipeline: the
+//! End-to-end guarantees of the batched I/O pipeline: the
 //! windowed scheduler must be a pure *timing* optimization — responses,
 //! storage access patterns, and the once-per-period invariant are all
 //! byte-identical to the sequential per-block path.
@@ -16,11 +16,10 @@ use horam::core::{Permission, UserId};
 use horam::crypto::rng::DeterministicRng;
 use rand::Rng;
 
-fn build(io_batch: u64, zero_copy: bool) -> HOram {
+fn build(io_batch: u64) -> HOram {
     let config = HOramConfig::new(512, 8, 128)
         .with_seed(23)
-        .with_io_batch(io_batch)
-        .with_zero_copy_io(zero_copy);
+        .with_io_batch(io_batch);
     HOram::new(
         config,
         MemoryHierarchy::dac2019(),
@@ -50,11 +49,11 @@ fn mixed_workload(len: usize) -> Vec<Request> {
 fn batched_pipeline_is_observably_identical_to_per_block() {
     let requests = mixed_workload(400);
 
-    let mut per_block = build(1, false);
+    let mut per_block = build(1);
     let per_block_responses = per_block.run_batch(&requests).expect("per-block run");
     let per_block_addrs = per_block.trace().address_sequence(device_ids::STORAGE);
 
-    let mut batched = build(32, true);
+    let mut batched = build(32);
     let batched_responses = batched.run_batch(&requests).expect("batched run");
     let batched_addrs = batched.trace().address_sequence(device_ids::STORAGE);
 
@@ -77,7 +76,7 @@ fn batched_pipeline_is_observably_identical_to_per_block() {
 /// read twice, even when whole windows of loads are committed at once.
 #[test]
 fn batched_loads_keep_the_once_per_period_invariant() {
-    let mut oram = build(32, true);
+    let mut oram = build(32);
     // Hot-set hammering maximizes dummy loads — the risky case.
     let requests: Vec<Request> = (0..180u64).map(|i| Request::read(i % 12)).collect();
     oram.run_batch(&requests).expect("batch");
@@ -141,7 +140,7 @@ fn storage_layer_load_batch_equals_sequential_calls() {
 #[test]
 fn windowed_service_matches_per_cycle_service() {
     let serve = |io_batch: u64| {
-        let oram = build(1, true);
+        let oram = build(1);
         let mut service = OramService::new(
             oram,
             Box::new(FairSharePolicy::default()),

@@ -444,7 +444,7 @@ mod recursive_posmap {
     fn build_recursive(capacity: u64, memory_slots: u64, seed: u64) -> HOram {
         let config = HOramConfig::new(capacity, 8, memory_slots)
             .with_seed(seed)
-            .with_recursive_posmap(None, 4);
+            .with_recursive_posmap(4);
         HOram::new(
             config,
             MemoryHierarchy::dac2019(),

@@ -187,6 +187,57 @@ fn corrupted_and_wrong_key_snapshots_error() {
     assert!(HOram::restore(MemoryHierarchy::dac2019(), wrong_key, &snapshot).is_err());
 }
 
+/// Envelope version 2 dropped fields from the embedded config codec, which
+/// shifts every later byte: a version-1 snapshot (any parent-commit
+/// snapshot or drain checkpoint) must be refused with the typed version
+/// error by every restore path, never mis-parsed. The reader checks the
+/// version before anything else it trusts, so rewriting the field on a
+/// fresh snapshot takes exactly the path a genuine old one does.
+#[test]
+fn version_1_envelopes_are_refused_by_every_restore_path() {
+    fn as_version_1(mut sealed: Vec<u8>) -> Vec<u8> {
+        sealed[8..12].copy_from_slice(&1u32.to_le_bytes());
+        sealed
+    }
+    fn assert_refused<T>(result: Result<T, OramError>, path: &str) {
+        match result {
+            Err(OramError::SnapshotInvalid { reason }) => {
+                assert!(reason.contains("version 1"), "{path}: {reason}")
+            }
+            Err(other) => panic!("{path}: untyped refusal {other}"),
+            Ok(_) => panic!("{path}: version-1 envelope accepted"),
+        }
+    }
+
+    let mut oram = build();
+    oram.run_batch(&workload(16, 5)).unwrap();
+    let single = as_version_1(oram.snapshot().unwrap());
+    assert_refused(
+        HOram::restore(MemoryHierarchy::dac2019(), master(), &single),
+        "HOram::restore",
+    );
+
+    let mut sharded = ShardedOram::new(ShardedConfig::new(config(), 2), master(), |_| {
+        MemoryHierarchy::dac2019()
+    })
+    .unwrap();
+    sharded.run_batch(&workload(16, 5)).unwrap();
+    let manifest = as_version_1(sharded.snapshot().unwrap());
+    let restore =
+        |snapshot: &[u8]| ShardedOram::restore(master(), |_| MemoryHierarchy::dac2019(), snapshot);
+    assert_refused(restore(&manifest), "ShardedOram::restore");
+
+    // The daemon's drain-checkpoint container is unchanged, so it still
+    // parses; the sealed engine state inside it is what gets refused.
+    let checkpoint = horam_rpc::server::Checkpoint {
+        snapshot: manifest,
+        window: Vec::new(),
+        epoch: 0,
+    };
+    let parsed = horam_rpc::server::Checkpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
+    assert_refused(restore(&parsed.snapshot), "Checkpoint → restore");
+}
+
 #[test]
 fn kill_at_arbitrary_cycle_boundary_with_file_backend() {
     // One uninterrupted reference run against a file-backed device, and
@@ -406,7 +457,7 @@ mod cached {
             None,
             Box::new(store),
         );
-        dev.install_cache(CacheConfig::lru(8)).unwrap();
+        dev.install_cache(CacheConfig::lru(8));
         dev
     }
 

@@ -74,7 +74,7 @@ fn config(point: Point, depth: u64) -> HOramConfig {
         config = config.with_cache(CacheConfig::lru(16));
     }
     if point.recursive {
-        config = config.with_recursive_posmap(None, 4);
+        config = config.with_recursive_posmap(4);
     }
     config
 }
@@ -355,6 +355,81 @@ fn burst_pumping_matches_batch_draining() {
     assert_eq!(sharded.clock().now().as_nanos(), sharded_reference.clock);
 }
 
+/// The serving layer has no depth of its own: `OramService::pump` bursts
+/// at whatever depth the *engine* runs at, so the two cannot drift — not
+/// when the depth is set directly on the engine's `HOramConfig`, and not
+/// across a checkpoint → restore, where the engine keeps its snapshot's
+/// depth. (Before the service asked the engine, a default `ServiceConfig`
+/// burst one window at a time over a depth-2 engine, so lookahead never
+/// engaged.)
+#[test]
+fn service_bursts_at_the_engines_depth_across_restore() {
+    use horam::core::{Permission, UserId};
+    use horam_server::{FifoPolicy, OramService, ServiceConfig};
+
+    // Two windows per shard period (as in `deep_runs_actually_pipeline`).
+    let build = |depth: u64| {
+        let config = HOramConfig::new(CAPACITY, PAYLOAD, 2 * MEMORY_SLOTS)
+            .with_seed(0x91e)
+            .with_pipeline_depth(depth);
+        ShardedOram::new(
+            ShardedConfig::new(config, 2),
+            MasterKey::from_bytes([0x5D; 32]),
+            |_| MemoryHierarchy::dac2019(),
+        )
+        .expect("sharded instance builds")
+    };
+    let wrap = |oram: ShardedOram| {
+        let mut service = OramService::new(oram, Box::new(FifoPolicy), ServiceConfig::default());
+        service.register_tenant(UserId(0), 0..CAPACITY, Permission::ReadWrite);
+        service
+    };
+    let serve = |service: &mut OramService<ShardedOram>, requests: &[Request]| {
+        let arrivals = requests.iter().cloned().map(|r| (UserId(0), r));
+        let (tickets, _report) = service.serve_all(arrivals).expect("serves");
+        tickets
+            .into_iter()
+            .map(|t| service.take_response(t).expect("completed"))
+            .collect::<Vec<_>>()
+    };
+    let planned_ahead = |service: &OramService<ShardedOram>| -> u64 {
+        let shards = service.oram().shards().iter();
+        shards
+            .map(|shard| shard.pipeline_stats().planned_ahead_windows)
+            .sum()
+    };
+
+    let (first, second) = (workload(300, 0xC3), workload(300, 0xC4));
+    let mut sequential = wrap(build(1));
+    let expected_first = serve(&mut sequential, &first);
+    let expected_second = serve(&mut sequential, &second);
+    assert_eq!(planned_ahead(&sequential), 0);
+
+    let mut piped = wrap(build(2));
+    assert_eq!(serve(&mut piped, &first), expected_first);
+    assert!(
+        planned_ahead(&piped) > 0,
+        "default ServiceConfig over a depth-2 engine never planned ahead"
+    );
+
+    // Pipeline counters are volatile, so the restored engine starts from
+    // zero: any lookahead below happened at the snapshot's depth.
+    let snapshot = piped.checkpoint().expect("checkpoints");
+    let restored = ShardedOram::restore(
+        MasterKey::from_bytes([0x5D; 32]),
+        |_| MemoryHierarchy::dac2019(),
+        &snapshot,
+    )
+    .expect("restores");
+    let mut restored = wrap(restored);
+    assert_eq!(planned_ahead(&restored), 0);
+    assert_eq!(serve(&mut restored, &second), expected_second);
+    assert!(
+        planned_ahead(&restored) > 0,
+        "restored depth-2 engine never planned ahead"
+    );
+}
+
 mod properties {
     use super::*;
     use proptest::prelude::*;
@@ -381,7 +456,7 @@ mod properties {
             .with_io_batch(4)
             .with_pipeline_depth(depth);
         if recursive {
-            config = config.with_recursive_posmap(None, 4);
+            config = config.with_recursive_posmap(4);
         }
         HOram::new(
             config,

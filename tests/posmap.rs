@@ -22,7 +22,7 @@ fn both(capacity: u64, seed: u64) -> Vec<Box<dyn PositionMap>> {
     let master = MasterKey::from_bytes([0x77; 32]);
     let flat = build_posmap(&config(capacity, seed), &master, false).expect("flat builds");
     let recursive = build_posmap(
-        &config(capacity, seed).with_recursive_posmap(None, 4),
+        &config(capacity, seed).with_recursive_posmap(4),
         &master,
         false,
     )
@@ -236,7 +236,7 @@ mod engine_equivalence {
     fn engine(capacity: u64, recursive: bool, seed: u64) -> HOram {
         let mut config = HOramConfig::new(capacity, 8, 16).with_seed(seed);
         if recursive {
-            config = config.with_recursive_posmap(None, 4);
+            config = config.with_recursive_posmap(4);
         }
         HOram::new(
             config,
@@ -249,7 +249,7 @@ mod engine_equivalence {
     fn sharded(capacity: u64, shards: u64, recursive: bool, seed: u64) -> ShardedOram {
         let mut config = HOramConfig::new(capacity, 8, 16).with_seed(seed);
         if recursive {
-            config = config.with_recursive_posmap(None, 4);
+            config = config.with_recursive_posmap(4);
         }
         ShardedOram::new(
             ShardedConfig::new(config, shards),
