@@ -1,8 +1,8 @@
 //! Micro-benchmarks for the cryptographic substrate.
 //!
-//! ChaCha20 keystream throughput, SipHash MAC throughput, block sealing,
-//! and the Feistel PRP — the per-block costs behind every simulated ORAM
-//! access.
+//! ChaCha20 keystream throughput, SipHash MAC throughput, block sealing
+//! (one block per call vs one path per call), and the Feistel PRP — the
+//! per-block costs behind every simulated ORAM access.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use horam::crypto::chacha::{ChaCha20, ChaChaKey};
@@ -11,6 +11,13 @@ use horam::crypto::prp::FeistelPrp;
 use horam::crypto::seal::BlockSealer;
 use horam::crypto::siphash::{siphash24, SipHash24};
 use std::hint::black_box;
+
+/// Which kernel widths this host dispatches, once, so a results file says
+/// what it measured.
+fn print_dispatch(_: &mut Criterion) {
+    println!("chacha20 keystream: {}", ChaChaKey::dispatch());
+    println!("siphash24 finish4:  {}", SipHash24::finish4_dispatch());
+}
 
 fn bench_chacha(c: &mut Criterion) {
     let mut group = c.benchmark_group("chacha20");
@@ -28,34 +35,77 @@ fn bench_chacha(c: &mut Criterion) {
     group.finish();
 }
 
+/// The scalar hasher vs the four-lane `finish4`, per message, at the
+/// lengths the sealer MACs (a body plus its 24-byte header: 105 B for the
+/// serving geometry's 81-byte body, 1 065 B for a 1 KB tree block) and
+/// three round sizes. The ×4 rows hash four messages per iteration, so
+/// their throughput is for all four.
 fn bench_siphash(c: &mut Criterion) {
+    let key = [9u8; 16];
     let mut group = c.benchmark_group("siphash24");
-    for size in [16usize, 64, 1024] {
+    for size in [16usize, 64, 105, 1024, 1065] {
+        let messages: [Vec<u8>; 4] = std::array::from_fn(|j| vec![0xAA ^ j as u8; size]);
         group.throughput(Throughput::Bytes(size as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
-            let key = [9u8; 16];
-            let data = vec![0xAAu8; size];
-            b.iter(|| black_box(siphash24(&key, black_box(&data))));
+        group.bench_with_input(BenchmarkId::new("scalar", size), &size, |b, _| {
+            b.iter(|| black_box(siphash24(&key, black_box(&messages[0]))));
+        });
+        group.throughput(Throughput::Bytes(4 * size as u64));
+        group.bench_with_input(BenchmarkId::new("x4", size), &size, |b, _| {
+            let hasher = SipHash24::new(&key);
+            b.iter(|| {
+                let tails: [&[u8]; 4] = std::array::from_fn(|j| &messages[j][..]);
+                black_box(hasher.finish4([[]; 4], black_box(tails)))
+            });
         });
     }
     group.finish();
 }
 
+/// Sealing and opening the two bodies the stack really handles — the
+/// 81-byte wire body of the 64 B serving geometry and the 1 041-byte one
+/// of a 1 KB tree block (a block's 17-byte header costs the latter a whole
+/// extra keystream block) — one call per block vs one call per path:
+/// 32 blocks is a `serve_zipf` path, 40 a `hotspot_read` one. Every row's
+/// throughput is per iteration, so batch rows divide by their block count;
+/// the batch rows include building the batch (one body clone per block).
 fn bench_sealing(c: &mut Criterion) {
     let keys = MasterKey::from_bytes([1u8; 32]).derive("bench/seal", 0);
     let sealer = BlockSealer::new(&keys);
-    let payload = vec![0x55u8; 1024];
-    c.bench_function("seal_1KB_block", |b| {
-        let mut seq = 0u64;
-        b.iter(|| {
-            seq += 1;
-            black_box(sealer.seal(42, seq, black_box(&payload)))
+    let mut group = c.benchmark_group("seal");
+    for size in [81usize, 1041] {
+        let body = vec![0x55u8; size];
+        group.throughput(Throughput::Elements(1));
+        group.bench_with_input(BenchmarkId::new("seal_single", size), &size, |b, _| {
+            let mut seq = 0u64;
+            b.iter(|| {
+                seq += 1;
+                black_box(sealer.seal(42, seq, black_box(&body)))
+            });
         });
-    });
-    let sealed = sealer.seal(42, 0, &payload);
-    c.bench_function("open_1KB_block", |b| {
-        b.iter(|| black_box(sealer.open(black_box(&sealed)).expect("verifies")));
-    });
+        let sealed = sealer.seal(42, 0, &body);
+        group.bench_with_input(BenchmarkId::new("open_single", size), &size, |b, _| {
+            b.iter(|| black_box(sealer.open(black_box(&sealed)).expect("verifies")));
+        });
+        for blocks in [32u64, 40] {
+            let row = format!("{size}x{blocks}");
+            group.throughput(Throughput::Elements(blocks));
+            group.bench_with_input(BenchmarkId::new("seal_batch", &row), &size, |b, _| {
+                let mut seq = 0u64;
+                b.iter(|| {
+                    seq += 1;
+                    let items = (0..blocks).map(|slot| (slot, seq, body.clone()));
+                    black_box(sealer.seal_batch(items))
+                });
+            });
+            let path: Vec<_> = (0..blocks)
+                .map(|slot| sealer.seal(slot, 0, &body))
+                .collect();
+            group.bench_with_input(BenchmarkId::new("open_batch", &row), &size, |b, _| {
+                b.iter(|| black_box(sealer.open_batch(path.clone()).expect("verifies")));
+            });
+        }
+    }
+    group.finish();
 }
 
 /// The per-call state-setup delta the sealer optimization removes: a
@@ -104,11 +154,14 @@ fn bench_sealer_key_schedule(c: &mut Criterion) {
 }
 
 /// The scalar reference (a `keystream_block` loop) vs the dispatched
-/// `apply_keystream` / `apply_keystream_into` (explicit SIMD passes, scalar
-/// remainder), at the sizes the stack encrypts: one block, the serving
-/// layer's 81-byte wire body (two blocks, never reaches a kernel), the
-/// 1 KB tree block's 1 041-byte body, and a snapshot-sized run.
+/// `apply_keystream` (kernel passes, scalar remainder) vs 40 bodies in one
+/// `apply_keystreams` call (lanes across bodies; per-body time is the
+/// row's divided by 40), at the sizes the stack encrypts: one block, the
+/// serving layer's 81-byte wire body (two blocks: scalar alone, a quarter
+/// of a pass in a batch), the 1 KB tree block's 1 041-byte body, and a
+/// snapshot-sized run.
 fn bench_chacha_batch(c: &mut Criterion) {
+    const BODIES: usize = 40;
     let key = ChaChaKey::new(&[7u8; 32]);
     let nonce = [3u8; 12];
     let mut group = c.benchmark_group("chacha20_batch");
@@ -141,15 +194,23 @@ fn bench_chacha_batch(c: &mut Criterion) {
                 });
             },
         );
+        if size > 1041 {
+            // One long stream fills its passes by itself; a batch adds nothing.
+            continue;
+        }
+        group.throughput(Throughput::Bytes((BODIES * size) as u64));
         group.bench_with_input(
-            BenchmarkId::new("apply_keystream_into", size),
+            BenchmarkId::new(format!("apply_keystreams_x{BODIES}"), size),
             &size,
             |b, &size| {
-                let src = vec![0xA5u8; size];
-                let mut dst = vec![0u8; size];
+                let mut bodies = vec![vec![0u8; size]; BODIES];
                 b.iter(|| {
-                    ChaCha20::from_key(&key, &nonce, 0)
-                        .apply_keystream_into(black_box(&src), black_box(&mut dst));
+                    let bodies = black_box(&mut bodies).iter_mut().enumerate();
+                    key.apply_keystreams(bodies.map(|(i, body)| {
+                        let mut nonce = nonce;
+                        nonce[0] = i as u8;
+                        (nonce, &mut body[..])
+                    }));
                 });
             },
         );
@@ -170,6 +231,7 @@ fn bench_prp(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    print_dispatch,
     bench_chacha,
     bench_chacha_batch,
     bench_siphash,

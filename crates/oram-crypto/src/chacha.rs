@@ -10,35 +10,48 @@
 //!
 //! # The batch hot path
 //!
-//! A memory-tree path access seals and opens ~80 one-kilobyte blocks per
-//! request, and the rebuild stream every physical slot once per shuffle
-//! period, so the keystream is the top line of a request's CPU cost. Three
-//! things keep it down, all byte-identical to the scalar block function:
+//! A memory-tree path access opens and then seals every block of a
+//! root-to-leaf path — ≈ 40 bodies of 1 041 bytes each way in the paper's
+//! geometry, 32 of 81 bytes in the serving one — and the rebuild stream
+//! every physical slot once per shuffle period, so the keystream is the top
+//! line of a request's CPU cost. All of it is byte-identical to the scalar
+//! block function:
 //!
 //! * **cached key schedule** — [`ChaChaKey`] parses the 32 key bytes into
-//!   state words once; long-lived callers (`BlockSealer`) construct
-//!   streams from it instead of re-parsing the raw key per block;
-//! * **explicit SIMD keystream** — on x86_64 one `std::arch` *vertical*
-//!   kernel (the private `x86` module) keeps state word `i` of N
-//!   consecutive blocks in vector `i`, runs the 20 rounds on all N at once,
-//!   adds the initial state, transposes 4×4 in registers and XORs straight
-//!   from source to destination. One kernel source is instantiated at two
-//!   widths: `__m256i` × 8 blocks (512 B per pass, when
-//!   `is_x86_feature_detected!("avx2")`) and `__m128i` × 4 blocks (256 B,
-//!   SSE2, which x86_64 guarantees). The dispatcher takes whole 512-byte
-//!   passes, then whole 256-byte passes, and leaves the rest (< 256 B) to
-//!   the scalar [`ChaCha20::keystream_block`] — also the reference the
-//!   kernels are tested against, and the whole path on other
-//!   architectures. A pass costs its full width whatever it is asked for
-//!   (one ×4 pass takes about as long as two scalar blocks), so a body of
-//!   one or two blocks — the serving layer's 81-byte wire body — is
-//!   cheapest on the scalar function and never reaches a kernel. The
-//!   kernel is explicit because plain `u32` lane loops are *not*
-//!   auto-vectorized: they measured 1.93 ns/B, scalar speed;
-//! * **fused copy+XOR** — [`ChaCha20::apply_keystream_into`] writes
-//!   `src ⊕ keystream` straight into a destination buffer; in-place
-//!   [`ChaCha20::apply_keystream`] is the same kernel with the source
-//!   pointer equal to the destination.
+//!   state words once; long-lived callers (`BlockSealer`) build streams
+//!   from it instead of re-parsing the raw key per block;
+//! * **one explicit SIMD kernel, lanes across bodies** — on x86_64 one
+//!   `std::arch` *vertical* kernel (the private `x86` module) keeps state
+//!   word `i` of N keystream blocks in vector `i`, runs the 20 rounds on
+//!   all N at once, adds the initial state, transposes 4×4 in registers
+//!   and XORs each block into its 64 bytes. Rows 0–11 of the state
+//!   (constants, key) are shared by the lanes; rows 12–15 (counter, nonce)
+//!   and the data pointer are **per lane**, so the N blocks of a *pass*
+//!   need not belong to one stream. One kernel source is instantiated at
+//!   two widths: `__m256i` × 8 blocks when
+//!   `is_x86_feature_detected!("avx2")`, `__m128i` × 4 on the SSE2 every
+//!   x86_64 has;
+//! * **the scheduler** ([`ChaChaKey::apply_keystreams`], and a single
+//!   [`ChaCha20::apply_keystream`] as a batch of one) cuts every body into
+//!   one-block *jobs* `(body, counter)`, in order. A body that still has a
+//!   whole pass of blocks fills passes by itself — "same nonce, counters
+//!   `c..c + N`, pointers 64 bytes apart" is just one way to fill the
+//!   lanes; the blocks it has left (a 1 041-byte body's 17-byte tail, both
+//!   blocks of an 81-byte body) wait for jobs of the following bodies and
+//!   share passes with them. A job shorter than a block never lets the
+//!   kernel near its neighbours' bytes: its lane runs on a scratch block
+//!   and the job takes the bytes it needs from that. Lane assignment
+//!   depends only on the bodies' order and lengths;
+//! * **scalar = reference + remainder** — the fewer-than-N jobs left when
+//!   the bodies run out take one more pass (empty lanes are discarded), or
+//!   the scalar block function when there are only one or two of them: a
+//!   pass costs its full width, about two scalar blocks, however few lanes
+//!   are used. So a *single* 81-byte seal is still two scalar blocks — but
+//!   32 of them in one batch are eight full passes. The scalar function is
+//!   also what every kernel test compares against, and the whole path on
+//!   other architectures. The kernel is explicit because plain `u32` lane
+//!   loops are *not* auto-vectorized: they measured 1.93 ns/B, scalar
+//!   speed.
 
 /// Key length in bytes (256-bit key).
 pub const KEY_LEN: usize = 32;
@@ -83,6 +96,57 @@ impl ChaChaKey {
     pub fn words(&self) -> &[u32; 8] {
         &self.words
     }
+
+    /// The keystream kernel this host dispatches, for logs: a runner
+    /// without AVX2 should say so, not silently run narrower.
+    pub fn dispatch() -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            "AVX2 x8 passes, scalar remainder"
+        } else {
+            "SSE2 x4 passes, scalar remainder (no AVX2 on this host: the x8 kernel is NOT used)"
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        "scalar only (no kernel for this architecture)"
+    }
+
+    /// XORs every body with the keystream of its own nonce, each from
+    /// block counter 0 — the multi-buffer entry point. Byte-identical to
+    /// `ChaCha20::from_key(self, &nonce, 0).apply_keystream(body)` per
+    /// body in order, but the SIMD lanes run *across* the bodies (see the
+    /// [module docs](self)), so many short bodies cost what one long one
+    /// does.
+    ///
+    /// # Panics
+    ///
+    /// Panics before writing to a body longer than one nonce's keystream
+    /// (256 GiB).
+    pub fn apply_keystreams<'a>(
+        &self,
+        bodies: impl IntoIterator<Item = ([u8; NONCE_LEN], &'a mut [u8])>,
+    ) {
+        let streams = bodies.into_iter().map(|(nonce, data)| {
+            assert!(
+                data.len().div_ceil(BLOCK_LEN) as u64 <= 1 << 32,
+                "chacha20 counter overflow: keystream exhausted for this (key, nonce)"
+            );
+            let [n0, n1, n2] = nonce_words(&nonce);
+            Stream {
+                tail: [0, n0, n1, n2],
+                data,
+            }
+        });
+        xor_streams(&self.words, streams);
+    }
+}
+
+/// The three little-endian state words of a nonce.
+fn nonce_words(nonce: &[u8; NONCE_LEN]) -> [u32; 3] {
+    let mut words = [0u32; 3];
+    for (i, word) in words.iter_mut().enumerate() {
+        *word = u32::from_le_bytes(nonce[4 * i..4 * i + 4].try_into().expect("4-byte chunk"));
+    }
+    words
 }
 
 /// A ChaCha20 keystream generator bound to one key and nonce.
@@ -127,13 +191,9 @@ impl ChaCha20 {
     /// Creates a keystream generator from a pre-parsed key schedule —
     /// the batch entry point (no per-call key parsing).
     pub fn from_key(key: &ChaChaKey, nonce: &[u8; NONCE_LEN], counter: u32) -> Self {
-        let mut nonce_words = [0u32; 3];
-        for (i, word) in nonce_words.iter_mut().enumerate() {
-            *word = u32::from_le_bytes(nonce[4 * i..4 * i + 4].try_into().expect("4-byte chunk"));
-        }
         Self {
             key: key.words,
-            nonce: nonce_words,
+            nonce: nonce_words(nonce),
             counter,
         }
     }
@@ -149,41 +209,11 @@ impl ChaCha20 {
         self.counter = counter;
     }
 
-    /// The initial 16-word state for an explicit counter value.
-    #[inline(always)]
-    fn state(&self, counter: u32) -> [u32; 16] {
-        let mut state = [0u32; 16];
-        state[..4].copy_from_slice(&CONSTANTS);
-        state[4..12].copy_from_slice(&self.key);
-        state[12] = counter;
-        state[13..16].copy_from_slice(&self.nonce);
-        state
-    }
-
     /// Produces the 64-byte keystream block for an explicit counter value,
     /// without touching the stream position.
     pub fn keystream_block(&self, counter: u32) -> [u8; BLOCK_LEN] {
-        let state = self.state(counter);
-        let mut working = state;
-        for _ in 0..10 {
-            // Column round.
-            quarter_round(&mut working, 0, 4, 8, 12);
-            quarter_round(&mut working, 1, 5, 9, 13);
-            quarter_round(&mut working, 2, 6, 10, 14);
-            quarter_round(&mut working, 3, 7, 11, 15);
-            // Diagonal round.
-            quarter_round(&mut working, 0, 5, 10, 15);
-            quarter_round(&mut working, 1, 6, 11, 12);
-            quarter_round(&mut working, 2, 7, 8, 13);
-            quarter_round(&mut working, 3, 4, 9, 14);
-        }
-
-        let mut out = [0u8; BLOCK_LEN];
-        for i in 0..16 {
-            let word = working[i].wrapping_add(state[i]);
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
-        }
-        out
+        let [n0, n1, n2] = self.nonce;
+        block(&self.key, [counter, n0, n1, n2])
     }
 
     /// XORs the keystream into `data`, advancing the stream position.
@@ -200,48 +230,17 @@ impl ChaCha20 {
     /// keystream from a single (key, nonce) pair), which indicates key
     /// management misuse.
     pub fn apply_keystream(&mut self, data: &mut [u8]) {
-        self.xor_runs(None, data);
-    }
-
-    /// Writes `src ⊕ keystream` into `dst`, advancing the stream position —
-    /// the fused copy+XOR used by the borrowing seal path (one pass over
-    /// the bytes instead of copy-then-encrypt-in-place). Bit-identical to
-    /// copying `src` into `dst` and calling
-    /// [`apply_keystream`](Self::apply_keystream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer lengths differ, or on counter overflow as
-    /// [`apply_keystream`](Self::apply_keystream).
-    pub fn apply_keystream_into(&mut self, src: &[u8], dst: &mut [u8]) {
-        assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
-        self.xor_runs(Some(src), dst);
-    }
-
-    /// `dst = src ⊕ keystream` (`src` is `dst` itself when `None`),
-    /// advancing the stream position: whole SIMD passes where the
-    /// architecture has a kernel, the scalar block function for the rest.
-    fn xor_runs(&mut self, src: Option<&[u8]>, dst: &mut [u8]) {
+        let blocks = data.len().div_ceil(BLOCK_LEN) as u64;
         // Before any byte is written: an exhausted stream must not leave a
         // half-encrypted buffer behind.
         assert!(
-            u64::from(self.counter) + dst.len().div_ceil(BLOCK_LEN) as u64 <= 1 << 32,
+            u64::from(self.counter) + blocks <= 1 << 32,
             "chacha20 counter overflow: keystream exhausted for this (key, nonce)"
         );
-        #[cfg(target_arch = "x86_64")]
-        let done = x86::xor_passes(self, src, dst);
-        #[cfg(not(target_arch = "x86_64"))]
-        let done = 0;
-        if let Some(src) = src {
-            dst[done..].copy_from_slice(&src[done..]);
-        }
-        for chunk in dst[done..].chunks_mut(BLOCK_LEN) {
-            let ks = self.keystream_block(self.counter);
-            for (byte, k) in chunk.iter_mut().zip(ks.iter()) {
-                *byte ^= k;
-            }
-            self.counter = self.counter.wrapping_add(1);
-        }
+        let tail = [self.counter, self.nonce[0], self.nonce[1], self.nonce[2]];
+        // A batch of one stream.
+        xor_streams(&self.key, [Stream { tail, data }]);
+        self.counter = self.counter.wrapping_add(blocks as u32);
     }
 
     /// One-shot convenience: XORs the keystream for `(key, nonce, counter)`
@@ -264,10 +263,95 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
-/// The explicit SIMD keystream kernels — the only `unsafe` in this crate.
+/// The scalar block function: 20 rounds over the initial state —
+/// constants, `key`, then `tail` (rows 12–15: the block counter and the
+/// three nonce words) — plus that state, serialized little-endian. The
+/// reference every kernel is tested against, the remainder path, and the
+/// whole path off x86_64.
+fn block(key: &[u32; 8], tail: [u32; 4]) -> [u8; BLOCK_LEN] {
+    let mut state = [0u32; 16];
+    state[..4].copy_from_slice(&CONSTANTS);
+    state[4..12].copy_from_slice(key);
+    state[12..].copy_from_slice(&tail);
+    let mut working = state;
+    for _ in 0..10 {
+        // Column round.
+        quarter_round(&mut working, 0, 4, 8, 12);
+        quarter_round(&mut working, 1, 5, 9, 13);
+        quarter_round(&mut working, 2, 6, 10, 14);
+        quarter_round(&mut working, 3, 7, 11, 15);
+        // Diagonal round.
+        quarter_round(&mut working, 0, 5, 10, 15);
+        quarter_round(&mut working, 1, 6, 11, 12);
+        quarter_round(&mut working, 2, 7, 8, 13);
+        quarter_round(&mut working, 3, 4, 9, 14);
+    }
+
+    let mut out = [0u8; BLOCK_LEN];
+    for i in 0..16 {
+        let word = working[i].wrapping_add(state[i]);
+        out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
+    }
+    out
+}
+
+/// One keystream to apply: `data ^= keystream` for the stream whose first
+/// block has state rows 12–15 `tail` (counter, then nonce); later blocks
+/// count up from it.
+struct Stream<'a> {
+    tail: [u32; 4],
+    data: &'a mut [u8],
+}
+
+/// `data ^= keystream`, for at most one block.
+fn xor_keystream(keystream: &[u8; BLOCK_LEN], data: &mut [u8]) {
+    for (byte, k) in data.iter_mut().zip(keystream) {
+        *byte ^= k;
+    }
+}
+
+/// Applies every stream's keystream, taking SIMD lanes *across* streams:
+/// the streams are cut into one-block jobs in order — stream 0's blocks,
+/// then stream 1's, … — and each kernel pass takes the next jobs, one per
+/// lane, whichever streams they belong to. Which lane a byte lands in
+/// depends on the streams' order and lengths only. What is left at the end
+/// (fewer jobs than lanes) takes one more pass, or the scalar block
+/// function when that is cheaper; off x86_64 every job is scalar.
+///
+/// Callers check each stream's counter budget; counters here wrap.
+fn xor_streams<'a>(key: &[u32; 8], streams: impl IntoIterator<Item = Stream<'a>>) {
+    #[cfg(target_arch = "x86_64")]
+    x86::xor_streams(key, streams);
+    #[cfg(not(target_arch = "x86_64"))]
+    for Stream { mut tail, data } in streams {
+        for data in data.chunks_mut(BLOCK_LEN) {
+            xor_keystream(&block(key, tail), data);
+            tail[0] = tail[0].wrapping_add(1);
+        }
+    }
+}
+
+/// The explicit SIMD keystream kernel — all of this module's `unsafe`.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{ChaCha20, BLOCK_LEN};
+    use super::{block, xor_keystream, Stream, BLOCK_LEN, CONSTANTS};
+    use std::marker::PhantomData;
+
+    /// What one kernel pass works on, one keystream block per lane `j`:
+    /// state rows 12–15 are `tail[..][j]` (rows 0–11 — constants and key —
+    /// are shared), and the block is XORed into the 64 bytes at `data[j]`.
+    /// A single stream is the case "same nonce, counters `c..c + N`,
+    /// pointers 64 bytes apart"; a batch of short bodies puts a different
+    /// nonce and an unrelated pointer in every lane.
+    pub(super) struct Lanes<const N: usize> {
+        pub tail: [[u32; N]; 4],
+        /// Added to every lane's block counter (`tail[0]`, wrapping): a
+        /// stream's next pass is this one store away. (Rewriting the
+        /// counter row word by word right before the kernel loads it as a
+        /// vector costs a store-forwarding stall per pass, ≈ 4 %.)
+        pub advance: u32,
+        pub data: [*mut u8; N],
+    }
 
     // `rotl!`, `quarter_round!` and `vertical_kernel!` are written once
     // against width-neutral names (`V`, `add32`, `slli`, …). Item names in
@@ -297,25 +381,27 @@ mod x86 {
 
     macro_rules! vertical_kernel {
         ($feature:literal) => {
-            /// Bytes one pass covers.
-            pub const PASS: usize = BLOCKS * BLOCK_LEN;
-
-            /// `dst = src ⊕ keystream` for the `BLOCKS` consecutive blocks
-            /// whose first counter is `init[12]`. Vector `i` holds state
-            /// word `i` of every block, one block per 32-bit lane.
+            /// `data[j] ^= keystream block j` for every lane `j` of
+            /// `lanes`, under `key`. Vector `i` holds state word `i` of
+            /// every lane's block, one block per 32-bit lane.
             ///
             /// # Safety
             ///
-            /// The CPU must support the enabled target feature, `src` must
-            /// be valid for reads and `dst` for writes of `PASS` bytes, and
-            /// the two must be the same address or not overlap.
+            /// The CPU must support the enabled target feature. Every
+            /// `data[j]` must be valid for reads and writes of `BLOCK_LEN`
+            /// bytes, and no two lanes' bytes may overlap.
             #[target_feature(enable = $feature)]
-            pub unsafe fn xor_pass(init: &[u32; 16], src: *const [u8; PASS], dst: *mut [u8; PASS]) {
+            pub unsafe fn xor_pass(key: &[u32; 8], lanes: &Lanes<BLOCKS>) {
                 let mut start = [set1(0); 16];
-                for (row, word) in start.iter_mut().zip(init) {
+                for (row, word) in start.iter_mut().zip(CONSTANTS.iter().chain(key)) {
                     *row = set1(*word as i32);
                 }
-                start[12] = add32(start[12], lane_counters());
+                for (row, words) in start[12..].iter_mut().zip(&lanes.tail) {
+                    // SAFETY: `words` is a `[u32; BLOCKS]`, exactly the
+                    // bytes of one vector, and the load is unaligned.
+                    *row = unsafe { loadu(words.as_ptr().cast()) };
+                }
+                start[12] = add32(start[12], set1(lanes.advance as i32));
 
                 let mut x = start;
                 for _ in 0..10 {
@@ -336,8 +422,8 @@ mod x86 {
 
                 // Rows 4g..4g+4 are a 4×4 word matrix per 128-bit lane:
                 // transposed, vector `j` holds 16 contiguous keystream
-                // bytes of block `j` (and of block `j + 4` in the upper
-                // lane at ×8), at byte `16 * g` of the block.
+                // bytes of lane `j`'s block (and of lane `j + 4`'s in the
+                // upper half at ×8), at byte `16 * g` of the block.
                 for (g, rows) in x.chunks_exact(4).enumerate() {
                     let (ab_lo, ab_hi) =
                         (unpacklo32(rows[0], rows[1]), unpackhi32(rows[0], rows[1]));
@@ -350,11 +436,11 @@ mod x86 {
                         unpackhi64(ab_hi, cd_hi),
                     ];
                     for (j, column) in columns.into_iter().enumerate() {
-                        let at = j * BLOCK_LEN + 16 * g;
-                        // SAFETY: `at + 16 <= 4 * BLOCK_LEN`, and `xor_store`
-                        // touches those 16 bytes of each 4-block group of
-                        // the `PASS` bytes the caller vouches for.
-                        unsafe { xor_store(column, src.cast(), dst.cast(), at) };
+                        // SAFETY: `16 * g + 16 <= BLOCK_LEN`, and
+                        // `xor_store` touches those 16 bytes of lane `j`
+                        // (and `j + 4` at ×8), which the caller vouches
+                        // for.
+                        unsafe { xor_store(column, &lanes.data, j, 16 * g) };
                     }
                 }
             }
@@ -363,10 +449,10 @@ mod x86 {
 
     /// ×4 blocks in `__m128i`: SSE2, which every x86_64 CPU has.
     pub(super) mod sse2 {
-        use super::BLOCK_LEN;
+        use super::{Lanes, CONSTANTS};
         use std::arch::x86_64::{
-            __m128i as V, _mm_add_epi32 as add32, _mm_loadu_si128, _mm_or_si128 as or,
-            _mm_set1_epi32 as set1, _mm_set_epi32, _mm_slli_epi32 as slli, _mm_srli_epi32 as srli,
+            __m128i as V, _mm_add_epi32 as add32, _mm_loadu_si128 as loadu, _mm_or_si128 as or,
+            _mm_set1_epi32 as set1, _mm_slli_epi32 as slli, _mm_srli_epi32 as srli,
             _mm_storeu_si128, _mm_unpackhi_epi32 as unpackhi32, _mm_unpackhi_epi64 as unpackhi64,
             _mm_unpacklo_epi32 as unpacklo32, _mm_unpacklo_epi64 as unpacklo64,
             _mm_xor_si128 as xor,
@@ -375,26 +461,33 @@ mod x86 {
         /// Keystream blocks per pass.
         pub const BLOCKS: usize = 4;
 
-        #[target_feature(enable = "sse2")]
-        fn lane_counters() -> V {
-            _mm_set_epi32(3, 2, 1, 0)
-        }
-
-        /// `dst[at..at + 16] = src[at..at + 16] ⊕ bytes`.
+        /// `data[at..at + 16] ^= bytes`.
         ///
         /// # Safety
         ///
-        /// `src + at` must be valid for a 16-byte read and `dst + at` for
-        /// a 16-byte write.
+        /// `data + at` must be valid for a 16-byte read and write.
         #[inline]
         #[target_feature(enable = "sse2")]
-        pub(super) unsafe fn xor_store(bytes: V, src: *const u8, dst: *mut u8, at: usize) {
-            // SAFETY: the caller vouches for both 16-byte ranges; the
-            // unaligned load/store intrinsics need nothing more.
+        pub(super) unsafe fn xor16(bytes: V, data: *mut u8, at: usize) {
+            // SAFETY: the caller vouches for the 16 bytes; the unaligned
+            // load/store intrinsics need nothing more.
             unsafe {
-                let plain = _mm_loadu_si128(src.add(at).cast());
-                _mm_storeu_si128(dst.add(at).cast(), xor(plain, bytes));
+                let plain = loadu(data.add(at).cast());
+                _mm_storeu_si128(data.add(at).cast(), xor(plain, bytes));
             }
+        }
+
+        /// [`xor16`] on lane `j`.
+        ///
+        /// # Safety
+        ///
+        /// 16 bytes at `at` must be valid for reads and writes at
+        /// `data[j]`.
+        #[inline]
+        #[target_feature(enable = "sse2")]
+        unsafe fn xor_store(bytes: V, data: &[*mut u8; BLOCKS], j: usize, at: usize) {
+            // SAFETY: exactly the caller's guarantee.
+            unsafe { xor16(bytes, data[j], at) };
         }
 
         vertical_kernel!("sse2");
@@ -402,11 +495,12 @@ mod x86 {
 
     /// ×8 blocks in `__m256i`: AVX2, detected at run time.
     pub(super) mod avx2 {
-        use super::BLOCK_LEN;
+        use super::sse2::xor16;
+        use super::{Lanes, CONSTANTS};
         use std::arch::x86_64::{
             __m256i as V, _mm256_add_epi32 as add32, _mm256_castsi256_si128,
-            _mm256_extracti128_si256, _mm256_or_si256 as or, _mm256_set1_epi32 as set1,
-            _mm256_set_epi32, _mm256_slli_epi32 as slli, _mm256_srli_epi32 as srli,
+            _mm256_extracti128_si256, _mm256_loadu_si256 as loadu, _mm256_or_si256 as or,
+            _mm256_set1_epi32 as set1, _mm256_slli_epi32 as slli, _mm256_srli_epi32 as srli,
             _mm256_unpackhi_epi32 as unpackhi32, _mm256_unpackhi_epi64 as unpackhi64,
             _mm256_unpacklo_epi32 as unpacklo32, _mm256_unpacklo_epi64 as unpacklo64,
             _mm256_xor_si256 as xor,
@@ -415,75 +509,202 @@ mod x86 {
         /// Keystream blocks per pass.
         pub const BLOCKS: usize = 8;
 
-        #[target_feature(enable = "avx2")]
-        fn lane_counters() -> V {
-            _mm256_set_epi32(7, 6, 5, 4, 3, 2, 1, 0)
-        }
-
-        /// As [`super::sse2::xor_store`] for each 128-bit lane: the lower
-        /// lane is block `j`, the upper lane block `j + 4`.
+        /// As [`super::sse2::xor16`] for each 128-bit half: the lower
+        /// half is lane `j`, the upper half lane `j + 4`.
         ///
         /// # Safety
         ///
-        /// The CPU must support AVX2; 16 bytes at `at` and at
-        /// `at + 4 * BLOCK_LEN` must be valid for reads from `src` and for
-        /// writes to `dst`.
+        /// The CPU must support AVX2; 16 bytes at `at` must be valid for
+        /// reads and writes at `data[j]` and at `data[j + 4]`.
         #[inline]
         #[target_feature(enable = "avx2")]
-        unsafe fn xor_store(bytes: V, src: *const u8, dst: *mut u8, at: usize) {
-            // SAFETY: the caller vouches for all four 16-byte ranges.
+        unsafe fn xor_store(bytes: V, data: &[*mut u8; BLOCKS], j: usize, at: usize) {
+            // SAFETY: the caller vouches for both 16-byte ranges.
             unsafe {
-                super::sse2::xor_store(_mm256_castsi256_si128(bytes), src, dst, at);
-                let upper = _mm256_extracti128_si256::<1>(bytes);
-                super::sse2::xor_store(upper, src, dst, at + 4 * BLOCK_LEN);
+                xor16(_mm256_castsi256_si128(bytes), data[j], at);
+                xor16(_mm256_extracti128_si256::<1>(bytes), data[j + 4], at);
             }
         }
 
         vertical_kernel!("avx2");
     }
 
-    /// XORs `stream`'s keystream over as many whole SIMD passes as fit in
-    /// `dst`, reading `src` (`dst` itself when `None`) and advancing the
-    /// stream. Returns the number of bytes done; the caller finishes the
-    /// rest with the scalar block function.
-    #[inline]
-    pub(super) fn xor_passes(stream: &mut ChaCha20, src: Option<&[u8]>, dst: &mut [u8]) -> usize {
-        let len = dst.len();
-        if len < sse2::PASS {
-            // Keeps a one- or two-block body at the scalar path's cost.
-            return 0;
-        }
-        assert!(
-            src.is_none_or(|src| src.len() == len),
-            "src/dst length mismatch"
-        );
-        let mut state = stream.state(stream.counter);
-        let to = dst.as_mut_ptr();
-        let from = src.map_or(to.cast_const(), <[u8]>::as_ptr);
-        let mut done = 0;
-        macro_rules! whole_passes {
-            ($width:ident) => {
-                while len - done >= $width::PASS {
-                    // SAFETY: the feature of `$width` is baseline (SSE2) or
-                    // was detected by the caller of this macro (AVX2);
-                    // `done + PASS <= len` keeps both ranges inside
-                    // slices of `len` bytes (asserted above); `from` is
-                    // `to` itself or a shared borrow, which cannot overlap
-                    // the exclusive borrow `dst`.
-                    unsafe {
-                        $width::xor_pass(&state, from.add(done).cast(), to.add(done).cast());
-                    }
-                    state[12] = state[12].wrapping_add($width::BLOCKS as u32);
-                    done += $width::PASS;
-                }
-            };
-        }
+    /// Fewest jobs worth a kernel pass of their own. A pass costs its full
+    /// width however few lanes carry a job — about two scalar blocks — so
+    /// one or two leftover jobs are cheaper on the scalar function.
+    const MIN_PASS_JOBS: usize = 3;
+
+    /// [`super::xor_streams`] on the widest kernel this CPU has.
+    pub(super) fn xor_streams<'a>(key: &[u32; 8], streams: impl IntoIterator<Item = Stream<'a>>) {
         if is_x86_feature_detected!("avx2") {
-            whole_passes!(avx2);
+            // SAFETY: AVX2 was detected on the line above.
+            unsafe { Scheduler::new(key, avx2::xor_pass) }.run(streams);
+        } else {
+            // SAFETY: SSE2 is part of the x86_64 baseline.
+            unsafe { Scheduler::new(key, sse2::xor_pass) }.run(streams);
         }
-        whole_passes!(sse2);
-        stream.counter = state[12];
-        done
+    }
+
+    /// The jobs waiting for a pass of an `N`-lane kernel. Job `j` — at most
+    /// one block of one stream — is lane `j` of `lanes`: its state rows
+    /// 12–15 are `lanes.tail[..][j]`, and it XORs the `len[j]` bytes at
+    /// `lanes.data[j]`, which are bytes of the `data` slice of a
+    /// [`Stream`] given to [`push_stream`](Self::push_stream) that no other
+    /// job covers.
+    pub(super) struct Scheduler<'a, const N: usize> {
+        key: [u32; 8],
+        kernel: unsafe fn(&[u32; 8], &Lanes<N>),
+        lanes: Lanes<N>,
+        len: [u8; N],
+        filled: usize,
+        /// The streams' `&'a mut [u8]`, held as the pointers above until
+        /// their jobs have run.
+        _jobs: PhantomData<&'a mut [u8]>,
+    }
+
+    impl<'a, const N: usize> Scheduler<'a, N> {
+        /// An empty scheduler over `kernel`.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support the target feature `kernel` was compiled
+        /// for.
+        pub(super) unsafe fn new(key: &[u32; 8], kernel: unsafe fn(&[u32; 8], &Lanes<N>)) -> Self {
+            Self {
+                key: *key,
+                kernel,
+                lanes: Lanes {
+                    tail: [[0; N]; 4],
+                    advance: 0,
+                    data: [std::ptr::null_mut(); N],
+                },
+                len: [0; N],
+                filled: 0,
+                _jobs: PhantomData,
+            }
+        }
+
+        /// Runs every stream, in order.
+        pub(super) fn run(&mut self, streams: impl IntoIterator<Item = Stream<'a>>) {
+            for stream in streams {
+                self.push_stream(stream);
+            }
+            self.finish();
+        }
+
+        /// Runs the whole passes `stream` fills by itself — lane `j` is the
+        /// stream's next block but `j`: consecutive counters, pointers 64
+        /// bytes apart — and queues the blocks it has left after that,
+        /// fewer than `N`, as jobs.
+        pub(super) fn push_stream(&mut self, Stream { tail, data }: Stream<'a>) {
+            let len = data.len();
+            let data = data.as_mut_ptr();
+            let [counter, nonce @ ..] = tail;
+            let mut at = 0;
+            if len >= N * BLOCK_LEN {
+                let mut lanes = Lanes {
+                    tail: [
+                        std::array::from_fn(|j| counter.wrapping_add(j as u32)),
+                        [nonce[0]; N],
+                        [nonce[1]; N],
+                        [nonce[2]; N],
+                    ],
+                    advance: 0,
+                    data: [data; N],
+                };
+                while len - at >= N * BLOCK_LEN {
+                    lanes.advance = (at / BLOCK_LEN) as u32;
+                    for (j, lane) in lanes.data.iter_mut().enumerate() {
+                        // Inside the slice, so the offset cannot wrap.
+                        *lane = data.wrapping_add(at + j * BLOCK_LEN);
+                    }
+                    // SAFETY: `new`'s caller vouched for the CPU feature.
+                    // Lane `j` covers bytes `at + 64 j .. at + 64 (j + 1)`
+                    // of the exclusive borrow `data`, which
+                    // `at + N * BLOCK_LEN <= len` keeps inside it, so the
+                    // lanes do not overlap each other.
+                    unsafe { (self.kernel)(&self.key, &lanes) };
+                    at += N * BLOCK_LEN;
+                }
+            }
+            while at < len {
+                let j = self.filled;
+                self.lanes.tail[0][j] = counter.wrapping_add((at / BLOCK_LEN) as u32);
+                for (row, word) in self.lanes.tail[1..].iter_mut().zip(nonce) {
+                    row[j] = word;
+                }
+                self.len[j] = BLOCK_LEN.min(len - at) as u8;
+                // Inside the slice (`at < len`), so the offset cannot wrap.
+                self.lanes.data[j] = data.wrapping_add(at);
+                self.filled += 1;
+                if self.filled == N {
+                    self.pass();
+                }
+                at += BLOCK_LEN;
+            }
+        }
+
+        /// Runs what is queued: one more pass, or the scalar block
+        /// function when that is cheaper.
+        pub(super) fn finish(&mut self) {
+            if self.filled >= MIN_PASS_JOBS {
+                self.pass();
+            }
+            for j in 0..self.filled {
+                let keystream = block(&self.key, self.lanes.tail.map(|row| row[j]));
+                // SAFETY: `j < filled`, so this is a queued job's pointer
+                // and length (see the struct's invariant), the job has not
+                // run, and `'a` has not ended.
+                xor_keystream(&keystream, unsafe {
+                    job_bytes(self.lanes.data[j], self.len[j])
+                });
+            }
+            self.filled = 0;
+        }
+
+        /// One kernel pass over the queued jobs, which empties the queue.
+        /// A whole-block job is XORed in place. A shorter one (a body's
+        /// last block) has its lane XOR a block of zeros — which leaves
+        /// the lane's keystream block there — and takes the bytes it needs
+        /// from that, so the kernel never touches a byte outside a job's
+        /// slice. Lanes without a job do the same and are discarded.
+        fn pass(&mut self) {
+            let mut keystream = [[0u8; BLOCK_LEN]; N];
+            // From here to the kernel's return `keystream` is reached only
+            // through this pointer.
+            let keystream_at: *mut [u8; BLOCK_LEN] = keystream.as_mut_ptr();
+            // The jobs' own pointers; in `lanes`, a lane that does not
+            // cover a whole block is pointed at its element of `keystream`.
+            let data = self.lanes.data;
+            for j in 0..N {
+                if j >= self.filled || usize::from(self.len[j]) < BLOCK_LEN {
+                    self.lanes.data[j] = keystream_at.wrapping_add(j).cast();
+                }
+            }
+            // SAFETY: `new`'s caller vouched for the CPU feature. Every
+            // lane's `data` is `BLOCK_LEN` readable and writable bytes — a
+            // whole-block job's, which no other job covers, or the lane's
+            // own element of `keystream` — so no two lanes overlap.
+            unsafe { (self.kernel)(&self.key, &self.lanes) };
+            for (j, keystream) in keystream.iter().enumerate().take(self.filled) {
+                if usize::from(self.len[j]) < BLOCK_LEN {
+                    // SAFETY: as in `finish`.
+                    xor_keystream(keystream, unsafe { job_bytes(data[j], self.len[j]) });
+                }
+            }
+            self.filled = 0;
+        }
+    }
+
+    /// A job's bytes as a slice.
+    ///
+    /// # Safety
+    ///
+    /// `data` must be valid for reads and writes of `len` bytes that
+    /// nothing else accesses while the slice lives.
+    unsafe fn job_bytes<'s>(data: *mut u8, len: u8) -> &'s mut [u8] {
+        // SAFETY: exactly the caller's guarantee.
+        unsafe { std::slice::from_raw_parts_mut(data, usize::from(len)) }
     }
 }
 
@@ -582,15 +803,10 @@ mod tests {
 
     #[test]
     fn dispatched_paths_match_the_scalar_reference() {
-        #[cfg(target_arch = "x86_64")]
-        let kernel = if is_x86_feature_detected!("avx2") {
-            "AVX2 x8, then SSE2 x4, then scalar"
-        } else {
-            "SSE2 x4, then scalar (no AVX2 on this host: the x8 kernel is NOT tested)"
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let kernel = "scalar only (no kernel for this architecture)";
-        eprintln!("chacha20 keystream dispatch on this host: {kernel}");
+        eprintln!(
+            "chacha20 keystream dispatch on this host: {}",
+            ChaChaKey::dispatch()
+        );
 
         let src = patterned(1100);
         for counter in [0, 1, 7, u32::MAX - 20] {
@@ -599,52 +815,113 @@ mod tests {
             for len in 0..=src.len() {
                 let end = counter + len.div_ceil(BLOCK_LEN) as u32;
 
-                let mut in_place = src[..len].to_vec();
+                let mut data = src[..len].to_vec();
                 let mut stream = fresh.clone();
-                stream.apply_keystream(&mut in_place);
-                assert_eq!(in_place, expected[..len], "in place: {counter}, {len}");
-                assert_eq!(stream.counter(), end, "in place: {counter}, {len}");
-
-                let mut fused = vec![0xEE; len];
-                let mut stream = fresh.clone();
-                stream.apply_keystream_into(&src[..len], &mut fused);
-                assert_eq!(fused, expected[..len], "into: {counter}, {len}");
-                assert_eq!(stream.counter(), end, "into: {counter}, {len}");
+                stream.apply_keystream(&mut data);
+                assert_eq!(data, expected[..len], "{counter}, {len}");
+                assert_eq!(stream.counter(), end, "{counter}, {len}");
             }
         }
     }
 
-    /// Both kernels called directly, whatever the dispatcher would pick
-    /// on this host: `src → dst` and in place (`src == dst`).
+    /// Both kernel widths driven directly, whatever the dispatcher would
+    /// pick on this host, against the scalar block function, on the two
+    /// shapes a pass takes: one stream (consecutive counters up to the
+    /// wrap, pointers 64 bytes apart) and lanes across bodies (a different
+    /// nonce and counter in every lane, unrelated buffers, short last
+    /// blocks, lanes with no job).
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn each_kernel_width_matches_the_scalar_reference() {
-        macro_rules! check_kernel {
-            ($width:ident) => {
-                let src: [u8; x86::$width::PASS] = patterned(x86::$width::PASS)
-                    .try_into()
-                    .expect("one pass of plaintext");
-                for counter in [0, 1, 7, u32::MAX - 20, u32::MAX - 7] {
-                    let stream = ChaCha20::with_counter(&rfc_key(), &rfc_nonce(), counter);
-                    let expected = reference_xor(&stream, counter, &src);
-                    let mut dst = [0xEE; x86::$width::PASS];
-                    // SAFETY: the caller checked the CPU feature; `src` and
-                    // `dst` are distinct arrays of exactly `PASS` bytes.
-                    unsafe { x86::$width::xor_pass(&stream.state(counter), &src, &mut dst) };
-                    assert_eq!(dst[..], expected[..], "{counter}, src to dst");
-                    let mut data = src;
-                    let both: *mut [u8; x86::$width::PASS] = &mut data;
-                    // SAFETY: as above, with one pointer as source and
-                    // destination, which the kernel allows.
-                    unsafe { x86::$width::xor_pass(&stream.state(counter), both, both) };
-                    assert_eq!(data[..], expected[..], "{counter}, in place");
+        fn check<const N: usize>(kernel: unsafe fn(&[u32; 8], &x86::Lanes<N>)) {
+            let key = ChaChaKey::new(&rfc_key());
+            let src = patterned(2 * N * BLOCK_LEN + 17);
+            for counter in [0, 1, 7, u32::MAX - 20, u32::MAX - 3] {
+                let stream = ChaCha20::from_key(&key, &rfc_nonce(), counter);
+                let expected: Vec<u8> = (0..2 * N as u32 + 1)
+                    .flat_map(|b| stream.keystream_block(counter.wrapping_add(b)))
+                    .zip(&src)
+                    .map(|(k, s)| k ^ s)
+                    .collect();
+                let [n0, n1, n2] = stream.nonce;
+                let mut data = src.clone();
+                // SAFETY: the caller checked the CPU feature.
+                let mut scheduler = unsafe { x86::Scheduler::new(key.words(), kernel) };
+                scheduler.run([Stream {
+                    tail: [counter, n0, n1, n2],
+                    data: &mut data,
+                }]);
+                assert_eq!(data, expected, "one stream from counter {counter}");
+            }
+
+            // Lanes across bodies: job `j` has its own nonce, counter and
+            // length; every job count from none to two passes' worth is
+            // tried, so the last pass has every number of empty lanes.
+            let lens = [64usize, 17, 64, 1, 63, 64, 0, 33];
+            for count in 0..=2 * N {
+                let mut bodies: Vec<Vec<u8>> = (0..count)
+                    .map(|j| patterned(lens[j % 8] + j)[j..].to_vec())
+                    .collect();
+                let tail = |j: usize| [j as u32 * 3, 0xA0 + j as u32, !(j as u32), 7];
+                let expected: Vec<Vec<u8>> = bodies
+                    .iter()
+                    .enumerate()
+                    .map(|(j, body)| {
+                        let keystream = block(key.words(), tail(j));
+                        body.iter().zip(keystream).map(|(s, k)| s ^ k).collect()
+                    })
+                    .collect();
+                // SAFETY: the caller checked the CPU feature.
+                let mut scheduler = unsafe { x86::Scheduler::new(key.words(), kernel) };
+                for (j, body) in bodies.iter_mut().enumerate() {
+                    scheduler.push_stream(Stream {
+                        tail: tail(j),
+                        data: body,
+                    });
                 }
-            };
+                scheduler.finish();
+                assert_eq!(bodies, expected, "{count} jobs on {N} lanes");
+            }
         }
-        check_kernel!(sse2);
+        check(x86::sse2::xor_pass);
         if is_x86_feature_detected!("avx2") {
-            check_kernel!(avx2);
+            check(x86::avx2::xor_pass);
         }
+    }
+
+    /// `apply_keystreams` against one scalar stream per body, for every
+    /// count 0..=19 of equal-length bodies at the lengths the stack seals,
+    /// and for a batch whose bodies all differ in length.
+    #[test]
+    fn keystreams_across_bodies_match_one_stream_per_body() {
+        let key = ChaChaKey::new(&rfc_key());
+        let nonce = |i: usize| {
+            let mut nonce = rfc_nonce();
+            nonce[0] = i as u8;
+            nonce[11] = 0x80 | i as u8;
+            nonce
+        };
+        let check = |lens: &[usize]| {
+            let mut bodies: Vec<Vec<u8>> = lens.iter().map(|&len| patterned(len)).collect();
+            let expected: Vec<Vec<u8>> = bodies
+                .iter()
+                .enumerate()
+                .map(|(i, body)| reference_xor(&ChaCha20::from_key(&key, &nonce(i), 0), 0, body))
+                .collect();
+            key.apply_keystreams(
+                bodies
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, body)| (nonce(i), &mut body[..])),
+            );
+            assert_eq!(bodies, expected, "lengths {lens:?}");
+        };
+        for len in [0usize, 1, 17, 63, 64, 65, 81, 128, 529, 1041] {
+            for count in 0..=19 {
+                check(&vec![len; count]);
+            }
+        }
+        check(&[81, 0, 1041, 64, 1, 65, 529, 63, 128, 17, 1041, 81, 2]);
     }
 
     /// 1 041 bytes (the benchmark's sealed 1 KB body: two 512-byte passes
@@ -653,11 +930,10 @@ mod tests {
     /// over the plaintext `(7 i + 3) mod 256`.
     #[test]
     fn openssl_vector_covers_full_simd_passes() {
-        let src = patterned(1041);
-        let mut fused = vec![0u8; src.len()];
-        ChaCha20::with_counter(&rfc_key(), &rfc_nonce(), 1).apply_keystream_into(&src, &mut fused);
+        let mut data = patterned(1041);
+        ChaCha20::with_counter(&rfc_key(), &rfc_nonce(), 1).apply_keystream(&mut data);
         assert_eq!(
-            hex(&fused),
+            hex(&data),
             "13fbf6fcce1d74216b4d944ff47e14a8b4ab754fbc56f5a7af90135a041ab992\
              316895bef899a71d0fe0fe35eeb547eee648fdb9b160333d40421a4805fe89f2\
              c94252afe63152ba03cea5a0fd359cfaae6c82dce5634099cecd3c1f8da00a74\
@@ -692,17 +968,6 @@ mod tests {
              2b9e52dfd1199286bd365561558cfb3080efbe81283c840aa4b50871ab48f2f9\
              7fea1b03c0c7c7342e3a0541fb7c11cb74"
         );
-        let mut in_place = src;
-        ChaCha20::with_counter(&rfc_key(), &rfc_nonce(), 1).apply_keystream(&mut in_place);
-        assert_eq!(in_place, fused);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn apply_keystream_into_checks_lengths() {
-        let mut stream = ChaCha20::new(&rfc_key(), &rfc_nonce());
-        let mut dst = [0u8; 3];
-        stream.apply_keystream_into(&[0u8; 4], &mut dst);
     }
 
     #[test]
@@ -773,8 +1038,8 @@ mod tests {
         stream.apply_keystream(&mut data);
     }
 
-    /// At every run size — scalar, one ×4 pass, one ×8 pass, passes plus a
-    /// tail — a stream one block short panics *before* writing a byte, and
+    /// At every run size — scalar, a padded pass, one whole pass, passes
+    /// plus a tail — a stream one block short panics *before* writing a byte, and
     /// a stream with exactly enough blocks left is used to its last block.
     #[test]
     fn wide_path_respects_counter_budget() {
@@ -791,18 +1056,7 @@ mod tests {
             assert!(panic
                 .downcast_ref::<&str>()
                 .is_some_and(|message| message.contains("counter overflow")));
-            assert_eq!(data, src, "len {len}: in place wrote before panicking");
-            let mut dst = vec![0xEE; len];
-            let mut stream = short.clone();
-            catch_unwind(AssertUnwindSafe(|| {
-                stream.apply_keystream_into(&src, &mut dst)
-            }))
-            .expect_err("one block short must panic");
-            assert_eq!(
-                dst,
-                vec![0xEE; len],
-                "len {len}: into wrote before panicking"
-            );
+            assert_eq!(data, src, "len {len}: wrote before panicking");
 
             let first = u32::MAX - blocks + 1;
             let mut exact = ChaCha20::with_counter(&rfc_key(), &rfc_nonce(), first);

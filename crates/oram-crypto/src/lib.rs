@@ -7,13 +7,16 @@
 //! against the published reference vectors):
 //!
 //! * [`chacha::ChaCha20`] — the RFC 8439 stream cipher, used for block
-//!   encryption and key derivation.
-//! * [`siphash::SipHash24`] — SipHash-2-4, used as the keyed PRF/MAC.
+//!   encryption and key derivation (SIMD lanes across the bodies of a
+//!   batch).
+//! * [`siphash::SipHash24`] — SipHash-2-4, used as the keyed PRF/MAC (four
+//!   messages per AVX2 pass).
 //! * [`prp::FeistelPrp`] — a cycle-walking Feistel permutation over an
 //!   arbitrary domain `[0, n)`, used to permute storage positions
 //!   (the "permutation list" of the paper is backed by this PRP plus an
 //!   explicit table once blocks migrate).
-//! * [`seal::BlockSealer`] — encrypt-then-MAC sealing of ORAM blocks.
+//! * [`seal::BlockSealer`] — encrypt-then-MAC sealing of ORAM blocks, one
+//!   at a time or a whole path per call.
 //! * [`keys::KeyHierarchy`] — epoch/domain sub-key derivation from a master
 //!   key.
 //! * [`rng::DeterministicRng`] — a reproducible ChaCha20-based CSPRNG
@@ -42,8 +45,10 @@
 //! # }
 //! ```
 #![warn(missing_docs)]
-// The crate's only `unsafe` is the SIMD keystream kernel (the private
-// `chacha::x86` module); every block of it must say why it is sound.
+// The crate's only `unsafe` is in its two SIMD kernels — the ChaCha20
+// keystream (private module `chacha::x86`) and the four-lane SipHash MAC
+// (private module `siphash::x86`); every block of it must say why it is
+// sound.
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 

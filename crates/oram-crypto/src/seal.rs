@@ -6,8 +6,31 @@
 //! with its header by a SipHash-2-4 tag. Dummy blocks are sealed through the
 //! identical code path, so real and dummy ciphertexts are indistinguishable
 //! on the bus.
+//!
+//! # The batch contract
+//!
+//! Path ORAM's unit of work is a whole root-to-leaf path — Z·(L+1)
+//! equal-length blocks opened, then as many sealed — so the sealer's real
+//! entry points are [`BlockSealer::seal_batch`] and
+//! [`BlockSealer::open_batch`]; the one-block calls are the same routines
+//! on a batch of one. A batch takes its SIMD lanes *across* its blocks:
+//! ChaCha20 ×8 over the bodies' keystream blocks
+//! ([`ChaChaKey::apply_keystreams`]) and SipHash-2-4 ×4 over the blocks
+//! ([`SipHash24::finish4`]). What a caller may rely on:
+//!
+//! * **same bytes** — the output equals one [`BlockSealer::seal_into`] /
+//!   [`BlockSealer::open_in_place`] per item, in order. A caller that
+//!   draws its epochs (seal sequence numbers) in the order it always did
+//!   writes the bytes it always did;
+//! * **verify all, then decrypt** — `open_batch` checks every tag before
+//!   it decrypts any body. If a block fails it returns the
+//!   [`CryptoError::TagMismatch`] of the first failing block in order and
+//!   releases no plaintext, of that block or of any other;
+//! * **position-only lanes** — which lane a block lands in depends on its
+//!   position in the batch and the (public) body lengths, never on
+//!   whether its content is real or dummy: the sealer cannot tell.
 
-use crate::chacha::{ChaCha20, ChaChaKey, NONCE_LEN};
+use crate::chacha::{ChaChaKey, NONCE_LEN};
 use crate::keys::SubKeys;
 use crate::siphash::SipHash24;
 use crate::CryptoError;
@@ -168,34 +191,33 @@ impl BlockSealer {
     /// the ORAM reshuffle discipline guarantees this by bumping the epoch
     /// whenever blocks are rewritten.
     pub fn seal(&self, block_id: u64, epoch: u64, plaintext: &[u8]) -> SealedBlock {
-        // Fused copy+XOR: the ciphertext buffer is filled in one pass over
-        // the plaintext instead of copy-then-encrypt-in-place.
-        let mut body = vec![0u8; plaintext.len()];
-        ChaCha20::from_key(&self.enc_key, &Self::nonce(block_id, epoch), 0)
-            .apply_keystream_into(plaintext, &mut body);
-        let tag = self.compute_tag(block_id, epoch, &body);
-        SealedBlock {
-            block_id,
-            epoch,
-            body,
-            tag,
-        }
+        self.seal_into(block_id, epoch, plaintext.to_vec())
     }
 
     /// Seals a caller-provided plaintext buffer, encrypting it **in place**
-    /// — the buffer becomes the ciphertext body without a copy. This is the
-    /// zero-copy core of [`seal`](Self::seal); the shuffle stream feeds it
-    /// buffers recycled through a [`crate::pool::BufferPool`].
-    pub fn seal_into(&self, block_id: u64, epoch: u64, mut body: Vec<u8>) -> SealedBlock {
-        ChaCha20::from_key(&self.enc_key, &Self::nonce(block_id, epoch), 0)
-            .apply_keystream(&mut body);
-        let tag = self.compute_tag(block_id, epoch, &body);
-        SealedBlock {
-            block_id,
-            epoch,
-            body,
-            tag,
-        }
+    /// — the buffer becomes the ciphertext body without a copy. The
+    /// shuffle stream feeds it buffers recycled through a
+    /// [`crate::pool::BufferPool`].
+    pub fn seal_into(&self, block_id: u64, epoch: u64, body: Vec<u8>) -> SealedBlock {
+        let mut block = SealedBlock::from_parts(block_id, epoch, body, 0);
+        self.seal_blocks(std::slice::from_mut(&mut block));
+        block
+    }
+
+    /// Seals every `(block_id, epoch, plaintext)` item, each buffer in
+    /// place, as one batch — see the [module docs](self) for the contract.
+    /// Byte-identical to one [`seal_into`](Self::seal_into) per item in
+    /// order.
+    pub fn seal_batch(
+        &self,
+        items: impl IntoIterator<Item = (u64, u64, Vec<u8>)>,
+    ) -> Vec<SealedBlock> {
+        let mut blocks: Vec<SealedBlock> = items
+            .into_iter()
+            .map(|(block_id, epoch, body)| SealedBlock::from_parts(block_id, epoch, body, 0))
+            .collect();
+        self.seal_blocks(&mut blocks);
+        blocks
     }
 
     /// Verifies and decrypts a sealed block.
@@ -208,11 +230,10 @@ impl BlockSealer {
     pub fn open(&self, block: &SealedBlock) -> Result<Vec<u8>, CryptoError> {
         // Tag first, on the borrowed body: a forged block costs one MAC
         // pass and allocates nothing.
-        self.verify(block.block_id, block.epoch, &block.body, block.tag)?;
-        let mut plaintext = block.body.clone();
-        ChaCha20::from_key(&self.enc_key, &Self::nonce(block.block_id, block.epoch), 0)
-            .apply_keystream(&mut plaintext);
-        Ok(plaintext)
+        self.verify(std::slice::from_ref(block))?;
+        let mut copy = block.clone();
+        self.apply_keystreams(std::slice::from_mut(&mut copy));
+        Ok(copy.body)
     }
 
     /// Verifies and decrypts a sealed block the caller owns, reusing its
@@ -223,23 +244,56 @@ impl BlockSealer {
     /// # Errors
     ///
     /// As [`open`](Self::open); the buffer is dropped on tag mismatch.
-    pub fn open_in_place(&self, block: SealedBlock) -> Result<Vec<u8>, CryptoError> {
-        let SealedBlock {
-            block_id,
-            epoch,
-            mut body,
-            tag,
-        } = block;
-        self.verify(block_id, epoch, &body, tag)?;
-        ChaCha20::from_key(&self.enc_key, &Self::nonce(block_id, epoch), 0)
-            .apply_keystream(&mut body);
-        Ok(body)
+    pub fn open_in_place(&self, mut block: SealedBlock) -> Result<Vec<u8>, CryptoError> {
+        self.open_blocks(std::slice::from_mut(&mut block))?;
+        Ok(block.body)
     }
 
-    /// Re-seals an already-open payload under a new identity, the common
-    /// operation during shuffles (decrypt under old epoch done by caller).
-    pub fn reseal(&self, block_id: u64, epoch: u64, plaintext: &[u8]) -> SealedBlock {
-        self.seal(block_id, epoch, plaintext)
+    /// Verifies and decrypts every block, each buffer in place, as one
+    /// batch — see the [module docs](self) for the contract. On success
+    /// plaintext `i` is what [`open_in_place`](Self::open_in_place) gives
+    /// for block `i`.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::TagMismatch`] carrying the `block_id` of the first
+    /// block in order whose tag does not verify. Every tag is checked
+    /// before any body is decrypted, so no plaintext exists on this path
+    /// and the buffers are dropped as ciphertext.
+    pub fn open_batch(&self, mut blocks: Vec<SealedBlock>) -> Result<Vec<Vec<u8>>, CryptoError> {
+        self.open_blocks(&mut blocks)?;
+        Ok(blocks.into_iter().map(SealedBlock::into_body).collect())
+    }
+
+    /// Encrypt-then-MAC in place: the bodies come in as plaintext and
+    /// leave as ciphertext under fresh tags.
+    fn seal_blocks(&self, blocks: &mut [SealedBlock]) {
+        self.apply_keystreams(blocks);
+        for group in blocks.chunks_mut(MAC_LANES) {
+            let tags = self.tags(group);
+            for (block, tag) in group.iter_mut().zip(tags) {
+                block.tag = tag;
+            }
+        }
+    }
+
+    /// Verify-all-then-decrypt in place.
+    fn open_blocks(&self, blocks: &mut [SealedBlock]) -> Result<(), CryptoError> {
+        self.verify(blocks)?;
+        self.apply_keystreams(blocks);
+        Ok(())
+    }
+
+    /// XORs every body with its block's keystream (encryption and
+    /// decryption alike), lanes across the bodies.
+    fn apply_keystreams(&self, blocks: &mut [SealedBlock]) {
+        self.enc_key
+            .apply_keystreams(blocks.iter_mut().map(|block| {
+                (
+                    Self::nonce(block.block_id, block.epoch),
+                    &mut block.body[..],
+                )
+            }));
     }
 
     fn nonce(block_id: u64, epoch: u64) -> [u8; NONCE_LEN] {
@@ -252,23 +306,44 @@ impl BlockSealer {
         nonce
     }
 
-    fn verify(&self, block_id: u64, epoch: u64, body: &[u8], tag: u64) -> Result<(), CryptoError> {
-        if self.compute_tag(block_id, epoch, body) == tag {
-            Ok(())
-        } else {
-            Err(CryptoError::TagMismatch { block_id })
+    /// Checks every block's tag, in order.
+    fn verify(&self, blocks: &[SealedBlock]) -> Result<(), CryptoError> {
+        for group in blocks.chunks(MAC_LANES) {
+            let tags = self.tags(group);
+            if let Some((block, _)) = group
+                .iter()
+                .zip(tags)
+                .find(|(block, tag)| block.tag != *tag)
+            {
+                return Err(CryptoError::TagMismatch {
+                    block_id: block.block_id,
+                });
+            }
         }
+        Ok(())
     }
 
-    fn compute_tag(&self, block_id: u64, epoch: u64, ciphertext: &[u8]) -> u64 {
-        let mut mac = self.mac.clone();
-        mac.write_u64(block_id);
-        mac.write_u64(epoch);
-        mac.write_u64(ciphertext.len() as u64);
-        mac.write(ciphertext);
-        mac.finish()
+    /// The tags the blocks of `group` (at most [`MAC_LANES`]) should carry;
+    /// element `i` is block `i`'s, elements past the group are zero. A full
+    /// group is one four-lane MAC; a group's lanes are its blocks in order.
+    fn tags(&self, group: &[SealedBlock]) -> [u64; MAC_LANES] {
+        let head = |block: &SealedBlock| [block.block_id, block.epoch, block.body.len() as u64];
+        if let Ok(group) = <&[SealedBlock; MAC_LANES]>::try_from(group) {
+            let blocks = group.each_ref();
+            return self
+                .mac
+                .finish4(blocks.map(head), blocks.map(|block| &block.body[..]));
+        }
+        let mut tags = [0; MAC_LANES];
+        for (tag, block) in tags.iter_mut().zip(group) {
+            *tag = self.mac.finish_with(head(block), &block.body);
+        }
+        tags
     }
 }
+
+/// Blocks one MAC pass authenticates ([`SipHash24::finish4`]).
+const MAC_LANES: usize = 4;
 
 #[cfg(test)]
 mod tests {
@@ -310,6 +385,135 @@ mod tests {
         );
         assert_eq!(sealer.open(&sealed).unwrap(), body);
         assert_eq!(sealer.open_in_place(sealed).unwrap(), body);
+    }
+
+    /// Patterned plaintext `i` of a batch, `len` bytes.
+    fn plaintext(i: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|b| (b * 7 + i * 13 + 3) as u8).collect()
+    }
+
+    /// Item `i` of a test batch: ids and epochs that differ in every lane.
+    fn item(i: usize, len: usize) -> (u64, u64, Vec<u8>) {
+        (
+            1000 + i as u64,
+            (i as u64) << 33 | i as u64,
+            plaintext(i, len),
+        )
+    }
+
+    /// The batch contract's first clause: for every count 0..=19 (no
+    /// block, a scalar remainder, full MAC groups, full and partial
+    /// keystream passes) at every length the stack seals, `seal_batch` is
+    /// one `seal` per item and `open_batch` gives the plaintexts back.
+    #[test]
+    fn batch_matches_one_call_per_item() {
+        let sealer = sealer();
+        for len in [0usize, 1, 17, 63, 64, 65, 81, 128, 529, 1041] {
+            for count in 0..=19 {
+                let items: Vec<_> = (0..count).map(|i| item(i, len)).collect();
+                let singly: Vec<SealedBlock> = items
+                    .iter()
+                    .map(|(id, epoch, body)| sealer.seal(*id, *epoch, body))
+                    .collect();
+                let batch = sealer.seal_batch(items.clone());
+                assert_eq!(batch, singly, "{count} blocks of {len} bytes");
+                let opened = sealer.open_batch(batch).unwrap();
+                let plain: Vec<Vec<u8>> = items.into_iter().map(|(_, _, body)| body).collect();
+                assert_eq!(opened, plain, "{count} blocks of {len} bytes");
+            }
+        }
+    }
+
+    /// A batch whose bodies differ in length — what a damaged device file
+    /// yields: a `from_parts` body shorter or longer than its batch mates —
+    /// is MAC'd block by block exactly as alone. The kernels take raw
+    /// pointers and one length per group, so this is the case that must
+    /// never reach them: a group with an odd body out goes to the scalar
+    /// hasher (`siphash::tests::x4_kernel_is_taken_when_it_applies` pins
+    /// the refusal), and a keystream job carries its own length.
+    #[test]
+    fn mixed_length_batches_match_one_call_per_item() {
+        let sealer = sealer();
+        let lens = [
+            81usize, 81, 80, 81, 1041, 17, 1041, 1041, 0, 81, 82, 81, 81, 64,
+        ];
+        let items: Vec<_> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| item(i, len))
+            .collect();
+        let singly: Vec<SealedBlock> = items
+            .iter()
+            .map(|(id, epoch, body)| sealer.seal(*id, *epoch, body))
+            .collect();
+        let batch = sealer.seal_batch(items.clone());
+        assert_eq!(batch, singly);
+        let plain: Vec<Vec<u8>> = items.into_iter().map(|(_, _, body)| body).collect();
+        assert_eq!(sealer.open_batch(batch).unwrap(), plain);
+
+        // A group of four equal-length blocks, one of which came back from
+        // the device a byte short / a byte long: its tag must fail, and it
+        // must be the one reported.
+        for (k, resize) in [(1usize, 80usize), (2, 82), (0, 0), (3, 1041)] {
+            let mut blocks: Vec<SealedBlock> = (0..8)
+                .map(|i| {
+                    let (id, epoch, body) = item(i, 81);
+                    sealer.seal_into(id, epoch, body)
+                })
+                .collect();
+            let damaged = &blocks[k];
+            let mut body = damaged.ciphertext().to_vec();
+            body.resize(resize, 0xA5);
+            body.shrink_to_fit();
+            blocks[k] =
+                SealedBlock::from_parts(damaged.block_id(), damaged.epoch(), body, damaged.tag());
+            assert_eq!(
+                sealer.open_batch(blocks).unwrap_err(),
+                CryptoError::TagMismatch {
+                    block_id: 1000 + k as u64
+                },
+                "block {k} resized to {resize}"
+            );
+        }
+    }
+
+    /// Verify-all-then-decrypt: a flipped bit in item `k` — wherever `k`
+    /// falls in its MAC group, and in the scalar remainder — is reported
+    /// as `k`'s block id; with two bad items the first in order wins; and
+    /// no body was decrypted when the error came back.
+    #[test]
+    fn open_batch_reports_the_first_bad_block_and_releases_nothing() {
+        let sealer = sealer();
+        let count = 11;
+        let sealed = sealer.seal_batch((0..count).map(|i| item(i, 81)));
+        for k in 0..count {
+            let mut blocks = sealed.clone();
+            blocks[k].corrupt_bit(5 * k + 1);
+            assert_eq!(
+                sealer.open_batch(blocks).unwrap_err(),
+                CryptoError::TagMismatch {
+                    block_id: 1000 + k as u64
+                }
+            );
+        }
+        let mut blocks = sealed.clone();
+        blocks[9].corrupt_bit(0);
+        blocks[6].corrupt_bit(0);
+        assert_eq!(
+            sealer.open_batch(blocks).unwrap_err(),
+            CryptoError::TagMismatch { block_id: 1006 }
+        );
+
+        // Seen from inside: the failing call leaves every body ciphertext,
+        // the good blocks' before and after the bad one included.
+        let mut blocks = sealed.clone();
+        blocks[10].corrupt_bit(0);
+        let before = blocks.clone();
+        assert!(sealer.open_blocks(&mut blocks).is_err());
+        assert_eq!(
+            blocks, before,
+            "a body was decrypted before the last tag was checked"
+        );
     }
 
     #[test]

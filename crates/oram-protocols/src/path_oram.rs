@@ -35,7 +35,7 @@ use crate::stash::{Stash, StashEntry};
 use crate::types::{BlockContent, BlockId};
 use oram_crypto::keys::SubKeys;
 use oram_crypto::rng::DeterministicRng;
-use oram_crypto::seal::BlockSealer;
+use oram_crypto::seal::{BlockSealer, SealedBlock};
 use oram_storage::clock::SimDuration;
 use oram_storage::device::Device;
 
@@ -348,32 +348,58 @@ impl<B: TreeBackend> PathOramCore<B> {
 
     fn write_dummy_image(&mut self) -> Result<(), OramError> {
         let total = self.geometry.total_slots();
-        let mut image = Vec::with_capacity(total as usize);
-        for addr in 0..total {
-            image.push(self.seal_content(addr, &BlockContent::Dummy));
-        }
+        let image = self.seal_image(total, (0..total).map(|addr| (addr, BlockContent::Dummy)));
         self.backend.init_all_slots(image)?;
         Ok(())
     }
 
-    fn seal_content(
+    /// Seals `slots` — `(slot address, content)` pairs — as **one batch**
+    /// (see [`oram_crypto::seal`]): every slot is encoded and draws its
+    /// seal sequence number in the order given, so the bytes are those of
+    /// sealing slot by slot.
+    fn seal_slots(
         &mut self,
-        slot_addr: u64,
-        content: &BlockContent,
-    ) -> oram_crypto::seal::SealedBlock {
-        let seq = self.seal_seq;
-        self.seal_seq += 1;
+        slots: impl IntoIterator<Item = (u64, BlockContent)>,
+    ) -> Vec<SealedBlock> {
+        let (payload_len, seal_seq) = (self.payload_len, &mut self.seal_seq);
         self.sealer
-            .seal(slot_addr, seq, &content.encode(self.payload_len))
+            .seal_batch(slots.into_iter().map(|(addr, content)| {
+                let seq = *seal_seq;
+                *seal_seq += 1;
+                (addr, seq, content.encode(payload_len))
+            }))
     }
 
-    fn open_content(
+    /// [`seal_slots`](Self::seal_slots) for a whole-tree stream of `total`
+    /// slots, in chunks of [`STREAM_CHUNK`] so the plaintext in flight
+    /// stays bounded however large the tree is.
+    fn seal_image(
+        &mut self,
+        total: u64,
+        slots: impl IntoIterator<Item = (u64, BlockContent)>,
+    ) -> Vec<SealedBlock> {
+        let mut image = Vec::with_capacity(total as usize);
+        let mut slots = slots.into_iter().peekable();
+        while slots.peek().is_some() {
+            image.extend(self.seal_slots(slots.by_ref().take(STREAM_CHUNK)));
+        }
+        image
+    }
+
+    /// Opens the blocks read from the slots `addrs` as **one batch** and
+    /// decodes them: every tag is verified before any body is decrypted,
+    /// so a corrupt slot yields its tag error and no content at all.
+    fn open_slots(
         &self,
-        slot_addr: u64,
-        sealed: &oram_crypto::seal::SealedBlock,
-    ) -> Result<BlockContent, OramError> {
-        let bytes = self.sealer.open(sealed)?;
-        BlockContent::decode(&bytes, slot_addr)
+        addrs: &[u64],
+        sealed: Vec<SealedBlock>,
+    ) -> Result<Vec<BlockContent>, OramError> {
+        let bodies = self.sealer.open_batch(sealed)?;
+        addrs
+            .iter()
+            .zip(bodies)
+            .map(|(&addr, body)| BlockContent::decode(&body, addr))
+            .collect()
     }
 
     /// The tree geometry.
@@ -437,10 +463,11 @@ impl<B: TreeBackend> PathOramCore<B> {
         self.check_range(id)?;
         let busy_before = self.backend.busy();
         let leaf_count = self.geometry.leaf_count();
-        let leaf = {
-            let rng = &mut self.rng;
-            self.position_map
-                .get_or_assign(id, || rng_uniform(rng, leaf_count))
+        // A never-seen block reads a uniformly random path. The position
+        // map is not touched before the path has been read and verified.
+        let leaf = match self.position_map.get(id) {
+            Some(leaf) => leaf,
+            None => rng_uniform(&mut self.rng, leaf_count),
         };
 
         self.read_path_into_stash(leaf)?;
@@ -467,55 +494,73 @@ impl<B: TreeBackend> PathOramCore<B> {
         Ok((out, self.busy_delta(busy_before)))
     }
 
+    /// The slot addresses of the path to `leaf`, root first.
+    fn path_slots(&self, leaf: u64) -> Vec<u64> {
+        let geometry = self.geometry;
+        let nodes = geometry.path_nodes(leaf);
+        nodes
+            .into_iter()
+            .flat_map(|node| (0..geometry.z()).map(move |slot| geometry.slot_addr(node, slot)))
+            .collect()
+    }
+
+    /// Reads the path's slots root to leaf, opens them as one batch, and
+    /// moves the real blocks into the stash. Fail-closed: the whole path
+    /// is verified before anything is decrypted, so on a corrupt slot the
+    /// stash is exactly what it was.
     fn read_path_into_stash(&mut self, leaf: u64) -> Result<(), OramError> {
-        for node in self.geometry.path_nodes(leaf) {
-            for slot in 0..self.geometry.z() {
-                let addr = self.geometry.slot_addr(node, slot);
-                let sealed = self.backend.read_slot(addr)?;
-                match self.open_content(addr, &sealed)? {
-                    BlockContent::Dummy => {}
-                    BlockContent::Real {
-                        id,
-                        leaf: stored_leaf,
-                        payload,
-                    } => {
-                        // The position map is authoritative; the stored leaf
-                        // should match it for tree-resident blocks.
-                        let current = self.position_map.get(id).unwrap_or(stored_leaf);
-                        self.stash.insert(StashEntry {
-                            id,
-                            leaf: current,
-                            payload,
-                        })?;
-                    }
-                }
+        let addrs = self.path_slots(leaf);
+        let sealed = addrs
+            .iter()
+            .map(|&addr| self.backend.read_slot(addr))
+            .collect::<Result<Vec<_>, _>>()?;
+        for content in self.open_slots(&addrs, sealed)? {
+            if let BlockContent::Real {
+                id,
+                leaf: stored_leaf,
+                payload,
+            } = content
+            {
+                // The position map is authoritative; the stored leaf
+                // should match it for tree-resident blocks.
+                let current = self.position_map.get(id).unwrap_or(stored_leaf);
+                self.stash.insert(StashEntry {
+                    id,
+                    leaf: current,
+                    payload,
+                })?;
             }
         }
         Ok(())
     }
 
+    /// Fills the path's buckets from the stash leaf-first, seals the path
+    /// as one batch, and writes the slots in the order they were filled.
     fn write_back_path(&mut self, leaf: u64) -> Result<(), OramError> {
+        let geometry = self.geometry;
+        let z = geometry.z() as usize;
         // Leaf-first: deepest buckets take the most constrained blocks.
-        let mut nodes = self.geometry.path_nodes(leaf);
+        let mut nodes = geometry.path_nodes(leaf);
         nodes.reverse();
+        let mut slots = Vec::with_capacity(nodes.len() * z);
         for node in nodes {
-            let geometry = self.geometry;
-            let selected = self.stash.take_matching(geometry.z() as usize, |entry| {
-                geometry.node_on_path(node, entry.leaf)
-            });
+            let selected = self
+                .stash
+                .take_matching(z, |entry| geometry.node_on_path(node, entry.leaf));
+            let mut selected = selected.into_iter();
             for slot in 0..geometry.z() {
-                let addr = geometry.slot_addr(node, slot);
-                let content = match selected.get(slot as usize) {
-                    Some(entry) => BlockContent::Real {
-                        id: entry.id,
-                        leaf: entry.leaf,
-                        payload: entry.payload.clone(),
-                    },
+                let content = match selected.next() {
+                    Some(StashEntry { id, leaf, payload }) => {
+                        BlockContent::Real { id, leaf, payload }
+                    }
                     None => BlockContent::Dummy,
                 };
-                let sealed = self.seal_content(addr, &content);
-                self.backend.write_slot(addr, sealed)?;
+                slots.push((geometry.slot_addr(node, slot), content));
             }
+        }
+        for sealed in self.seal_slots(slots) {
+            // A slot's seal is bound to its address.
+            self.backend.write_slot(sealed.block_id(), sealed)?;
         }
         Ok(())
     }
@@ -796,12 +841,17 @@ impl<B: TreeBackend> PathOramCore<B> {
         let total = self.geometry.total_slots();
         let slots = self.backend.read_all_slots(total)?;
         let mut blocks = Vec::new();
-        for (addr, slot) in slots.into_iter().enumerate() {
-            let Some(sealed) = slot else { continue };
-            if let BlockContent::Real { id, payload, .. } =
-                self.open_content(addr as u64, &sealed)?
-            {
-                blocks.push((id, payload));
+        let mut occupied = (0u64..)
+            .zip(slots)
+            .filter_map(|(addr, slot)| Some((addr, slot?)))
+            .peekable();
+        while occupied.peek().is_some() {
+            let (addrs, sealed): (Vec<u64>, Vec<SealedBlock>) =
+                occupied.by_ref().take(STREAM_CHUNK).unzip();
+            for content in self.open_slots(&addrs, sealed)? {
+                if let BlockContent::Real { id, payload, .. } = content {
+                    blocks.push((id, payload));
+                }
             }
         }
         for entry in self.stash.drain_all() {
@@ -858,34 +908,31 @@ impl<B: TreeBackend> PathOramCore<B> {
             let leaf = rng_uniform(&mut self.rng, self.geometry.leaf_count());
             self.position_map.set(id, leaf);
             // Deepest-first greedy placement.
-            let mut placed = false;
+            let mut placed = None;
             for node in self.geometry.path_nodes(leaf).into_iter().rev() {
                 if staged[node as usize].len() < z {
-                    staged[node as usize].push((id, leaf, payload.clone()));
-                    placed = true;
+                    placed = Some(node as usize);
                     break;
                 }
             }
-            if !placed {
-                self.stash.insert(StashEntry { id, leaf, payload })?;
+            match placed {
+                Some(node) => staged[node].push((id, leaf, payload)),
+                None => self.stash.insert(StashEntry { id, leaf, payload })?,
             }
         }
 
-        let mut image = Vec::with_capacity(self.geometry.total_slots() as usize);
-        for (node, bucket) in staged.into_iter().enumerate() {
-            for slot in 0..z {
-                let addr = self.geometry.slot_addr(node as u64, slot as u32);
-                let content = match bucket.get(slot) {
-                    Some((id, leaf, payload)) => BlockContent::Real {
-                        id: *id,
-                        leaf: *leaf,
-                        payload: payload.clone(),
-                    },
+        let geometry = self.geometry;
+        let slots = (0u64..).zip(staged).flat_map(|(node, bucket)| {
+            let mut bucket = bucket.into_iter();
+            (0..geometry.z()).map(move |slot| {
+                let content = match bucket.next() {
+                    Some((id, leaf, payload)) => BlockContent::Real { id, leaf, payload },
                     None => BlockContent::Dummy,
                 };
-                image.push(self.seal_content(addr, &content));
-            }
-        }
+                (geometry.slot_addr(node, slot), content)
+            })
+        });
+        let image = self.seal_image(geometry.total_slots(), slots);
         self.backend.init_all_slots(image)?;
         Ok(self.busy_delta(busy_before))
     }
@@ -908,6 +955,12 @@ impl<B: TreeBackend> Oram for PathOramCore<B> {
         self.access_write(id, data).map(|(prev, _)| prev)
     }
 }
+
+/// Slots a whole-tree stream (`evict_all`, the dummy image, `bulk_load`)
+/// seals or opens per batch: enough to keep every SIMD lane full, few
+/// enough that a chunk's bodies (≈ 270 KB at 1 KB blocks) stay in cache
+/// and a tree of any size adds only this much plaintext in flight.
+const STREAM_CHUNK: usize = 256;
 
 fn rng_uniform(rng: &mut DeterministicRng, bound: u64) -> u64 {
     use rand::Rng;
@@ -1160,6 +1213,108 @@ mod tests {
         assert_eq!(oram.capacity(), 1 << 20);
         oram.insert_block(BlockId(999_999), vec![7; 4]).unwrap();
         assert_eq!(oram.read(BlockId(999_999)).unwrap(), vec![7; 4]);
+    }
+
+    /// The adversary's view of the memory tree, pinned: for a fixed seed the
+    /// `(kind, addr, bytes)` event sequence over 200 mixed accesses, one
+    /// `evict_all` and one `rebuild_empty` hashes to the value recorded at
+    /// the commit before path crypto was batched (`00ad881`, where this
+    /// test was first run). Batching may change when blocks are sealed and
+    /// opened, never what crosses the bus.
+    #[test]
+    fn bus_trace_is_pinned_to_the_unbatched_build() {
+        use oram_crypto::siphash::SipHash24;
+        use oram_storage::device::AccessKind;
+        use oram_storage::trace::AccessTrace;
+        use rand::Rng;
+
+        let trace = AccessTrace::new();
+        let device = MachineConfig::dac2019().build_memory(SimClock::new(), Some(trace.clone()));
+        let mut oram = PathOram::new(PathOramConfig::new(64, 16), device, &keys()).unwrap();
+        let mut rng = DeterministicRng::from_u64_seed(0x7ace);
+        for step in 0..200u64 {
+            let id = BlockId(rng.gen_range(0..64));
+            match step % 4 {
+                0 => drop(oram.write(id, &[step as u8; 16]).unwrap()),
+                1 => drop(oram.read(id).unwrap()),
+                2 => drop(oram.dummy_access().unwrap()),
+                _ => oram.insert_block(id, vec![step as u8; 16]).unwrap(),
+            }
+        }
+        oram.evict_all().unwrap();
+        oram.rebuild_empty().unwrap();
+
+        let events = trace.snapshot();
+        let mut hash = SipHash24::new(&[0x5a; 16]);
+        for event in &events {
+            hash.write(&[matches!(event.kind, AccessKind::Write) as u8]);
+            hash.write_u64(event.addr);
+            hash.write_u64(event.bytes);
+        }
+        assert_eq!(
+            (events.len(), hash.finish()),
+            (6003, 10_680_691_977_424_824_159),
+            "memory-bus trace changed shape"
+        );
+    }
+
+    /// Corrupting slot `k` of a path — first, middle, last — makes the
+    /// access return the tag error of exactly that slot's address and
+    /// changes nothing: stash, position map and statistics are those of
+    /// before the access (slot by slot, the blocks of the path before `k`
+    /// used to be left half-absorbed in the stash). All of the path's
+    /// reads are on the bus by then, and none of its writes.
+    #[test]
+    fn corrupt_path_slot_fails_closed() {
+        use oram_crypto::CryptoError;
+
+        let geometry = memory_oram(64, 8).geometry();
+        let slots_on_path = (geometry.depth() * geometry.z()) as usize;
+        for id in [BlockId(5), BlockId(40)] {
+            for k in [0, slots_on_path / 2, slots_on_path - 1] {
+                let mut oram = memory_oram(64, 8);
+                for i in 0..32u64 {
+                    oram.write(BlockId(i), &[i as u8; 8]).unwrap();
+                }
+                // Block 5 is resident; block 40 has never been seen, so
+                // its access draws its path first — replay the draw.
+                let leaf = oram
+                    .leaf_hint(id)
+                    .unwrap_or_else(|| rng_uniform(&mut oram.rng.clone(), geometry.leaf_count()));
+                let addr = oram.path_slots(leaf)[k];
+                let mut block = oram.device_mut().take_block(addr).unwrap().unwrap();
+                block.corrupt_bit(9);
+                oram.device_mut().write_block(addr, block).unwrap();
+
+                let stash_before: Vec<StashEntry> = oram.stash.iter().cloned().collect();
+                let positions_before: Vec<(u64, u64)> =
+                    oram.position_map.assigned_entries().collect();
+                let (stats_before, device_before) = (oram.stats(), *oram.device().stats());
+
+                let result = oram.read(id);
+                assert!(
+                    matches!(
+                        result,
+                        Err(OramError::Crypto(CryptoError::TagMismatch { block_id })) if block_id == addr
+                    ),
+                    "block {id}, slot {k}: {result:?}"
+                );
+                let stash_after: Vec<StashEntry> = oram.stash.iter().cloned().collect();
+                assert_eq!(stash_after, stash_before, "block {id}, slot {k}");
+                assert_eq!(
+                    oram.position_map.assigned_entries().collect::<Vec<_>>(),
+                    positions_before,
+                    "block {id}, slot {k}"
+                );
+                assert_eq!(oram.stats(), stats_before);
+                let device_after = *oram.device().stats();
+                assert_eq!(
+                    device_after.reads - device_before.reads,
+                    slots_on_path as u64
+                );
+                assert_eq!(device_after.writes, device_before.writes);
+            }
+        }
     }
 
     #[test]

@@ -52,17 +52,6 @@ impl PositionMap {
         prev
     }
 
-    /// Returns the tag of `id`, assigning one from `draw` on first use.
-    pub fn get_or_assign(&mut self, id: BlockId, draw: impl FnOnce() -> u64) -> u64 {
-        if let Some(tag) = self.tags[id.0 as usize] {
-            tag
-        } else {
-            let tag = draw();
-            self.set(id, tag);
-            tag
-        }
-    }
-
     /// Removes the assignment of `id`, returning it.
     pub fn clear_tag(&mut self, id: BlockId) -> Option<u64> {
         let prev = self.tags[id.0 as usize].take();
@@ -127,23 +116,6 @@ mod tests {
         assert_eq!(map.get(BlockId(1)), Some(99));
         assert_eq!(map.set(BlockId(1), 7), Some(99));
         assert_eq!(map.assigned(), 1);
-    }
-
-    #[test]
-    fn get_or_assign_draws_once() {
-        let mut map = PositionMap::new(4);
-        let mut draws = 0;
-        let first = map.get_or_assign(BlockId(2), || {
-            draws += 1;
-            42
-        });
-        let second = map.get_or_assign(BlockId(2), || {
-            draws += 1;
-            77
-        });
-        assert_eq!(first, 42);
-        assert_eq!(second, 42);
-        assert_eq!(draws, 1);
     }
 
     #[test]

@@ -47,6 +47,43 @@ fn path_oram_detects_tree_corruption() {
     );
 }
 
+/// Fail-closed at the path level, through the public surface only: a
+/// corrupt slot in the *middle* of a resident block's path surfaces as
+/// the tag error of that slot's address, and the access leaves no trace
+/// in the trusted state — stash occupancy, resident count and the block's
+/// own leaf are what they were. (Opened slot by slot, the buckets above
+/// the corrupt one were already in the stash when the error came back.)
+#[test]
+fn path_oram_fails_closed_on_a_corrupt_path_slot() {
+    let device = MachineConfig::dac2019().build_memory(SimClock::new(), None);
+    let keys = MasterKey::from_bytes([57u8; 32]).derive("fi/path-closed", 0);
+    let mut oram = PathOram::new(PathOramConfig::new(64, 8), device, &keys).unwrap();
+    for i in 0..32u64 {
+        oram.write(BlockId(i), &[i as u8; 8]).unwrap();
+    }
+
+    let leaf = oram.leaf_hint(BlockId(7)).expect("block 7 is resident");
+    let geometry = oram.geometry();
+    let path = geometry.path_nodes(leaf);
+    let addr = geometry.slot_addr(path[path.len() / 2], 1);
+    corrupt_one_block(oram.device_mut(), addr);
+
+    let before = (oram.stash_len(), oram.resident_blocks(), oram.stats());
+    let result = oram.read(BlockId(7));
+    assert!(
+        matches!(
+            result,
+            Err(OramError::Crypto(CryptoError::TagMismatch { block_id })) if block_id == addr
+        ),
+        "expected the tag error of slot {addr}: {result:?}"
+    );
+    assert_eq!(
+        (oram.stash_len(), oram.resident_blocks(), oram.stats()),
+        before
+    );
+    assert_eq!(oram.leaf_hint(BlockId(7)), Some(leaf));
+}
+
 #[test]
 fn sealer_contract_rejects_any_corruption() {
     // The property every protocol's integrity rests on, exercised at the
