@@ -1,8 +1,8 @@
 //! The consolidated CI bench suite: serving, the batched I/O pipeline,
-//! the pipelined cycle scheduler, sharding, the wall-clock parallel
-//! engine, durability/recovery, the oblivious block cache, chaos
-//! (failure hardening under fault injection), and capacity (recursive
-//! position map at 16× scale).
+//! sharding, the wall-clock parallel engine, durability/recovery, the
+//! oblivious block cache, chaos (failure hardening under fault
+//! injection), capacity (recursive position map at 16× scale), and
+//! network serving.
 //!
 //! Runs every regression gate in sequence, merges their machine-readable
 //! reports into one `BENCH.json` (or `--out <path>`), and exits nonzero
@@ -23,8 +23,8 @@
 
 use bench::gates::{
     baseline_regressions, cache_gate, capacity_gate, chaos_gate, io_pipeline_gate, merge_outcomes,
-    parallel_gate, persistence_gate, pipeline_gate, rpc_gate, rpc_role_hook, serving_gate,
-    sharding_gate, write_report,
+    parallel_gate, persistence_gate, rpc_gate, rpc_role_hook, serving_gate, sharding_gate,
+    write_report,
 };
 use bench::BenchArgs;
 
@@ -39,7 +39,6 @@ fn main() {
     let outcomes = vec![
         serving_gate(args.quick),
         io_pipeline_gate(args.quick),
-        pipeline_gate(args.quick),
         sharding_gate(args.quick),
         parallel_gate(args.quick),
         persistence_gate(args.quick),

@@ -9,8 +9,8 @@
 //!
 //! **Deployment settings** (not in the paper; each changes cost, never
 //! answers or the bus trace): the I/O batch window, the block cache, the
-//! position-map implementation, the worker-thread count, the pipeline
-//! depth, and the seed. `docs/TUNING.md` says when to move each.
+//! position-map implementation, the worker-thread count, and the seed.
+//! `docs/TUNING.md` says when to move each.
 
 use oram_shuffle::ShuffleAlgorithm;
 
@@ -87,14 +87,6 @@ pub struct HOramConfig {
     /// cache-on vs. cache-off (see `oram_storage::cache` and
     /// `docs/ARCHITECTURE.md` §10).
     pub cache: Option<oram_storage::cache::CacheConfig>,
-    /// Pipelined cycle scheduling: maximum scheduling windows in flight,
-    /// counting the one whose device+crypto phase is executing (see
-    /// [`crate::pipeline`]). `1` (the default) is the strictly sequential
-    /// scheduler; depth `k` plans up to `k − 1` windows ahead while a
-    /// commit's decrypt runs on the worker pool. Responses, traces,
-    /// stats, and the simulated clock are byte-identical at every depth
-    /// (`tests/pipeline.rs`); the knob changes wall-clock time only.
-    pub pipeline_depth: u64,
     /// Position-map implementation: flat in-RAM tables (the default) or
     /// the recursive O(log N)-trusted-memory variant (see
     /// [`crate::posmap`] and `docs/ARCHITECTURE.md` §12). The choice is
@@ -191,7 +183,6 @@ impl HOramConfig {
             io_batch: 1,
             worker_threads: default_worker_threads(),
             cache: None,
-            pipeline_depth: 1,
             posmap: PosmapMode::Flat,
             seed: DEFAULT_SEED,
         }
@@ -300,19 +291,6 @@ impl HOramConfig {
         self
     }
 
-    /// Sets the pipeline depth (see
-    /// [`pipeline_depth`](Self::pipeline_depth); `1` = the sequential
-    /// scheduler).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn with_pipeline_depth(mut self, depth: u64) -> Self {
-        assert!(depth >= 1, "pipeline depth must be at least 1");
-        self.pipeline_depth = depth;
-        self
-    }
-
     /// Switches to the recursive position map with `cache_pages` pinned
     /// pages per level and the default fanout and root threshold. For
     /// full control (fanout, root threshold, file backing) use
@@ -368,10 +346,6 @@ impl HOramConfig {
         if let PosmapMode::Recursive(rcfg) = &self.posmap {
             rcfg.validate();
         }
-        assert!(
-            self.pipeline_depth >= 1,
-            "pipeline depth must be at least 1"
-        );
         assert!(self.io_batch >= 1, "io_batch must be at least 1");
         assert!(
             self.worker_threads >= 1,
@@ -512,21 +486,6 @@ mod tests {
     #[should_panic(expected = "io_batch must be at least 1")]
     fn zero_io_batch_rejected() {
         let _ = HOramConfig::new(1024, 64, 256).with_io_batch(0);
-    }
-
-    #[test]
-    fn pipeline_knob() {
-        let defaults = HOramConfig::new(1024, 64, 256);
-        assert_eq!(defaults.pipeline_depth, 1, "default is sequential");
-        let deep = HOramConfig::new(1024, 64, 256).with_pipeline_depth(4);
-        deep.validate();
-        assert_eq!(deep.pipeline_depth, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "pipeline depth must be at least 1")]
-    fn zero_pipeline_depth_rejected() {
-        let _ = HOramConfig::new(1024, 64, 256).with_pipeline_depth(0);
     }
 
     #[test]

@@ -91,43 +91,6 @@ pub trait OramEngine {
     /// continue.
     fn run_cycle_window(&mut self, max_cycles: u64) -> Result<u64, HOramError>;
 
-    /// Runs up to `max_windows` consecutive I/O windows of up to
-    /// `max_cycles` cycles each, letting pipelined engines keep several
-    /// windows in flight (see [`pipeline_depth`](Self::pipeline_depth));
-    /// returns the total cycles executed. The determinism contract of
-    /// [`run_cycle_window`](Self::run_cycle_window) extends across depths:
-    /// `run_cycle_burst(c, n)` leaves the engine in exactly the state `n`
-    /// sequential `run_cycle_window(c)` calls would.
-    ///
-    /// The default implementation is that sequential loop (stopping early
-    /// once the engine runs out of work), so non-pipelined engines get the
-    /// burst API for free.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_cycle_window`](Self::run_cycle_window).
-    fn run_cycle_burst(&mut self, max_cycles: u64, max_windows: u64) -> Result<u64, HOramError> {
-        let mut executed = 0;
-        for _ in 0..max_windows {
-            if self.pending_requests() == 0 {
-                break;
-            }
-            let ran = self.run_cycle_window(max_cycles)?;
-            executed += ran;
-            if ran == 0 {
-                break;
-            }
-        }
-        Ok(executed)
-    }
-
-    /// Windows this engine keeps in flight per
-    /// [`run_cycle_burst`](Self::run_cycle_burst) round — the
-    /// `max_windows` a pump should ask for (1 = sequential). The engine,
-    /// not its driver, owns the value: a restored engine reports the
-    /// depth of the configuration in its snapshot.
-    fn pipeline_depth(&self) -> u64;
-
     /// Requests queued and not yet serviced.
     fn pending_requests(&self) -> usize;
 
@@ -181,15 +144,6 @@ impl OramEngine for crate::horam::HOram {
 
     fn run_cycle_window(&mut self, max_cycles: u64) -> Result<u64, HOramError> {
         self.run_cycle_window(max_cycles).map_err(HOramError::from)
-    }
-
-    fn run_cycle_burst(&mut self, max_cycles: u64, max_windows: u64) -> Result<u64, HOramError> {
-        self.run_cycle_burst(max_cycles, max_windows)
-            .map_err(HOramError::from)
-    }
-
-    fn pipeline_depth(&self) -> u64 {
-        self.pipeline_depth()
     }
 
     fn pending_requests(&self) -> usize {

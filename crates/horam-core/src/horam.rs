@@ -14,12 +14,6 @@
 //! loads have been issued) and **shuffle periods** (oblivious tree evict →
 //! group+partition shuffle → fresh tree), exactly as §4.1 describes.
 //!
-//! Beyond the paper, the cycle driver is **pipelined** (see
-//! [`crate::pipeline`] and `docs/PIPELINE.md`): while one window's device
-//! and crypto phases are in flight, the next windows' control sweeps run
-//! ahead, with every observable — responses, bus trace, statistics,
-//! simulated clock — byte-identical at any pipeline depth.
-//!
 //! # Example
 //!
 //! ```
@@ -41,29 +35,27 @@
 use crate::config::HOramConfig;
 use crate::evict::oblivious_tree_evict;
 use crate::persist::{self, KIND_SINGLE, SNAPSHOT_DOMAIN};
-use crate::pipeline::{HazardTracker, PipelineStats};
 use crate::queue::RequestQueue;
 use crate::scheduler::CyclePlan;
-use crate::stats::HOramStats;
-use crate::storage_layer::{BatchLoad, BatchOpener, LoadPlan, RawBatch, StorageLayer};
+use crate::stats::{HOramStats, PipelineStats};
+use crate::storage_layer::{BatchLoad, LoadPlan, StorageLayer};
 use oram_crypto::keys::{KeyHierarchy, MasterKey, SubKeys};
 use oram_crypto::persist::{open_envelope, seal_envelope, StateReader, StateWriter};
 use oram_crypto::prf::Prf;
 use oram_protocols::error::OramError;
 use oram_protocols::oram_trait::Oram;
-use oram_protocols::path_oram::{AccessReceipt, PathOram};
+use oram_protocols::path_oram::PathOram;
 use oram_protocols::types::{BlockId, Request, RequestOp};
 use oram_storage::clock::{SimClock, SimDuration};
 use oram_storage::hierarchy::MemoryHierarchy;
 use oram_storage::trace::AccessTrace;
-use std::collections::VecDeque;
 
 /// One planned scheduling cycle, carried from the plan phase to the
-/// execute phase of its window: the control-layer decisions, the storage
-/// half's reservation, and the cycle's **pre-drawn** memory-layer
-/// randomness. Pre-drawing at plan time pins the memory RNG stream to
-/// plan order — which is the same at every pipeline depth — so overlapped
-/// execution consumes exactly the randomness the sequential path would.
+/// execute phase of its window: the control-layer decisions and the
+/// cycle's **pre-drawn** memory-layer randomness. Drawing at plan time
+/// fixes the memory RNG stream to plan order (all of a window's leaves
+/// before any of its path accesses) — the order every pinned trace and
+/// snapshot was recorded under.
 #[derive(Debug)]
 struct PlannedCycle {
     plan: CyclePlan,
@@ -76,12 +68,6 @@ struct PlannedCycle {
     insert_leaf: Option<u64>,
 }
 
-/// A fully planned I/O window — the unit the pipeline keeps in flight.
-#[derive(Debug)]
-struct PlannedWindow {
-    cycles: Vec<PlannedCycle>,
-}
-
 /// The hybrid ORAM. See the [module docs](self).
 #[derive(Debug)]
 pub struct HOram {
@@ -92,22 +78,9 @@ pub struct HOram {
     trace: AccessTrace,
     queue: RequestQueue,
     io_used_in_period: u64,
-    /// I/O loads *planned* in the current period, including windows still
-    /// in flight. Equal to `io_used_in_period` whenever no window is in
-    /// flight; transient, never persisted (snapshots require a drained,
-    /// settled instance where the two coincide).
-    io_planned_in_period: u64,
     period_seq: u64,
     seed_prf: Prf,
     stats: HOramStats,
-    /// Structural-hazard ledger for in-flight windows.
-    hazards: HazardTracker,
-    /// Volatile pipeline counters (never part of snapshots or
-    /// [`HOramStats`] — they describe *how* windows ran, which is exactly
-    /// what the determinism contract keeps unobservable).
-    pipeline_stats: PipelineStats,
-    /// Doc-hidden leaky fixture: lookahead ignores the period boundary.
-    hazard_skip: bool,
     /// Keys sealing this instance's snapshots (derived from the master).
     snapshot_keys: SubKeys,
 }
@@ -161,13 +134,9 @@ impl HOram {
             trace,
             queue,
             io_used_in_period: 0,
-            io_planned_in_period: 0,
             period_seq: 0,
             seed_prf,
             stats: HOramStats::default(),
-            hazards: HazardTracker::new(),
-            pipeline_stats: PipelineStats::default(),
-            hazard_skip: false,
             snapshot_keys,
         };
         horam.reset_accounting();
@@ -320,14 +289,9 @@ impl HOram {
             trace,
             queue,
             io_used_in_period,
-            // Snapshots are taken drained and settled, so planned == used.
-            io_planned_in_period: io_used_in_period,
             period_seq,
             seed_prf,
             stats,
-            hazards: HazardTracker::new(),
-            pipeline_stats: PipelineStats::default(),
-            hazard_skip: false,
             snapshot_keys,
         })
     }
@@ -419,33 +383,9 @@ impl HOram {
         self.storage.device().retry_stats()
     }
 
-    /// The cycle-pipeline depth this instance runs at
-    /// ([`HOramConfig::pipeline_depth`]; 1 = sequential). A restored
-    /// instance keeps the depth of the configuration in its snapshot.
-    ///
-    /// [`HOramConfig::pipeline_depth`]: crate::config::HOramConfig::pipeline_depth
-    pub fn pipeline_depth(&self) -> u64 {
-        self.config.pipeline_depth
-    }
-
-    /// Volatile pipeline counters: overlapped commits, windows planned
-    /// ahead, period-boundary stalls, overlapped shuffles. Diagnostic
-    /// only — never part of [`HOramStats`] or snapshots, because they
-    /// describe scheduling mechanics the determinism contract keeps out
-    /// of every observable.
+    /// Constant zero — benchmark-frozen remnant, see [`PipelineStats`].
     pub fn pipeline_stats(&self) -> PipelineStats {
-        self.pipeline_stats
-    }
-
-    /// Test fixture: makes *lookahead* planning ignore the period
-    /// boundary, so at depths ≥ 2 windows are planned across a pending
-    /// shuffle and the shuffle is delayed — a deliberate determinism
-    /// leak the pipeline battery must detect (head windows stay clamped,
-    /// so depth-1 behavior is unchanged and the leak is invisible to
-    /// everything but a cross-depth differential test).
-    #[doc(hidden)]
-    pub fn set_hazard_skip(&mut self, enabled: bool) {
-        self.hazard_skip = enabled;
+        PipelineStats::default()
     }
 
     /// Clears all timing/tracing/statistics state (not data).
@@ -456,7 +396,6 @@ impl HOram {
         self.trace.clear();
         self.clock.reset();
         self.stats = HOramStats::default();
-        self.pipeline_stats = PipelineStats::default();
     }
 
     fn period_seed(&self, purpose: u64) -> u64 {
@@ -500,7 +439,7 @@ impl HOram {
     /// [`take_response`](Self::take_response)).
     pub fn drain(&mut self, tickets: &[u64]) -> Result<Vec<Vec<u8>>, OramError> {
         while !self.queue.is_drained() {
-            self.run_cycle_burst(self.config.io_batch, u64::MAX)?;
+            self.run_cycle_window(self.config.io_batch)?;
         }
         let mut out = Vec::with_capacity(tickets.len());
         for ticket in tickets {
@@ -539,7 +478,9 @@ impl HOram {
         self.run_cycle_window(1).map(|_| ())
     }
 
-    /// Executes up to `max_cycles` scheduling cycles as one I/O window:
+    /// Executes up to `max_cycles` scheduling cycles as one I/O window —
+    /// the only cycle driver; [`drain`](Self::drain) and the serving
+    /// layer's pump loop over it:
     ///
     /// 1. **plan** — each cycle is planned exactly as in the sequential
     ///    path (hit hoisting, miss selection, padding). Planning mutates
@@ -547,19 +488,23 @@ impl HOram {
     ///    period markers ([`StorageLayer::plan_io`]) — so cycle `j+1`'s
     ///    hit test already observes cycle `j`'s load, and the per-cycle
     ///    decisions are *identical* to running
-    ///    [`run_cycle`](Self::run_cycle) `max_cycles` times;
+    ///    [`run_cycle`](Self::run_cycle) `max_cycles` times. Each cycle's
+    ///    memory-layer leaves (hit remaps, padding paths, the arrival's
+    ///    position) are drawn here, in plan order;
     /// 2. **commit** — the window's loads go to the storage device as one
     ///    queued scatter read ([`StorageLayer::commit_io`]), coalescing
     ///    per-op device overhead;
     /// 3. **execute** — the memory halves run in plan order, each cycle's
     ///    loaded block landing in the tree before the next cycle's hits
-    ///    are served.
+    ///    are served;
+    /// 4. **shuffle** — if the window spent the period's I/O budget.
     ///
     /// The observable storage access sequence (slots, order, sizes) is
     /// byte-identical to the sequential path — only the simulated cost
     /// shrinks. The window never crosses a period boundary (it is clamped
     /// to the period's remaining I/O budget) and stops early when the ROB
-    /// drains. Returns the number of cycles executed.
+    /// drains; an empty ROB still runs one padded (all-dummy) cycle.
+    /// Returns the number of cycles executed.
     ///
     /// [`StorageLayer::plan_io`]: crate::storage_layer::StorageLayer::plan_io
     /// [`StorageLayer::commit_io`]: crate::storage_layer::StorageLayer::commit_io
@@ -576,113 +521,37 @@ impl HOram {
     ///
     /// Panics if `max_cycles` is zero.
     pub fn run_cycle_window(&mut self, max_cycles: u64) -> Result<u64, OramError> {
-        self.run_cycle_burst(max_cycles, 1)
-    }
-
-    /// Runs up to `max_windows` I/O windows of up to `max_cycles` cycles
-    /// each through the **pipelined cycle driver**, stopping early when
-    /// the ROB drains. Returns the total number of cycles executed.
-    ///
-    /// While one window's device scatter and crypto open are in flight,
-    /// up to `pipeline depth − 1` further windows are planned ahead
-    /// (control sweep: hit classification, I/O reservation, randomness
-    /// pre-draw, hazard registration). The contract — enforced by
-    /// `tests/pipeline.rs` — is that every observable is **byte-identical
-    /// at any depth**: planning mutates only control-layer state, device
-    /// and memory phases run on the driver thread in canonical order, and
-    /// each cycle's randomness is pre-drawn at plan time, so only host
-    /// wall-clock behavior changes. A burst of `w` windows executes
-    /// exactly the cycles `w` successive [`run_cycle_window`] calls
-    /// would.
-    ///
-    /// Lookahead planning stalls (deterministically) at a period
-    /// boundary: a window of the next period is never planned while this
-    /// period's windows are in flight, so the shuffle always runs at the
-    /// same cycle index as the sequential path.
-    ///
-    /// [`run_cycle_window`]: Self::run_cycle_window
-    ///
-    /// # Errors
-    ///
-    /// As [`run_cycle_window`](Self::run_cycle_window): fail-stop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_cycles` or `max_windows` is zero.
-    pub fn run_cycle_burst(&mut self, max_cycles: u64, max_windows: u64) -> Result<u64, OramError> {
         assert!(
             max_cycles >= 1,
             "a cycle window must cover at least one cycle"
         );
-        assert!(max_windows >= 1, "a burst must cover at least one window");
-        let mut planned_windows: u64 = 1;
-        let mut executed_total: u64 = 0;
-        let mut queued: VecDeque<PlannedWindow> = VecDeque::new();
-        // The head window is planned unconditionally: an empty queue
-        // still runs one padded (all-dummy) cycle, exactly as the
-        // sequential path always has.
-        queued.push_back(self.plan_window(max_cycles, true)?);
-
-        while let Some(window) = queued.pop_front() {
-            // Device half on the driver thread, in canonical order.
-            let opener = self.storage.batch_opener();
-            let raw = self.storage.commit_scatter(window.cycles.len())?;
-            // Crypto half (decrypt + verify), overlapped with planning
-            // the next windows when the pipeline is deeper than one.
-            let batch = self.open_window(
-                opener,
-                raw,
-                max_cycles,
-                max_windows,
-                &mut planned_windows,
-                &mut queued,
-            )?;
-            // Memory half in plan order.
-            executed_total += self.execute_window(&window, batch)?;
-
-            if queued.is_empty() {
-                // Nothing in flight: period boundaries are safe to cross.
-                if self.io_used_in_period >= self.config.period_io_limit() {
-                    self.shuffle_period()?;
-                }
-                if planned_windows < max_windows && !self.queue.is_drained() {
-                    queued.push_back(self.plan_window(max_cycles, true)?);
-                    planned_windows += 1;
-                }
-            }
+        let cycles = self.plan_window(max_cycles)?;
+        let batch = self.storage.commit_io()?;
+        let executed = self.execute_window(&cycles, batch)?;
+        if self.io_used_in_period >= self.config.period_io_limit() {
+            self.shuffle_period()?;
         }
-        Ok(executed_total)
+        Ok(executed)
     }
 
     /// Plans one I/O window: the control sweep of up to `max_cycles`
-    /// cycles (clamped to the period's remaining *planned* I/O budget
-    /// when `clamp_to_period`, which is always except for the doc-hidden
-    /// leaky fixture's lookahead). Mutates control-layer state only —
-    /// ROB, permutation-list markers, position map, hazard ledger, and
-    /// the memory layer's RNG (pre-drawn here, consumed at execute).
-    fn plan_window(
-        &mut self,
-        max_cycles: u64,
-        clamp_to_period: bool,
-    ) -> Result<PlannedWindow, OramError> {
-        let window = if clamp_to_period {
-            max_cycles.min(
-                self.config
-                    .period_io_limit()
-                    .saturating_sub(self.io_planned_in_period),
-            )
-        } else {
-            max_cycles
-        };
+    /// cycles, clamped to the period's remaining I/O budget. Mutates
+    /// control-layer state only — ROB, permutation-list markers, position
+    /// map, and the memory layer's RNG (pre-drawn here, consumed at
+    /// execute).
+    fn plan_window(&mut self, max_cycles: u64) -> Result<Vec<PlannedCycle>, OramError> {
+        let window = max_cycles.min(
+            self.config
+                .period_io_limit()
+                .saturating_sub(self.io_used_in_period),
+        );
         let d = self.config.prefetch_distance;
         let mut cycles: Vec<PlannedCycle> = Vec::with_capacity(window as usize);
-        let mut slots: Vec<u64> = Vec::new();
-        let mut inserts = 0u64;
         for offset in 0..window {
             if offset > 0 && self.queue.is_drained() {
                 break;
             }
-            let c = self.config.stage_c(self.io_planned_in_period + offset);
+            let c = self.config.stage_c(self.io_used_in_period + offset);
             let storage = &mut self.storage;
             let plan: CyclePlan = self.queue.plan(c, d, |id| storage.is_in_memory(id));
             let io = self.storage.plan_io(match plan.miss_block {
@@ -697,10 +566,6 @@ impl HOram {
                 .map(|_| self.memory.draw_leaf())
                 .collect();
             let insert_leaf = io.expect.map(|_| self.memory.draw_leaf());
-            if let Some(slot) = io.slot {
-                slots.push(slot);
-            }
-            inserts += u64::from(io.expect.is_some());
             cycles.push(PlannedCycle {
                 plan,
                 hit_leaves,
@@ -708,107 +573,19 @@ impl HOram {
                 insert_leaf,
             });
         }
-        self.hazards.reserve_window(&slots, inserts)?;
-        self.pipeline_stats.max_windows_in_flight = self
-            .pipeline_stats
-            .max_windows_in_flight
-            .max(self.hazards.in_flight() as u64);
-        self.pipeline_stats.stash_reserved_peak = self
-            .pipeline_stats
-            .stash_reserved_peak
-            .max(self.hazards.stash_reserved_peak());
-        self.io_planned_in_period += cycles.len() as u64;
-        Ok(PlannedWindow { cycles })
-    }
-
-    /// Plans further windows while the in-flight window's crypto open
-    /// runs: refills the lookahead queue to `pipeline depth − 1`
-    /// windows, stopping — deterministically, independent of how fast
-    /// the open finishes — when the ROB drains, the burst's window
-    /// allowance is spent, or the period's I/O budget is exhausted (a
-    /// **period stall**: the next window belongs after the shuffle).
-    fn top_up(
-        &mut self,
-        max_cycles: u64,
-        max_windows: u64,
-        planned_windows: &mut u64,
-        queued: &mut VecDeque<PlannedWindow>,
-    ) -> Result<(), OramError> {
-        while (queued.len() as u64) < self.pipeline_depth().saturating_sub(1)
-            && *planned_windows < max_windows
-            && !self.queue.is_drained()
-        {
-            let budget = self
-                .config
-                .period_io_limit()
-                .saturating_sub(self.io_planned_in_period);
-            if budget == 0 && !self.hazard_skip {
-                self.pipeline_stats.period_stalls += 1;
-                break;
-            }
-            let window = self.plan_window(max_cycles, !self.hazard_skip)?;
-            if window.cycles.is_empty() {
-                break;
-            }
-            *planned_windows += 1;
-            self.pipeline_stats.planned_ahead_windows += 1;
-            queued.push_back(window);
-        }
-        Ok(())
-    }
-
-    /// Opens a committed scatter batch (decrypt + verify), overlapping
-    /// the open with lookahead planning when the pipeline is deeper than
-    /// one window. The open is a pure function of the raw batch and the
-    /// (cloned) sealer, and planning touches control state only, so the
-    /// two are disjoint; without a worker pool the same two steps run on
-    /// this thread in the same control-transition order.
-    fn open_window(
-        &mut self,
-        opener: BatchOpener,
-        raw: RawBatch,
-        max_cycles: u64,
-        max_windows: u64,
-        planned_windows: &mut u64,
-        queued: &mut VecDeque<PlannedWindow>,
-    ) -> Result<BatchLoad, OramError> {
-        if self.pipeline_depth() <= 1 {
-            return opener.open(raw);
-        }
-        match self.storage.workers() {
-            None => {
-                let batch = opener.open(raw)?;
-                self.top_up(max_cycles, max_windows, planned_windows, queued)?;
-                Ok(batch)
-            }
-            Some(pool) => {
-                let mut opened: Option<Result<BatchLoad, OramError>> = None;
-                let mut planned: Result<(), OramError> = Ok(());
-                {
-                    let opened = &mut opened;
-                    pool.scope(|scope| {
-                        scope.spawn(move || *opened = Some(opener.open(raw)));
-                        planned = self.top_up(max_cycles, max_windows, planned_windows, queued);
-                    });
-                }
-                planned?;
-                self.pipeline_stats.overlapped_commits += 1;
-                opened
-                    .ok_or_else(|| OramError::internal("overlapped batch open returned nothing"))?
-            }
-        }
+        Ok(cycles)
     }
 
     /// Executes one planned window's memory half in plan order, consuming
     /// the pre-drawn randomness, then advances the simulated clock by the
-    /// overlapped wall time and retires the window's hazard claims.
+    /// overlapped wall time.
     fn execute_window(
         &mut self,
-        window: &PlannedWindow,
+        cycles: &[PlannedCycle],
         batch: BatchLoad,
     ) -> Result<u64, OramError> {
         let mut memory_total = SimDuration::ZERO;
-        for (cycle, io_load) in window.cycles.iter().zip(batch.loads) {
+        for (cycle, io_load) in cycles.iter().zip(batch.loads) {
             let mut memory_time = SimDuration::ZERO;
             for (entry, &new_leaf) in cycle.plan.hits.iter().zip(&cycle.hit_leaves) {
                 let (data, receipt) = match &entry.request.op {
@@ -846,12 +623,11 @@ impl HOram {
             memory_total += memory_time;
             self.stats.cycles += 1;
         }
-        self.hazards.retire_window();
 
         // Wall clock: the paper overlaps the path accesses with the loads
         // ("the I/O loads and in-memory reads are conducted simultaneously");
         // a window overlaps its whole memory stream with its whole batch.
-        let executed = window.cycles.len() as u64;
+        let executed = cycles.len() as u64;
         let wall = memory_total.max(batch.io_time);
         self.clock.advance(wall);
         self.stats.access_wall_time += wall;
@@ -865,13 +641,6 @@ impl HOram {
     /// the period's I/O budget is spent): oblivious tree evict →
     /// group+partition shuffle (full or partial) → fresh memory tree.
     ///
-    /// At pipeline depths above one (with a worker pool available), the
-    /// full shuffle's position-map rewrite is overlapped with installing
-    /// the fresh in-memory tree: the position map owns its own clock and
-    /// per-level trace, and the tree rebuild touches only the memory
-    /// device, so the two rebuilds are disjoint and the overlap is
-    /// invisible in every observable (see `docs/PIPELINE.md`).
-    ///
     /// # Errors
     ///
     /// Storage/crypto errors propagate.
@@ -881,52 +650,20 @@ impl HOram {
         let outcome =
             oblivious_tree_evict(&mut self.memory, self.config.evict_shuffle, evict_seed)?;
 
-        // 2. Group + partition shuffle (§4.3.2 / §5.3.1), then
-        // 3. fresh in-memory tree (§4.1.2: "evicted back to the storage
-        //    and will be reconstructed again") — overlapped with the
-        //    shuffle's position-map rewrite when pipelining allows.
+        // 2. Group + partition shuffle (§4.3.2 / §5.3.1).
         let shuffle_seed = self.period_seed(2);
-        let pool = if self.pipeline_depth() > 1 && self.config.partial_shuffle_ratio.is_none() {
-            self.storage.workers()
-        } else {
-            None
+        let report = match self.config.partial_shuffle_ratio {
+            None => self.storage.rebuild_full(outcome.blocks, shuffle_seed)?,
+            Some(_) => self.storage.rebuild_partial(
+                outcome.blocks,
+                self.config.partitions_per_shuffle(),
+                shuffle_seed,
+            )?,
         };
-        let (report, rebuild) = match pool {
-            Some(pool) => {
-                let (report, image) = self
-                    .storage
-                    .rebuild_full_deferred(outcome.blocks, shuffle_seed)?;
-                let mut posmap_done: Option<Result<(), OramError>> = None;
-                let mut rebuilt: Option<Result<AccessReceipt, OramError>> = None;
-                {
-                    let posmap = self.storage.posmap_mut();
-                    let memory = &mut self.memory;
-                    let posmap_done = &mut posmap_done;
-                    pool.scope(|scope| {
-                        scope.spawn(move || *posmap_done = Some(posmap.rebuild_all(&image)));
-                        rebuilt = Some(memory.rebuild_empty());
-                    });
-                }
-                posmap_done.ok_or_else(|| {
-                    OramError::internal("overlapped posmap rebuild went missing")
-                })??;
-                let rebuild = rebuilt
-                    .ok_or_else(|| OramError::internal("overlapped tree rebuild went missing"))??;
-                self.pipeline_stats.shuffle_overlaps += 1;
-                (report, rebuild)
-            }
-            None => {
-                let report = match self.config.partial_shuffle_ratio {
-                    None => self.storage.rebuild_full(outcome.blocks, shuffle_seed)?,
-                    Some(_) => self.storage.rebuild_partial(
-                        outcome.blocks,
-                        self.config.partitions_per_shuffle(),
-                        shuffle_seed,
-                    )?,
-                };
-                (report, self.memory.rebuild_empty()?)
-            }
-        };
+
+        // 3. Fresh in-memory tree (§4.1.2: "evicted back to the storage and
+        //    will be reconstructed again").
+        let rebuild = self.memory.rebuild_empty()?;
 
         // Evict and tree rebuild are memory-side and serialize with the
         // pipelined storage pass.
@@ -936,9 +673,7 @@ impl HOram {
         self.stats.shuffles += 1;
         self.stats.spilled_blocks += report.spilled;
         self.io_used_in_period = 0;
-        self.io_planned_in_period = 0;
         self.period_seq += 1;
-        self.hazards.clear();
         // The evict returned every cached block to storage: in-flight loads
         // are void, pending misses must be re-issueable.
         self.queue.void_in_flight_io();
@@ -1091,13 +826,29 @@ mod tests {
 
     #[test]
     fn cycle_window_never_crosses_a_period_boundary() {
-        let mut oram = build_batched(256, 16, 64); // period = 8 ≪ window
-        let requests: Vec<Request> = (0..40u64).map(Request::read).collect();
-        oram.run_batch(&requests).unwrap();
+        // Period = 8 loads ≪ window of 64, queue deeper than two periods:
+        // every window stops at the period's remaining budget, and the
+        // shuffle runs exactly when the budget is spent.
+        let mut oram = build_batched(256, 16, 64);
+        let period = oram.config().period_io_limit();
+        for id in 0..40u64 {
+            oram.enqueue(Request::read(id)).unwrap();
+        }
+        let mut used = 0;
+        while !oram.queue().is_drained() {
+            let shuffles = oram.stats().shuffles;
+            used += oram.run_cycle_window(64).unwrap();
+            assert!(
+                used <= period,
+                "window planned {used} loads into a period of {period}"
+            );
+            if oram.stats().shuffles > shuffles {
+                assert_eq!(used, period, "shuffle before the budget was spent");
+                used = 0;
+            }
+        }
         let stats = oram.stats();
         assert!(stats.shuffles >= 2);
-        // One load per cycle still holds under windows, and the period
-        // limit was honored (each window clamps to the remaining budget).
         assert_eq!(stats.total_io_loads(), stats.cycles);
     }
 
@@ -1183,19 +934,6 @@ mod tests {
         assert!(oram.stats().shuffles >= 1);
     }
 
-    fn build_piped(capacity: u64, memory_slots: u64, io_batch: u64, depth: u64) -> HOram {
-        let config = HOramConfig::new(capacity, 8, memory_slots)
-            .with_seed(17)
-            .with_io_batch(io_batch)
-            .with_pipeline_depth(depth);
-        HOram::new(
-            config,
-            MemoryHierarchy::dac2019(),
-            MasterKey::from_bytes([9; 32]),
-        )
-        .unwrap()
-    }
-
     fn mixed_workload(seed: u64, count: usize, capacity: u64) -> Vec<Request> {
         let mut rng = DeterministicRng::from_u64_seed(seed);
         (0..count)
@@ -1211,77 +949,34 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_burst_is_byte_identical_to_depth_one() {
-        // The tentpole invariant at unit scale: responses, the storage
-        // trace, every statistic, and the simulated clock agree between a
-        // depth-1 (sequential) and a depth-4 (pipelined) instance on a
-        // period-crossing workload. The full matrix lives in
-        // tests/pipeline.rs; this pins the core engine alone.
-        let requests = mixed_workload(41, 220, 256);
+    fn memory_rng_stream_and_bus_trace_are_pinned() {
+        // Each cycle's leaves are drawn at plan time — one per hit, dummy
+        // and arrival, a whole window before any of its path accesses —
+        // and that order is part of every recorded trace and snapshot.
+        // The constants are what commit 7267d57 (the last with the
+        // pipelined driver, at its default depth 1) produces for this
+        // workload: a change to how many leaves are drawn moves the stream
+        // position, a change to when they are drawn moves the trace hash.
+        use oram_crypto::siphash::SipHash24;
+        use oram_storage::device::AccessKind;
 
-        let mut baseline = build_piped(256, 64, 8, 1);
-        let base_responses = baseline.run_batch(&requests).unwrap();
-        let storage_id = baseline.storage.device().id();
+        let mut oram = build_batched(256, 64, 8);
+        oram.run_batch(&mixed_workload(23, 150, 256)).unwrap();
+        assert_eq!(oram.memory.rng_stream_pos(), (170, 32));
 
-        let mut piped = build_piped(256, 64, 8, 4);
-        let piped_responses = piped.run_batch(&requests).unwrap();
-
-        assert_eq!(base_responses, piped_responses);
-        assert_eq!(
-            baseline.trace().address_sequence(storage_id),
-            piped.trace().address_sequence(storage_id),
-            "storage access patterns diverged"
-        );
-        assert_eq!(baseline.stats(), piped.stats());
-        assert_eq!(baseline.clock().now(), piped.clock().now());
-        assert!(baseline.stats().shuffles >= 2, "setup: must cross periods");
-        assert!(
-            piped.pipeline_stats().planned_ahead_windows > 0,
-            "pipeline never engaged: {:?}",
-            piped.pipeline_stats()
-        );
-    }
-
-    #[test]
-    fn pipeline_depth_one_plans_no_lookahead() {
-        let requests = mixed_workload(41, 100, 256);
-        let mut oram = build_piped(256, 64, 8, 1);
-        oram.run_batch(&requests).unwrap();
-        assert_eq!(oram.pipeline_stats().planned_ahead_windows, 0);
-        assert_eq!(oram.pipeline_stats().overlapped_commits, 0);
-    }
-
-    #[test]
-    fn lookahead_stalls_at_period_boundaries() {
-        // Period = 8 loads, windows of 4, depth 4: lookahead regularly
-        // meets an exhausted period budget and must stall rather than
-        // plan across the epoch rebuild.
-        let mut oram = build_piped(256, 16, 4, 4);
-        let requests: Vec<Request> = (0..60u64).map(Request::read).collect();
-        oram.run_batch(&requests).unwrap();
-        assert!(oram.stats().shuffles >= 2);
-        assert!(
-            oram.pipeline_stats().period_stalls > 0,
-            "no period stall recorded: {:?}",
-            oram.pipeline_stats()
-        );
-    }
-
-    #[test]
-    fn memory_rng_stream_positions_are_pinned_across_depths() {
-        // The pre-draw audit's regression test: the memory layer's RNG
-        // stream position after a fixed workload must not depend on the
-        // pipeline depth (plan order is depth-invariant, and every leaf
-        // is drawn at plan time — one per hit, dummy, and arrival).
-        let requests = mixed_workload(23, 150, 256);
-        let mut positions = Vec::new();
-        for depth in [1, 2, 4] {
-            let mut oram = build_piped(256, 64, 8, depth);
-            oram.run_batch(&requests).unwrap();
-            positions.push(oram.memory.rng_stream_pos());
+        let events = oram.trace().snapshot();
+        let mut hash = SipHash24::new(&[0x5a; 16]);
+        for event in &events {
+            hash.write(&[matches!(event.kind, AccessKind::Write) as u8]);
+            hash.write_u64(u64::from(event.device.0));
+            hash.write_u64(event.addr);
+            hash.write_u64(event.bytes);
         }
-        assert_eq!(positions[0], positions[1], "depth 2 moved the rng stream");
-        assert_eq!(positions[0], positions[2], "depth 4 moved the rng stream");
+        assert_eq!(
+            (events.len(), hash.finish()),
+            (17_403, 6_593_260_453_281_361_593),
+            "bus trace changed"
+        );
     }
 
     #[test]

@@ -28,7 +28,6 @@
 //! | sharded scale-out (beyond the paper) | [`shard`] |
 //! | serving-layer engine contract | [`engine`] |
 //! | wall-clock worker pool (beyond the paper) | [`pool`] |
-//! | pipelined cycle scheduling (beyond the paper) | [`pipeline`] |
 //!
 //! The memory layer reuses [`oram_protocols::path_oram::PathOram`]; see
 //! that crate for the baselines the evaluation compares against.
@@ -44,7 +43,6 @@ pub mod horam;
 pub mod multi_user;
 pub mod permutation_list;
 pub mod persist;
-pub mod pipeline;
 pub mod pool;
 pub mod posmap;
 pub mod queue;
@@ -62,7 +60,6 @@ pub use evict::{oblivious_tree_evict, EvictOutcome};
 pub use horam::HOram;
 pub use multi_user::{run_multi_user, MultiUserReport, UserId};
 pub use permutation_list::{Location, PermutationList};
-pub use pipeline::{HazardTracker, PipelineStats};
 pub use pool::WorkerPool;
 pub use posmap::{
     build_posmap, FlatPositionMap, PositionMap, PosmapLevelView, PosmapStats, RecursivePositionMap,
@@ -71,7 +68,5 @@ pub use queue::RequestQueue;
 pub use rob::{RobEntry, RobTable};
 pub use scheduler::{plan_cycle, CyclePlan};
 pub use shard::{ShardMapper, ShardSlot, ShardedConfig, ShardedOram};
-pub use stats::HOramStats;
-pub use storage_layer::{
-    BatchLoad, BatchOpener, IoLoad, LoadPlan, PlannedIo, RawBatch, ShuffleReport, StorageLayer,
-};
+pub use stats::{HOramStats, PipelineStats};
+pub use storage_layer::{BatchLoad, IoLoad, LoadPlan, PlannedIo, ShuffleReport, StorageLayer};

@@ -102,7 +102,6 @@ pub fn save_config(config: &HOramConfig, w: &mut StateWriter) {
         io_batch,
         worker_threads,
         cache,
-        pipeline_depth,
         posmap,
         seed,
     } = config;
@@ -125,7 +124,6 @@ pub fn save_config(config: &HOramConfig, w: &mut StateWriter) {
     }
     w.put_u64(*io_batch);
     w.put_usize(*worker_threads);
-    w.put_u64(*pipeline_depth);
     save_cache_config(cache.as_ref(), w);
     save_posmap_mode(posmap, w);
     w.put_u64(*seed);
@@ -238,7 +236,6 @@ pub fn load_config(r: &mut StateReader<'_>) -> Result<HOramConfig, PersistError>
     };
     let io_batch = r.get_u64()?;
     let worker_threads = r.get_usize()?;
-    let pipeline_depth = r.get_u64()?;
     let cache = load_cache_config(r)?;
     let posmap = load_posmap_mode(r)?;
     let seed = r.get_u64()?;
@@ -253,7 +250,6 @@ pub fn load_config(r: &mut StateReader<'_>) -> Result<HOramConfig, PersistError>
         io_batch,
         worker_threads,
         cache,
-        pipeline_depth,
         posmap,
         seed,
     })
@@ -279,7 +275,6 @@ mod tests {
             .with_io_batch(8)
             .with_worker_threads(3)
             .with_cache(cache)
-            .with_pipeline_depth(4)
             .with_posmap(PosmapMode::Recursive(RecursivePosmapConfig {
                 fanout: Some(16),
                 root_threshold: 32,

@@ -36,14 +36,6 @@
 //! arrival timing (a request is processed where its shard's timeline
 //! stands, even if other shards have advanced further), matching the
 //! deep-queue regime the serving layer and benches operate in.
-//!
-//! **Pipelining.** The cycle pipeline (`horam_core::pipeline`, PR 10)
-//! composes per shard: the depth knob rides the shared base
-//! configuration, and [`run_cycle_burst`](ShardedOram::run_cycle_burst)
-//! hands each shard several windows per round so its local lookahead can
-//! engage. Shards share no mutable state, so burst rounds are
-//! byte-identical to single-window rounds — see the method docs and
-//! `docs/PIPELINE.md` for the composition argument.
 
 use crate::config::HOramConfig;
 use crate::engine::OramEngine;
@@ -540,12 +532,6 @@ impl ShardedOram {
         &self.config
     }
 
-    /// The cycle-pipeline depth every shard runs at (inherited from the
-    /// base configuration; after a restore, the snapshot's).
-    pub fn pipeline_depth(&self) -> u64 {
-        self.config.base.pipeline_depth
-    }
-
     /// The address-space partition (for balance reporting and tests).
     pub fn mapper(&self) -> &ShardMapper {
         &self.mapper
@@ -716,44 +702,10 @@ impl ShardedOram {
     /// task propagates to this caller after the round's barrier — it
     /// cannot deadlock the pump.
     pub fn run_cycle_window(&mut self, max_cycles: u64) -> Result<u64, HOramError> {
-        self.run_cycle_burst(max_cycles, 1)
-    }
-
-    /// A pump round of up to `max_windows` I/O windows per shard
-    /// ([`HOram::run_cycle_burst`]): each busy shard runs its burst —
-    /// engaging its cycle pipeline when the shared configuration sets a
-    /// depth above one — and the shared clock advances to the frontier
-    /// once, after the round.
-    ///
-    /// Pipelining composes with sharding per shard: the depth knob rides
-    /// the shared base [`HOramConfig`], so
-    /// every shard resolves the same depth, and each shard's lookahead
-    /// planning is entirely local (its own ROB, position map, hazard
-    /// ledger, RNG). Because shards share no mutable state, handing a
-    /// shard `n` windows at once is byte-identical to interleaving the
-    /// same windows round-robin — the round shape only changes wall-clock
-    /// overlap, never responses, traces, statistics, or the frontier.
-    /// Note the per-shard worker pool is distinct from the sharded
-    /// instance's own: the sharded pool parallelizes *across* shards
-    /// (each shard is forced to `worker_threads = 1` internally), so at
-    /// shard counts ≥ 2 the intra-shard commit overlap falls back to the
-    /// serial open-then-plan-ahead path while cross-shard rounds
-    /// parallelize — the profitable split on every host we target.
-    ///
-    /// # Errors / Panics
-    ///
-    /// As [`run_cycle_window`](Self::run_cycle_window); additionally
-    /// panics if `max_windows` is zero.
-    pub fn run_cycle_burst(
-        &mut self,
-        max_cycles: u64,
-        max_windows: u64,
-    ) -> Result<u64, HOramError> {
         assert!(
             max_cycles >= 1,
             "a cycle window must cover at least one cycle"
         );
-        assert!(max_windows >= 1, "a burst must cover at least one window");
         let busy = self
             .shards
             .iter()
@@ -777,7 +729,7 @@ impl ShardedOram {
                             continue;
                         }
                         scope.spawn(move || {
-                            *slot = Some(shard.run_cycle_burst(max_cycles, max_windows));
+                            *slot = Some(shard.run_cycle_window(max_cycles));
                         });
                     }
                 });
@@ -796,7 +748,7 @@ impl ShardedOram {
                     if self.degraded[index].is_some() || shard.queue().is_drained() {
                         continue;
                     }
-                    match shard.run_cycle_burst(max_cycles, max_windows) {
+                    match shard.run_cycle_window(max_cycles) {
                         Ok(cycles) => executed += cycles,
                         Err(e) => failed.push((index, e)),
                     }
@@ -886,12 +838,8 @@ impl ShardedOram {
     /// failure; [`OramError::UnknownTicket`] for tickets never issued or
     /// already collected.
     pub fn drain(&mut self, tickets: &[u64]) -> Result<Vec<Vec<u8>>, HOramError> {
-        // Burst rounds: each shard gets its pipeline depth's worth of
-        // windows per round (1 when sequential — exactly the old
-        // round-robin), so per-shard lookahead engages while draining.
-        let depth = self.pipeline_depth();
         while !self.is_drained() {
-            self.run_cycle_burst(self.config.base.io_batch, depth)?;
+            self.run_cycle_window(self.config.base.io_batch)?;
         }
         let mut out = Vec::with_capacity(tickets.len());
         for ticket in tickets {
@@ -1083,14 +1031,6 @@ impl OramEngine for ShardedOram {
 
     fn run_cycle_window(&mut self, max_cycles: u64) -> Result<u64, HOramError> {
         self.run_cycle_window(max_cycles)
-    }
-
-    fn run_cycle_burst(&mut self, max_cycles: u64, max_windows: u64) -> Result<u64, HOramError> {
-        self.run_cycle_burst(max_cycles, max_windows)
-    }
-
-    fn pipeline_depth(&self) -> u64 {
-        self.pipeline_depth()
     }
 
     fn pending_requests(&self) -> usize {

@@ -188,6 +188,18 @@ impl Sub for HOramStats {
     }
 }
 
+/// Benchmark-frozen remnant of the removed pipelined cycle driver, constant
+/// zero then (at its default depth) and now: `benchmark/` reads it for its
+/// `core.pipeline_planned_ahead_windows` / `core.pipeline_period_stalls`
+/// rows; the `benchmark` PR of ROADMAP item 4(a) deletes rows and type.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PipelineStats {
+    /// Always 0.
+    pub planned_ahead_windows: u64,
+    /// Always 0.
+    pub period_stalls: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -61,10 +61,6 @@ use oram_storage::stats::DeviceStats;
 use oram_storage::StorageError;
 use std::sync::Arc;
 
-/// A full slot→owner image of the storage grid (`None` = dummy slot),
-/// as produced by a deferred rebuild for the bulk position-map install.
-type SlotImage = Vec<Option<BlockId>>;
-
 /// Result of one I/O load (real miss or dummy/prefetch load).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoLoad {
@@ -85,19 +81,6 @@ pub enum LoadPlan {
     Dummy,
 }
 
-/// A load staged by [`StorageLayer::plan_io`], waiting for the batch
-/// commit. All control-layer effects have already been applied.
-#[derive(Debug, Clone, Copy)]
-struct PlannedLoad {
-    /// Slot to read; `None` when every slot is already touched (the
-    /// over-long-period degenerate case, a zero-cost no-op like the
-    /// sequential path's).
-    slot: Option<u64>,
-    /// The block whose current copy the slot held at plan time (miss
-    /// target, or opportunistic prefetch for a dummy hitting a live slot).
-    expect: Option<BlockId>,
-}
-
 /// Result of committing one planned batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchLoad {
@@ -108,120 +91,19 @@ pub struct BatchLoad {
     pub io_time: SimDuration,
 }
 
-/// The observable identity of one load staged by
-/// [`StorageLayer::plan_io`]: which physical slot the commit will read and
-/// which live block (if any) it is expected to produce. The pipelined
-/// driver feeds these into its hazard tracker and stash reservations.
+/// A load staged by [`StorageLayer::plan_io`], waiting for the batch
+/// commit. All control-layer effects have already been applied; the
+/// scheduler reads [`expect`](Self::expect) to know, at plan time, whether
+/// the load will deliver a block to the memory tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedIo {
-    /// Slot the commit will read; `None` when the period's dummy order is
-    /// exhausted (the over-long-period degenerate case — the commit is a
-    /// zero-cost no-op).
+    /// Slot the commit will read; `None` when every slot is already
+    /// touched (the over-long-period degenerate case — the commit is a
+    /// zero-cost no-op, like the sequential path's).
     pub slot: Option<u64>,
     /// The block whose current copy the slot held at plan time (miss
-    /// target, or opportunistic prefetch for a dummy on a live slot).
+    /// target, or opportunistic prefetch for a dummy hitting a live slot).
     pub expect: Option<BlockId>,
-}
-
-/// One committed-but-unopened load: the ciphertext is off the device (the
-/// read is charged and traced), verification and decryption are still
-/// pending.
-#[derive(Debug)]
-struct RawLoad {
-    slot: Option<u64>,
-    expect: Option<BlockId>,
-    sealed: Option<SealedBlock>,
-    cost: SimDuration,
-}
-
-/// A committed scatter batch awaiting its crypto phase: every device
-/// access already happened (in planning order, charged and traced), so
-/// opening the batch is pure computation — [`BatchOpener::open`] may run
-/// on a worker thread while the scheduling thread plans ahead, without
-/// touching any observable state.
-#[derive(Debug)]
-pub struct RawBatch {
-    loads: Vec<RawLoad>,
-    io_time: SimDuration,
-}
-
-impl RawBatch {
-    /// Number of loads in the batch.
-    pub fn len(&self) -> usize {
-        self.loads.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.loads.is_empty()
-    }
-}
-
-/// The detached crypto phase of a batch commit: verify, decrypt, decode,
-/// and identity-check every load of a [`RawBatch`].
-///
-/// Owns a clone of the current epoch's sealer, so it stays valid while
-/// the storage layer keeps planning (epochs only rotate at shuffles,
-/// which require every batch to be retired first). Pure over its inputs
-/// and `Send`: the pipelined driver runs [`open`](Self::open) on the
-/// worker pool while the scheduling thread's control sweep continues.
-#[derive(Debug, Clone)]
-pub struct BatchOpener {
-    sealer: BlockSealer,
-    device: String,
-}
-
-impl BatchOpener {
-    /// Opens every load: blocks expected live are verified and decrypted
-    /// in place; stale/dummy reads discard their bytes unopened, exactly
-    /// like the sequential path.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::MalformedBlock`] if a slot does not hold the expected
-    /// block; [`StorageError::MissingBlock`] if a slot the metadata calls
-    /// live came back empty; crypto errors propagate. Every error is
-    /// **fail-stop** (see [`StorageLayer::commit_io`]).
-    pub fn open(&self, raw: RawBatch) -> Result<BatchLoad, OramError> {
-        let mut loads = Vec::with_capacity(raw.loads.len());
-        for load in raw.loads {
-            let Some(slot) = load.slot else {
-                loads.push(IoLoad {
-                    block: None,
-                    duration: SimDuration::ZERO,
-                });
-                continue;
-            };
-            let block = match load.expect {
-                None => None,
-                Some(id) => {
-                    let Some(sealed) = load.sealed else {
-                        return Err(OramError::Storage(StorageError::MissingBlock {
-                            device: self.device.clone(),
-                            addr: slot,
-                        }));
-                    };
-                    let body = self.sealer.open_in_place(sealed)?;
-                    match BlockContent::decode_owned(body, slot)? {
-                        BlockContent::Real {
-                            id: stored,
-                            payload,
-                            ..
-                        } if stored == id => Some((id, payload)),
-                        _ => return Err(OramError::MalformedBlock { slot }),
-                    }
-                }
-            };
-            loads.push(IoLoad {
-                block,
-                duration: load.cost,
-            });
-        }
-        Ok(BatchLoad {
-            loads,
-            io_time: raw.io_time,
-        })
-    }
 }
 
 /// Timing breakdown of one shuffle pass.
@@ -439,7 +321,7 @@ pub struct StorageLayer {
     /// the period that installed it, which is not otherwise recoverable).
     dummy_key: [u8; 16],
     /// Loads staged by [`plan_io`](Self::plan_io) awaiting commit.
-    pending: Vec<PlannedLoad>,
+    pending: Vec<PlannedIo>,
     /// Recycled wire-body buffers for the in-place seal/open stream.
     pool: BufferPool,
     /// Wall-clock worker pool for the rebuild stream's data-parallel
@@ -778,10 +660,7 @@ impl StorageLayer {
 
     /// Stages one load: applies every control-layer state transition now
     /// (so later plans — and the scheduler's hit test — observe it) and
-    /// queues the device read for [`commit_io`](Self::commit_io) /
-    /// [`commit_scatter`](Self::commit_scatter). Returns the load's
-    /// observable identity so the pipelined driver can track hazards and
-    /// reserve stash space at plan time.
+    /// queues the device read for [`commit_io`](Self::commit_io).
     ///
     /// # Errors
     ///
@@ -813,7 +692,7 @@ impl StorageLayer {
                 let owner = self.take_owner_tracked(slot)?;
                 debug_assert_eq!(owner, Some(id), "location table and slot owners diverged");
                 self.posmap.set_in_memory(id)?;
-                PlannedLoad {
+                PlannedIo {
                     slot: Some(slot),
                     expect: Some(id),
                 }
@@ -823,7 +702,7 @@ impl StorageLayer {
                 // period accounting forces a shuffle before this can happen
                 // in a correct configuration. Commit treats it as a
                 // zero-cost no-op.
-                None => PlannedLoad {
+                None => PlannedIo {
                     slot: None,
                     expect: None,
                 },
@@ -833,7 +712,7 @@ impl StorageLayer {
                     if let Some(id) = expect {
                         self.posmap.set_in_memory(id)?;
                     }
-                    PlannedLoad {
+                    PlannedIo {
                         slot: Some(slot),
                         expect,
                     }
@@ -841,97 +720,12 @@ impl StorageLayer {
             },
         };
         self.pending.push(planned);
-        Ok(PlannedIo {
-            slot: planned.slot,
-            expect: planned.expect,
-        })
+        Ok(planned)
     }
 
     /// Number of loads staged and not yet committed.
     pub fn pending_io(&self) -> usize {
         self.pending.len()
-    }
-
-    /// A detached opener for the current epoch (see [`BatchOpener`]).
-    pub fn batch_opener(&self) -> BatchOpener {
-        BatchOpener {
-            sealer: self.sealer.clone(),
-            device: self.device.name().to_string(),
-        }
-    }
-
-    /// The shared wall-clock worker pool (`None` on the serial path).
-    pub(crate) fn workers(&self) -> Option<Arc<WorkerPool>> {
-        self.workers.clone()
-    }
-
-    /// The device half of a batch commit: issues the first `count` staged
-    /// loads (one scatter read — or a plain read for a singleton, which
-    /// charges identically) and returns the raw ciphertexts for
-    /// [`BatchOpener::open`]. All simulated cost and trace records happen
-    /// here, on the calling thread, in planning order; the crypto phase
-    /// carries none.
-    ///
-    /// # Errors
-    ///
-    /// Storage errors propagate (fail-stop, as
-    /// [`commit_io`](Self::commit_io)).
-    pub fn commit_scatter(&mut self, count: usize) -> Result<RawBatch, OramError> {
-        let count = count.min(self.pending.len());
-        let planned: Vec<PlannedLoad> = self.pending.drain(..count).collect();
-        let before = *self.device.stats();
-        let mut loads = Vec::with_capacity(planned.len());
-        if planned.len() == 1 {
-            // Per-block fast path: the sequential configuration
-            // (io_batch = 1) commits one load at a time — skip the batch
-            // bookkeeping and issue a plain read (a singleton scatter
-            // charges exactly the same cost, so timing and trace are
-            // unchanged).
-            let one = planned[0];
-            match one.slot {
-                None => loads.push(RawLoad {
-                    slot: None,
-                    expect: None,
-                    sealed: None,
-                    cost: SimDuration::ZERO,
-                }),
-                Some(slot) => {
-                    let sealed = self.device.read_block(slot)?;
-                    let cost = self.storage_delta(&before).busy;
-                    loads.push(RawLoad {
-                        slot: Some(slot),
-                        expect: one.expect,
-                        sealed: Some(sealed),
-                        cost,
-                    });
-                }
-            }
-        } else {
-            let slots: Vec<u64> = planned.iter().filter_map(|p| p.slot).collect();
-            let mut items = self.device.read_scatter(&slots)?.into_iter();
-            for planned in planned {
-                let Some(slot) = planned.slot else {
-                    loads.push(RawLoad {
-                        slot: None,
-                        expect: None,
-                        sealed: None,
-                        cost: SimDuration::ZERO,
-                    });
-                    continue;
-                };
-                let item = items
-                    .next()
-                    .ok_or_else(|| OramError::internal("fewer scatter items than planned slots"))?;
-                loads.push(RawLoad {
-                    slot: Some(slot),
-                    expect: planned.expect,
-                    sealed: item.block,
-                    cost: item.cost,
-                });
-            }
-        }
-        let io_time = self.storage_delta(&before).busy;
-        Ok(RawBatch { loads, io_time })
     }
 
     /// Issues every staged load as one scatter read and returns the
@@ -942,16 +736,83 @@ impl StorageLayer {
     /// # Errors
     ///
     /// [`OramError::MalformedBlock`] if a slot does not hold the expected
-    /// block (protocol invariant violation); storage/crypto errors
-    /// propagate. Every error here is **fail-stop**: planning already
-    /// applied the loads' control-state transitions (period markers,
-    /// locations), and they are not rolled back — a corrupted or missing
-    /// block means the device no longer matches the trusted metadata, so
-    /// the instance must be discarded, not retried.
+    /// block (protocol invariant violation);
+    /// [`StorageError::MissingBlock`] if a slot the metadata calls live
+    /// came back empty; storage/crypto errors propagate. Every error here
+    /// is **fail-stop**: planning already applied the loads' control-state
+    /// transitions (period markers, locations), and they are not rolled
+    /// back — a corrupted or missing block means the device no longer
+    /// matches the trusted metadata, so the instance must be discarded,
+    /// not retried.
     pub fn commit_io(&mut self) -> Result<BatchLoad, OramError> {
-        let opener = self.batch_opener();
-        let raw = self.commit_scatter(self.pending.len())?;
-        opener.open(raw)
+        let planned: Vec<PlannedIo> = self.pending.drain(..).collect();
+        let before = *self.device.stats();
+        let mut loads = Vec::with_capacity(planned.len());
+        if let [PlannedIo {
+            slot: Some(slot),
+            expect,
+        }] = planned[..]
+        {
+            // Per-block fast path: the sequential configuration
+            // (io_batch = 1) commits one load at a time — skip the batch
+            // bookkeeping and issue a plain read (a singleton scatter
+            // charges exactly the same cost, so timing and trace are
+            // unchanged).
+            let sealed = self.device.read_block(slot)?;
+            let duration = self.storage_delta(&before).busy;
+            let block = self.open_load(slot, expect, Some(sealed))?;
+            loads.push(IoLoad { block, duration });
+        } else {
+            let slots: Vec<u64> = planned.iter().filter_map(|p| p.slot).collect();
+            let mut items = self.device.read_scatter(&slots)?.into_iter();
+            for planned in planned {
+                let Some(slot) = planned.slot else {
+                    loads.push(IoLoad {
+                        block: None,
+                        duration: SimDuration::ZERO,
+                    });
+                    continue;
+                };
+                let item = items
+                    .next()
+                    .ok_or_else(|| OramError::internal("fewer scatter items than planned slots"))?;
+                loads.push(IoLoad {
+                    block: self.open_load(slot, planned.expect, item.block)?,
+                    duration: item.cost,
+                });
+            }
+        }
+        let io_time = self.storage_delta(&before).busy;
+        Ok(BatchLoad { loads, io_time })
+    }
+
+    /// The crypto half of one committed load: verify, decrypt, decode and
+    /// identity-check the block `expect` names; a stale or dummy read
+    /// (`expect` is `None`) discards its bytes unopened.
+    fn open_load(
+        &self,
+        slot: u64,
+        expect: Option<BlockId>,
+        sealed: Option<SealedBlock>,
+    ) -> Result<OpenedSlot, OramError> {
+        let Some(id) = expect else {
+            return Ok(None);
+        };
+        let Some(sealed) = sealed else {
+            return Err(OramError::Storage(StorageError::MissingBlock {
+                device: self.device.name().to_string(),
+                addr: slot,
+            }));
+        };
+        let body = self.sealer.open_in_place(sealed)?;
+        match BlockContent::decode_owned(body, slot)? {
+            BlockContent::Real {
+                id: stored,
+                payload,
+                ..
+            } if stored == id => Ok(Some((id, payload))),
+            _ => Err(OramError::MalformedBlock { slot }),
+        }
     }
 
     /// Plans and commits `plans` as one batch — the one-call form of
@@ -1026,44 +887,7 @@ impl StorageLayer {
         seed: u64,
     ) -> Result<ShuffleReport, OramError> {
         let window: Vec<u64> = (0..self.partition_count).collect();
-        let (report, _) = self.rebuild_window(hot, &window, seed, false)?;
-        Ok(report)
-    }
-
-    /// [`rebuild_full`](Self::rebuild_full) with the bulk position-map
-    /// rebuild **deferred**: the fresh slot→owner image is returned
-    /// instead of installed, and the caller must pass it to
-    /// [`finish_posmap_rebuild`](Self::finish_posmap_rebuild) before the
-    /// next access. The split lets the pipelined engine overlap the
-    /// position-map level sweep (posmap-internal clocks and traces only)
-    /// with the memory tree's own rebuild — the two touch disjoint state,
-    /// and the serial order is posmap-then-tree either way, so results
-    /// are byte-identical to [`rebuild_full`](Self::rebuild_full).
-    ///
-    /// # Errors
-    ///
-    /// Storage/crypto errors propagate.
-    pub fn rebuild_full_deferred(
-        &mut self,
-        hot: Vec<(BlockId, Vec<u8>)>,
-        seed: u64,
-    ) -> Result<(ShuffleReport, Vec<Option<BlockId>>), OramError> {
-        let window: Vec<u64> = (0..self.partition_count).collect();
-        let (report, image) = self.rebuild_window(hot, &window, seed, true)?;
-        Ok((
-            report,
-            image.ok_or_else(|| OramError::internal("full rebuild produced no deferred image"))?,
-        ))
-    }
-
-    /// Installs the slot→owner image a
-    /// [`rebuild_full_deferred`](Self::rebuild_full_deferred) returned.
-    ///
-    /// # Errors
-    ///
-    /// Position-map errors propagate (instance-fatal).
-    pub fn finish_posmap_rebuild(&mut self, image: &[Option<BlockId>]) -> Result<(), OramError> {
-        self.posmap.rebuild_all(image)
+        self.rebuild_window(hot, &window, seed)
     }
 
     /// Partial shuffle (§5.3.1): rebuild only the next `window_len`
@@ -1104,7 +928,7 @@ impl StorageLayer {
         self.partial_window_start =
             (self.partial_window_start + window.len() as u64) % self.partition_count;
         let extended = window.len() as u64 - window_len;
-        let (mut report, _) = self.rebuild_window(hot, &window, seed, false)?;
+        let mut report = self.rebuild_window(hot, &window, seed)?;
         report.spilled += extended;
         Ok(report)
     }
@@ -1141,8 +965,7 @@ impl StorageLayer {
         hot: Vec<(BlockId, Vec<u8>)>,
         window: &[u64],
         seed: u64,
-        defer_posmap: bool,
-    ) -> Result<(ShuffleReport, Option<SlotImage>), OramError> {
+    ) -> Result<ShuffleReport, OramError> {
         if !self.pending.is_empty() {
             return Err(OramError::internal(
                 "shuffle while a planned I/O batch is uncommitted",
@@ -1414,30 +1237,22 @@ impl StorageLayer {
             };
             self.device.write_run(base, sealed_run)?;
         }
-        let deferred_image = if full && defer_posmap {
-            Some(full_image)
-        } else {
-            if full {
-                self.posmap.rebuild_all(&full_image)?;
-            }
-            None
-        };
+        if full {
+            self.posmap.rebuild_all(&full_image)?;
+        }
         // New period: fresh PRP key for the lazy dummy order (touched
         // slots are skipped at consumption time).
         self.period_counter += 1;
         self.reset_dummy_order(seed)?;
 
         let delta = self.storage_delta(&before);
-        Ok((
-            ShuffleReport {
-                wall_time: delta.busy_read.max(delta.busy_write),
-                read_time: delta.busy_read,
-                write_time: delta.busy_write,
-                partitions: window.len() as u64,
-                spilled: spilled_total,
-            },
-            deferred_image,
-        ))
+        Ok(ShuffleReport {
+            wall_time: delta.busy_read.max(delta.busy_write),
+            read_time: delta.busy_read,
+            write_time: delta.busy_write,
+            partitions: window.len() as u64,
+            spilled: spilled_total,
+        })
     }
 }
 

@@ -36,7 +36,6 @@ struct Args {
     shards: u64,
     tenants: u32,
     batch_size: usize,
-    pipeline_depth: u64,
     max_connections: usize,
     max_inflight: usize,
     dedup_window: usize,
@@ -57,7 +56,6 @@ impl Args {
             shards: 4,
             tenants: 8,
             batch_size: 128,
-            pipeline_depth: 1,
             max_connections: 16,
             max_inflight: 256,
             dedup_window: 1024,
@@ -81,12 +79,6 @@ impl Args {
                 "--shards" => args.shards = parse(&value("--shards")?)?,
                 "--tenants" => args.tenants = parse(&value("--tenants")?)?,
                 "--batch-size" => args.batch_size = parse(&value("--batch-size")?)?,
-                "--pipeline-depth" => {
-                    args.pipeline_depth = parse(&value("--pipeline-depth")?)?;
-                    if args.pipeline_depth == 0 {
-                        return Err("--pipeline-depth must be at least 1".into());
-                    }
-                }
                 "--max-connections" => args.max_connections = parse(&value("--max-connections")?)?,
                 "--max-inflight" => args.max_inflight = parse(&value("--max-inflight")?)?,
                 "--dedup-window" => args.dedup_window = parse(&value("--dedup-window")?)?,
@@ -114,10 +106,6 @@ const USAGE: &str = "horam-serverd — H-ORAM network server
   --shards N             sharded engine width (default 4)
   --tenants N            tenants 0..N, equal disjoint block ranges
   --batch-size N         admission batch size (default 128)
-  --pipeline-depth N     I/O windows the engine keeps in flight per shard
-                         (default 1 = sequential). Applies at first start
-                         only: a restored engine keeps its checkpoint's
-                         depth. Responses are byte-identical at any depth
   --max-connections / --max-inflight / --dedup-window
   --token T              require this Hello token
   --seed S / --key K     engine seed and master-key byte
@@ -153,7 +141,6 @@ fn run() -> Result<(), String> {
             args.payload_len,
             args.memory_slots,
         ))
-        .with_pipeline_depth(args.pipeline_depth)
         .with_seed(args.seed);
     let sharded = ShardedConfig::new(base, args.shards);
     let master = MasterKey::from_bytes([args.key; 32]);

@@ -548,22 +548,15 @@ impl<E: OramEngine> OramService<E> {
         // under the multi-tenant path. Windows are clamped to the request
         // count above the watermark, so deep queues get full batches
         // while near the watermark the drain falls back to short windows.
-        // The watermark is still checked at burst granularity: because a
-        // cycle can retire up to `c` hits, a burst may drain past it by
-        // up to a burst's worth of retirements before the next check —
-        // a deliberate trade (full scatter batches, fed pipelines) over
-        // stopping per-cycle. At pipeline depths above one the burst
-        // hands the engine several windows at once so lookahead planning
-        // overlaps in-flight commits; results are byte-identical either
-        // way, so the watermark drain logic does not care about depth.
-        // The depth is the engine's own (after a restore, its snapshot's),
-        // so the burst can never run at one depth over an engine built
-        // for another.
-        let depth = self.oram.pipeline_depth();
+        // The watermark is still checked at window granularity: because a
+        // cycle can retire up to `c` hits, a window may drain past it by
+        // up to a window's worth of retirements before the next check —
+        // a deliberate trade (full scatter batches) over stopping
+        // per-cycle.
         while self.oram.pending_requests() > watermark {
             let above = (self.oram.pending_requests() - watermark) as u64;
             self.oram
-                .run_cycle_burst(self.config.io_batch.min(above), depth)?;
+                .run_cycle_window(self.config.io_batch.min(above))?;
         }
 
         // Collect every response that completed. Piggybackers share their

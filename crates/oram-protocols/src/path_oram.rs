@@ -634,16 +634,16 @@ impl<B: TreeBackend> PathOramCore<B> {
 
     /// A uniformly random leaf drawn from this instance's seeded RNG —
     /// exposed so recursive wrappers draw remap targets from the same
-    /// replayable stream, and so pipelined schedulers can **pre-draw** an
+    /// replayable stream, and so H-ORAM's scheduler can **pre-draw** an
     /// access's randomness at plan time (see the `*_at` access variants).
     pub fn draw_leaf(&mut self) -> u64 {
         rng_uniform(&mut self.rng, self.geometry.leaf_count())
     }
 
     /// The RNG stream position `(block counter, byte cursor)` — exposed
-    /// for determinism audits: the pipelined scheduler's regression tests
-    /// pin these positions to prove that pre-drawing randomness at plan
-    /// time consumes the stream exactly as the unpipelined path does.
+    /// for determinism audits: H-ORAM's regression tests pin the position
+    /// after a fixed workload, so a change to how many leaves the
+    /// scheduler pre-draws at plan time fails a test.
     pub fn rng_stream_pos(&self) -> (u32, usize) {
         self.rng.stream_pos()
     }
@@ -756,9 +756,8 @@ impl<B: TreeBackend> PathOramCore<B> {
 
     /// [`dummy_access`](Self::dummy_access) with a **pre-drawn** path:
     /// reads and writes back the path of `leaf` instead of drawing one.
-    /// Pipelined schedulers draw the leaf (via
-    /// [`draw_leaf`](Self::draw_leaf)) at plan time so overlap depth
-    /// cannot reorder the RNG stream.
+    /// H-ORAM's scheduler draws the leaf (via
+    /// [`draw_leaf`](Self::draw_leaf)) when it plans the cycle.
     ///
     /// # Errors
     ///
@@ -789,9 +788,8 @@ impl<B: TreeBackend> PathOramCore<B> {
     }
 
     /// [`insert_block`](Self::insert_block) with a **pre-drawn** leaf
-    /// assignment — the pipelined scheduler's I/O-arrival path, where the
-    /// leaf was drawn at plan time (see
-    /// [`draw_leaf`](Self::draw_leaf)).
+    /// assignment — H-ORAM's I/O-arrival path, where the leaf was drawn
+    /// at plan time (see [`draw_leaf`](Self::draw_leaf)).
     ///
     /// # Errors
     ///
@@ -1104,7 +1102,7 @@ mod tests {
         // other pre-draws each access's randomness in the same order and
         // feeds it to the `*_at` variants. Results, device access counts,
         // statistics, and the RNG stream position must all be identical —
-        // the contract the pipelined scheduler's pre-draw rests on.
+        // the contract the H-ORAM scheduler's pre-draw rests on.
         let mut drawing = memory_oram(32, 4);
         let mut pinned = memory_oram(32, 4);
 

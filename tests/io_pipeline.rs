@@ -4,6 +4,8 @@
 //! byte-identical to the sequential per-block path.
 
 use horam::analysis::leakage::once_per_period;
+use horam::core::engine::OramEngine;
+use horam::core::shard::{ShardedConfig, ShardedOram};
 use horam::core::storage_layer::LoadPlan;
 use horam::core::StorageLayer;
 use horam::crypto::keys::KeyHierarchy;
@@ -16,16 +18,32 @@ use horam::core::{Permission, UserId};
 use horam::crypto::rng::DeterministicRng;
 use rand::Rng;
 
-fn build(io_batch: u64) -> HOram {
-    let config = HOramConfig::new(512, 8, 128)
+fn config(io_batch: u64) -> HOramConfig {
+    HOramConfig::new(512, 8, 128)
         .with_seed(23)
-        .with_io_batch(io_batch);
+        .with_io_batch(io_batch)
+}
+
+fn build_with(config: HOramConfig) -> HOram {
     HOram::new(
         config,
         MemoryHierarchy::dac2019(),
         MasterKey::from_bytes([5u8; 32]),
     )
     .expect("construction succeeds")
+}
+
+fn build(io_batch: u64) -> HOram {
+    build_with(config(io_batch))
+}
+
+fn build_sharded(config: HOramConfig) -> ShardedOram {
+    ShardedOram::new(
+        ShardedConfig::new(config, 4),
+        MasterKey::from_bytes([5u8; 32]),
+        |_| MemoryHierarchy::dac2019(),
+    )
+    .expect("sharded instance builds")
 }
 
 fn mixed_workload(len: usize) -> Vec<Request> {
@@ -164,4 +182,56 @@ fn windowed_service_matches_per_cycle_service() {
             .collect::<Vec<_>>()
     };
     assert_eq!(serve(1), serve(16));
+}
+
+/// `run_cycle_window` is the only cycle driver: pumping an engine one
+/// explicit window at a time — what `OramService::pump` does — leaves it
+/// exactly where `run_batch` leaves it. Responses, every statistic, the
+/// bus trace (timestamps included) and the simulated clock agree, on one
+/// instance and on four shards, with the flat and the recursive position
+/// map, across several shuffle periods.
+#[test]
+fn window_pumping_matches_batch_draining() {
+    const IO_BATCH: u64 = 8;
+    fn pump<E: OramEngine>(engine: &mut E, requests: &[Request]) -> Vec<Vec<u8>> {
+        let tickets: Vec<u64> = requests
+            .iter()
+            .map(|request| engine.enqueue(request.clone()).expect("enqueues"))
+            .collect();
+        while engine.pending_requests() > 0 {
+            engine.run_cycle_window(IO_BATCH).expect("window runs");
+        }
+        tickets
+            .iter()
+            .map(|ticket| engine.take_response(*ticket).expect("response ready"))
+            .collect()
+    }
+
+    let requests = mixed_workload(400);
+    for recursive in [false, true] {
+        let config = if recursive {
+            config(IO_BATCH).with_recursive_posmap(4)
+        } else {
+            config(IO_BATCH)
+        };
+
+        let mut drained = build_with(config.clone());
+        let expected = drained.run_batch(&requests).expect("batch runs");
+        assert!(drained.stats().shuffles >= 2, "setup: must cross periods");
+        let mut pumped = build_with(config.clone());
+        assert_eq!(pump(&mut pumped, &requests), expected);
+        assert_eq!(pumped.stats(), drained.stats());
+        assert_eq!(pumped.trace().snapshot(), drained.trace().snapshot());
+        assert_eq!(pumped.clock().now(), drained.clock().now());
+
+        let mut drained = build_sharded(config.clone());
+        let expected = drained.run_batch(&requests).expect("batch runs");
+        let mut pumped = build_sharded(config);
+        assert_eq!(pump(&mut pumped, &requests), expected);
+        assert_eq!(pumped.stats(), drained.stats());
+        for (a, b) in pumped.shards().iter().zip(drained.shards()) {
+            assert_eq!(a.trace().snapshot(), b.trace().snapshot());
+        }
+        assert_eq!(pumped.clock().now(), drained.clock().now());
+    }
 }

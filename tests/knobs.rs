@@ -4,9 +4,10 @@
 //! default. A documented, validated, persisted field that nothing reads
 //! (two such fields were deleted in PR 13) fails here.
 //!
-//! The two knobs that are byte-identical by contract are covered the
-//! other way round: `worker_threads` by `tests/parallel.rs` and
-//! `pipeline_depth` by `tests/pipeline.rs`.
+//! Seven of `HOramConfig`'s twelve fields are such knobs; three are the
+//! geometry. The remaining two are byte-identical by contract and covered
+//! the other way round: `worker_threads` by `tests/parallel.rs` and
+//! `posmap` by `tests/posmap.rs`.
 
 use horam::crypto::rng::DeterministicRng;
 use horam::prelude::*;

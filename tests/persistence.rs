@@ -187,33 +187,33 @@ fn corrupted_and_wrong_key_snapshots_error() {
     assert!(HOram::restore(MemoryHierarchy::dac2019(), wrong_key, &snapshot).is_err());
 }
 
-/// Envelope version 2 dropped fields from the embedded config codec, which
-/// shifts every later byte: a version-1 snapshot (any parent-commit
-/// snapshot or drain checkpoint) must be refused with the typed version
-/// error by every restore path, never mis-parsed. The reader checks the
-/// version before anything else it trusts, so rewriting the field on a
-/// fresh snapshot takes exactly the path a genuine old one does.
-#[test]
-fn version_1_envelopes_are_refused_by_every_restore_path() {
-    fn as_version_1(mut sealed: Vec<u8>) -> Vec<u8> {
-        sealed[8..12].copy_from_slice(&1u32.to_le_bytes());
+/// Envelope versions 2 and 3 each dropped fields from the embedded config
+/// codec, which shifts every later byte: a snapshot or drain checkpoint of
+/// an older version must be refused with the typed version error by every
+/// restore path, never mis-parsed. The reader checks the version before
+/// anything else it trusts, so rewriting the field on a fresh snapshot
+/// takes exactly the path a genuine old one does.
+fn assert_old_envelopes_are_refused(version: u32) {
+    let as_old = |mut sealed: Vec<u8>| {
+        sealed[8..12].copy_from_slice(&version.to_le_bytes());
         sealed
-    }
-    fn assert_refused<T>(result: Result<T, OramError>, path: &str) {
-        match result {
-            Err(OramError::SnapshotInvalid { reason }) => {
-                assert!(reason.contains("version 1"), "{path}: {reason}")
-            }
-            Err(other) => panic!("{path}: untyped refusal {other}"),
-            Ok(_) => panic!("{path}: version-1 envelope accepted"),
+    };
+    let assert_refused = |refused: Option<OramError>, path: &str| match refused {
+        Some(OramError::SnapshotInvalid { reason }) => {
+            assert!(
+                reason.contains(&format!("version {version}")),
+                "{path}: {reason}"
+            )
         }
-    }
+        Some(other) => panic!("{path}: untyped refusal {other}"),
+        None => panic!("{path}: version-{version} envelope accepted"),
+    };
 
     let mut oram = build();
     oram.run_batch(&workload(16, 5)).unwrap();
-    let single = as_version_1(oram.snapshot().unwrap());
+    let single = as_old(oram.snapshot().unwrap());
     assert_refused(
-        HOram::restore(MemoryHierarchy::dac2019(), master(), &single),
+        HOram::restore(MemoryHierarchy::dac2019(), master(), &single).err(),
         "HOram::restore",
     );
 
@@ -222,10 +222,10 @@ fn version_1_envelopes_are_refused_by_every_restore_path() {
     })
     .unwrap();
     sharded.run_batch(&workload(16, 5)).unwrap();
-    let manifest = as_version_1(sharded.snapshot().unwrap());
+    let manifest = as_old(sharded.snapshot().unwrap());
     let restore =
         |snapshot: &[u8]| ShardedOram::restore(master(), |_| MemoryHierarchy::dac2019(), snapshot);
-    assert_refused(restore(&manifest), "ShardedOram::restore");
+    assert_refused(restore(&manifest).err(), "ShardedOram::restore");
 
     // The daemon's drain-checkpoint container is unchanged, so it still
     // parses; the sealed engine state inside it is what gets refused.
@@ -235,7 +235,17 @@ fn version_1_envelopes_are_refused_by_every_restore_path() {
         epoch: 0,
     };
     let parsed = horam_rpc::server::Checkpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
-    assert_refused(restore(&parsed.snapshot), "Checkpoint → restore");
+    assert_refused(restore(&parsed.snapshot).err(), "Checkpoint → restore");
+}
+
+#[test]
+fn version_1_envelopes_are_refused_by_every_restore_path() {
+    assert_old_envelopes_are_refused(1);
+}
+
+#[test]
+fn version_2_envelopes_are_refused_by_every_restore_path() {
+    assert_old_envelopes_are_refused(2);
 }
 
 #[test]
