@@ -23,9 +23,7 @@ use horam::core::shard::{ShardedConfig, ShardedOram};
 use horam::core::{Permission, UserId};
 use horam::prelude::*;
 use horam::workload::{SequentialWorkload, TenantSchedule, WorkloadGenerator, ZipfWorkload};
-use horam_server::{
-    AdmissionPolicy, DeadlinePolicy, FairSharePolicy, FifoPolicy, OramService, ServiceConfig,
-};
+use horam_server::{AdmissionPolicy, FairSharePolicy, FifoPolicy, OramService, ServiceConfig};
 use serde::{Serialize, Value};
 use std::time::Instant;
 
@@ -229,8 +227,10 @@ mod serving {
         throughput_rps: f64,
         oram_requests: u64,
         deduped: u64,
-        mean_latency_us: f64,
-        worst_tenant_latency_us: f64,
+        /// Submission-to-completion latency; `null` for the two modes with
+        /// no server (nothing queues, so there is no latency to report).
+        mean_latency_us: Option<f64>,
+        worst_tenant_latency_us: Option<f64>,
     }
 
     #[derive(Debug, Serialize)]
@@ -354,8 +354,8 @@ mod serving {
                 throughput_rps: throughput(requests, per_request_wall),
                 oram_requests: requests as u64,
                 deduped: 0,
-                mean_latency_us: 0.0,
-                worst_tenant_latency_us: 0.0,
+                mean_latency_us: None,
+                worst_tenant_latency_us: None,
             },
             ModeRow {
                 mode: "sequential run_batch".into(),
@@ -364,8 +364,8 @@ mod serving {
                 throughput_rps: throughput(requests, sequential_wall),
                 oram_requests: requests as u64,
                 deduped: 0,
-                mean_latency_us: 0.0,
-                worst_tenant_latency_us: 0.0,
+                mean_latency_us: None,
+                worst_tenant_latency_us: None,
             },
         ];
 
@@ -401,7 +401,6 @@ mod serving {
         for policy in [
             Box::new(FifoPolicy) as Box<dyn AdmissionPolicy>,
             Box::new(FairSharePolicy::default()),
-            Box::new(DeadlinePolicy),
         ] {
             let name = policy.name();
             let run = run_server(&schedule, policy);
@@ -424,8 +423,8 @@ mod serving {
                 throughput_rps: throughput(requests, run.wall),
                 oram_requests: run.oram_requests,
                 deduped: run.deduped,
-                mean_latency_us: run.mean_latency.as_micros_f64(),
-                worst_tenant_latency_us: run.worst_tenant_latency.as_micros_f64(),
+                mean_latency_us: Some(run.mean_latency.as_micros_f64()),
+                worst_tenant_latency_us: Some(run.worst_tenant_latency.as_micros_f64()),
             });
         }
         println!("{table}");

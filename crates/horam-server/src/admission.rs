@@ -9,15 +9,13 @@
 //! policy can reorder a single tenant's requests*, so per-tenant
 //! read-your-writes ordering holds under every policy.
 //!
-//! Three policies ship:
+//! Two policies ship:
 //!
 //! * [`FifoPolicy`] — global arrival order; simplest, but a hot tenant
 //!   can starve everyone behind it;
 //! * [`FairSharePolicy`] — round-robin across tenants with pending work
 //!   (the arrival order §5.3.2's discussion assumes), with a rotating
-//!   start so no tenant is structurally favoured;
-//! * [`DeadlinePolicy`] — earliest-deadline-first over the per-request
-//!   deadlines assigned at submit time, arrival order as tie-break.
+//!   start so no tenant is structurally favoured.
 
 use horam_core::multi_user::UserId;
 use std::fmt;
@@ -29,9 +27,6 @@ pub struct QueuedSnapshot {
     pub tenant: UserId,
     /// Global arrival sequence number (monotone across tenants).
     pub arrival_seq: u64,
-    /// Absolute deadline in arrival-sequence units, if the tenant was
-    /// registered with a deadline budget.
-    pub deadline: Option<u64>,
     /// Position within the tenant's queue (0 = front).
     pub position: usize,
 }
@@ -115,50 +110,21 @@ impl AdmissionPolicy for FairSharePolicy {
     }
 }
 
-/// Earliest-deadline-first admission.
-///
-/// Requests from tenants registered without a deadline budget sort last
-/// (deadline = ∞) and fall back to arrival order among themselves.
-#[derive(Debug, Default)]
-pub struct DeadlinePolicy;
-
-impl AdmissionPolicy for DeadlinePolicy {
-    fn name(&self) -> &'static str {
-        "deadline"
-    }
-
-    fn plan_batch(&mut self, queued: &[QueuedSnapshot], batch_size: usize) -> Vec<UserId> {
-        let mut by_deadline: Vec<&QueuedSnapshot> = queued.iter().collect();
-        by_deadline.sort_by_key(|entry| (entry.deadline.unwrap_or(u64::MAX), entry.arrival_seq));
-        by_deadline
-            .iter()
-            .take(batch_size)
-            .map(|entry| entry.tenant)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn snap(tenant: u32, arrival: u64, deadline: Option<u64>) -> QueuedSnapshot {
+    fn snap(tenant: u32, arrival: u64) -> QueuedSnapshot {
         QueuedSnapshot {
             tenant: UserId(tenant),
             arrival_seq: arrival,
-            deadline,
             position: 0,
         }
     }
 
     #[test]
     fn fifo_follows_arrival_order() {
-        let queued = vec![
-            snap(1, 5, None),
-            snap(0, 2, None),
-            snap(1, 3, None),
-            snap(2, 4, None),
-        ];
+        let queued = vec![snap(1, 5), snap(0, 2), snap(1, 3), snap(2, 4)];
         let plan = FifoPolicy.plan_batch(&queued, 3);
         assert_eq!(plan, vec![UserId(0), UserId(1), UserId(2)]);
     }
@@ -168,12 +134,12 @@ mod tests {
         // Tenant 0 has 6 queued, tenants 1 and 2 have 2 each.
         let mut queued = Vec::new();
         for i in 0..6 {
-            queued.push(snap(0, i, None));
+            queued.push(snap(0, i));
         }
-        queued.push(snap(1, 6, None));
-        queued.push(snap(1, 7, None));
-        queued.push(snap(2, 8, None));
-        queued.push(snap(2, 9, None));
+        queued.push(snap(1, 6));
+        queued.push(snap(1, 7));
+        queued.push(snap(2, 8));
+        queued.push(snap(2, 9));
 
         let mut policy = FairSharePolicy::default();
         let plan = policy.plan_batch(&queued, 6);
@@ -186,12 +152,7 @@ mod tests {
 
     #[test]
     fn fair_share_rotates_the_extra_slot() {
-        let queued = vec![
-            snap(0, 0, None),
-            snap(0, 1, None),
-            snap(1, 2, None),
-            snap(1, 3, None),
-        ];
+        let queued = vec![snap(0, 0), snap(0, 1), snap(1, 2), snap(1, 3)];
         let mut policy = FairSharePolicy::default();
         let first = policy.plan_batch(&queued, 3);
         let second = policy.plan_batch(&queued, 3);
@@ -201,24 +162,11 @@ mod tests {
     }
 
     #[test]
-    fn deadline_prefers_urgent_tenants() {
-        let queued = vec![
-            snap(0, 0, None),
-            snap(1, 1, Some(10)),
-            snap(2, 2, Some(4)),
-            snap(1, 3, Some(12)),
-        ];
-        let plan = DeadlinePolicy.plan_batch(&queued, 3);
-        assert_eq!(plan, vec![UserId(2), UserId(1), UserId(1)]);
-    }
-
-    #[test]
     fn plans_never_exceed_batch_size() {
-        let queued: Vec<QueuedSnapshot> = (0..50).map(|i| snap(i % 5, i as u64, None)).collect();
+        let queued: Vec<QueuedSnapshot> = (0..50).map(|i| snap(i % 5, i as u64)).collect();
         for policy in [
             &mut FifoPolicy as &mut dyn AdmissionPolicy,
             &mut FairSharePolicy::default(),
-            &mut DeadlinePolicy,
         ] {
             assert!(
                 policy.plan_batch(&queued, 8).len() <= 8,

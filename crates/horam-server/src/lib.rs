@@ -18,8 +18,8 @@
 //!   independent instances and pumping them concurrently in simulated
 //!   time.
 //! * [`admission`] — pluggable batch-filling policies:
-//!   [`FifoPolicy`], [`FairSharePolicy`] (starvation-free round-robin)
-//!   and [`DeadlinePolicy`] (earliest-deadline-first).
+//!   [`FifoPolicy`] and [`FairSharePolicy`] (starvation-free
+//!   round-robin).
 //! * [`stats`] — per-tenant and service-wide accounting in the style of
 //!   `horam_core::stats`, including simulated submission-to-completion
 //!   latency and the dedup amplification factor.
@@ -36,7 +36,7 @@ pub mod admission;
 pub mod service;
 pub mod stats;
 
-pub use admission::{AdmissionPolicy, DeadlinePolicy, FairSharePolicy, FifoPolicy, QueuedSnapshot};
+pub use admission::{AdmissionPolicy, FairSharePolicy, FifoPolicy, QueuedSnapshot};
 pub use service::{OramService, PumpReport, ServeError, ServeReport, ServiceConfig, ServiceTicket};
 pub use stats::{ServiceStats, TenantStats};
 

@@ -238,7 +238,6 @@ struct Pending {
     ticket: ServiceTicket,
     request: Request,
     arrival_seq: u64,
-    deadline: Option<u64>,
     submitted_at: SimTime,
 }
 
@@ -246,7 +245,6 @@ struct Pending {
 struct TenantState {
     pending: VecDeque<Pending>,
     stats: TenantStats,
-    deadline_slack: Option<u64>,
 }
 
 /// One admitted request while its batch is in flight.
@@ -354,24 +352,6 @@ impl<E: OramEngine> OramService<E> {
         self.tenants.entry(tenant).or_default();
     }
 
-    /// Registers a tenant whose requests carry deadlines `slack` arrival
-    /// steps after submission (used by [`DeadlinePolicy`]).
-    ///
-    /// [`DeadlinePolicy`]: crate::admission::DeadlinePolicy
-    pub fn register_tenant_with_deadline(
-        &mut self,
-        tenant: UserId,
-        range: Range<u64>,
-        permission: Permission,
-        slack: u64,
-    ) {
-        self.register_tenant(tenant, range, permission);
-        self.tenants
-            .get_mut(&tenant)
-            .expect("just registered")
-            .deadline_slack = Some(slack);
-    }
-
     /// Adds a further grant to a registered tenant.
     pub fn grant(&mut self, tenant: UserId, range: Range<u64>, permission: Permission) {
         self.acl.grant(tenant, range, permission);
@@ -412,12 +392,10 @@ impl<E: OramEngine> OramService<E> {
         self.next_ticket += 1;
         let arrival_seq = self.arrival_seq;
         self.arrival_seq += 1;
-        let deadline = state.deadline_slack.map(|slack| arrival_seq + slack);
         state.pending.push_back(Pending {
             ticket,
             request,
             arrival_seq,
-            deadline,
             submitted_at: self.oram.now(),
         });
         state.stats.submitted += 1;
@@ -847,19 +825,9 @@ impl<E: OramEngine> OramService<E> {
         &self.stats
     }
 
-    /// The admission policy's display name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// The underlying ORAM engine (stats, clock, config).
     pub fn oram(&self) -> &E {
         &self.oram
-    }
-
-    /// Unwraps the service, returning the ORAM engine.
-    pub fn into_oram(self) -> E {
-        self.oram
     }
 
     /// Number of independent ORAM instances behind the engine (1 unless
@@ -887,7 +855,6 @@ impl<E: OramEngine> OramService<E> {
                 snapshot.push(QueuedSnapshot {
                     tenant: *tenant,
                     arrival_seq: pending.arrival_seq,
-                    deadline: pending.deadline,
                     position,
                 });
             }

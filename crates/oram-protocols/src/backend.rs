@@ -124,11 +124,6 @@ impl SplitBackend {
         }
     }
 
-    /// First slot address on the storage device.
-    pub fn boundary_addr(&self) -> u64 {
-        self.boundary_addr
-    }
-
     /// The memory device.
     pub fn memory(&self) -> &Device {
         &self.memory

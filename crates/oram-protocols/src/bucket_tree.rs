@@ -95,13 +95,13 @@ impl TreeGeometry {
     /// # Panics
     ///
     /// Panics if `leaf >= leaf_count()`.
-    pub fn leaf_node(&self, leaf: u64) -> u64 {
+    pub(crate) fn leaf_node(&self, leaf: u64) -> u64 {
         assert!(leaf < self.leaf_count(), "leaf {leaf} out of range");
         (self.leaf_count() - 1) + leaf
     }
 
     /// Bucket level of heap node `node` (root = 0).
-    pub fn node_level(&self, node: u64) -> u32 {
+    pub(crate) fn node_level(&self, node: u64) -> u32 {
         63 - (node + 1).leading_zeros()
     }
 

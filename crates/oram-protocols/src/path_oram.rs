@@ -277,6 +277,11 @@ impl PathOram {
             rebuilds: r.get_u64()?,
         };
         let position_count = r.get_usize()?;
+        if position_count as u64 > self.capacity {
+            return Err(OramError::SnapshotInvalid {
+                reason: format!("{position_count} position entries beyond capacity"),
+            });
+        }
         let mut positions = Vec::with_capacity(position_count);
         for _ in 0..position_count {
             let id = r.get_u64()?;
@@ -289,22 +294,25 @@ impl PathOram {
             positions.push((id, tag));
         }
         let stash_count = r.get_usize()?;
+        if stash_count > self.stash.limit() {
+            return Err(OramError::SnapshotInvalid {
+                reason: "stash beyond configured bound".into(),
+            });
+        }
         let mut entries = Vec::with_capacity(stash_count);
         for _ in 0..stash_count {
             let id = BlockId(r.get_u64()?);
             let leaf = r.get_u64()?;
             let payload = r.get_bytes()?.to_vec();
-            if id.0 >= self.capacity || leaf >= self.geometry.leaf_count() {
+            if id.0 >= self.capacity
+                || leaf >= self.geometry.leaf_count()
+                || payload.len() != self.payload_len
+            {
                 return Err(OramError::SnapshotInvalid {
-                    reason: format!("stash entry {id} out of range"),
+                    reason: format!("stash entry {id} out of range or of the wrong length"),
                 });
             }
             entries.push(StashEntry { id, leaf, payload });
-        }
-        if entries.len() > self.stash.limit() {
-            return Err(OramError::SnapshotInvalid {
-                reason: "stash beyond configured bound".into(),
-            });
         }
         let stash_peak = r.get_usize()?;
         self.backend.device_mut().load_state(r)?;
@@ -323,7 +331,7 @@ impl<B: TreeBackend> PathOramCore<B> {
     /// # Errors
     ///
     /// Propagates storage errors from the initial tree write.
-    pub fn with_geometry(
+    pub(crate) fn with_geometry(
         config: PathOramConfig,
         geometry: TreeGeometry,
         backend: B,
@@ -450,31 +458,48 @@ impl<B: TreeBackend> PathOramCore<B> {
         }
     }
 
-    /// Core path access: read path into stash, serve `op`, remap, write
-    /// back.
-    ///
-    /// `op` receives the stash entry (created zero-filled on first touch)
-    /// and returns the bytes handed to the caller.
+    /// A path access that draws its own randomness: the block's leaf is
+    /// looked up (a never-seen block reads a uniformly random path), then
+    /// the remap target is drawn — in that order, which is the pinned RNG
+    /// stream — and [`access_explicit`](Self::access_explicit) does the
+    /// work.
     fn path_access(
         &mut self,
         id: BlockId,
-        mut op: impl FnMut(&mut StashEntry) -> Vec<u8>,
+        op: impl FnMut(&mut StashEntry) -> Vec<u8>,
     ) -> Result<(Vec<u8>, AccessReceipt), OramError> {
         self.check_range(id)?;
-        let busy_before = self.backend.busy();
         let leaf_count = self.geometry.leaf_count();
-        // A never-seen block reads a uniformly random path. The position
-        // map is not touched before the path has been read and verified.
         let leaf = match self.position_map.get(id) {
             Some(leaf) => leaf,
             None => rng_uniform(&mut self.rng, leaf_count),
         };
-
-        self.read_path_into_stash(leaf)?;
-
-        // Remap before serving so the stash entry carries the new leaf.
         let new_leaf = rng_uniform(&mut self.rng, leaf_count);
-        self.position_map.set(id, new_leaf);
+        self.access_explicit(id, leaf, new_leaf, op)
+    }
+
+    /// The one path-access body (paper §2.1.2): read the path of `leaf`
+    /// into the stash, remap block `id` to `new_leaf`, serve `op` from the
+    /// stash, write the path back.
+    ///
+    /// `op` receives the stash entry (created zero-filled on first touch)
+    /// and returns the bytes handed to the caller. `id` is in range and
+    /// `leaf` on the tree (callers took it from the position map or the
+    /// RNG). Nothing trusted-side changes before the path has been read
+    /// and verified and the stash has accepted the block.
+    fn access_explicit(
+        &mut self,
+        id: BlockId,
+        leaf: u64,
+        new_leaf: u64,
+        mut op: impl FnMut(&mut StashEntry) -> Vec<u8>,
+    ) -> Result<(Vec<u8>, AccessReceipt), OramError> {
+        assert!(
+            new_leaf < self.geometry.leaf_count(),
+            "new leaf out of range"
+        );
+        let busy_before = self.backend.busy();
+        self.read_path_into_stash(leaf)?;
 
         if !self.stash.contains(id) {
             // First access to this block: materialize zero-filled content
@@ -485,6 +510,8 @@ impl<B: TreeBackend> PathOramCore<B> {
                 payload: vec![0u8; self.payload_len],
             })?;
         }
+        // Remap before serving so the stash entry carries the new leaf.
+        self.position_map.set(id, new_leaf);
         let entry = self.stash.get_mut(id).expect("just ensured present");
         entry.leaf = new_leaf;
         let out = op(entry);
@@ -575,67 +602,9 @@ impl<B: TreeBackend> PathOramCore<B> {
         self.path_access(id, |entry| entry.payload.clone())
     }
 
-    /// One access with **caller-supplied** position-map state: reads the
-    /// path of `known_leaf` (or a uniformly random path when the block was
-    /// never assigned), applies `op` to the stash entry, remaps the block
-    /// to `new_leaf`, and writes the path back.
-    ///
-    /// This is the building block of the recursive-position-map
-    /// construction ([`crate::recursive`]): the caller keeps leaf labels
-    /// in higher ORAM levels and this instance's internal map is merely
-    /// kept in sync as a debugging cross-check (a production recursive
-    /// build would omit it — it is trusted-side metadata and costs no
-    /// simulated time either way).
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::BlockOutOfRange`] for ids ≥ capacity; storage/crypto
-    /// errors propagate.
-    pub fn access_explicit(
-        &mut self,
-        id: BlockId,
-        known_leaf: Option<u64>,
-        new_leaf: u64,
-        op: impl FnMut(&mut StashEntry) -> Vec<u8>,
-    ) -> Result<(Vec<u8>, AccessReceipt), OramError> {
-        self.check_range(id)?;
-        assert!(
-            new_leaf < self.geometry.leaf_count(),
-            "new leaf out of range"
-        );
-        let busy_before = self.backend.busy();
-        let leaf = match known_leaf {
-            Some(leaf) => {
-                assert!(leaf < self.geometry.leaf_count(), "known leaf out of range");
-                leaf
-            }
-            // Never-assigned block: a random path keeps the bus pattern
-            // identical to a real lookup.
-            None => rng_uniform(&mut self.rng, self.geometry.leaf_count()),
-        };
-
-        self.read_path_into_stash(leaf)?;
-        self.position_map.set(id, new_leaf);
-        if !self.stash.contains(id) {
-            self.stash.insert(StashEntry {
-                id,
-                leaf: new_leaf,
-                payload: vec![0u8; self.payload_len],
-            })?;
-        }
-        let entry = self.stash.get_mut(id).expect("just ensured present");
-        entry.leaf = new_leaf;
-        let mut op = op;
-        let out = op(entry);
-        self.write_back_path(leaf)?;
-        self.stats.accesses += 1;
-        Ok((out, self.busy_delta(busy_before)))
-    }
-
     /// A uniformly random leaf drawn from this instance's seeded RNG —
-    /// exposed so recursive wrappers draw remap targets from the same
-    /// replayable stream, and so H-ORAM's scheduler can **pre-draw** an
-    /// access's randomness at plan time (see the `*_at` access variants).
+    /// exposed so H-ORAM's scheduler can **pre-draw** an access's
+    /// randomness at plan time (see the `*_at` access variants).
     pub fn draw_leaf(&mut self) -> u64 {
         rng_uniform(&mut self.rng, self.geometry.leaf_count())
     }
@@ -679,7 +648,7 @@ impl<B: TreeBackend> PathOramCore<B> {
         new_leaf: u64,
     ) -> Result<(Vec<u8>, AccessReceipt), OramError> {
         let leaf = self.pinned_leaf(id)?;
-        self.access_explicit(id, Some(leaf), new_leaf, |entry| entry.payload.clone())
+        self.access_explicit(id, leaf, new_leaf, |entry| entry.payload.clone())
     }
 
     /// [`access_write`](Self::access_write) with pre-drawn remap
@@ -703,14 +672,13 @@ impl<B: TreeBackend> PathOramCore<B> {
         }
         let leaf = self.pinned_leaf(id)?;
         let data = data.to_vec();
-        self.access_explicit(id, Some(leaf), new_leaf, move |entry| {
+        self.access_explicit(id, leaf, new_leaf, move |entry| {
             std::mem::replace(&mut entry.payload, data.clone())
         })
     }
 
-    /// The internal position-map entry for `id`, if assigned. Root levels
-    /// of the recursive construction use their internal map as the trusted
-    /// root table; this is its lookup.
+    /// The position-map entry for `id`, if assigned (fault-injection tests
+    /// use it to find the path an access will read).
     pub fn leaf_hint(&self, id: BlockId) -> Option<u64> {
         if id.0 >= self.capacity {
             return None;
@@ -812,8 +780,9 @@ impl<B: TreeBackend> PathOramCore<B> {
                 got: payload.len(),
             });
         }
-        self.position_map.set(id, leaf);
+        // Stash first: a refused block must not become `contains`-visible.
         self.stash.insert(StashEntry { id, leaf, payload })?;
+        self.position_map.set(id, leaf);
         self.stats.stash_inserts += 1;
         Ok(())
     }
@@ -904,7 +873,6 @@ impl<B: TreeBackend> PathOramCore<B> {
                 });
             }
             let leaf = rng_uniform(&mut self.rng, self.geometry.leaf_count());
-            self.position_map.set(id, leaf);
             // Deepest-first greedy placement.
             let mut placed = None;
             for node in self.geometry.path_nodes(leaf).into_iter().rev() {
@@ -917,6 +885,7 @@ impl<B: TreeBackend> PathOramCore<B> {
                 Some(node) => staged[node].push((id, leaf, payload)),
                 None => self.stash.insert(StashEntry { id, leaf, payload })?,
             }
+            self.position_map.set(id, leaf);
         }
 
         let geometry = self.geometry;
@@ -1312,6 +1281,103 @@ mod tests {
                 );
                 assert_eq!(device_after.writes, device_before.writes);
             }
+        }
+    }
+
+    /// A block the stash refuses leaves nothing behind: after the typed
+    /// error the instance is what it was before the call. The position map
+    /// used to be set first, so the refused block was `contains`-visible
+    /// and, once the stash had drained, read back as zeros.
+    #[test]
+    fn refused_insert_fails_closed() {
+        let device = MachineConfig::dac2019().build_memory(SimClock::new(), None);
+        let config = PathOramConfig {
+            stash_limit: 2,
+            ..PathOramConfig::new(64, 8)
+        };
+        let mut oram = PathOram::new(config, device, &keys()).unwrap();
+        oram.insert_block_at(BlockId(1), vec![1; 8], 0).unwrap();
+        oram.insert_block_at(BlockId(2), vec![2; 8], 1).unwrap();
+
+        let observe = |oram: &PathOram| {
+            (
+                oram.stash_len(),
+                oram.resident_blocks(),
+                oram.stats(),
+                oram.contains(BlockId(3)),
+                oram.leaf_hint(BlockId(3)),
+            )
+        };
+        let before = observe(&oram);
+        assert!(matches!(
+            oram.insert_block_at(BlockId(3), vec![3; 8], 2),
+            Err(OramError::StashOverflow { limit: 2 })
+        ));
+        assert_eq!(observe(&oram), before);
+
+        // With room in the stash again, block 3 is still a block that never
+        // arrived — not a zero-filled one.
+        oram.dummy_access_at(0).unwrap();
+        assert!(matches!(
+            oram.access_read_at(BlockId(3), 5),
+            Err(OramError::Internal { .. })
+        ));
+    }
+
+    /// `load_state` rejects a state it cannot hold before allocating for
+    /// it or adopting any of it: a position count beyond capacity, a stash
+    /// count beyond the bound (both used to size a `Vec` first), and a
+    /// stash payload of the wrong length (used to be adopted, and the next
+    /// write-back died in `BlockContent::encode_into`'s length assertion).
+    #[test]
+    fn load_state_rejects_malformed_counts_and_payloads() {
+        use oram_crypto::persist::{StateReader, StateWriter};
+
+        let mut oram = memory_oram(64, 8);
+        oram.write(BlockId(9), &[9; 8]).unwrap();
+        let mut pristine = StateWriter::new();
+        oram.save_state(&mut pristine).unwrap();
+        let pristine = pristine.into_bytes();
+
+        // What follows the header, up to the device image.
+        type Tail = fn(&mut StateWriter);
+        let cases: [(&str, Tail); 3] = [
+            ("position count beyond capacity", |w| {
+                w.put_usize(usize::MAX >> 1)
+            }),
+            ("stash count beyond the bound", |w| {
+                w.put_usize(0);
+                w.put_usize(usize::MAX >> 1);
+            }),
+            ("stash payload one byte short", |w| {
+                w.put_usize(0);
+                w.put_usize(1);
+                w.put_u64(9);
+                w.put_u64(0);
+                w.put_bytes(&[0; 7]);
+                w.put_usize(1); // stash peak
+            }),
+        ];
+        for (what, tail) in cases {
+            let mut w = StateWriter::new();
+            w.put_u64(64);
+            w.put_usize(8);
+            w.put_u64(oram.geometry().total_slots());
+            w.put_u64(0); // seal sequence
+            w.put_u32(0); // rng counter
+            w.put_usize(64); // rng cursor
+            (0..4).for_each(|_| w.put_u64(0)); // stats
+            tail(&mut w);
+            oram.device_mut().save_state(&mut w).unwrap();
+            let bytes = w.into_bytes();
+            let result = oram.load_state(&mut StateReader::new(&bytes));
+            assert!(
+                matches!(result, Err(OramError::SnapshotInvalid { .. })),
+                "{what}: {result:?}"
+            );
+            let mut after = StateWriter::new();
+            oram.save_state(&mut after).unwrap();
+            assert_eq!(after.into_bytes(), pristine, "{what}: instance changed");
         }
     }
 

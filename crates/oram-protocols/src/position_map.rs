@@ -1,9 +1,8 @@
 //! The position map: logical block → current position tag.
 //!
-//! For Path ORAM the tag is the block's current leaf; for the flat
-//! protocols it is a slot or partition index. The map lives inside the
-//! trusted control layer (the paper reserves 4 MB for it in Figure 4-1),
-//! so lookups cost no observable accesses.
+//! For Path ORAM the tag is the block's current leaf. The map lives inside
+//! the trusted control layer (the paper reserves 4 MB for it in Figure
+//! 4-1), so lookups cost no observable accesses.
 
 use crate::types::BlockId;
 
@@ -21,11 +20,6 @@ impl PositionMap {
             tags: vec![None; capacity as usize],
             assigned: 0,
         }
-    }
-
-    /// Capacity in blocks.
-    pub fn capacity(&self) -> u64 {
-        self.tags.len() as u64
     }
 
     /// Number of blocks with an assigned tag.
@@ -52,25 +46,10 @@ impl PositionMap {
         prev
     }
 
-    /// Removes the assignment of `id`, returning it.
-    pub fn clear_tag(&mut self, id: BlockId) -> Option<u64> {
-        let prev = self.tags[id.0 as usize].take();
-        if prev.is_some() {
-            self.assigned -= 1;
-        }
-        prev
-    }
-
     /// Drops all assignments (tree teardown between H-ORAM periods).
     pub fn clear_all(&mut self) {
         self.tags.iter_mut().for_each(|t| *t = None);
         self.assigned = 0;
-    }
-
-    /// In-enclave memory footprint in bytes (for reporting the control
-    /// layer's budget, cf. the paper's "position map (4 MB)" annotation).
-    pub fn memory_bytes(&self) -> usize {
-        self.tags.len() * std::mem::size_of::<Option<u64>>()
     }
 
     /// The assigned `(id, tag)` pairs in id order (snapshot serialization;
@@ -104,7 +83,6 @@ mod tests {
     #[test]
     fn starts_unassigned() {
         let map = PositionMap::new(10);
-        assert_eq!(map.capacity(), 10);
         assert_eq!(map.assigned(), 0);
         assert_eq!(map.get(BlockId(3)), None);
     }
@@ -119,12 +97,10 @@ mod tests {
     }
 
     #[test]
-    fn clear_tag_and_clear_all() {
+    fn clear_all_drops_every_assignment() {
         let mut map = PositionMap::new(4);
         map.set(BlockId(0), 1);
         map.set(BlockId(1), 2);
-        assert_eq!(map.clear_tag(BlockId(0)), Some(1));
-        assert_eq!(map.assigned(), 1);
         map.clear_all();
         assert_eq!(map.assigned(), 0);
         assert_eq!(map.get(BlockId(1)), None);
@@ -134,10 +110,5 @@ mod tests {
     #[should_panic]
     fn out_of_range_panics() {
         PositionMap::new(2).get(BlockId(2));
-    }
-
-    #[test]
-    fn memory_footprint_scales() {
-        assert!(PositionMap::new(1000).memory_bytes() >= 8000);
     }
 }

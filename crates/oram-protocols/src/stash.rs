@@ -1,10 +1,9 @@
-//! The stash (shelter): trusted overflow buffer for in-flight blocks.
+//! The stash: trusted overflow buffer for in-flight blocks.
 //!
 //! Blocks decrypted from a path live here until they are written back along
-//! a later path; square-root-style protocols use the same structure as the
-//! "shelter" that absorbs one period's accesses. The stash lives in the
-//! trusted control layer; its *occupancy* must stay bounded (Path ORAM's
-//! main theorem), which [`Stash::insert`] enforces and tests assert.
+//! a later path. The stash lives in the trusted control layer; its
+//! *occupancy* must stay bounded (Path ORAM's main theorem), which
+//! [`Stash::insert`] enforces and tests assert.
 
 use crate::error::OramError;
 use crate::types::BlockId;
@@ -44,11 +43,6 @@ impl Stash {
         self.entries.len()
     }
 
-    /// Whether the stash is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Highest occupancy ever observed (the statistic Path ORAM's security
     /// parameter bounds).
     pub fn peak(&self) -> usize {
@@ -63,11 +57,6 @@ impl Stash {
     /// Whether `id` is present.
     pub fn contains(&self, id: BlockId) -> bool {
         self.entries.contains_key(&id)
-    }
-
-    /// Read-only view of the entry for `id`.
-    pub fn get(&self, id: BlockId) -> Option<&StashEntry> {
-        self.entries.get(&id)
     }
 
     /// Mutable view of the entry for `id` (payload updates, leaf remaps).
@@ -88,11 +77,6 @@ impl Stash {
         self.entries.insert(entry.id, entry);
         self.peak = self.peak.max(self.entries.len());
         Ok(())
-    }
-
-    /// Removes and returns the entry for `id`.
-    pub fn remove(&mut self, id: BlockId) -> Option<StashEntry> {
-        self.entries.remove(&id)
     }
 
     /// Removes up to `max` entries satisfying `pred`, returning them.
@@ -156,14 +140,14 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_remove() {
+    fn insert_get_take() {
         let mut stash = Stash::new(10);
         stash.insert(entry(1, 5)).unwrap();
         assert!(stash.contains(BlockId(1)));
-        assert_eq!(stash.get(BlockId(1)).unwrap().leaf, 5);
-        let removed = stash.remove(BlockId(1)).unwrap();
-        assert_eq!(removed.payload, vec![1]);
-        assert!(stash.is_empty());
+        assert_eq!(stash.get_mut(BlockId(1)).unwrap().leaf, 5);
+        let removed = stash.take_matching(1, |e| e.id == BlockId(1));
+        assert_eq!(removed[0].payload, vec![1]);
+        assert_eq!(stash.len(), 0);
     }
 
     #[test]
@@ -172,7 +156,7 @@ mod tests {
         stash.insert(entry(1, 5)).unwrap();
         stash.insert(entry(1, 9)).unwrap(); // replace at capacity: fine
         assert_eq!(stash.len(), 1);
-        assert_eq!(stash.get(BlockId(1)).unwrap().leaf, 9);
+        assert_eq!(stash.get_mut(BlockId(1)).unwrap().leaf, 9);
     }
 
     #[test]
@@ -191,7 +175,7 @@ mod tests {
         let mut stash = Stash::new(10);
         stash.insert(entry(1, 0)).unwrap();
         stash.insert(entry(2, 0)).unwrap();
-        stash.remove(BlockId(1));
+        stash.take_matching(1, |e| e.id == BlockId(1));
         stash.insert(entry(3, 0)).unwrap();
         assert_eq!(stash.len(), 2);
         assert_eq!(stash.peak(), 2);
@@ -217,7 +201,7 @@ mod tests {
         let mut drained = stash.drain_all();
         drained.sort_by_key(|e| e.id);
         assert_eq!(drained.len(), 2);
-        assert!(stash.is_empty());
+        assert_eq!(stash.len(), 0);
         assert_eq!(stash.peak(), 2, "peak survives draining");
     }
 
@@ -226,6 +210,6 @@ mod tests {
         let mut stash = Stash::new(4);
         stash.insert(entry(1, 3)).unwrap();
         stash.get_mut(BlockId(1)).unwrap().payload = vec![9, 9];
-        assert_eq!(stash.get(BlockId(1)).unwrap().payload, vec![9, 9]);
+        assert_eq!(stash.get_mut(BlockId(1)).unwrap().payload, vec![9, 9]);
     }
 }

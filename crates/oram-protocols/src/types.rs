@@ -119,11 +119,6 @@ impl BlockContentRef<'_> {
             },
         }
     }
-
-    /// Whether this is a real block.
-    pub fn is_real(&self) -> bool {
-        matches!(self, BlockContentRef::Real { .. })
-    }
 }
 
 const TAG_DUMMY: u8 = 0;
@@ -248,11 +243,6 @@ impl BlockContent {
         );
         bytes[9..17].copy_from_slice(&leaf.to_le_bytes());
     }
-
-    /// Whether this is a real block.
-    pub fn is_real(&self) -> bool {
-        matches!(self, BlockContent::Real { .. })
-    }
 }
 
 #[cfg(test)]
@@ -312,7 +302,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(BlockContent::decode_ref(&bytes, 0).unwrap().is_real());
         assert_eq!(
             BlockContent::decode_ref(&bytes, 0).unwrap().to_owned(),
             content

@@ -3,7 +3,7 @@
 //! The paper's thesis is a *cacheable* ORAM interface: the permuted flat
 //! layout lets a block-device cache sit under the ORAM without touching
 //! the security argument. This module supplies that cache as a device
-//! tier: [`BlockCache`], a RAM tier of **sealed** blocks in front of a
+//! tier: `BlockCache`, a RAM tier of **sealed** blocks in front of a
 //! [`crate::device::Device`]'s backing store, with LRU replacement over a
 //! configurable capacity and write-back with dirty tracking.
 //!
@@ -25,7 +25,7 @@
 //! everywhere else the cold store is authoritative and the cache holds
 //! clean copies. Streamed shuffle writes (`write_run`) are write-through
 //! (cold is updated immediately, the cache keeps a clean copy); random
-//! writes (`write_block`/`write_scatter`) are write-back (absorbed dirty,
+//! writes (`write_block`) are write-back (absorbed dirty,
 //! flushed on eviction or [`sync`](crate::device::Device::sync)).
 
 use crate::clock::SimDuration;
@@ -128,7 +128,7 @@ struct Entry {
 /// surface is the device's, which keeps trace/stat recording and cache
 /// consultation in lockstep.
 #[derive(Debug)]
-pub struct BlockCache {
+pub(crate) struct BlockCache {
     config: CacheConfig,
     entries: HashMap<u64, Entry>,
     /// tick → slot reverse index for O(log n) LRU eviction; `BTreeMap`
@@ -154,11 +154,6 @@ impl BlockCache {
             tick: 0,
             stats: CacheStats::default(),
         }
-    }
-
-    /// The configuration this cache was built from.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Accumulated counters.
@@ -330,12 +325,6 @@ impl BlockCache {
         self.entries
             .get(&addr)
             .and_then(|e| e.dirty.then_some(&e.block))
-    }
-
-    /// Any resident RAM copy of `addr`, dirty or clean, without touching
-    /// recency (simulator-internal peeks).
-    pub(crate) fn peek(&self, addr: u64) -> Option<&SealedBlock> {
-        self.entries.get(&addr).map(|e| &e.block)
     }
 
     /// Flushes every dirty entry to `cold` (data movement only) and

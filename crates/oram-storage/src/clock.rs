@@ -37,16 +37,6 @@ impl SimDuration {
         Self(millis * 1_000_000)
     }
 
-    /// Creates a duration from (possibly fractional) seconds, rounding to
-    /// the nearest nanosecond. Intended for configuration parsing only.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs >= 0.0 && secs.is_finite(),
-            "duration must be finite and non-negative"
-        );
-        Self((secs * 1e9).round() as u64)
-    }
-
     /// Nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -55,11 +45,6 @@ impl SimDuration {
     /// Microseconds as floating point (reporting only).
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
-    }
-
-    /// Milliseconds as floating point (reporting only).
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Seconds as floating point (reporting only).
@@ -271,10 +256,6 @@ mod tests {
             SimDuration::from_millis(2),
             SimDuration::from_nanos(2_000_000)
         );
-        assert_eq!(
-            SimDuration::from_secs_f64(1.5),
-            SimDuration::from_nanos(1_500_000_000)
-        );
     }
 
     #[test]
@@ -339,7 +320,6 @@ mod tests {
     fn float_reporting_conversions() {
         let d = SimDuration::from_micros(1500);
         assert!((d.as_micros_f64() - 1500.0).abs() < 1e-9);
-        assert!((d.as_millis_f64() - 1.5).abs() < 1e-9);
         assert!((d.as_secs_f64() - 0.0015).abs() < 1e-12);
     }
 }

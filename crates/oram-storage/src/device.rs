@@ -271,11 +271,6 @@ impl Device {
         self.cache = Some(BlockCache::new(config));
     }
 
-    /// The installed cache's configuration, if any.
-    pub fn cache_config(&self) -> Option<&CacheConfig> {
-        self.cache.as_ref().map(|c| c.config())
-    }
-
     /// The installed cache's counters, if any.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| c.stats())
@@ -662,49 +657,6 @@ impl Device {
         Ok(out)
     }
 
-    /// Writes `(slot, block)` pairs as one queued batch — the vectored
-    /// counterpart of [`read_scatter`](Self::read_scatter), for writers
-    /// whose targets are discontiguous (in-place update protocols,
-    /// write-back caches). H-ORAM's own shuffle writes whole partitions
-    /// and uses the cheaper streaming [`write_run`](Self::write_run)
-    /// instead.
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError::OutOfCapacity`] if any slot is beyond a configured
-    /// capacity (checked before any write lands).
-    pub fn write_scatter(&mut self, writes: Vec<(u64, SealedBlock)>) -> Result<(), StorageError> {
-        if writes.is_empty() {
-            return Ok(());
-        }
-        for (addr, _) in &writes {
-            self.check_capacity(*addr)?;
-        }
-        let bytes = self.charged_block_bytes;
-        let offsets: Vec<u64> = writes.iter().map(|(addr, _)| addr * bytes).collect();
-        // The cold timing model sees the full command batch in both
-        // paths — every write eventually lands on the device.
-        let costs = self
-            .timing
-            .scatter_costs(AccessKind::Write, &offsets, bytes);
-        let absorb = self
-            .cache
-            .as_ref()
-            .map(|c| (c.hit_cost(), c.writeback_sync_fraction()));
-        for ((addr, block), cold_cost) in writes.into_iter().zip(costs) {
-            let cost = if let Some((hit_cost, fraction)) = absorb {
-                let cache = self.cache.as_mut().expect("probed");
-                cache.absorb_write(addr, block, &mut *self.store)?;
-                let sync_nanos = (cold_cost.as_nanos() as f64 * fraction).round() as u64;
-                hit_cost + SimDuration::from_nanos(sync_nanos)
-            } else {
-                cold_cost + self.put_with_retry(addr, block)?
-            };
-            self.record(AccessKind::Write, addr, bytes, cost);
-        }
-        Ok(())
-    }
-
     /// Removes and returns the block at `addr` without charging time
     /// (used by shuffle logic that has already paid for a streaming read).
     ///
@@ -719,24 +671,6 @@ impl Device {
         let (stored, _) =
             self.with_store_retry(AccessKind::Read, addr, bytes, |s| s.remove(addr))?;
         Ok(dirty.or(stored))
-    }
-
-    /// Looks at the block at `addr` without charging time or tracing.
-    ///
-    /// This is a *simulator-internal* peek (e.g. for assertions); protocol
-    /// code must use [`read_block`](Self::read_block). Returns an owned
-    /// clone (file-backed stores cannot hand out references).
-    ///
-    /// # Errors
-    ///
-    /// Backend errors propagate (transient faults are retried first).
-    pub fn peek_block(&mut self, addr: u64) -> Result<Option<SealedBlock>, StorageError> {
-        if let Some(block) = self.cache.as_ref().and_then(|c| c.peek(addr)) {
-            return Ok(Some(block.clone()));
-        }
-        let bytes = self.charged_block_bytes;
-        let (block, _) = self.with_store_retry(AccessKind::Read, addr, bytes, |s| s.get(addr))?;
-        Ok(block)
     }
 
     /// Reads `count` consecutive slots starting at `start` as one streaming
@@ -873,11 +807,6 @@ impl Device {
             cache.clear();
         }
         self.store.clear()
-    }
-
-    /// Whether the underlying store survives process exit (file-backed).
-    pub fn is_durable(&self) -> bool {
-        self.store.durable()
     }
 
     /// Durability barrier: flushes and commits the underlying store
@@ -1219,16 +1148,6 @@ mod tests {
         assert_eq!(dev.stats().reads + dev.stats().writes, 0);
     }
 
-    fn hdd_device() -> Device {
-        Device::new(
-            DeviceId(0),
-            "hdd",
-            Box::new(HddModel::paper_calibrated()),
-            SimClock::new(),
-            None,
-        )
-    }
-
     #[test]
     fn read_scatter_trace_and_counts_match_sequential_reads() {
         let s = sealer();
@@ -1280,29 +1199,9 @@ mod tests {
     }
 
     #[test]
-    fn write_scatter_stores_and_is_cheaper_than_sequential_on_hdd() {
-        let s = sealer();
-        let writes: Vec<(u64, SealedBlock)> = (0..32u64)
-            .map(|i| (i * 97 % 64, s.seal(i, 0, b"w")))
-            .collect();
-        let mut sequential = hdd_device();
-        for (a, b) in writes.clone() {
-            sequential.write_block(a, b).unwrap();
-        }
-        let mut batched = hdd_device();
-        batched.write_scatter(writes.clone()).unwrap();
-        for (a, b) in &writes {
-            assert_eq!(batched.peek_block(*a).unwrap().as_ref(), Some(b));
-        }
-        assert_eq!(batched.stats().writes, sequential.stats().writes);
-        assert!(batched.stats().busy < sequential.stats().busy);
-    }
-
-    #[test]
     fn scatter_on_empty_input_is_free() {
         let mut dev = dram_device(None);
         assert!(dev.read_scatter(&[]).unwrap().is_empty());
-        dev.write_scatter(Vec::new()).unwrap();
         assert_eq!(dev.stats().ops(), 0);
     }
 

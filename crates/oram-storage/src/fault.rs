@@ -61,16 +61,6 @@ impl FaultConfig {
             ..Self::default()
         }
     }
-
-    /// Whether this schedule can inject anything at all.
-    pub fn is_inert(&self) -> bool {
-        self.transient_read_permille == 0
-            && self.transient_write_permille == 0
-            && self.permanent_slots.is_empty()
-            && self.corrupt_permille == 0
-            && self.fsync_fail_permille == 0
-            && (self.latency_spike_permille == 0 || self.latency_spike_nanos == 0)
-    }
 }
 
 /// The deterministic decision stream of one [`FaultConfig`].
@@ -101,11 +91,6 @@ impl FaultPlan {
     /// The schedule parameters.
     pub fn config(&self) -> &FaultConfig {
         &self.config
-    }
-
-    /// Store calls observed so far (each advances the stream).
-    pub fn ops_observed(&self) -> u64 {
-        self.counter
     }
 
     /// One raw 64-bit roll for `(op, addr)` at the current counter.
@@ -143,18 +128,6 @@ pub struct FaultStats {
     pub fsync_failures: u64,
     /// Latency spikes accrued.
     pub latency_spikes: u64,
-}
-
-impl FaultStats {
-    /// Total injected faults of every class (spikes excluded — they only
-    /// slow the simulation down).
-    pub fn total_errors(&self) -> u64 {
-        self.transient_reads
-            + self.transient_writes
-            + self.permanent_hits
-            + self.corruptions
-            + self.fsync_failures
-    }
 }
 
 /// A [`DataStore`] adapter that injects the faults of a [`FaultPlan`]
@@ -357,16 +330,6 @@ pub struct ConnFaultConfig {
     pub delay_permille: u32,
     /// Host microseconds one injected delay sleeps.
     pub delay_micros: u64,
-}
-
-impl ConnFaultConfig {
-    /// Whether this schedule can inject anything at all.
-    pub fn is_inert(&self) -> bool {
-        self.drop_permille == 0
-            && self.truncate_permille == 0
-            && self.disconnect_permille == 0
-            && (self.delay_permille == 0 || self.delay_micros == 0)
-    }
 }
 
 /// Counters of injected transport faults.

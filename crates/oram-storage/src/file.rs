@@ -108,12 +108,6 @@ impl FileStoreConfig {
         self
     }
 
-    /// Enables or disables fsync at sync points.
-    pub fn with_fsync(mut self, fsync: bool) -> Self {
-        self.fsync = fsync;
-        self
-    }
-
     fn record_len(&self) -> u64 {
         (RECORD_PREFIX + self.body_capacity) as u64
     }

@@ -2,19 +2,13 @@
 //!
 //! Every protocol in this reproduction runs against a [`MemoryHierarchy`]:
 //! a fast in-memory device, a slow storage device, one shared clock and one
-//! shared bus trace. The hierarchy also centralizes the *time composition*
-//! rules the paper uses:
-//!
-//! * [`MemoryHierarchy::spend_serial`] — a phase whose memory and storage
-//!   work are dependent (tree-top-cache Path ORAM: the path read spans both
-//!   devices, so costs add);
-//! * [`MemoryHierarchy::spend_overlapped`] — H-ORAM's scheduler overlaps
-//!   `c` in-memory reads with one I/O fetch, so a cycle costs
-//!   `max(memory, storage)` (paper §4.1: "the I/O loads and in-memory reads
-//!   are conducted simultaneously").
+//! shared bus trace. How a phase's memory and storage time compose into
+//! wall-clock time (added for the tree-top-cache baseline, overlapped for
+//! H-ORAM's scheduling cycles) is the protocols' business; they advance
+//! the shared clock themselves.
 
 use crate::calibration::MachineConfig;
-use crate::clock::{SimClock, SimDuration};
+use crate::clock::SimClock;
 use crate::device::Device;
 use crate::trace::AccessTrace;
 
@@ -112,27 +106,6 @@ impl MemoryHierarchy {
         self.storage.set_charged_block_bytes(bytes);
     }
 
-    /// Advances the wall clock by `memory_time + storage_time` (dependent
-    /// phases) and returns the advance.
-    pub fn spend_serial(&self, memory_time: SimDuration, storage_time: SimDuration) -> SimDuration {
-        let total = memory_time + storage_time;
-        self.clock.advance(total);
-        total
-    }
-
-    /// Advances the wall clock by `max(memory_time, storage_time)`
-    /// (overlapped phases — H-ORAM scheduling cycles) and returns the
-    /// advance.
-    pub fn spend_overlapped(
-        &self,
-        memory_time: SimDuration,
-        storage_time: SimDuration,
-    ) -> SimDuration {
-        let total = memory_time.max(storage_time);
-        self.clock.advance(total);
-        total
-    }
-
     /// Clears stats, traces, and the clock (between experiment phases);
     /// stored data is preserved.
     pub fn reset_accounting(&mut self) {
@@ -147,6 +120,7 @@ impl MemoryHierarchy {
 mod tests {
     use super::*;
     use crate::calibration::device_ids;
+    use crate::clock::SimDuration;
     use oram_crypto::keys::MasterKey;
     use oram_crypto::seal::BlockSealer;
 
@@ -171,23 +145,13 @@ mod tests {
     }
 
     #[test]
-    fn serial_time_adds_and_overlapped_takes_max() {
-        let h = MemoryHierarchy::dac2019();
-        let a = SimDuration::from_micros(10);
-        let b = SimDuration::from_micros(70);
-        assert_eq!(h.spend_serial(a, b), SimDuration::from_micros(80));
-        assert_eq!(h.spend_overlapped(a, b), SimDuration::from_micros(70));
-        assert_eq!(h.clock().now().as_nanos(), 150_000);
-    }
-
-    #[test]
     fn reset_accounting_preserves_data() {
         let mut h = MemoryHierarchy::dac2019();
         let sealer = BlockSealer::new(&MasterKey::from_bytes([1; 32]).derive("h", 0));
         h.storage
             .write_block(7, sealer.seal(7, 0, b"keep"))
             .unwrap();
-        h.spend_serial(SimDuration::from_micros(1), SimDuration::ZERO);
+        h.clock().advance(SimDuration::from_micros(1));
         h.reset_accounting();
         assert_eq!(h.clock().now().as_nanos(), 0);
         assert!(h.trace().is_empty());

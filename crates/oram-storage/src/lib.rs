@@ -72,7 +72,7 @@ pub mod stats;
 pub mod store;
 pub mod trace;
 
-pub use cache::{BlockCache, CacheConfig, CacheStats};
+pub use cache::{CacheConfig, CacheStats};
 pub use calibration::MachineConfig;
 pub use clock::{SimClock, SimDuration, SimTime};
 pub use device::{AccessKind, Device, DeviceId, RetryPolicy, RetryStats, ScatterItem, TimingModel};

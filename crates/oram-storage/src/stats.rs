@@ -56,15 +56,6 @@ impl DeviceStats {
         self.bytes_read + self.bytes_written
     }
 
-    /// Mean cost per operation, or zero if no operations.
-    pub fn mean_op_cost(&self) -> SimDuration {
-        if self.ops() == 0 {
-            SimDuration::ZERO
-        } else {
-            self.busy / self.ops()
-        }
-    }
-
     /// Component-wise sum of two stats records.
     pub fn merged(&self, other: &DeviceStats) -> DeviceStats {
         DeviceStats {
@@ -113,15 +104,6 @@ mod tests {
         assert_eq!(stats.busy.as_nanos(), 20);
         assert_eq!(stats.ops(), 3);
         assert_eq!(stats.bytes(), 350);
-    }
-
-    #[test]
-    fn mean_op_cost_handles_empty() {
-        assert_eq!(DeviceStats::default().mean_op_cost(), SimDuration::ZERO);
-        let mut stats = DeviceStats::default();
-        stats.record(AccessKind::Read, 1, SimDuration::from_nanos(30));
-        stats.record(AccessKind::Read, 1, SimDuration::from_nanos(10));
-        assert_eq!(stats.mean_op_cost().as_nanos(), 20);
     }
 
     #[test]

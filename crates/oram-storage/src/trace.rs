@@ -88,16 +88,6 @@ impl AccessTrace {
         self.events.lock().clear();
     }
 
-    /// Events targeting one device, in record order.
-    pub fn for_device(&self, device: DeviceId) -> Vec<TraceEvent> {
-        self.events
-            .lock()
-            .iter()
-            .copied()
-            .filter(|e| e.device == device)
-            .collect()
-    }
-
     /// The sequence of addresses touched on one device — the core object of
     /// obliviousness arguments.
     pub fn address_sequence(&self, device: DeviceId) -> Vec<u64> {
@@ -151,7 +141,6 @@ mod tests {
         trace.record(ev(0, 1, AccessKind::Read));
         trace.record(ev(1, 2, AccessKind::Read));
         trace.record(ev(0, 3, AccessKind::Write));
-        assert_eq!(trace.for_device(DeviceId(0)).len(), 2);
         assert_eq!(trace.address_sequence(DeviceId(0)), vec![1, 3]);
         assert_eq!(trace.address_sequence(DeviceId(1)), vec![2]);
     }

@@ -1,7 +1,7 @@
 //! Tour of every ORAM protocol in the workspace on one workload.
 //!
-//! Runs the same 400-request hotspot trace through the four baselines and
-//! H-ORAM, printing the storage-side cost of each — a miniature of the
+//! Runs the same 400-request hotspot trace through Path ORAM, the paper's
+//! tree-top-cache baseline and H-ORAM, printing the storage-side cost of each — a miniature of the
 //! paper's comparison tables and a demonstration of the shared `Oram`
 //! trait.
 //!
@@ -12,11 +12,8 @@
 //! ```
 
 use horam::analysis::table::Table;
-use horam::crypto::keys::KeyHierarchy;
 use horam::prelude::*;
-use horam::protocols::{
-    build_tree_top_cache, PartitionOram, PathOram, PathOramConfig, SquareRootOram, TreeBackend,
-};
+use horam::protocols::{build_tree_top_cache, PathOram, PathOramConfig, TreeBackend};
 use horam::storage::calibration::MachineConfig;
 use horam::storage::clock::SimClock;
 use horam::workload::WorkloadGenerator;
@@ -77,36 +74,6 @@ fn main() -> Result<(), OramError> {
             storage.ops().to_string(),
             storage.busy.to_string(),
             format!("{} levels on storage", split.storage_levels),
-        ]);
-    }
-
-    // Square-root ORAM: one touch per access + monolithic reshuffles.
-    {
-        let device = machine.build_storage(SimClock::new(), None);
-        let keys = KeyHierarchy::new(master.clone(), "tour/sqrt");
-        let mut oram = SquareRootOram::new(CAPACITY, PAYLOAD, device, keys, 5)?;
-        run(&mut oram, &requests)?;
-        let stats = oram.device().stats();
-        table.row(vec![
-            "Square-root ORAM".into(),
-            stats.ops().to_string(),
-            stats.busy.to_string(),
-            format!("{} full reshuffles", oram.stats().reshuffles),
-        ]);
-    }
-
-    // Partition ORAM: per-partition reshuffles.
-    {
-        let device = machine.build_storage(SimClock::new(), None);
-        let keys = KeyHierarchy::new(master.clone(), "tour/partition");
-        let mut oram = PartitionOram::new(CAPACITY, PAYLOAD, None, device, keys, 5)?;
-        run(&mut oram, &requests)?;
-        let stats = oram.device().stats();
-        table.row(vec![
-            "Partition ORAM".into(),
-            stats.ops().to_string(),
-            stats.busy.to_string(),
-            format!("{} partitions shuffled", oram.stats().partitions_shuffled),
         ]);
     }
 

@@ -2,11 +2,10 @@
 //! same logical contract, so the same trace must produce the same answers
 //! from all of them.
 
-use horam::crypto::keys::{KeyHierarchy, MasterKey};
+use horam::core::shard::{ShardedConfig, ShardedOram};
+use horam::crypto::keys::MasterKey;
 use horam::prelude::*;
-use horam::protocols::{
-    build_tree_top_cache, Oram, PartitionOram, PathOram, PathOramConfig, SquareRootOram,
-};
+use horam::protocols::{build_tree_top_cache, Oram, PathOram, PathOramConfig};
 use horam::storage::calibration::MachineConfig;
 use horam::storage::clock::SimClock;
 use horam::workload::{HotspotWorkload, WorkloadGenerator};
@@ -55,39 +54,21 @@ fn all_protocols(master: &MasterKey) -> Vec<(&'static str, Box<dyn Oram>)> {
     .unwrap();
     protocols.push(("tree-top-cache", Box::new(ttc)));
 
-    protocols.push((
-        "square-root",
-        Box::new(
-            SquareRootOram::new(
-                CAPACITY,
-                PAYLOAD,
-                machine.build_storage(SimClock::new(), None),
-                KeyHierarchy::new(master.clone(), "xp/sqrt"),
-                3,
-            )
-            .unwrap(),
-        ),
-    ));
-
-    protocols.push((
-        "partition",
-        Box::new(
-            PartitionOram::new(
-                CAPACITY,
-                PAYLOAD,
-                None,
-                machine.build_storage(SimClock::new(), None),
-                KeyHierarchy::new(master.clone(), "xp/partition"),
-                4,
-            )
-            .unwrap(),
-        ),
-    ));
-
     let config = HOramConfig::new(CAPACITY, PAYLOAD, 32).with_seed(11);
     protocols.push((
         "h-oram",
-        Box::new(HOram::new(config, MemoryHierarchy::dac2019(), master.clone()).unwrap()),
+        Box::new(HOram::new(config.clone(), MemoryHierarchy::dac2019(), master.clone()).unwrap()),
+    ));
+
+    // The engine `horam-serverd` runs: the same configuration over 4 shards.
+    protocols.push((
+        "sharded-h-oram",
+        Box::new(
+            ShardedOram::new(ShardedConfig::new(config, 4), master.clone(), |_| {
+                MemoryHierarchy::dac2019()
+            })
+            .unwrap(),
+        ),
     ));
 
     protocols

@@ -1,79 +1,14 @@
-//! Integration tests of the beyond-paper extension modules: the recursive
-//! position map, the page-cache device model, and admission-controlled
-//! multi-tenant runs working together with the core system.
+//! Integration tests of the beyond-paper extension modules: the
+//! page-cache device model and admission-controlled multi-tenant runs
+//! working together with the core system.
 
 use horam::core::access_control::{AccessControl, Permission};
 use horam::core::{run_multi_user, UserId};
 use horam::prelude::*;
 use horam::protocols::BlockId;
-use horam::protocols::{PathOramConfig, RecursivePathOram};
-use horam::storage::calibration::MachineConfig;
-use horam::storage::clock::SimClock;
 use horam::storage::device::{AccessKind, TimingModel};
 use horam::storage::hdd::HddModel;
 use horam::storage::page_cache::{PageCacheModel, PageCacheParams};
-
-#[test]
-fn recursive_oram_agrees_with_flat_path_oram() {
-    let machine = MachineConfig::dac2019();
-    let keys = MasterKey::from_bytes([71u8; 32]).derive("ext/recursive", 0);
-
-    let clock = SimClock::new();
-    let machine_for_factory = machine.clone();
-    let mut recursive = RecursivePathOram::new(
-        PathOramConfig::new(128, 8),
-        16,
-        4,
-        move || machine_for_factory.build_memory(clock.clone(), None),
-        &keys,
-    )
-    .expect("recursive builds");
-
-    let mut flat = horam::protocols::PathOram::new(
-        PathOramConfig::new(128, 8),
-        machine.build_memory(SimClock::new(), None),
-        &keys,
-    )
-    .expect("flat builds");
-
-    // Same logical trace through both; answers must agree.
-    for i in 0..128u64 {
-        let payload = vec![(i % 251) as u8; 8];
-        recursive
-            .write(BlockId(i), &payload)
-            .expect("recursive write");
-        flat.write(BlockId(i), &payload).expect("flat write");
-    }
-    for i in (0..128u64).rev() {
-        assert_eq!(
-            recursive.read(BlockId(i)).expect("recursive read"),
-            flat.read(BlockId(i)).expect("flat read"),
-            "divergence at block {i}"
-        );
-    }
-}
-
-#[test]
-fn recursive_oram_shrinks_the_trusted_table() {
-    let machine = MachineConfig::dac2019();
-    let clock = SimClock::new();
-    let keys = MasterKey::from_bytes([72u8; 32]).derive("ext/enclave", 0);
-    let oram = RecursivePathOram::new(
-        PathOramConfig::new(4096, 8),
-        64, // fanout 8
-        8,
-        move || machine.build_memory(clock.clone(), None),
-        &keys,
-    )
-    .expect("builds");
-    // Naive map: 4096 × 8 B = 32 768 B; the recursive root is far smaller.
-    assert!(
-        oram.enclave_bytes() < 8192,
-        "enclave {} B",
-        oram.enclave_bytes()
-    );
-    assert!(oram.map_levels() >= 2);
-}
 
 #[test]
 fn page_cached_device_speeds_up_hot_reads_without_changing_data() {

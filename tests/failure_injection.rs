@@ -5,7 +5,7 @@ use horam::crypto::keys::{KeyHierarchy, MasterKey};
 use horam::crypto::seal::BlockSealer;
 use horam::crypto::CryptoError;
 use horam::prelude::*;
-use horam::protocols::{Oram, OramError, PathOram, PathOramConfig, SquareRootOram};
+use horam::protocols::{Oram, OramError, PathOram, PathOramConfig};
 use horam::storage::calibration::MachineConfig;
 use horam::storage::clock::SimClock;
 use horam::storage::device::Device;
@@ -97,17 +97,6 @@ fn sealer_contract_rejects_any_corruption() {
             "bit {bit} flip went undetected"
         );
     }
-}
-
-#[test]
-fn square_root_oram_works_after_unrelated_corruption_checks() {
-    // A clean square-root instance behaves normally (sanity companion to
-    // the sealer-contract test; its device is intentionally encapsulated).
-    let device = MachineConfig::dac2019().build_storage(SimClock::new(), None);
-    let keys = KeyHierarchy::new(MasterKey::from_bytes([52u8; 32]), "fi/sqrt");
-    let mut oram = SquareRootOram::new(64, 8, device, keys, 1).unwrap();
-    oram.write(BlockId(3), &[5u8; 8]).unwrap();
-    assert_eq!(oram.read(BlockId(3)).unwrap(), vec![5u8; 8]);
 }
 
 #[test]
