@@ -133,18 +133,23 @@ impl Listener {
     }
 
     /// Accepts one pending connection, if any (nonblocking): `Ok(None)`
-    /// when no connection is waiting.
+    /// when no connection is waiting. A connection comes back as two
+    /// handles on the same socket — the read stream and a write handle
+    /// whose every `write` gives up after `write_timeout`, so a peer that
+    /// stops reading cannot hold a writer longer than that.
     ///
     /// # Errors
     ///
     /// Propagates accept failures other than `WouldBlock`.
-    pub fn try_accept(&self) -> io::Result<Option<Box<dyn NetStream>>> {
-        let stream: Box<dyn NetStream> = match self {
+    pub fn try_accept(&self, write_timeout: Duration) -> io::Result<Option<Accepted>> {
+        let pair: Accepted = match self {
             Listener::Tcp(listener) => match listener.accept() {
                 Ok((stream, _)) => {
                     stream.set_nodelay(true)?;
                     stream.set_nonblocking(false)?;
-                    Box::new(stream)
+                    let writer = stream.try_clone()?;
+                    writer.set_write_timeout(Some(write_timeout))?;
+                    (Box::new(stream), Box::new(writer))
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) => return Err(e),
@@ -152,15 +157,21 @@ impl Listener {
             Listener::Unix(listener) => match listener.accept() {
                 Ok((stream, _)) => {
                     stream.set_nonblocking(false)?;
-                    Box::new(stream)
+                    let writer = stream.try_clone()?;
+                    writer.set_write_timeout(Some(write_timeout))?;
+                    (Box::new(stream), Box::new(writer))
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) => return Err(e),
             },
         };
-        Ok(Some(stream))
+        Ok(Some(pair))
     }
 }
+
+/// One accepted connection: its read stream and a write handle on the
+/// same socket (see [`Listener::try_accept`]).
+pub type Accepted = (Box<dyn NetStream>, Box<dyn NetStream>);
 
 /// The stream capabilities the protocol needs beyond `Read + Write`:
 /// bounded reads (no wait in the system is indefinite) and a hard

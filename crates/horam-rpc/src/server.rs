@@ -8,11 +8,18 @@
 //! [`OramService`] outright and interleaves three duties per tick:
 //! accept pending connections (nonblocking), drain the job inbox into
 //! the service, and pump the engine / collect results. Each accepted
-//! connection runs on a pool worker, parsing frames and forwarding
-//! [`Frame::Request`]s to the control thread over an mpsc inbox;
-//! responses travel back on a per-connection channel. The service never
-//! crosses a thread boundary, so the engine needs no locks and the
-//! deterministic pump order is exactly the in-process one.
+//! connection runs on a pool worker that only reads: it parses frames
+//! and forwards the [`Frame::Request`]s of one read to the control
+//! thread as one inbox message. The control thread writes the responses
+//! itself — shed verdicts and dedup replays at once, executed outcomes
+//! right after the pump that resolved them, one write per connection —
+//! through the connection's mutex-guarded write handle, which the worker
+//! also uses for its own replies (`HelloAck`, `Pong`, `StatsReply`,
+//! `DrainStarted`, `BAD_FRAME`), so frames never interleave. A write that
+//! fails or outlasts the write bound (eight ticks) shuts that connection
+//! down. The service never crosses a thread boundary, so the engine
+//! needs no locks and the deterministic pump order is exactly the
+//! in-process one.
 //!
 //! # Failure semantics
 //!
@@ -44,7 +51,9 @@
 
 use crate::net::{Listener, NetStream};
 use crate::status;
-use crate::wire::{write_frame, Accept, Frame, FramePoll, FrameReader, PollError, ServerCounters};
+use crate::wire::{
+    encode_frame, write_frame, Accept, Frame, FramePoll, FrameReader, PollError, ServerCounters,
+};
 use horam_core::engine::OramEngine;
 use horam_core::multi_user::UserId;
 use horam_core::pool::WorkerPool;
@@ -53,14 +62,19 @@ use oram_protocols::types::Request;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::io;
+use std::io::{self, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// How long a freshly accepted connection gets to present its `Hello`.
 const HANDSHAKE_BUDGET: Duration = Duration::from_secs(3);
+
+/// The write bound, in ticks: one `write` to a connection whose peer has
+/// left its socket buffers full gives up after this long, and the
+/// connection is shut down.
+const WRITE_BOUND_TICKS: u32 = 8;
 
 /// Server tuning and lifecycle knobs.
 #[derive(Debug, Clone)]
@@ -164,33 +178,43 @@ impl Checkpoint {
         fn bad(reason: &str) -> io::Error {
             io::Error::new(io::ErrorKind::InvalidData, format!("checkpoint: {reason}"))
         }
-        let mut pos = 0usize;
-        let mut take = |n: usize| -> io::Result<&[u8]> {
-            let end = pos.checked_add(n).ok_or_else(|| bad("length overflow"))?;
-            if end > bytes.len() {
+        fn take<'a>(rest: &mut &'a [u8], n: usize) -> io::Result<&'a [u8]> {
+            if n > rest.len() {
                 return Err(bad("truncated"));
             }
-            let slice = &bytes[pos..end];
-            pos = end;
-            Ok(slice)
-        };
-        if take(4)? != CHECKPOINT_MAGIC {
+            let (head, tail) = rest.split_at(n);
+            *rest = tail;
+            Ok(head)
+        }
+        let mut rest = bytes;
+        if take(&mut rest, 4)? != CHECKPOINT_MAGIC {
             return Err(bad("bad magic"));
         }
-        let version = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes"));
+        let version = u32::from_le_bytes(take(&mut rest, 4)?.try_into().expect("4 bytes"));
         if version != CHECKPOINT_VERSION {
             return Err(bad("unknown version"));
         }
-        let epoch = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-        let snapshot_len = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes")) as usize;
-        let snapshot = take(snapshot_len)?.to_vec();
-        let count = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes"));
-        let mut window = Vec::with_capacity(count as usize);
+        let epoch = u64::from_le_bytes(take(&mut rest, 8)?.try_into().expect("8 bytes"));
+        let snapshot_len = u64::from_le_bytes(take(&mut rest, 8)?.try_into().expect("8 bytes"));
+        let snapshot = take(
+            &mut rest,
+            usize::try_from(snapshot_len).unwrap_or(usize::MAX),
+        )?
+        .to_vec();
+        let count = u32::from_le_bytes(take(&mut rest, 4)?.try_into().expect("4 bytes")) as usize;
+        // An entry is at least 25 bytes (two ids, a length, a frame's
+        // 5-byte header): bound the count by what is left before
+        // allocating for it.
+        if count > rest.len() / 25 {
+            return Err(bad("window count exceeds the file"));
+        }
+        let mut window = Vec::with_capacity(count);
         for _ in 0..count {
-            let client_id = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-            let req_id = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-            let frame_len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-            let frame_bytes = take(frame_len)?;
+            let client_id = u64::from_le_bytes(take(&mut rest, 8)?.try_into().expect("8 bytes"));
+            let req_id = u64::from_le_bytes(take(&mut rest, 8)?.try_into().expect("8 bytes"));
+            let frame_len =
+                u32::from_le_bytes(take(&mut rest, 4)?.try_into().expect("4 bytes")) as usize;
+            let frame_bytes = take(&mut rest, frame_len)?;
             if frame_bytes.len() < 5 {
                 return Err(bad("window frame too short"));
             }
@@ -202,7 +226,7 @@ impl Checkpoint {
                 response,
             });
         }
-        if pos != bytes.len() {
+        if !rest.is_empty() {
             return Err(bad("trailing bytes"));
         }
         Ok(Self {
@@ -265,7 +289,34 @@ struct Job {
     deadline_at: Option<Instant>,
     block: u64,
     payload: Option<Vec<u8>>,
-    reply: mpsc::Sender<Frame>,
+    reply: Outbox,
+}
+
+/// The write half of one accepted connection. Its worker writes its own
+/// replies through it and the control thread writes request outcomes,
+/// each one `write_all` under the lock, so frames never interleave.
+type Outbox = Arc<Mutex<Box<dyn NetStream>>>;
+
+/// Writes already-encoded frames to a connection in one `write_all`. A
+/// write that fails or outlasts the write bound shuts the connection
+/// down; whatever it executed is in the idempotency window, so the
+/// client's retry replays it.
+fn send(outbox: &Outbox, bytes: &[u8]) -> io::Result<()> {
+    let mut stream = outbox.lock().map_err(|poisoned| {
+        // A writer panicked mid-frame and left the stream misaligned.
+        let _ = poisoned.into_inner().shutdown_both();
+        io::Error::other("connection writer panicked")
+    })?;
+    let written = stream.write_all(bytes);
+    if written.is_err() {
+        let _ = stream.shutdown_both();
+    }
+    written
+}
+
+/// [`send`] for one frame.
+fn reply(outbox: &Outbox, frame: &Frame) -> io::Result<()> {
+    send(outbox, &encode_frame(frame))
 }
 
 /// Atomic counter block shared by the control thread and connections.
@@ -297,7 +348,7 @@ impl Counters {
 
 /// Immutable context handed to every connection thread.
 struct ConnShared {
-    inbox: mpsc::Sender<Job>,
+    inbox: mpsc::Sender<Vec<Job>>,
     counters: Arc<Counters>,
     draining: Arc<AtomicBool>,
     stopped: Arc<AtomicBool>,
@@ -310,7 +361,7 @@ struct ConnShared {
 struct Inflight {
     client_id: u64,
     req_id: u64,
-    reply: mpsc::Sender<Frame>,
+    reply: Outbox,
 }
 
 /// Bounded idempotency window of executed outcomes.
@@ -385,7 +436,7 @@ pub fn run_server<E: OramEngine>(
     let draining = Arc::clone(&config.drain);
     let stopped = Arc::new(AtomicBool::new(false));
     let active = Arc::new(AtomicUsize::new(0));
-    let (inbox_tx, inbox_rx) = mpsc::channel::<Job>();
+    let (inbox_tx, inbox_rx) = mpsc::channel::<Vec<Job>>();
 
     // Workers cover every concurrent connection; the control loop is the
     // scope body and does not help until the final barrier.
@@ -399,7 +450,8 @@ pub fn run_server<E: OramEngine>(
             loop {
                 // 1. Accept pending dials (stops once draining).
                 if !draining.load(Ordering::Acquire) {
-                    while let Some(mut stream) = listener.try_accept()? {
+                    let write_bound = config.tick * WRITE_BOUND_TICKS;
+                    while let Some((stream, mut writer)) = listener.try_accept(write_bound)? {
                         counters.connections.fetch_add(1, Ordering::Relaxed);
                         if active.load(Ordering::Acquire) >= config.max_connections {
                             // Typed backpressure at the door: say Busy,
@@ -407,7 +459,7 @@ pub fn run_server<E: OramEngine>(
                             // handles a plain disconnect.
                             counters.busy_rejects.fetch_add(1, Ordering::Relaxed);
                             let _ = write_frame(
-                                &mut stream,
+                                &mut writer,
                                 &Frame::HelloAck {
                                     accept: Accept::Busy,
                                     epoch: config.epoch,
@@ -428,29 +480,42 @@ pub fn run_server<E: OramEngine>(
                         };
                         let active = Arc::clone(&active);
                         scope.spawn(move || {
-                            handle_conn(stream, &shared);
+                            handle_conn(stream, Arc::new(Mutex::new(writer)), &shared);
                             active.fetch_sub(1, Ordering::AcqRel);
                         });
                     }
                 }
 
-                // 2. Drain the inbox into the engine.
-                while let Ok(job) = inbox_rx.try_recv() {
-                    admit_job(
-                        service,
-                        job,
-                        &counters,
-                        &draining,
-                        &mut window,
-                        &mut inflight,
-                        &mut inflight_by_key,
-                        config.max_inflight,
-                    );
+                // Drain completes on the pass that starts with everything
+                // admitted resolved: it sheds what is left in the inbox
+                // (admission sheds while draining) and checkpoints.
+                let finishing = draining.load(Ordering::Acquire) && inflight.is_empty();
+
+                // 2. Drain the inbox into the engine. With nothing in
+                // flight, park on it for up to a tick first, so an idle
+                // loop does not spin and a burst is admitted as it lands.
+                let mut parked = if inflight.is_empty() {
+                    inbox_rx.recv_timeout(config.tick).ok()
+                } else {
+                    None
+                };
+                while let Some(jobs) = parked.take().or_else(|| inbox_rx.try_recv().ok()) {
+                    for job in jobs {
+                        admit_job(
+                            service,
+                            job,
+                            &counters,
+                            &draining,
+                            &mut window,
+                            &mut inflight,
+                            &mut inflight_by_key,
+                            config.max_inflight,
+                        );
+                    }
                 }
 
-                // 3. Pump and deliver.
-                let busy = !inflight.is_empty();
-                if busy {
+                // 3. Pump and write what resolved.
+                if !inflight.is_empty() {
                     service.pump()?;
                     collect_resolved(
                         service,
@@ -461,17 +526,8 @@ pub fn run_server<E: OramEngine>(
                     );
                 }
 
-                // 4. Drain completion: everything admitted has resolved.
-                if draining.load(Ordering::Acquire) && inflight.is_empty() {
-                    // Shed whatever raced into the inbox after the flag.
-                    while let Ok(job) = inbox_rx.try_recv() {
-                        counters.shed_draining.fetch_add(1, Ordering::Relaxed);
-                        let _ = job.reply.send(status::transport_error_response(
-                            job.req_id,
-                            status::SHUTTING_DOWN,
-                            "server draining; request not executed, safe to replay".into(),
-                        ));
-                    }
+                // 4. Drain completion.
+                if finishing {
                     let snapshot = service.checkpoint()?;
                     return Ok(ServerOutcome {
                         counters: counters.snapshot(true),
@@ -481,26 +537,6 @@ pub fn run_server<E: OramEngine>(
                             epoch: config.epoch,
                         },
                     });
-                }
-
-                // 5. Park briefly when idle so the loop does not spin.
-                if !busy {
-                    match inbox_rx.recv_timeout(config.tick) {
-                        Ok(job) => admit_job(
-                            service,
-                            job,
-                            &counters,
-                            &draining,
-                            &mut window,
-                            &mut inflight,
-                            &mut inflight_by_key,
-                            config.max_inflight,
-                        ),
-                        Err(mpsc::RecvTimeoutError::Timeout) => {}
-                        // Unreachable while we hold `inbox_tx`, but a
-                        // disconnect would simply mean no more senders.
-                        Err(mpsc::RecvTimeoutError::Disconnected) => {}
-                    }
                 }
             }
         })();
@@ -531,12 +567,12 @@ fn admit_job<E: OramEngine>(
     // back; nothing re-executes).
     if let Some(cached) = window.get(key.0, key.1) {
         counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
-        let _ = job.reply.send(cached.clone());
+        let _ = reply(&job.reply, cached);
         return;
     }
 
     // A retry of a request still executing re-attaches the (possibly
-    // redialed) reply channel to the in-flight entry instead of
+    // redialed) connection to the in-flight entry instead of
     // resubmitting.
     if let Some(&ticket) = inflight_by_key.get(&key) {
         counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
@@ -546,71 +582,63 @@ fn admit_job<E: OramEngine>(
         return;
     }
 
-    if draining.load(Ordering::Acquire) {
+    // Everything shed below is answered at once, typed, and not cached:
+    // a retry re-evaluates admission.
+    let shed = if draining.load(Ordering::Acquire) {
         counters.shed_draining.fetch_add(1, Ordering::Relaxed);
-        let _ = job.reply.send(status::transport_error_response(
+        status::transport_error_response(
             job.req_id,
             status::SHUTTING_DOWN,
             "server draining; request not executed, safe to replay".into(),
-        ));
-        return;
-    }
-
-    // Deadline shedding happens before the engine ever sees the work.
-    if let Some(deadline_at) = job.deadline_at {
-        if Instant::now() >= deadline_at {
-            counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
-            let _ = job.reply.send(status::transport_error_response(
-                job.req_id,
-                status::DEADLINE_EXPIRED,
-                "deadline budget spent before admission; not executed".into(),
-            ));
-            return;
-        }
-    }
-
-    if inflight.len() >= max_inflight {
+        )
+    } else if job.deadline_at.is_some_and(|at| Instant::now() >= at) {
+        // Deadline shedding happens before the engine ever sees the work.
+        counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
+        status::transport_error_response(
+            job.req_id,
+            status::DEADLINE_EXPIRED,
+            "deadline budget spent before admission; not executed".into(),
+        )
+    } else if inflight.len() >= max_inflight {
         counters.busy_rejects.fetch_add(1, Ordering::Relaxed);
-        let _ = job.reply.send(status::transport_error_response(
+        status::transport_error_response(
             job.req_id,
             status::BUSY,
             format!("server at its in-flight bound ({max_inflight}); retry after backoff"),
-        ));
-        return;
-    }
-
-    let request = match job.payload {
-        Some(payload) => Request::write(job.block, payload),
-        None => Request::read(job.block),
-    };
-    match service.submit(UserId(job.tenant), request) {
-        Ok(ticket) => {
-            inflight.insert(
-                ticket,
-                Inflight {
-                    client_id: job.client_id,
-                    req_id: job.req_id,
-                    reply: job.reply,
-                },
-            );
-            inflight_by_key.insert(key, ticket);
-        }
-        Err(error) => {
-            if matches!(error, ServeError::QueueFull { .. }) {
-                counters.queue_full_rejects.fetch_add(1, Ordering::Relaxed);
+        )
+    } else {
+        let request = match job.payload {
+            Some(payload) => Request::write(job.block, payload),
+            None => Request::read(job.block),
+        };
+        match service.submit(UserId(job.tenant), request) {
+            Ok(ticket) => {
+                inflight.insert(
+                    ticket,
+                    Inflight {
+                        client_id: job.client_id,
+                        req_id: job.req_id,
+                        reply: job.reply,
+                    },
+                );
+                inflight_by_key.insert(key, ticket);
+                return;
             }
-            // Pre-execution rejection: typed, not cached, retry
-            // re-evaluates.
-            let _ = job
-                .reply
-                .send(status::serve_error_response(job.req_id, &error));
+            Err(error) => {
+                if matches!(error, ServeError::QueueFull { .. }) {
+                    counters.queue_full_rejects.fetch_add(1, Ordering::Relaxed);
+                }
+                status::serve_error_response(job.req_id, &error)
+            }
         }
-    }
+    };
+    let _ = reply(&job.reply, &shed);
 }
 
 /// Harvests every resolved ticket, caches the executed outcome in the
-/// idempotency window, and delivers it (best-effort — a vanished client
-/// collects it from the window on retry).
+/// idempotency window, and writes each connection's share of the harvest
+/// in one `write_all` (best-effort — a vanished client collects it from
+/// the window on retry).
 fn collect_resolved<E: OramEngine>(
     service: &mut OramService<E>,
     counters: &Counters,
@@ -618,6 +646,7 @@ fn collect_resolved<E: OramEngine>(
     inflight: &mut HashMap<ServiceTicket, Inflight>,
     inflight_by_key: &mut HashMap<(u64, u64), ServiceTicket>,
 ) {
+    let mut outgoing: Vec<(Outbox, Vec<u8>)> = Vec::new();
     let tickets: Vec<ServiceTicket> = inflight.keys().copied().collect();
     for ticket in tickets {
         let Some(result) = service.take_result(ticket) else {
@@ -638,20 +667,35 @@ fn collect_resolved<E: OramEngine>(
             Err(error) => status::serve_error_response(meta.req_id, &error),
         };
         counters.served.fetch_add(1, Ordering::Relaxed);
-        window.insert(meta.client_id, meta.req_id, frame.clone());
-        let _ = meta.reply.send(frame);
+        let bytes = encode_frame(&frame);
+        window.insert(meta.client_id, meta.req_id, frame);
+        match outgoing
+            .iter_mut()
+            .find(|(to, _)| Arc::ptr_eq(to, &meta.reply))
+        {
+            Some((_, buf)) => buf.extend_from_slice(&bytes),
+            None => outgoing.push((meta.reply, bytes)),
+        }
+    }
+    for (outbox, bytes) in &outgoing {
+        let _ = send(outbox, bytes);
     }
 }
 
 /// One connection's lifecycle on a pool worker: handshake, then a
-/// bounded-poll loop forwarding requests inward and responses outward.
-/// Never blocks unboundedly; exits on peer close, poisoned stream,
-/// handshake timeout, or server stop.
-fn handle_conn(mut stream: Box<dyn NetStream>, shared: &ConnShared) {
+/// bounded-poll loop forwarding each read's requests inward as one inbox
+/// message. The worker only reads; everything it says goes through
+/// `outbox`. Never blocks unboundedly; exits on peer close, poisoned
+/// stream, handshake timeout, or server stop.
+fn handle_conn(mut stream: Box<dyn NetStream>, outbox: Outbox, shared: &ConnShared) {
     if stream.set_read_timeout(Some(shared.tick)).is_err() {
         return;
     }
     let mut reader = FrameReader::new();
+    let ack = |accept| Frame::HelloAck {
+        accept,
+        epoch: shared.epoch,
+    };
 
     // Handshake: the peer gets a bounded budget to present its Hello.
     let started = Instant::now();
@@ -665,25 +709,15 @@ fn handle_conn(mut stream: Box<dyn NetStream>, shared: &ConnShared) {
                 tenant,
                 token,
             })) => {
-                if shared.token.is_some_and(|expected| expected != token) {
-                    let _ = write_frame(
-                        &mut stream,
-                        &Frame::HelloAck {
-                            accept: Accept::AuthFailed,
-                            epoch: shared.epoch,
-                        },
-                    );
-                    let _ = stream.shutdown_both();
-                    return;
-                }
-                if shared.draining.load(Ordering::Acquire) {
-                    let _ = write_frame(
-                        &mut stream,
-                        &Frame::HelloAck {
-                            accept: Accept::Draining,
-                            epoch: shared.epoch,
-                        },
-                    );
+                let refusal = if shared.token.is_some_and(|expected| expected != token) {
+                    Some(Accept::AuthFailed)
+                } else if shared.draining.load(Ordering::Acquire) {
+                    Some(Accept::Draining)
+                } else {
+                    None
+                };
+                if let Some(accept) = refusal {
+                    let _ = reply(&outbox, &ack(accept));
                     let _ = stream.shutdown_both();
                     return;
                 }
@@ -694,113 +728,88 @@ fn handle_conn(mut stream: Box<dyn NetStream>, shared: &ConnShared) {
             Ok(FramePoll::Pending) => {}
         }
     };
-    if write_frame(
-        &mut stream,
-        &Frame::HelloAck {
-            accept: Accept::Ok,
-            epoch: shared.epoch,
-        },
-    )
-    .is_err()
-    {
+    if reply(&outbox, &ack(Accept::Ok)).is_err() {
         return;
     }
 
-    let (reply_tx, reply_rx) = mpsc::channel::<Frame>();
     loop {
-        // Outbound first: deliver whatever the engine resolved since the
-        // last poll.
-        while let Ok(frame) = reply_rx.try_recv() {
-            if write_frame(&mut stream, &frame).is_err() {
-                // Client gone mid-response; executed outcomes stay in
-                // the idempotency window for its retry.
-                return;
-            }
-        }
-
         if shared.stopped.load(Ordering::Acquire) {
-            // The engine queued every drain response before raising
-            // `stopped`; flush the tail and close.
-            while let Ok(frame) = reply_rx.try_recv() {
-                if write_frame(&mut stream, &frame).is_err() {
-                    return;
-                }
-            }
-            let _ = stream.flush();
+            // The control thread wrote every drain response before
+            // raising `stopped`.
             let _ = stream.shutdown_both();
             return;
         }
-
-        match reader.poll(&mut stream) {
-            Ok(FramePoll::Frame(frame)) => match frame {
-                Frame::Request {
+        let mut next = match reader.poll(&mut stream) {
+            Ok(FramePoll::Frame(frame)) => Ok(Some(frame)),
+            Ok(FramePoll::Pending) => continue,
+            Ok(FramePoll::Closed) | Err(PollError::Io(_)) => return,
+            Err(PollError::Wire(error)) => Err(error),
+        };
+        // Every frame that arrived with this read; its requests reach the
+        // control thread together, so a pipelined burst is admitted in
+        // one pump.
+        let mut jobs = Vec::new();
+        let open = loop {
+            let written = match next {
+                Ok(None) => break true,
+                Ok(Some(Frame::Request {
                     req_id,
                     deadline_nanos,
                     block,
                     payload,
-                } => {
-                    let deadline_at = (deadline_nanos > 0)
-                        .then(|| Instant::now() + Duration::from_nanos(deadline_nanos));
-                    let job = Job {
+                })) => {
+                    jobs.push(Job {
                         client_id,
                         tenant,
                         req_id,
-                        deadline_at,
+                        deadline_at: (deadline_nanos > 0)
+                            .then(|| Instant::now() + Duration::from_nanos(deadline_nanos)),
                         block,
                         payload,
-                        reply: reply_tx.clone(),
-                    };
-                    if shared.inbox.send(job).is_err() {
-                        // Control loop already gone: shed, typed.
-                        let _ = write_frame(
-                            &mut stream,
-                            &status::transport_error_response(
-                                req_id,
-                                status::SHUTTING_DOWN,
-                                "server stopped; request not executed".into(),
-                            ),
-                        );
-                    }
+                        reply: Arc::clone(&outbox),
+                    });
+                    Ok(())
                 }
-                Frame::Ping { nonce } => {
-                    if write_frame(&mut stream, &Frame::Pong { nonce }).is_err() {
-                        return;
-                    }
+                Ok(Some(Frame::Ping { nonce })) => reply(&outbox, &Frame::Pong { nonce }),
+                Ok(Some(Frame::Stats)) => {
+                    let draining = shared.draining.load(Ordering::Acquire);
+                    reply(
+                        &outbox,
+                        &Frame::StatsReply(shared.counters.snapshot(draining)),
+                    )
                 }
-                Frame::Stats => {
-                    let snapshot = shared
-                        .counters
-                        .snapshot(shared.draining.load(Ordering::Acquire));
-                    if write_frame(&mut stream, &Frame::StatsReply(snapshot)).is_err() {
-                        return;
-                    }
-                }
-                Frame::Drain => {
+                Ok(Some(Frame::Drain)) => {
                     shared.draining.store(true, Ordering::Release);
-                    if write_frame(&mut stream, &Frame::DrainStarted).is_err() {
-                        return;
-                    }
+                    reply(&outbox, &Frame::DrainStarted)
                 }
                 // A second Hello or any server-to-client frame from a
                 // client is a protocol violation; poison the connection.
-                _ => {
+                Ok(Some(_)) => {
                     let _ = stream.shutdown_both();
-                    return;
+                    break false;
                 }
-            },
-            Ok(FramePoll::Pending) => {}
-            Ok(FramePoll::Closed) => return,
-            Err(PollError::Wire(error)) => {
-                // Undecodable bytes: there is no resynchronizing a
-                // length-prefixed stream, so report and hang up.
-                let _ = write_frame(
-                    &mut stream,
-                    &status::transport_error_response(0, status::BAD_FRAME, error.to_string()),
-                );
-                let _ = stream.shutdown_both();
-                return;
+                Err(error) => {
+                    // Undecodable bytes: there is no resynchronizing a
+                    // length-prefixed stream, so report and hang up.
+                    let frame =
+                        status::transport_error_response(0, status::BAD_FRAME, error.to_string());
+                    let _ = reply(&outbox, &frame);
+                    let _ = stream.shutdown_both();
+                    break false;
+                }
+            };
+            if written.is_err() {
+                break false;
             }
-            Err(PollError::Io(_)) => return,
+            next = reader.next_buffered();
+        };
+        // The receiver outlives every connection worker (the pool scope
+        // joins them first), so this send cannot fail.
+        if !jobs.is_empty() {
+            let _ = shared.inbox.send(jobs);
+        }
+        if !open {
+            return;
         }
     }
 }
@@ -844,7 +853,15 @@ pub fn bind_signals_to_drain(drain: Arc<AtomicBool>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{ClientConfig, RpcClient};
+    use crate::net::Endpoint;
     use crate::status as st;
+    use horam_core::access_control::Permission;
+    use horam_core::{HOram, HOramConfig};
+    use horam_server::{FifoPolicy, ServiceConfig};
+    use oram_crypto::keys::MasterKey;
+    use oram_storage::hierarchy::MemoryHierarchy;
+    use std::net::TcpStream;
 
     #[test]
     fn checkpoint_roundtrips() {
@@ -878,7 +895,17 @@ mod tests {
     fn checkpoint_rejects_corruption() {
         let checkpoint = Checkpoint {
             snapshot: vec![1, 2, 3],
-            window: Vec::new(),
+            window: vec![WindowEntry {
+                client_id: 1,
+                req_id: 2,
+                response: Frame::Response {
+                    req_id: 2,
+                    status: st::OK,
+                    shard: 0,
+                    message: String::new(),
+                    payload: vec![9],
+                },
+            }],
             epoch: 0,
         };
         let bytes = checkpoint.to_bytes();
@@ -890,6 +917,20 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
         assert!(Checkpoint::from_bytes(&bad).is_err());
+        // Length fields at their maximum: typed errors, never an
+        // allocation sized by the file. Layout: magic 0..4, version 4..8,
+        // epoch 8..16, snapshot_len 16..24, snapshot 24..27, count 27..31,
+        // then the entry's two ids 31..47 and its frame_len 47..51.
+        for (field, at, width) in [
+            ("snapshot_len", 16, 8),
+            ("count", 27, 4),
+            ("frame_len", 47, 4),
+        ] {
+            let mut bad = bytes.clone();
+            bad[at..at + width].fill(0xFF);
+            let error = Checkpoint::from_bytes(&bad).expect_err(field);
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{field}");
+        }
         // Trailing garbage.
         let mut long = bytes;
         long.push(0);
@@ -915,5 +956,330 @@ mod tests {
         // Re-inserting an existing key does not double-count capacity.
         window.insert(1, 3, frame(3));
         assert_eq!(window.to_entries().len(), 2);
+    }
+
+    /// An in-memory connection: each `read` serves the next scripted
+    /// chunk (then EOF), and each `write` call is recorded whole.
+    #[derive(Default)]
+    struct Scripted {
+        chunks: VecDeque<Vec<u8>>,
+        writes: Arc<Mutex<Vec<Vec<u8>>>>,
+    }
+
+    impl io::Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(chunk) = self.chunks.pop_front() else {
+                return Ok(0);
+            };
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    impl io::Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.lock().unwrap().push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl NetStream for Scripted {
+        fn set_read_timeout(&self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+        fn shutdown_both(&self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A one-tenant engine over blocks `0..64` of `payload_len` bytes.
+    fn test_service(payload_len: usize) -> OramService<HOram> {
+        let oram = HOram::new(
+            HOramConfig::new(64, payload_len, 16).with_seed(1),
+            MemoryHierarchy::dac2019(),
+            MasterKey::from_bytes([5; 32]),
+        )
+        .expect("engine builds");
+        let mut service = OramService::new(oram, Box::new(FifoPolicy), ServiceConfig::default());
+        service.register_tenant(UserId(0), 0..64, Permission::ReadWrite);
+        service
+    }
+
+    /// Decodes a byte string of whole frames.
+    fn decode_all(mut bytes: &[u8]) -> Vec<Frame> {
+        let mut reader = FrameReader::new();
+        let mut frames = Vec::new();
+        loop {
+            match reader.poll(&mut bytes).expect("whole frames") {
+                FramePoll::Frame(frame) => frames.push(frame),
+                FramePoll::Closed => return frames,
+                FramePoll::Pending => {}
+            }
+        }
+    }
+
+    /// One harvest that resolves N requests of one connection reaches it
+    /// as exactly one write carrying all N responses.
+    #[test]
+    fn one_harvest_is_one_write_per_connection() {
+        const N: u64 = 16;
+        let mut service = test_service(8);
+        let writes = Arc::new(Mutex::new(Vec::new()));
+        let outbox: Outbox = Arc::new(Mutex::new(Box::new(Scripted {
+            writes: Arc::clone(&writes),
+            ..Scripted::default()
+        })));
+        let counters = Counters::default();
+        let mut window = DedupWindow::new(64, Vec::new());
+        let mut inflight = HashMap::new();
+        let mut inflight_by_key = HashMap::new();
+        for req_id in 1..=N {
+            let job = Job {
+                client_id: 1,
+                tenant: 0,
+                req_id,
+                deadline_at: None,
+                block: req_id,
+                payload: Some(vec![req_id as u8; 8]),
+                reply: Arc::clone(&outbox),
+            };
+            let draining = AtomicBool::new(false);
+            admit_job(
+                &mut service,
+                job,
+                &counters,
+                &draining,
+                &mut window,
+                &mut inflight,
+                &mut inflight_by_key,
+                256,
+            );
+        }
+        assert!(writes.lock().unwrap().is_empty(), "admission wrote nothing");
+
+        service.pump().expect("pump");
+        collect_resolved(
+            &mut service,
+            &counters,
+            &mut window,
+            &mut inflight,
+            &mut inflight_by_key,
+        );
+        assert!(inflight.is_empty(), "one pump resolves a batch this small");
+        let writes = writes.lock().unwrap();
+        assert_eq!(writes.len(), 1, "one write for the whole harvest");
+        let mut answered: Vec<u64> = decode_all(&writes[0])
+            .into_iter()
+            .map(|frame| match frame {
+                Frame::Response {
+                    req_id,
+                    status: st::OK,
+                    ..
+                } => req_id,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        answered.sort_unstable();
+        assert_eq!(answered, (1..=N).collect::<Vec<_>>());
+    }
+
+    /// Every request parsed from one read reaches the control thread as
+    /// one inbox message; a control frame in the same read is answered by
+    /// the connection worker.
+    #[test]
+    fn one_read_is_one_inbox_message() {
+        const N: u64 = 16;
+        let mut burst = Vec::new();
+        for req_id in 1..=N {
+            burst.extend(encode_frame(&Frame::Request {
+                req_id,
+                deadline_nanos: 0,
+                block: req_id,
+                payload: None,
+            }));
+        }
+        burst.extend(encode_frame(&Frame::Ping { nonce: 7 }));
+        let hello = encode_frame(&Frame::Hello {
+            client_id: 9,
+            tenant: 0,
+            token: 0,
+        });
+        let stream = Scripted {
+            chunks: VecDeque::from([hello, burst]),
+            ..Scripted::default()
+        };
+        let writes = Arc::new(Mutex::new(Vec::new()));
+        let outbox: Outbox = Arc::new(Mutex::new(Box::new(Scripted {
+            writes: Arc::clone(&writes),
+            ..Scripted::default()
+        })));
+        let (inbox, inbox_rx) = mpsc::channel();
+        let shared = ConnShared {
+            inbox,
+            counters: Arc::default(),
+            draining: Arc::default(),
+            stopped: Arc::default(),
+            token: None,
+            epoch: 0,
+            tick: Duration::from_millis(1),
+        };
+        // Returns at the scripted EOF.
+        handle_conn(Box::new(stream), outbox, &shared);
+
+        let messages: Vec<Vec<Job>> = inbox_rx.try_iter().collect();
+        assert_eq!(messages.len(), 1, "one read, one inbox message");
+        let forwarded: Vec<u64> = messages[0].iter().map(|job| job.req_id).collect();
+        assert_eq!(forwarded, (1..=N).collect::<Vec<_>>());
+        let replies: Vec<Frame> = writes
+            .lock()
+            .unwrap()
+            .iter()
+            .flat_map(|bytes| decode_all(bytes))
+            .collect();
+        assert!(
+            matches!(
+                replies.as_slice(),
+                [
+                    Frame::HelloAck {
+                        accept: Accept::Ok,
+                        ..
+                    },
+                    Frame::Pong { nonce: 7 }
+                ]
+            ),
+            "{replies:?}"
+        );
+    }
+
+    /// Reads one frame from a raw socket within ten seconds.
+    fn read_frame(stream: &mut TcpStream, reader: &mut FrameReader) -> Frame {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match reader.poll(stream).expect("live stream") {
+                FramePoll::Frame(frame) => return frame,
+                FramePoll::Pending => assert!(Instant::now() < deadline, "no frame within 10 s"),
+                FramePoll::Closed => panic!("closed before a frame"),
+            }
+        }
+    }
+
+    /// A peer that pipelines requests and never reads the responses fills
+    /// its socket. The control thread's write gives up after the write
+    /// bound and closes that connection; another client is served within
+    /// its deadline; a redial's retry is answered from the window without
+    /// executing again.
+    #[test]
+    fn a_peer_that_stops_reading_cannot_stall_the_server() {
+        const PAYLOAD: usize = 4096;
+        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
+        let endpoint = listener.local_endpoint().expect("bound endpoint");
+        let config = ServerConfig::default();
+        let drain = Arc::clone(&config.drain);
+        let server = thread::spawn(move || {
+            let mut service = test_service(PAYLOAD);
+            run_server(&mut service, &listener, &config).expect("graceful drain")
+        });
+        let Endpoint::Tcp(addr) = &endpoint else {
+            unreachable!("bound a tcp endpoint")
+        };
+
+        // The stalled peer executes one read, then resends it 16 384
+        // times without reading again: each resend is answered from the
+        // window with 4 KiB, 64 MiB in all — far past the socket buffers.
+        let mut stalled = TcpStream::connect(addr.as_str()).expect("connect");
+        stalled
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        stalled
+            .set_write_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let mut reader = FrameReader::new();
+        let hello = Frame::Hello {
+            client_id: 1,
+            tenant: 0,
+            token: 0,
+        };
+        stalled.write_all(&encode_frame(&hello)).unwrap();
+        let ack = read_frame(&mut stalled, &mut reader);
+        assert!(
+            matches!(
+                ack,
+                Frame::HelloAck {
+                    accept: Accept::Ok,
+                    ..
+                }
+            ),
+            "{ack:?}"
+        );
+        let request = encode_frame(&Frame::Request {
+            req_id: 1,
+            deadline_nanos: 0,
+            block: 3,
+            payload: None,
+        });
+        stalled.write_all(&request).unwrap();
+        let first = read_frame(&mut stalled, &mut reader);
+        assert!(
+            matches!(
+                first,
+                Frame::Response {
+                    req_id: 1,
+                    status: st::OK,
+                    ..
+                }
+            ),
+            "{first:?}"
+        );
+        let burst = request.repeat(256);
+        for _ in 0..64 {
+            // Fails once the server has closed the connection.
+            if stalled.write_all(&burst).is_err() {
+                break;
+            }
+        }
+
+        // Another client is served within its deadline.
+        let mut config = ClientConfig::new(endpoint.clone(), 2, 0);
+        config.call_deadline = Duration::from_secs(5);
+        let mut other = RpcClient::new(config);
+        let ops: Vec<(u64, Option<Vec<u8>>)> = (10..26)
+            .map(|block| (block, Some(vec![block as u8; PAYLOAD])))
+            .collect();
+        for result in other.call_many(ops).expect("served within the deadline") {
+            result.expect("write lands");
+        }
+
+        // The stalled connection was closed: draining what it buffered
+        // ends in EOF or a reset, not in an open, silent socket.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while let Ok(FramePoll::Frame(_) | FramePoll::Pending) = reader.poll(&mut stalled) {
+            assert!(
+                Instant::now() < deadline,
+                "the stalled connection is still open"
+            );
+        }
+
+        // A redial with the same client id sends req_id 1 again: a
+        // window hit, not a second execution.
+        let before = other.server_stats().expect("stats");
+        let mut redial = RpcClient::new(ClientConfig::new(endpoint.clone(), 1, 0));
+        assert_eq!(redial.read(3).expect("replayed"), vec![0u8; PAYLOAD]);
+        let after = other.server_stats().expect("stats");
+        assert!(
+            after.dedup_hits > before.dedup_hits,
+            "answered from the window"
+        );
+        assert_eq!(after.served, before.served, "not executed again");
+
+        drain.store(true, Ordering::Release);
+        let outcome = server.join().expect("server thread");
+        assert_eq!(
+            outcome.counters.served,
+            1 + 16,
+            "each request executed once"
+        );
     }
 }

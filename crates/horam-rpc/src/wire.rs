@@ -498,9 +498,11 @@ pub fn decode_frame(kind: u8, body: &[u8]) -> Result<Frame, WireError> {
     Ok(frame)
 }
 
-/// Writes one frame as a single `write_all` call — one frame, one write,
-/// which is also the granularity the transport fault injector
-/// ([`oram_storage::fault::FaultyConn`]) schedules on.
+/// Writes one frame as a single `write_all` call. The client sends every
+/// frame this way — one frame, one write, which is the granularity the
+/// transport fault injector ([`oram_storage::fault::FaultyConn`])
+/// schedules on. The server coalesces: each pump's responses for one
+/// connection leave in one write.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     w.write_all(&encode_frame(frame))
 }
@@ -536,9 +538,15 @@ impl FrameReader {
         !self.buf.is_empty()
     }
 
-    /// Tries to parse one frame out of the buffer; `Ok(None)` means more
-    /// bytes are needed.
-    fn try_parse(&mut self) -> Result<Option<Frame>, WireError> {
+    /// Parses the next frame already buffered, without touching the
+    /// stream; `Ok(None)` means more bytes are needed. After a
+    /// [`FrameReader::poll`] that yielded a frame, this drains the rest of
+    /// the frames that arrived in the same read.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] for malformed bytes (the stream is poisoned).
+    pub(crate) fn next_buffered(&mut self) -> Result<Option<Frame>, WireError> {
         if self.buf.len() < 4 {
             return Ok(None);
         }
@@ -573,7 +581,7 @@ impl FrameReader {
     pub fn poll<R: Read>(&mut self, stream: &mut R) -> Result<FramePoll, PollError> {
         // Serve buffered frames before touching the socket, so several
         // frames arriving in one read are all delivered.
-        if let Some(frame) = self.try_parse()? {
+        if let Some(frame) = self.next_buffered()? {
             return Ok(FramePoll::Frame(frame));
         }
         let mut chunk = [0u8; 4096];
@@ -590,7 +598,7 @@ impl FrameReader {
             }
             Ok(n) => {
                 self.buf.extend_from_slice(&chunk[..n]);
-                match self.try_parse()? {
+                match self.next_buffered()? {
                     Some(frame) => Ok(FramePoll::Frame(frame)),
                     None => Ok(FramePoll::Pending),
                 }
