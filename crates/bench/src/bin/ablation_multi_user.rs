@@ -3,8 +3,11 @@
 //! The paper argues the flat layout "inherently supports multiple users"
 //! because grouped scheduling interleaves their requests at no extra cost.
 //! This binary drives 1–16 users, each with an equal slice of a shared
-//! request budget, and reports aggregate throughput — flat throughput
-//! across user counts is the claim.
+//! request budget, through `OramService` over one shard (a single
+//! instance) and reports aggregate throughput — flat throughput across
+//! user counts is the claim. The service admits everything as one batch
+//! with neither dedup nor I/O windows, so the scheduler sees exactly the
+//! round-robin merge of the users' queues.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin ablation_multi_user
@@ -12,9 +15,11 @@
 
 use bench::{BenchArgs, TableParams};
 use horam::analysis::table::Table;
-use horam::core::{run_multi_user, UserId};
+use horam::core::shard::{ShardedConfig, ShardedOram};
+use horam::core::{Permission, UserId};
 use horam::prelude::*;
 use horam::workload::WorkloadGenerator;
+use horam_server::{FifoPolicy, OramService, ServiceConfig};
 
 fn main() {
     let mut params = TableParams::table_5_3();
@@ -42,12 +47,23 @@ fn main() {
             params.memory_slots,
         )
         .with_seed(params.seed);
-        let mut oram = HOram::new(
-            config,
-            MemoryHierarchy::dac2019(),
+        let oram = ShardedOram::new(
+            ShardedConfig::new(config, 1),
             MasterKey::from_bytes([0xCD; 32]),
+            |_| MemoryHierarchy::dac2019(),
         )
         .expect("builds");
+        let mut service = OramService::new(
+            oram,
+            Box::new(FifoPolicy),
+            ServiceConfig {
+                batch_size: params.requests,
+                max_pending_per_tenant: params.requests,
+                dedup: false,
+                io_batch: 1,
+                ..ServiceConfig::default()
+            },
+        );
 
         let per_user = params.requests / users as usize;
         let queues: Vec<(UserId, Vec<Request>)> = (0..users)
@@ -64,12 +80,25 @@ fn main() {
             })
             .collect();
 
-        let report = run_multi_user(&mut oram, queues).expect("runs");
+        // Round-robin merge: user 0's first request, user 1's first, …
+        for (user, _) in &queues {
+            service.register_tenant(*user, 0..params.capacity_blocks, Permission::ReadWrite);
+        }
+        for round in 0..per_user {
+            for (user, queue) in &queues {
+                service
+                    .submit(*user, queue[round].clone())
+                    .expect("admitted");
+            }
+        }
+        let report = service.pump_until_idle().expect("runs");
+        let requests = per_user * users as usize;
+        assert_eq!(report.completed, requests as u64);
         table.row(vec![
             users.to_string(),
             per_user.to_string(),
             report.wall_time.to_string(),
-            format!("{:.0}", report.requests_per_sec),
+            format!("{:.0}", requests as f64 / report.wall_time.as_secs_f64()),
         ]);
     }
     println!("{table}");

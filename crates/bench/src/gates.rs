@@ -247,12 +247,15 @@ mod serving {
         modes: Vec<ModeRow>,
     }
 
-    fn fresh_oram() -> HOram {
+    /// Every mode runs the same engine — one shard, a single instance
+    /// behind the router — so the gate compares ways of serving, not
+    /// engines.
+    fn fresh_oram() -> ShardedOram {
         let config = HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS).with_seed(SEED);
-        HOram::new(
-            config,
-            MemoryHierarchy::dac2019(),
+        ShardedOram::new(
+            ShardedConfig::new(config, 1),
             MasterKey::from_bytes([0xA5; 32]),
+            |_| MemoryHierarchy::dac2019(),
         )
         .expect("builds")
     }

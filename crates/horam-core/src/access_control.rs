@@ -1,4 +1,10 @@
-//! Access control for the multi-user scheduler (paper §5.3.2).
+//! Users and access control for multi-user sharing (paper §5.3.2).
+//!
+//! The flat storage layer "inherently supports multiple users sharing one
+//! ORAM": the scheduler already groups requests, so requests from
+//! different users interleave into the same cycles without changing the
+//! observable pattern. The session layer that does the interleaving is
+//! `horam-server`'s `OramService`; this module holds what it checks.
 //!
 //! "To protect the access pattern from potential malicious users, some
 //! access control protection is required and can be added to our
@@ -8,12 +14,21 @@
 //! (rejections cost only trusted-side work — an adversary cannot learn a
 //! victim's ranges by timing probe rejections).
 
-use crate::multi_user::UserId;
 use oram_protocols::types::{BlockId, Request, RequestOp};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
+
+/// A user (tenant) of a shared H-ORAM instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct UserId(pub u32);
+
+impl fmt::Display for UserId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "user{}", self.0)
+    }
+}
 
 /// Rights a user can hold on a block range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,8 +88,7 @@ impl Error for AccessDenied {}
 /// # Example
 ///
 /// ```
-/// use horam_core::access_control::{AccessControl, Permission};
-/// use horam_core::multi_user::UserId;
+/// use horam_core::access_control::{AccessControl, Permission, UserId};
 /// use oram_protocols::types::Request;
 ///
 /// let mut acl = AccessControl::new();
@@ -112,16 +126,6 @@ impl AccessControl {
             .push((range, permission));
     }
 
-    /// Revokes every grant of `user`.
-    pub fn revoke_all(&mut self, user: UserId) {
-        self.grants.remove(&user);
-    }
-
-    /// Number of users holding grants.
-    pub fn users(&self) -> usize {
-        self.grants.len()
-    }
-
     /// Checks one request.
     ///
     /// # Errors
@@ -154,26 +158,6 @@ impl AccessControl {
                 block: request.id,
             })
         }
-    }
-
-    /// Filters a user's queue down to its permitted requests, returning
-    /// the rejections alongside. This is the scheduler's admission step:
-    /// rejected requests never reach the ROB, so they generate no bus
-    /// traffic.
-    pub fn admit(
-        &self,
-        user: UserId,
-        requests: Vec<Request>,
-    ) -> (Vec<Request>, Vec<(Request, AccessDenied)>) {
-        let mut admitted = Vec::with_capacity(requests.len());
-        let mut rejected = Vec::new();
-        for request in requests {
-            match self.check(user, &request) {
-                Ok(()) => admitted.push(request),
-                Err(denial) => rejected.push((request, denial)),
-            }
-        }
-        (admitted, rejected)
     }
 }
 
@@ -229,29 +213,6 @@ mod tests {
         let mut acl = AccessControl::new();
         acl.grant(UserId(0), 0..10, Permission::ReadWrite);
         assert!(acl.check(UserId(1), &Request::read(5u64)).is_err());
-    }
-
-    #[test]
-    fn revoke_all_removes_access() {
-        let mut acl = AccessControl::new();
-        acl.grant(UserId(0), 0..10, Permission::ReadWrite);
-        acl.revoke_all(UserId(0));
-        assert!(acl.check(UserId(0), &Request::read(5u64)).is_err());
-        assert_eq!(acl.users(), 0);
-    }
-
-    #[test]
-    fn admit_partitions_queues() {
-        let mut acl = AccessControl::new();
-        acl.grant(UserId(0), 0..4, Permission::ReadOnly);
-        let queue = vec![
-            Request::read(1u64),
-            Request::write(1u64, vec![0]),
-            Request::read(9u64),
-        ];
-        let (admitted, rejected) = acl.admit(UserId(0), queue);
-        assert_eq!(admitted.len(), 1);
-        assert_eq!(rejected.len(), 2);
     }
 
     #[test]

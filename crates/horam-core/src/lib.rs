@@ -22,12 +22,13 @@
 //! | oblivious tree evict (§4.3.1) | [`evict`] |
 //! | the assembled system (§4.1, Fig. 4-1) | [`horam`] |
 //! | partial shuffle (§5.3.1) | [`storage_layer`] + [`config`] |
-//! | multi-user sharing (§5.3.2) | [`multi_user`] |
-//! | multi-user access control (§5.3.2) | [`access_control`] |
+//! | multi-user identities and access control (§5.3.2) | [`access_control`] |
 //! | run statistics (Tables 5-3/5-4 rows) | [`stats`] |
 //! | sharded scale-out (beyond the paper) | [`shard`] |
-//! | serving-layer engine contract | [`engine`] |
 //! | wall-clock worker pool (beyond the paper) | [`pool`] |
+//!
+//! Multi-user sharing itself — tenants' queues merged into one engine's
+//! cycles — is `horam-server`'s `OramService` over a [`ShardedOram`].
 //!
 //! The memory layer reuses [`oram_protocols::path_oram::PathOram`]; see
 //! that crate for the baselines the evaluation compares against.
@@ -36,11 +37,9 @@
 
 pub mod access_control;
 pub mod config;
-pub mod engine;
 pub mod error;
 pub mod evict;
 pub mod horam;
-pub mod multi_user;
 pub mod permutation_list;
 pub mod persist;
 pub mod pool;
@@ -52,13 +51,11 @@ pub mod shard;
 pub mod stats;
 pub mod storage_layer;
 
-pub use access_control::{AccessControl, AccessDenied, Permission};
+pub use access_control::{AccessControl, AccessDenied, Permission, UserId};
 pub use config::{HOramConfig, PosmapMode, RecursivePosmapConfig, StagePlan};
-pub use engine::OramEngine;
 pub use error::HOramError;
 pub use evict::{oblivious_tree_evict, EvictOutcome};
 pub use horam::HOram;
-pub use multi_user::{run_multi_user, MultiUserReport, UserId};
 pub use permutation_list::{Location, PermutationList};
 pub use pool::WorkerPool;
 pub use posmap::{

@@ -38,7 +38,6 @@
 //! deep-queue regime the serving layer and benches operate in.
 
 use crate::config::HOramConfig;
-use crate::engine::OramEngine;
 use crate::error::HOramError;
 use crate::horam::HOram;
 use crate::persist::{self, KIND_SHARDED, SNAPSHOT_DOMAIN};
@@ -1005,56 +1004,6 @@ impl ShardedOram {
             shard.reset_accounting();
         }
         self.clock.reset();
-    }
-}
-
-impl OramEngine for ShardedOram {
-    fn validate(&self, request: &Request) -> Result<(), OramError> {
-        self.validate(request)
-    }
-
-    fn enqueue(&mut self, request: Request) -> Result<u64, HOramError> {
-        self.enqueue(request)
-    }
-
-    fn take_response(&mut self, ticket: u64) -> Option<Vec<u8>> {
-        self.take_response(ticket)
-    }
-
-    fn take_failure(&mut self, ticket: u64) -> Option<HOramError> {
-        self.take_failure(ticket)
-    }
-
-    fn degraded_shards(&self) -> Vec<usize> {
-        self.degraded_shards()
-    }
-
-    fn run_cycle_window(&mut self, max_cycles: u64) -> Result<u64, HOramError> {
-        self.run_cycle_window(max_cycles)
-    }
-
-    fn pending_requests(&self) -> usize {
-        self.pending()
-    }
-
-    fn aggregate_stats(&self) -> HOramStats {
-        self.stats()
-    }
-
-    fn per_shard_stats(&self) -> Vec<HOramStats> {
-        self.shard_stats()
-    }
-
-    fn now(&self) -> SimTime {
-        self.clock.now()
-    }
-
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn snapshot(&mut self) -> Result<Vec<u8>, OramError> {
-        self.snapshot()
     }
 }
 

@@ -4,7 +4,8 @@
 //! graceful drain (SIGTERM, or a client `Drain` frame), then writes the
 //! drain checkpoint — sealed engine snapshot plus the idempotency
 //! window — to `--checkpoint`. Started again with the same flags, it
-//! restores from that file and resumes byte-identically; see
+//! restores from that file and resumes byte-identically; a checkpoint
+//! whose geometry differs from the flags is refused. See
 //! `docs/OPERATIONS.md` for the runbook.
 //!
 //! ```text
@@ -13,10 +14,10 @@
 //!               --shards 4 --tenants 8
 //! ```
 
+use horam_core::access_control::UserId;
 use horam_core::config::HOramConfig;
-use horam_core::multi_user::UserId;
 use horam_core::shard::{ShardedConfig, ShardedOram};
-use horam_rpc::server::{bind_signals_to_drain, run_server, Checkpoint, ServerConfig};
+use horam_rpc::server::{bind_signals_to_drain, run_server, Checkpoint, ServerConfig, WindowEntry};
 use horam_rpc::{Endpoint, Listener};
 use horam_server::service::{OramService, ServiceConfig};
 use horam_server::FifoPolicy;
@@ -27,6 +28,7 @@ use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
+#[derive(Debug)]
 struct Args {
     listen: Endpoint,
     checkpoint: Option<PathBuf>,
@@ -46,7 +48,7 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Result<Self, String> {
+    fn parse(argv: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut args = Args {
             listen: Endpoint::Tcp("127.0.0.1:7171".into()),
             checkpoint: None,
@@ -64,7 +66,7 @@ impl Args {
             key: 0xB2,
             ready_fd_line: false,
         };
-        let mut it = std::env::args().skip(1);
+        let mut it = argv.into_iter();
         while let Some(flag) = it.next() {
             let mut value =
                 |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
@@ -95,6 +97,30 @@ impl Args {
         }
         Ok(args)
     }
+
+    /// Refuses the values the engine and the service would otherwise
+    /// reject with a panic, before anything is built.
+    fn validate(&self) -> Result<(), String> {
+        if self.payload_len == 0 {
+            return Err("--payload-len must be positive".into());
+        }
+        if self.shards == 0 || self.shards > self.capacity {
+            return Err(format!(
+                "--shards must be between 1 and the capacity ({}), got {}",
+                self.capacity, self.shards
+            ));
+        }
+        if self.tenants == 0 || u64::from(self.tenants) > self.capacity {
+            return Err(format!(
+                "--tenants must be between 1 and the capacity ({}), got {}",
+                self.capacity, self.tenants
+            ));
+        }
+        if self.batch_size == 0 {
+            return Err("--batch-size must be positive".into());
+        }
+        Ok(())
+    }
 }
 
 const USAGE: &str = "horam-serverd — H-ORAM network server
@@ -110,6 +136,63 @@ const USAGE: &str = "horam-serverd — H-ORAM network server
   --token T              require this Hello token
   --seed S / --key K     engine seed and master-key byte
   --ready-line           print `READY <endpoint> <epoch>` once serving";
+
+/// The engine to serve, with the epoch and idempotency window to resume:
+/// restored from `--checkpoint` when that file exists (a checkpoint from
+/// a previous drain carries the sealed engine state and the window;
+/// tenants and grants are configuration, re-registered from the flags),
+/// fresh at epoch 0 otherwise.
+fn open_engine(
+    args: &Args,
+    service_config: &ServiceConfig,
+) -> Result<(ShardedOram, u64, Vec<WindowEntry>), String> {
+    let master = MasterKey::from_bytes([args.key; 32]);
+    let Some(path) = args.checkpoint.as_ref().filter(|path| path.exists()) else {
+        let base = service_config
+            .engine_config(HOramConfig::new(
+                args.capacity,
+                args.payload_len,
+                args.memory_slots,
+            ))
+            .with_seed(args.seed);
+        let oram = ShardedOram::new(ShardedConfig::new(base, args.shards), master, |_| {
+            MemoryHierarchy::dac2019()
+        })
+        .map_err(|e| format!("init: {e}"))?;
+        return Ok((oram, 0, Vec::new()));
+    };
+    let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    let checkpoint = Checkpoint::from_bytes(&bytes).map_err(|e| e.to_string())?;
+    let epoch = checkpoint.epoch + 1;
+    eprintln!(
+        "horam-serverd: restoring epoch {epoch} from {} ({} window entries)",
+        path.display(),
+        checkpoint.window.len()
+    );
+    let oram = ShardedOram::restore(master, |_| MemoryHierarchy::dac2019(), &checkpoint.snapshot)
+        .map_err(|e| format!("restore: {e}"))?;
+    // Tenant ranges come from the flags: serving the checkpoint's
+    // geometry under other flags would grant blocks of the wrong tenant.
+    let stored = &oram.config().base;
+    for (flag, given, found) in [
+        ("--capacity", args.capacity, stored.capacity),
+        (
+            "--payload-len",
+            args.payload_len as u64,
+            stored.payload_len as u64,
+        ),
+        ("--memory-slots", args.memory_slots, stored.memory_slots),
+        ("--shards", args.shards, oram.config().shards),
+    ] {
+        if given != found {
+            return Err(format!(
+                "{} was taken with {flag} {found}, not {given}; restart with the checkpoint's geometry",
+                path.display()
+            ));
+        }
+    }
+    Ok((oram, epoch, checkpoint.window))
+}
 
 fn parse<T: std::str::FromStr>(raw: &str) -> Result<T, String>
 where
@@ -129,47 +212,17 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::parse()?;
+    let args = Args::parse(std::env::args().skip(1))?;
+    args.validate()?;
 
     let service_config = ServiceConfig {
         batch_size: args.batch_size,
         ..ServiceConfig::default()
     };
-    let base = service_config
-        .engine_config(HOramConfig::new(
-            args.capacity,
-            args.payload_len,
-            args.memory_slots,
-        ))
-        .with_seed(args.seed);
-    let sharded = ShardedConfig::new(base, args.shards);
-    let master = MasterKey::from_bytes([args.key; 32]);
-
-    // Restore-or-fresh: a checkpoint file from a previous drain carries
-    // the sealed engine state and the idempotency window; tenants and
-    // grants are configuration, re-registered deterministically below.
-    let mut preload_window = Vec::new();
-    let mut epoch = 0u64;
-    let oram = match args.checkpoint.as_ref().filter(|path| path.exists()) {
-        Some(path) => {
-            let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-            let checkpoint = Checkpoint::from_bytes(&bytes).map_err(|e| e.to_string())?;
-            epoch = checkpoint.epoch + 1;
-            preload_window = checkpoint.window;
-            eprintln!(
-                "horam-serverd: restoring epoch {epoch} from {} ({} window entries)",
-                path.display(),
-                preload_window.len()
-            );
-            ShardedOram::restore(master, |_| MemoryHierarchy::dac2019(), &checkpoint.snapshot)
-                .map_err(|e| format!("restore: {e}"))?
-        }
-        None => ShardedOram::new(sharded, master, |_| MemoryHierarchy::dac2019())
-            .map_err(|e| format!("init: {e}"))?,
-    };
+    let (oram, epoch, preload_window) = open_engine(&args, &service_config)?;
 
     let mut service = OramService::new(oram, Box::new(FifoPolicy), service_config);
-    let per_tenant = args.capacity / u64::from(args.tenants.max(1));
+    let per_tenant = args.capacity / u64::from(args.tenants);
     for tenant in 0..args.tenants {
         let start = u64::from(tenant) * per_tenant;
         service.register_tenant(
@@ -227,4 +280,58 @@ fn run() -> Result<(), String> {
         let _ = std::fs::remove_file(path);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use oram_storage::file::scratch_dir;
+
+    fn args(flags: &[&str]) -> Result<Args, String> {
+        let args = Args::parse(flags.iter().map(|flag| flag.to_string()))?;
+        args.validate()?;
+        Ok(args)
+    }
+
+    #[test]
+    fn values_the_engine_would_panic_on_are_usage_errors() {
+        for flags in [
+            &["--capacity", "4", "--tenants", "8"][..],
+            &["--shards", "0"],
+            &["--capacity", "64", "--shards", "128"],
+            &["--batch-size", "0"],
+        ] {
+            let error = args(flags).expect_err("refused");
+            assert!(error.starts_with("--"), "{flags:?}: {error}");
+        }
+        assert!(args(&[]).is_ok(), "the defaults are valid");
+    }
+
+    #[test]
+    fn restore_refuses_a_checkpoint_of_another_geometry() {
+        let dir = scratch_dir("serverd-geometry");
+        let path = dir.join("checkpoint");
+        let path = path.to_str().expect("utf-8 path");
+        let first = args(&["--checkpoint", path]).expect("defaults: 4096 blocks, 4 shards");
+        let config = ServiceConfig::default();
+        let (mut oram, epoch, _) = open_engine(&first, &config).expect("fresh engine");
+        assert_eq!(epoch, 0);
+        let checkpoint = Checkpoint {
+            snapshot: oram.snapshot().expect("idle engine snapshots"),
+            window: Vec::new(),
+            epoch,
+        };
+        std::fs::write(path, checkpoint.to_bytes()).expect("checkpoint written");
+
+        let resized = args(&["--checkpoint", path, "--capacity", "8192", "--shards", "2"])
+            .expect("valid flags on their own");
+        let error = open_engine(&resized, &config).expect_err("mismatch refused");
+        assert!(
+            error.contains("--capacity 4096, not 8192"),
+            "names both values: {error}"
+        );
+        let (_, epoch, _) = open_engine(&first, &config).expect("matching flags restore");
+        assert_eq!(epoch, 1);
+        std::fs::remove_dir_all(dir).expect("scratch removed");
+    }
 }

@@ -54,8 +54,7 @@ use crate::status;
 use crate::wire::{
     encode_frame, write_frame, Accept, Frame, FramePoll, FrameReader, PollError, ServerCounters,
 };
-use horam_core::engine::OramEngine;
-use horam_core::multi_user::UserId;
+use horam_core::access_control::UserId;
 use horam_core::pool::WorkerPool;
 use horam_server::service::{OramService, ServeError, ServiceTicket};
 use oram_protocols::types::Request;
@@ -427,8 +426,8 @@ impl DedupWindow {
 ///
 /// [`ServerError::Io`] if the listener fails, [`ServerError::Serve`] if
 /// the engine fails while pumping or taking the drain checkpoint.
-pub fn run_server<E: OramEngine>(
-    service: &mut OramService<E>,
+pub fn run_server(
+    service: &mut OramService,
     listener: &Listener,
     config: &ServerConfig,
 ) -> Result<ServerOutcome, ServerError> {
@@ -550,8 +549,8 @@ pub fn run_server<E: OramEngine>(
 /// Admission on the control thread: dedup → drain → deadline → busy →
 /// submit. Everything shed here never touches the ORAM engine.
 #[allow(clippy::too_many_arguments)]
-fn admit_job<E: OramEngine>(
-    service: &mut OramService<E>,
+fn admit_job(
+    service: &mut OramService,
     job: Job,
     counters: &Counters,
     draining: &AtomicBool,
@@ -639,8 +638,8 @@ fn admit_job<E: OramEngine>(
 /// idempotency window, and writes each connection's share of the harvest
 /// in one `write_all` (best-effort — a vanished client collects it from
 /// the window on retry).
-fn collect_resolved<E: OramEngine>(
-    service: &mut OramService<E>,
+fn collect_resolved(
+    service: &mut OramService,
     counters: &Counters,
     window: &mut DedupWindow,
     inflight: &mut HashMap<ServiceTicket, Inflight>,
@@ -857,7 +856,7 @@ mod tests {
     use crate::net::Endpoint;
     use crate::status as st;
     use horam_core::access_control::Permission;
-    use horam_core::{HOram, HOramConfig};
+    use horam_core::{HOramConfig, ShardedConfig, ShardedOram};
     use horam_server::{FifoPolicy, ServiceConfig};
     use oram_crypto::keys::MasterKey;
     use oram_storage::hierarchy::MemoryHierarchy;
@@ -996,11 +995,11 @@ mod tests {
     }
 
     /// A one-tenant engine over blocks `0..64` of `payload_len` bytes.
-    fn test_service(payload_len: usize) -> OramService<HOram> {
-        let oram = HOram::new(
-            HOramConfig::new(64, payload_len, 16).with_seed(1),
-            MemoryHierarchy::dac2019(),
+    fn test_service(payload_len: usize) -> OramService {
+        let oram = ShardedOram::new(
+            ShardedConfig::new(HOramConfig::new(64, payload_len, 16).with_seed(1), 1),
             MasterKey::from_bytes([5; 32]),
+            |_| MemoryHierarchy::dac2019(),
         )
         .expect("engine builds");
         let mut service = OramService::new(oram, Box::new(FifoPolicy), ServiceConfig::default());

@@ -123,8 +123,7 @@ pub fn is_retryable(code: u16) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use horam_core::access_control::AccessDenied;
-    use horam_core::multi_user::UserId;
+    use horam_core::access_control::{AccessDenied, UserId};
     use horam_server::service::ServiceTicket;
     use oram_protocols::error::OramError;
     use oram_protocols::types::BlockId;

@@ -15,8 +15,8 @@
 //!   identically-seeded runs end byte-identical.
 
 use horam_core::access_control::Permission;
+use horam_core::access_control::UserId;
 use horam_core::config::HOramConfig;
-use horam_core::multi_user::UserId;
 use horam_core::shard::{ShardedConfig, ShardedOram};
 use horam_rpc::server::{run_server, Checkpoint, ServerConfig, ServerError, ServerOutcome};
 use horam_rpc::status;

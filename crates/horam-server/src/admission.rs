@@ -17,7 +17,7 @@
 //!   (the arrival order §5.3.2's discussion assumes), with a rotating
 //!   start so no tenant is structurally favoured.
 
-use horam_core::multi_user::UserId;
+use horam_core::access_control::UserId;
 use std::fmt;
 
 /// One queued request as the policy sees it.

@@ -11,12 +11,11 @@
 //!   coalesces duplicate reads, and drives the shared
 //!   [`RequestQueue`](horam_core::queue::RequestQueue)/scheduler on a
 //!   deterministic pump loop. Responses come back through
-//!   [`ServiceTicket`]s, so tenants never block each other. The service
-//!   is generic over its [`OramEngine`](horam_core::engine::OramEngine)
-//!   back-end: with a [`ShardedOram`](horam_core::shard::ShardedOram) it
-//!   becomes a shard router, splitting each admitted batch across
-//!   independent instances and pumping them concurrently in simulated
-//!   time.
+//!   [`ServiceTicket`]s, so tenants never block each other. The engine
+//!   behind it is a [`ShardedOram`](horam_core::shard::ShardedOram): the
+//!   service is a shard router, splitting each admitted batch across
+//!   independent instances (one, at one shard) and pumping them
+//!   concurrently in simulated time.
 //! * [`admission`] — pluggable batch-filling policies:
 //!   [`FifoPolicy`] and [`FairSharePolicy`] (starvation-free
 //!   round-robin).
@@ -39,7 +38,3 @@ pub mod stats;
 pub use admission::{AdmissionPolicy, FairSharePolicy, FifoPolicy, QueuedSnapshot};
 pub use service::{OramService, PumpReport, ServeError, ServeReport, ServiceConfig, ServiceTicket};
 pub use stats::{ServiceStats, TenantStats};
-
-/// A tenant of the serving layer — the same identity `horam-core` uses
-/// for multi-user scheduling and access control.
-pub use horam_core::multi_user::UserId as TenantId;

@@ -1,10 +1,9 @@
 //! The multi-tenant serving front-end.
 //!
 //! [`OramService`] multiplexes many logical tenants onto one
-//! [`OramEngine`] back-end — a single [`HOram`] instance by default, or a
-//! sharded pool of instances (see
-//! [`ShardedOram`](horam_core::shard::ShardedOram)). The flow for each
-//! request:
+//! [`ShardedOram`] — the address space spread over one or more
+//! independent H-ORAM instances (one shard is a single instance behind
+//! the router). The flow for each request:
 //!
 //! 1. **submit** — access control ([`AccessControl`]) and geometry
 //!    validation run in the trusted control layer; rejected requests
@@ -33,11 +32,9 @@
 
 use crate::admission::{AdmissionPolicy, QueuedSnapshot};
 use crate::stats::{ServiceStats, TenantStats};
-use horam_core::access_control::{AccessControl, AccessDenied, Permission};
-use horam_core::engine::OramEngine;
+use horam_core::access_control::{AccessControl, AccessDenied, Permission, UserId};
 use horam_core::error::HOramError;
-use horam_core::horam::HOram;
-use horam_core::multi_user::UserId;
+use horam_core::shard::ShardedOram;
 use horam_core::stats::HOramStats;
 use oram_protocols::error::OramError;
 use oram_protocols::types::{BlockId, Request, RequestOp};
@@ -73,10 +70,10 @@ pub struct ServiceConfig {
     /// windows (so a drain can run up to one window past it).
     pub io_batch: u64,
     /// Wall-clock worker threads the deployment should build its engine
-    /// with (`HOramConfig::worker_threads`): a sharded engine pumps busy
-    /// shards concurrently on real OS threads; a single instance
-    /// parallelizes its shuffle stream. The service itself is
-    /// engine-agnostic — consume this through
+    /// with (`HOramConfig::worker_threads`): the engine pumps busy shards
+    /// concurrently on real OS threads, and each shard parallelizes its
+    /// shuffle stream. The service only sees the built engine — consume
+    /// this through
     /// [`engine_config`](Self::engine_config) when constructing the
     /// engine, so engine and service are sized from one configuration.
     /// Responses and stats are byte-identical at any value. Defaults to
@@ -260,33 +257,36 @@ struct InFlight {
     piggybacked: bool,
 }
 
-/// The batched multi-tenant front-end over one [`OramEngine`] back-end.
+/// The batched multi-tenant front-end over one [`ShardedOram`].
 ///
-/// The engine parameter defaults to a single [`HOram`] instance; plugging
-/// in a [`ShardedOram`](horam_core::shard::ShardedOram) turns the service
-/// into a **shard router**: admitted batches split across shards at
-/// `enqueue` (each request routed by the engine's keyed address
+/// The service is a **shard router**: admitted batches split across
+/// shards at `enqueue` (each request routed by the engine's keyed address
 /// partition), the pump drives every busy shard round-robin against the
 /// engine's shared simulated clock, and responses merge back through the
-/// same per-ticket collection path in arrival order. Admission policies,
-/// access control, dedup and backpressure are engine-agnostic.
+/// per-ticket collection path in arrival order. With one shard the
+/// router fronts a single H-ORAM instance; the paper's multi-user mode
+/// (§5.3.2) is exactly that.
+///
+/// The type parameter is not a choice of engine: its default is the only
+/// type the service is implemented for, and the fields are private, so
+/// no other instantiation can be built. It exists because the benchmark
+/// harness under `benchmark/` spells the type `OramService<ShardedOram>`.
 ///
 /// # Example
 ///
 /// ```
-/// use horam_core::{HOram, HOramConfig};
+/// use horam_core::{HOramConfig, ShardedConfig, ShardedOram, UserId};
 /// use horam_core::access_control::Permission;
-/// use horam_core::multi_user::UserId;
 /// use horam_server::{FairSharePolicy, OramService, ServiceConfig};
 /// use oram_protocols::types::Request;
 /// use oram_storage::hierarchy::MemoryHierarchy;
 /// use oram_crypto::keys::MasterKey;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let oram = HOram::new(
-///     HOramConfig::new(256, 8, 64).with_seed(1),
-///     MemoryHierarchy::dac2019(),
+/// let oram = ShardedOram::new(
+///     ShardedConfig::new(HOramConfig::new(256, 8, 64).with_seed(1), 1),
 ///     MasterKey::from_bytes([1; 32]),
+///     |_| MemoryHierarchy::dac2019(),
 /// )?;
 /// let mut service = OramService::new(
 ///     oram,
@@ -304,7 +304,7 @@ struct InFlight {
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct OramService<E: OramEngine = HOram> {
+pub struct OramService<E = ShardedOram> {
     oram: E,
     acl: AccessControl,
     policy: Box<dyn AdmissionPolicy>,
@@ -321,9 +321,9 @@ pub struct OramService<E: OramEngine = HOram> {
     stats: ServiceStats,
 }
 
-impl<E: OramEngine> OramService<E> {
+impl OramService {
     /// Wraps an ORAM engine with the given policy and config.
-    pub fn new(oram: E, policy: Box<dyn AdmissionPolicy>, config: ServiceConfig) -> Self {
+    pub fn new(oram: ShardedOram, policy: Box<dyn AdmissionPolicy>, config: ServiceConfig) -> Self {
         assert!(config.batch_size > 0, "batch_size must be positive");
         assert!(
             config.max_pending_per_tenant > 0,
@@ -396,7 +396,7 @@ impl<E: OramEngine> OramService<E> {
             ticket,
             request,
             arrival_seq,
-            submitted_at: self.oram.now(),
+            submitted_at: self.oram.clock().now(),
         });
         state.stats.submitted += 1;
         state.stats.queue_peak = state.stats.queue_peak.max(state.pending.len());
@@ -419,14 +419,11 @@ impl<E: OramEngine> OramService<E> {
     ///
     /// ORAM storage/crypto errors propagate.
     pub fn pump(&mut self) -> Result<PumpReport, ServeError> {
-        let baseline: HOramStats = self.oram.aggregate_stats();
-        let wall_start = self.oram.now();
+        let baseline: HOramStats = self.oram.stats();
+        let wall_start = self.oram.clock().now();
 
         // Admission: fill the ROB up to the batch size.
-        let space = self
-            .config
-            .batch_size
-            .saturating_sub(self.oram.pending_requests());
+        let space = self.config.batch_size.saturating_sub(self.oram.pending());
         let mut deduped = 0u64;
         let mut admitted_count = 0u64;
         let mut failed_count = 0u64;
@@ -509,7 +506,7 @@ impl<E: OramEngine> OramService<E> {
                 completed: 0,
                 failed: failed_count,
                 cycles: 0,
-                wall_time: self.oram.now().duration_since(wall_start),
+                wall_time: self.oram.clock().now().duration_since(wall_start),
             });
         }
 
@@ -531,8 +528,8 @@ impl<E: OramEngine> OramService<E> {
         // up to a window's worth of retirements before the next check —
         // a deliberate trade (full scatter batches) over stopping
         // per-cycle.
-        while self.oram.pending_requests() > watermark {
-            let above = (self.oram.pending_requests() - watermark) as u64;
+        while self.oram.pending() > watermark {
+            let above = (self.oram.pending() - watermark) as u64;
             self.oram
                 .run_cycle_window(self.config.io_batch.min(above))?;
         }
@@ -540,7 +537,7 @@ impl<E: OramEngine> OramService<E> {
         // Collect every response that completed. Piggybackers share their
         // carrier's ORAM ticket (and were admitted in the same round), so
         // each completed ticket is taken once and fanned out.
-        let now = self.oram.now();
+        let now = self.oram.clock().now();
         let mut completed = 0u64;
         let mut ready: HashMap<u64, Vec<u8>> = HashMap::new();
         let mut lost: HashMap<u64, HOramError> = HashMap::new();
@@ -575,7 +572,7 @@ impl<E: OramEngine> OramService<E> {
         }
         self.in_flight = still_in_flight;
 
-        let oram_delta = self.oram.aggregate_stats().delta_since(&baseline);
+        let oram_delta = self.oram.stats().delta_since(&baseline);
         let wall_time = now.duration_since(wall_start);
         self.stats.batches += 1;
         self.stats.admitted += admitted_count;
@@ -620,12 +617,12 @@ impl<E: OramEngine> OramService<E> {
     /// Checkpoint: drains every in-flight batch and queued request
     /// ([`pump_until_idle`](Self::pump_until_idle)), then seals the
     /// engine's complete trusted state into an encrypted, authenticated
-    /// snapshot ([`OramEngine::snapshot`]) — committing durable storage
+    /// snapshot ([`ShardedOram::snapshot`]) — committing durable storage
     /// devices first, so snapshot and device file describe one consistent
     /// recovery point.
     ///
     /// Deployment-side restore builds a fresh engine from the snapshot
-    /// (`HOram::restore` / `ShardedOram::restore`) and wraps it in a new
+    /// ([`ShardedOram::restore`]) and wraps it in a new
     /// service. Service-level state — tenant registrations, grants,
     /// uncollected [`ServiceTicket`] responses — is configuration and
     /// delivery state outside the ORAM trust boundary; re-register
@@ -804,12 +801,6 @@ impl<E: OramEngine> OramService<E> {
                 .any(|state| state.pending.iter().any(|pending| pending.ticket == ticket))
     }
 
-    /// Indices of quarantined shards behind the engine (empty for a
-    /// healthy or single-instance engine).
-    pub fn degraded_shards(&self) -> Vec<usize> {
-        self.oram.degraded_shards()
-    }
-
     /// Total queued-but-unadmitted requests across tenants.
     pub fn pending_total(&self) -> usize {
         self.tenants.values().map(|state| state.pending.len()).sum()
@@ -825,23 +816,17 @@ impl<E: OramEngine> OramService<E> {
         &self.stats
     }
 
-    /// The underlying ORAM engine (stats, clock, config).
-    pub fn oram(&self) -> &E {
+    /// The underlying ORAM engine (stats, clock, config, shards).
+    pub fn oram(&self) -> &ShardedOram {
         &self.oram
     }
 
-    /// Number of independent ORAM instances behind the engine (1 unless
-    /// the engine shards).
-    pub fn shard_count(&self) -> usize {
-        self.oram.shard_count()
-    }
-
-    /// Per-shard ORAM statistics, in shard-index order (one entry for a
-    /// single-instance engine). The aggregate across shards accumulates
-    /// into [`ServiceStats::oram`](crate::stats::ServiceStats::oram) as
-    /// batches pump, exactly as for a single instance.
+    /// Per-shard ORAM statistics, in shard-index order. The aggregate
+    /// across shards accumulates into
+    /// [`ServiceStats::oram`](crate::stats::ServiceStats::oram) as
+    /// batches pump.
     pub fn shard_stats(&self) -> Vec<HOramStats> {
-        self.oram.per_shard_stats()
+        self.oram.shard_stats()
     }
 
     /// Snapshots at most `limit` entries per tenant: policies only ever

@@ -4,9 +4,10 @@
 //! depend on one crate:
 //!
 //! * [`core`](mod@crate::core) — the H-ORAM system itself
-//!   (`HOram`, `HOramConfig`, scheduler, storage layer, multi-user).
-//! * [`protocols`] — the `Oram` trait and the baselines (Path ORAM,
-//!   tree-top-cache, square-root, partition).
+//!   (`HOram`, `HOramConfig`, scheduler, storage layer, `ShardedOram`,
+//!   users and access control).
+//! * [`protocols`] — the `Oram` trait, Path ORAM and the tree-top-cache
+//!   baseline.
 //! * [`storage`] — the device timing simulator and bus traces.
 //! * [`crypto`] — the vector-tested primitives (ChaCha20, SipHash, PRP).
 //! * [`shuffle`] — oblivious shuffles and permutations.

@@ -15,9 +15,7 @@
 //!   as often as each other tenant, the fairness stress case.
 //!
 //! Schedules convert back to flat [`RequestTrace`]s (for the sequential
-//! baseline) and split into per-tenant queues (for
-//! `horam_core::multi_user::run_multi_user`), so every execution mode
-//! sees byte-identical requests.
+//! baseline), so every execution mode sees byte-identical requests.
 
 use crate::trace::RequestTrace;
 use crate::WorkloadGenerator;
@@ -152,24 +150,6 @@ impl TenantSchedule {
         )
     }
 
-    /// Splits into per-tenant queues preserving each tenant's submission
-    /// order (the shape `run_multi_user` and per-tenant baselines take).
-    pub fn per_tenant_queues(&self) -> Vec<(u32, Vec<Request>)> {
-        let mut queues: Vec<(u32, Vec<Request>)> = self
-            .tenants()
-            .into_iter()
-            .map(|t| (t, Vec::new()))
-            .collect();
-        for arrival in &self.arrivals {
-            let slot = queues
-                .iter_mut()
-                .find(|(t, _)| *t == arrival.tenant)
-                .expect("tenants() covers every arrival");
-            slot.1.push(arrival.request.clone());
-        }
-        queues
-    }
-
     /// How this schedule's requests spread over `shards` shards under the
     /// given routing function: returns per-shard request counts.
     ///
@@ -283,22 +263,6 @@ mod tests {
             "hot tenant got {hot}/{}",
             schedule.len()
         );
-    }
-
-    #[test]
-    fn queues_preserve_per_tenant_order() {
-        let schedule = TenantSchedule::shard("s", &mut zipf(), 3, 30);
-        let queues = schedule.per_tenant_queues();
-        assert_eq!(queues.len(), 3);
-        for (tenant, queue) in &queues {
-            let direct: Vec<&Request> = schedule
-                .arrivals
-                .iter()
-                .filter(|a| a.tenant == *tenant)
-                .map(|a| &a.request)
-                .collect();
-            assert_eq!(queue.iter().collect::<Vec<_>>(), direct);
-        }
     }
 
     #[test]

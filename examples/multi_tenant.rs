@@ -4,7 +4,8 @@
 //! their requests into the same oblivious cycles (no per-tenant pattern is
 //! visible on the bus), while the control layer's capability table keeps
 //! tenants inside their own block ranges — "some access control protection
-//! … added to our scheduler", as the paper puts it.
+//! … added to our scheduler", as the paper puts it. The tenants reach the
+//! instance through the serving layer, over one shard.
 //!
 //! Run with:
 //!
@@ -12,26 +13,25 @@
 //! cargo run --example multi_tenant
 //! ```
 
-use horam::core::access_control::{AccessControl, Permission};
-use horam::core::{run_multi_user, UserId};
+use horam::core::shard::{ShardedConfig, ShardedOram};
+use horam::core::{Permission, UserId};
 use horam::prelude::*;
+use horam_server::{FifoPolicy, OramService, ServeError, ServiceConfig};
 
-fn main() -> Result<(), OramError> {
+fn main() -> Result<(), ServeError> {
     // One shared instance: 1024 blocks of 32 B.
-    let config = HOramConfig::new(1024, 32, 128).with_seed(88);
-    let mut oram = HOram::new(
-        config,
-        MemoryHierarchy::dac2019(),
-        MasterKey::from_bytes([6u8; 32]),
-    )?;
+    let config = ShardedConfig::new(HOramConfig::new(1024, 32, 128).with_seed(88), 1);
+    let oram = ShardedOram::new(config, MasterKey::from_bytes([6u8; 32]), |_| {
+        MemoryHierarchy::dac2019()
+    })?;
+    let mut service = OramService::new(oram, Box::new(FifoPolicy), ServiceConfig::default());
 
     // Three tenants with disjoint ranges; tenant 2 also gets read-only
     // access to tenant 0's published range.
-    let mut acl = AccessControl::new();
-    acl.grant(UserId(0), 0..256, Permission::ReadWrite);
-    acl.grant(UserId(1), 256..512, Permission::ReadWrite);
-    acl.grant(UserId(2), 512..768, Permission::ReadWrite);
-    acl.grant(UserId(2), 0..64, Permission::ReadOnly); // published range
+    service.register_tenant(UserId(0), 0..256, Permission::ReadWrite);
+    service.register_tenant(UserId(1), 256..512, Permission::ReadWrite);
+    service.register_tenant(UserId(2), 512..768, Permission::ReadWrite);
+    service.grant(UserId(2), 0..64, Permission::ReadOnly); // published range
 
     // Tenant queues, including some requests the ACL must reject.
     let queues: Vec<(UserId, Vec<Request>)> = vec![
@@ -58,36 +58,53 @@ fn main() -> Result<(), OramError> {
         ),
     ];
 
-    // Admission: the control layer filters queues BEFORE anything reaches
+    // Submission runs the control layer's check BEFORE anything reaches
     // the scheduler, so denials cause no observable accesses at all.
-    let mut admitted_queues = Vec::new();
-    let mut total_rejected = 0;
-    for (user, queue) in queues {
-        let (admitted, rejected) = acl.admit(user, queue);
-        for (request, denial) in &rejected {
-            println!(
-                "denied  {user}: {} {} — {denial}",
-                kind(&request.op),
-                request.id
-            );
+    // Queues are merged round-robin, the grouping-friendly arrival order.
+    let mut published = Vec::new();
+    let mut denied = 0;
+    let longest = queues
+        .iter()
+        .map(|(_, queue)| queue.len())
+        .max()
+        .unwrap_or(0);
+    for round in 0..longest {
+        for (user, queue) in &queues {
+            let Some(request) = queue.get(round) else {
+                continue;
+            };
+            match service.submit(*user, request.clone()) {
+                Ok(ticket) if *user == UserId(2) => published.push(ticket),
+                Ok(_) => {}
+                Err(ServeError::Denied(denial)) => {
+                    println!(
+                        "denied  {user}: {} {} — {denial}",
+                        kind(&request.op),
+                        request.id
+                    );
+                    denied += 1;
+                }
+                Err(other) => return Err(other),
+            }
         }
-        total_rejected += rejected.len();
-        admitted_queues.push((user, admitted));
     }
 
-    let report = run_multi_user(&mut oram, admitted_queues)?;
+    let start = service.oram().clock().now();
+    let report = service.pump_until_idle()?;
+    let wall_time = service.oram().clock().now().duration_since(start);
     println!(
-        "\nserviced {} requests from 3 tenants ({} denied at admission)",
-        report.requests, total_rejected
+        "\nserviced {} requests from 3 tenants ({denied} denied at submission)",
+        report.completed
     );
     println!(
-        "wall time {}, throughput {:.0} req/s (simulated)",
-        report.wall_time, report.requests_per_sec
+        "wall time {wall_time}, throughput {:.0} req/s (simulated)",
+        report.completed as f64 / wall_time.as_secs_f64()
     );
 
     // Tenant 2 reads tenant 0's published data — consistently.
-    let published = &report.responses[2][..16];
-    assert!(published.iter().all(|v| v == &vec![0xA0; 32]));
+    for ticket in published {
+        assert_eq!(service.take_response(ticket), Some(vec![0xA0; 32]));
+    }
     println!("tenant 2 read tenant 0's published blocks consistently");
     Ok(())
 }

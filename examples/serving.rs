@@ -11,6 +11,7 @@
 //! cargo run --release --example serving
 //! ```
 
+use horam::core::shard::{ShardedConfig, ShardedOram};
 use horam::core::Permission;
 use horam::core::UserId;
 use horam::prelude::*;
@@ -18,13 +19,12 @@ use horam::workload::{TenantSchedule, ZipfWorkload};
 use horam_server::{FairSharePolicy, OramService, ServeError, ServiceConfig};
 
 fn main() -> Result<(), ServeError> {
-    // One shared instance: 2048 blocks of 32 B, 512-slot memory tree.
-    let config = HOramConfig::new(2048, 32, 512).with_seed(11);
-    let oram = HOram::new(
-        config,
-        MemoryHierarchy::dac2019(),
-        MasterKey::from_bytes([3u8; 32]),
-    )?;
+    // One shared instance (one shard): 2048 blocks of 32 B, 512-slot
+    // memory tree.
+    let config = ShardedConfig::new(HOramConfig::new(2048, 32, 512).with_seed(11), 1);
+    let oram = ShardedOram::new(config, MasterKey::from_bytes([3u8; 32]), |_| {
+        MemoryHierarchy::dac2019()
+    })?;
 
     let mut service = OramService::new(
         oram,

@@ -98,29 +98,6 @@ fn interleaved_batches_preserve_state() {
 }
 
 #[test]
-fn multi_user_sessions_share_one_instance() {
-    use horam::core::{run_multi_user, UserId};
-    let mut oram = build(256, 64, 8, 6);
-    let queues: Vec<(UserId, Vec<Request>)> = (0..4u32)
-        .map(|u| {
-            let base = u as u64 * 64;
-            let requests: Vec<Request> = (0..32u64)
-                .map(|i| Request::write(base + i % 16, vec![u as u8 + 1; 8]))
-                .collect();
-            (UserId(u), requests)
-        })
-        .collect();
-    let report = run_multi_user(&mut oram, queues).expect("multi-user run");
-    assert_eq!(report.requests, 128);
-    assert!(report.requests_per_sec > 0.0);
-    // Each user's region reads back their value.
-    for u in 0..4u32 {
-        let value = oram.read(BlockId(u as u64 * 64)).expect("read back");
-        assert_eq!(value, vec![u as u8 + 1; 8], "user {u} region");
-    }
-}
-
-#[test]
 fn deterministic_replay_gives_identical_timing() {
     let mut generator = HotspotWorkload::paper_default(256, 17);
     let requests = generator.generate(200);

@@ -1,14 +1,14 @@
 //! Integration tests of the beyond-paper extension modules: the
-//! page-cache device model and admission-controlled multi-tenant runs
-//! working together with the core system.
+//! page-cache device model and access-controlled tenants sharing one
+//! instance through the serving layer.
 
-use horam::core::access_control::{AccessControl, Permission};
-use horam::core::{run_multi_user, UserId};
+use horam::core::shard::{ShardedConfig, ShardedOram};
+use horam::core::{Permission, UserId};
 use horam::prelude::*;
-use horam::protocols::BlockId;
 use horam::storage::device::{AccessKind, TimingModel};
 use horam::storage::hdd::HddModel;
 use horam::storage::page_cache::{PageCacheModel, PageCacheParams};
+use horam_server::{FifoPolicy, OramService, ServeError, ServiceConfig};
 
 #[test]
 fn page_cached_device_speeds_up_hot_reads_without_changing_data() {
@@ -28,57 +28,65 @@ fn page_cached_device_speeds_up_hot_reads_without_changing_data() {
     assert!(cached.hit_rate() > 0.8);
 }
 
+/// A service over one shard: the paper's single shared instance.
+fn shared_instance(capacity: u64, memory_slots: u64, seed: u64, key: u8) -> OramService {
+    let config = ShardedConfig::new(
+        HOramConfig::new(capacity, 8, memory_slots).with_seed(seed),
+        1,
+    );
+    let oram = ShardedOram::new(config, MasterKey::from_bytes([key; 32]), |_| {
+        MemoryHierarchy::dac2019()
+    })
+    .expect("builds");
+    OramService::new(oram, Box::new(FifoPolicy), ServiceConfig::default())
+}
+
 #[test]
 fn admission_control_blocks_cross_tenant_traffic_end_to_end() {
-    let config = HOramConfig::new(256, 8, 64).with_seed(15);
-    let mut oram = HOram::new(
-        config,
-        MemoryHierarchy::dac2019(),
-        MasterKey::from_bytes([73u8; 32]),
-    )
-    .expect("builds");
-
-    let mut acl = AccessControl::new();
-    acl.grant(UserId(0), 0..128, Permission::ReadWrite);
-    acl.grant(UserId(1), 128..256, Permission::ReadWrite);
+    let mut service = shared_instance(256, 64, 15, 73);
+    service.register_tenant(UserId(0), 0..128, Permission::ReadWrite);
+    service.register_tenant(UserId(1), 128..256, Permission::ReadWrite);
 
     // Tenant 0 stores a secret; tenant 1 tries to read and overwrite it.
-    let (mine, rejected) = acl.admit(UserId(0), vec![Request::write(5u64, vec![0x5E; 8])]);
-    assert!(rejected.is_empty());
-    let (theirs, rejected) = acl.admit(
-        UserId(1),
-        vec![
-            Request::read(5u64),
-            Request::write(5u64, vec![0xFF; 8]),
-            Request::read(200u64),
-        ],
-    );
-    assert_eq!(rejected.len(), 2, "both cross-tenant requests rejected");
-    assert_eq!(theirs.len(), 1);
-
-    let report =
-        run_multi_user(&mut oram, vec![(UserId(0), mine), (UserId(1), theirs)]).expect("runs");
-    assert_eq!(report.requests, 2);
+    service
+        .submit(UserId(0), Request::write(5u64, vec![0x5E; 8]))
+        .expect("owner write admitted");
+    for trespass in [Request::read(5u64), Request::write(5u64, vec![0xFF; 8])] {
+        assert!(
+            matches!(
+                service.submit(UserId(1), trespass),
+                Err(ServeError::Denied(_))
+            ),
+            "cross-tenant request rejected"
+        );
+    }
+    service
+        .submit(UserId(1), Request::read(200u64))
+        .expect("own range admitted");
+    service.pump_until_idle().expect("serves");
+    assert_eq!(service.stats().completed, 2);
 
     // The secret is intact and readable only through tenant 0's grant.
-    assert_eq!(oram.read(BlockId(5)).expect("owner read"), vec![0x5E; 8]);
+    let read = service
+        .submit(UserId(0), Request::read(5u64))
+        .expect("owner read");
+    service.pump_until_idle().expect("serves");
+    assert_eq!(service.take_response(read), Some(vec![0x5E; 8]));
 }
 
 #[test]
 fn rejections_generate_no_bus_traffic() {
-    let config = HOramConfig::new(128, 8, 32).with_seed(16);
-    let mut oram = HOram::new(
-        config,
-        MemoryHierarchy::dac2019(),
-        MasterKey::from_bytes([74u8; 32]),
-    )
-    .expect("builds");
-    let acl = AccessControl::new(); // default deny
-    oram.reset_accounting();
-    let (admitted, rejected) = acl.admit(UserId(9), vec![Request::read(1u64)]);
-    assert!(admitted.is_empty());
-    assert_eq!(rejected.len(), 1);
+    let mut service = shared_instance(128, 32, 16, 74);
+    service.register_tenant(UserId(9), 64..128, Permission::ReadOnly);
+    for request in [Request::read(1u64), Request::write(70u64, vec![0; 8])] {
+        assert!(matches!(
+            service.submit(UserId(9), request),
+            Err(ServeError::Denied(_))
+        ));
+    }
+    service.pump_until_idle().expect("nothing to serve");
     // Nothing ran, nothing was observed.
-    assert!(oram.trace().is_empty());
-    assert_eq!(oram.stats().cycles, 0);
+    assert_eq!(service.tenant_stats(UserId(9)).unwrap().denied, 2);
+    assert!(service.oram().shards()[0].trace().is_empty());
+    assert_eq!(service.oram().stats().cycles, 0);
 }

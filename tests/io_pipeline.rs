@@ -4,7 +4,6 @@
 //! byte-identical to the sequential per-block path.
 
 use horam::analysis::leakage::once_per_period;
-use horam::core::engine::OramEngine;
 use horam::core::shard::{ShardedConfig, ShardedOram};
 use horam::core::storage_layer::LoadPlan;
 use horam::core::StorageLayer;
@@ -37,9 +36,9 @@ fn build(io_batch: u64) -> HOram {
     build_with(config(io_batch))
 }
 
-fn build_sharded(config: HOramConfig) -> ShardedOram {
+fn build_sharded(config: HOramConfig, shards: u64) -> ShardedOram {
     ShardedOram::new(
-        ShardedConfig::new(config, 4),
+        ShardedConfig::new(config, shards),
         MasterKey::from_bytes([5u8; 32]),
         |_| MemoryHierarchy::dac2019(),
     )
@@ -158,7 +157,7 @@ fn storage_layer_load_batch_equals_sequential_calls() {
 #[test]
 fn windowed_service_matches_per_cycle_service() {
     let serve = |io_batch: u64| {
-        let oram = build(1);
+        let oram = build_sharded(config(1), 1);
         let mut service = OramService::new(
             oram,
             Box::new(FairSharePolicy::default()),
@@ -193,18 +192,22 @@ fn windowed_service_matches_per_cycle_service() {
 #[test]
 fn window_pumping_matches_batch_draining() {
     const IO_BATCH: u64 = 8;
-    fn pump<E: OramEngine>(engine: &mut E, requests: &[Request]) -> Vec<Vec<u8>> {
-        let tickets: Vec<u64> = requests
-            .iter()
-            .map(|request| engine.enqueue(request.clone()).expect("enqueues"))
-            .collect();
-        while engine.pending_requests() > 0 {
-            engine.run_cycle_window(IO_BATCH).expect("window runs");
-        }
-        tickets
-            .iter()
-            .map(|ticket| engine.take_response(*ticket).expect("response ready"))
-            .collect()
+    // `HOram` and `ShardedOram` share the method names but no trait.
+    macro_rules! pump {
+        ($engine:expr, $requests:expr, |$e:ident| $pending:expr) => {{
+            let $e = &mut $engine;
+            let tickets: Vec<u64> = $requests
+                .iter()
+                .map(|request: &Request| $e.enqueue(request.clone()).expect("enqueues"))
+                .collect();
+            while $pending > 0 {
+                $e.run_cycle_window(IO_BATCH).expect("window runs");
+            }
+            tickets
+                .iter()
+                .map(|ticket| $e.take_response(*ticket).expect("response ready"))
+                .collect::<Vec<_>>()
+        }};
     }
 
     let requests = mixed_workload(400);
@@ -219,15 +222,15 @@ fn window_pumping_matches_batch_draining() {
         let expected = drained.run_batch(&requests).expect("batch runs");
         assert!(drained.stats().shuffles >= 2, "setup: must cross periods");
         let mut pumped = build_with(config.clone());
-        assert_eq!(pump(&mut pumped, &requests), expected);
+        assert_eq!(pump!(pumped, requests, |e| e.queue().pending()), expected);
         assert_eq!(pumped.stats(), drained.stats());
         assert_eq!(pumped.trace().snapshot(), drained.trace().snapshot());
         assert_eq!(pumped.clock().now(), drained.clock().now());
 
-        let mut drained = build_sharded(config.clone());
+        let mut drained = build_sharded(config.clone(), 4);
         let expected = drained.run_batch(&requests).expect("batch runs");
-        let mut pumped = build_sharded(config);
-        assert_eq!(pump(&mut pumped, &requests), expected);
+        let mut pumped = build_sharded(config, 4);
+        assert_eq!(pump!(pumped, requests, |e| e.pending()), expected);
         assert_eq!(pumped.stats(), drained.stats());
         for (a, b) in pumped.shards().iter().zip(drained.shards()) {
             assert_eq!(a.trace().snapshot(), b.trace().snapshot());

@@ -802,8 +802,12 @@ mod service {
 
     #[test]
     fn service_checkpoint_drains_then_snapshots() {
+        let engine = ShardedOram::new(ShardedConfig::new(config(), 1), master(), |_| {
+            MemoryHierarchy::dac2019()
+        })
+        .expect("builds");
         let mut service = OramService::new(
-            build(),
+            engine,
             Box::new(FifoPolicy),
             ServiceConfig {
                 batch_size: 16,
@@ -826,7 +830,8 @@ mod service {
 
         // The snapshot restores into a working engine that continues the
         // same timeline.
-        let mut restored = HOram::restore(MemoryHierarchy::dac2019(), master(), &snapshot).unwrap();
+        let mut restored =
+            ShardedOram::restore(master(), |_| MemoryHierarchy::dac2019(), &snapshot).unwrap();
         let continuation = workload(20, 62);
         let responses = restored.run_batch(&continuation).unwrap();
         assert_eq!(responses.len(), continuation.len());

@@ -1,6 +1,7 @@
 //! Multi-tenant serving-layer integration: correctness of batching,
 //! dedup, fairness and ticket ordering end-to-end through the scheduler.
 
+use horam::core::shard::{ShardedConfig, ShardedOram};
 use horam::core::{Permission, UserId};
 use horam::prelude::*;
 use horam::workload::{TenantSchedule, ZipfWorkload};
@@ -12,21 +13,23 @@ use std::collections::HashMap;
 const CAPACITY: u64 = 1024;
 const PAYLOAD: usize = 16;
 
+/// One shard: every tenant shares a single H-ORAM instance.
+fn engine() -> ShardedOram {
+    let config = ShardedConfig::new(HOramConfig::new(CAPACITY, PAYLOAD, 256).with_seed(33), 1);
+    ShardedOram::new(config, MasterKey::from_bytes([9u8; 32]), |_| {
+        MemoryHierarchy::dac2019()
+    })
+    .expect("builds")
+}
+
 fn service(batch_size: usize, policy: &str) -> OramService {
-    let config = HOramConfig::new(CAPACITY, PAYLOAD, 256).with_seed(33);
-    let oram = HOram::new(
-        config,
-        MemoryHierarchy::dac2019(),
-        MasterKey::from_bytes([9u8; 32]),
-    )
-    .expect("builds");
     let policy: Box<dyn horam_server::AdmissionPolicy> = match policy {
         "fifo" => Box::new(FifoPolicy),
         "fair" => Box::new(FairSharePolicy::default()),
         other => panic!("unknown policy {other}"),
     };
     OramService::new(
-        oram,
+        engine(),
         policy,
         ServiceConfig {
             batch_size,
@@ -199,7 +202,10 @@ fn dedup_respects_intervening_writes() {
 
 /// Under a hot tenant submitting 8x everyone else's traffic, fair-share
 /// admission keeps the cold tenants' latency near the hot tenant's —
-/// FIFO lets the hot tenant starve them.
+/// FIFO lets the hot tenant starve them. The whole schedule is queued
+/// before the first pump, so every batch is a real choice between
+/// tenants (fed one batch at a time, both policies admit nearly the
+/// same requests and the latencies differ only by noise).
 #[test]
 fn fairness_under_a_hot_tenant() {
     let tenants = 4u32;
@@ -211,11 +217,12 @@ fn fairness_under_a_hot_tenant() {
         }
         let mut generator = ZipfWorkload::new(CAPACITY, 1.1, 0.0, 5);
         let schedule = TenantSchedule::with_hot_tenant("hot", &mut generator, tenants, 8, 1200);
-        let arrivals = schedule
-            .arrivals
-            .iter()
-            .map(|a| (UserId(a.tenant), a.request.clone()));
-        service.serve_all(arrivals).unwrap();
+        for arrival in &schedule.arrivals {
+            service
+                .submit(UserId(arrival.tenant), arrival.request.clone())
+                .unwrap();
+        }
+        service.pump_until_idle().unwrap();
 
         let hot = service.tenant_stats(UserId(0)).unwrap().mean_latency();
         let cold_worst = (1..tenants)
@@ -246,15 +253,8 @@ fn fairness_under_a_hot_tenant() {
 /// `QueueFull` mid-stream.
 #[test]
 fn serve_all_survives_tight_backpressure() {
-    let config = HOramConfig::new(CAPACITY, PAYLOAD, 256).with_seed(33);
-    let oram = HOram::new(
-        config,
-        MemoryHierarchy::dac2019(),
-        MasterKey::from_bytes([9u8; 32]),
-    )
-    .expect("builds");
     let mut service = OramService::new(
-        oram,
+        engine(),
         Box::new(FairSharePolicy::default()),
         // batch_size far above what one tenant may ever queue.
         ServiceConfig {
@@ -280,15 +280,8 @@ fn serve_all_survives_tight_backpressure() {
 /// touching the ORAM.
 #[test]
 fn rejections_produce_no_accesses() {
-    let config = HOramConfig::new(CAPACITY, PAYLOAD, 256).with_seed(33);
-    let oram = HOram::new(
-        config,
-        MemoryHierarchy::dac2019(),
-        MasterKey::from_bytes([9u8; 32]),
-    )
-    .expect("builds");
     let mut service = OramService::new(
-        oram,
+        engine(),
         Box::new(FifoPolicy),
         ServiceConfig {
             batch_size: 8,
@@ -324,7 +317,10 @@ fn rejections_produce_no_accesses() {
     let stats = service.tenant_stats(UserId(0)).unwrap();
     assert_eq!(stats.denied, 2);
     assert_eq!(stats.rejected_backpressure, 1);
-    assert!(service.oram().trace().is_empty(), "rejections reach no bus");
+    assert!(
+        service.oram().shards()[0].trace().is_empty(),
+        "rejections reach no bus"
+    );
 }
 
 /// Graceful degradation through the serving layer: when one shard of the
@@ -335,7 +331,6 @@ fn rejections_produce_no_accesses() {
 /// of stalling the pump.
 #[test]
 fn degraded_shard_fails_typed_while_others_keep_serving() {
-    use horam::core::shard::{ShardedConfig, ShardedOram};
     use horam::storage::fault::FaultConfig;
 
     const SHARDED_CAPACITY: u64 = 256;
@@ -384,7 +379,7 @@ fn degraded_shard_fails_typed_while_others_keep_serving() {
         .pump_until_idle()
         .expect("the pump absorbs the failure");
 
-    assert_eq!(service.degraded_shards(), vec![dead_shard]);
+    assert_eq!(service.oram().degraded_shards(), vec![dead_shard]);
     let mut failed = 0;
     let mut served = 0;
     for (id, ticket) in tickets {
