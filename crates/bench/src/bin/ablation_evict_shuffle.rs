@@ -1,26 +1,22 @@
 //! Ablation: the oblivious shuffle used by the tree evict (§4.3.1).
 //!
 //! The paper requires "an oblivious version of shuffle" for the evict
-//! buffer but leaves the algorithm open. DESIGN.md defaults to the bitonic
-//! network (clearly oblivious, O(n log² n)); this ablation swaps in each
-//! alternative and measures the impact on shuffle-period time.
+//! buffer but leaves the algorithm open. The engine defaults to the
+//! bitonic network (clearly oblivious, O(n log² n)); this ablation swaps
+//! in each alternative and measures the impact on shuffle-period time.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin ablation_evict_shuffle
 //! ```
 
-use bench::{BenchArgs, TableParams};
+use bench::{run_horam, TableParams};
 use horam::analysis::table::Table;
-use horam::prelude::*;
 use horam::shuffle::ShuffleAlgorithm;
+use horam::storage::calibration::MachineConfig;
 use horam::workload::{UniformWorkload, WorkloadGenerator};
 
 fn main() {
-    let mut params = TableParams::table_5_3();
-    if BenchArgs::parse().quick {
-        params = params.quick();
-        println!("(--quick: scaled to 1/8)\n");
-    }
+    let params = TableParams::table_5_3().with_args();
     // Miss-heavy traffic so every configuration shuffles repeatedly.
     let mut generator = UniformWorkload::new(params.capacity_blocks, 0.0, params.seed);
     let requests = generator.generate(params.memory_slots as usize);
@@ -40,20 +36,9 @@ fn main() {
     ]);
 
     for algorithm in ShuffleAlgorithm::ALL {
-        let config = HOramConfig::new(
-            params.capacity_blocks,
-            params.payload_len,
-            params.memory_slots,
-        )
-        .with_seed(params.seed)
-        .with_evict_shuffle(algorithm);
-        let mut oram = HOram::new(
-            config,
-            MemoryHierarchy::dac2019(),
-            MasterKey::from_bytes([0x77; 32]),
-        )
-        .expect("builds");
-        oram.run_batch(&requests).expect("runs");
+        let oram = run_horam(&params, MachineConfig::dac2019(), 0x77, &requests, |c| {
+            c.with_evict_shuffle(algorithm)
+        });
         let stats = oram.stats();
         table.row(vec![
             algorithm.to_string(),

@@ -13,7 +13,7 @@
 //! cargo run --release -p bench --bin ablation_multi_user
 //! ```
 
-use bench::{BenchArgs, TableParams};
+use bench::TableParams;
 use horam::analysis::table::Table;
 use horam::core::shard::{ShardedConfig, ShardedOram};
 use horam::core::{Permission, UserId};
@@ -22,12 +22,11 @@ use horam::workload::WorkloadGenerator;
 use horam_server::{FifoPolicy, OramService, ServiceConfig};
 
 fn main() {
-    let mut params = TableParams::table_5_3();
-    params.requests = 8_000;
-    if BenchArgs::parse().quick {
-        params = params.quick();
-        println!("(--quick: scaled to 1/8)\n");
+    let params = TableParams {
+        requests: 8_000,
+        ..TableParams::table_5_3()
     }
+    .with_args();
 
     println!(
         "Multi-user sweep — {} blocks, {} total requests split across users\n",

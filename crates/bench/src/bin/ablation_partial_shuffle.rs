@@ -7,21 +7,21 @@
 //! resulting shuffle/access balance — the "system profiling" the paper
 //! says picks the proper ratio.
 //!
+//! A window whose free slots cannot hold the evicted blocks is extended
+//! (counted in `spilled_blocks`), so below some `r` every smaller ratio
+//! gets the same window and the same row (docs/TUNING.md).
+//!
 //! ```sh
 //! cargo run --release -p bench --bin ablation_partial_shuffle
 //! ```
 
-use bench::{BenchArgs, TableParams};
+use bench::{run_horam, TableParams};
 use horam::analysis::table::Table;
-use horam::prelude::*;
+use horam::storage::calibration::MachineConfig;
 use horam::workload::{UniformWorkload, WorkloadGenerator};
 
 fn main() {
-    let mut params = TableParams::table_5_3();
-    if BenchArgs::parse().quick {
-        params = params.quick();
-        println!("(--quick: scaled to 1/8)\n");
-    }
+    let params = TableParams::table_5_3().with_args();
     // A miss-heavy uniform workload drives one I/O load per request, so
     // each configuration crosses several period boundaries and the sweep
     // actually measures shuffling (hotspot traffic would mostly hit).
@@ -36,11 +36,13 @@ fn main() {
     );
     let mut table = Table::new(vec![
         "ratio r",
+        "requested window ceil(r*P)",
         "shuffles",
         "shuffle time",
         "access time",
         "total time",
         "io loads",
+        "spilled_blocks",
     ]);
 
     for (label, ratio) in [
@@ -49,30 +51,26 @@ fn main() {
         ("1/4", Some(0.25)),
         ("1/8", Some(0.125)),
     ] {
-        let mut config = HOramConfig::new(
-            params.capacity_blocks,
-            params.payload_len,
-            params.memory_slots,
-        )
-        .with_seed(params.seed);
-        if let Some(r) = ratio {
-            config = config.with_partial_shuffle(r);
-        }
-        let mut oram = HOram::new(
-            config,
-            MemoryHierarchy::dac2019(),
-            MasterKey::from_bytes([0xAB; 32]),
-        )
-        .expect("builds");
-        oram.run_batch(&requests).expect("runs");
+        let oram = run_horam(
+            &params,
+            MachineConfig::dac2019(),
+            0xAB,
+            &requests,
+            |c| match ratio {
+                Some(r) => c.with_partial_shuffle(r),
+                None => c,
+            },
+        );
         let stats = oram.stats();
         table.row(vec![
             label.into(),
+            oram.config().partitions_per_shuffle().to_string(),
             stats.shuffles.to_string(),
             stats.shuffle_wall_time.to_string(),
             stats.access_wall_time.to_string(),
             stats.total_wall_time().to_string(),
             stats.total_io_loads().to_string(),
+            stats.spilled_blocks.to_string(),
         ]);
     }
     println!("{table}");

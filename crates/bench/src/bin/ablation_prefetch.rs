@@ -9,17 +9,16 @@
 //! cargo run --release -p bench --bin ablation_prefetch
 //! ```
 
-use bench::{BenchArgs, TableParams};
+use bench::{run_horam, TableParams};
 use horam::analysis::table::Table;
-use horam::prelude::*;
+use horam::storage::calibration::MachineConfig;
 
 fn main() {
-    let mut params = TableParams::table_5_3();
-    params.requests = 10_000;
-    if BenchArgs::parse().quick {
-        params = params.quick();
-        println!("(--quick: scaled to 1/8)\n");
+    let params = TableParams {
+        requests: 10_000,
+        ..TableParams::table_5_3()
     }
+    .with_args();
     let requests = params.workload();
 
     println!(
@@ -36,20 +35,9 @@ fn main() {
     ]);
 
     for d in [6usize, 9, 15, 20, 40] {
-        let config = HOramConfig::new(
-            params.capacity_blocks,
-            params.payload_len,
-            params.memory_slots,
-        )
-        .with_seed(params.seed)
-        .with_prefetch_distance(d);
-        let mut oram = HOram::new(
-            config,
-            MemoryHierarchy::dac2019(),
-            MasterKey::from_bytes([0xEF; 32]),
-        )
-        .expect("builds");
-        oram.run_batch(&requests).expect("runs");
+        let oram = run_horam(&params, MachineConfig::dac2019(), 0xEF, &requests, |c| {
+            c.with_prefetch_distance(d)
+        });
         let stats = oram.stats();
         table.row(vec![
             d.to_string(),

@@ -9,57 +9,16 @@
 //! cargo run --release -p bench --bin ablation_ssd
 //! ```
 
-use bench::{BenchArgs, TableParams};
+use bench::{run_horam, run_tree_top_baseline, TableParams};
 use horam::analysis::table::Table;
-use horam::prelude::*;
-use horam::protocols::{build_tree_top_cache, Oram, PathOramConfig, TreeBackend};
 use horam::storage::calibration::MachineConfig;
-use horam::storage::clock::SimClock;
-
-fn run_pair(machine: MachineConfig, params: &TableParams) -> (SimDuration, SimDuration) {
-    // H-ORAM on this machine.
-    let config = HOramConfig::new(
-        params.capacity_blocks,
-        params.payload_len,
-        params.memory_slots,
-    )
-    .with_seed(params.seed);
-    let hierarchy = horam::storage::MemoryHierarchy::new(machine.clone());
-    let mut oram =
-        HOram::new(config, hierarchy, MasterKey::from_bytes([0x55; 32])).expect("builds");
-    let requests = params.workload();
-    oram.run_batch(&requests).expect("runs");
-    let horam_total = oram.stats().total_wall_time();
-
-    // Baseline on this machine.
-    let clock = SimClock::new();
-    let (mut baseline, _) = build_tree_top_cache(
-        PathOramConfig::new(params.capacity_blocks, params.payload_len),
-        params.memory_slots,
-        machine.build_memory(clock.clone(), None),
-        machine.build_storage(clock, None),
-        &MasterKey::from_bytes([0x66; 32]).derive("ssd/ttc", 0),
-    )
-    .expect("baseline builds");
-    baseline
-        .bulk_load((0..params.capacity_blocks).map(|i| (BlockId(i), vec![0u8; params.payload_len])))
-        .expect("bulk load");
-    let (mem_before, st_before) = baseline.backend().stats();
-    for request in &requests {
-        baseline.access(request).expect("access");
-    }
-    let (mem, st) = baseline.backend().stats();
-    let baseline_total = mem.delta_since(&mem_before).busy + st.delta_since(&st_before).busy;
-    (horam_total, baseline_total)
-}
 
 fn main() {
-    let mut params = TableParams::table_5_3();
-    params.requests /= 2; // two machines to run
-    if BenchArgs::parse().quick {
-        params = params.quick();
-        println!("(--quick: scaled to 1/8)\n");
+    let params = TableParams {
+        requests: TableParams::table_5_3().requests / 2, // two machines to run
+        ..TableParams::table_5_3()
     }
+    .with_args();
 
     println!(
         "Storage-technology ablation — {} blocks, {} requests\n",
@@ -71,11 +30,14 @@ fn main() {
         "Path ORAM total",
         "speedup",
     ]);
+    let requests = params.workload();
     for (label, machine) in [
         ("HDD (paper)", MachineConfig::dac2019()),
         ("SSD (2019 SATA)", MachineConfig::dac2019_ssd()),
     ] {
-        let (horam_total, baseline_total) = run_pair(machine, &params);
+        let oram = run_horam(&params, machine.clone(), 0x55, &requests, |config| config);
+        let horam_total = oram.stats().total_wall_time();
+        let baseline_total = run_tree_top_baseline(&params, machine).total_time;
         table.row(vec![
             label.into(),
             horam_total.to_string(),

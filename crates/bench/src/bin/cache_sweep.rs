@@ -11,7 +11,7 @@
 //! the shuffle's own write-through population, which touches every slot
 //! uniformly; the steady-state hit rate is therefore ≈ capacity / slots
 //! for **every** θ, and only the hit-bound point (capacity ≥ slots)
-//! collapses access-period I/O time — the regime `gates::cache_gate`
+//! collapses access-period I/O time — the regime the `cache` gate
 //! checks in CI.
 //!
 //! ```sh

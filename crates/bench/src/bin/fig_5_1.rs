@@ -2,9 +2,9 @@
 //!
 //! Regenerates the paper's curves — overhead-reduction factor versus the
 //! storage/memory ratio `N/n`, one curve per grouping factor `c`, Z = 4.
-//! Both gain metrics are printed because the paper's Eq. 5-4 mixes units
-//! (see EXPERIMENTS.md): per-I/O-access (Table 5-1's unit) and per-request
-//! (commensurable with the baseline's per-request cost).
+//! The paper's Eq. 5-4 amortizes the shuffle per I/O access but compares
+//! against the baseline's per-request cost, so both gains are printed:
+//! per I/O access (Table 5-1's unit) and per request.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin fig_5_1

@@ -11,22 +11,19 @@
 //! cargo run --release -p bench --bin fig_5_2 -- --quick
 //! ```
 
-use bench::{run_horam, run_tree_top_baseline, speedup, BenchArgs, TableParams};
+use bench::{run_tree_top_baseline, speedup, SystemRow, TableParams};
 use horam::analysis::model::OramModel;
 use horam::analysis::report::ExperimentReport;
 use horam::analysis::table::Table;
+use horam::storage::calibration::MachineConfig;
 use horam::storage::clock::SimDuration;
 
 fn main() {
-    let mut params = TableParams::table_5_3();
-    if BenchArgs::parse().quick {
-        params = params.quick();
-        println!("(--quick: scaled to 1/8)\n");
-    }
+    let params = TableParams::table_5_3().with_args();
 
     println!("Figure 5-2 — shuffle-offload (client/server) accounting\n");
-    let horam = run_horam(&params);
-    let baseline = run_tree_top_baseline(&params);
+    let horam = SystemRow::horam(&params, MachineConfig::dac2019());
+    let baseline = run_tree_top_baseline(&params, MachineConfig::dac2019());
     let client_time: SimDuration = horam.total_time - horam.shuffle_time;
 
     let mut table = Table::new(vec!["accounting", "H-ORAM", "Path ORAM", "speedup"]);

@@ -1,30 +1,16 @@
-//! The consolidated CI bench suite: serving, the batched I/O pipeline,
-//! sharding, the wall-clock parallel engine, durability/recovery, the
-//! oblivious block cache, chaos (failure hardening under fault
-//! injection), capacity (recursive position map at 16× scale), and
-//! network serving.
-//!
-//! Runs every regression gate in sequence, merges their machine-readable
-//! reports into one `BENCH.json` (or `--out <path>`), and exits nonzero
-//! if **any** gate fails — CI runs this one binary and uploads the one
-//! artifact instead of a step and file per gate.
-//!
-//! With `--baseline <path>` the fresh report is additionally diffed
-//! against a committed one (`BENCH_baseline.json`): the deterministic
-//! simulated-time throughput ratios (serving, I/O pipeline, sharding)
-//! must not fall more than 25 % below their baseline values. The ratios
-//! are pure functions of the simulation, so this check is runner-
-//! independent.
+//! The CI bench suite: runs the gates of [`bench::gates::GATES`] (all, or
+//! those named), merges their reports into one `BENCH.json` (or `--out
+//! <path>`), and exits nonzero if any gate fails. `--baseline <path>`
+//! also fails on a trend ratio >25 % below the committed baseline's
+//! (a partial run reports the skipped gates' ratios as missing).
 //!
 //! ```sh
 //! cargo run --release -p bench --bin suite -- \
-//!     [--quick] [--out <path>] [--baseline BENCH_baseline.json]
+//!     [--quick] [--out <path>] [--baseline BENCH_baseline.json] [<gate>...]
 //! ```
 
 use bench::gates::{
-    baseline_regressions, cache_gate, capacity_gate, chaos_gate, io_pipeline_gate, merge_outcomes,
-    parallel_gate, persistence_gate, rpc_gate, rpc_role_hook, serving_gate, sharding_gate,
-    write_report,
+    baseline_regressions, merge_outcomes, rpc_role_hook, run_gate, write_report, Gate, GATES,
 };
 use bench::BenchArgs;
 
@@ -36,17 +22,27 @@ fn main() {
     // the role env var routes us there, run the role and exit.
     rpc_role_hook();
     let args = BenchArgs::parse();
-    let outcomes = vec![
-        serving_gate(args.quick),
-        io_pipeline_gate(args.quick),
-        sharding_gate(args.quick),
-        parallel_gate(args.quick),
-        persistence_gate(args.quick),
-        cache_gate(args.quick),
-        chaos_gate(args.quick),
-        capacity_gate(args.quick),
-        rpc_gate(args.quick),
-    ];
+    let gates: Vec<&Gate> = if args.names.is_empty() {
+        GATES.iter().collect()
+    } else {
+        args.names
+            .iter()
+            .map(|name| {
+                GATES
+                    .iter()
+                    .find(|gate| gate.name == name)
+                    .unwrap_or_else(|| {
+                        let names: Vec<&str> = GATES.iter().map(|gate| gate.name).collect();
+                        eprintln!("unknown gate {name:?}; gates: {}", names.join(" "));
+                        std::process::exit(2);
+                    })
+            })
+            .collect()
+    };
+    let outcomes: Vec<_> = gates
+        .iter()
+        .map(|gate| run_gate(gate, args.quick))
+        .collect();
 
     let (report, mut pass) = merge_outcomes(&outcomes);
     for outcome in &outcomes {

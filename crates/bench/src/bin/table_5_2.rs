@@ -1,8 +1,8 @@
 //! Table 5-2: experimental machine setup.
 //!
 //! Prints the simulated machine standing in for the paper's testbed, with
-//! the calibration constants the simulator adds (EXPERIMENTS.md records
-//! the fit).
+//! the calibration constants the simulator adds: the seek model is fitted
+//! to the paper's measured per-access latencies.
 //!
 //! ```sh
 //! cargo run -p bench --bin table_5_2
@@ -23,7 +23,7 @@ fn main() {
     println!("HDD 7200RPM 500GB, measured 102.7 MB/s read / 55.2 MB/s write.");
     println!();
     println!("Substitution: a deterministic timing simulator replaces the physical");
-    println!("machine (DESIGN.md section 2). Throughputs are the paper's; the seek model");
+    println!("machine (calibration::MachineConfig). Throughputs are the paper's; the seek model");
     println!("(55 us + 1 ms x sqrt(distance/capacity)) is fitted to the paper's measured");
     println!("per-access latencies (77 us @ 64 MB span, 107 us @ 1 GB span).");
 }

@@ -9,102 +9,21 @@
 //! cargo run --release -p bench --bin table_5_3 -- --quick
 //! ```
 
-use bench::{run_horam, run_tree_top_baseline, speedup, BenchArgs, TableParams};
-use horam::analysis::report::ExperimentReport;
-use horam::analysis::table::Table;
+use bench::{print_system_table, SystemTable, TableParams};
 
 fn main() {
-    let mut params = TableParams::table_5_3();
-    if BenchArgs::parse().quick {
-        params = params.quick();
-        println!("(--quick: scaled to 1/8)\n");
-    }
-
-    println!(
-        "Table 5-3 — {} MB dataset, {} requests\n",
-        params.capacity_blocks >> 10,
-        params.requests
-    );
-    let horam = run_horam(&params);
-    let baseline = run_tree_top_baseline(&params);
-
-    let mut table = Table::new(vec!["", "H-ORAM", "Path ORAM"]);
-    table.row(vec![
-        "Storage/Memory Size".into(),
-        format!(
-            "{} MB / {} MB",
-            horam.storage_bytes >> 20,
-            horam.memory_bytes >> 20
-        ),
-        format!(
-            "{} MB / {} MB",
-            baseline.storage_bytes >> 20,
-            baseline.memory_bytes >> 20
-        ),
-    ]);
-    table.row(vec![
-        "Number of I/O Access".into(),
-        horam.io_accesses.to_string(),
-        baseline.io_accesses.to_string(),
-    ]);
-    table.row(vec![
-        "I/O Latency".into(),
-        horam.io_latency.to_string(),
-        baseline.io_latency.to_string(),
-    ]);
-    table.row(vec![
-        "Shuffle Time".into(),
-        format!(
-            "{} * {}",
-            horam.shuffle_time / horam.shuffles.max(1),
-            horam.shuffles
-        ),
-        "N/A".into(),
-    ]);
-    table.row(vec![
-        "Total Time".into(),
-        horam.total_time.to_string(),
-        baseline.total_time.to_string(),
-    ]);
-    println!("{table}");
-
-    let mut report = ExperimentReport::new(
-        "table-5-3",
-        "Small dataset comparison",
-        format!(
-            "{} blocks x 1 KB, memory {} slots, {} hotspot requests (80% to a cache-sized region)",
-            params.capacity_blocks, params.memory_slots, params.requests
-        ),
-    );
-    report.compare(
-        "Number of I/O Access",
-        "7228 vs 25000",
-        format!("{} vs {}", horam.io_accesses, baseline.io_accesses),
-    );
-    report.compare(
-        "I/O Latency",
-        "77 us vs 1032 us",
-        format!("{} vs {}", horam.io_latency, baseline.io_latency),
-    );
-    report.compare(
-        "Shuffle Time",
-        "729 ms * 1",
-        format!(
-            "{} * {}",
-            horam.shuffle_time / horam.shuffles.max(1),
-            horam.shuffles
-        ),
-    );
-    report.compare(
-        "Total Time",
-        "1290 ms vs 25575 ms (19.8x)",
-        format!(
-            "{} vs {} ({})",
-            horam.total_time,
-            baseline.total_time,
-            speedup(baseline.total_time, horam.total_time)
-        ),
-    );
-    report.note("Simulated machine; payload scaling active (timing charges full 1 KB blocks).");
-    println!("{}", report.render());
+    print_system_table(&SystemTable {
+        name: "Table 5-3",
+        id: "table-5-3",
+        title: "Small dataset comparison",
+        params: TableParams::table_5_3(),
+        unit: ("MB", 10),
+        storage: |bytes| format!("{} MB", bytes >> 20),
+        paper: [
+            "7228 vs 25000",
+            "77 us vs 1032 us",
+            "729 ms * 1",
+            "1290 ms vs 25575 ms (19.8x)",
+        ],
+    });
 }

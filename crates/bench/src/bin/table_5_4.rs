@@ -8,102 +8,21 @@
 //! cargo run --release -p bench --bin table_5_4 -- --quick
 //! ```
 
-use bench::{run_horam, run_tree_top_baseline, speedup, BenchArgs, TableParams};
-use horam::analysis::report::ExperimentReport;
-use horam::analysis::table::Table;
+use bench::{print_system_table, SystemTable, TableParams};
 
 fn main() {
-    let mut params = TableParams::table_5_4();
-    if BenchArgs::parse().quick {
-        params = params.quick();
-        println!("(--quick: scaled to 1/8)\n");
-    }
-
-    println!(
-        "Table 5-4 — {} GB dataset, {} requests\n",
-        params.capacity_blocks >> 20,
-        params.requests
-    );
-    let horam = run_horam(&params);
-    let baseline = run_tree_top_baseline(&params);
-
-    let mut table = Table::new(vec!["", "H-ORAM", "Path ORAM"]);
-    table.row(vec![
-        "Storage/Memory Size".into(),
-        format!(
-            "{:.2} GB / {} MB",
-            horam.storage_bytes as f64 / (1u64 << 30) as f64,
-            horam.memory_bytes >> 20
-        ),
-        format!(
-            "{:.2} GB / {} MB",
-            baseline.storage_bytes as f64 / (1u64 << 30) as f64,
-            baseline.memory_bytes >> 20
-        ),
-    ]);
-    table.row(vec![
-        "Number of I/O Access".into(),
-        horam.io_accesses.to_string(),
-        baseline.io_accesses.to_string(),
-    ]);
-    table.row(vec![
-        "I/O Latency".into(),
-        horam.io_latency.to_string(),
-        baseline.io_latency.to_string(),
-    ]);
-    table.row(vec![
-        "Shuffle Time".into(),
-        format!(
-            "{} * {}",
-            horam.shuffle_time / horam.shuffles.max(1),
-            horam.shuffles
-        ),
-        "N/A".into(),
-    ]);
-    table.row(vec![
-        "Total Time".into(),
-        horam.total_time.to_string(),
-        baseline.total_time.to_string(),
-    ]);
-    println!("{table}");
-
-    let mut report = ExperimentReport::new(
-        "table-5-4",
-        "Large dataset comparison",
-        format!(
-            "{} blocks x 1 KB, memory {} slots, {} hotspot requests (80% to a cache-sized region)",
-            params.capacity_blocks, params.memory_slots, params.requests
-        ),
-    );
-    report.compare(
-        "Number of I/O Access",
-        "129235 vs 500000",
-        format!("{} vs {}", horam.io_accesses, baseline.io_accesses),
-    );
-    report.compare(
-        "I/O Latency",
-        "107 us vs 1364 us",
-        format!("{} vs {}", horam.io_latency, baseline.io_latency),
-    );
-    report.compare(
-        "Shuffle Time",
-        "9743 ms * 2",
-        format!(
-            "{} * {}",
-            horam.shuffle_time / horam.shuffles.max(1),
-            horam.shuffles
-        ),
-    );
-    report.compare(
-        "Total Time",
-        "29657 ms vs 682041 ms (22.9x)",
-        format!(
-            "{} vs {} ({})",
-            horam.total_time,
-            baseline.total_time,
-            speedup(baseline.total_time, horam.total_time)
-        ),
-    );
-    report.note("Simulated machine; payload scaling active (timing charges full 1 KB blocks).");
-    println!("{}", report.render());
+    print_system_table(&SystemTable {
+        name: "Table 5-4",
+        id: "table-5-4",
+        title: "Large dataset comparison",
+        params: TableParams::table_5_4(),
+        unit: ("GB", 20),
+        storage: |bytes| format!("{:.2} GB", bytes as f64 / (1u64 << 30) as f64),
+        paper: [
+            "129235 vs 500000",
+            "107 us vs 1364 us",
+            "9743 ms * 2",
+            "29657 ms vs 682041 ms (22.9x)",
+        ],
+    });
 }

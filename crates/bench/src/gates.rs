@@ -1,46 +1,191 @@
-//! The CI bench gates — serving, I/O pipeline, sharding, wall-clock
-//! parallel engine, durability/recovery, oblivious block cache,
-//! fault-injection chaos, recursive-posmap capacity, network serving — as
-//! library functions.
-//!
-//! Each gate runs a deterministic simulated experiment, prints the
-//! human-readable comparison table, and returns a [`GateOutcome`]: a
-//! machine-readable report (a `serde` value tree, serialized to JSON by
-//! the binaries) plus the pass/fail verdict CI keys on. The per-gate
-//! binaries (`serving_throughput`, `io_pipeline`, `sharding`,
-//! `parallel`, `persistence`) are thin wrappers over these functions;
-//! the consolidated `suite` binary runs all of them, merges their reports
-//! into one `BENCH.json` artifact, and (with `--baseline`) diffs the
-//! deterministic throughput ratios against the committed
-//! `BENCH_baseline.json` ([`baseline_regressions`]), so CI has a single
-//! gate step and a single trend file. The `parallel` and `persistence`
-//! gates are the ones measuring *host* wall-clock time (`Instant`);
-//! everything else stays on the simulated clock.
+//! The CI bench gates as data: [`GATES`] holds one row per gate — its
+//! name, its trend keys and its experiment — and [`run_gate`] prints any
+//! row's report as tables, prints its verdict with the failed conditions,
+//! and builds its [`GateOutcome`]. Everything runs on the simulated clock
+//! except the `parallel` and `rpc` bars and the `*_ms` fields. `suite`
+//! merges the reports ([`merge_outcomes`]) and diffs the trend metrics
+//! against `BENCH_baseline.json` ([`baseline_regressions`]).
 
-use crate::BenchArgs;
 use horam::analysis::table::Table;
 use horam::core::shard::{ShardedConfig, ShardedOram};
 use horam::core::{Permission, UserId};
 use horam::prelude::*;
+use horam::protocols::types::BlockContent;
+use horam::storage::calibration::MachineConfig;
+use horam::storage::clock::SimTime;
+use horam::storage::file::{scratch_dir, FileStoreConfig};
+use horam::storage::trace::TraceEvent;
 use horam::workload::{SequentialWorkload, TenantSchedule, WorkloadGenerator, ZipfWorkload};
 use horam_server::{AdmissionPolicy, FairSharePolicy, FifoPolicy, OramService, ServiceConfig};
-use serde::{Serialize, Value};
+use serde::{Number, Serialize, Value};
+use std::path::Path;
 use std::time::Instant;
+
+/// One CI gate.
+pub struct Gate {
+    /// What `suite <gate>` selects, and the merged report's `gate` field.
+    pub name: &'static str,
+    /// Report fields the trend check tracks, as `<name>.<key>`. A key
+    /// `rows[].key` tracks `key` of every element of the sequence `rows`,
+    /// as `<name>.<label>.<key>`; the label is the element's first field.
+    pub trend: &'static [&'static str],
+    /// Runs the experiment; `true` scales it down (`--quick`).
+    pub run: fn(bool) -> Report,
+}
+
+/// Every CI gate, in the order the suite runs them. `parallel` and `rpc`
+/// measure host wall-clock and `persistence` gates on equality, so those
+/// three track no trend key.
+pub const GATES: &[Gate] = &[
+    gate(
+        "serving",
+        &["vs_sequential", "vs_per_request"],
+        serving::run,
+    ),
+    gate(
+        "io_pipeline",
+        &["workloads[].io_speedup", "workloads[].wall_speedup"],
+        io_pipeline::run,
+    ),
+    gate("sharding", &["io_speedup", "wall_speedup"], sharding::run),
+    gate("parallel", &[], parallel::run),
+    gate("persistence", &[], persistence::run),
+    gate("cache", &["io_speedup"], cache::run),
+    gate("chaos", &["throughput_ratio"], chaos::run),
+    gate(
+        "capacity",
+        &["throughput_ratio", "trusted_shrink", "snapshot_shrink"],
+        capacity::run,
+    ),
+    gate("rpc", &[], rpc::run),
+];
+
+const fn gate(name: &'static str, trend: &'static [&'static str], run: fn(bool) -> Report) -> Gate {
+    Gate { name, trend, run }
+}
+
+/// A gate experiment's result.
+pub struct Report {
+    /// The machine-readable report.
+    pub value: Value,
+    /// The pass conditions that did not hold; the gate passes when empty.
+    pub failed: Vec<&'static str>,
+}
+
+impl Report {
+    fn new(summary: &impl Serialize, failed: Vec<&'static str>) -> Self {
+        Self {
+            value: summary.to_value(),
+            failed,
+        }
+    }
+}
+
+/// The names of the `checks` that do not hold.
+fn failures(checks: &[(&'static str, bool)]) -> Vec<&'static str> {
+    checks
+        .iter()
+        .filter(|(_, holds)| !holds)
+        .map(|(name, _)| *name)
+        .collect()
+}
 
 /// One gate's verdict and machine-readable report.
 #[derive(Debug, Clone)]
 pub struct GateOutcome {
-    /// Gate identifier (`serving`, `io_pipeline`, `sharding`).
+    /// The gate's [`Gate::name`].
     pub name: &'static str,
-    /// Whether the gate's regression threshold held.
+    /// Whether every pass condition held.
     pub pass: bool,
     /// The full report, ready for JSON serialization.
     pub report: Value,
 }
 
-/// Merges gate outcomes into the consolidated suite report: one JSON
-/// object with the overall verdict and every gate's report under its
-/// name. Returns the report and whether every gate passed.
+/// Runs one gate, prints its report as tables and its verdict, and
+/// returns the outcome.
+pub fn run_gate(gate: &Gate, quick: bool) -> GateOutcome {
+    println!("== gate {} ==\n", gate.name);
+    let Report { value, failed } = (gate.run)(quick);
+    print_report(&value);
+    let pass = failed.is_empty();
+    if pass {
+        println!("gate {} PASS\n", gate.name);
+    } else {
+        println!("gate {} FAIL: {}\n", gate.name, failed.join(", "));
+    }
+    GateOutcome {
+        name: gate.name,
+        pass,
+        report: value,
+    }
+}
+
+/// Prints a report's scalar fields as one table, then each sequence of
+/// rows as a table (row by row when rows hold rows of their own).
+fn print_report(report: &Value) {
+    let fields = report.as_map().unwrap_or(&[]);
+    let mut scalars = Table::new(vec!["field", "value"]);
+    for (key, value) in fields.iter().filter(|(_, value)| rows(value).is_none()) {
+        scalars.row(vec![key.clone(), cell(value)]);
+    }
+    println!("{scalars}");
+    let nested = |item: &Value| {
+        let fields = item.as_map().unwrap_or(&[]);
+        fields.iter().any(|(_, value)| rows(value).is_some())
+    };
+    for (key, items) in fields.iter().filter_map(|(k, v)| Some((k, rows(v)?))) {
+        if items.iter().any(nested) {
+            for item in items {
+                println!("{key}: {}", label(item));
+                print_report(item);
+            }
+            continue;
+        }
+        let header = items[0].as_map().unwrap_or(&[]);
+        let mut table = Table::new(header.iter().map(|(name, _)| name.as_str()).collect());
+        for item in items {
+            let fields = item.as_map().unwrap_or(&[]);
+            table.row(fields.iter().map(|(_, value)| cell(value)).collect());
+        }
+        println!("{key}:\n{table}");
+    }
+}
+
+/// The elements of a sequence of maps; `None` for any other value.
+fn rows(value: &Value) -> Option<&[Value]> {
+    match value {
+        Value::Seq(items) if matches!(items.first(), Some(Value::Map(_))) => Some(items),
+        _ => None,
+    }
+}
+
+/// A row's label: its first field.
+fn label(row: &Value) -> String {
+    row.as_map()
+        .ok()
+        .and_then(|fields| fields.first())
+        .map_or_else(String::new, |(_, value)| cell(value))
+}
+
+/// The one number format of every gate table.
+fn cell(value: &Value) -> String {
+    match value {
+        Value::Null => "-".into(),
+        Value::Bool(b) => b.to_string(),
+        Value::Num(Number::F(f)) => format!("{f:.3}"),
+        Value::Num(Number::U(n)) => n.to_string(),
+        Value::Num(Number::I(n)) => n.to_string(),
+        Value::Str(s) => s.clone(),
+        Value::Seq(items) => {
+            let cells: Vec<String> = items.iter().map(cell).collect();
+            format!("[{}]", cells.join(", "))
+        }
+        Value::Map(_) => "{…}".into(),
+    }
+}
+
+/// Merges gate outcomes into one suite report; returns it and whether
+/// every gate passed.
 pub fn merge_outcomes(outcomes: &[GateOutcome]) -> (Value, bool) {
     let pass = outcomes.iter().all(|o| o.pass);
     let gates: Vec<Value> = outcomes
@@ -67,78 +212,46 @@ pub fn merge_outcomes(outcomes: &[GateOutcome]) -> (Value, bool) {
 ///
 /// Panics if the file cannot be written (CI treats that as a failed
 /// gate run).
-pub fn write_report(path: &std::path::Path, report: &Value) {
+pub fn write_report(path: &Path, report: &Value) {
     let json = serde_json::to_string_pretty(report).expect("serializes");
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("writes {}: {e}", path.display()));
     println!("wrote {}", path.display());
 }
 
-/// Runs one gate binary's standard main: gate, report file, exit code.
-///
-/// Parses the shared [`BenchArgs`] flags (`--quick`, `--out`); exits
-/// nonzero when the gate fails, after writing the report either way.
-pub fn gate_main(default_out: &str, gate: impl FnOnce(bool) -> GateOutcome) -> ! {
-    let args = BenchArgs::parse();
-    let outcome = gate(args.quick);
-    write_report(&args.out_or(default_out), &outcome.report);
-    std::process::exit(if outcome.pass { 0 } else { 1 });
-}
-
-/// The deterministic trend metrics of a merged suite report: the
-/// simulated-time throughput ratios each gate computes. These are pure
-/// functions of the simulation (no host wall-clock enters them), so a
-/// fresh run on any machine must reproduce the committed baseline within
-/// noise-free equality — the trend job fails on >25 % regression.
+/// The trend metrics of a merged suite report: the [`Gate::trend`] keys
+/// of every gate in it. They are simulated-time ratios (no host
+/// wall-clock enters them), so a fresh run on any machine reproduces the
+/// committed baseline exactly; the trend check fails on >25 % regression.
 pub fn trend_metrics(suite_report: &Value) -> Vec<(String, f64)> {
-    fn ratio(value: &Value) -> Option<f64> {
-        match value {
-            Value::Num(serde::Number::F(f)) => Some(*f),
-            Value::Num(serde::Number::U(u)) => Some(*u as f64),
-            Value::Num(serde::Number::I(i)) => Some(*i as f64),
+    fn number(value: Result<&Value, serde::Error>) -> Option<f64> {
+        match value.ok()? {
+            Value::Num(Number::F(f)) => Some(*f),
+            Value::Num(Number::U(u)) => Some(*u as f64),
+            Value::Num(Number::I(i)) => Some(*i as f64),
             _ => None,
         }
     }
     let mut metrics = Vec::new();
-    let Ok(gates) = suite_report.field("gates").and_then(Value::as_seq) else {
-        return metrics;
-    };
-    for gate in gates {
-        let Ok(name) = gate.field("gate").and_then(Value::as_str) else {
+    let gates = suite_report.field("gates").and_then(Value::as_seq);
+    for gate in gates.unwrap_or(&[]) {
+        let (Ok(name), Ok(report)) = (
+            gate.field("gate").and_then(Value::as_str),
+            gate.field("report"),
+        ) else {
             continue;
         };
-        let Ok(report) = gate.field("report") else {
-            continue;
-        };
-        let keys: &[&str] = match name {
-            "serving" => &["vs_sequential", "vs_per_request"],
-            "sharding" => &["io_speedup", "wall_speedup"],
-            "cache" => &["io_speedup"],
-            "chaos" => &["throughput_ratio"],
-            "capacity" => &["throughput_ratio", "trusted_shrink", "snapshot_shrink"],
-            // `parallel` measures host wall-clock; `persistence` gates on
-            // equality, not a ratio — neither belongs in the trend file.
-            _ => &[],
-        };
+        let keys = GATES
+            .iter()
+            .find(|g| g.name == name)
+            .map_or(&[][..], |g| g.trend);
         for key in keys {
-            if let Some(v) = report.field(key).ok().and_then(ratio) {
-                metrics.push((format!("{name}.{key}"), v));
-            }
-        }
-        // The io_pipeline report nests its ratios per workload row; track
-        // every row's pair under `io_pipeline.<workload>.<key>`.
-        if name == "io_pipeline" {
-            let rows = report
-                .field("workloads")
-                .and_then(Value::as_seq)
-                .unwrap_or(&[]);
-            for row in rows {
-                let Ok(workload) = row.field("workload").and_then(Value::as_str) else {
-                    continue;
-                };
-                for key in ["io_speedup", "wall_speedup"] {
-                    if let Some(v) = row.field(key).ok().and_then(ratio) {
-                        metrics.push((format!("{name}.{workload}.{key}"), v));
-                    }
+            let Some((seq, key)) = key.split_once("[].") else {
+                metrics.extend(number(report.field(key)).map(|v| (format!("{name}.{key}"), v)));
+                continue;
+            };
+            for row in report.field(seq).and_then(Value::as_seq).unwrap_or(&[]) {
+                if let Some(v) = number(row.field(key)) {
+                    metrics.push((format!("{name}.{}.{key}", label(row)), v));
                 }
             }
         }
@@ -146,11 +259,9 @@ pub fn trend_metrics(suite_report: &Value) -> Vec<(String, f64)> {
     metrics
 }
 
-/// Diffs a fresh suite report against a committed baseline: any tracked
-/// throughput ratio that fell below `(1 - tolerance)` of its baseline
-/// value is a regression. Metrics present in only one report are
-/// reported too (a silently vanished gate is a regression of the CI
-/// itself).
+/// Diffs a fresh suite report against a committed baseline: a trend
+/// metric below `(1 - tolerance)` of its baseline value, or present in
+/// only one of the two reports, is a regression.
 pub fn baseline_regressions(fresh: &Value, baseline: &Value, tolerance: f64) -> Vec<String> {
     let fresh_metrics = trend_metrics(fresh);
     let baseline_metrics = trend_metrics(baseline);
@@ -202,17 +313,123 @@ fn zipf_schedule(requests: usize, seed: u64) -> TenantSchedule {
     )
 }
 
-fn throughput(requests: usize, wall: SimDuration) -> f64 {
-    let secs = wall.as_secs_f64();
-    if secs > 0.0 {
-        requests as f64 / secs
+/// `num / den`, or 0 when `den` is not positive.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
     } else {
         0.0
     }
 }
 
-// ------------------------------------------------------------- serving
+fn throughput(requests: usize, wall: SimDuration) -> f64 {
+    ratio(requests as f64, wall.as_secs_f64())
+}
 
+/// `full`, divided by `divisor` under `--quick`.
+fn scaled(full: usize, quick: bool, divisor: usize) -> usize {
+    full / if quick { divisor } else { 1 }
+}
+
+/// Runs `work`; returns its result and the host wall-clock it took, ms.
+fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
+    let started = Instant::now();
+    let result = work();
+    (result, started.elapsed().as_secs_f64() * 1e3)
+}
+
+/// A single instance on the paper's simulated machine.
+fn horam(config: HOramConfig, key: u8) -> HOram {
+    HOram::new(
+        config,
+        MemoryHierarchy::dac2019(),
+        MasterKey::from_bytes([key; 32]),
+    )
+    .expect("builds")
+}
+
+/// A sharded engine on the paper's simulated machine.
+fn sharded(config: HOramConfig, shards: u64, key: u8) -> ShardedOram {
+    ShardedOram::new(
+        ShardedConfig::new(config, shards),
+        MasterKey::from_bytes([key; 32]),
+        |_| MemoryHierarchy::dac2019(),
+    )
+    .expect("builds")
+}
+
+/// Simulated time since the start of a clock that reads `now`.
+fn since_start(now: SimTime) -> SimDuration {
+    now.duration_since(SimTime::ZERO)
+}
+
+/// Host cores the wall-clock bars scale with.
+fn host_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// Storage slots across `config`'s partitions.
+fn storage_slots(config: &HOramConfig) -> u64 {
+    config.partition_count() * config.partition_slots()
+}
+
+/// A file-backed hierarchy at `path`, sized for `config`'s storage.
+fn file_hierarchy(config: &HOramConfig, path: &Path) -> MemoryHierarchy {
+    let body = BlockContent::encoded_len(config.payload_len);
+    MemoryHierarchy::with_file_storage(
+        MachineConfig::dac2019(),
+        path,
+        FileStoreConfig::new(storage_slots(config), body).with_write_back_slots(64),
+    )
+    .expect("file hierarchy builds")
+}
+
+/// The bus trace with timestamps: what the byte-identity checks compare.
+fn trace_shape(events: &[TraceEvent]) -> Vec<(u16, u64, u64, u64)> {
+    events
+        .iter()
+        .map(|e| (e.device.0, e.addr, e.bytes, e.at.as_nanos()))
+        .collect()
+}
+
+/// Runs `body` in a fresh scratch directory, removed even on a panic.
+fn in_scratch<T>(name: &str, body: impl FnOnce(&Path) -> T) -> T {
+    let scratch = scratch_dir(name);
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&scratch)));
+    let _ = std::fs::remove_dir_all(&scratch);
+    result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// The service configuration every serving gate uses.
+fn batched() -> ServiceConfig {
+    ServiceConfig {
+        batch_size: BATCH_SIZE,
+        ..ServiceConfig::default()
+    }
+}
+
+/// Registers `schedule`'s tenants on every block, serves it, and returns
+/// the responses in order with the host ms serving took.
+fn serve_schedule(service: &mut OramService, schedule: &TenantSchedule) -> (Vec<Vec<u8>>, f64) {
+    for tenant in schedule.tenants() {
+        service.register_tenant(UserId(tenant), 0..CAPACITY, Permission::ReadWrite);
+    }
+    let arrivals = schedule
+        .arrivals
+        .iter()
+        .map(|arrival| (UserId(arrival.tenant), arrival.request.clone()));
+    let ((tickets, _), host_ms) = timed(|| service.serve_all(arrivals).expect("serves"));
+    let responses = tickets
+        .into_iter()
+        .map(|ticket| service.take_response(ticket).expect("completed"))
+        .collect();
+    (responses, host_ms)
+}
+
+/// The batched multi-tenant server must meet or beat sequential
+/// `run_batch` on the shared-hot-set Zipf schedule.
 mod serving {
     use super::*;
 
@@ -222,258 +439,115 @@ mod serving {
     struct ModeRow {
         mode: String,
         sim_wall_us: f64,
-        /// Host-side wall clock of the mode's run, ms (`Instant`-based).
+        /// Host-side wall clock of the mode's run, ms.
         wall_ms: f64,
         throughput_rps: f64,
         oram_requests: u64,
         deduped: u64,
-        /// Submission-to-completion latency; `null` for the two modes with
-        /// no server (nothing queues, so there is no latency to report).
+        /// Submission-to-completion latency; `null` without a server.
         mean_latency_us: Option<f64>,
         worst_tenant_latency_us: Option<f64>,
     }
 
     #[derive(Debug, Serialize)]
-    struct Report {
+    struct Summary {
         bench: &'static str,
         requests: usize,
         tenants: u32,
         batch_size: usize,
         pass: bool,
-        /// fair-share server throughput over sequential `run_batch`.
+        /// Fair-share server throughput over sequential `run_batch`, and
+        /// over per-request callers.
         vs_sequential: f64,
-        /// fair-share server throughput over per-request callers.
         vs_per_request: f64,
         modes: Vec<ModeRow>,
     }
 
-    /// Every mode runs the same engine — one shard, a single instance
-    /// behind the router — so the gate compares ways of serving, not
-    /// engines.
+    /// Every mode runs the same one-shard engine: the gate compares ways
+    /// of serving, not engines.
     fn fresh_oram() -> ShardedOram {
         let config = HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS).with_seed(SEED);
-        ShardedOram::new(
-            ShardedConfig::new(config, 1),
-            MasterKey::from_bytes([0xA5; 32]),
-            |_| MemoryHierarchy::dac2019(),
-        )
-        .expect("builds")
+        sharded(config, 1, 0xA5)
     }
 
-    /// One blocking caller: submit, drain, repeat.
-    fn run_per_request(requests: &[Request]) -> (SimDuration, f64) {
+    /// A mode without a server: `run_batch` over `chunk` requests at a
+    /// time (1: a blocking caller; all: the paper's evaluation mode).
+    fn unserved(mode: &str, requests: &[Request], chunk: usize) -> ModeRow {
         let mut oram = fresh_oram();
-        let started = Instant::now();
-        for request in requests {
-            oram.run_batch(std::slice::from_ref(request)).expect("runs");
+        let ((), wall_ms) = timed(|| {
+            for batch in requests.chunks(chunk) {
+                oram.run_batch(batch).expect("runs");
+            }
+        });
+        let wall = oram.stats().total_wall_time();
+        ModeRow {
+            mode: mode.into(),
+            sim_wall_us: wall.as_micros_f64(),
+            wall_ms,
+            throughput_rps: throughput(requests.len(), wall),
+            oram_requests: requests.len() as u64,
+            deduped: 0,
+            mean_latency_us: None,
+            worst_tenant_latency_us: None,
         }
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        (oram.stats().total_wall_time(), wall_ms)
     }
 
-    /// The paper's evaluation mode: the whole trace as one batch.
-    fn run_sequential_batch(requests: &[Request]) -> (SimDuration, f64) {
-        let mut oram = fresh_oram();
-        let started = Instant::now();
-        oram.run_batch(requests).expect("runs");
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        (oram.stats().total_wall_time(), wall_ms)
-    }
-
-    struct ServerRun {
-        wall: SimDuration,
-        wall_ms: f64,
-        deduped: u64,
-        oram_requests: u64,
-        mean_latency: SimDuration,
-        worst_tenant_latency: SimDuration,
-    }
-
-    fn run_server(schedule: &TenantSchedule, policy: Box<dyn AdmissionPolicy>) -> ServerRun {
-        let mut service = OramService::new(
-            fresh_oram(),
-            policy,
-            ServiceConfig {
-                batch_size: BATCH_SIZE,
-                ..ServiceConfig::default()
-            },
-        );
-        for tenant in schedule.tenants() {
-            service.register_tenant(UserId(tenant), 0..CAPACITY, Permission::ReadWrite);
-        }
-        let arrivals = schedule
-            .arrivals
-            .iter()
-            .map(|arrival| (UserId(arrival.tenant), arrival.request.clone()));
-        let started = Instant::now();
-        let (_tickets, _report) = service.serve_all(arrivals).expect("serves");
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-
-        let mut latency_sum = SimDuration::ZERO;
-        let mut completed = 0u64;
-        let mut worst = SimDuration::ZERO;
+    fn served(schedule: &TenantSchedule, policy: Box<dyn AdmissionPolicy>) -> ModeRow {
+        let mode = format!("server ({})", policy.name());
+        let config = batched();
+        let mut service = OramService::new(fresh_oram(), policy, config);
+        let (_, wall_ms) = serve_schedule(&mut service, schedule);
+        let (mut latency_sum, mut completed, mut worst) =
+            (SimDuration::ZERO, 0u64, SimDuration::ZERO);
         for tenant in schedule.tenants() {
             let stats = service.tenant_stats(UserId(tenant)).expect("registered");
             latency_sum += stats.latency_total;
             completed += stats.completed;
             worst = worst.max(stats.mean_latency());
         }
-        ServerRun {
-            wall: service.oram().stats().total_wall_time(),
+        let mean = latency_sum / completed.max(1);
+        let wall = service.oram().stats().total_wall_time();
+        ModeRow {
+            mode,
+            sim_wall_us: wall.as_micros_f64(),
             wall_ms,
-            deduped: service.stats().deduped,
+            throughput_rps: throughput(schedule.len(), wall),
             oram_requests: service.stats().oram.requests,
-            mean_latency: if completed == 0 {
-                SimDuration::ZERO
-            } else {
-                latency_sum / completed
-            },
-            worst_tenant_latency: worst,
+            deduped: service.stats().deduped,
+            mean_latency_us: Some(mean.as_micros_f64()),
+            worst_tenant_latency_us: Some(worst.as_micros_f64()),
         }
     }
 
-    pub(super) fn gate(quick: bool) -> GateOutcome {
-        let mut requests = 6_000usize;
-        if quick {
-            requests /= 8;
-            println!("(--quick: scaled to 1/8)\n");
-        }
+    pub(super) fn run(quick: bool) -> Report {
+        let requests = scaled(6_000, quick, 8);
         let schedule = zipf_schedule(requests, SEED);
-        let flat = schedule.to_trace();
-
-        println!(
-            "Serving-layer throughput — {CAPACITY} blocks, {MEMORY_SLOTS} memory slots, \
-             {TENANTS} tenants, batch {BATCH_SIZE}, {} requests ({})\n",
-            requests, schedule.label
-        );
-
-        let (per_request_wall, per_request_ms) = run_per_request(&flat.requests);
-        let (sequential_wall, sequential_ms) = run_sequential_batch(&flat.requests);
-        let mut modes = vec![
-            ModeRow {
-                mode: "per-request (sync caller)".into(),
-                sim_wall_us: per_request_wall.as_micros_f64(),
-                wall_ms: per_request_ms,
-                throughput_rps: throughput(requests, per_request_wall),
-                oram_requests: requests as u64,
-                deduped: 0,
-                mean_latency_us: None,
-                worst_tenant_latency_us: None,
+        let flat = schedule.to_trace().requests;
+        let per_request = unserved("per-request (sync caller)", &flat, 1);
+        let sequential = unserved("sequential run_batch", &flat, flat.len().max(1));
+        let fifo = served(&schedule, Box::new(FifoPolicy));
+        let fair = served(&schedule, Box::new(FairSharePolicy::default()));
+        let vs_sequential = fair.throughput_rps / sequential.throughput_rps.max(1e-9);
+        let vs_per_request = fair.throughput_rps / per_request.throughput_rps.max(1e-9);
+        let failed = failures(&[("vs_sequential", vs_sequential >= 1.0)]);
+        Report::new(
+            &Summary {
+                bench: "serving",
+                requests,
+                tenants: TENANTS,
+                batch_size: BATCH_SIZE,
+                pass: failed.is_empty(),
+                vs_sequential,
+                vs_per_request,
+                modes: vec![per_request, sequential, fifo, fair],
             },
-            ModeRow {
-                mode: "sequential run_batch".into(),
-                sim_wall_us: sequential_wall.as_micros_f64(),
-                wall_ms: sequential_ms,
-                throughput_rps: throughput(requests, sequential_wall),
-                oram_requests: requests as u64,
-                deduped: 0,
-                mean_latency_us: None,
-                worst_tenant_latency_us: None,
-            },
-        ];
-
-        let mut table = Table::new(vec![
-            "mode",
-            "wall time",
-            "throughput (req/s)",
-            "oram reqs",
-            "deduped",
-            "mean latency",
-            "worst tenant",
-        ]);
-        table.row(vec![
-            "per-request (sync caller)".into(),
-            per_request_wall.to_string(),
-            format!("{:.0}", throughput(requests, per_request_wall)),
-            requests.to_string(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
-        table.row(vec![
-            "sequential run_batch".into(),
-            sequential_wall.to_string(),
-            format!("{:.0}", throughput(requests, sequential_wall)),
-            requests.to_string(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
-
-        let mut batched_wall = None;
-        for policy in [
-            Box::new(FifoPolicy) as Box<dyn AdmissionPolicy>,
-            Box::new(FairSharePolicy::default()),
-        ] {
-            let name = policy.name();
-            let run = run_server(&schedule, policy);
-            if name == "fair-share" {
-                batched_wall = Some(run.wall);
-            }
-            table.row(vec![
-                format!("server ({name})"),
-                run.wall.to_string(),
-                format!("{:.0}", throughput(requests, run.wall)),
-                run.oram_requests.to_string(),
-                run.deduped.to_string(),
-                run.mean_latency.to_string(),
-                run.worst_tenant_latency.to_string(),
-            ]);
-            modes.push(ModeRow {
-                mode: format!("server ({name})"),
-                sim_wall_us: run.wall.as_micros_f64(),
-                wall_ms: run.wall_ms,
-                throughput_rps: throughput(requests, run.wall),
-                oram_requests: run.oram_requests,
-                deduped: run.deduped,
-                mean_latency_us: Some(run.mean_latency.as_micros_f64()),
-                worst_tenant_latency_us: Some(run.worst_tenant_latency.as_micros_f64()),
-            });
-        }
-        println!("{table}");
-
-        let batched_wall = batched_wall.expect("fair-share run present");
-        let vs_sequential =
-            throughput(requests, batched_wall) / throughput(requests, sequential_wall).max(1e-9);
-        let vs_per_request =
-            throughput(requests, batched_wall) / throughput(requests, per_request_wall).max(1e-9);
-        println!("batched server (fair-share) vs sequential run_batch: {vs_sequential:.2}x");
-        println!("batched server (fair-share) vs per-request callers:  {vs_per_request:.2}x");
-        let pass = vs_sequential >= 1.0;
-        if pass {
-            println!(
-                "OK: batched serving >= sequential run_batch (dedup of the shared hot set).\n"
-            );
-        } else {
-            println!("REGRESSION: batched serving fell below sequential run_batch.\n");
-        }
-
-        let report = Report {
-            bench: "serving",
-            requests,
-            tenants: TENANTS,
-            batch_size: BATCH_SIZE,
-            pass,
-            vs_sequential,
-            vs_per_request,
-            modes,
-        };
-        GateOutcome {
-            name: "serving",
-            pass,
-            report: report.to_value(),
-        }
+            failed,
+        )
     }
 }
 
-/// The serving-layer gate: the batched multi-tenant server must meet or
-/// beat sequential `run_batch` on the shared-hot-set Zipf schedule.
-pub fn serving_gate(quick: bool) -> GateOutcome {
-    serving::gate(quick)
-}
-
-// --------------------------------------------------------- io_pipeline
-
+/// The batched window must keep ≥ 1.5× simulated I/O speedup over the
+/// per-block path, with byte-identical responses.
 mod io_pipeline {
     use super::*;
 
@@ -485,13 +559,11 @@ mod io_pipeline {
     struct ModeRow {
         mode: &'static str,
         io_batch: u64,
-        /// Simulated storage occupancy of the access periods' loads, µs.
+        /// Simulated access-period storage time, mean load latency, and
+        /// end-to-end wall time, µs; host wall clock, ms.
         sim_io_us: f64,
-        /// Mean simulated latency per I/O load, µs.
         mean_io_latency_us: f64,
-        /// Simulated end-to-end wall time (access + shuffle), µs.
         sim_wall_us: f64,
-        /// Host-side wall clock of the run, ms.
         host_ms: f64,
     }
 
@@ -508,7 +580,7 @@ mod io_pipeline {
     }
 
     #[derive(Debug, Serialize)]
-    struct Report {
+    struct Summary {
         bench: &'static str,
         gate_workload: &'static str,
         min_io_speedup: f64,
@@ -524,15 +596,8 @@ mod io_pipeline {
         let config = HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS)
             .with_seed(SEED)
             .with_io_batch(io_batch);
-        let mut oram = HOram::new(
-            config,
-            MemoryHierarchy::dac2019(),
-            MasterKey::from_bytes([0xC7; 32]),
-        )
-        .expect("builds");
-        let started = Instant::now();
-        let responses = oram.run_batch(requests).expect("runs");
-        let host_ms = started.elapsed().as_secs_f64() * 1e3;
+        let mut oram = horam(config, 0xC7);
+        let (responses, host_ms) = timed(|| oram.run_batch(requests).expect("runs"));
         let stats = oram.stats();
         let row = ModeRow {
             mode,
@@ -558,88 +623,38 @@ mod io_pipeline {
         }
     }
 
-    pub(super) fn gate(quick: bool) -> GateOutcome {
-        let mut requests = 6_000usize;
-        if quick {
-            requests /= 4;
-            println!("(--quick: scaled to 1/4)\n");
-        }
-        println!(
-            "I/O pipeline ablation — {CAPACITY} blocks, {MEMORY_SLOTS} memory slots, \
-             window {IO_BATCH}, {requests} requests per workload\n"
-        );
-
-        let zipf_trace = ZipfWorkload::new(CAPACITY, ZIPF_EXPONENT, WRITE_RATIO, SEED)
+    pub(super) fn run(quick: bool) -> Report {
+        let requests = scaled(6_000, quick, 4);
+        let zipf = ZipfWorkload::new(CAPACITY, ZIPF_EXPONENT, WRITE_RATIO, SEED)
             .with_payload_len(PAYLOAD_LEN)
             .generate(requests);
-        let scan_trace = SequentialWorkload::new(CAPACITY).generate(requests);
-        let reports = vec![
-            run_workload("zipf-hit-bound", zipf_trace),
-            run_workload("sequential-scan", scan_trace),
+        let scan = SequentialWorkload::new(CAPACITY).generate(requests);
+        let workloads = vec![
+            run_workload("zipf-hit-bound", zipf),
+            run_workload("sequential-scan", scan),
         ];
-
-        for report in &reports {
-            let mut table = Table::new(vec![
-                "mode",
-                "sim I/O time",
-                "mean load",
-                "sim wall",
-                "host time",
-            ]);
-            for row in &report.modes {
-                table.row(vec![
-                    row.mode.into(),
-                    format!("{:.1} ms", row.sim_io_us / 1e3),
-                    format!("{:.1} µs", row.mean_io_latency_us),
-                    format!("{:.1} ms", row.sim_wall_us / 1e3),
-                    format!("{:.1} ms", row.host_ms),
-                ]);
-            }
-            println!(
-                "workload: {} ({} requests)",
-                report.workload, report.requests
-            );
-            println!("{table}");
-            println!(
-                "  sim I/O speedup (per-block / batched): {:.2}x   wall: {:.2}x   \
-                 responses match: {}\n",
-                report.io_speedup, report.wall_speedup, report.responses_match
-            );
-        }
-
-        let gate = &reports[0];
-        let pass = gate.io_speedup >= MIN_IO_SPEEDUP && reports.iter().all(|r| r.responses_match);
-        if pass {
-            println!(
-                "OK: batched >= {MIN_IO_SPEEDUP}x simulated I/O speedup on the hit-bound \
-                 Zipf workload, responses identical across modes.\n"
-            );
-        } else {
-            println!("REGRESSION: pipeline gate failed.\n");
-        }
-        let report = Report {
-            bench: "io_pipeline",
-            gate_workload: gate.workload,
-            min_io_speedup: MIN_IO_SPEEDUP,
-            pass,
-            workloads: reports,
-        };
-        GateOutcome {
-            name: "io_pipeline",
-            pass,
-            report: report.to_value(),
-        }
+        let failed = failures(&[
+            ("io_speedup", workloads[0].io_speedup >= MIN_IO_SPEEDUP),
+            (
+                "responses_match",
+                workloads.iter().all(|w| w.responses_match),
+            ),
+        ]);
+        Report::new(
+            &Summary {
+                bench: "io_pipeline",
+                gate_workload: workloads[0].workload,
+                min_io_speedup: MIN_IO_SPEEDUP,
+                pass: failed.is_empty(),
+                workloads,
+            },
+            failed,
+        )
     }
 }
 
-/// The I/O-pipeline gate: the batched window must keep ≥ 1.5× simulated
-/// I/O speedup over the per-block path, with byte-identical responses.
-pub fn io_pipeline_gate(quick: bool) -> GateOutcome {
-    io_pipeline::gate(quick)
-}
-
-// ------------------------------------------------------------ sharding
-
+/// Four shards must deliver ≥ 2.5× one instance's simulated-I/O
+/// throughput, with identical responses at every shard count.
 mod sharding {
     use super::*;
 
@@ -651,14 +666,12 @@ mod sharding {
     #[derive(Debug, Clone, Serialize)]
     struct ShardRow {
         shards: u64,
-        /// Concurrent simulated I/O time: the busiest shard's storage
-        /// occupancy during access periods, µs (shards overlap).
+        /// The busiest shard's access-period storage time, µs.
         sim_io_us: f64,
-        /// Elapsed simulated wall time on the shared clock, µs.
+        /// Elapsed simulated time on the shared clock, µs.
         sim_wall_us: f64,
-        /// Requests per second of concurrent simulated I/O time.
+        /// Requests per second of `sim_io_us` and of `sim_wall_us`.
         io_throughput_rps: f64,
-        /// Requests per second of elapsed simulated wall time.
         wall_throughput_rps: f64,
         /// Busiest shard's request share over the ideal 1/shards share.
         balance: f64,
@@ -669,7 +682,7 @@ mod sharding {
     }
 
     #[derive(Debug, Serialize)]
-    struct Report {
+    struct Summary {
         bench: &'static str,
         requests: usize,
         tenants: u32,
@@ -677,9 +690,8 @@ mod sharding {
         gate_shards: u64,
         min_io_speedup: f64,
         pass: bool,
-        /// Concurrent-I/O throughput of the gate row over the 1-shard row.
+        /// The gate row's throughputs over the 1-shard row's.
         io_speedup: f64,
-        /// Wall throughput of the gate row over the 1-shard row.
         wall_speedup: f64,
         responses_match: bool,
         rows: Vec<ShardRow>,
@@ -688,63 +700,30 @@ mod sharding {
     /// Serves the schedule through the shard router; returns the row and
     /// every response in submission order (the equivalence check).
     fn run_sharded(schedule: &TenantSchedule, shards: u64) -> (ShardRow, Vec<Vec<u8>>) {
-        let service_config = ServiceConfig {
-            batch_size: BATCH_SIZE,
-            ..ServiceConfig::default()
-        };
-        // Engine and service are sized together: the serving layer's
-        // `worker_threads` becomes the engine's wall-clock pump width
-        // (results are byte-identical at any value).
+        let service_config = batched();
+        // The service's `worker_threads` sizes the engine's pump.
         let base = service_config
             .engine_config(HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS))
             .with_seed(SEED);
-        let oram = ShardedOram::new(
-            ShardedConfig::new(base, shards),
-            MasterKey::from_bytes([0xD4; 32]),
-            |_| MemoryHierarchy::dac2019(),
-        )
-        .expect("builds");
+        let oram = sharded(base, shards, 0xD4);
         let balance = {
             let counts = schedule.route_counts(shards as usize, |id| {
                 oram.mapper().shard_of(id).expect("in range") as usize
             });
             let max = *counts.iter().max().expect("non-empty") as f64;
-            let ideal = schedule.len() as f64 / shards as f64;
-            max / ideal
+            max / (schedule.len() as f64 / shards as f64)
         };
-        let mut service = OramService::new(
-            oram,
-            Box::new(FairSharePolicy::default()) as Box<dyn AdmissionPolicy>,
-            service_config,
-        );
-        for tenant in schedule.tenants() {
-            service.register_tenant(UserId(tenant), 0..CAPACITY, Permission::ReadWrite);
-        }
-        let started = Instant::now();
-        let arrivals = schedule
-            .arrivals
-            .iter()
-            .map(|arrival| (UserId(arrival.tenant), arrival.request.clone()));
-        let (tickets, _report) = service.serve_all(arrivals).expect("serves");
-        let host_ms = started.elapsed().as_secs_f64() * 1e3;
-        let responses: Vec<Vec<u8>> = tickets
-            .iter()
-            .map(|t| service.take_response(*t).expect("completed"))
-            .collect();
+        let policy = Box::new(FairSharePolicy::default());
+        let mut service = OramService::new(oram, policy, service_config);
+        let (responses, host_ms) = serve_schedule(&mut service, schedule);
 
-        // Shards run concurrently: the aggregate I/O time is the busiest
-        // shard's, and elapsed time comes from the shared clock.
+        // Shards run concurrently: the busiest shard's I/O time counts.
         let concurrent_io = service
             .shard_stats()
             .iter()
             .map(|s| s.io_time)
             .fold(SimDuration::ZERO, SimDuration::max);
-        let elapsed = service
-            .oram()
-            .clock()
-            .now()
-            .duration_since(horam::storage::clock::SimTime::ZERO);
-        let deduped = service.stats().deduped;
+        let elapsed = since_start(service.oram().clock().now());
         let row = ShardRow {
             shards,
             sim_io_us: concurrent_io.as_micros_f64(),
@@ -752,56 +731,20 @@ mod sharding {
             io_throughput_rps: throughput(schedule.len(), concurrent_io),
             wall_throughput_rps: throughput(schedule.len(), elapsed),
             balance,
-            deduped,
+            deduped: service.stats().deduped,
             host_ms,
         };
         (row, responses)
     }
 
-    pub(super) fn gate(quick: bool) -> GateOutcome {
-        let mut requests = 6_000usize;
-        if quick {
-            requests /= 4;
-            println!("(--quick: scaled to 1/4)\n");
-        }
+    pub(super) fn run(quick: bool) -> Report {
+        let requests = scaled(6_000, quick, 4);
         let schedule = zipf_schedule(requests, SEED);
-        println!(
-            "Sharded scale-out — {CAPACITY} blocks, {MEMORY_SLOTS} total memory slots, \
-             {TENANTS} tenants, batch {BATCH_SIZE}, {requests} requests ({})\n",
-            schedule.label
-        );
-
-        let mut rows = Vec::new();
-        let mut responses: Vec<Vec<Vec<u8>>> = Vec::new();
-        for shards in SHARD_COUNTS {
-            let (row, response) = run_sharded(&schedule, shards);
-            rows.push(row);
-            responses.push(response);
-        }
+        let (rows, responses): (Vec<ShardRow>, Vec<Vec<Vec<u8>>>) = SHARD_COUNTS
+            .iter()
+            .map(|&shards| run_sharded(&schedule, shards))
+            .unzip();
         let responses_match = responses.iter().all(|r| r == &responses[0]);
-
-        let mut table = Table::new(vec![
-            "shards",
-            "concurrent I/O",
-            "sim wall",
-            "I/O throughput",
-            "balance",
-            "deduped",
-            "host time",
-        ]);
-        for row in &rows {
-            table.row(vec![
-                row.shards.to_string(),
-                format!("{:.1} ms", row.sim_io_us / 1e3),
-                format!("{:.1} ms", row.sim_wall_us / 1e3),
-                format!("{:.0} req/s", row.io_throughput_rps),
-                format!("{:.2}x ideal", row.balance),
-                row.deduped.to_string(),
-                format!("{:.1} ms", row.host_ms),
-            ]);
-        }
-        println!("{table}");
-
         let single = &rows[0];
         let gate_row = rows
             .iter()
@@ -809,71 +752,44 @@ mod sharding {
             .expect("gate shard count measured");
         let io_speedup = gate_row.io_throughput_rps / single.io_throughput_rps.max(1e-9);
         let wall_speedup = gate_row.wall_throughput_rps / single.wall_throughput_rps.max(1e-9);
-        println!(
-            "{GATE_SHARDS} shards vs 1: concurrent-I/O throughput {io_speedup:.2}x, \
-             wall throughput {wall_speedup:.2}x, responses match: {responses_match}"
-        );
-
-        let pass = io_speedup >= MIN_IO_SPEEDUP && responses_match;
-        if pass {
-            println!(
-                "OK: {GATE_SHARDS}-shard aggregate simulated-I/O throughput >= \
-                 {MIN_IO_SPEEDUP}x the single instance, responses identical.\n"
-            );
-        } else {
-            println!("REGRESSION: sharding gate failed.\n");
-        }
-        let report = Report {
-            bench: "sharding",
-            requests,
-            tenants: TENANTS,
-            batch_size: BATCH_SIZE,
-            gate_shards: GATE_SHARDS,
-            min_io_speedup: MIN_IO_SPEEDUP,
-            pass,
-            io_speedup,
-            wall_speedup,
-            responses_match,
-            rows,
-        };
-        GateOutcome {
-            name: "sharding",
-            pass,
-            report: report.to_value(),
-        }
+        let failed = failures(&[
+            ("io_speedup", io_speedup >= MIN_IO_SPEEDUP),
+            ("responses_match", responses_match),
+        ]);
+        Report::new(
+            &Summary {
+                bench: "sharding",
+                requests,
+                tenants: TENANTS,
+                batch_size: BATCH_SIZE,
+                gate_shards: GATE_SHARDS,
+                min_io_speedup: MIN_IO_SPEEDUP,
+                pass: failed.is_empty(),
+                io_speedup,
+                wall_speedup,
+                responses_match,
+                rows,
+            },
+            failed,
+        )
     }
 }
 
-/// The sharding gate: 4 shards must deliver ≥ 2.5× the single-instance
-/// aggregate simulated-I/O throughput on the hit-bound Zipf schedule,
-/// with byte-identical responses at every shard count.
-pub fn sharding_gate(quick: bool) -> GateOutcome {
-    sharding::gate(quick)
-}
-
-// ------------------------------------------------------------ parallel
-
+/// Four worker threads must beat one on host wall-clock by a host-scaled
+/// bar, with identical responses and statistics at every thread count.
 mod parallel {
     use super::*;
-    use horam::core::HOramStats;
 
     const SEED: u64 = 0x9a11;
     const SHARDS: u64 = 4;
     const IO_BATCH: u64 = 32;
     const GATE_THREADS: usize = 4;
-    /// Alternating 1-thread / [`GATE_THREADS`] pairs behind the wall-clock
-    /// bar: one shot per side read 0.92–0.96× against a 1.15× bar on an
-    /// unchanged build, so the bar is the median pair, not a single one.
+    /// Alternating 1 / [`GATE_THREADS`] pairs; the bar is their median,
+    /// since one shot per side flaked on an unchanged build.
     const BAR_PAIRS: usize = 5;
 
-    /// The wall-clock speedup the gate demands at 4 threads vs 1, scaled
-    /// to what the runner can physically deliver. On a ≥4-core machine
-    /// the threaded pump must win ≥1.5×; on 2–3 cores ≥1.15×; on a
-    /// single core a wall-clock speedup is physically impossible, so the
-    /// gate degrades to an overhead bound (the threaded path may not be
-    /// pathologically slower) while the determinism half — byte-identical
-    /// responses and stats at every thread count — is enforced
-    /// everywhere, unconditionally.
+    /// The wall-clock speedup demanded at 4 threads vs 1, scaled to what
+    /// the host can deliver: one core only bounds the overhead.
     fn min_wall_speedup(cores: usize) -> f64 {
         if cores >= GATE_THREADS {
             1.5
@@ -887,9 +803,8 @@ mod parallel {
     #[derive(Debug, Clone, Serialize)]
     struct ThreadRow {
         threads: usize,
-        /// Host-side wall clock of the drained batch, ms (`Instant`).
+        /// Host wall clock of the drained batch, ms, and its rate.
         wall_ms: f64,
-        /// Requests per second of host wall-clock time.
         wall_throughput_rps: f64,
         /// Elapsed simulated time (identical across rows by design).
         sim_wall_us: f64,
@@ -898,7 +813,7 @@ mod parallel {
     }
 
     #[derive(Debug, Serialize)]
-    struct Report {
+    struct Summary {
         bench: &'static str,
         requests: usize,
         shards: u64,
@@ -916,66 +831,35 @@ mod parallel {
         rows: Vec<ThreadRow>,
     }
 
-    /// Drains the whole Zipf schedule through a 4-shard engine at the
-    /// given pump width; returns the timing row plus the observables the
-    /// determinism check compares.
+    /// Drains the schedule at a pump width of `threads`.
     fn run_threads(requests: &[Request], threads: usize) -> (ThreadRow, Vec<Vec<u8>>, HOramStats) {
-        let base = HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS)
+        let config = HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS)
             .with_seed(SEED)
             .with_io_batch(IO_BATCH)
             .with_worker_threads(threads);
-        let mut oram = ShardedOram::new(
-            ShardedConfig::new(base, SHARDS),
-            MasterKey::from_bytes([0xE1; 32]),
-            |_| MemoryHierarchy::dac2019(),
-        )
-        .expect("builds");
-        let started = Instant::now();
-        let responses = oram.run_batch(requests).expect("runs");
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        let mut oram = sharded(config, SHARDS, 0xE1);
+        let (responses, wall_ms) = timed(|| oram.run_batch(requests).expect("runs"));
         let stats = oram.stats();
         let row = ThreadRow {
             threads,
             wall_ms,
-            wall_throughput_rps: if wall_ms > 0.0 {
-                requests.len() as f64 / (wall_ms / 1e3)
-            } else {
-                0.0
-            },
-            sim_wall_us: oram
-                .clock()
-                .now()
-                .duration_since(horam::storage::clock::SimTime::ZERO)
-                .as_micros_f64(),
+            wall_throughput_rps: ratio(requests.len() as f64, wall_ms / 1e3),
+            sim_wall_us: since_start(oram.clock().now()).as_micros_f64(),
             cycles: stats.cycles,
             shuffles: stats.shuffles,
         };
         (row, responses, stats)
     }
 
-    pub(super) fn gate(quick: bool) -> GateOutcome {
-        let mut requests = 24_000usize;
-        let mut thread_counts: Vec<usize> = vec![1, 2, 4, 8];
-        if quick {
-            requests /= 6;
-            thread_counts = vec![1, 2, 4];
-            println!("(--quick: scaled to 1/6, thread counts 1/2/4)\n");
-        }
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
+    pub(super) fn run(quick: bool) -> Report {
+        let requests = scaled(24_000, quick, 6);
+        let thread_counts: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
+        let cores = host_cores();
         let threshold = min_wall_speedup(cores);
         let flat = zipf_schedule(requests, SEED).to_trace();
-        println!(
-            "Wall-clock parallel engine — {SHARDS} shards over {CAPACITY} blocks, \
-             {MEMORY_SLOTS} total memory slots, window {IO_BATCH}, {requests} requests, \
-             {cores} host core(s)\n"
-        );
 
-        // The bar's two thread counts alternate `BAR_PAIRS` times; the
-        // other thread counts of the sweep run once. Every run is a row
-        // of the report and must reproduce the first run's responses and
-        // statistics.
+        // The bar's pair alternates `BAR_PAIRS` times, the rest run once;
+        // every run must reproduce the first one's responses and stats.
         let mut order: Vec<usize> = [1, GATE_THREADS].repeat(BAR_PAIRS);
         order.extend(
             thread_counts
@@ -1003,111 +887,57 @@ mod parallel {
         let mut sorted = pair_speedups.clone();
         sorted.sort_by(f64::total_cmp);
         let wall_speedup = sorted[BAR_PAIRS / 2];
-        let mut table = Table::new(vec![
-            "threads",
-            "host wall",
-            "host throughput",
-            "sim wall",
-            "cycles",
-            "shuffles",
+        let failed = failures(&[
+            ("wall_speedup", wall_speedup >= threshold),
+            ("responses_match", responses_match),
+            ("stats_match", stats_match),
         ]);
-        for row in &rows {
-            table.row(vec![
-                row.threads.to_string(),
-                format!("{:.1} ms", row.wall_ms),
-                format!("{:.0} req/s", row.wall_throughput_rps),
-                format!("{:.1} ms", row.sim_wall_us / 1e3),
-                row.cycles.to_string(),
-                row.shuffles.to_string(),
-            ]);
-        }
-        println!("{table}");
-
-        println!(
-            "{GATE_THREADS} threads vs 1: wall-clock speedup {wall_speedup:.2}x, median of \
-             {BAR_PAIRS} alternating pairs {pair_speedups:.2?} (required ≥ {threshold:.2}x on \
-             {cores} core(s)), responses match: {responses_match}, stats match: {stats_match}"
-        );
-
-        let pass = wall_speedup >= threshold && responses_match && stats_match;
-        if pass {
-            println!(
-                "OK: threaded pump meets the wall-clock bar for this host and is \
-                 byte-identical to the serial path.\n"
-            );
-        } else {
-            println!("REGRESSION: parallel gate failed.\n");
-        }
-        let report = Report {
-            bench: "parallel",
-            requests,
-            shards: SHARDS,
-            io_batch: IO_BATCH,
-            available_parallelism: cores,
-            gate_threads: GATE_THREADS,
-            min_wall_speedup: threshold,
-            pair_speedups,
-            wall_speedup,
-            responses_match,
-            stats_match,
-            pass,
-            rows,
-        };
-        GateOutcome {
-            name: "parallel",
-            pass,
-            report: report.to_value(),
-        }
+        Report::new(
+            &Summary {
+                bench: "parallel",
+                requests,
+                shards: SHARDS,
+                io_batch: IO_BATCH,
+                available_parallelism: cores,
+                gate_threads: GATE_THREADS,
+                min_wall_speedup: threshold,
+                pair_speedups,
+                wall_speedup,
+                responses_match,
+                stats_match,
+                pass: failed.is_empty(),
+                rows,
+            },
+            failed,
+        )
     }
 }
 
-/// The parallel-engine gate: 4 worker threads must deliver ≥ 1.5× the
-/// 1-thread wall-clock throughput on the 4-shard Zipf schedule when the
-/// host has ≥ 4 cores (scaled down on smaller runners — a 1-core machine
-/// physically cannot show a wall-clock speedup), as the median of five
-/// alternating 1-thread / 4-thread pairs, with byte-identical responses
-/// and statistics on every run at every thread count, enforced
-/// everywhere.
-pub fn parallel_gate(quick: bool) -> GateOutcome {
-    parallel::gate(quick)
-}
-
-// --------------------------------------------------------- persistence
-
+/// Checkpoint a file-backed engine, kill it mid-workload, recover and
+/// replay: everything observable equals the uninterrupted run's.
 mod persistence {
     use super::*;
-    use horam::protocols::types::BlockContent;
-    use horam::storage::calibration::MachineConfig;
-    use horam::storage::file::{scratch_dir, FileStoreConfig};
-    use horam::storage::trace::TraceEvent;
 
     const SEED: u64 = 0x9e25;
-    /// Memory budget for this gate only: smaller than the shared
-    /// `MEMORY_SLOTS` so the period (`n/2` I/O loads) turns several
-    /// times even on the hit-bound Zipf mix — a recovery gate that never
-    /// crosses a shuffle (the only phase that rewrites the device file)
-    /// would not test crash consistency at all.
+    const KEY: u8 = 0xC9;
+    /// Small enough that the period turns several times: a shuffle is
+    /// the only phase that rewrites the device file.
     const GATE_MEMORY_SLOTS: u64 = 128;
-    /// Host wall-clock budget for one snapshot + one restore, ms. The
-    /// operations serialize ~100s of KB and replay a journal; on any CI
-    /// runner they complete in low single-digit milliseconds, so this
-    /// bound only catches pathological regressions (quadratic
-    /// serialization, per-slot fsync).
+    /// Host budget for one snapshot + one restore, ms: they take a few
+    /// ms, so this only catches pathological regressions.
     const MAX_CHECKPOINT_MS: f64 = 2_000.0;
-    /// Cycles run past the checkpoint before the kill: enough to cross a
-    /// shuffle period at the gate geometry, so the kill lands with the
-    /// device file mid-rewrite.
+    /// Cycles past the checkpoint before the kill: past a shuffle.
     const KILL_AFTER_CYCLES: u64 = 600;
 
     #[derive(Debug, Serialize)]
-    struct Report {
+    struct Summary {
         bench: &'static str,
         requests: usize,
         pass: bool,
         snapshot_bytes: usize,
-        /// Host wall time of the checkpoint (device sync + state seal).
+        /// Host ms of the checkpoint and of recovery (journal rollback +
+        /// state restore).
         snapshot_ms: f64,
-        /// Host wall time of recovery (journal rollback + state restore).
         restore_ms: f64,
         max_checkpoint_ms: f64,
         kill_after_cycles: u64,
@@ -1124,67 +954,23 @@ mod persistence {
             .with_io_batch(16)
     }
 
-    fn file_hierarchy(path: &std::path::Path) -> MemoryHierarchy {
-        let config = engine_config();
-        let slots = config.partition_count() * config.partition_slots();
-        let body = BlockContent::encoded_len(config.payload_len);
-        MemoryHierarchy::with_file_storage(
-            MachineConfig::dac2019(),
-            path,
-            FileStoreConfig::new(slots, body).with_write_back_slots(64),
-        )
-        .expect("file hierarchy builds")
+    fn build(path: &Path) -> HOram {
+        let hierarchy = file_hierarchy(&engine_config(), path);
+        HOram::new(engine_config(), hierarchy, MasterKey::from_bytes([KEY; 32])).expect("builds")
     }
 
-    fn build(path: &std::path::Path) -> HOram {
-        HOram::new(
-            engine_config(),
-            file_hierarchy(path),
-            MasterKey::from_bytes([0xC9; 32]),
-        )
-        .expect("builds")
-    }
-
-    fn trace_shape(events: &[TraceEvent]) -> Vec<(u16, u64, u64, u64)> {
-        events
-            .iter()
-            .map(|e| (e.device.0, e.addr, e.bytes, e.at.as_nanos()))
-            .collect()
-    }
-
-    pub(super) fn gate(quick: bool) -> GateOutcome {
-        let mut requests = 6_000usize;
-        if quick {
-            requests /= 8;
-            println!("(--quick: scaled to 1/8)\n");
-        }
-        println!(
-            "Durability — {CAPACITY} blocks, {GATE_MEMORY_SLOTS} memory slots, file-backed \
-             storage, {requests} Zipf requests: snapshot, kill mid-workload, restore, replay\n"
-        );
+    pub(super) fn run(quick: bool) -> Report {
+        let requests = scaled(6_000, quick, 8);
         let trace = zipf_schedule(requests, SEED).to_trace().requests;
         let (pre, post) = trace.split_at(requests / 2);
-
-        let scratch = scratch_dir("bench-persistence");
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run(&scratch, pre, post, requests)
-        }));
-        let _ = std::fs::remove_dir_all(&scratch);
-        match result {
-            Ok(outcome) => outcome,
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
+        in_scratch("bench-persistence", |scratch| {
+            drive(scratch, pre, post, requests)
+        })
     }
 
-    fn run(
-        scratch: &std::path::Path,
-        pre: &[Request],
-        post: &[Request],
-        requests: usize,
-    ) -> GateOutcome {
+    fn drive(scratch: &Path, pre: &[Request], post: &[Request], requests: usize) -> Report {
         // Reference: the uninterrupted run (same file backend).
-        let reference_path = scratch.join("reference.horam");
-        let mut reference = build(&reference_path);
+        let mut reference = build(&scratch.join("reference.horam"));
         reference.run_batch(pre).expect("reference prefix");
         reference.snapshot().expect("reference snapshot");
         let mark = reference.trace().snapshot().len();
@@ -1200,9 +986,7 @@ mod persistence {
         let victim_path = scratch.join("victim.horam");
         let mut victim = build(&victim_path);
         victim.run_batch(pre).expect("victim prefix");
-        let snapshot_started = Instant::now();
-        let snapshot = victim.snapshot().expect("victim snapshot");
-        let snapshot_ms = snapshot_started.elapsed().as_secs_f64() * 1e3;
+        let (snapshot, snapshot_ms) = timed(|| victim.snapshot().expect("victim snapshot"));
         for request in post {
             victim.enqueue(request.clone()).expect("enqueue");
         }
@@ -1213,100 +997,63 @@ mod persistence {
         drop(victim); // the kill: no sync, no checkpoint, buffer mid-flight
 
         // Recovery: reopen the device file (journal rollback) + restore.
-        let restore_started = Instant::now();
-        let mut recovered = HOram::restore(
-            file_hierarchy(&victim_path),
-            MasterKey::from_bytes([0xC9; 32]),
-            &snapshot,
-        )
-        .expect("restore");
-        let restore_ms = restore_started.elapsed().as_secs_f64() * 1e3;
+        let (mut recovered, restore_ms) = timed(|| {
+            let hierarchy = file_hierarchy(&engine_config(), &victim_path);
+            HOram::restore(hierarchy, MasterKey::from_bytes([KEY; 32]), &snapshot).expect("restore")
+        });
         let responses = recovered.run_batch(post).expect("replay");
 
         let responses_match = responses == reference_responses;
         let trace_match = trace_shape(&recovered.trace().snapshot()) == reference_trace;
         let stats_match = recovered.stats() == reference_stats;
         let clock_match = recovered.clock().now() == reference.clock().now();
-        let within_budget = snapshot_ms + restore_ms <= MAX_CHECKPOINT_MS;
-        let pass = responses_match && trace_match && stats_match && clock_match && within_budget;
-
-        println!(
-            "snapshot: {} KB sealed in {snapshot_ms:.1} ms; restore (journal rollback + \
-             state rebuild): {restore_ms:.1} ms",
-            snapshot.len() / 1024
-        );
-        println!(
-            "replayed {} requests after killing the engine {ran} cycles past the checkpoint",
-            post.len()
-        );
-        println!(
-            "byte-identical to the uninterrupted run — responses: {responses_match}, \
-             trace(+timestamps): {trace_match}, stats: {stats_match}, clock: {clock_match}"
-        );
-        if pass {
-            println!(
-                "OK: kill → restore → replay is byte-identical and checkpointing stays \
-                 under {MAX_CHECKPOINT_MS:.0} ms.\n"
-            );
-        } else {
-            println!("REGRESSION: persistence gate failed.\n");
-        }
-
-        let report = Report {
-            bench: "persistence",
-            requests,
-            pass,
-            snapshot_bytes: snapshot.len(),
-            snapshot_ms,
-            restore_ms,
-            max_checkpoint_ms: MAX_CHECKPOINT_MS,
-            kill_after_cycles: ran,
-            replayed_requests: post.len(),
-            responses_match,
-            trace_match,
-            stats_match,
-            clock_match,
-        };
-        GateOutcome {
-            name: "persistence",
-            pass,
-            report: report.to_value(),
-        }
+        let failed = failures(&[
+            ("responses_match", responses_match),
+            ("trace_match", trace_match),
+            ("stats_match", stats_match),
+            ("clock_match", clock_match),
+            (
+                "max_checkpoint_ms",
+                snapshot_ms + restore_ms <= MAX_CHECKPOINT_MS,
+            ),
+        ]);
+        Report::new(
+            &Summary {
+                bench: "persistence",
+                requests,
+                pass: failed.is_empty(),
+                snapshot_bytes: snapshot.len(),
+                snapshot_ms,
+                restore_ms,
+                max_checkpoint_ms: MAX_CHECKPOINT_MS,
+                kill_after_cycles: ran,
+                replayed_requests: post.len(),
+                responses_match,
+                trace_match,
+                stats_match,
+                clock_match,
+            },
+            failed,
+        )
     }
 }
 
-/// The persistence gate: checkpoint a file-backed engine on the Zipf
-/// schedule, kill it mid-workload (write-back buffer and shuffle stream
-/// in flight), recover from the snapshot + device file, replay — and
-/// require byte-identical responses, traces, statistics, and clock
-/// versus the uninterrupted run, with snapshot+restore staying within a
-/// host wall-clock budget.
-pub fn persistence_gate(quick: bool) -> GateOutcome {
-    persistence::gate(quick)
-}
-
-// --------------------------------------------------------------- cache
-
+/// A hit-bound LRU block cache: identical responses and counters, and
+/// ≥ 1.5× less access-period storage time.
 mod cache {
     use super::*;
     use horam::storage::cache::CacheConfig;
 
     const SEED: u64 = 0xCA4E;
-    /// Memory budget for this gate only (like the persistence gate's):
-    /// the cache warms exclusively from shuffle-period population, so a
-    /// run that never turns a period would measure an empty cache. A
-    /// 256-slot tree gives a 128-load period — several shuffles even at
-    /// `--quick` scale.
+    /// The cache warms only from shuffles: a 128-load period turns
+    /// several times even at `--quick`.
     const GATE_MEMORY_SLOTS: u64 = 256;
-    /// Required simulated-I/O speedup of the hit-bound cached engine
-    /// over the uncached one on the shared Zipf mix. Hits cost a flat
-    /// DRAM copy versus a calibrated HDD access, so once the shuffle has
-    /// populated the cache the access-period device busy time collapses;
-    /// 1.5× is a conservative floor well under the observed margin.
+    /// Simulated-I/O speedup floor of the hit-bound cache (a hit is a
+    /// DRAM copy, a miss an HDD access), well under the observed one.
     const MIN_IO_SPEEDUP: f64 = 1.5;
 
     #[derive(Debug, Serialize)]
-    struct Report {
+    struct Summary {
         bench: &'static str,
         requests: usize,
         pass: bool,
@@ -1320,20 +1067,6 @@ mod cache {
         min_io_speedup: f64,
         responses_match: bool,
         counters_match: bool,
-    }
-
-    fn engine(cache: Option<CacheConfig>) -> HOram {
-        let base = HOramConfig::new(CAPACITY, PAYLOAD_LEN, GATE_MEMORY_SLOTS).with_seed(SEED);
-        let config = match cache {
-            Some(cache) => base.with_cache(cache),
-            None => base,
-        };
-        HOram::new(
-            config,
-            MemoryHierarchy::dac2019(),
-            MasterKey::from_bytes([0xCA; 32]),
-        )
-        .expect("builds")
     }
 
     /// Every protocol counter — the fields a cache must not move.
@@ -1352,23 +1085,13 @@ mod cache {
         ]
     }
 
-    pub(super) fn gate(quick: bool) -> GateOutcome {
-        let mut requests = 6_000usize;
-        if quick {
-            requests /= 8;
-            println!("(--quick: scaled to 1/8)\n");
-        }
-        let slots = {
-            let config = HOramConfig::new(CAPACITY, PAYLOAD_LEN, GATE_MEMORY_SLOTS);
-            config.partition_count() * config.partition_slots()
-        };
-        println!(
-            "Oblivious block cache — {CAPACITY} blocks, {GATE_MEMORY_SLOTS} memory slots, \
-             hit-bound LRU cache ({slots} blocks), {requests} Zipf requests\n"
-        );
+    pub(super) fn run(quick: bool) -> Report {
+        let requests = scaled(6_000, quick, 8);
+        let config = HOramConfig::new(CAPACITY, PAYLOAD_LEN, GATE_MEMORY_SLOTS).with_seed(SEED);
+        let slots = storage_slots(&config);
         let trace = zipf_schedule(requests, SEED).to_trace().requests;
 
-        let mut uncached = engine(None);
+        let mut uncached = horam(config.clone(), 0xCA);
         let uncached_responses = uncached.run_batch(&trace).expect("uncached runs");
         let uncached_stats = uncached.stats();
         assert!(
@@ -1376,7 +1099,7 @@ mod cache {
             "gate workload must cross shuffle periods (hits come from shuffle population)"
         );
 
-        let mut cached = engine(Some(CacheConfig::lru(slots)));
+        let mut cached = horam(config.with_cache(CacheConfig::lru(slots)), 0xCA);
         let cached_responses = cached.run_batch(&trace).expect("cached runs");
         let cached_stats = cached.stats();
         let cache_stats = cached.cache_stats().expect("cache installed");
@@ -1385,112 +1108,61 @@ mod cache {
         let counters_match = counters(&cached_stats) == counters(&uncached_stats);
         let io_ms_uncached = uncached_stats.io_time.as_secs_f64() * 1e3;
         let io_ms_cached = cached_stats.io_time.as_secs_f64() * 1e3;
-        let io_speedup = if io_ms_cached > 0.0 {
-            io_ms_uncached / io_ms_cached
-        } else {
-            0.0
-        };
-        let pass = responses_match
-            && counters_match
-            && cache_stats.hits > 0
-            && io_speedup >= MIN_IO_SPEEDUP;
-
-        let mut table = Table::new(vec![
-            "engine",
-            "storage busy (access periods)",
-            "req / s of storage time",
-            "cache hit rate",
+        let io_speedup = ratio(io_ms_uncached, io_ms_cached);
+        let failed = failures(&[
+            ("responses_match", responses_match),
+            ("counters_match", counters_match),
+            ("hit_rate", cache_stats.hits > 0),
+            ("io_speedup", io_speedup >= MIN_IO_SPEEDUP),
         ]);
-        table.row(vec![
-            "uncached".into(),
-            uncached_stats.io_time.to_string(),
-            format!("{:.0}", throughput(requests, uncached_stats.io_time)),
-            "n/a".into(),
-        ]);
-        table.row(vec![
-            "hit-bound LRU".into(),
-            cached_stats.io_time.to_string(),
-            format!("{:.0}", throughput(requests, cached_stats.io_time)),
-            format!("{:.1}%", cache_stats.hit_rate() * 100.0),
-        ]);
-        println!("{table}");
-        println!(
-            "byte-identical responses: {responses_match}; protocol counters unchanged: \
-             {counters_match}; simulated-I/O speedup {io_speedup:.2}× (floor \
-             {MIN_IO_SPEEDUP:.1}×)"
-        );
-        if pass {
-            println!("OK: caching is free on semantics and ≥{MIN_IO_SPEEDUP:.1}× on I/O time.\n");
-        } else {
-            println!("REGRESSION: cache gate failed.\n");
-        }
-
-        let report = Report {
-            bench: "cache",
-            requests,
-            pass,
-            cache_blocks: slots,
-            hit_rate: cache_stats.hit_rate(),
-            io_ms_uncached,
-            io_ms_cached,
-            io_speedup,
-            min_io_speedup: MIN_IO_SPEEDUP,
-            responses_match,
-            counters_match,
-        };
-        GateOutcome {
-            name: "cache",
-            pass,
-            report: report.to_value(),
-        }
+        Report::new(
+            &Summary {
+                bench: "cache",
+                requests,
+                pass: failed.is_empty(),
+                cache_blocks: slots,
+                hit_rate: cache_stats.hit_rate(),
+                io_ms_uncached,
+                io_ms_cached,
+                io_speedup,
+                min_io_speedup: MIN_IO_SPEEDUP,
+                responses_match,
+                counters_match,
+            },
+            failed,
+        )
     }
 }
 
-/// The cache gate: run the shared Zipf mix uncached and with a hit-bound
-/// LRU block cache, require byte-identical responses, unchanged protocol
-/// counters, and ≥1.5× less simulated storage busy time during access
-/// periods. The speedup ratio feeds the trend file.
-pub fn cache_gate(quick: bool) -> GateOutcome {
-    cache::gate(quick)
-}
-
-// --------------------------------------------------------------- chaos
-
+/// Seeded 1 % transient storage faults on 4 shards: every ticket is a
+/// typed error or the fault-free response, at ≥ 90 % of its throughput.
 mod chaos {
     use super::*;
     use horam::core::error::HOramError;
-    use horam::storage::clock::SimTime;
     use horam::storage::fault::FaultConfig;
 
     const SEED: u64 = 0xC4A0;
     const SHARDS: u64 = 4;
-    /// 1 % of storage reads *and* writes fail transiently — roughly two
-    /// orders of magnitude worse than a badly degraded disk, so the
-    /// retry layer is exercised thousands of times per run.
+    /// 1 % of storage reads and writes fail transiently.
     const FAULT_PERMILLE: u32 = 10;
-    /// Floor on the faulted run's simulated throughput relative to the
-    /// fault-free run. Retries charge capped exponential backoff in
-    /// simulated time; at 1 % incidence the charge must stay small
-    /// against calibrated device time.
+    /// Faulted / fault-free simulated throughput floor: backoff is cheap.
     const MIN_THROUGHPUT_RATIO: f64 = 0.9;
 
     #[derive(Debug, Serialize)]
-    struct Report {
+    struct Summary {
         bench: &'static str,
         requests: usize,
         shards: u64,
         fault_permille: u32,
         pass: bool,
-        /// Transient faults the injector raised (reads + writes).
+        /// Transient faults raised, the retries they caused, and the
+        /// simulated backoff charged, ms.
         injected_transients: u64,
-        /// Device-level retries those faults triggered.
         retries: u64,
-        /// Simulated backoff charged for them, ms.
         backoff_ms: f64,
         /// Retry budgets exhausted (each fails one shard window).
         exhausted: u64,
-        /// Tickets that resolved to a typed failure instead of a
-        /// response.
+        /// Tickets resolved to a typed failure.
         failed_tickets: u64,
         /// Shards quarantined by the end of the run.
         degraded_shards: usize,
@@ -1519,9 +1191,8 @@ mod chaos {
         .expect("builds")
     }
 
-    /// Runs the trace to completion, tolerating per-ticket typed
-    /// failures: every ticket resolves to `Some(response)` or `None`
-    /// (typed failure — recorded, never a panic).
+    /// Runs the trace to completion: each ticket resolves to a response
+    /// or, as `None`, to a typed failure.
     fn drive(oram: &mut ShardedOram, trace: &[Request]) -> Vec<Option<Vec<u8>>> {
         let tickets: Vec<Result<u64, HOramError>> = trace
             .iter()
@@ -1547,21 +1218,12 @@ mod chaos {
             .collect()
     }
 
-    pub(super) fn gate(quick: bool) -> GateOutcome {
-        let mut requests = 6_000usize;
-        if quick {
-            requests /= 8;
-            println!("(--quick: scaled to 1/8)\n");
-        }
-        println!(
-            "Chaos — {SHARDS} shards, {}‰ transient storage faults, {requests} Zipf requests\n",
-            FAULT_PERMILLE
-        );
+    pub(super) fn run(quick: bool) -> Report {
+        let requests = scaled(6_000, quick, 8);
         let trace = zipf_schedule(requests, SEED).to_trace().requests;
 
         let mut clean = engine(None);
         let clean_outcomes = drive(&mut clean, &trace);
-        let clean_elapsed = clean.clock().now();
         assert!(
             clean_outcomes.iter().all(Option::is_some),
             "fault-free run must complete every ticket"
@@ -1569,146 +1231,80 @@ mod chaos {
 
         let mut faulted = engine(Some(FAULT_PERMILLE));
         let faulted_outcomes = drive(&mut faulted, &trace);
-        let faulted_elapsed = faulted.clock().now();
         let fault_stats = faulted.storage_fault_stats().unwrap_or_default();
         let retry_stats = faulted.storage_retry_stats();
 
         let failed_tickets = faulted_outcomes.iter().filter(|o| o.is_none()).count() as u64;
-        let responses_match =
-            clean_outcomes
-                .iter()
-                .zip(&faulted_outcomes)
-                .all(|(clean, faulted)| match faulted {
-                    Some(response) => clean.as_ref() == Some(response),
-                    None => true,
-                });
-        let degraded = faulted.degraded_shards().len();
-        let throughput_clean = throughput(requests, clean_elapsed.duration_since(SimTime::ZERO));
-        let throughput_faulted =
-            throughput(requests, faulted_elapsed.duration_since(SimTime::ZERO));
-        let throughput_ratio = if throughput_clean > 0.0 {
-            throughput_faulted / throughput_clean
-        } else {
-            0.0
-        };
+        // A typed failure is allowed; a wrong answer is not.
+        let responses_match = clean_outcomes
+            .iter()
+            .zip(&faulted_outcomes)
+            .all(|(clean, faulted)| faulted.is_none() || clean == faulted);
+        let throughput_clean = throughput(requests, since_start(clean.clock().now()));
+        let throughput_faulted = throughput(requests, since_start(faulted.clock().now()));
+        let throughput_ratio = ratio(throughput_faulted, throughput_clean);
         let injected = fault_stats.transient_reads + fault_stats.transient_writes;
-        let pass = responses_match
-            && injected > 0
-            && retry_stats.retries > 0
-            && throughput_ratio >= MIN_THROUGHPUT_RATIO;
-
-        let mut table = Table::new(vec![
-            "engine",
-            "elapsed (sim)",
-            "req / s",
-            "retries",
-            "failed tickets",
+        let failed = failures(&[
+            ("responses_match", responses_match),
+            ("injected_transients", injected > 0),
+            ("retries", retry_stats.retries > 0),
+            ("throughput_ratio", throughput_ratio >= MIN_THROUGHPUT_RATIO),
         ]);
-        table.row(vec![
-            "fault-free".into(),
-            format!("{}", clean_elapsed.duration_since(SimTime::ZERO)),
-            format!("{throughput_clean:.0}"),
-            "0".into(),
-            "0".into(),
-        ]);
-        table.row(vec![
-            format!("{FAULT_PERMILLE}‰ transient"),
-            format!("{}", faulted_elapsed.duration_since(SimTime::ZERO)),
-            format!("{throughput_faulted:.0}"),
-            retry_stats.retries.to_string(),
-            failed_tickets.to_string(),
-        ]);
-        println!("{table}");
-        println!(
-            "injected {injected} transients; {} exhausted budgets; {degraded} degraded \
-             shards; completed responses byte-identical: {responses_match}; throughput \
-             ratio {throughput_ratio:.3} (floor {MIN_THROUGHPUT_RATIO:.2})",
-            retry_stats.exhausted
-        );
-        if pass {
-            println!("OK: typed errors or identical answers under fault injection.\n");
-        } else {
-            println!("REGRESSION: chaos gate failed.\n");
-        }
-
-        let report = Report {
-            bench: "chaos",
-            requests,
-            shards: SHARDS,
-            fault_permille: FAULT_PERMILLE,
-            pass,
-            injected_transients: injected,
-            retries: retry_stats.retries,
-            backoff_ms: retry_stats.backoff_nanos as f64 / 1e6,
-            exhausted: retry_stats.exhausted,
-            failed_tickets,
-            degraded_shards: degraded,
-            throughput_clean_rps: throughput_clean,
-            throughput_faulted_rps: throughput_faulted,
-            throughput_ratio,
-            min_throughput_ratio: MIN_THROUGHPUT_RATIO,
-            responses_match,
-        };
-        GateOutcome {
-            name: "chaos",
-            pass,
-            report: report.to_value(),
-        }
+        Report::new(
+            &Summary {
+                bench: "chaos",
+                requests,
+                shards: SHARDS,
+                fault_permille: FAULT_PERMILLE,
+                pass: failed.is_empty(),
+                injected_transients: injected,
+                retries: retry_stats.retries,
+                backoff_ms: retry_stats.backoff_nanos as f64 / 1e6,
+                exhausted: retry_stats.exhausted,
+                failed_tickets,
+                degraded_shards: faulted.degraded_shards().len(),
+                throughput_clean_rps: throughput_clean,
+                throughput_faulted_rps: throughput_faulted,
+                throughput_ratio,
+                min_throughput_ratio: MIN_THROUGHPUT_RATIO,
+                responses_match,
+            },
+            failed,
+        )
     }
 }
 
-/// The chaos gate: serve the shared Zipf mix on a 4-shard engine whose
-/// every storage store injects seeded 1 % transient faults, and require
-/// the end-to-end contract — no panics, every ticket resolves to a typed
-/// error or a response byte-identical to the fault-free run's, and
-/// simulated throughput within 10 % of fault-free (retry backoff is the
-/// only cost). The throughput ratio feeds the trend file.
-pub fn chaos_gate(quick: bool) -> GateOutcome {
-    chaos::gate(quick)
-}
-
-// ------------------------------------------------------------ capacity
-
+/// The recursive position map changes trusted-memory scaling and nothing
+/// else: byte-identical to flat at small N, and at 16× N a durable engine
+/// round-trips, restores, and holds ≥ 8× fewer trusted bytes.
 mod capacity {
     use super::*;
     use horam::core::{PosmapMode, RecursivePosmapConfig};
-    use horam::protocols::types::BlockContent;
-    use horam::storage::calibration::MachineConfig;
-    use horam::storage::clock::SimTime;
-    use horam::storage::file::{scratch_dir, FileStoreConfig};
-    use horam::storage::trace::TraceEvent;
 
     const SEED: u64 = 0xCA9;
-    /// Memory budget for the small parity leg: small enough that the
-    /// shared Zipf mix turns shuffle periods, so the recursive map's
-    /// rebuild path runs inside the comparison, not just steady serving.
+    /// Small enough that the parity leg crosses shuffles (map rebuilds).
     const PARITY_MEMORY_SLOTS: u64 = 256;
-    /// The large leg runs at 16× the shared gate capacity — the largest
-    /// any other bench touches is `CAPACITY` (4096).
+    /// 16× `CAPACITY`, the largest any other gate touches.
     const LARGE_CAPACITY: u64 = 65_536;
     const LARGE_MEMORY_SLOTS: u64 = 2_048;
-    /// Stride of the write/read-back sweep on the large engine (prime, so
-    /// the touched set spreads over every partition).
+    /// Prime stride of the large engine's write/read-back sweep, which
+    /// writes `spot_payload(id)` to block `id`.
     const LARGE_STRIDE: usize = 509;
     /// At `LARGE_CAPACITY` the recursive map's trusted bytes must undercut
     /// the flat table's by at least this factor.
     const MIN_TRUSTED_SHRINK: f64 = 8.0;
-    /// Growing N by 16× may grow the recursive map's trusted bytes by at
-    /// most this factor (sublinearity: root is threshold-bounded, levels
-    /// grow logarithmically, caches are per-level constants).
+    /// Growing N 16× may grow the recursive map's trusted bytes by at
+    /// most this factor.
     const MAX_TRUSTED_GROWTH: f64 = 8.0;
-    /// With durable data and level devices, the recursive engine's
-    /// snapshot must undercut the flat engine's at the same N by at least
-    /// this factor (the flat snapshot carries the O(N) position table).
+    /// The flat engine's snapshot (it carries the O(N) table) over the
+    /// durable recursive one's, at the same N.
     const MIN_SNAPSHOT_SHRINK: f64 = 2.0;
-    /// Simulated-throughput floor, recursive / flat at matched small N.
-    /// The recursive map's I/O lives on its own simulated devices and
-    /// never enters the engine clock, so the expected ratio is exactly
-    /// 1.0 — the floor only catches that invariant breaking.
+    /// Recursive / flat simulated throughput floor; it is exactly 1.0,
+    /// since the map's I/O never enters the engine clock.
     const MIN_THROUGHPUT_RATIO: f64 = 0.99;
 
     #[derive(Debug, Serialize)]
-    struct Report {
+    struct Summary {
         bench: &'static str,
         requests: usize,
         pass: bool,
@@ -1741,7 +1337,7 @@ mod capacity {
         min_snapshot_shrink: f64,
     }
 
-    fn recursive_mode(backing: Option<&std::path::Path>) -> PosmapMode {
+    fn recursive_mode(backing: Option<&Path>) -> PosmapMode {
         PosmapMode::Recursive(RecursivePosmapConfig {
             backing_dir: backing.map(|p| p.to_string_lossy().into_owned()),
             ..RecursivePosmapConfig::default()
@@ -1753,12 +1349,7 @@ mod capacity {
             .with_seed(SEED)
             .with_io_batch(16)
             .with_posmap(posmap);
-        HOram::new(
-            config,
-            MemoryHierarchy::dac2019(),
-            MasterKey::from_bytes([0xCA; 32]),
-        )
-        .expect("parity engine builds")
+        horam(config, 0xCA)
     }
 
     fn large_config(posmap: PosmapMode) -> HOramConfig {
@@ -1768,70 +1359,27 @@ mod capacity {
             .with_posmap(posmap)
     }
 
-    fn large_hierarchy(config: &HOramConfig, path: &std::path::Path) -> MemoryHierarchy {
-        let slots = config.partition_count() * config.partition_slots();
-        let body = BlockContent::encoded_len(config.payload_len);
-        MemoryHierarchy::with_file_storage(
-            MachineConfig::dac2019(),
-            path,
-            FileStoreConfig::new(slots, body).with_write_back_slots(64),
-        )
-        .expect("file hierarchy builds")
-    }
-
-    fn large_engine(scratch: &std::path::Path, name: &str, posmap: PosmapMode) -> HOram {
+    fn large_engine(scratch: &Path, name: &str, posmap: PosmapMode) -> HOram {
         let config = large_config(posmap);
-        let hierarchy = large_hierarchy(&config, &scratch.join(format!("{name}.horam")));
+        let hierarchy = file_hierarchy(&config, &scratch.join(format!("{name}.horam")));
         HOram::new(config, hierarchy, MasterKey::from_bytes([0xCB; 32]))
             .expect("large engine builds")
     }
 
-    fn trace_shape(events: &[TraceEvent]) -> Vec<(u16, u64, u64, u64)> {
-        events
-            .iter()
-            .map(|e| (e.device.0, e.addr, e.bytes, e.at.as_nanos()))
-            .collect()
-    }
-
-    /// The deterministic payload the large sweep writes to block `id`.
     fn spot_payload(id: u64) -> Vec<u8> {
         let mut payload = vec![0u8; PAYLOAD_LEN];
         payload[..8].copy_from_slice(&id.to_le_bytes());
         payload
     }
 
-    fn spot_ids() -> Vec<u64> {
-        (0..LARGE_CAPACITY).step_by(LARGE_STRIDE).collect()
+    pub(super) fn run(quick: bool) -> Report {
+        let requests = scaled(6_000, quick, 8);
+        in_scratch("bench-capacity", |scratch| drive(scratch, requests))
     }
 
-    pub(super) fn gate(quick: bool) -> GateOutcome {
-        let mut requests = 6_000usize;
-        if quick {
-            requests /= 8;
-            println!("(--quick: scaled to 1/8)\n");
-        }
-        println!(
-            "Capacity — flat vs recursive position map at {CAPACITY} blocks \
-             ({requests} Zipf requests), then a durable recursive engine at \
-             {LARGE_CAPACITY} blocks ({}× the largest other bench)\n",
-            LARGE_CAPACITY / CAPACITY
-        );
-
-        let scratch = scratch_dir("bench-capacity");
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&scratch, requests)));
-        let _ = std::fs::remove_dir_all(&scratch);
-        match result {
-            Ok(outcome) => outcome,
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    }
-
-    fn run(scratch: &std::path::Path, requests: usize) -> GateOutcome {
-        // Leg 1 — parity at matched small N: the posmap mode must be
-        // invisible on the data ORAM. Responses, the full bus trace
-        // (addresses *and* timestamps), protocol counters, and the
-        // simulated clock must all be byte-identical.
+    fn drive(scratch: &Path, requests: usize) -> Report {
+        // Leg 1 — parity at small N: the posmap mode is invisible on the
+        // data ORAM (responses, timed bus trace, counters, clock).
         let trace = zipf_schedule(requests, SEED).to_trace().requests;
 
         let mut flat = parity_engine(PosmapMode::Flat);
@@ -1846,26 +1394,18 @@ mod capacity {
         let mut recursive = parity_engine(recursive_mode(None));
         let recursive_responses = recursive.run_batch(&trace).expect("recursive parity run");
         let recursive_trace = trace_shape(&recursive.trace().snapshot());
-        let recursive_stats = recursive.stats();
 
         let responses_match = recursive_responses == flat_responses;
         let trace_match = recursive_trace == flat_trace;
-        let stats_match = recursive_stats == flat_stats;
+        let stats_match = recursive.stats() == flat_stats;
         let clock_match = recursive.clock().now() == flat.clock().now();
-        let flat_elapsed = flat.clock().now().duration_since(SimTime::ZERO);
-        let recursive_elapsed = recursive.clock().now().duration_since(SimTime::ZERO);
-        let throughput_flat_rps = throughput(requests, flat_elapsed);
-        let throughput_recursive_rps = throughput(requests, recursive_elapsed);
-        let throughput_ratio = if throughput_flat_rps > 0.0 {
-            throughput_recursive_rps / throughput_flat_rps
-        } else {
-            0.0
-        };
+        let throughput_flat_rps = throughput(requests, since_start(flat.clock().now()));
+        let throughput_recursive_rps = throughput(requests, since_start(recursive.clock().now()));
+        let throughput_ratio = ratio(throughput_recursive_rps, throughput_flat_rps);
         let recursive_small_trusted_bytes = recursive.posmap().memory_bytes();
 
-        // Leg 2 — the large engine: durable data device + file-backed
-        // posmap levels, write/read-back sweep, snapshot, restore.
-        let ids = spot_ids();
+        // Leg 2 — a durable large engine: sweep, snapshot, restore.
+        let ids: Vec<u64> = (0..LARGE_CAPACITY).step_by(LARGE_STRIDE).collect();
         let posmap_dir = scratch.join("posmap");
         let mut large = large_engine(scratch, "recursive", recursive_mode(Some(&posmap_dir)));
         let writes: Vec<Request> = ids
@@ -1885,9 +1425,8 @@ mod capacity {
         let recursive_snapshot_bytes = snapshot.len();
         drop(large);
 
-        // Restore from the snapshot + device files and re-verify a few
-        // spot blocks: the PR-5 durability stack at 16× scale.
-        let restore_hierarchy = large_hierarchy(
+        // Restore from the snapshot + device files; re-read some blocks.
+        let restore_hierarchy = file_hierarchy(
             &large_config(PosmapMode::Flat),
             &scratch.join("recursive.horam"),
         );
@@ -1910,8 +1449,7 @@ mod capacity {
             .all(|(&id, got)| *got == spot_payload(id));
         drop(restored);
 
-        // The flat yardstick at the same N, same durable device, same
-        // sweep: its snapshot embeds the O(N) position table.
+        // The flat yardstick at the same N.
         let mut flat_large = large_engine(scratch, "flat", PosmapMode::Flat);
         flat_large.run_batch(&writes).expect("flat large writes");
         let flat_trusted_bytes = flat_large.posmap().memory_bytes();
@@ -1922,127 +1460,65 @@ mod capacity {
         let trusted_growth =
             recursive_trusted_bytes as f64 / recursive_small_trusted_bytes.max(1) as f64;
         let snapshot_shrink = flat_snapshot_bytes as f64 / recursive_snapshot_bytes.max(1) as f64;
-
-        let parity_ok = responses_match && trace_match && stats_match && clock_match;
-        let pass = parity_ok
-            && throughput_ratio >= MIN_THROUGHPUT_RATIO
-            && large_roundtrip_ok
-            && restore_roundtrip_ok
-            && trusted_shrink >= MIN_TRUSTED_SHRINK
-            && trusted_growth <= MAX_TRUSTED_GROWTH
-            && snapshot_shrink >= MIN_SNAPSHOT_SHRINK;
-
-        let mut table = Table::new(vec![
-            "engine",
-            "blocks",
-            "trusted posmap bytes",
-            "snapshot bytes",
+        let failed = failures(&[
+            ("responses_match", responses_match),
+            ("trace_match", trace_match),
+            ("stats_match", stats_match),
+            ("clock_match", clock_match),
+            ("throughput_ratio", throughput_ratio >= MIN_THROUGHPUT_RATIO),
+            ("large_roundtrip_ok", large_roundtrip_ok),
+            ("restore_roundtrip_ok", restore_roundtrip_ok),
+            ("trusted_shrink", trusted_shrink >= MIN_TRUSTED_SHRINK),
+            ("trusted_growth", trusted_growth <= MAX_TRUSTED_GROWTH),
+            ("snapshot_shrink", snapshot_shrink >= MIN_SNAPSHOT_SHRINK),
         ]);
-        table.row(vec![
-            "flat".into(),
-            format!("{LARGE_CAPACITY}"),
-            format!("{flat_trusted_bytes}"),
-            format!("{flat_snapshot_bytes}"),
-        ]);
-        table.row(vec![
-            format!("recursive ({posmap_levels} levels)"),
-            format!("{LARGE_CAPACITY}"),
-            format!("{recursive_trusted_bytes}"),
-            format!("{recursive_snapshot_bytes}"),
-        ]);
-        table.row(vec![
-            "recursive".into(),
-            format!("{CAPACITY}"),
-            format!("{recursive_small_trusted_bytes}"),
-            "n/a".into(),
-        ]);
-        println!("{table}");
-        println!(
-            "parity at {CAPACITY} blocks — responses: {responses_match}, \
-             trace(+timestamps): {trace_match}, stats: {stats_match}, clock: {clock_match}; \
-             simulated throughput ratio {throughput_ratio:.3} (floor {MIN_THROUGHPUT_RATIO:.2})"
-        );
-        println!(
-            "large leg — {} spot blocks round-trip: {large_roundtrip_ok}; \
-             restore round-trip: {restore_roundtrip_ok}",
-            ids.len()
-        );
-        println!(
-            "trusted bytes shrink {trusted_shrink:.1}× (floor {MIN_TRUSTED_SHRINK:.0}×); \
-             growth over 16× N: {trusted_growth:.2}× (ceiling {MAX_TRUSTED_GROWTH:.0}×); \
-             snapshot shrink {snapshot_shrink:.1}× (floor {MIN_SNAPSHOT_SHRINK:.0}×)"
-        );
-        if pass {
-            println!(
-                "OK: recursive map is invisible on the data bus and holds O(log N) \
-                 trusted bytes at {LARGE_CAPACITY} blocks.\n"
-            );
-        } else {
-            println!("REGRESSION: capacity gate failed.\n");
-        }
-
-        let report = Report {
-            bench: "capacity",
-            requests,
-            pass,
-            parity_capacity: CAPACITY,
-            responses_match,
-            trace_match,
-            stats_match,
-            clock_match,
-            throughput_flat_rps,
-            throughput_recursive_rps,
-            throughput_ratio,
-            min_throughput_ratio: MIN_THROUGHPUT_RATIO,
-            large_capacity: LARGE_CAPACITY,
-            capacity_factor: LARGE_CAPACITY as f64 / CAPACITY as f64,
-            posmap_levels,
-            large_roundtrip_ok,
-            restore_roundtrip_ok,
-            flat_trusted_bytes,
-            recursive_trusted_bytes,
-            trusted_shrink,
-            min_trusted_shrink: MIN_TRUSTED_SHRINK,
-            recursive_small_trusted_bytes,
-            trusted_growth,
-            max_trusted_growth: MAX_TRUSTED_GROWTH,
-            flat_snapshot_bytes,
-            recursive_snapshot_bytes,
-            snapshot_shrink,
-            min_snapshot_shrink: MIN_SNAPSHOT_SHRINK,
-        };
-        GateOutcome {
-            name: "capacity",
-            pass,
-            report: report.to_value(),
-        }
+        Report::new(
+            &Summary {
+                bench: "capacity",
+                requests,
+                pass: failed.is_empty(),
+                parity_capacity: CAPACITY,
+                responses_match,
+                trace_match,
+                stats_match,
+                clock_match,
+                throughput_flat_rps,
+                throughput_recursive_rps,
+                throughput_ratio,
+                min_throughput_ratio: MIN_THROUGHPUT_RATIO,
+                large_capacity: LARGE_CAPACITY,
+                capacity_factor: LARGE_CAPACITY as f64 / CAPACITY as f64,
+                posmap_levels,
+                large_roundtrip_ok,
+                restore_roundtrip_ok,
+                flat_trusted_bytes,
+                recursive_trusted_bytes,
+                trusted_shrink,
+                min_trusted_shrink: MIN_TRUSTED_SHRINK,
+                recursive_small_trusted_bytes,
+                trusted_growth,
+                max_trusted_growth: MAX_TRUSTED_GROWTH,
+                flat_snapshot_bytes,
+                recursive_snapshot_bytes,
+                snapshot_shrink,
+                min_snapshot_shrink: MIN_SNAPSHOT_SHRINK,
+            },
+            failed,
+        )
     }
 }
 
-/// The capacity gate: prove the recursive position map changes the
-/// engine's trusted-memory scaling and nothing else. A flat-vs-recursive
-/// run at the shared small capacity must be byte-identical (responses,
-/// full bus trace, statistics, simulated clock); a durable recursive
-/// engine at 16× the largest other bench capacity must round-trip a
-/// write/read-back sweep, survive snapshot → restore, and hold trusted
-/// posmap bytes ≥8× below the flat table with a snapshot bounded by
-/// trusted state rather than N. The simulated throughput ratio (expected
-/// exactly 1.0) feeds the trend file.
-pub fn capacity_gate(quick: bool) -> GateOutcome {
-    capacity::gate(quick)
-}
-
-// ------------------------------------------------------------------ rpc
-
+/// Four client processes over TCP must reach the host-scaled fraction of
+/// in-process throughput with identical responses; then a server process
+/// is SIGTERMed mid-load, and restoring its checkpoint and replaying the
+/// shed writes must reach the uninterrupted run's state.
 mod rpc {
     use super::*;
-    use horam::storage::file::scratch_dir;
     use horam_rpc::server::{
         bind_signals_to_drain, run_server, Checkpoint, ServerConfig, ServerOutcome,
     };
     use horam_rpc::{status, ClientConfig, Endpoint, Listener, RpcClient, RpcError};
     use std::io::BufRead;
-    use std::path::Path;
     use std::process::{Command, Stdio};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -2052,39 +1528,24 @@ mod rpc {
     /// Real client processes in the throughput phase, one per tenant.
     const CLIENTS: u32 = 4;
     const SHARDS: u64 = 4;
-    /// Operations kept in flight per connection (`call_many` batch) —
-    /// well under the service's per-tenant queue bound, so the pipeline
-    /// never sheds and the comparison measures transport, not
-    /// backpressure.
+    /// Ops in flight per connection: under the per-tenant queue bound.
     const PIPELINE: usize = 200;
     /// Writes landed before the SIGTERM in the drain phase.
     const DRAIN_PREFIX: usize = 32;
-    /// Writes racing the drain: a prefix lands, the rest shed typed.
-    /// Issued in chunks of [`DRAIN_CHUNK`] — a fully pipelined batch
-    /// would be admitted wholesale before the signal watcher bridges
-    /// SIGTERM onto the drain flag (admitted work is finished, not
-    /// shed), so small chunks spread admission across the drain window
-    /// and the shed + replay path actually runs.
+    /// Writes racing the drain, in chunks of [`DRAIN_CHUNK`]: one
+    /// pipelined batch would be admitted whole before SIGTERM lands.
     const DRAIN_SUFFIX: usize = 256;
     const DRAIN_CHUNK: usize = 8;
 
-    /// Worker processes are this same binary re-exec'd via
-    /// `current_exe()`; the role env var routes them into
-    /// [`role_hook`] before any bench argument parsing happens.
+    /// Routes a re-exec of this binary into [`role_hook`].
     const ROLE_ENV: &str = "HORAM_RPC_BENCH_ROLE";
     const ENDPOINT_ENV: &str = "HORAM_RPC_BENCH_ENDPOINT";
     const CLIENT_ENV: &str = "HORAM_RPC_BENCH_CLIENT";
     const OPS_ENV: &str = "HORAM_RPC_BENCH_OPS";
     const CHECKPOINT_ENV: &str = "HORAM_RPC_BENCH_CHECKPOINT";
 
-    /// RPC-vs-in-process throughput floor, host-scaled like the
-    /// parallel gate's wall-clock bar: with ≥4 cores the client
-    /// processes run beside the server and the single-threaded engine
-    /// dominates both sides, so real sockets must sustain ≥80 % of
-    /// in-process serving; on smaller hosts the processes time-share
-    /// cores with the server and the floor degrades to an overhead
-    /// bound. Byte-identical responses are enforced everywhere,
-    /// unconditionally.
+    /// RPC-vs-in-process throughput floor, host-scaled like the parallel
+    /// bar: below 4 cores the client processes time-share the server's.
     fn min_ratio(cores: usize) -> f64 {
         if cores >= 4 {
             0.8
@@ -2121,12 +1582,8 @@ mod rpc {
         payload
     }
 
-    /// Client `c`'s deterministic schedule: a mixed read/write stream
-    /// (one write per four ops) over its own tenant's disjoint block
-    /// range. Disjoint ranges make cross-client interleaving
-    /// irrelevant to response bytes, which is what lets N concurrent
-    /// processes be compared byte-for-byte against a serial in-process
-    /// run of the same streams.
+    /// Client `c`'s ops (one write in four) over its tenant's own block
+    /// range, so interleaving across clients cannot change a response.
     fn client_ops(client: u32, count: usize) -> Vec<(u64, Option<Vec<u8>>)> {
         let span = CAPACITY / u64::from(CLIENTS);
         let base = u64::from(client) * span;
@@ -2139,25 +1596,20 @@ mod rpc {
             .collect()
     }
 
-    /// The gate's service: one per-process build shared by the gate,
-    /// the in-process reference, and the re-exec'd server role, so
-    /// every side serves the identical deterministic engine.
-    fn fresh_service(snapshot: Option<&[u8]>) -> OramService<ShardedOram> {
-        let config = ServiceConfig {
-            batch_size: BATCH_SIZE,
-            ..ServiceConfig::default()
-        };
+    /// The service every side serves: gate, reference and server role.
+    fn fresh_service(snapshot: Option<&[u8]>) -> OramService {
+        let config = batched();
         let base = config
             .engine_config(HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS))
             .with_seed(SEED);
-        let master = MasterKey::from_bytes([0xEC; 32]);
         let oram = match snapshot {
-            Some(bytes) => ShardedOram::restore(master, |_| MemoryHierarchy::dac2019(), bytes)
-                .expect("checkpoint restores"),
-            None => ShardedOram::new(ShardedConfig::new(base, SHARDS), master, |_| {
-                MemoryHierarchy::dac2019()
-            })
-            .expect("engine builds"),
+            Some(bytes) => ShardedOram::restore(
+                MasterKey::from_bytes([0xEC; 32]),
+                |_| MemoryHierarchy::dac2019(),
+                bytes,
+            )
+            .expect("checkpoint restores"),
+            None => sharded(base, SHARDS, 0xEC),
         };
         let mut service = OramService::new(oram, Box::new(FifoPolicy), config);
         let span = CAPACITY / u64::from(CLIENTS);
@@ -2170,29 +1622,21 @@ mod rpc {
 
     fn server_config() -> ServerConfig {
         ServerConfig {
-            // Sized so four fully-pipelined clients never trip
-            // backpressure — this gate measures transport cost, the
-            // backpressure path has its own end-to-end tests.
+            // Four pipelined clients never trip backpressure.
             max_inflight: 4096,
             dedup_window: 8192,
             ..ServerConfig::default()
         }
     }
 
-    /// An in-gate server thread (the throughput server and the
-    /// restored post-drain server run inside the gate process; only
-    /// the SIGTERM victim needs to be a real child process).
+    /// An in-process server thread; only the SIGTERM victim is a child.
     struct GateServer {
         endpoint: Endpoint,
         drain: Arc<AtomicBool>,
         join: std::thread::JoinHandle<ServerOutcome>,
     }
 
-    fn spawn_server(
-        service: OramService<ShardedOram>,
-        config: ServerConfig,
-        endpoint: &Endpoint,
-    ) -> GateServer {
+    fn spawn_server(service: OramService, config: ServerConfig, endpoint: &Endpoint) -> GateServer {
         let listener = Listener::bind(endpoint).expect("gate server binds");
         let endpoint = listener.local_endpoint().expect("local endpoint");
         let drain = Arc::clone(&config.drain);
@@ -2223,10 +1667,7 @@ mod rpc {
         RpcClient::new(config)
     }
 
-    /// Re-exec hook: when the role env var is set, this process is a
-    /// gate worker spawned via `current_exe()`, not the bench — run
-    /// the role and exit. Called at the top of every bench `main` that
-    /// can host this gate.
+    /// Runs this process as a gate worker, if it is one, and exits.
     pub(super) fn role_hook() {
         match std::env::var(ROLE_ENV).ok().as_deref() {
             None => {}
@@ -2243,31 +1684,27 @@ mod rpc {
         std::env::var(name).unwrap_or_else(|_| panic!("{name} must be set for the worker role"))
     }
 
-    /// The client role: run this process's deterministic op stream
-    /// through a pipelined [`RpcClient`], then report ops, host
-    /// elapsed, and the response digest on stdout for the gate parent.
+    /// The client role: run the op stream, print ops, ms and digest.
     fn run_client_role() -> ! {
         let endpoint = Endpoint::parse(&role_env(ENDPOINT_ENV)).expect("role endpoint parses");
         let client_index: u32 = role_env(CLIENT_ENV).parse().expect("client index parses");
         let count: usize = role_env(OPS_ENV).parse().expect("op count parses");
         let ops = client_ops(client_index, count);
         let mut client = gate_client(&endpoint, 1_000 + u64::from(client_index), client_index);
-        let started = Instant::now();
         let mut digest = FNV_OFFSET;
-        for chunk in ops.chunks(PIPELINE) {
-            let outcomes = client.call_many(chunk.to_vec()).expect("batch transport");
-            for outcome in outcomes {
-                digest = fnv_update(digest, &outcome.expect("op serves"));
+        let ((), elapsed_ms) = timed(|| {
+            for chunk in ops.chunks(PIPELINE) {
+                let outcomes = client.call_many(chunk.to_vec()).expect("batch transport");
+                for outcome in outcomes {
+                    digest = fnv_update(digest, &outcome.expect("op serves"));
+                }
             }
-        }
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+        });
         println!("RESULT {count} {elapsed_ms:.3} {digest:016x}");
         std::process::exit(0);
     }
 
-    /// The server role: the SIGTERM victim. Serves the gate's fresh
-    /// engine until the signal-bridged drain completes, then writes
-    /// the checkpoint file and exits 0.
+    /// The server role, the SIGTERM victim: serve, drain, checkpoint.
     fn run_server_role() -> ! {
         let endpoint = Endpoint::parse(&role_env(ENDPOINT_ENV)).expect("role endpoint parses");
         let checkpoint_path = std::path::PathBuf::from(role_env(CHECKPOINT_ENV));
@@ -2302,14 +1739,13 @@ mod rpc {
     }
 
     #[derive(Debug, Serialize)]
-    struct Report {
+    struct Summary {
         bench: &'static str,
         clients: u32,
         ops_per_client: usize,
         pipeline: usize,
         available_parallelism: usize,
-        /// Host wall-clock ratios — deliberately absent from the trend
-        /// file, like the parallel gate's (runner-dependent).
+        /// Host wall-clock rates: outside the trend file.
         in_process_rps: f64,
         rpc_rps: f64,
         throughput_ratio: f64,
@@ -2331,34 +1767,14 @@ mod rpc {
         pass: bool,
     }
 
-    pub(super) fn gate(quick: bool) -> GateOutcome {
-        let mut ops_per_client = 1_200usize;
-        if quick {
-            ops_per_client /= 4;
-            println!("(--quick: scaled to 1/4)\n");
-        }
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let threshold = min_ratio(cores);
-        println!(
-            "Network serving — {CLIENTS} client processes × {ops_per_client} pipelined ops \
-             against one server ({SHARDS} shards over {CAPACITY} blocks), then SIGTERM \
-             drain → checkpoint → restore → replay; {cores} host core(s)\n"
-        );
-
-        let scratch = scratch_dir("bench-rpc");
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run(&scratch, ops_per_client, cores, threshold)
-        }));
-        let _ = std::fs::remove_dir_all(&scratch);
-        match result {
-            Ok(outcome) => outcome,
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
+    pub(super) fn run(quick: bool) -> Report {
+        let ops_per_client = scaled(1_200, quick, 4);
+        in_scratch("bench-rpc", |scratch| drive(scratch, ops_per_client))
     }
 
-    fn run(scratch: &Path, ops_per_client: usize, cores: usize, threshold: f64) -> GateOutcome {
+    fn drive(scratch: &Path, ops_per_client: usize) -> Report {
+        let cores = host_cores();
+        let threshold = min_ratio(cores);
         // Phase 1 — N real client processes vs the in-process service.
         let server = spawn_server(
             fresh_service(None),
@@ -2394,15 +1810,13 @@ mod rpc {
                 .rev()
                 .find(|line| line.starts_with("RESULT "))
                 .unwrap_or_else(|| panic!("no RESULT line in {stdout:?}"));
-            let mut fields = line.split_whitespace().skip(1);
-            let ops: usize = fields.next().expect("ops field").parse().expect("ops");
-            let elapsed_ms: f64 = fields
-                .next()
-                .expect("elapsed field")
-                .parse()
-                .expect("elapsed");
-            let digest =
-                u64::from_str_radix(fields.next().expect("digest field"), 16).expect("digest");
+            let fields: Vec<&str> = line.split_whitespace().skip(1).collect();
+            let [ops, elapsed_ms, digest] = fields[..] else {
+                panic!("malformed {line:?}")
+            };
+            let ops: usize = ops.parse().expect("ops");
+            let elapsed_ms: f64 = elapsed_ms.parse().expect("elapsed");
+            let digest = u64::from_str_radix(digest, 16).expect("digest");
             measured.push((ops, elapsed_ms, digest));
         }
         let outcome = server.drain_join();
@@ -2410,34 +1824,34 @@ mod rpc {
         // In-process yardstick: the identical four streams through an
         // identical service, no sockets, same pipelining depth.
         let mut service = fresh_service(None);
-        let started = Instant::now();
-        let mut reference_digests = Vec::new();
-        for client in 0..CLIENTS {
-            let ops = client_ops(client, ops_per_client);
-            let mut digest = FNV_OFFSET;
-            for chunk in ops.chunks(PIPELINE) {
-                let tickets: Vec<_> = chunk
-                    .iter()
-                    .map(|(block, payload)| {
-                        let request = match payload {
-                            Some(bytes) => Request::write(*block, bytes.clone()),
-                            None => Request::read(*block),
-                        };
-                        service
-                            .submit(UserId(client), request)
-                            .expect("reference submit")
-                    })
-                    .collect();
-                for ticket in tickets {
-                    let response = service
-                        .take_result_timeout(ticket, 1_000_000)
-                        .expect("reference serves");
-                    digest = fnv_update(digest, &response);
-                }
-            }
-            reference_digests.push(digest);
-        }
-        let in_process_ms = started.elapsed().as_secs_f64() * 1e3;
+        let (reference_digests, in_process_ms) = timed(|| {
+            (0..CLIENTS)
+                .map(|client| {
+                    let mut digest = FNV_OFFSET;
+                    for chunk in client_ops(client, ops_per_client).chunks(PIPELINE) {
+                        let tickets: Vec<_> = chunk
+                            .iter()
+                            .map(|(block, payload)| {
+                                let request = match payload {
+                                    Some(bytes) => Request::write(*block, bytes.clone()),
+                                    None => Request::read(*block),
+                                };
+                                service
+                                    .submit(UserId(client), request)
+                                    .expect("reference submit")
+                            })
+                            .collect();
+                        for ticket in tickets {
+                            let response = service
+                                .take_result_timeout(ticket, 1_000_000)
+                                .expect("reference serves");
+                            digest = fnv_update(digest, &response);
+                        }
+                    }
+                    digest
+                })
+                .collect::<Vec<u64>>()
+        });
 
         let total_ops = ops_per_client * CLIENTS as usize;
         let rpc_ms = measured.iter().map(|(_, ms, _)| *ms).fold(0.0f64, f64::max);
@@ -2457,24 +1871,6 @@ mod rpc {
             })
             .collect();
         let digests_match = rows.iter().all(|row| row.matches_reference);
-
-        let mut table = Table::new(vec!["client", "ops", "wall", "throughput", "matches ref"]);
-        for row in &rows {
-            table.row(vec![
-                row.client.to_string(),
-                row.ops.to_string(),
-                format!("{:.1} ms", row.elapsed_ms),
-                format!("{:.0} req/s", row.ops as f64 / (row.elapsed_ms / 1e3)),
-                row.matches_reference.to_string(),
-            ]);
-        }
-        println!("{table}");
-        println!(
-            "aggregate: {rpc_rps:.0} req/s over sockets vs {in_process_rps:.0} req/s in-process \
-             → ratio {ratio:.2} (required ≥ {threshold:.2} on {cores} core(s)); server served \
-             {} over {} connections",
-            outcome.counters.served, outcome.counters.connections
-        );
 
         // Phase 2 — SIGTERM a real server process mid-load, then
         // restore its checkpoint and replay what the drain shed.
@@ -2498,16 +1894,14 @@ mod rpc {
         }
 
         let span = CAPACITY / u64::from(CLIENTS);
-        let drain_ops: Vec<(u64, Vec<u8>)> = (0..DRAIN_PREFIX + DRAIN_SUFFIX)
-            .map(|i| ((i as u64).wrapping_mul(13) % span, op_payload(9, i)))
+        let drain_ops: Vec<(u64, Option<Vec<u8>>)> = (0..DRAIN_PREFIX + DRAIN_SUFFIX)
+            .map(|i| ((i as u64).wrapping_mul(13) % span, Some(op_payload(9, i))))
             .collect();
-        let endpoint = Endpoint::Unix(sock.clone());
-        let mut pusher = gate_client(&endpoint, 9_000, 0);
-        let prefix: Vec<(u64, Option<Vec<u8>>)> = drain_ops[..DRAIN_PREFIX]
-            .iter()
-            .map(|(block, payload)| (*block, Some(payload.clone())))
-            .collect();
-        for op in pusher.call_many(prefix).expect("pre-drain batch") {
+        let mut pusher = gate_client(&Endpoint::Unix(sock.clone()), 9_000, 0);
+        for op in pusher
+            .call_many(drain_ops[..DRAIN_PREFIX].to_vec())
+            .expect("pre-drain batch")
+        {
             op.expect("pre-drain write lands");
         }
 
@@ -2516,18 +1910,11 @@ mod rpc {
             .status()
             .expect("kill spawns");
         assert!(kill.success(), "kill -TERM failed");
-        let suffix: Vec<(u64, Option<Vec<u8>>)> = drain_ops[DRAIN_PREFIX..]
-            .iter()
-            .map(|(block, payload)| (*block, Some(payload.clone())))
-            .collect();
-        // The racing writes: because drain is monotonic and admission
-        // is per-connection FIFO, whatever lands must be a prefix and
-        // everything after it must shed with the typed SHUTTING_DOWN
-        // (or never reach a server at all once it has exited — those
-        // ops simply join the replay set).
+        // Drain is monotonic and admission FIFO per connection: a prefix
+        // lands, the rest sheds with SHUTTING_DOWN or joins the replay.
         let mut landed_suffix = 0usize;
         let mut suffix_shed_typed = true;
-        'racing: for chunk in suffix.chunks(DRAIN_CHUNK) {
+        'racing: for chunk in drain_ops[DRAIN_PREFIX..].chunks(DRAIN_CHUNK) {
             match pusher.call_many(chunk.to_vec()) {
                 Ok(outcomes) => {
                     let mut seen_shed = false;
@@ -2545,10 +1932,7 @@ mod rpc {
                         break 'racing;
                     }
                 }
-                // The server finished draining under this chunk; its
-                // ops never landed. (Replaying a write that did land
-                // would be harmless anyway — same payload, same
-                // per-block order.)
+                // The server exited under this chunk: replay all of it.
                 Err(_) => break 'racing,
             }
         }
@@ -2570,10 +1954,7 @@ mod rpc {
         );
         let mut replayer = gate_client(&restored.endpoint, 9_001, 0);
         let landed = DRAIN_PREFIX + landed_suffix;
-        let replay: Vec<(u64, Option<Vec<u8>>)> = drain_ops[landed..]
-            .iter()
-            .map(|(block, payload)| (*block, Some(payload.clone())))
-            .collect();
+        let replay = drain_ops[landed..].to_vec();
         let replayed = replay.len();
         if !replay.is_empty() {
             for op in replayer.call_many(replay).expect("replay batch") {
@@ -2581,101 +1962,61 @@ mod rpc {
             }
         }
 
-        // Last-write-wins oracle: the uninterrupted run's final state,
-        // computed analytically. Reading it back through the restored
-        // server proves drain → checkpoint → restore → replay converges
-        // on exactly the uninterrupted outcome.
-        let mut expected: std::collections::BTreeMap<u64, Vec<u8>> =
-            std::collections::BTreeMap::new();
-        for (block, payload) in &drain_ops {
-            expected.insert(*block, payload.clone());
-        }
+        // Last-write-wins oracle: the uninterrupted run's final state.
+        let expected: std::collections::BTreeMap<u64, &Option<Vec<u8>>> = drain_ops
+            .iter()
+            .map(|(block, payload)| (*block, payload))
+            .collect();
         let mut state_match = true;
-        for (block, payload) in &expected {
-            let got = replayer.read(*block).expect("post-restore read-back");
-            if got != *payload {
-                state_match = false;
-            }
+        for (block, payload) in expected {
+            let got = replayer.read(block).expect("post-restore read-back");
+            state_match &= Some(got) == *payload;
         }
         let epoch_visible = replayer.epoch() == Some(restored_epoch);
-        let restored_outcome = restored.drain_join();
+        restored.drain_join();
 
-        println!(
-            "drain: {landed}/{} writes landed before exit (suffix shed typed: \
-             {suffix_shed_typed}), checkpoint {} KB with {window_entries} window entries, \
-             restored epoch {restored_epoch} replayed {replayed} and matches the \
-             uninterrupted run: {state_match} (restored server served {})",
-            drain_ops.len(),
-            ckpt_bytes.len() / 1024,
-            restored_outcome.counters.served,
-        );
-
-        let pass = digests_match
-            && ratio >= threshold
-            && drain_exit_ok
-            && suffix_shed_typed
-            && state_match
-            && epoch_visible;
-        if pass {
-            println!(
-                "OK: real client processes sustain the in-process floor byte-identically, \
-                 and SIGTERM drain → restore → replay converges on the uninterrupted run.\n"
-            );
-        } else {
-            println!("REGRESSION: rpc gate failed.\n");
-        }
-
-        let report = Report {
-            bench: "rpc",
-            clients: CLIENTS,
-            ops_per_client,
-            pipeline: PIPELINE,
-            available_parallelism: cores,
-            in_process_rps,
-            rpc_rps,
-            throughput_ratio: ratio,
-            min_ratio: threshold,
-            digests_match,
-            served: outcome.counters.served,
-            connections: outcome.counters.connections,
-            rows,
-            drain_writes: drain_ops.len(),
-            landed_before_exit: landed,
-            suffix_shed_typed,
-            drain_exit_ok,
-            checkpoint_bytes: ckpt_bytes.len(),
-            window_entries,
-            restored_epoch,
-            epoch_visible,
-            replayed,
-            state_match,
-            pass,
-        };
-        GateOutcome {
-            name: "rpc",
-            pass,
-            report: report.to_value(),
-        }
+        let failed = failures(&[
+            ("digests_match", digests_match),
+            ("throughput_ratio", ratio >= threshold),
+            ("drain_exit_ok", drain_exit_ok),
+            ("suffix_shed_typed", suffix_shed_typed),
+            ("state_match", state_match),
+            ("epoch_visible", epoch_visible),
+        ]);
+        Report::new(
+            &Summary {
+                bench: "rpc",
+                clients: CLIENTS,
+                ops_per_client,
+                pipeline: PIPELINE,
+                available_parallelism: cores,
+                in_process_rps,
+                rpc_rps,
+                throughput_ratio: ratio,
+                min_ratio: threshold,
+                digests_match,
+                served: outcome.counters.served,
+                connections: outcome.counters.connections,
+                rows,
+                drain_writes: drain_ops.len(),
+                landed_before_exit: landed,
+                suffix_shed_typed,
+                drain_exit_ok,
+                checkpoint_bytes: ckpt_bytes.len(),
+                window_entries,
+                restored_epoch,
+                epoch_visible,
+                replayed,
+                state_match,
+                pass: failed.is_empty(),
+            },
+            failed,
+        )
     }
 }
 
-/// The rpc gate: four real client processes (re-exec'd via
-/// `current_exe()`) pipeline deterministic op streams over TCP against
-/// one `horam-rpc` server and must sustain the host-scaled fraction
-/// (≥80 % on ≥4 cores) of in-process serving throughput with
-/// byte-identical responses; then a real server process takes a SIGTERM
-/// mid-load, drains gracefully (suffix shed with the typed
-/// `SHUTTING_DOWN`), writes its checkpoint, and a restore + replay of
-/// the shed writes must converge on exactly the uninterrupted run's
-/// state. Host wall-clock ratios stay out of the trend file.
-pub fn rpc_gate(quick: bool) -> GateOutcome {
-    rpc::gate(quick)
-}
-
-/// Re-exec hook for the rpc gate's worker processes. Every bench
-/// binary that can host the gate calls this first in `main`; when the
-/// role env var is set the process runs as a gate worker (client or
-/// SIGTERM-victim server) and exits instead of benching.
+/// Re-exec hook for the rpc gate's worker processes: `suite` calls it
+/// first, and a worker runs its role and exits.
 pub fn rpc_role_hook() {
     rpc::role_hook();
 }
@@ -2683,87 +2024,76 @@ pub fn rpc_role_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
-    fn fake_suite(serving: f64, io_zipf: f64, sharding: f64) -> Value {
-        let gate = |name: &str, report: Value| {
-            Value::Map(vec![
-                ("gate".into(), Value::Str(name.into())),
-                ("pass".into(), Value::Bool(true)),
-                ("report".into(), report),
-            ])
-        };
-        let num = |v: f64| Value::Num(serde::Number::F(v));
-        Value::Map(vec![(
-            "gates".into(),
-            Value::Seq(vec![
-                gate(
-                    "serving",
-                    Value::Map(vec![
-                        ("vs_sequential".into(), num(serving)),
-                        ("vs_per_request".into(), num(serving * 4.0)),
-                    ]),
-                ),
-                gate(
-                    "io_pipeline",
-                    Value::Map(vec![(
-                        "workloads".into(),
-                        Value::Seq(vec![Value::Map(vec![
-                            ("workload".into(), Value::Str("zipf-hit-bound".into())),
-                            ("io_speedup".into(), num(io_zipf)),
-                            ("wall_speedup".into(), num(io_zipf / 2.0)),
-                        ])]),
-                    )]),
-                ),
-                gate(
-                    "sharding",
-                    Value::Map(vec![
-                        ("io_speedup".into(), num(sharding)),
-                        ("wall_speedup".into(), num(sharding)),
-                    ]),
-                ),
-            ]),
-        )])
+    const BASELINE: &str = include_str!("../../../BENCH_baseline.json");
+
+    fn parse(json: &str) -> Value {
+        serde_json::from_str(json).expect("suite report parses")
     }
 
     #[test]
-    fn trend_metrics_cover_all_three_gates_including_nested_io_rows() {
-        let metrics = trend_metrics(&fake_suite(1.5, 2.0, 3.0));
-        let names: Vec<&str> = metrics.iter().map(|(n, _)| n.as_str()).collect();
-        assert!(names.contains(&"serving.vs_sequential"));
-        assert!(names.contains(&"serving.vs_per_request"));
-        assert!(names.contains(&"io_pipeline.zipf-hit-bound.io_speedup"));
-        assert!(names.contains(&"io_pipeline.zipf-hit-bound.wall_speedup"));
-        assert!(names.contains(&"sharding.io_speedup"));
-        assert_eq!(metrics.len(), 6);
+    fn gate_rows_and_trend_keys_match_the_committed_baseline() {
+        let baseline = parse(BASELINE);
+        let entries = baseline
+            .field("gates")
+            .and_then(Value::as_seq)
+            .expect("gates");
+        let mut expected = BTreeSet::new();
+        for gate in GATES {
+            let report = entries
+                .iter()
+                .find(|entry| entry.field("gate").and_then(Value::as_str).ok() == Some(gate.name))
+                .unwrap_or_else(|| panic!("gate {} has no baseline entry", gate.name))
+                .field("report")
+                .expect("report");
+            for key in gate.trend {
+                let Some((seq, key)) = key.split_once("[].") else {
+                    expected.insert(format!("{}.{key}", gate.name));
+                    continue;
+                };
+                let rows = report.field(seq).and_then(Value::as_seq).expect(seq);
+                assert!(!rows.is_empty(), "{}.{seq} has no rows", gate.name);
+                for row in rows {
+                    expected.insert(format!("{}.{}.{key}", gate.name, label(row)));
+                }
+            }
+        }
+        let tracked: BTreeSet<String> = trend_metrics(&baseline)
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(tracked, expected);
     }
 
     #[test]
     fn baseline_diff_flags_regressions_and_missing_metrics() {
-        let baseline = fake_suite(1.5, 2.0, 3.0);
-        // Identical: clean.
-        assert!(baseline_regressions(&fake_suite(1.5, 2.0, 3.0), &baseline, 0.25).is_empty());
-        // Within tolerance: clean.
-        assert!(baseline_regressions(&fake_suite(1.2, 1.6, 2.4), &baseline, 0.25).is_empty());
-        // The nested io_pipeline ratio regressing below the floor trips.
-        let regressions = baseline_regressions(&fake_suite(1.5, 1.0, 3.0), &baseline, 0.25);
-        assert!(
-            regressions
-                .iter()
-                .any(|r| r.contains("io_pipeline.zipf-hit-bound.io_speedup")),
-            "{regressions:?}"
+        let baseline = parse(BASELINE);
+        assert!(baseline_regressions(&baseline, &baseline, 0.25).is_empty());
+        // The file's first `io_speedup` is io_pipeline's zipf-hit-bound row.
+        let at = BASELINE.find("\"io_speedup\": ").expect("io_speedup") + 14;
+        let end = at + BASELINE[at..].find(',').expect("number ends");
+        let base: f64 = BASELINE[at..end].parse().expect("io_speedup is a number");
+        let with = |v: f64| parse(&format!("{}{v}{}", &BASELINE[..at], &BASELINE[end..]));
+        // Within tolerance (20 % below, floor is 25 % below): clean.
+        assert!(baseline_regressions(&with(0.8 * base), &baseline, 0.25).is_empty());
+        // Just under the floor trips.
+        assert_eq!(
+            baseline_regressions(&with(0.74 * base), &baseline, 0.25).len(),
+            1
         );
-        // A metric vanishing from the fresh report trips too.
-        let gutted = fake_suite(1.5, 2.0, 3.0);
-        let Value::Map(mut entries) = gutted else {
-            unreachable!()
-        };
-        let Value::Seq(gates) = &mut entries[0].1 else {
-            unreachable!()
-        };
-        gates.pop(); // drop the sharding gate
-        let regressions = baseline_regressions(&Value::Map(entries), &baseline, 0.25);
+        let regressions = baseline_regressions(&with(0.1), &baseline, 0.25);
+        assert_eq!(
+            regressions.len(),
+            1,
+            "only io_pipeline.zipf-hit-bound.io_speedup: {regressions:?}"
+        );
+        assert!(regressions[0].starts_with("io_pipeline.zipf-hit-bound.io_speedup regressed"));
+        // A gate missing from the fresh report trips too.
+        let (empty, _) = merge_outcomes(&[]);
+        let regressions = baseline_regressions(&empty, &baseline, 0.25);
         assert!(regressions
             .iter()
-            .any(|r| r.contains("sharding.io_speedup")));
+            .any(|r| r.contains("sharding.io_speedup missing")));
     }
 }

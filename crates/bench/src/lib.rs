@@ -2,28 +2,30 @@
 //!
 //! Tables 5-3 and 5-4 of the paper compare H-ORAM against the
 //! tree-top-cache Path ORAM baseline on the same machine and request
-//! trace. [`run_horam`] and [`run_tree_top_baseline`] execute those two
-//! systems under identical [`TableParams`] and return the row quantities
-//! the paper reports.
+//! trace. [`run_horam`] and [`run_tree_top_baseline`] run those two
+//! systems under identical [`TableParams`] on a given machine model, and
+//! [`print_system_table`] prints either table.
 //!
 //! **Payload scaling.** The paper's experiments move gigabytes of 1 KB
 //! blocks; the simulator charges timing for full 1 KB blocks while storing
 //! small payloads (`TableParams::payload_len`), so the harness reproduces
-//! the timing at a small fraction of the host cost. See DESIGN.md §2.
+//! the timing at a small fraction of the host cost.
 //!
 //! **Workload calibration.** The paper says only that 80 % of requests
 //! fall "in a certain area". Working backwards from its measured I/O
 //! counts (7 228 of 25 000 and 129 235 of 500 000): subtracting the
 //! unavoidable cold-miss floor (20 % uniform traffic) leaves room for a
-//! hot region of ≈`n/8` blocks warmed once per period — that sizing
-//! reproduces both tables' I/O counts within ~15 %, so the harness uses
-//! it; EXPERIMENTS.md records the sensitivity.
+//! hot region of ≈`n/8` blocks warmed once per period, so the harness
+//! uses that sizing. At full scale it measures 7 367 I/O accesses for
+//! Table 5-3 (+1.9 %) but 154 445 for Table 5-4 (+19.5 %); ROADMAP item 8
+//! tracks that gap.
 
+use horam::analysis::report::ExperimentReport;
+use horam::analysis::table::Table;
 use horam::prelude::*;
 use horam::protocols::{build_tree_top_cache, Oram, PathOramConfig, TreeBackend};
 use horam::storage::calibration::MachineConfig;
 use horam::storage::clock::SimClock;
-use horam::workload::WorkloadGenerator;
 
 pub mod gates;
 
@@ -73,6 +75,17 @@ impl TableParams {
         self
     }
 
+    /// [`quick`](Self::quick) when the command line has `--quick` (and
+    /// says so on stdout), unchanged otherwise.
+    pub fn with_args(self) -> Self {
+        if BenchArgs::parse().quick {
+            println!("(--quick: scaled to 1/8)\n");
+            self.quick()
+        } else {
+            self
+        }
+    }
+
     /// The paper-calibrated hot-region workload (see module docs).
     pub fn workload(&self) -> Vec<Request> {
         let hot_fraction = (self.memory_slots as f64 / 8.0) / self.capacity_blocks as f64;
@@ -101,8 +114,33 @@ pub struct SystemRow {
     pub total_time: SimDuration,
 }
 
-/// Runs H-ORAM under `params`, returning its table row.
-pub fn run_horam(params: &TableParams) -> SystemRow {
+impl SystemRow {
+    /// H-ORAM's row, run on `machine` over `params`' workload.
+    pub fn horam(params: &TableParams, machine: MachineConfig) -> Self {
+        let oram = run_horam(params, machine, 0xB5, &params.workload(), |config| config);
+        let stats = oram.stats();
+        Self {
+            storage_bytes: oram.storage_bytes(),
+            memory_bytes: params.memory_slots * 1024,
+            io_accesses: stats.total_io_loads(),
+            io_latency: stats.mean_io_latency(),
+            shuffle_time: stats.shuffle_wall_time,
+            shuffles: stats.shuffles,
+            total_time: stats.total_wall_time(),
+        }
+    }
+}
+
+/// Runs `requests` as one batch on H-ORAM sized by `params` on `machine`
+/// (master-key byte `key`), its config first passed through `configure`
+/// (an ablation's knob). Returns the engine.
+pub fn run_horam(
+    params: &TableParams,
+    machine: MachineConfig,
+    key: u8,
+    requests: &[Request],
+    configure: impl FnOnce(HOramConfig) -> HOramConfig,
+) -> HOram {
     let config = HOramConfig::new(
         params.capacity_blocks,
         params.payload_len,
@@ -110,30 +148,18 @@ pub fn run_horam(params: &TableParams) -> SystemRow {
     )
     .with_seed(params.seed);
     let mut oram = HOram::new(
-        config,
-        MemoryHierarchy::dac2019(),
-        MasterKey::from_bytes([0xB5; 32]),
+        configure(config),
+        MemoryHierarchy::new(machine),
+        MasterKey::from_bytes([key; 32]),
     )
     .expect("h-oram builds");
-
-    let requests = params.workload();
-    oram.run_batch(&requests).expect("batch completes");
-
-    let stats = oram.stats();
-    SystemRow {
-        storage_bytes: oram.storage_bytes(),
-        memory_bytes: params.memory_slots * 1024,
-        io_accesses: stats.total_io_loads(),
-        io_latency: stats.mean_io_latency(),
-        shuffle_time: stats.shuffle_wall_time,
-        shuffles: stats.shuffles,
-        total_time: stats.total_wall_time(),
-    }
+    oram.run_batch(requests).expect("batch completes");
+    oram
 }
 
-/// Runs the tree-top-cache Path ORAM baseline under `params`.
-pub fn run_tree_top_baseline(params: &TableParams) -> SystemRow {
-    let machine = MachineConfig::dac2019();
+/// Runs the tree-top-cache Path ORAM baseline under `params` on
+/// `machine`.
+pub fn run_tree_top_baseline(params: &TableParams, machine: MachineConfig) -> SystemRow {
     let clock = SimClock::new();
     let (mut oram, _split) = build_tree_top_cache(
         PathOramConfig::new(params.capacity_blocks, params.payload_len),
@@ -172,6 +198,105 @@ pub fn run_tree_top_baseline(params: &TableParams) -> SystemRow {
     }
 }
 
+/// One of the paper's two system tables (Tables 5-3 and 5-4).
+#[derive(Debug, Clone)]
+pub struct SystemTable {
+    /// Heading name, report id and report title, e.g. `Table 5-3`,
+    /// `table-5-3`, `Small dataset comparison`.
+    pub name: &'static str,
+    pub id: &'static str,
+    pub title: &'static str,
+    /// The experiment (scaled by `--quick`).
+    pub params: TableParams,
+    /// The heading's dataset-size unit and its shift from 1 KB blocks,
+    /// e.g. `("MB", 10)`.
+    pub unit: (&'static str, u32),
+    /// Formats the storage column's byte count.
+    pub storage: fn(u64) -> String,
+    /// The paper's I/O count, I/O latency, shuffle time and total time.
+    pub paper: [&'static str; 4],
+}
+
+/// Runs both systems and prints the table, then paper vs measured.
+pub fn print_system_table(table: &SystemTable) {
+    let params = table.params.clone().with_args();
+    let (unit, shift) = table.unit;
+    println!(
+        "{} — {} {unit} dataset, {} requests\n",
+        table.name,
+        params.capacity_blocks >> shift,
+        params.requests
+    );
+    let horam = SystemRow::horam(&params, MachineConfig::dac2019());
+    let baseline = run_tree_top_baseline(&params, MachineConfig::dac2019());
+
+    let size = |row: &SystemRow| {
+        let storage = (table.storage)(row.storage_bytes);
+        format!("{storage} / {} MB", row.memory_bytes >> 20)
+    };
+    let shuffle = format!(
+        "{} * {}",
+        horam.shuffle_time / horam.shuffles.max(1),
+        horam.shuffles
+    );
+    let mut rows = Table::new(vec!["", "H-ORAM", "Path ORAM"]);
+    rows.row(vec![
+        "Storage/Memory Size".into(),
+        size(&horam),
+        size(&baseline),
+    ]);
+    rows.row(vec![
+        "Number of I/O Access".into(),
+        horam.io_accesses.to_string(),
+        baseline.io_accesses.to_string(),
+    ]);
+    rows.row(vec![
+        "I/O Latency".into(),
+        horam.io_latency.to_string(),
+        baseline.io_latency.to_string(),
+    ]);
+    rows.row(vec!["Shuffle Time".into(), shuffle.clone(), "N/A".into()]);
+    rows.row(vec![
+        "Total Time".into(),
+        horam.total_time.to_string(),
+        baseline.total_time.to_string(),
+    ]);
+    println!("{rows}");
+
+    let mut report = ExperimentReport::new(
+        table.id,
+        table.title,
+        format!(
+            "{} blocks x 1 KB, memory {} slots, {} hotspot requests (80% to a cache-sized region)",
+            params.capacity_blocks, params.memory_slots, params.requests
+        ),
+    );
+    let [io, latency, shuffle_paper, total] = table.paper;
+    report.compare(
+        "Number of I/O Access",
+        io,
+        format!("{} vs {}", horam.io_accesses, baseline.io_accesses),
+    );
+    report.compare(
+        "I/O Latency",
+        latency,
+        format!("{} vs {}", horam.io_latency, baseline.io_latency),
+    );
+    report.compare("Shuffle Time", shuffle_paper, shuffle);
+    report.compare(
+        "Total Time",
+        total,
+        format!(
+            "{} vs {} ({})",
+            horam.total_time,
+            baseline.total_time,
+            speedup(baseline.total_time, horam.total_time)
+        ),
+    );
+    report.note("Simulated machine; payload scaling active (timing charges full 1 KB blocks).");
+    println!("{}", report.render());
+}
+
 /// Command-line options shared by every bench binary. Historically each
 /// binary hand-parsed its flags (`--quick` here, `--out` there); this is
 /// the one parser they all go through now, so flags cannot drift in
@@ -184,7 +309,8 @@ pub fn run_tree_top_baseline(params: &TableParams) -> SystemRow {
 /// * `--baseline <path>` — a previously committed report to diff the
 ///   fresh one against (the suite's trend-regression check).
 ///
-/// Unknown arguments are ignored (binaries historically tolerated them).
+/// Positional arguments are collected in order (the gates `suite` runs).
+/// Unknown flags are ignored (binaries historically tolerated them).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BenchArgs {
     /// `--quick` was given.
@@ -193,6 +319,8 @@ pub struct BenchArgs {
     pub out: Option<std::path::PathBuf>,
     /// `--baseline <path>`, if given.
     pub baseline: Option<std::path::PathBuf>,
+    /// The positional arguments, in order.
+    pub names: Vec<String>,
 }
 
 impl BenchArgs {
@@ -206,12 +334,7 @@ impl BenchArgs {
         Self::parse_from(std::env::args().skip(1))
     }
 
-    /// Parses an explicit argument list (testable core of
-    /// [`parse`](Self::parse)).
-    ///
-    /// # Panics
-    ///
-    /// As [`parse`](Self::parse).
+    /// Parses an explicit argument list; panics as [`parse`](Self::parse).
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
         let mut parsed = Self::default();
         let mut args = args.into_iter();
@@ -228,7 +351,8 @@ impl BenchArgs {
                             .into(),
                     );
                 }
-                _ => {}
+                flag if flag.starts_with("--") => {}
+                _ => parsed.names.push(arg),
             }
         }
         parsed
@@ -238,12 +362,6 @@ impl BenchArgs {
     pub fn out_or(&self, default: &str) -> std::path::PathBuf {
         self.out.clone().unwrap_or_else(|| default.into())
     }
-}
-
-/// Parses the conventional `--quick` flag (thin wrapper over
-/// [`BenchArgs`]; prefer parsing once).
-pub fn quick_flag() -> bool {
-    BenchArgs::parse().quick
 }
 
 /// Formats a speedup factor.
@@ -264,11 +382,21 @@ mod tests {
     #[test]
     fn bench_args_parse_flags_in_any_order() {
         let args = BenchArgs::parse_from(
-            ["--out", "a.json", "--quick", "--baseline", "b.json", "junk"].map(String::from),
+            [
+                "--out",
+                "a.json",
+                "rpc",
+                "--quick",
+                "--baseline",
+                "b.json",
+                "--junk",
+            ]
+            .map(String::from),
         );
         assert!(args.quick);
         assert_eq!(args.out_or("x.json"), std::path::PathBuf::from("a.json"));
         assert_eq!(args.baseline, Some("b.json".into()));
+        assert_eq!(args.names, ["rpc"]);
         let defaults = BenchArgs::parse_from([]);
         assert!(!defaults.quick);
         assert_eq!(
@@ -310,8 +438,8 @@ mod tests {
             payload_len: 8,
             seed: 5,
         };
-        let horam = run_horam(&params);
-        let baseline = run_tree_top_baseline(&params);
+        let horam = SystemRow::horam(&params, MachineConfig::dac2019());
+        let baseline = run_tree_top_baseline(&params, MachineConfig::dac2019());
         assert!(
             horam.io_accesses < baseline.io_accesses,
             "H-ORAM {} vs baseline {} I/O accesses",

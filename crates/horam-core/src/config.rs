@@ -402,7 +402,7 @@ impl HOramConfig {
 
 /// Bucket size of the memory tree (`PathOram::for_slot_budget` fixes
 /// `Z = 4`, the paper's value); the memory budget must hold one bucket.
-const MEMORY_BUCKET_SLOTS: u64 = 4;
+pub const MEMORY_BUCKET_SLOTS: u64 = 4;
 
 /// Extra slot headroom per storage partition. The tree evict randomizes
 /// which partition each hot block lands in, so partition occupancy

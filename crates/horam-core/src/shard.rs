@@ -31,7 +31,7 @@
 //! (and the shuffle periods they trigger) execute fully concurrently in
 //! simulated time: elapsed time is the *busiest* shard's busy time, not
 //! the sum, and aggregate I/O time approaches max-per-shard — which is
-//! where the throughput scaling comes from (see `bench --bin sharding`).
+//! where the throughput scaling comes from (see the `sharding` gate of `bench --bin suite`).
 //! Per-shard device time stays exact; what the frontier abstracts away is
 //! arrival timing (a request is processed where its shard's timeline
 //! stands, even if other shards have advanced further), matching the

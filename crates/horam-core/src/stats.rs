@@ -34,7 +34,9 @@ pub struct HOramStats {
     pub shuffle_wall_time: SimDuration,
     /// Completed shuffle periods.
     pub shuffles: u64,
-    /// Blocks that spilled across partitions during shuffles.
+    /// Spill during shuffles: blocks that did not fit their partition,
+    /// plus the partitions a partial-shuffle window was extended by
+    /// because its free slots could not hold the evicted set.
     pub spilled_blocks: u64,
 }
 

@@ -15,7 +15,7 @@
 //! ```
 
 use horam_core::access_control::UserId;
-use horam_core::config::HOramConfig;
+use horam_core::config::{HOramConfig, MEMORY_BUCKET_SLOTS};
 use horam_core::shard::{ShardedConfig, ShardedOram};
 use horam_rpc::server::{bind_signals_to_drain, run_server, Checkpoint, ServerConfig, WindowEntry};
 use horam_rpc::{Endpoint, Listener};
@@ -118,6 +118,17 @@ impl Args {
         }
         if self.batch_size == 0 {
             return Err("--batch-size must be positive".into());
+        }
+        let base = HOramConfig::new(self.capacity, self.payload_len, self.memory_slots);
+        let share = ShardedConfig::new(base, self.shards)
+            .shard_config(0)
+            .memory_slots;
+        if share < MEMORY_BUCKET_SLOTS {
+            return Err(format!(
+                "--memory-slots must give every shard at least one bucket \
+                 ({MEMORY_BUCKET_SLOTS} slots): {} over {} shards is {share} each",
+                self.memory_slots, self.shards
+            ));
         }
         Ok(())
     }
@@ -300,6 +311,7 @@ mod tests {
             &["--shards", "0"],
             &["--capacity", "64", "--shards", "128"],
             &["--batch-size", "0"],
+            &["--memory-slots", "8", "--shards", "4"],
         ] {
             let error = args(flags).expect_err("refused");
             assert!(error.starts_with("--"), "{flags:?}: {error}");

@@ -24,7 +24,7 @@
 //!   latency and the dedup amplification factor.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the full
-//! request lifecycle and `crates/bench/src/bin/serving_throughput.rs`
+//! request lifecycle and the `serving` gate in `crates/bench/src/gates.rs`
 //! for the batched-vs-sequential comparison.
 //!
 //! [`AccessControl`]: horam_core::access_control::AccessControl

@@ -28,7 +28,7 @@
 //! that *someone* shares its hot blocks. Deployments where tenants are
 //! mutually distrusting should set `dedup: false`, restoring one ORAM
 //! access per request at the cost of the amplification win the
-//! `serving_throughput` bench measures.
+//! `serving` bench gate measures.
 
 use crate::admission::{AdmissionPolicy, QueuedSnapshot};
 use crate::stats::{ServiceStats, TenantStats};
