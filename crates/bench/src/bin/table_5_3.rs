@@ -17,7 +17,6 @@ fn main() {
         id: "table-5-3",
         title: "Small dataset comparison",
         params: TableParams::table_5_3(),
-        unit: ("MB", 10),
         storage: |bytes| format!("{} MB", bytes >> 20),
         paper: [
             "7228 vs 25000",

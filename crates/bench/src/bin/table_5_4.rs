@@ -16,7 +16,6 @@ fn main() {
         id: "table-5-4",
         title: "Large dataset comparison",
         params: TableParams::table_5_4(),
-        unit: ("GB", 20),
         storage: |bytes| format!("{:.2} GB", bytes as f64 / (1u64 << 30) as f64),
         paper: [
             "129235 vs 500000",

@@ -208,10 +208,8 @@ pub struct SystemTable {
     pub title: &'static str,
     /// The experiment (scaled by `--quick`).
     pub params: TableParams,
-    /// The heading's dataset-size unit and its shift from 1 KB blocks,
-    /// e.g. `("MB", 10)`.
-    pub unit: (&'static str, u32),
-    /// Formats the storage column's byte count.
+    /// Formats a byte count: the storage column and the heading's
+    /// dataset size (capacity × 1 KB blocks).
     pub storage: fn(u64) -> String,
     /// The paper's I/O count, I/O latency, shuffle time and total time.
     pub paper: [&'static str; 4],
@@ -220,11 +218,10 @@ pub struct SystemTable {
 /// Runs both systems and prints the table, then paper vs measured.
 pub fn print_system_table(table: &SystemTable) {
     let params = table.params.clone().with_args();
-    let (unit, shift) = table.unit;
     println!(
-        "{} — {} {unit} dataset, {} requests\n",
+        "{} — {} dataset, {} requests\n",
         table.name,
-        params.capacity_blocks >> shift,
+        (table.storage)(params.capacity_blocks * 1024),
         params.requests
     );
     let horam = SystemRow::horam(&params, MachineConfig::dac2019());

@@ -3,16 +3,14 @@
 //! **The paper's parameters:** dataset size `N`, block payload, memory
 //! tree budget `n`, the stage schedule for the grouping factor `c` (§4.2,
 //! evaluated with `{c₁=1, c₂=3, c₃=5}` over fractions `{0.20, 0.13,
-//! 0.67}` of the period, ĉ ≈ 3.94), the prefetch distance `d > c`, the
-//! oblivious shuffle used by the tree evict (§4.3.1), and the
-//! partial-shuffle ratio of §5.3.1.
+//! 0.67}` of the period, ĉ ≈ 3.94), the prefetch distance `d > c`, and
+//! the partial-shuffle ratio of §5.3.1. The tree evict's oblivious
+//! shuffle (§4.3.1) is always the bitonic network and has no knob.
 //!
 //! **Deployment settings** (not in the paper; each changes cost, never
 //! answers or the bus trace): the I/O batch window, the block cache, the
 //! position-map implementation, the worker-thread count, and the seed.
 //! `docs/TUNING.md` says when to move each.
-
-use oram_shuffle::ShuffleAlgorithm;
 
 /// One stage of the scheduler's `c` schedule (§4.2): during the given
 /// fraction of the access period, each cycle groups `c` in-memory requests
@@ -51,8 +49,6 @@ pub struct HOramConfig {
     pub stages: Vec<StagePlan>,
     /// Prefetch window `d` in ROB entries; must exceed every stage `c`.
     pub prefetch_distance: usize,
-    /// Oblivious shuffle for the tree-evict buffer (§4.3.1).
-    pub evict_shuffle: ShuffleAlgorithm,
     /// Partial-shuffle ratio `r` (§5.3.1): shuffle `⌈r·√N⌉` partitions per
     /// period. `None` (the default) shuffles every partition.
     pub partial_shuffle_ratio: Option<f64>,
@@ -178,7 +174,6 @@ impl HOramConfig {
             memory_slots,
             stages: Self::paper_stages(),
             prefetch_distance: 15, // 3 × c_max, like the paper's d=9 for c=3
-            evict_shuffle: ShuffleAlgorithm::Bitonic,
             partial_shuffle_ratio: None,
             io_batch: 1,
             worker_threads: default_worker_threads(),
@@ -252,12 +247,6 @@ impl HOramConfig {
             "partial shuffle ratio must be in (0, 1]"
         );
         self.partial_shuffle_ratio = Some(r);
-        self
-    }
-
-    /// Replaces the evict-buffer shuffle algorithm.
-    pub fn with_evict_shuffle(mut self, algo: ShuffleAlgorithm) -> Self {
-        self.evict_shuffle = algo;
         self
     }
 

@@ -6,8 +6,9 @@
 //!
 //! 1. read **every** slot of the tree (real and dummy) into a temporary
 //!    buffer — one streaming memory pass;
-//! 2. run an **oblivious shuffle** over that buffer (the shuffle's touch
-//!    sequence is data-independent, so the adversary learns nothing);
+//! 2. run an **oblivious shuffle** over that buffer — a bitonic network,
+//!    whose touch sequence is data-independent, so the adversary learns
+//!    nothing;
 //! 3. scan the shuffled buffer and drop the dummies — positions of
 //!    survivors are now uncorrelated with their tree positions.
 //!
@@ -19,7 +20,7 @@
 use oram_protocols::path_oram::PathOram;
 use oram_protocols::types::BlockId;
 use oram_protocols::OramError;
-use oram_shuffle::ShuffleAlgorithm;
+use oram_shuffle::BitonicShuffle;
 use oram_storage::clock::SimDuration;
 use oram_storage::device::AccessKind;
 
@@ -42,11 +43,7 @@ pub struct EvictOutcome {
 /// # Errors
 ///
 /// Storage/crypto errors from the tree read propagate.
-pub fn oblivious_tree_evict(
-    memory: &mut PathOram,
-    algorithm: ShuffleAlgorithm,
-    seed: u64,
-) -> Result<EvictOutcome, OramError> {
+pub fn oblivious_tree_evict(memory: &mut PathOram, seed: u64) -> Result<EvictOutcome, OramError> {
     let total_slots = memory.geometry().total_slots();
     let (blocks, receipt) = memory.evict_all()?;
 
@@ -66,7 +63,7 @@ pub fn oblivious_tree_evict(
     let buffer_len = buffer.len().max(total_slots as usize);
     buffer.resize_with(buffer_len, || None);
 
-    let stats = algorithm.shuffle(&mut buffer, seed);
+    let touches = BitonicShuffle::new().shuffle(&mut buffer, seed);
 
     // The buffer lives in (untrusted) memory during the shuffle: charge its
     // touches to the memory device as one streaming transfer.
@@ -74,13 +71,13 @@ pub fn oblivious_tree_evict(
     let shuffle_cost =
         memory
             .device_mut()
-            .charge(AccessKind::Read, 0, stats.touches.max(1) * block_bytes);
+            .charge(AccessKind::Read, 0, touches.max(1) * block_bytes);
 
     let survivors: Vec<(BlockId, Vec<u8>)> = buffer.into_iter().flatten().collect();
     Ok(EvictOutcome {
         blocks: survivors,
         memory_time: receipt.memory + shuffle_cost,
-        shuffle_touches: stats.touches,
+        shuffle_touches: touches,
     })
 }
 
@@ -115,7 +112,7 @@ mod tests {
         let mut oram = memory_oram();
         let ids: Vec<u64> = (0..40).map(|i| i * 31 % 1000).collect();
         populate(&mut oram, &ids);
-        let outcome = oblivious_tree_evict(&mut oram, ShuffleAlgorithm::Bitonic, 1).unwrap();
+        let outcome = oblivious_tree_evict(&mut oram, 1).unwrap();
         let got: HashSet<u64> = outcome.blocks.iter().map(|(id, _)| id.0).collect();
         let want: HashSet<u64> = ids.iter().copied().collect();
         assert_eq!(got, want);
@@ -139,7 +136,7 @@ mod tests {
         for id in 0..6u64 {
             oram.insert_block(BlockId(id), vec![id as u8; 8]).unwrap();
         }
-        let outcome = oblivious_tree_evict(&mut oram, ShuffleAlgorithm::Bitonic, 11).unwrap();
+        let outcome = oblivious_tree_evict(&mut oram, 11).unwrap();
         let got: HashSet<u64> = outcome.blocks.iter().map(|(id, _)| id.0).collect();
         assert_eq!(got, (0..6).collect::<HashSet<u64>>());
     }
@@ -149,7 +146,7 @@ mod tests {
         let mut oram = memory_oram();
         let ids: Vec<u64> = (0..64).collect();
         populate(&mut oram, &ids);
-        let outcome = oblivious_tree_evict(&mut oram, ShuffleAlgorithm::Bitonic, 42).unwrap();
+        let outcome = oblivious_tree_evict(&mut oram, 42).unwrap();
         let order: Vec<u64> = outcome.blocks.iter().map(|(id, _)| id.0).collect();
         assert_ne!(order, ids, "order should not be the insertion order");
     }
@@ -159,7 +156,7 @@ mod tests {
         let mk = |seed| {
             let mut oram = memory_oram();
             populate(&mut oram, &(0..64).collect::<Vec<_>>());
-            oblivious_tree_evict(&mut oram, ShuffleAlgorithm::Bitonic, seed)
+            oblivious_tree_evict(&mut oram, seed)
                 .unwrap()
                 .blocks
                 .iter()
@@ -176,8 +173,8 @@ mod tests {
         populate(&mut a, &[1, 2, 3]);
         let mut b = memory_oram();
         populate(&mut b, &(100..160).collect::<Vec<_>>());
-        let oa = oblivious_tree_evict(&mut a, ShuffleAlgorithm::Bitonic, 5).unwrap();
-        let ob = oblivious_tree_evict(&mut b, ShuffleAlgorithm::Bitonic, 9).unwrap();
+        let oa = oblivious_tree_evict(&mut a, 5).unwrap();
+        let ob = oblivious_tree_evict(&mut b, 9).unwrap();
         assert_eq!(oa.shuffle_touches, ob.shuffle_touches);
     }
 
@@ -185,7 +182,7 @@ mod tests {
     fn evict_charges_memory_time() {
         let mut oram = memory_oram();
         populate(&mut oram, &[1, 2, 3, 4, 5]);
-        let outcome = oblivious_tree_evict(&mut oram, ShuffleAlgorithm::Cache, 7).unwrap();
+        let outcome = oblivious_tree_evict(&mut oram, 7).unwrap();
         assert!(outcome.memory_time > SimDuration::ZERO);
     }
 
@@ -193,7 +190,7 @@ mod tests {
     fn tree_is_reusable_after_rebuild() {
         let mut oram = memory_oram();
         populate(&mut oram, &[1, 2, 3]);
-        oblivious_tree_evict(&mut oram, ShuffleAlgorithm::Bitonic, 3).unwrap();
+        oblivious_tree_evict(&mut oram, 3).unwrap();
         oram.rebuild_empty().unwrap();
         oram.insert_block(BlockId(9), vec![9; 8]).unwrap();
         assert_eq!(oram.read(BlockId(9)).unwrap(), vec![9; 8]);

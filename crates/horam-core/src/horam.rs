@@ -647,8 +647,7 @@ impl HOram {
     pub fn shuffle_period(&mut self) -> Result<(), OramError> {
         // 1. Oblivious tree evict (§4.3.1).
         let evict_seed = self.period_seed(1);
-        let outcome =
-            oblivious_tree_evict(&mut self.memory, self.config.evict_shuffle, evict_seed)?;
+        let outcome = oblivious_tree_evict(&mut self.memory, evict_seed)?;
 
         // 2. Group + partition shuffle (§4.3.2 / §5.3.1).
         let shuffle_seed = self.period_seed(2);

@@ -30,7 +30,6 @@
 
 use crate::config::{HOramConfig, PosmapMode, RecursivePosmapConfig, StagePlan};
 use oram_crypto::persist::{PersistError, StateReader, StateWriter};
-use oram_shuffle::ShuffleAlgorithm;
 use oram_storage::cache::CacheConfig;
 
 /// Envelope kind of a single-instance snapshot.
@@ -59,32 +58,6 @@ pub fn envelope_seq(keys: &oram_crypto::keys::SubKeys, body: &[u8]) -> u64 {
     mac.finish()
 }
 
-fn encode_shuffle(algo: ShuffleAlgorithm) -> u8 {
-    match algo {
-        ShuffleAlgorithm::FisherYates => 0,
-        ShuffleAlgorithm::Cache => 1,
-        ShuffleAlgorithm::Melbourne => 2,
-        ShuffleAlgorithm::Bitonic => 3,
-        // `ShuffleAlgorithm` is non-exhaustive; new variants must add a
-        // code here before they can be snapshotted.
-        other => unreachable!("unencodable shuffle algorithm {other:?}"),
-    }
-}
-
-fn decode_shuffle(byte: u8) -> Result<ShuffleAlgorithm, PersistError> {
-    Ok(match byte {
-        0 => ShuffleAlgorithm::FisherYates,
-        1 => ShuffleAlgorithm::Cache,
-        2 => ShuffleAlgorithm::Melbourne,
-        3 => ShuffleAlgorithm::Bitonic,
-        other => {
-            return Err(PersistError::Malformed(format!(
-                "unknown shuffle algorithm {other}"
-            )))
-        }
-    })
-}
-
 /// Serializes a full [`HOramConfig`] (embedded in every snapshot so
 /// restore can rebuild derived structures and validate geometry).
 ///
@@ -97,7 +70,6 @@ pub fn save_config(config: &HOramConfig, w: &mut StateWriter) {
         memory_slots,
         stages,
         prefetch_distance,
-        evict_shuffle,
         partial_shuffle_ratio,
         io_batch,
         worker_threads,
@@ -114,7 +86,6 @@ pub fn save_config(config: &HOramConfig, w: &mut StateWriter) {
         w.put_f64(*fraction);
     }
     w.put_usize(*prefetch_distance);
-    w.put_u8(encode_shuffle(*evict_shuffle));
     match partial_shuffle_ratio {
         None => w.put_bool(false),
         Some(r) => {
@@ -228,7 +199,6 @@ pub fn load_config(r: &mut StateReader<'_>) -> Result<HOramConfig, PersistError>
         });
     }
     let prefetch_distance = r.get_usize()?;
-    let evict_shuffle = decode_shuffle(r.get_u8()?)?;
     let partial_shuffle_ratio = if r.get_bool()? {
         Some(r.get_f64()?)
     } else {
@@ -245,7 +215,6 @@ pub fn load_config(r: &mut StateReader<'_>) -> Result<HOramConfig, PersistError>
         memory_slots,
         stages,
         prefetch_distance,
-        evict_shuffle,
         partial_shuffle_ratio,
         io_batch,
         worker_threads,
@@ -270,7 +239,6 @@ mod tests {
         let config = HOramConfig::new(4096, 16, 1024)
             .with_fixed_c(2)
             .with_prefetch_distance(7)
-            .with_evict_shuffle(ShuffleAlgorithm::Melbourne)
             .with_partial_shuffle(0.25)
             .with_io_batch(8)
             .with_worker_threads(3)

@@ -1136,8 +1136,9 @@ impl StorageLayer {
                 "piece sizing exceeded partition capacity"
             );
 
-            // Fresh intra-partition permutation (in-enclave; the paper's
-            // CacheShuffle — cost negligible next to the streaming I/O).
+            // Fresh intra-partition permutation: a seeded Fisher–Yates
+            // draw in trusted memory (the paper used a cache shuffle here;
+            // either costs little next to the streaming I/O).
             // `image[offset]` holds the entry destined for slot
             // `base + offset`; unfilled slots become dummies below.
             let perm = Permutation::random(

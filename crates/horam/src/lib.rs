@@ -10,7 +10,7 @@
 //!   baseline.
 //! * [`storage`] — the device timing simulator and bus traces.
 //! * [`crypto`] — the vector-tested primitives (ChaCha20, SipHash, PRP).
-//! * [`shuffle`] — oblivious shuffles and permutations.
+//! * [`shuffle`] — the bitonic evict shuffle and partition permutations.
 //! * [`workload`] — request generators and traces.
 //! * [`analysis`] — the paper's closed-form models and leakage tests.
 //!
@@ -57,7 +57,7 @@ mod tests {
         // Compile-time check that the re-exports resolve.
         let _ = crate::core::HOramConfig::new(16, 8, 8);
         let _ = crate::analysis::model::average_c(&[(1, 1.0)]);
-        let _ = crate::shuffle::ShuffleAlgorithm::ALL;
+        let _ = crate::shuffle::permutation::Permutation::random(4, 1);
         let _ = crate::storage::calibration::MachineConfig::dac2019();
     }
 }

@@ -4,8 +4,8 @@
 //! storage/memory ratio `N/n` with one curve per grouping factor `c`
 //! (Z = 4). This module generates those series from the closed-form model
 //! in [`crate::model`]. Both gain metrics are emitted (per request and
-//! per I/O access) — see EXPERIMENTS.md for how they bracket the paper's
-//! quoted numbers.
+//! per I/O access). They bracket the paper's quoted ~8× at `c = 4`,
+//! `N/n = 8`: ≈ 3.8× per I/O access and ≈ 15.1× per request.
 
 use crate::model::OramModel;
 use serde::{Deserialize, Serialize};
@@ -89,8 +89,8 @@ mod tests {
     #[test]
     fn paper_quote_is_bracketed_by_the_two_metrics() {
         // The paper quotes ~8× at (c=4, N/n=8). Its Eq. 5-4 mixes
-        // per-request and per-I/O-access units (EXPERIMENTS.md discusses
-        // this); our two clean metrics bracket the quoted value:
+        // per-request and per-I/O-access units; our two clean metrics
+        // bracket the quoted value:
         // per-I/O-access ≈ 3.8×, per-request ≈ 15.1×.
         let point = gain_series(&[4], &[8], 1.0)[0];
         assert!(

@@ -15,8 +15,8 @@
 //!
 //! The paper's Figure 5-1 plots the resulting overhead reduction; see
 //! [`crate::gain`] for the exact metric choices (the paper mixes
-//! per-request and per-I/O-access units — both are provided and the
-//! discrepancy is documented in EXPERIMENTS.md).
+//! per-request and per-I/O-access units — both are provided, and they
+//! bracket the paper's quoted value).
 
 /// Average grouping factor ĉ over a stage schedule (Eq. 5-1): stages are
 /// `(c_i, fraction_i)` with fractions summing to 1.

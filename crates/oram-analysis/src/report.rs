@@ -3,7 +3,7 @@
 //! Every bench binary emits an [`ExperimentReport`]: the experiment id
 //! (table/figure number), the paper's reference values, the measured
 //! values, and free-form notes. Reports print as aligned tables and
-//! serialize to JSON so EXPERIMENTS.md can be regenerated from artifacts.
+//! serialize to JSON.
 
 use crate::table::Table;
 use serde::{Deserialize, Serialize};

@@ -1,200 +1,21 @@
-//! Oblivious shuffle algorithms for the H-ORAM reproduction.
+//! The two shuffles of H-ORAM's shuffle period (paper §4.3):
 //!
-//! H-ORAM's shuffle period (paper §4.3) needs two kinds of shuffles:
+//! 1. the **oblivious** evict shuffle, [`bitonic::BitonicShuffle`]: the
+//!    tree-evict buffer sits in untrusted memory and holds real and dummy
+//!    blocks, so its shuffle's access pattern must not depend on the data.
+//!    A bitonic network's compare-exchange schedule is a fixed function of
+//!    the buffer length, which makes it oblivious by construction;
+//! 2. the **in-enclave** per-partition placement,
+//!    [`permutation::Permutation`]: "the in-memory shuffle algorithm is
+//!    free to choose because memory is fast enough" (the paper used a
+//!    cache shuffle), so a seeded Fisher–Yates draw in trusted memory
+//!    suffices.
 //!
-//! 1. an **oblivious** shuffle for the tree-evict step, where the buffer
-//!    being shuffled is observable (it holds real + dummy blocks and the
-//!    adversary must not learn which is which), and
-//! 2. a fast **in-enclave** shuffle for per-partition reshuffling, where
-//!    "the in-memory shuffle algorithm is free to choose because memory is
-//!    fast enough" — the paper uses CacheShuffle.
-//!
-//! This crate implements both categories plus two classical oblivious
-//! alternatives for ablation:
-//!
-//! | Algorithm | Oblivious access pattern | Work | Extra space |
-//! |---|---|---|---|
-//! | [`fisher_yates`] | no (trusted memory only) | O(n) | O(1) |
-//! | [`cache_shuffle::CacheShuffle`] | bucket loads data-independent | O(n) | O(n) |
-//! | [`melbourne::MelbourneShuffle`] | fully deterministic script | O(n·p) | O(n·p) |
-//! | [`bitonic::BitonicShuffle`] | fixed compare-exchange network | O(n log² n) | O(n) |
-//!
-//! All shuffles are **deterministic in their seed**: the same `(data, seed)`
-//! yields the same permutation, which keeps every experiment replayable.
-//! Each returns [`ShuffleStats`] whose fields are *data-independent* — the
-//! obliviousness tests assert exactly that.
+//! Both are **deterministic in their seed**: the same `(data, seed)`
+//! yields the same order, which keeps every experiment replayable.
 
 pub mod bitonic;
-pub mod cache_shuffle;
-pub mod fisher_yates;
-pub mod melbourne;
 pub mod permutation;
 
 pub use bitonic::BitonicShuffle;
-pub use cache_shuffle::CacheShuffle;
-pub use fisher_yates::fisher_yates_shuffle;
-pub use melbourne::MelbourneShuffle;
 pub use permutation::Permutation;
-
-use std::fmt;
-
-/// Work accounting for one shuffle execution.
-///
-/// For a given algorithm and input length these counters must not depend on
-/// the input *values* or the seed — that data-independence is the
-/// observable-cost half of the obliviousness argument, and is asserted by
-/// tests in every algorithm module.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShuffleStats {
-    /// Total element reads+writes performed on the (untrusted) buffer.
-    pub touches: u64,
-    /// Dummy elements written to pad batches to fixed size.
-    pub dummies: u64,
-    /// Sequential passes over the data.
-    pub passes: u32,
-}
-
-impl ShuffleStats {
-    /// Sum of two stats records.
-    pub fn merged(&self, other: &ShuffleStats) -> ShuffleStats {
-        ShuffleStats {
-            touches: self.touches + other.touches,
-            dummies: self.dummies + other.dummies,
-            passes: self.passes + other.passes,
-        }
-    }
-}
-
-/// The shuffle algorithms available to protocol configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum ShuffleAlgorithm {
-    /// In-enclave Fisher–Yates (not oblivious; trusted memory only).
-    FisherYates,
-    /// Two-pass bucketed CacheShuffle (the paper's choice).
-    Cache,
-    /// Melbourne shuffle (fully deterministic access script).
-    Melbourne,
-    /// Bitonic-network shuffle (fixed compare-exchange schedule).
-    Bitonic,
-}
-
-impl ShuffleAlgorithm {
-    /// All algorithms, for benches and ablations.
-    pub const ALL: [ShuffleAlgorithm; 4] = [
-        ShuffleAlgorithm::FisherYates,
-        ShuffleAlgorithm::Cache,
-        ShuffleAlgorithm::Melbourne,
-        ShuffleAlgorithm::Bitonic,
-    ];
-
-    /// Shuffles `items` in place under `seed`, dispatching to the selected
-    /// algorithm, and returns its work accounting.
-    pub fn shuffle<T>(&self, items: &mut Vec<T>, seed: u64) -> ShuffleStats {
-        match self {
-            ShuffleAlgorithm::FisherYates => fisher_yates::fisher_yates_shuffle(items, seed),
-            ShuffleAlgorithm::Cache => CacheShuffle::new().shuffle(items, seed),
-            ShuffleAlgorithm::Melbourne => MelbourneShuffle::new().shuffle(items, seed),
-            ShuffleAlgorithm::Bitonic => BitonicShuffle::new().shuffle(items, seed),
-        }
-    }
-
-    /// Whether the algorithm's access pattern is safe on untrusted memory.
-    pub fn is_oblivious(&self) -> bool {
-        !matches!(self, ShuffleAlgorithm::FisherYates)
-    }
-}
-
-impl fmt::Display for ShuffleAlgorithm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            ShuffleAlgorithm::FisherYates => "fisher-yates",
-            ShuffleAlgorithm::Cache => "cache-shuffle",
-            ShuffleAlgorithm::Melbourne => "melbourne",
-            ShuffleAlgorithm::Bitonic => "bitonic",
-        };
-        write!(f, "{name}")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::HashSet;
-
-    #[test]
-    fn every_algorithm_produces_a_permutation() {
-        for algo in ShuffleAlgorithm::ALL {
-            let mut items: Vec<u32> = (0..257).collect();
-            algo.shuffle(&mut items, 42);
-            let set: HashSet<u32> = items.iter().copied().collect();
-            assert_eq!(set.len(), 257, "{algo} lost or duplicated items");
-        }
-    }
-
-    #[test]
-    fn every_algorithm_is_seed_deterministic() {
-        for algo in ShuffleAlgorithm::ALL {
-            let mut a: Vec<u32> = (0..100).collect();
-            let mut b: Vec<u32> = (0..100).collect();
-            algo.shuffle(&mut a, 7);
-            algo.shuffle(&mut b, 7);
-            assert_eq!(a, b, "{algo} not deterministic");
-            let mut c: Vec<u32> = (0..100).collect();
-            algo.shuffle(&mut c, 8);
-            assert_ne!(a, c, "{algo} ignores seed");
-        }
-    }
-
-    #[test]
-    fn every_algorithm_actually_moves_items() {
-        for algo in ShuffleAlgorithm::ALL {
-            let mut items: Vec<u32> = (0..1000).collect();
-            algo.shuffle(&mut items, 3);
-            let fixed = items
-                .iter()
-                .enumerate()
-                .filter(|(i, &v)| *i as u32 == v)
-                .count();
-            // A uniform permutation of 1000 items has ~1 fixed point.
-            assert!(fixed < 50, "{algo} left {fixed} fixed points");
-        }
-    }
-
-    #[test]
-    fn stats_are_data_independent() {
-        for algo in ShuffleAlgorithm::ALL {
-            let mut ascending: Vec<u64> = (0..512).collect();
-            let mut constant: Vec<u64> = vec![9; 512];
-            let s1 = algo.shuffle(&mut ascending, 5);
-            let s2 = algo.shuffle(&mut constant, 11);
-            assert_eq!(s1, s2, "{algo} stats depend on data or seed");
-        }
-    }
-
-    #[test]
-    fn obliviousness_labels() {
-        assert!(!ShuffleAlgorithm::FisherYates.is_oblivious());
-        assert!(ShuffleAlgorithm::Cache.is_oblivious());
-        assert!(ShuffleAlgorithm::Melbourne.is_oblivious());
-        assert!(ShuffleAlgorithm::Bitonic.is_oblivious());
-    }
-
-    #[test]
-    fn empty_and_singleton_inputs_are_noops() {
-        for algo in ShuffleAlgorithm::ALL {
-            let mut empty: Vec<u8> = Vec::new();
-            algo.shuffle(&mut empty, 1);
-            assert!(empty.is_empty());
-            let mut one = vec![42u8];
-            algo.shuffle(&mut one, 1);
-            assert_eq!(one, vec![42]);
-        }
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(ShuffleAlgorithm::Cache.to_string(), "cache-shuffle");
-        assert_eq!(ShuffleAlgorithm::Melbourne.to_string(), "melbourne");
-    }
-}

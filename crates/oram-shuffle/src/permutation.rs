@@ -1,17 +1,15 @@
-//! Explicit permutations: the data structure behind permutation lists.
+//! Explicit permutations: the intra-partition placement of the shuffle
+//! epoch.
 //!
-//! The storage layer of square-root-family ORAMs maintains a mapping
-//! between logical block indices and permuted physical positions. This
-//! module provides an explicit, invertible [`Permutation`] with uniform
-//! sampling, composition, and validity checking; the PRP in `oram-crypto`
-//! provides the implicit (computed) variant for huge domains.
+//! Each partition rebuild draws a fresh [`Permutation`] in trusted memory
+//! and [`scatter`](Permutation::scatter)s the pass's live and hot blocks
+//! through it; the PRP in `oram-crypto` provides the implicit (computed)
+//! variant for huge domains.
 
 use oram_crypto::rng::DeterministicRng;
 use rand::Rng;
-use std::fmt;
 
-/// An explicit permutation of `{0, …, n−1}` with O(1) forward and inverse
-/// lookups.
+/// An explicit permutation `π` of `{0, …, n−1}` with O(1) forward lookups.
 ///
 /// # Example
 ///
@@ -19,90 +17,35 @@ use std::fmt;
 /// use oram_shuffle::permutation::Permutation;
 ///
 /// let perm = Permutation::random(10, 42);
-/// let y = perm.apply(3);
-/// assert_eq!(perm.invert(y), 3);
+/// let table = perm.scatter(["a", "b"]);
+/// assert_eq!(table[perm.apply(0)], Some("a"));
+/// assert_eq!(table.iter().flatten().count(), 2);
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Permutation {
     forward: Vec<u32>,
-    inverse: Vec<u32>,
-}
-
-impl fmt::Debug for Permutation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.len() <= 16 {
-            f.debug_struct("Permutation")
-                .field("forward", &self.forward)
-                .finish()
-        } else {
-            f.debug_struct("Permutation")
-                .field("len", &self.len())
-                .finish()
-        }
-    }
 }
 
 impl Permutation {
-    /// The identity permutation on `n` elements.
+    /// A uniformly random permutation of `n` elements, deterministic in
+    /// `seed` (Fisher–Yates over the identity).
     ///
     /// # Panics
     ///
     /// Panics if `n > u32::MAX as usize` (explicit permutations are bounded
     /// to 2³²−1 elements; use the PRP for larger domains).
-    pub fn identity(n: usize) -> Self {
+    pub fn random(n: usize, seed: u64) -> Self {
         assert!(
             n <= u32::MAX as usize,
             "explicit permutation too large; use FeistelPrp"
         );
-        let forward: Vec<u32> = (0..n as u32).collect();
-        Self {
-            inverse: forward.clone(),
-            forward,
-        }
-    }
-
-    /// A uniformly random permutation of `n` elements, deterministic in
-    /// `seed` (Fisher–Yates over the identity).
-    pub fn random(n: usize, seed: u64) -> Self {
-        let mut perm = Self::identity(n);
-        if n < 2 {
-            return perm;
-        }
+        let mut forward: Vec<u32> = (0..n as u32).collect();
         let mut rng = DeterministicRng::from_u64_seed(seed ^ PERMUTATION_SEED_TWEAK);
         for i in (1..n).rev() {
             let j = rng.gen_range(0..=i);
-            perm.forward.swap(i, j);
+            forward.swap(i, j);
         }
-        perm.rebuild_inverse();
-        perm
-    }
-
-    /// Builds a permutation from an explicit image vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `forward` is not a bijection on `{0, …, n−1}`.
-    pub fn from_forward(forward: Vec<u32>) -> Self {
-        let n = forward.len();
-        let mut seen = vec![false; n];
-        for &image in &forward {
-            assert!((image as usize) < n, "image {image} out of range for n={n}");
-            assert!(!seen[image as usize], "duplicate image {image}");
-            seen[image as usize] = true;
-        }
-        let mut perm = Self {
-            forward,
-            inverse: vec![0; n],
-        };
-        perm.rebuild_inverse();
-        perm
-    }
-
-    fn rebuild_inverse(&mut self) {
-        self.inverse = vec![0; self.forward.len()];
-        for (i, &image) in self.forward.iter().enumerate() {
-            self.inverse[image as usize] = i as u32;
-        }
+        Self { forward }
     }
 
     /// Number of elements.
@@ -122,55 +65,6 @@ impl Permutation {
     /// Panics if `i >= len()`.
     pub fn apply(&self, i: usize) -> usize {
         self.forward[i] as usize
-    }
-
-    /// Inverse image: `π⁻¹(i)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn invert(&self, i: usize) -> usize {
-        self.inverse[i] as usize
-    }
-
-    /// The composition `other ∘ self` (apply `self`, then `other`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn then(&self, other: &Permutation) -> Permutation {
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "composition requires equal lengths"
-        );
-        let forward: Vec<u32> = self
-            .forward
-            .iter()
-            .map(|&mid| other.forward[mid as usize])
-            .collect();
-        let mut perm = Permutation {
-            forward,
-            inverse: Vec::new(),
-        };
-        perm.rebuild_inverse();
-        perm
-    }
-
-    /// Rearranges `items` so `new[π(i)] = old[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items.len() != len()`.
-    pub fn apply_to_slice<T: Clone>(&self, items: &[T]) -> Vec<T> {
-        assert_eq!(items.len(), self.len(), "slice length mismatch");
-        let mut out: Vec<Option<T>> = vec![None; items.len()];
-        for (i, item) in items.iter().enumerate() {
-            out[self.apply(i)] = Some(item.clone());
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("bijection fills every slot"))
-            .collect()
     }
 
     /// Scatters a *prefix* of the domain into a full-length table: slot
@@ -193,15 +87,6 @@ impl Permutation {
         }
         out
     }
-
-    /// Number of fixed points (diagnostic for randomness tests).
-    pub fn fixed_points(&self) -> usize {
-        self.forward
-            .iter()
-            .enumerate()
-            .filter(|(i, &v)| *i as u32 == v)
-            .count()
-    }
 }
 
 /// Seed tweak so permutation sampling never collides with other users of
@@ -214,133 +99,70 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn identity_maps_to_self() {
-        let id = Permutation::identity(5);
-        for i in 0..5 {
-            assert_eq!(id.apply(i), i);
-            assert_eq!(id.invert(i), i);
-        }
-        assert_eq!(id.fixed_points(), 5);
-    }
-
-    #[test]
-    fn random_is_bijective_and_invertible() {
-        let perm = Permutation::random(1000, 7);
-        let mut seen = vec![false; 1000];
-        for i in 0..1000 {
-            let y = perm.apply(i);
-            assert!(!seen[y], "duplicate image");
-            seen[y] = true;
-            assert_eq!(perm.invert(y), i);
-        }
-    }
-
-    #[test]
     fn random_is_seed_deterministic() {
         assert_eq!(Permutation::random(64, 3), Permutation::random(64, 3));
         assert_ne!(Permutation::random(64, 3), Permutation::random(64, 4));
     }
 
+    /// The forward mapping is pinned: every partition image the shuffle
+    /// epoch builds depends on it.
     #[test]
-    fn from_forward_validates() {
-        let perm = Permutation::from_forward(vec![2, 0, 1]);
-        assert_eq!(perm.apply(0), 2);
-        assert_eq!(perm.invert(2), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate image")]
-    fn from_forward_rejects_duplicates() {
-        Permutation::from_forward(vec![0, 0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn from_forward_rejects_out_of_range() {
-        Permutation::from_forward(vec![0, 3, 1]);
-    }
-
-    #[test]
-    fn composition_matches_sequential_application() {
-        let a = Permutation::random(20, 1);
-        let b = Permutation::random(20, 2);
-        let composed = a.then(&b);
-        for i in 0..20 {
-            assert_eq!(composed.apply(i), b.apply(a.apply(i)));
-        }
-    }
-
-    #[test]
-    fn apply_to_slice_places_by_image() {
-        let perm = Permutation::from_forward(vec![1, 2, 0]);
-        let rearranged = perm.apply_to_slice(&['a', 'b', 'c']);
-        // new[π(i)] = old[i]: new[1]='a', new[2]='b', new[0]='c'.
-        assert_eq!(rearranged, vec!['c', 'a', 'b']);
+    fn random_draws_a_pinned_mapping() {
+        let perm = Permutation::random(8, 7);
+        let images: Vec<usize> = (0..8).map(|i| perm.apply(i)).collect();
+        assert_eq!(images, [3, 6, 4, 0, 5, 1, 2, 7]);
+        // A partition-sized draw, pinned by a position-weighted checksum.
+        let perm = Permutation::random(1127, 0xfeed);
+        let checksum: u64 = (0..perm.len())
+            .map(|i| (i as u64 + 1) * perm.apply(i) as u64)
+            .sum();
+        assert_eq!(checksum, 350_668_398);
     }
 
     #[test]
     fn scatter_places_a_prefix_and_pads_with_none() {
-        let perm = Permutation::from_forward(vec![3, 0, 2, 1]);
+        let perm = Permutation::random(4, 5);
         let table = perm.scatter(["x".to_string(), "y".to_string()]);
-        // table[π(0)=3]="x", table[π(1)=0]="y"; slots 1 and 2 stay empty.
-        assert_eq!(
-            table,
-            vec![Some("y".to_string()), None, None, Some("x".to_string())]
-        );
-        // A full-length input fills every slot, agreeing with
-        // `apply_to_slice`.
-        let perm = Permutation::random(16, 7);
-        let items: Vec<usize> = (0..16).collect();
-        let full: Vec<usize> = perm
-            .scatter(items.clone())
-            .into_iter()
-            .map(|slot| slot.expect("bijection fills every slot"))
-            .collect();
-        assert_eq!(full, perm.apply_to_slice(&items));
+        assert_eq!(table[perm.apply(0)].as_deref(), Some("x"));
+        assert_eq!(table[perm.apply(1)].as_deref(), Some("y"));
+        assert_eq!(table.iter().filter(|slot| slot.is_none()).count(), 2);
     }
 
     #[test]
     #[should_panic(expected = "longer than domain")]
     fn scatter_rejects_oversized_input() {
-        let perm = Permutation::identity(2);
+        let perm = Permutation::random(2, 0);
         let _ = perm.scatter([1, 2, 3]);
     }
 
     #[test]
     fn empty_and_singleton() {
-        let empty = Permutation::identity(0);
-        assert!(empty.is_empty());
+        assert!(Permutation::random(0, 9).is_empty());
         let one = Permutation::random(1, 9);
+        assert_eq!(one.len(), 1);
         assert_eq!(one.apply(0), 0);
     }
 
     #[test]
     fn random_permutations_have_few_fixed_points() {
         let perm = Permutation::random(10_000, 11);
+        let fixed = (0..perm.len()).filter(|&i| perm.apply(i) == i).count();
         // Expected number of fixed points of a uniform permutation is 1.
-        assert!(
-            perm.fixed_points() < 10,
-            "too many fixed points: {}",
-            perm.fixed_points()
-        );
+        assert!(fixed < 10, "too many fixed points: {fixed}");
     }
 
     proptest! {
         #[test]
-        fn roundtrip_forward_inverse(n in 1usize..500, seed in any::<u64>(), idx_seed in any::<usize>()) {
+        fn random_is_a_bijection(n in 1usize..500, seed in any::<u64>()) {
             let perm = Permutation::random(n, seed);
-            let i = idx_seed % n;
-            prop_assert_eq!(perm.invert(perm.apply(i)), i);
-            prop_assert_eq!(perm.apply(perm.invert(i)), i);
-        }
-
-        #[test]
-        fn apply_to_slice_is_permutation(n in 1usize..200, seed in any::<u64>()) {
-            let perm = Permutation::random(n, seed);
-            let items: Vec<usize> = (0..n).collect();
-            let mut rearranged = perm.apply_to_slice(&items);
-            rearranged.sort_unstable();
-            prop_assert_eq!(rearranged, items);
+            let full: Vec<usize> = perm
+                .scatter(0..n)
+                .into_iter()
+                .map(|slot| slot.expect("bijection fills every slot"))
+                .collect();
+            for (slot, &i) in full.iter().enumerate() {
+                prop_assert_eq!(perm.apply(i), slot);
+            }
         }
     }
 }

@@ -13,7 +13,8 @@
 //! The HDD seek constants (55 µs base + 1 ms × √(span fraction)) are fitted
 //! to the per-access I/O latencies the paper measures in Tables 5-3/5-4
 //! (77 µs and 107 µs for single-block reads over 64 MB and 1 GB spans);
-//! EXPERIMENTS.md documents the fit quality for every reproduced number.
+//! the `table_5_3` and `table_5_4` bench binaries print the simulated
+//! latency beside the paper's, so every run shows the fit.
 
 use crate::clock::SimClock;
 use crate::device::Device;

@@ -14,7 +14,8 @@
 //! Devices support *payload scaling* (`charged_block_bytes`): experiments
 //! can store small payloads (fast to encrypt/copy) while timing is charged
 //! for the paper's full logical block size, keeping simulated time faithful
-//! at a fraction of the host cost. See DESIGN.md §2.
+//! at a fraction of the host cost. The [`crate::calibration`] presets
+//! charge the paper's 1 KB block.
 
 use crate::cache::{BlockCache, CacheConfig, CacheStats};
 use crate::clock::{SimClock, SimDuration};

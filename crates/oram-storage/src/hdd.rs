@@ -18,8 +18,9 @@
 //! * **head-position tracking**: an access that starts exactly where the
 //!   previous one ended is sequential and pays no seek.
 //!
-//! Calibration constants live in [`crate::calibration`]; see EXPERIMENTS.md
-//! for the paper-vs-simulated latency comparison.
+//! Calibration constants live in [`crate::calibration`]; the `table_5_3`
+//! and `table_5_4` bench binaries print the paper-vs-simulated latency
+//! comparison.
 
 use crate::clock::SimDuration;
 use crate::device::{AccessKind, TimingModel};
@@ -53,7 +54,7 @@ pub struct HddParams {
 
 impl HddParams {
     /// The drive of the paper's Table 5-2, calibrated against the measured
-    /// per-access latencies of Tables 5-3/5-4 (see EXPERIMENTS.md).
+    /// per-access latencies of Tables 5-3/5-4 (see [`crate::calibration`]).
     pub fn dac2019() -> Self {
         Self {
             capacity_bytes: 500 * 1000 * 1000 * 1000, // 500 GB, decimal as marketed

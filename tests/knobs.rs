@@ -4,14 +4,13 @@
 //! default. A documented, validated, persisted field that nothing reads
 //! (two such fields were deleted in PR 13) fails here.
 //!
-//! Seven of `HOramConfig`'s twelve fields are such knobs; three are the
+//! Six of `HOramConfig`'s eleven fields are such knobs; three are the
 //! geometry. The remaining two are byte-identical by contract and covered
 //! the other way round: `worker_threads` by `tests/parallel.rs` and
 //! `posmap` by `tests/posmap.rs`.
 
 use horam::crypto::rng::DeterministicRng;
 use horam::prelude::*;
-use horam::shuffle::ShuffleAlgorithm;
 use horam::storage::cache::CacheConfig;
 use horam::storage::trace::TraceEvent;
 use rand::Rng;
@@ -54,16 +53,12 @@ fn observe(config: HOramConfig) -> (HOramStats, u64, Vec<TraceEvent>) {
 
 #[test]
 fn every_behavioural_knob_changes_something_observable() {
-    let moved: [(&str, HOramConfig); 7] = [
+    let moved: [(&str, HOramConfig); 6] = [
         ("stages", defaults().with_fixed_c(2)),
         ("prefetch_distance", defaults().with_prefetch_distance(6)),
         (
             "partial_shuffle_ratio",
             defaults().with_partial_shuffle(0.25),
-        ),
-        (
-            "evict_shuffle",
-            defaults().with_evict_shuffle(ShuffleAlgorithm::Melbourne),
         ),
         ("io_batch", defaults().with_io_batch(8)),
         ("cache", defaults().with_cache(CacheConfig::lru(64))),

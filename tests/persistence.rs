@@ -187,7 +187,7 @@ fn corrupted_and_wrong_key_snapshots_error() {
     assert!(HOram::restore(MemoryHierarchy::dac2019(), wrong_key, &snapshot).is_err());
 }
 
-/// Envelope versions 2 and 3 each dropped fields from the embedded config
+/// Envelope versions 2, 3 and 4 each dropped fields from the embedded config
 /// codec, which shifts every later byte: a snapshot or drain checkpoint of
 /// an older version must be refused with the typed version error by every
 /// restore path, never mis-parsed. The reader checks the version before
@@ -246,6 +246,11 @@ fn version_1_envelopes_are_refused_by_every_restore_path() {
 #[test]
 fn version_2_envelopes_are_refused_by_every_restore_path() {
     assert_old_envelopes_are_refused(2);
+}
+
+#[test]
+fn version_3_envelopes_are_refused_by_every_restore_path() {
+    assert_old_envelopes_are_refused(3);
 }
 
 #[test]
