@@ -363,13 +363,6 @@ impl HOram {
             .wrap_store(|inner| Box::new(oram_storage::fault::FaultyStore::new(inner, config)));
     }
 
-    /// Test fixture access to the storage device (e.g. the doc-hidden
-    /// leaky-retry fixture the leakage battery must detect).
-    #[doc(hidden)]
-    pub fn storage_device_mut(&mut self) -> &mut oram_storage::device::Device {
-        self.storage.device_mut()
-    }
-
     /// Counters of injected storage faults, when
     /// [`inject_storage_faults`](Self::inject_storage_faults) (or a
     /// faulted hierarchy) is in effect.

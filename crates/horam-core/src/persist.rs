@@ -155,13 +155,11 @@ fn save_cache_config(cache: Option<&CacheConfig>, w: &mut StateWriter) {
         capacity_blocks,
         hit_nanos,
         writeback_sync_fraction,
-        leaky_hits,
     } = cache;
     w.put_bool(true);
     w.put_u64(*capacity_blocks);
     w.put_u64(*hit_nanos);
     w.put_f64(*writeback_sync_fraction);
-    w.put_bool(*leaky_hits);
 }
 
 fn load_cache_config(r: &mut StateReader<'_>) -> Result<Option<CacheConfig>, PersistError> {
@@ -172,7 +170,6 @@ fn load_cache_config(r: &mut StateReader<'_>) -> Result<Option<CacheConfig>, Per
         capacity_blocks: r.get_u64()?,
         hit_nanos: r.get_u64()?,
         writeback_sync_fraction: r.get_f64()?,
-        leaky_hits: r.get_bool()?,
     }))
 }
 
@@ -235,7 +232,6 @@ mod tests {
         let mut cache = CacheConfig::lru(128);
         cache.hit_nanos = 750;
         cache.writeback_sync_fraction = 0.5;
-        cache.leaky_hits = true;
         let config = HOramConfig::new(4096, 16, 1024)
             .with_fixed_c(2)
             .with_prefetch_distance(7)

@@ -1348,6 +1348,25 @@ mod tests {
         assert!(context.contains("scheduler hit classification broken"));
     }
 
+    /// A slot that opens cleanly but holds a different block than the
+    /// position map names is a typed invariant violation, never a payload.
+    #[test]
+    fn slot_holding_another_block_is_malformed() {
+        let mut layer = build(64);
+        let (a, b) = (BlockId(5), BlockId(9));
+        let posmap = layer.posmap_mut();
+        let Location::Storage { slot } = posmap.location(b).unwrap() else {
+            panic!("block {b} starts in storage");
+        };
+        assert_eq!(posmap.take_owner(slot).unwrap(), Some(b));
+        posmap.place(a, slot).unwrap();
+        let err = layer.fetch(a).unwrap_err();
+        assert!(
+            matches!(err, OramError::MalformedBlock { slot: s } if s == slot),
+            "expected MalformedBlock {{ slot: {slot} }}, got {err:?}"
+        );
+    }
+
     #[test]
     fn dummy_loads_never_repeat_slots() {
         let mut layer = build(49);

@@ -45,13 +45,6 @@ pub struct CacheConfig {
     /// random write is absorbed write-back (the rest is assumed flushed
     /// in the background). `1.0` = fully synchronous.
     pub writeback_sync_fraction: f64,
-    /// **Test fixture — deliberately insecure.** When set, RAM-tier hits
-    /// skip the device trace and statistics entirely, so the bus shape
-    /// depends on the hit pattern. Exists only so the leakage tests in
-    /// `tests/leakage.rs` can prove they *would* catch a cache that
-    /// elides hits instead of padding them. Never enable outside tests.
-    #[doc(hidden)]
-    pub leaky_hits: bool,
 }
 
 impl CacheConfig {
@@ -62,7 +55,6 @@ impl CacheConfig {
             capacity_blocks,
             hit_nanos: 1_000,
             writeback_sync_fraction: 0.2,
-            leaky_hits: false,
         }
     }
 
@@ -172,10 +164,6 @@ impl BlockCache {
 
     pub(crate) fn hit_cost(&self) -> SimDuration {
         SimDuration::from_nanos(self.config.hit_nanos)
-    }
-
-    pub(crate) fn leaky_hits(&self) -> bool {
-        self.config.leaky_hits
     }
 
     pub(crate) fn writeback_sync_fraction(&self) -> f64 {

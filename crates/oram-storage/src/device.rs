@@ -208,12 +208,6 @@ pub struct Device {
     retry: RetryPolicy,
     /// Retry counters; volatile (never snapshotted).
     retry_stats: RetryStats,
-    /// Test-battery fixture: when set, every retry records its own trace
-    /// event, deliberately leaking the retry count into the trace shape.
-    /// Exists so the leakage tests can prove they would catch a retry
-    /// implementation that isn't timing-only. Never set in production
-    /// paths.
-    leaky_retry: bool,
 }
 
 impl Device {
@@ -260,7 +254,6 @@ impl Device {
             cache: None,
             retry: RetryPolicy::default(),
             retry_stats: RetryStats::default(),
-            leaky_retry: false,
         }
     }
 
@@ -323,14 +316,6 @@ impl Device {
     /// Retry counters (volatile; not part of snapshots).
     pub fn retry_stats(&self) -> RetryStats {
         self.retry_stats
-    }
-
-    /// Test fixture: leak each retry as its own trace event. See the
-    /// field docs — this exists to prove the leakage battery catches a
-    /// non-timing-only retry implementation.
-    #[doc(hidden)]
-    pub fn set_leaky_retry(&mut self, leaky: bool) {
-        self.leaky_retry = leaky;
     }
 
     /// Replaces the backing store with `wrap(store)` — the seam for
@@ -403,14 +388,10 @@ impl Device {
     /// Runs `op` against the store, retrying transient faults under the
     /// device's [`RetryPolicy`]. Returns the result plus the simulated
     /// backoff accrued, which the caller folds into the access's recorded
-    /// cost — retries never add trace events (unless the `leaky_retry`
-    /// fixture is armed), so the adversary-visible shape is that of a
-    /// single access that took longer.
+    /// cost — retries never add trace events, so the adversary-visible
+    /// shape is that of a single access that took longer.
     fn with_store_retry<T>(
         &mut self,
-        kind: AccessKind,
-        addr: u64,
-        bytes: u64,
         mut op: impl FnMut(&mut dyn DataStore) -> Result<T, StorageError>,
     ) -> Result<(T, SimDuration), StorageError> {
         let policy = self.retry;
@@ -419,7 +400,7 @@ impl Device {
         loop {
             match op(&mut *self.store) {
                 Ok(value) => {
-                    self.note_retries(kind, addr, bytes, attempt, backoff, false);
+                    self.note_retries(attempt, backoff, false);
                     return Ok((value, backoff));
                 }
                 Err(e) if e.is_transient() && attempt + 1 < policy.max_attempts => {
@@ -427,7 +408,7 @@ impl Device {
                     attempt += 1;
                 }
                 Err(e) => {
-                    self.note_retries(kind, addr, bytes, attempt, backoff, e.is_transient());
+                    self.note_retries(attempt, backoff, e.is_transient());
                     return Err(e);
                 }
             }
@@ -448,25 +429,13 @@ impl Device {
             self.store.put(addr, block)?;
             return Ok(SimDuration::ZERO);
         }
-        let bytes = self.charged_block_bytes;
-        let ((), backoff) = self.with_store_retry(AccessKind::Write, addr, bytes, |s| {
-            s.put(addr, block.clone())
-        })?;
+        let ((), backoff) = self.with_store_retry(|s| s.put(addr, block.clone()))?;
         Ok(backoff)
     }
 
-    /// Books retry activity into the volatile counters; under the
-    /// `leaky_retry` fixture, also emits one trace event per retry —
-    /// exactly the shape change an unsafe implementation would exhibit.
-    fn note_retries(
-        &mut self,
-        kind: AccessKind,
-        addr: u64,
-        bytes: u64,
-        retries: u32,
-        backoff: SimDuration,
-        exhausted: bool,
-    ) {
+    /// Books retry activity into the volatile counters. Nothing reaches
+    /// the trace: a retried access records its one event like any other.
+    fn note_retries(&mut self, retries: u32, backoff: SimDuration, exhausted: bool) {
         if retries == 0 && !exhausted {
             return;
         }
@@ -474,19 +443,6 @@ impl Device {
         self.retry_stats.backoff_nanos += backoff.as_nanos();
         if exhausted {
             self.retry_stats.exhausted += 1;
-        }
-        if self.leaky_retry {
-            if let Some(trace) = &self.trace {
-                for _ in 0..retries {
-                    trace.record(TraceEvent {
-                        at: self.clock.now(),
-                        device: self.id,
-                        kind,
-                        addr,
-                        bytes,
-                    });
-                }
-            }
         }
     }
 
@@ -504,15 +460,12 @@ impl Device {
             if cache.contains(addr) {
                 let block = cache.serve_hit(addr);
                 let cost = cache.hit_cost();
-                if !cache.leaky_hits() {
-                    self.record(AccessKind::Read, addr, bytes, cost);
-                }
+                self.record(AccessKind::Read, addr, bytes, cost);
                 return Ok(block);
             }
             cache.note_miss();
         }
-        let (fetched, backoff) =
-            self.with_store_retry(AccessKind::Read, addr, bytes, |s| s.get(addr))?;
+        let (fetched, backoff) = self.with_store_retry(|s| s.get(addr))?;
         let block = fetched.ok_or_else(|| StorageError::MissingBlock {
             device: self.name.clone(),
             addr,
@@ -585,8 +538,7 @@ impl Device {
         let costs = self.timing.scatter_costs(AccessKind::Read, &offsets, bytes);
         let mut out = Vec::with_capacity(addrs.len());
         for (&addr, base_cost) in addrs.iter().zip(costs) {
-            let (block, backoff) =
-                self.with_store_retry(AccessKind::Read, addr, bytes, |s| s.get(addr))?;
+            let (block, backoff) = self.with_store_retry(|s| s.get(addr))?;
             let cost = base_cost + backoff;
             self.record(AccessKind::Read, addr, bytes, cost);
             out.push(ScatterItem { block, cost });
@@ -607,7 +559,6 @@ impl Device {
     ) -> Result<Vec<ScatterItem>, StorageError> {
         let cache = self.cache.as_mut().expect("caller checked");
         let hits: Vec<bool> = addrs.iter().map(|&a| cache.contains(a)).collect();
-        let leaky = cache.leaky_hits();
         let hit_cost = cache.hit_cost();
 
         // Serve hits *before* any cold promotion can evict a planned hit
@@ -633,8 +584,7 @@ impl Device {
         for (i, (&addr, &hit)) in addrs.iter().zip(&hits).enumerate() {
             if !hit {
                 self.cache.as_mut().expect("caller checked").note_miss();
-                let (got, backoff) =
-                    self.with_store_retry(AccessKind::Read, addr, bytes, |s| s.get(addr))?;
+                let (got, backoff) = self.with_store_retry(|s| s.get(addr))?;
                 backoffs[i] = backoff;
                 if let Some(block) = got {
                     let cache = self.cache.as_mut().expect("caller checked");
@@ -650,9 +600,7 @@ impl Device {
             } else {
                 cold_costs.next().expect("one cost per cold op") + backoffs[i]
             };
-            if !(leaky && hit) {
-                self.record(AccessKind::Read, addr, bytes, cost);
-            }
+            self.record(AccessKind::Read, addr, bytes, cost);
             out.push(ScatterItem { block, cost });
         }
         Ok(out)
@@ -668,9 +616,7 @@ impl Device {
         // The cache is the authority for slots it holds dirty; either way
         // every tier's copy must go.
         let dirty = self.cache.as_mut().and_then(|c| c.invalidate(addr));
-        let bytes = self.charged_block_bytes;
-        let (stored, _) =
-            self.with_store_retry(AccessKind::Read, addr, bytes, |s| s.remove(addr))?;
+        let (stored, _) = self.with_store_retry(|s| s.remove(addr))?;
         Ok(dirty.or(stored))
     }
 
@@ -689,7 +635,6 @@ impl Device {
         self.check_capacity(start + count - 1)?;
         // Merge the cache's dirty copies over the stored run: the cache is
         // the authority for slots it absorbed write-back.
-        let slot_bytes = self.charged_block_bytes;
         let mut backoff_total = SimDuration::ZERO;
         let mut blocks: Vec<Option<SealedBlock>> = Vec::with_capacity(count as usize);
         for a in start..start + count {
@@ -697,8 +642,7 @@ impl Device {
                 blocks.push(Some(dirty.clone()));
                 continue;
             }
-            let (got, backoff) =
-                self.with_store_retry(AccessKind::Read, a, slot_bytes, |s| s.get(a))?;
+            let (got, backoff) = self.with_store_retry(|s| s.get(a))?;
             backoff_total += backoff;
             blocks.push(got);
         }
@@ -730,13 +674,11 @@ impl Device {
         self.check_capacity(start + count - 1)?;
         // Taking a slot removes every tier's copy; the cache's dirty copy
         // (when it holds one) is the authoritative value handed back.
-        let slot_bytes = self.charged_block_bytes;
         let mut backoff_total = SimDuration::ZERO;
         let mut blocks: Vec<Option<SealedBlock>> = Vec::with_capacity(count as usize);
         for a in start..start + count {
             let dirty = self.cache.as_mut().and_then(|c| c.invalidate(a));
-            let (stored, backoff) =
-                self.with_store_retry(AccessKind::Read, a, slot_bytes, |s| s.remove(a))?;
+            let (stored, backoff) = self.with_store_retry(|s| s.remove(a))?;
             backoff_total += backoff;
             blocks.push(dirty.or(stored));
         }
@@ -824,7 +766,7 @@ impl Device {
         }
         // Sync is not a traced access; the backoff is dropped (checkpoint
         // time is not part of the serving-time model).
-        let ((), _backoff) = self.with_store_retry(AccessKind::Write, 0, 0, |s| s.sync())?;
+        let ((), _backoff) = self.with_store_retry(|s| s.sync())?;
         Ok(())
     }
 
@@ -1340,26 +1282,6 @@ mod tests {
         );
         // Same events, same order, same sizes: retries are timing-only.
         assert_eq!(strip(&clean_trace), strip(&faulty_trace));
-    }
-
-    #[test]
-    fn leaky_retry_fixture_changes_the_trace_shape() {
-        let trace = AccessTrace::new();
-        let mut dev = faulted_device(trace.clone(), FaultConfig::transient(7, 200), 32);
-        dev.set_retry_policy(RetryPolicy {
-            max_attempts: 8,
-            ..RetryPolicy::default()
-        });
-        dev.set_leaky_retry(true);
-        for a in 0..32u64 {
-            dev.read_block(a).unwrap();
-        }
-        let events = trace.snapshot().len() as u64;
-        assert_eq!(
-            events,
-            32 + dev.retry_stats().retries,
-            "leaky fixture records one extra event per retry"
-        );
     }
 
     #[test]

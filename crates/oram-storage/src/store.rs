@@ -57,7 +57,8 @@ pub trait DataStore: fmt::Debug + Send {
     fn durable(&self) -> bool;
 
     /// Every occupied `(addr, block)` pair, for embedding a volatile
-    /// store's contents into a snapshot. Order is unspecified.
+    /// store's contents into a snapshot, in ascending slot order so that
+    /// equal contents snapshot to equal bytes.
     fn snapshot_blocks(&mut self) -> Result<Vec<(u64, SealedBlock)>, StorageError>;
 
     /// Replaces the store's contents with `blocks` (snapshot restore).
@@ -180,7 +181,9 @@ impl DataStore for BlockStore {
     }
 
     fn snapshot_blocks(&mut self) -> Result<Vec<(u64, SealedBlock)>, StorageError> {
-        Ok(self.iter().map(|(a, b)| (a, b.clone())).collect())
+        let mut blocks: Vec<_> = self.iter().map(|(a, b)| (a, b.clone())).collect();
+        blocks.sort_unstable_by_key(|&(addr, _)| addr);
+        Ok(blocks)
     }
 }
 

@@ -135,6 +135,13 @@ fn snapshot_restore_continues_byte_identically() {
         original.stats().shuffles >= 2,
         "workload must cross period boundaries for the test to mean anything"
     );
+    // Both snapshots carry every memory-tree and storage ciphertext and
+    // both sealers' sequence counters: a restore that rewinds either
+    // counter re-seals slots under `(addr, seq)` nonces already used.
+    assert!(
+        original.snapshot().unwrap() == restored.snapshot().unwrap(),
+        "the restored engine sealed different bytes"
+    );
 }
 
 #[test]
@@ -187,8 +194,8 @@ fn corrupted_and_wrong_key_snapshots_error() {
     assert!(HOram::restore(MemoryHierarchy::dac2019(), wrong_key, &snapshot).is_err());
 }
 
-/// Envelope versions 2, 3 and 4 each dropped fields from the embedded config
-/// codec, which shifts every later byte: a snapshot or drain checkpoint of
+/// Envelope versions 2 through 5 each dropped fields from the embedded
+/// config codec, which shifts every later byte: a snapshot or drain checkpoint of
 /// an older version must be refused with the typed version error by every
 /// restore path, never mis-parsed. The reader checks the version before
 /// anything else it trusts, so rewriting the field on a fresh snapshot
@@ -251,6 +258,11 @@ fn version_2_envelopes_are_refused_by_every_restore_path() {
 #[test]
 fn version_3_envelopes_are_refused_by_every_restore_path() {
     assert_old_envelopes_are_refused(3);
+}
+
+#[test]
+fn version_4_envelopes_are_refused_by_every_restore_path() {
+    assert_old_envelopes_are_refused(4);
 }
 
 #[test]
