@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = HOramConfig::new(4096, 32, 512).with_seed(99);
     let mut oram = HOram::new(
         config,
-        MemoryHierarchy::dac2019(),
+        MemoryHierarchy::dac2019().recording(),
         MasterKey::from_bytes([0x11; 32]),
     )?;
     let mut generator = HotspotWorkload::paper_default(4096, 12);

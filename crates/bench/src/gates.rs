@@ -955,7 +955,7 @@ mod persistence {
     }
 
     fn build(path: &Path) -> HOram {
-        let hierarchy = file_hierarchy(&engine_config(), path);
+        let hierarchy = file_hierarchy(&engine_config(), path).recording();
         HOram::new(engine_config(), hierarchy, MasterKey::from_bytes([KEY; 32])).expect("builds")
     }
 
@@ -998,7 +998,7 @@ mod persistence {
 
         // Recovery: reopen the device file (journal rollback) + restore.
         let (mut recovered, restore_ms) = timed(|| {
-            let hierarchy = file_hierarchy(&engine_config(), &victim_path);
+            let hierarchy = file_hierarchy(&engine_config(), &victim_path).recording();
             HOram::restore(hierarchy, MasterKey::from_bytes([KEY; 32]), &snapshot).expect("restore")
         });
         let responses = recovered.run_batch(post).expect("replay");
@@ -1384,7 +1384,7 @@ mod capacity {
 
         let mut flat = parity_engine(PosmapMode::Flat);
         let flat_responses = flat.run_batch(&trace).expect("flat parity run");
-        let flat_trace = trace_shape(&flat.trace().snapshot());
+        let flat_trace = (flat.trace().len(), flat.trace().digest());
         let flat_stats = flat.stats();
         assert!(
             flat_stats.shuffles >= 1,
@@ -1393,7 +1393,7 @@ mod capacity {
 
         let mut recursive = parity_engine(recursive_mode(None));
         let recursive_responses = recursive.run_batch(&trace).expect("recursive parity run");
-        let recursive_trace = trace_shape(&recursive.trace().snapshot());
+        let recursive_trace = (recursive.trace().len(), recursive.trace().digest());
 
         let responses_match = recursive_responses == flat_responses;
         let trace_match = recursive_trace == flat_trace;

@@ -115,7 +115,7 @@ impl HOram {
         } = hierarchy;
 
         let memory = Self::build_memory_layer(&config, memory_device, &master)?;
-        let posmap = crate::posmap::build_posmap(&config, &master, false)?;
+        let posmap = crate::posmap::build_posmap_on(&config, &master, false, &trace)?;
         let storage = StorageLayer::new(
             &config,
             storage_device,
@@ -261,7 +261,7 @@ impl HOram {
         queue.load_state(&mut r)?;
         let mut memory = Self::build_memory_layer(&config, memory_device, &master)?;
         memory.load_state(&mut r)?;
-        let posmap = crate::posmap::build_posmap(&config, &master, true)?;
+        let posmap = crate::posmap::build_posmap_on(&config, &master, true, &trace)?;
         let storage = StorageLayer::restore(
             &config,
             storage_device,
@@ -706,7 +706,7 @@ mod tests {
         let config = HOramConfig::new(capacity, 8, memory_slots).with_seed(17);
         HOram::new(
             config,
-            MemoryHierarchy::dac2019(),
+            MemoryHierarchy::dac2019().recording(),
             MasterKey::from_bytes([9; 32]),
         )
         .unwrap()
@@ -764,7 +764,7 @@ mod tests {
             .with_io_batch(io_batch);
         HOram::new(
             config,
-            MemoryHierarchy::dac2019(),
+            MemoryHierarchy::dac2019().recording(),
             MasterKey::from_bytes([9; 32]),
         )
         .unwrap()

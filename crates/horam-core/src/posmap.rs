@@ -106,7 +106,8 @@ pub struct PosmapLevelView {
     pub z: u32,
     /// Number of position pages the level stores.
     pub page_count: u64,
-    /// The level's own bus trace (separate from the data ORAM's).
+    /// The level's own bus trace (separate from the data ORAM's); it
+    /// retains events iff the engine's hierarchy is recording.
     pub trace: AccessTrace,
 }
 
@@ -212,7 +213,8 @@ pub trait PositionMap: std::fmt::Debug + Send {
 /// Builds the position map `config` asks for. With `restore = true` the
 /// recursive variant skips its initial level build (construction must not
 /// write to possibly-durable level devices that
-/// [`PositionMap::load_state`] is about to validate and adopt).
+/// [`PositionMap::load_state`] is about to validate and adopt). Its level
+/// traces keep only their count and digest.
 ///
 /// # Errors
 ///
@@ -221,6 +223,17 @@ pub fn build_posmap(
     config: &HOramConfig,
     master: &MasterKey,
     restore: bool,
+) -> Result<Box<dyn PositionMap>, OramError> {
+    build_posmap_on(config, master, restore, &AccessTrace::new())
+}
+
+/// [`build_posmap`] for an engine whose data bus is `bus`: the recursive
+/// levels' traces retain events iff `bus` does.
+pub(crate) fn build_posmap_on(
+    config: &HOramConfig,
+    master: &MasterKey,
+    restore: bool,
+    bus: &AccessTrace,
 ) -> Result<Box<dyn PositionMap>, OramError> {
     let total_slots = config.partition_count() * config.partition_slots();
     match &config.posmap {
@@ -232,6 +245,7 @@ pub fn build_posmap(
             master,
             config.seed,
             restore,
+            bus,
         )?)),
     }
 }
@@ -462,11 +476,16 @@ impl MapLevel {
         master: &MasterKey,
         clock: &SimClock,
         backing_dir: Option<&std::path::Path>,
+        bus: &AccessTrace,
     ) -> Result<Self, OramError> {
         let geometry = TreeGeometry::for_capacity(page_count, POSMAP_Z);
         let payload_len = fanout as usize * 8;
         let wire_len = BlockContent::encoded_len(payload_len);
-        let trace = AccessTrace::new();
+        let trace = if bus.is_recording() {
+            AccessTrace::recording()
+        } else {
+            AccessTrace::new()
+        };
         let mut device = match backing_dir {
             None => Device::new(
                 device_id,
@@ -829,6 +848,7 @@ impl RecursiveTable {
         device_id_base: u16,
         seed: u64,
         backing_dir: Option<&std::path::Path>,
+        bus: &AccessTrace,
     ) -> Result<Self, OramError> {
         let fanout = rcfg.effective_fanout();
         let page_counts = level_page_counts(entries, fanout, rcfg.root_threshold);
@@ -843,6 +863,7 @@ impl RecursiveTable {
                 master,
                 clock,
                 backing_dir,
+                bus,
             )?);
         }
         let root_len = *page_counts.last().expect("at least one level") as usize;
@@ -1045,6 +1066,7 @@ impl RecursivePositionMap {
         master: &MasterKey,
         seed: u64,
         restore: bool,
+        bus: &AccessTrace,
     ) -> Result<Self, OramError> {
         let clock = SimClock::new();
         let backing_dir = match &rcfg.backing_dir {
@@ -1070,6 +1092,7 @@ impl RecursivePositionMap {
             POSMAP_DEVICE_ID_BASE,
             seed,
             backing,
+            bus,
         )?;
         let mut inverse = RecursiveTable::new(
             "inv",
@@ -1080,6 +1103,7 @@ impl RecursivePositionMap {
             POSMAP_DEVICE_ID_BASE + 1,
             seed,
             backing,
+            bus,
         )?;
         if !restore {
             forward.bulk_load(&vec![0; capacity as usize])?;
@@ -1290,6 +1314,7 @@ mod tests {
             &MasterKey::from_bytes([5; 32]),
             11,
             false,
+            &AccessTrace::recording(),
         )
         .expect("build")
     }
@@ -1499,6 +1524,7 @@ mod tests {
             &MasterKey::from_bytes([5; 32]),
             11,
             true,
+            &AccessTrace::new(),
         )
         .unwrap();
         let mut r = StateReader::new(&bytes);

@@ -1291,7 +1291,7 @@ mod tests {
     }
 
     fn build_traced(capacity: u64) -> (StorageLayer, AccessTrace) {
-        let trace = AccessTrace::new();
+        let trace = AccessTrace::recording();
         let layer = build_with(capacity, Some(trace.clone()));
         trace.clear();
         (layer, trace)
@@ -1461,13 +1461,7 @@ mod tests {
         assert_eq!(blocks(&seq_loads), blocks(&batch.loads));
         // ... identical adversary view (same slots, same order, same op
         // shape — oblivious-trace equality) ...
-        let strip = |t: &AccessTrace| {
-            t.snapshot()
-                .into_iter()
-                .map(|e| (e.device, e.kind, e.addr, e.bytes))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(strip(&seq_trace), strip(&bat_trace));
+        assert_eq!(seq_trace.untimed(), bat_trace.untimed());
         // ... identical op/byte accounting, strictly cheaper in simulated
         // time (queued scheduling is the whole point).
         assert_eq!(seq_stats.reads, bat_stats.reads);
@@ -1641,7 +1635,7 @@ mod tests {
         let (mut serial, serial_trace) = build_traced(256);
         let serial_fp = shuffle_fingerprint(&mut serial, &serial_trace);
         for threads in [2usize, 4] {
-            let trace = AccessTrace::new();
+            let trace = AccessTrace::recording();
             let mut layer = build_threaded(256, Some(trace.clone()), threads);
             trace.clear();
             let fp = shuffle_fingerprint(&mut layer, &trace);

@@ -1195,7 +1195,7 @@ mod tests {
         use oram_storage::trace::AccessTrace;
         use rand::Rng;
 
-        let trace = AccessTrace::new();
+        let trace = AccessTrace::recording();
         let device = MachineConfig::dac2019().build_memory(SimClock::new(), Some(trace.clone()));
         let mut oram = PathOram::new(PathOramConfig::new(64, 16), device, &keys()).unwrap();
         let mut rng = DeterministicRng::from_u64_seed(0x7ace);

@@ -7,7 +7,6 @@
 
 use crate::error::OramError;
 use crate::types::BlockId;
-use std::collections::BTreeMap;
 
 /// One stash entry: a decrypted block and its current position tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,10 +19,11 @@ pub struct StashEntry {
     pub payload: Vec<u8>,
 }
 
-/// A bounded, id-indexed stash.
+/// A bounded, id-indexed stash: a flat vector kept sorted by block id,
+/// so every walk over it is in block-id order.
 #[derive(Debug, Clone)]
 pub struct Stash {
-    entries: BTreeMap<BlockId, StashEntry>,
+    entries: Vec<StashEntry>,
     limit: usize,
     peak: usize,
 }
@@ -32,7 +32,7 @@ impl Stash {
     /// Creates a stash bounded at `limit` entries.
     pub fn new(limit: usize) -> Self {
         Self {
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
             limit,
             peak: 0,
         }
@@ -54,14 +54,20 @@ impl Stash {
         self.limit
     }
 
+    /// Where `id` sits, or where it would be inserted.
+    fn position(&self, id: BlockId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&id, |e| e.id)
+    }
+
     /// Whether `id` is present.
     pub fn contains(&self, id: BlockId) -> bool {
-        self.entries.contains_key(&id)
+        self.position(id).is_ok()
     }
 
     /// Mutable view of the entry for `id` (payload updates, leaf remaps).
     pub fn get_mut(&mut self, id: BlockId) -> Option<&mut StashEntry> {
-        self.entries.get_mut(&id)
+        let index = self.position(id).ok()?;
+        Some(&mut self.entries[index])
     }
 
     /// Inserts or replaces an entry.
@@ -71,15 +77,19 @@ impl Stash {
     /// Returns [`OramError::StashOverflow`] if a *new* entry would exceed
     /// the bound (replacement never grows the stash).
     pub fn insert(&mut self, entry: StashEntry) -> Result<(), OramError> {
-        if !self.entries.contains_key(&entry.id) && self.entries.len() >= self.limit {
-            return Err(OramError::StashOverflow { limit: self.limit });
+        match self.position(entry.id) {
+            Ok(index) => self.entries[index] = entry,
+            Err(_) if self.entries.len() >= self.limit => {
+                return Err(OramError::StashOverflow { limit: self.limit })
+            }
+            Err(index) => self.entries.insert(index, entry),
         }
-        self.entries.insert(entry.id, entry);
         self.peak = self.peak.max(self.entries.len());
         Ok(())
     }
 
-    /// Removes up to `max` entries satisfying `pred`, returning them.
+    /// Removes up to `max` entries satisfying `pred`, returning them in
+    /// block-id order.
     ///
     /// This is the write-back selector: Path ORAM calls it per bucket with
     /// a path-compatibility predicate.
@@ -88,19 +98,18 @@ impl Stash {
         max: usize,
         mut pred: impl FnMut(&StashEntry) -> bool,
     ) -> Vec<StashEntry> {
-        let ids: Vec<BlockId> = self
-            .entries
-            .values()
-            .filter(|e| pred(e))
-            .take(max)
-            .map(|e| e.id)
-            .collect();
-        ids.into_iter()
-            .filter_map(|id| self.entries.remove(&id))
+        let mut taken = 0;
+        self.entries
+            .extract_if(.., |entry| {
+                let take = taken < max && pred(entry);
+                taken += usize::from(take);
+                take
+            })
             .collect()
     }
 
-    /// Replaces the stash contents and peak watermark (snapshot restore).
+    /// Replaces the stash contents and peak watermark (snapshot restore);
+    /// of two entries with one id, the later wins.
     ///
     /// # Panics
     ///
@@ -111,19 +120,22 @@ impl Stash {
             entries.len() <= self.limit,
             "restored stash exceeds its bound"
         );
-        self.entries = entries.into_iter().map(|e| (e.id, e)).collect();
+        self.entries.clear();
+        for entry in entries {
+            self.insert(entry).expect("within the bound checked above");
+        }
         self.peak = peak.max(self.entries.len());
     }
 
     /// Removes and returns all entries, ordered by block id.
     pub fn drain_all(&mut self) -> Vec<StashEntry> {
-        std::mem::take(&mut self.entries).into_values().collect()
+        std::mem::take(&mut self.entries)
     }
 
     /// Iterates over entries in block-id order (deterministic iteration is
     /// what keeps whole simulation runs replayable).
     pub fn iter(&self) -> impl Iterator<Item = &StashEntry> {
-        self.entries.values()
+        self.entries.iter()
     }
 }
 
@@ -148,6 +160,19 @@ mod tests {
         let removed = stash.take_matching(1, |e| e.id == BlockId(1));
         assert_eq!(removed[0].payload, vec![1]);
         assert_eq!(stash.len(), 0);
+    }
+
+    #[test]
+    fn walks_are_in_id_order_whatever_the_insert_order() {
+        let mut stash = Stash::new(10);
+        for id in [5, 1, 9, 3] {
+            stash.insert(entry(id, id % 2)).unwrap();
+        }
+        let ids = |entries: Vec<StashEntry>| entries.iter().map(|e| e.id.0).collect::<Vec<_>>();
+        assert_eq!(ids(stash.take_matching(2, |e| e.leaf == 1)), [1, 3]);
+        stash.restore(vec![entry(7, 0), entry(2, 0), entry(7, 1)], 0);
+        assert_eq!(stash.get_mut(BlockId(7)).unwrap().leaf, 1); // the later one wins
+        assert_eq!(ids(stash.drain_all()), [2, 7]);
     }
 
     #[test]

@@ -1017,7 +1017,7 @@ mod tests {
 
     #[test]
     fn trace_records_bus_view() {
-        let trace = AccessTrace::new();
+        let trace = AccessTrace::recording();
         let mut dev = dram_device(Some(trace.clone()));
         dev.write_block(5, sealer().seal(5, 0, b"abc")).unwrap();
         dev.read_block(5).unwrap();
@@ -1109,7 +1109,7 @@ mod tests {
             dev.reset_accounting();
             dev
         };
-        let seq_trace = AccessTrace::new();
+        let seq_trace = AccessTrace::recording();
         let mut sequential = build(seq_trace.clone());
         seq_trace.clear();
         let seq_blocks: Vec<SealedBlock> = addrs
@@ -1117,20 +1117,14 @@ mod tests {
             .map(|&a| sequential.read_block(a).unwrap())
             .collect();
 
-        let bat_trace = AccessTrace::new();
+        let bat_trace = AccessTrace::recording();
         let mut batched = build(bat_trace.clone());
         bat_trace.clear();
         let bat_items = batched.read_scatter(&addrs).unwrap();
 
         // Identical adversary view: same events, same order (timestamps
         // aside — the shared clock is advanced by the caller).
-        let strip = |t: &AccessTrace| {
-            t.snapshot()
-                .into_iter()
-                .map(|e| (e.device, e.kind, e.addr, e.bytes))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(strip(&seq_trace), strip(&bat_trace));
+        assert_eq!(seq_trace.untimed(), bat_trace.untimed());
         // Identical data and op/byte accounting.
         let bat_blocks: Vec<SealedBlock> =
             bat_items.into_iter().map(|i| i.block.unwrap()).collect();
@@ -1220,14 +1214,6 @@ mod tests {
         dev
     }
 
-    fn strip(trace: &AccessTrace) -> Vec<(DeviceId, AccessKind, u64, u64)> {
-        trace
-            .snapshot()
-            .into_iter()
-            .map(|e| (e.device, e.kind, e.addr, e.bytes))
-            .collect()
-    }
-
     #[test]
     fn transient_faults_are_retried_and_charged_as_backoff() {
         let trace = AccessTrace::new();
@@ -1259,9 +1245,9 @@ mod tests {
 
     #[test]
     fn retry_trace_shape_matches_fault_free_run() {
-        let clean_trace = AccessTrace::new();
+        let clean_trace = AccessTrace::recording();
         let mut clean = faulted_device(clean_trace.clone(), FaultConfig::default(), 32);
-        let faulty_trace = AccessTrace::new();
+        let faulty_trace = AccessTrace::recording();
         let mut faulty = faulted_device(faulty_trace.clone(), FaultConfig::transient(7, 200), 32);
         faulty.set_retry_policy(RetryPolicy {
             max_attempts: 8,
@@ -1281,7 +1267,7 @@ mod tests {
             "fixture must exercise retries"
         );
         // Same events, same order, same sizes: retries are timing-only.
-        assert_eq!(strip(&clean_trace), strip(&faulty_trace));
+        assert_eq!(clean_trace.untimed(), faulty_trace.untimed());
     }
 
     #[test]
@@ -1323,7 +1309,7 @@ mod tests {
             latency_spike_nanos: 1_000_000,
             ..FaultConfig::default()
         };
-        let trace = AccessTrace::new();
+        let trace = AccessTrace::recording();
         let mut dev = faulted_device(trace.clone(), config, 8);
         for a in 0..8u64 {
             dev.read_block(a).unwrap();

@@ -2,10 +2,11 @@
 //!
 //! Every protocol in this reproduction runs against a [`MemoryHierarchy`]:
 //! a fast in-memory device, a slow storage device, one shared clock and one
-//! shared bus trace. How a phase's memory and storage time compose into
-//! wall-clock time (added for the tree-top-cache baseline, overlapped for
-//! H-ORAM's scheduling cycles) is the protocols' business; they advance
-//! the shared clock themselves.
+//! shared bus trace — a count and digest, unless built with
+//! [`MemoryHierarchy::recording`]. How a phase's memory and storage time
+//! compose into wall-clock time (added for the tree-top-cache baseline,
+//! overlapped for H-ORAM's scheduling cycles) is the protocols' business;
+//! they advance the shared clock themselves.
 
 use crate::calibration::MachineConfig;
 use crate::clock::SimClock;
@@ -25,7 +26,7 @@ pub struct MemoryHierarchy {
 }
 
 impl MemoryHierarchy {
-    /// Builds the hierarchy described by `config`, recording all accesses.
+    /// Builds the hierarchy described by `config`, digesting all accesses.
     pub fn new(config: MachineConfig) -> Self {
         let clock = SimClock::new();
         let trace = AccessTrace::new();
@@ -85,6 +86,13 @@ impl MemoryHierarchy {
         self
     }
 
+    /// Makes the shared bus trace retain every event, for the tests and
+    /// dumps that read it back. Returns `self` for builder chaining.
+    pub fn recording(self) -> Self {
+        self.trace.start_recording();
+        self
+    }
+
     /// The shared simulated clock.
     pub fn clock(&self) -> &SimClock {
         &self.clock
@@ -134,7 +142,7 @@ mod tests {
 
     #[test]
     fn shared_trace_observes_both_devices() {
-        let mut h = MemoryHierarchy::dac2019();
+        let mut h = MemoryHierarchy::dac2019().recording();
         let sealer = BlockSealer::new(&MasterKey::from_bytes([1; 32]).derive("h", 0));
         h.memory.write_block(1, sealer.seal(1, 0, b"m")).unwrap();
         h.storage.write_block(2, sealer.seal(2, 0, b"s")).unwrap();

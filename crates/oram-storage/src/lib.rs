@@ -23,10 +23,13 @@
 //! in-memory path reads with one storage fetch per scheduling cycle), then
 //! advance the shared [`clock::SimClock`].
 //!
-//! Every access is also appended to an [`trace::AccessTrace`] — the exact
+//! Every access is also recorded on an [`trace::AccessTrace`] — the exact
 //! view of an adversary probing the memory/I-O bus: device, direction,
-//! physical address, size, timestamp. The leakage tests in `oram-analysis`
-//! operate on those traces.
+//! physical address, size, timestamp. By default a trace keeps only the
+//! event count and an order-sensitive digest, in O(1) memory; one built
+//! with [`trace::AccessTrace::recording`] (or a hierarchy built with
+//! [`MemoryHierarchy::recording`]) also retains the events, which the
+//! leakage tests and `trace_dump` read.
 //!
 //! The [`fault`] module injects deterministic, seeded failures (transient
 //! errors, dead slots, bit flips, fsync failures, latency spikes) between

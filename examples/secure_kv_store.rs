@@ -35,7 +35,7 @@ impl ObliviousKv {
         let config = HOramConfig::new(capacity, BLOCK_LEN, 256).with_seed(seed);
         let oram = HOram::new(
             config,
-            MemoryHierarchy::dac2019(),
+            MemoryHierarchy::dac2019().recording(),
             MasterKey::from_bytes([3u8; 32]),
         )?;
         Ok(Self {

@@ -17,8 +17,7 @@ use horam::core::shard::{ShardedConfig, ShardedOram};
 use horam::crypto::rng::DeterministicRng;
 use horam::prelude::*;
 use horam::storage::cache::CacheConfig;
-use horam::storage::device::AccessKind;
-use horam::storage::trace::TraceEvent;
+use horam::storage::device::{AccessKind, DeviceId};
 use rand::Rng;
 
 const CAPACITY: u64 = 256;
@@ -36,7 +35,7 @@ fn config(cache: Option<CacheConfig>) -> HOramConfig {
 fn build(cache: Option<CacheConfig>) -> HOram {
     HOram::new(
         config(cache),
-        MemoryHierarchy::dac2019(),
+        MemoryHierarchy::dac2019().recording(),
         MasterKey::from_bytes([0x2B; 32]),
     )
     .expect("construction succeeds")
@@ -54,16 +53,6 @@ fn workload(len: usize, seed: u64) -> Vec<Request> {
                 Request::read(id)
             }
         })
-        .collect()
-}
-
-/// The adversary-visible part of an event: everything except the
-/// timestamp. Cache hits may only change *when* things happen on the
-/// simulated clock, never *what* happens.
-fn shape(events: &[TraceEvent]) -> Vec<(u16, bool, u64, u64)> {
-    events
-        .iter()
-        .map(|e| (e.device.0, e.kind == AccessKind::Read, e.addr, e.bytes))
         .collect()
 }
 
@@ -88,7 +77,7 @@ fn counters(stats: &HOramStats) -> [u64; 10] {
 struct Observed {
     responses: Vec<Vec<u8>>,
     counters: [u64; 10],
-    shape: Vec<(u16, bool, u64, u64)>,
+    shape: Vec<(DeviceId, AccessKind, u64, u64)>,
     clock: u64,
 }
 
@@ -98,7 +87,7 @@ fn observe(cache: Option<CacheConfig>, requests: &[Request]) -> Observed {
     Observed {
         responses,
         counters: counters(&oram.stats()),
-        shape: shape(&oram.trace().snapshot()),
+        shape: oram.trace().untimed(),
         clock: oram.clock().now().as_nanos(),
     }
 }
@@ -184,7 +173,7 @@ fn sharded_cached_equals_sharded_uncached() {
         ShardedOram::new(
             ShardedConfig::new(base, 4),
             MasterKey::from_bytes([0x2B; 32]),
-            |_| MemoryHierarchy::dac2019(),
+            |_| MemoryHierarchy::dac2019().recording(),
         )
         .expect("sharded instance builds")
     };
@@ -204,8 +193,8 @@ fn sharded_cached_equals_sharded_uncached() {
     );
     for (i, (a, b)) in cached.shards().iter().zip(uncached.shards()).enumerate() {
         assert_eq!(
-            shape(&a.trace().snapshot()),
-            shape(&b.trace().snapshot()),
+            a.trace().untimed(),
+            b.trace().untimed(),
             "shard {i} bus shape diverged"
         );
     }
@@ -239,7 +228,7 @@ mod properties {
         };
         HOram::new(
             config,
-            MemoryHierarchy::dac2019(),
+            MemoryHierarchy::dac2019().recording(),
             MasterKey::from_bytes([0x2B; 32]),
         )
         .expect("construction succeeds")
@@ -267,7 +256,7 @@ mod properties {
             let mut reference = small(None);
             let expected = reference.run_batch(&requests).expect("uncached runs");
             let expected_counters = counters(&reference.stats());
-            let expected_shape = shape(&reference.trace().snapshot());
+            let expected_shape = reference.trace().untimed();
 
             for cache in cache_points() {
                 let label = format!("cap {}", cache.capacity_blocks);
@@ -275,7 +264,7 @@ mod properties {
                 let responses = oram.run_batch(&requests).expect("cached runs");
                 prop_assert_eq!(&responses, &expected, "{}: responses", label);
                 prop_assert_eq!(counters(&oram.stats()), expected_counters, "{}: counters", label);
-                prop_assert_eq!(&shape(&oram.trace().snapshot()), &expected_shape, "{}: shape", label);
+                prop_assert_eq!(&oram.trace().untimed(), &expected_shape, "{}: shape", label);
                 prop_assert!(
                     oram.clock().now() <= reference.clock().now(),
                     "{}: clock slowed", label
@@ -298,7 +287,7 @@ mod properties {
                 ShardedOram::new(
                     ShardedConfig::new(config, 4),
                     MasterKey::from_bytes([0x2B; 32]),
-                    |_| MemoryHierarchy::dac2019(),
+                    |_| MemoryHierarchy::dac2019().recording(),
                 )
                 .expect("sharded instance builds")
             };
@@ -312,8 +301,8 @@ mod properties {
             prop_assert_eq!(counters(&cached.stats()), counters(&reference.stats()));
             for (i, (a, b)) in cached.shards().iter().zip(reference.shards()).enumerate() {
                 prop_assert_eq!(
-                    shape(&a.trace().snapshot()),
-                    shape(&b.trace().snapshot()),
+                    a.trace().untimed(),
+                    b.trace().untimed(),
                     "shard {} shape diverged", i
                 );
             }

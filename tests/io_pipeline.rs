@@ -26,7 +26,7 @@ fn config(io_batch: u64) -> HOramConfig {
 fn build_with(config: HOramConfig) -> HOram {
     HOram::new(
         config,
-        MemoryHierarchy::dac2019(),
+        MemoryHierarchy::dac2019().recording(),
         MasterKey::from_bytes([5u8; 32]),
     )
     .expect("construction succeeds")
@@ -233,7 +233,10 @@ fn window_pumping_matches_batch_draining() {
         assert_eq!(pump!(pumped, requests, |e| e.pending()), expected);
         assert_eq!(pumped.stats(), drained.stats());
         for (a, b) in pumped.shards().iter().zip(drained.shards()) {
-            assert_eq!(a.trace().snapshot(), b.trace().snapshot());
+            assert_eq!(
+                (a.trace().len(), a.trace().digest()),
+                (b.trace().len(), b.trace().digest())
+            );
         }
         assert_eq!(pumped.clock().now(), drained.clock().now());
     }

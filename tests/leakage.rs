@@ -8,14 +8,13 @@ use horam::prelude::*;
 use horam::storage::cache::CacheConfig;
 use horam::storage::calibration::device_ids;
 use horam::storage::device::AccessKind;
-use horam::storage::trace::TraceEvent;
 use horam::workload::WorkloadGenerator;
 
 fn build(capacity: u64, memory_slots: u64, seed: u64) -> HOram {
     let config = HOramConfig::new(capacity, 8, memory_slots).with_seed(seed);
     HOram::new(
         config,
-        MemoryHierarchy::dac2019(),
+        MemoryHierarchy::dac2019().recording(),
         MasterKey::from_bytes([31u8; 32]),
     )
     .expect("construction succeeds")
@@ -27,19 +26,10 @@ fn build_cached(capacity: u64, memory_slots: u64, seed: u64, cache: CacheConfig)
         .with_cache(cache);
     HOram::new(
         config,
-        MemoryHierarchy::dac2019(),
+        MemoryHierarchy::dac2019().recording(),
         MasterKey::from_bytes([31u8; 32]),
     )
     .expect("construction succeeds")
-}
-
-/// The adversary's per-event view, minus timestamps: device, direction,
-/// physical slot, byte count, in submission order.
-fn observable(events: &[TraceEvent]) -> Vec<(u16, bool, u64, u64)> {
-    events
-        .iter()
-        .map(|e| (e.device.0, e.kind == AccessKind::Read, e.addr, e.bytes))
-        .collect()
 }
 
 /// §4.4.1 (access security, storage side): within one access period, no
@@ -246,7 +236,7 @@ fn cache_capacity_is_invisible_on_the_bus() {
         let requests: Vec<Request> = (0..150u64).map(|i| Request::read(i % 10)).collect();
         oram.run_batch(&requests).expect("batch");
         (
-            observable(&oram.trace().snapshot()),
+            oram.trace().untimed(),
             oram.cache_stats().expect("cache installed"),
         )
     };
@@ -272,16 +262,12 @@ fn sharded_cache_traces_are_hit_rate_independent() {
         let mut oram = ShardedOram::new(
             ShardedConfig::new(config, 4),
             MasterKey::from_bytes([31u8; 32]),
-            |_| MemoryHierarchy::dac2019(),
+            |_| MemoryHierarchy::dac2019().recording(),
         )
         .expect("sharded instance builds");
         let requests: Vec<Request> = (0..200u64).map(|i| Request::read(i % 16)).collect();
         oram.run_batch(&requests).expect("batch");
-        let traces: Vec<_> = oram
-            .shards()
-            .iter()
-            .map(|s| observable(&s.trace().snapshot()))
-            .collect();
+        let traces: Vec<_> = oram.shards().iter().map(|s| s.trace().untimed()).collect();
         (traces, oram.cache_stats().expect("cache installed"))
     };
 
@@ -307,7 +293,7 @@ fn retries_are_timing_only_on_the_bus() {
 
     let run = |fault: Option<FaultConfig>| {
         let config = HOramConfig::new(256, 8, 64).with_seed(23);
-        let mut hierarchy = MemoryHierarchy::dac2019();
+        let mut hierarchy = MemoryHierarchy::dac2019().recording();
         if let Some(config) = fault {
             hierarchy = hierarchy.with_storage_faults(config);
         }
@@ -327,7 +313,7 @@ fn retries_are_timing_only_on_the_bus() {
         let requests: Vec<Request> = (0..120u64).map(|i| Request::read(i % 30)).collect();
         oram.run_batch(&requests).expect("batch");
         (
-            observable(&oram.trace().snapshot()),
+            oram.trace().untimed(),
             oram.clock().now().as_nanos(),
             oram.storage_retry_stats(),
         )
@@ -367,7 +353,7 @@ mod recursive_posmap {
             .with_recursive_posmap(4);
         HOram::new(
             config,
-            MemoryHierarchy::dac2019(),
+            MemoryHierarchy::dac2019().recording(),
             MasterKey::from_bytes([31u8; 32]),
         )
         .expect("construction succeeds")

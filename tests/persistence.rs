@@ -24,7 +24,6 @@ use horam::protocols::types::BlockContent;
 use horam::storage::cache::CacheConfig;
 use horam::storage::calibration::MachineConfig;
 use horam::storage::file::{scratch_dir, FileStoreConfig};
-use horam::storage::trace::TraceEvent;
 use rand::Rng;
 use std::path::{Path, PathBuf};
 
@@ -42,8 +41,13 @@ fn master() -> MasterKey {
     MasterKey::from_bytes([0x5A; 32])
 }
 
+/// The paper's machine, retaining its bus events for the trace checks.
+fn traced() -> MemoryHierarchy {
+    MemoryHierarchy::dac2019().recording()
+}
+
 fn build() -> HOram {
-    HOram::new(config(), MemoryHierarchy::dac2019(), master()).unwrap()
+    HOram::new(config(), traced(), master()).unwrap()
 }
 
 /// Splits a generated op list into requests.
@@ -83,6 +87,7 @@ fn file_hierarchy(path: &Path) -> MemoryHierarchy {
         FileStoreConfig::new(slots, body).with_write_back_slots(8),
     )
     .unwrap()
+    .recording()
 }
 
 struct Scratch(PathBuf);
@@ -100,13 +105,6 @@ impl Drop for Scratch {
     }
 }
 
-fn strip_times(events: &[TraceEvent]) -> Vec<(u16, u64, u64)> {
-    events
-        .iter()
-        .map(|e| (e.device.0, e.addr, e.bytes))
-        .collect()
-}
-
 #[test]
 fn snapshot_restore_continues_byte_identically() {
     let prefix = workload(60, 7);
@@ -119,7 +117,7 @@ fn snapshot_restore_continues_byte_identically() {
     let original_suffix_responses = original.run_batch(&suffix).unwrap();
     let original_suffix_trace = original.trace().snapshot()[trace_mark..].to_vec();
 
-    let restored = HOram::restore(MemoryHierarchy::dac2019(), master(), &snapshot);
+    let restored = HOram::restore(traced(), master(), &snapshot);
     let mut restored = restored.unwrap();
     let restored_responses = restored.run_batch(&suffix).unwrap();
 
@@ -344,10 +342,7 @@ fn file_backed_run_matches_in_memory_run_exactly() {
     let durable_responses = durable.run_batch(&requests).unwrap();
 
     assert_eq!(volatile_responses, durable_responses);
-    assert_eq!(
-        strip_times(&volatile.trace().snapshot()),
-        strip_times(&durable.trace().snapshot())
-    );
+    assert_eq!(volatile.trace().untimed(), durable.trace().untimed());
     assert_eq!(volatile.stats(), durable.stats());
     assert_eq!(volatile.clock().now(), durable.clock().now());
 }
@@ -443,8 +438,7 @@ mod cached {
     #[test]
     fn cached_file_backed_run_matches_in_memory_run() {
         let requests = workload(80, 131);
-        let mut volatile =
-            HOram::new(cached_config(), MemoryHierarchy::dac2019(), master()).unwrap();
+        let mut volatile = HOram::new(cached_config(), traced(), master()).unwrap();
         let volatile_responses = volatile.run_batch(&requests).unwrap();
 
         let scratch = Scratch::new("persist-cache-backend-equiv");
@@ -453,10 +447,7 @@ mod cached {
         let durable_responses = durable.run_batch(&requests).unwrap();
 
         assert_eq!(volatile_responses, durable_responses);
-        assert_eq!(
-            strip_times(&volatile.trace().snapshot()),
-            strip_times(&durable.trace().snapshot())
-        );
+        assert_eq!(volatile.trace().untimed(), durable.trace().untimed());
         assert_eq!(volatile.stats(), durable.stats());
         assert_eq!(volatile.clock().now(), durable.clock().now());
         assert_eq!(volatile.cache_stats(), durable.cache_stats());
@@ -577,7 +568,7 @@ mod sharded {
     }
 
     fn build_sharded() -> ShardedOram {
-        ShardedOram::new(sharded_config(), master(), |_| MemoryHierarchy::dac2019()).unwrap()
+        ShardedOram::new(sharded_config(), master(), |_| traced()).unwrap()
     }
 
     fn sharded_workload(len: usize, seed: u64) -> Vec<Request> {
@@ -609,8 +600,7 @@ mod sharded {
             .collect();
         let original_responses = original.run_batch(&suffix).unwrap();
 
-        let mut restored =
-            ShardedOram::restore(master(), |_| MemoryHierarchy::dac2019(), &snapshot).unwrap();
+        let mut restored = ShardedOram::restore(master(), |_| traced(), &snapshot).unwrap();
         let restored_responses = restored.run_batch(&suffix).unwrap();
 
         assert_eq!(original_responses, restored_responses);
@@ -767,8 +757,7 @@ mod properties {
             let mark = original.trace().snapshot().len();
             let original_responses = original.run_batch(&suffix).expect("suffix");
 
-            let mut restored =
-                HOram::restore(MemoryHierarchy::dac2019(), master(), &snapshot).expect("restore");
+            let mut restored = HOram::restore(traced(), master(), &snapshot).expect("restore");
             let restored_responses = restored.run_batch(&suffix).expect("replay");
 
             prop_assert_eq!(original_responses, restored_responses);
@@ -878,8 +867,7 @@ mod recursive_posmap {
         let prefix = workload(60, 71);
         let suffix = workload(90, 72);
 
-        let mut original =
-            HOram::new(recursive_config(None), MemoryHierarchy::dac2019(), master()).unwrap();
+        let mut original = HOram::new(recursive_config(None), traced(), master()).unwrap();
         original.run_batch(&prefix).unwrap();
         let snapshot = original.snapshot().unwrap();
         let trace_mark = original.trace().snapshot().len();
@@ -887,7 +875,7 @@ mod recursive_posmap {
         let original_trace = original.trace().snapshot()[trace_mark..].to_vec();
         assert!(original.stats().shuffles >= 2, "setup: periods must turn");
 
-        let mut restored = HOram::restore(MemoryHierarchy::dac2019(), master(), &snapshot).unwrap();
+        let mut restored = HOram::restore(traced(), master(), &snapshot).unwrap();
         let restored_responses = restored.run_batch(&suffix).unwrap();
 
         assert_eq!(original_responses, restored_responses);

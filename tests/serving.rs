@@ -4,6 +4,7 @@
 use horam::core::shard::{ShardedConfig, ShardedOram};
 use horam::core::{Permission, UserId};
 use horam::prelude::*;
+use horam::storage::trace::AccessTrace;
 use horam::workload::{TenantSchedule, ZipfWorkload};
 use horam_server::{
     FairSharePolicy, FifoPolicy, OramService, ServeError, ServiceConfig, ServiceTicket,
@@ -429,4 +430,41 @@ fn degraded_shard_fails_typed_while_others_keep_serving() {
         service.take_result(live_ticket).unwrap().unwrap(),
         vec![live_id as u8; PAYLOAD]
     );
+}
+
+/// `horam-serverd`'s default engine — 4 shards over
+/// `MemoryHierarchy::dac2019()` — digests each shard's bus trace and
+/// retains no events; recording the same run reports equal digests.
+#[test]
+fn daemon_default_traces_keep_a_digest_and_no_events() {
+    let serve = |hierarchy: fn() -> MemoryHierarchy| {
+        let config = ServiceConfig::default();
+        let base = config.engine_config(HOramConfig::new(4096, 16, 1024));
+        let key = MasterKey::from_bytes([7; 32]);
+        let oram = ShardedOram::new(ShardedConfig::new(base, 4), key, |_| hierarchy());
+        let policy = Box::new(FairSharePolicy::default());
+        let mut service = OramService::new(oram.expect("builds"), policy, config);
+        service.register_tenant(UserId(0), 0..4096, Permission::ReadWrite);
+        let mut requests = ZipfWorkload::new(4096, 0.99, 0.2, 2019).with_payload_len(16);
+        let arrivals = requests.generate(2_000).into_iter().map(|r| (UserId(0), r));
+        service.serve_all(arrivals).expect("serves");
+        let traces: Vec<_> = service
+            .oram()
+            .shards()
+            .iter()
+            .map(|s| s.trace().clone())
+            .collect();
+        traces
+    };
+    let recorded = serve(|| MemoryHierarchy::dac2019().recording());
+    for (i, (digest, recording)) in serve(MemoryHierarchy::dac2019)
+        .iter()
+        .zip(&recorded)
+        .enumerate()
+    {
+        assert!(!digest.is_empty() && !digest.is_recording(), "shard {i}");
+        assert_eq!(recording.snapshot().len(), recording.len());
+        let fingerprint = |t: &AccessTrace| (t.len(), t.digest());
+        assert_eq!(fingerprint(digest), fingerprint(recording), "shard {i}");
+    }
 }

@@ -21,7 +21,7 @@ fn sharded(capacity: u64, memory_slots: u64, shards: u64, seed: u64) -> ShardedO
         shards,
     );
     ShardedOram::new(config, MasterKey::from_bytes([0x6A; 32]), |_| {
-        MemoryHierarchy::dac2019()
+        MemoryHierarchy::dac2019().recording()
     })
     .expect("sharded instance builds")
 }
