@@ -222,7 +222,11 @@ fn seal_pass_slot(
             BlockContent::patch_wire_leaf(&mut body, 0);
             body
         }
-        Some(PassEntry::Hot(id, payload)) => {
+        Some(PassEntry::Hot(id, mut payload)) => {
+            if payload.is_empty() {
+                // An initial-build block (see `new`).
+                payload.resize(ctx.payload_len, 0);
+            }
             let mut body = pool.take(ctx.wire_len);
             let content = BlockContent::Real {
                 id,
@@ -397,9 +401,11 @@ impl StorageLayer {
             period_counter: 0,
         };
         // Initial build: treat every block as "hot" with zero payloads and
-        // run the standard full shuffle machinery.
+        // run the standard full shuffle machinery. The payloads enter empty
+        // and are zero-filled as each is sealed, so the whole dataset's
+        // plaintext never exists at once beside the storage arena.
         let all: Vec<(BlockId, Vec<u8>)> = (0..config.capacity)
-            .map(|id| (BlockId(id), vec![0u8; config.payload_len]))
+            .map(|id| (BlockId(id), Vec::new()))
             .collect();
         layer.rebuild_full(all, config.seed)?;
         Ok(layer)
@@ -758,7 +764,8 @@ impl StorageLayer {
             // bookkeeping and issue a plain read (a singleton scatter
             // charges exactly the same cost, so timing and trace are
             // unchanged).
-            let sealed = self.device.read_block(slot)?;
+            let mut sealed = SealedBlock::default();
+            self.device.read_block(slot, &mut sealed)?;
             let duration = self.storage_delta(&before).busy;
             let block = self.open_load(slot, expect, Some(sealed))?;
             loads.push(IoLoad { block, duration });

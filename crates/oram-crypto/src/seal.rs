@@ -11,10 +11,12 @@
 //!
 //! Path ORAM's unit of work is a whole root-to-leaf path — Z·(L+1)
 //! equal-length blocks opened, then as many sealed — so the sealer's real
-//! entry points are [`BlockSealer::seal_batch`] and
-//! [`BlockSealer::open_batch`]; the one-block calls are the same routines
-//! on a batch of one. A batch takes its SIMD lanes *across* its blocks:
-//! ChaCha20 ×8 over the bodies' keystream blocks
+//! entry points are [`BlockSealer::open_blocks`] and
+//! [`BlockSealer::seal_blocks`], in place over a slice the caller reuses
+//! (the memory tree's path buffer), and [`BlockSealer::seal_batch`] /
+//! [`BlockSealer::open_batch`] over owned vectors; the one-block calls
+//! are the same routines on a batch of one. A batch takes its SIMD lanes
+//! *across* its blocks: ChaCha20 ×8 over the bodies' keystream blocks
 //! ([`ChaChaKey::apply_keystreams`]) and SipHash-2-4 ×4 over the blocks
 //! ([`SipHash24::finish4`]). What a caller may rely on:
 //!
@@ -42,7 +44,7 @@ use std::fmt;
 /// encrypted: the ORAM protocols deliberately expose *physical* identifiers
 /// on the bus while hiding the logical ones, and the sealing layer is used
 /// with physical identifiers only.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct SealedBlock {
     block_id: u64,
     epoch: u64,
@@ -111,6 +113,25 @@ impl SealedBlock {
             body,
             tag,
         }
+    }
+
+    /// [`from_parts`](Self::from_parts) into an existing block, copying
+    /// `body` into its buffer — the borrowed form stores read into: no
+    /// allocation once the buffer is large enough.
+    pub fn assign(&mut self, block_id: u64, epoch: u64, body: &[u8], tag: u64) {
+        self.rebind(block_id, epoch).extend_from_slice(body);
+        self.tag = tag;
+    }
+
+    /// Binds the block to `(block_id, epoch)` with an empty body and no
+    /// tag, and hands back the body buffer for the caller to fill with
+    /// plaintext before [`BlockSealer::seal_blocks`] seals it in place.
+    pub fn rebind(&mut self, block_id: u64, epoch: u64) -> &mut Vec<u8> {
+        self.block_id = block_id;
+        self.epoch = epoch;
+        self.tag = 0;
+        self.body.clear();
+        &mut self.body
     }
 
     /// Consumes the block, returning its ciphertext buffer. Used to
@@ -265,9 +286,11 @@ impl BlockSealer {
         Ok(blocks.into_iter().map(SealedBlock::into_body).collect())
     }
 
-    /// Encrypt-then-MAC in place: the bodies come in as plaintext and
-    /// leave as ciphertext under fresh tags.
-    fn seal_blocks(&self, blocks: &mut [SealedBlock]) {
+    /// Seals every block in place as one batch: each body comes in as
+    /// plaintext bound to its block's id and epoch (see
+    /// [`SealedBlock::rebind`]) and leaves as ciphertext under a fresh tag.
+    /// [`seal_batch`](Self::seal_batch) is this over owned items.
+    pub fn seal_blocks(&self, blocks: &mut [SealedBlock]) {
         self.apply_keystreams(blocks);
         for group in blocks.chunks_mut(MAC_LANES) {
             let tags = self.tags(group);
@@ -277,8 +300,15 @@ impl BlockSealer {
         }
     }
 
-    /// Verify-all-then-decrypt in place.
-    fn open_blocks(&self, blocks: &mut [SealedBlock]) -> Result<(), CryptoError> {
+    /// Verifies and decrypts every block in place as one batch; on success
+    /// each body ([`SealedBlock::ciphertext`]) holds its plaintext.
+    /// [`open_batch`](Self::open_batch) is this over an owned vector.
+    ///
+    /// # Errors
+    ///
+    /// As [`open_batch`](Self::open_batch): every tag is checked before
+    /// any body is decrypted, so on error every body is still ciphertext.
+    pub fn open_blocks(&self, blocks: &mut [SealedBlock]) -> Result<(), CryptoError> {
         self.verify(blocks)?;
         self.apply_keystreams(blocks);
         Ok(())

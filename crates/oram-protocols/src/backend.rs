@@ -25,14 +25,17 @@ use std::fmt;
 /// Slot addresses are `node · Z + slot` (see
 /// [`crate::bucket_tree::TreeGeometry::slot_addr`]).
 pub trait TreeBackend: fmt::Debug {
-    /// Reads one slot.
-    fn read_slot(&mut self, addr: u64) -> Result<SealedBlock, StorageError>;
+    /// Reads one slot into `out`, reusing its buffer.
+    fn read_slot(&mut self, addr: u64, out: &mut SealedBlock) -> Result<(), StorageError>;
 
-    /// Writes one slot.
-    fn write_slot(&mut self, addr: u64, block: SealedBlock) -> Result<(), StorageError>;
+    /// Writes a copy of `block` to one slot.
+    fn write_slot(&mut self, addr: u64, block: &SealedBlock) -> Result<(), StorageError>;
 
     /// Streams the full initial slot image (tree construction / rebuild).
-    fn init_all_slots(&mut self, blocks: Vec<SealedBlock>) -> Result<(), StorageError>;
+    fn init_all_slots(
+        &mut self,
+        blocks: impl ExactSizeIterator<Item = SealedBlock>,
+    ) -> Result<(), StorageError>;
 
     /// Streams out all slots (tree eviction reads every block).
     fn read_all_slots(&mut self, total: u64) -> Result<Vec<Option<SealedBlock>>, StorageError>;
@@ -71,15 +74,18 @@ impl SingleDeviceBackend {
 }
 
 impl TreeBackend for SingleDeviceBackend {
-    fn read_slot(&mut self, addr: u64) -> Result<SealedBlock, StorageError> {
-        self.device.read_block(addr)
+    fn read_slot(&mut self, addr: u64, out: &mut SealedBlock) -> Result<(), StorageError> {
+        self.device.read_block(addr, out)
     }
 
-    fn write_slot(&mut self, addr: u64, block: SealedBlock) -> Result<(), StorageError> {
+    fn write_slot(&mut self, addr: u64, block: &SealedBlock) -> Result<(), StorageError> {
         self.device.write_block(addr, block)
     }
 
-    fn init_all_slots(&mut self, blocks: Vec<SealedBlock>) -> Result<(), StorageError> {
+    fn init_all_slots(
+        &mut self,
+        blocks: impl ExactSizeIterator<Item = SealedBlock>,
+    ) -> Result<(), StorageError> {
         self.device.write_run(0, blocks)
     }
 
@@ -146,22 +152,23 @@ impl SplitBackend {
 }
 
 impl TreeBackend for SplitBackend {
-    fn read_slot(&mut self, addr: u64) -> Result<SealedBlock, StorageError> {
+    fn read_slot(&mut self, addr: u64, out: &mut SealedBlock) -> Result<(), StorageError> {
         let (device, local) = self.route(addr);
-        device.read_block(local)
+        device.read_block(local, out)
     }
 
-    fn write_slot(&mut self, addr: u64, block: SealedBlock) -> Result<(), StorageError> {
+    fn write_slot(&mut self, addr: u64, block: &SealedBlock) -> Result<(), StorageError> {
         let (device, local) = self.route(addr);
         device.write_block(local, block)
     }
 
-    fn init_all_slots(&mut self, blocks: Vec<SealedBlock>) -> Result<(), StorageError> {
+    fn init_all_slots(
+        &mut self,
+        mut blocks: impl ExactSizeIterator<Item = SealedBlock>,
+    ) -> Result<(), StorageError> {
         let boundary = (self.boundary_addr as usize).min(blocks.len());
-        let mut blocks = blocks;
-        let storage_part = blocks.split_off(boundary);
-        self.memory.write_run(0, blocks)?;
-        self.storage.write_run(0, storage_part)
+        self.memory.write_run(0, blocks.by_ref().take(boundary))?;
+        self.storage.write_run(0, blocks)
     }
 
     fn read_all_slots(&mut self, total: u64) -> Result<Vec<Option<SealedBlock>>, StorageError> {
@@ -199,6 +206,11 @@ mod tests {
         BlockSealer::new(&MasterKey::from_bytes([1; 32]).derive("backend", 0))
     }
 
+    fn read(backend: &mut impl TreeBackend, addr: u64) -> Result<SealedBlock, StorageError> {
+        let mut block = SealedBlock::default();
+        backend.read_slot(addr, &mut block).map(|()| block)
+    }
+
     fn split() -> SplitBackend {
         let config = MachineConfig::dac2019();
         let clock = SimClock::new();
@@ -213,22 +225,22 @@ mod tests {
     fn split_routes_by_boundary() {
         let mut backend = split();
         let s = sealer();
-        backend.write_slot(0, s.seal(0, 0, b"mem")).unwrap();
-        backend.write_slot(7, s.seal(7, 0, b"disk")).unwrap();
+        backend.write_slot(0, &s.seal(0, 0, b"mem")).unwrap();
+        backend.write_slot(7, &s.seal(7, 0, b"disk")).unwrap();
         assert_eq!(backend.memory().stored_blocks(), 1);
         assert_eq!(backend.storage().stored_blocks(), 1);
-        assert_eq!(s.open(&backend.read_slot(0).unwrap()).unwrap(), b"mem");
-        assert_eq!(s.open(&backend.read_slot(7).unwrap()).unwrap(), b"disk");
+        assert_eq!(s.open(&read(&mut backend, 0).unwrap()).unwrap(), b"mem");
+        assert_eq!(s.open(&read(&mut backend, 7).unwrap()).unwrap(), b"disk");
     }
 
     #[test]
     fn split_storage_accesses_cost_more() {
         let mut backend = split();
         let s = sealer();
-        backend.write_slot(0, s.seal(0, 0, b"m")).unwrap();
-        backend.write_slot(100, s.seal(100, 0, b"d")).unwrap();
-        backend.read_slot(0).unwrap();
-        backend.read_slot(100).unwrap();
+        backend.write_slot(0, &s.seal(0, 0, b"m")).unwrap();
+        backend.write_slot(100, &s.seal(100, 0, b"d")).unwrap();
+        read(&mut backend, 0).unwrap();
+        read(&mut backend, 100).unwrap();
         let (mem, storage) = backend.busy();
         assert!(storage.as_nanos() > 50 * mem.as_nanos());
     }
@@ -238,7 +250,7 @@ mod tests {
         let mut backend = split();
         let s = sealer();
         let blocks: Vec<_> = (0..10u64).map(|i| s.seal(i, 0, b"x")).collect();
-        backend.init_all_slots(blocks).unwrap();
+        backend.init_all_slots(blocks.into_iter()).unwrap();
         assert_eq!(backend.memory().stored_blocks(), 4);
         assert_eq!(backend.storage().stored_blocks(), 6);
         // Streamed: one write op per region.
@@ -251,7 +263,7 @@ mod tests {
         let mut backend = split();
         let s = sealer();
         let blocks: Vec<_> = (0..10u64).map(|i| s.seal(i, 0, &[i as u8])).collect();
-        backend.init_all_slots(blocks).unwrap();
+        backend.init_all_slots(blocks.into_iter()).unwrap();
         let all = backend.read_all_slots(10).unwrap();
         for (i, slot) in all.iter().enumerate() {
             let payload = s.open(slot.as_ref().unwrap()).unwrap();
@@ -264,8 +276,8 @@ mod tests {
         let config = MachineConfig::dac2019();
         let mut backend = SingleDeviceBackend::new(config.build_memory(SimClock::new(), None));
         let s = sealer();
-        backend.write_slot(3, s.seal(3, 0, b"v")).unwrap();
-        assert_eq!(s.open(&backend.read_slot(3).unwrap()).unwrap(), b"v");
+        backend.write_slot(3, &s.seal(3, 0, b"v")).unwrap();
+        assert_eq!(s.open(&read(&mut backend, 3).unwrap()).unwrap(), b"v");
         let (mem, storage) = backend.busy();
         assert!(mem > SimDuration::ZERO);
         assert_eq!(storage, SimDuration::ZERO);

@@ -32,7 +32,7 @@ use crate::error::OramError;
 use crate::oram_trait::Oram;
 use crate::position_map::PositionMap;
 use crate::stash::{Stash, StashEntry};
-use crate::types::{BlockContent, BlockId};
+use crate::types::{BlockContent, BlockContentRef, BlockId};
 use oram_crypto::keys::SubKeys;
 use oram_crypto::rng::DeterministicRng;
 use oram_crypto::seal::{BlockSealer, SealedBlock};
@@ -127,6 +127,10 @@ pub struct PathOramCore<B: TreeBackend> {
     /// Monotonic sequence number making every seal nonce unique.
     seal_seq: u64,
     stats: PathOramStats,
+    /// One block per slot of a root-to-leaf path, reused by every access:
+    /// the read copies the path's records in and opens them in place, the
+    /// write-back seals the new contents into it.
+    path: Vec<SealedBlock>,
 }
 
 /// Path ORAM with the whole tree on one device — the H-ORAM memory layer
@@ -349,6 +353,7 @@ impl<B: TreeBackend> PathOramCore<B> {
             capacity: config.capacity,
             seal_seq: 0,
             stats: PathOramStats::default(),
+            path: vec![SealedBlock::default(); (geometry.depth() * geometry.z()) as usize],
         };
         oram.write_dummy_image()?;
         Ok(oram)
@@ -356,58 +361,37 @@ impl<B: TreeBackend> PathOramCore<B> {
 
     fn write_dummy_image(&mut self) -> Result<(), OramError> {
         let total = self.geometry.total_slots();
-        let image = self.seal_image(total, (0..total).map(|addr| (addr, BlockContent::Dummy)));
+        self.write_image((0..total).map(|addr| (addr, BlockContent::Dummy)))
+    }
+
+    /// Streams a whole-tree image — `(slot address, content)` for every
+    /// slot, in order — to the backend as one write run, sealing it in
+    /// batches of [`STREAM_CHUNK`] as the run consumes it: however large
+    /// the tree, one batch of blocks exists outside the device. Every slot
+    /// draws its seal sequence number in the order given, so the bytes are
+    /// those of sealing slot by slot.
+    fn write_image(
+        &mut self,
+        mut slots: impl Iterator<Item = (u64, BlockContent)>,
+    ) -> Result<(), OramError> {
+        let (sealer, seal_seq, payload_len) = (&self.sealer, &mut self.seal_seq, self.payload_len);
+        let mut batch = Vec::new().into_iter();
+        let image = (0..self.geometry.total_slots() as usize).map(|_| {
+            if batch.len() == 0 {
+                let mut blocks: Vec<SealedBlock> = (&mut slots)
+                    .take(STREAM_CHUNK)
+                    .map(|(addr, content)| {
+                        *seal_seq += 1;
+                        SealedBlock::from_parts(addr, *seal_seq - 1, content.encode(payload_len), 0)
+                    })
+                    .collect();
+                sealer.seal_blocks(&mut blocks);
+                batch = blocks.into_iter();
+            }
+            batch.next().expect("one content per tree slot")
+        });
         self.backend.init_all_slots(image)?;
         Ok(())
-    }
-
-    /// Seals `slots` — `(slot address, content)` pairs — as **one batch**
-    /// (see [`oram_crypto::seal`]): every slot is encoded and draws its
-    /// seal sequence number in the order given, so the bytes are those of
-    /// sealing slot by slot.
-    fn seal_slots(
-        &mut self,
-        slots: impl IntoIterator<Item = (u64, BlockContent)>,
-    ) -> Vec<SealedBlock> {
-        let (payload_len, seal_seq) = (self.payload_len, &mut self.seal_seq);
-        self.sealer
-            .seal_batch(slots.into_iter().map(|(addr, content)| {
-                let seq = *seal_seq;
-                *seal_seq += 1;
-                (addr, seq, content.encode(payload_len))
-            }))
-    }
-
-    /// [`seal_slots`](Self::seal_slots) for a whole-tree stream of `total`
-    /// slots, in chunks of [`STREAM_CHUNK`] so the plaintext in flight
-    /// stays bounded however large the tree is.
-    fn seal_image(
-        &mut self,
-        total: u64,
-        slots: impl IntoIterator<Item = (u64, BlockContent)>,
-    ) -> Vec<SealedBlock> {
-        let mut image = Vec::with_capacity(total as usize);
-        let mut slots = slots.into_iter().peekable();
-        while slots.peek().is_some() {
-            image.extend(self.seal_slots(slots.by_ref().take(STREAM_CHUNK)));
-        }
-        image
-    }
-
-    /// Opens the blocks read from the slots `addrs` as **one batch** and
-    /// decodes them: every tag is verified before any body is decrypted,
-    /// so a corrupt slot yields its tag error and no content at all.
-    fn open_slots(
-        &self,
-        addrs: &[u64],
-        sealed: Vec<SealedBlock>,
-    ) -> Result<Vec<BlockContent>, OramError> {
-        let bodies = self.sealer.open_batch(sealed)?;
-        addrs
-            .iter()
-            .zip(bodies)
-            .map(|(&addr, body)| BlockContent::decode(&body, addr))
-            .collect()
     }
 
     /// The tree geometry.
@@ -531,22 +515,23 @@ impl<B: TreeBackend> PathOramCore<B> {
             .collect()
     }
 
-    /// Reads the path's slots root to leaf, opens them as one batch, and
-    /// moves the real blocks into the stash. Fail-closed: the whole path
-    /// is verified before anything is decrypted, so on a corrupt slot the
-    /// stash is exactly what it was.
+    /// Reads the path's slots root to leaf into the path buffer, opens
+    /// them in place as one batch, and copies the real blocks' payloads
+    /// into the stash. Fail-closed: the whole path is verified before
+    /// anything is decrypted, so on a corrupt slot the stash is exactly
+    /// what it was and the buffer holds only ciphertext.
     fn read_path_into_stash(&mut self, leaf: u64) -> Result<(), OramError> {
         let addrs = self.path_slots(leaf);
-        let sealed = addrs
-            .iter()
-            .map(|&addr| self.backend.read_slot(addr))
-            .collect::<Result<Vec<_>, _>>()?;
-        for content in self.open_slots(&addrs, sealed)? {
-            if let BlockContent::Real {
+        for (&addr, block) in addrs.iter().zip(&mut self.path) {
+            self.backend.read_slot(addr, block)?;
+        }
+        self.sealer.open_blocks(&mut self.path)?;
+        for (&addr, block) in addrs.iter().zip(&self.path) {
+            if let BlockContentRef::Real {
                 id,
                 leaf: stored_leaf,
                 payload,
-            } = content
+            } = BlockContent::decode_ref(block.ciphertext(), addr)?
             {
                 // The position map is authoritative; the stored leaf
                 // should match it for tree-resident blocks.
@@ -554,22 +539,24 @@ impl<B: TreeBackend> PathOramCore<B> {
                 self.stash.insert(StashEntry {
                     id,
                     leaf: current,
-                    payload,
+                    payload: payload.to_vec(),
                 })?;
             }
         }
         Ok(())
     }
 
-    /// Fills the path's buckets from the stash leaf-first, seals the path
-    /// as one batch, and writes the slots in the order they were filled.
+    /// Fills the path's buckets from the stash leaf-first, encoding each
+    /// slot into the path buffer under the next seal sequence number,
+    /// seals the buffer as one batch, and writes the slots in the order
+    /// they were filled.
     fn write_back_path(&mut self, leaf: u64) -> Result<(), OramError> {
         let geometry = self.geometry;
         let z = geometry.z() as usize;
         // Leaf-first: deepest buckets take the most constrained blocks.
         let mut nodes = geometry.path_nodes(leaf);
         nodes.reverse();
-        let mut slots = Vec::with_capacity(nodes.len() * z);
+        let mut buffer = self.path.iter_mut();
         for node in nodes {
             let selected = self
                 .stash
@@ -582,12 +569,16 @@ impl<B: TreeBackend> PathOramCore<B> {
                     }
                     None => BlockContent::Dummy,
                 };
-                slots.push((geometry.slot_addr(node, slot), content));
+                // A slot's seal is bound to its address.
+                let block = buffer.next().expect("one buffer entry per path slot");
+                let body = block.rebind(geometry.slot_addr(node, slot), self.seal_seq);
+                content.encode_into(self.payload_len, body);
+                self.seal_seq += 1;
             }
         }
-        for sealed in self.seal_slots(slots) {
-            // A slot's seal is bound to its address.
-            self.backend.write_slot(sealed.block_id(), sealed)?;
+        self.sealer.seal_blocks(&mut self.path);
+        for block in &self.path {
+            self.backend.write_slot(block.block_id(), block)?;
         }
         Ok(())
     }
@@ -813,10 +804,14 @@ impl<B: TreeBackend> PathOramCore<B> {
             .filter_map(|(addr, slot)| Some((addr, slot?)))
             .peekable();
         while occupied.peek().is_some() {
-            let (addrs, sealed): (Vec<u64>, Vec<SealedBlock>) =
+            let (addrs, mut sealed): (Vec<u64>, Vec<SealedBlock>) =
                 occupied.by_ref().take(STREAM_CHUNK).unzip();
-            for content in self.open_slots(&addrs, sealed)? {
-                if let BlockContent::Real { id, payload, .. } = content {
+            // One batch: every tag is verified before any body is decrypted.
+            self.sealer.open_blocks(&mut sealed)?;
+            for (addr, block) in addrs.into_iter().zip(&sealed) {
+                if let BlockContent::Real { id, payload, .. } =
+                    BlockContent::decode(block.ciphertext(), addr)?
+                {
                     blocks.push((id, payload));
                 }
             }
@@ -899,8 +894,7 @@ impl<B: TreeBackend> PathOramCore<B> {
                 (geometry.slot_addr(node, slot), content)
             })
         });
-        let image = self.seal_image(geometry.total_slots(), slots);
-        self.backend.init_all_slots(image)?;
+        self.write_image(slots)?;
         Ok(self.busy_delta(busy_before))
     }
 }
@@ -1251,7 +1245,7 @@ mod tests {
                 let addr = oram.path_slots(leaf)[k];
                 let mut block = oram.device_mut().take_block(addr).unwrap().unwrap();
                 block.corrupt_bit(9);
-                oram.device_mut().write_block(addr, block).unwrap();
+                oram.device_mut().write_block(addr, &block).unwrap();
 
                 let stash_before: Vec<StashEntry> = oram.stash.iter().cloned().collect();
                 let positions_before: Vec<(u64, u64)> =

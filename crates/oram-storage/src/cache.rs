@@ -219,7 +219,7 @@ impl BlockCache {
         while self.entries.len() as u64 >= self.config.capacity_blocks {
             let (victim, entry) = self.evict_victim();
             if entry.dirty {
-                cold.put(victim, entry.block)?;
+                cold.put(victim, &entry.block)?;
                 self.stats.writebacks += 1;
             }
         }
@@ -229,14 +229,19 @@ impl BlockCache {
         Ok(())
     }
 
-    /// Serves a hit: clones the block, touches recency, counts the hit.
-    /// Caller guarantees residency ([`contains`](Self::contains) said so
-    /// and no insertion happened since).
-    pub(crate) fn serve_hit(&mut self, addr: u64) -> SealedBlock {
-        let block = self.entries[&addr].block.clone();
+    /// Serves a hit: copies the block into `out`, touches recency, counts
+    /// the hit. Caller guarantees residency ([`contains`](Self::contains)
+    /// said so and no insertion happened since).
+    pub(crate) fn serve_hit(&mut self, addr: u64, out: &mut SealedBlock) {
+        let block = &self.entries[&addr].block;
+        out.assign(
+            block.block_id(),
+            block.epoch(),
+            block.ciphertext(),
+            block.tag(),
+        );
         self.touch_entry(addr);
         self.stats.hits += 1;
-        block
     }
 
     /// Counts a cold miss (the device serves it from its own store and
@@ -250,7 +255,9 @@ impl BlockCache {
     #[cfg(test)]
     pub(crate) fn read(&mut self, addr: u64) -> Option<SealedBlock> {
         if self.contains(addr) {
-            Some(self.serve_hit(addr))
+            let mut block = SealedBlock::default();
+            self.serve_hit(addr, &mut block);
+            Some(block)
         } else {
             self.note_miss();
             None
@@ -291,10 +298,10 @@ impl BlockCache {
     pub(crate) fn absorb_write(
         &mut self,
         addr: u64,
-        block: SealedBlock,
+        block: &SealedBlock,
         cold: &mut dyn DataStore,
     ) -> Result<(), StorageError> {
-        self.insert(addr, block, true, cold)
+        self.insert(addr, block.clone(), true, cold)
     }
 
     /// Removes `addr` from the cache, returning the RAM copy if it was
@@ -327,7 +334,7 @@ impl BlockCache {
         dirty.sort_unstable();
         for addr in dirty {
             let entry = self.entries.get_mut(&addr).expect("just listed");
-            cold.put(addr, entry.block.clone())?;
+            cold.put(addr, &entry.block)?;
             entry.dirty = false;
             self.stats.writebacks += 1;
         }
@@ -398,14 +405,15 @@ impl BlockCache {
         for _ in 0..count {
             let addr = r.get_u64()?;
             let tick = r.get_u64()?;
-            let block = cold
-                .get(addr)
-                .map_err(|e| PersistError::Malformed(format!("repopulating cache: {e}")))?
-                .ok_or_else(|| {
-                    PersistError::Malformed(format!(
-                        "cache snapshot references slot {addr}, absent from the store"
-                    ))
-                })?;
+            let mut block = SealedBlock::default();
+            let found = cold
+                .get(addr, &mut block)
+                .map_err(|e| PersistError::Malformed(format!("repopulating cache: {e}")))?;
+            if !found {
+                return Err(PersistError::Malformed(format!(
+                    "cache snapshot references slot {addr}, absent from the store"
+                )));
+            }
             self.entries.insert(
                 addr,
                 Entry {
@@ -451,17 +459,12 @@ mod tests {
     fn dirty_eviction_writes_back_to_cold() {
         let mut cold = BlockStore::new();
         let mut cache = BlockCache::new(CacheConfig::lru(1));
-        cache.absorb_write(7, sealed(7), &mut cold).unwrap();
-        assert!(
-            DataStore::get(&mut cold, 7).unwrap().is_none(),
-            "write-back absorbed"
-        );
-        cache.absorb_write(8, sealed(8), &mut cold).unwrap();
-        assert_eq!(
-            DataStore::get(&mut cold, 7).unwrap().unwrap().block_id(),
-            7,
-            "eviction flushed the dirty block"
-        );
+        cache.absorb_write(7, &sealed(7), &mut cold).unwrap();
+        let mut out = SealedBlock::default();
+        assert!(!cold.get(7, &mut out).unwrap(), "write-back absorbed");
+        cache.absorb_write(8, &sealed(8), &mut cold).unwrap();
+        assert!(cold.get(7, &mut out).unwrap());
+        assert_eq!(out.block_id(), 7, "eviction flushed the dirty block");
         assert_eq!(cache.stats().writebacks, 1);
     }
 
@@ -470,7 +473,7 @@ mod tests {
         let mut cold = BlockStore::new();
         let mut cache = BlockCache::new(CacheConfig::lru(8));
         for a in 0..4u64 {
-            cache.absorb_write(a, sealed(a), &mut cold).unwrap();
+            cache.absorb_write(a, &sealed(a), &mut cold).unwrap();
         }
         cache.flush(&mut cold).unwrap();
         assert_eq!(cold.len(), 4);
@@ -487,7 +490,7 @@ mod tests {
         let mut cold = BlockStore::new();
         let mut cache = BlockCache::new(CacheConfig::lru(4));
         cache.insert(1, sealed(1), false, &mut cold).unwrap();
-        cache.absorb_write(2, sealed(2), &mut cold).unwrap();
+        cache.absorb_write(2, &sealed(2), &mut cold).unwrap();
         assert!(cache.invalidate(1).is_none(), "clean copy is not authority");
         assert_eq!(cache.invalidate(2).unwrap().block_id(), 2);
         assert!(!cache.contains(1) && !cache.contains(2));
@@ -499,7 +502,7 @@ mod tests {
         let mut cold = BlockStore::new();
         let mut cache = BlockCache::new(config.clone());
         for a in 0..6u64 {
-            DataStore::put(&mut cold, a, sealed(a)).unwrap();
+            cold.put(a, &sealed(a)).unwrap();
             cache.insert(a, sealed(a), false, &mut cold).unwrap();
         }
         cache.read(3); // 4 is now LRU

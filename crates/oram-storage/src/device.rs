@@ -3,8 +3,9 @@
 //! A [`Device`] couples four concerns that the experiments need to stay in
 //! lockstep:
 //!
-//! 1. **Data** — a sparse [`crate::store::BlockStore`] holding sealed blocks
-//!    at physical slot addresses.
+//! 1. **Data** — a [`crate::store::DataStore`] holding sealed blocks at
+//!    physical slot addresses (by default the dense in-memory
+//!    [`crate::store::BlockStore`]).
 //! 2. **Timing** — a [`TimingModel`] charging each access a simulated cost
 //!    (seek + transfer for HDDs, latency + bandwidth for DRAM/SSD).
 //! 3. **Observability** — every access is appended to the shared
@@ -415,24 +416,6 @@ impl Device {
         }
     }
 
-    /// Writes `block` to the store with transient-fault retries, returning
-    /// the accrued backoff. Stores that declare fault potential
-    /// ([`DataStore::can_fault`]) cost one clone per attempt so the
-    /// payload survives a consumed-but-failed `put`; honest stores keep
-    /// the zero-copy path.
-    fn put_with_retry(
-        &mut self,
-        addr: u64,
-        block: SealedBlock,
-    ) -> Result<SimDuration, StorageError> {
-        if !self.store.can_fault() {
-            self.store.put(addr, block)?;
-            return Ok(SimDuration::ZERO);
-        }
-        let ((), backoff) = self.with_store_retry(|s| s.put(addr, block.clone()))?;
-        Ok(backoff)
-    }
-
     /// Books retry activity into the volatile counters. Nothing reaches
     /// the trace: a retried access records its one event like any other.
     fn note_retries(&mut self, retries: u32, backoff: SimDuration, exhausted: bool) {
@@ -446,46 +429,50 @@ impl Device {
         }
     }
 
-    /// Reads the sealed block at slot `addr`, charging one random-capable
-    /// access.
+    /// Reads the sealed block at slot `addr` into `out`, charging one
+    /// random-capable access. `out`'s buffer is reused: a caller that
+    /// keeps its block reads without allocating.
     ///
     /// # Errors
     ///
     /// [`StorageError::MissingBlock`] if the slot is empty,
     /// [`StorageError::OutOfCapacity`] if beyond a configured capacity.
-    pub fn read_block(&mut self, addr: u64) -> Result<SealedBlock, StorageError> {
+    pub fn read_block(&mut self, addr: u64, out: &mut SealedBlock) -> Result<(), StorageError> {
         self.check_capacity(addr)?;
         let bytes = self.charged_block_bytes;
         if let Some(cache) = &mut self.cache {
             if cache.contains(addr) {
-                let block = cache.serve_hit(addr);
+                cache.serve_hit(addr, out);
                 let cost = cache.hit_cost();
                 self.record(AccessKind::Read, addr, bytes, cost);
-                return Ok(block);
+                return Ok(());
             }
             cache.note_miss();
         }
-        let (fetched, backoff) = self.with_store_retry(|s| s.get(addr))?;
-        let block = fetched.ok_or_else(|| StorageError::MissingBlock {
-            device: self.name.clone(),
-            addr,
-        })?;
+        let (found, backoff) = self.with_store_retry(|s| s.get(addr, out))?;
+        if !found {
+            return Err(StorageError::MissingBlock {
+                device: self.name.clone(),
+                addr,
+            });
+        }
         if let Some(cache) = &mut self.cache {
-            cache.promote_cold(addr, &block, &mut *self.store)?;
+            cache.promote_cold(addr, out, &mut *self.store)?;
         }
         let cost = self
             .timing
             .access_cost(AccessKind::Read, addr * bytes, bytes);
         self.record(AccessKind::Read, addr, bytes, cost + backoff);
-        Ok(block)
+        Ok(())
     }
 
-    /// Writes `block` to slot `addr`, charging one random-capable access.
+    /// Writes a copy of `block` to slot `addr`, charging one
+    /// random-capable access.
     ///
     /// # Errors
     ///
     /// [`StorageError::OutOfCapacity`] if beyond a configured capacity.
-    pub fn write_block(&mut self, addr: u64, block: SealedBlock) -> Result<(), StorageError> {
+    pub fn write_block(&mut self, addr: u64, block: &SealedBlock) -> Result<(), StorageError> {
         self.check_capacity(addr)?;
         let bytes = self.charged_block_bytes;
         // The cold cost is computed in both paths: the write eventually
@@ -504,7 +491,7 @@ impl Device {
                 (cold_cost.as_nanos() as f64 * cache.writeback_sync_fraction()).round() as u64;
             cache.hit_cost() + SimDuration::from_nanos(sync_nanos)
         } else {
-            cold_cost + self.put_with_retry(addr, block)?
+            cold_cost + self.with_store_retry(|s| s.put(addr, block))?.1
         };
         self.record(AccessKind::Write, addr, bytes, cost);
         Ok(())
@@ -538,7 +525,9 @@ impl Device {
         let costs = self.timing.scatter_costs(AccessKind::Read, &offsets, bytes);
         let mut out = Vec::with_capacity(addrs.len());
         for (&addr, base_cost) in addrs.iter().zip(costs) {
-            let (block, backoff) = self.with_store_retry(|s| s.get(addr))?;
+            let mut block = SealedBlock::default();
+            let (found, backoff) = self.with_store_retry(|s| s.get(addr, &mut block))?;
+            let block = found.then_some(block);
             let cost = base_cost + backoff;
             self.record(AccessKind::Read, addr, bytes, cost);
             out.push(ScatterItem { block, cost });
@@ -566,7 +555,13 @@ impl Device {
         let mut blocks: Vec<Option<SealedBlock>> = addrs
             .iter()
             .zip(&hits)
-            .map(|(&addr, &hit)| hit.then(|| cache.serve_hit(addr)))
+            .map(|(&addr, &hit)| {
+                hit.then(|| {
+                    let mut block = SealedBlock::default();
+                    cache.serve_hit(addr, &mut block);
+                    block
+                })
+            })
             .collect();
         // The device prices the misses as the command sequence it
         // actually receives, in submission order.
@@ -584,9 +579,10 @@ impl Device {
         for (i, (&addr, &hit)) in addrs.iter().zip(&hits).enumerate() {
             if !hit {
                 self.cache.as_mut().expect("caller checked").note_miss();
-                let (got, backoff) = self.with_store_retry(|s| s.get(addr))?;
+                let mut block = SealedBlock::default();
+                let (found, backoff) = self.with_store_retry(|s| s.get(addr, &mut block))?;
                 backoffs[i] = backoff;
-                if let Some(block) = got {
+                if found {
                     let cache = self.cache.as_mut().expect("caller checked");
                     cache.promote_cold(addr, &block, &mut *self.store)?;
                     blocks[i] = Some(block);
@@ -642,9 +638,10 @@ impl Device {
                 blocks.push(Some(dirty.clone()));
                 continue;
             }
-            let (got, backoff) = self.with_store_retry(|s| s.get(a))?;
+            let mut block = SealedBlock::default();
+            let (found, backoff) = self.with_store_retry(|s| s.get(a, &mut block))?;
             backoff_total += backoff;
-            blocks.push(got);
+            blocks.push(found.then_some(block));
         }
         let bytes = self.charged_block_bytes * count;
         let cost =
@@ -656,9 +653,9 @@ impl Device {
 
     /// Reads `count` consecutive slots starting at `start` as one
     /// streaming run, **removing** the blocks from the store — identical
-    /// charge and trace to [`read_run`](Self::read_run), but the caller
-    /// takes ownership of the stored blocks without a clone. The shuffle
-    /// uses this: every taken slot is rewritten before the pass ends.
+    /// charge and trace to [`read_run`](Self::read_run), but the slots
+    /// are emptied as they are read. The shuffle uses this: every taken
+    /// slot is rewritten before the pass ends.
     ///
     /// # Errors
     ///
@@ -717,7 +714,7 @@ impl Device {
             if let Some(cache) = &mut self.cache {
                 cache.populate(addr, block.clone(), &mut *self.store)?;
             }
-            backoff_total += self.put_with_retry(addr, block)?;
+            backoff_total += self.with_store_retry(|s| s.put(addr, &block))?.1;
         }
         let bytes = self.charged_block_bytes * count;
         let cost =
@@ -776,8 +773,7 @@ impl Device {
     /// integrity cross-check between two locally produced artifacts, not
     /// an authenticator (the blocks are already sealed).
     fn store_fingerprint(&mut self) -> Result<u64, StorageError> {
-        let mut blocks = self.store.snapshot_blocks()?;
-        blocks.sort_unstable_by_key(|(addr, _)| *addr);
+        let blocks = self.store.snapshot_blocks()?;
         let mut mac = oram_crypto::siphash::SipHash24::new(b"horam-dev-fngrpt");
         mac.write_u64(blocks.len() as u64);
         for (addr, block) in blocks {
@@ -959,6 +955,11 @@ mod tests {
         BlockSealer::new(&MasterKey::from_bytes([1u8; 32]).derive("dev-test", 0))
     }
 
+    fn read(dev: &mut Device, addr: u64) -> Result<SealedBlock, StorageError> {
+        let mut block = SealedBlock::default();
+        dev.read_block(addr, &mut block).map(|()| block)
+    }
+
     fn dram_device(trace: Option<AccessTrace>) -> Device {
         Device::new(
             DeviceId(1),
@@ -973,8 +974,8 @@ mod tests {
     fn read_back_what_was_written() {
         let mut dev = dram_device(None);
         let sealed = sealer().seal(7, 0, b"contents");
-        dev.write_block(7, sealed.clone()).unwrap();
-        assert_eq!(dev.read_block(7).unwrap(), sealed);
+        dev.write_block(7, &sealed).unwrap();
+        assert_eq!(read(&mut dev, 7).unwrap(), sealed);
         assert_eq!(dev.stored_blocks(), 1);
     }
 
@@ -982,7 +983,7 @@ mod tests {
     fn missing_block_errors() {
         let mut dev = dram_device(None);
         assert!(matches!(
-            dev.read_block(3),
+            read(&mut dev, 3),
             Err(StorageError::MissingBlock { addr: 3, .. })
         ));
     }
@@ -993,7 +994,7 @@ mod tests {
         dev.set_capacity_slots(4);
         let sealed = sealer().seal(4, 0, b"x");
         assert!(matches!(
-            dev.write_block(4, sealed),
+            dev.write_block(4, &sealed),
             Err(StorageError::OutOfCapacity {
                 addr: 4,
                 capacity: 4,
@@ -1005,9 +1006,9 @@ mod tests {
     #[test]
     fn stats_accumulate_reads_and_writes() {
         let mut dev = dram_device(None);
-        dev.write_block(0, sealer().seal(0, 0, b"a")).unwrap();
-        dev.read_block(0).unwrap();
-        dev.read_block(0).unwrap();
+        dev.write_block(0, &sealer().seal(0, 0, b"a")).unwrap();
+        read(&mut dev, 0).unwrap();
+        read(&mut dev, 0).unwrap();
         let stats = dev.stats();
         assert_eq!(stats.reads, 2);
         assert_eq!(stats.writes, 1);
@@ -1019,8 +1020,8 @@ mod tests {
     fn trace_records_bus_view() {
         let trace = AccessTrace::recording();
         let mut dev = dram_device(Some(trace.clone()));
-        dev.write_block(5, sealer().seal(5, 0, b"abc")).unwrap();
-        dev.read_block(5).unwrap();
+        dev.write_block(5, &sealer().seal(5, 0, b"abc")).unwrap();
+        read(&mut dev, 5).unwrap();
         let events = trace.snapshot();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].kind, AccessKind::Write);
@@ -1034,12 +1035,12 @@ mod tests {
         let mut big = dram_device(None);
         big.set_charged_block_bytes(64 * 1024);
         let sealed = sealer().seal(0, 0, b"tiny");
-        small.write_block(0, sealed.clone()).unwrap();
-        big.write_block(0, sealed).unwrap();
+        small.write_block(0, &sealed).unwrap();
+        big.write_block(0, &sealed).unwrap();
         assert!(big.stats().busy > small.stats().busy);
         assert_eq!(
-            big.read_block(0).unwrap().ciphertext(),
-            small.read_block(0).unwrap().ciphertext()
+            read(&mut big, 0).unwrap().ciphertext(),
+            read(&mut small, 0).unwrap().ciphertext()
         );
     }
 
@@ -1059,7 +1060,7 @@ mod tests {
         let s = sealer();
         for addr in 0..64u64 {
             random
-                .write_block(addr * 97 % 64, s.seal(addr, 0, b"d"))
+                .write_block(addr * 97 % 64, &s.seal(addr, 0, b"d"))
                 .unwrap();
         }
         streaming
@@ -1076,7 +1077,7 @@ mod tests {
     #[test]
     fn read_run_returns_gaps_as_none() {
         let mut dev = dram_device(None);
-        dev.write_block(2, sealer().seal(2, 0, b"x")).unwrap();
+        dev.write_block(2, &sealer().seal(2, 0, b"x")).unwrap();
         let run = dev.read_run(0, 4).unwrap();
         assert_eq!(run.len(), 4);
         assert!(run[0].is_none() && run[1].is_none() && run[3].is_none());
@@ -1104,7 +1105,7 @@ mod tests {
                 Some(trace),
             );
             for &a in &addrs {
-                dev.write_block(a, s.seal(a, 0, b"x")).unwrap();
+                dev.write_block(a, &s.seal(a, 0, b"x")).unwrap();
             }
             dev.reset_accounting();
             dev
@@ -1114,7 +1115,7 @@ mod tests {
         seq_trace.clear();
         let seq_blocks: Vec<SealedBlock> = addrs
             .iter()
-            .map(|&a| sequential.read_block(a).unwrap())
+            .map(|&a| read(&mut sequential, a).unwrap())
             .collect();
 
         let bat_trace = AccessTrace::recording();
@@ -1160,7 +1161,7 @@ mod tests {
         let mut taker = dram_device(None);
         for dev in [&mut reader, &mut taker] {
             for a in 0..4u64 {
-                dev.write_block(a, s.seal(a, 0, b"r")).unwrap();
+                dev.write_block(a, &s.seal(a, 0, b"r")).unwrap();
             }
             dev.reset_accounting();
         }
@@ -1185,7 +1186,7 @@ mod tests {
     #[test]
     fn reset_accounting_clears_stats_but_not_data() {
         let mut dev = dram_device(None);
-        dev.write_block(0, sealer().seal(0, 0, b"keep")).unwrap();
+        dev.write_block(0, &sealer().seal(0, 0, b"keep")).unwrap();
         dev.reset_accounting();
         assert_eq!(dev.stats().writes, 0);
         assert_eq!(dev.stored_blocks(), 1);
@@ -1206,7 +1207,7 @@ mod tests {
             Some(trace.clone()),
         );
         for a in 0..blocks {
-            dev.write_block(a, s.seal(a, 0, b"r")).unwrap();
+            dev.write_block(a, &s.seal(a, 0, b"r")).unwrap();
         }
         dev.wrap_store(|inner| Box::new(FaultyStore::new(inner, config)));
         dev.reset_accounting();
@@ -1225,7 +1226,7 @@ mod tests {
             ..RetryPolicy::default()
         });
         for a in 0..64u64 {
-            dev.read_block(a).unwrap();
+            read(&mut dev, a).unwrap();
         }
         let rs = dev.retry_stats();
         assert!(rs.retries > 0, "seed 11 at 20% must fault at least once");
@@ -1235,7 +1236,7 @@ mod tests {
         let clean = faulted_device(AccessTrace::new(), FaultConfig::default(), 64);
         let mut clean = clean;
         for a in 0..64u64 {
-            clean.read_block(a).unwrap();
+            read(&mut clean, a).unwrap();
         }
         assert_eq!(
             dev.stats().busy.as_nanos(),
@@ -1256,8 +1257,8 @@ mod tests {
         let s = sealer();
         for dev in [&mut clean, &mut faulty] {
             for a in 0..32u64 {
-                dev.read_block(a).unwrap();
-                dev.write_block(a, s.seal(a, 1, b"w")).unwrap();
+                read(dev, a).unwrap();
+                dev.write_block(a, &s.seal(a, 1, b"w")).unwrap();
             }
             dev.read_scatter(&[3, 17, 9]).unwrap();
             dev.take_block(5).unwrap();
@@ -1275,7 +1276,7 @@ mod tests {
         // 100% fault rate: every attempt fails, the policy runs dry.
         let mut dev = faulted_device(AccessTrace::new(), FaultConfig::transient(3, 1000), 4);
         let max = dev.retry_policy().max_attempts;
-        let err = dev.read_block(2).unwrap_err();
+        let err = read(&mut dev, 2).unwrap_err();
         assert!(
             err.is_transient(),
             "exhaustion surfaces the last error: {err}"
@@ -1293,12 +1294,12 @@ mod tests {
         };
         let mut dev = faulted_device(AccessTrace::new(), config, 4);
         assert!(matches!(
-            dev.read_block(2),
+            read(&mut dev, 2),
             Err(StorageError::PermanentFault { addr: 2, .. })
         ));
         assert_eq!(dev.retry_stats().retries, 0, "dead slots retry nothing");
         // Other slots keep serving.
-        dev.read_block(1).unwrap();
+        read(&mut dev, 1).unwrap();
     }
 
     #[test]
@@ -1312,13 +1313,13 @@ mod tests {
         let trace = AccessTrace::recording();
         let mut dev = faulted_device(trace.clone(), config, 8);
         for a in 0..8u64 {
-            dev.read_block(a).unwrap();
+            read(&mut dev, a).unwrap();
         }
         assert_eq!(trace.snapshot().len(), 8);
         let clean = {
             let mut d = faulted_device(AccessTrace::new(), FaultConfig::default(), 8);
             for a in 0..8u64 {
-                d.read_block(a).unwrap();
+                read(&mut d, a).unwrap();
             }
             d.stats().busy
         };
@@ -1332,7 +1333,7 @@ mod tests {
     #[test]
     fn retry_stats_survive_wrapping_but_not_restore() {
         let mut dev = faulted_device(AccessTrace::new(), FaultConfig::transient(3, 1000), 2);
-        let _ = dev.read_block(0);
+        let _ = read(&mut dev, 0);
         assert!(dev.retry_stats().exhausted > 0);
         let mut w = StateWriter::new();
         dev.save_state(&mut w).unwrap();

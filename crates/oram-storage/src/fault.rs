@@ -203,25 +203,23 @@ impl FaultyStore {
 }
 
 impl DataStore for FaultyStore {
-    fn get(&mut self, addr: u64) -> Result<Option<SealedBlock>, StorageError> {
+    fn get(&mut self, addr: u64, out: &mut SealedBlock) -> Result<bool, StorageError> {
         self.read_faults("get", addr)?;
-        let mut block = self.inner.get(addr)?;
-        if let Some(block) = &mut block {
-            let permille = self.plan.config.corrupt_permille;
-            if permille > 0 {
-                let roll = self.plan.roll("corrupt", addr);
-                if roll % 1000 < u64::from(permille) {
-                    // Flip a roll-selected bit of the returned copy; the
-                    // store keeps the good bytes (a read glitch, not rot).
-                    block.corrupt_bit((roll >> 10) as usize);
-                    self.stats.corruptions += 1;
-                }
+        let found = self.inner.get(addr, out)?;
+        let permille = self.plan.config.corrupt_permille;
+        if found && permille > 0 {
+            let roll = self.plan.roll("corrupt", addr);
+            if roll % 1000 < u64::from(permille) {
+                // Flip a roll-selected bit of the returned copy; the
+                // store keeps the good bytes (a read glitch, not rot).
+                out.corrupt_bit((roll >> 10) as usize);
+                self.stats.corruptions += 1;
             }
         }
-        Ok(block)
+        Ok(found)
     }
 
-    fn put(&mut self, addr: u64, block: SealedBlock) -> Result<(), StorageError> {
+    fn put(&mut self, addr: u64, block: &SealedBlock) -> Result<(), StorageError> {
         self.check_permanent(addr)?;
         self.maybe_spike("spike", addr);
         let permille = self.plan.config.transient_write_permille;
@@ -276,10 +274,6 @@ impl DataStore for FaultyStore {
 
     fn take_injected_latency_nanos(&mut self) -> u64 {
         std::mem::take(&mut self.pending_latency_nanos)
-    }
-
-    fn can_fault(&self) -> bool {
-        true
     }
 
     fn fault_stats(&self) -> Option<FaultStats> {
@@ -548,7 +542,9 @@ mod tests {
         let mut store = BlockStore::new();
         let sealer = sealer();
         for addr in 0..n {
-            store.put(addr, sealer.seal(addr, 0, &addr.to_le_bytes()));
+            store
+                .put(addr, &sealer.seal(addr, 0, &addr.to_le_bytes()))
+                .unwrap();
         }
         Box::new(store)
     }
@@ -556,7 +552,7 @@ mod tests {
     fn drive(config: FaultConfig) -> (Vec<Result<bool, StorageError>>, FaultStats) {
         let mut store = FaultyStore::new(stocked(64), config);
         let results = (0..64)
-            .map(|addr| store.get(addr).map(|b| b.is_some()))
+            .map(|addr| store.get(addr, &mut SealedBlock::default()))
             .collect();
         (results, store.stats())
     }
@@ -598,7 +594,7 @@ mod tests {
         let mut saw_err = false;
         let mut saw_ok = false;
         for _ in 0..64 {
-            match store.get(3) {
+            match store.get(3, &mut SealedBlock::default()) {
                 Ok(_) => saw_ok = true,
                 Err(e) => {
                     assert!(e.is_transient());
@@ -617,12 +613,12 @@ mod tests {
         };
         let mut store = FaultyStore::new(stocked(8), config);
         for _ in 0..4 {
-            let err = store.get(5).unwrap_err();
+            let err = store.get(5, &mut SealedBlock::default()).unwrap_err();
             assert!(matches!(err, StorageError::PermanentFault { addr: 5, .. }));
             assert!(!err.is_transient());
         }
-        assert!(store.get(4).unwrap().is_some());
-        assert!(store.put(5, sealer().seal(5, 0, &[0u8; 8])).is_err());
+        assert!(store.get(4, &mut SealedBlock::default()).unwrap());
+        assert!(store.put(5, &sealer().seal(5, 0, &[0u8; 8])).is_err());
         assert_eq!(store.stats().permanent_hits, 5);
     }
 
@@ -634,12 +630,14 @@ mod tests {
             ..FaultConfig::default()
         };
         let mut store = FaultyStore::new(stocked(4), config);
-        let glitched = store.get(2).unwrap().expect("slot stocked");
+        let mut glitched = SealedBlock::default();
+        assert!(store.get(2, &mut glitched).unwrap(), "slot stocked");
         assert!(sealer().open(&glitched).is_err(), "tag must catch the flip");
         assert_eq!(store.stats().corruptions, 1);
         // The store's own copy is intact: disable corruption and re-read.
         let mut honest = FaultyStore::new(store.into_inner(), FaultConfig::default());
-        let clean = honest.get(2).unwrap().expect("slot still stocked");
+        let mut clean = SealedBlock::default();
+        assert!(honest.get(2, &mut clean).unwrap(), "slot still stocked");
         assert_eq!(sealer().open(&clean).unwrap(), 2u64.to_le_bytes());
     }
 
@@ -665,8 +663,8 @@ mod tests {
             ..FaultConfig::default()
         };
         let mut store = FaultyStore::new(stocked(4), config);
-        store.get(0).unwrap();
-        store.get(1).unwrap();
+        store.get(0, &mut SealedBlock::default()).unwrap();
+        store.get(1, &mut SealedBlock::default()).unwrap();
         assert_eq!(store.take_injected_latency_nanos(), 5_000);
         assert_eq!(store.take_injected_latency_nanos(), 0);
         assert_eq!(store.stats().latency_spikes, 2);
@@ -676,7 +674,7 @@ mod tests {
     fn snapshot_paths_are_fault_free() {
         let mut store = FaultyStore::new(stocked(16), FaultConfig::transient(5, 1000));
         // Every access faults, but the snapshot plumbing must not.
-        assert!(store.get(0).is_err());
+        assert!(store.get(0, &mut SealedBlock::default()).is_err());
         let blocks = store.snapshot_blocks().unwrap();
         assert_eq!(blocks.len(), 16);
         store.install_blocks(blocks).unwrap();

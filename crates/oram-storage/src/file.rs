@@ -137,9 +137,12 @@ pub struct FileStore {
     journal_path: PathBuf,
     file: File,
     journal: File,
-    /// Dirty slots not yet flushed: `Some(block)` = pending write,
-    /// `None` = pending erase. `BTreeMap` so flush order is deterministic.
-    buffer: BTreeMap<u64, Option<SealedBlock>>,
+    /// Dirty slots not yet flushed, as the records the flush will write;
+    /// an empty record is a pending erase. `BTreeMap` so flush order is
+    /// deterministic.
+    buffer: BTreeMap<u64, Vec<u8>>,
+    /// One record's bytes, reused by every read from the file.
+    scratch: Vec<u8>,
     /// Occupied-slot count over file ∪ buffer.
     occupied: usize,
     /// Per-slot occupancy of the *file* image (buffer overlays it).
@@ -201,6 +204,7 @@ impl FileStore {
         let mut store = Self {
             file_occupied: vec![false; config.capacity_slots as usize],
             journaled: vec![false; config.capacity_slots as usize],
+            scratch: vec![0u8; config.record_len() as usize],
             config,
             path,
             journal_path,
@@ -373,37 +377,43 @@ impl FileStore {
         Ok(())
     }
 
-    fn read_record(&mut self, slot: u64) -> Result<Option<SealedBlock>, StorageError> {
-        let mut record = vec![0u8; self.config.record_len() as usize];
+    /// Reads `slot`'s record from the file into `out`; `false` if empty.
+    fn read_record(&mut self, slot: u64, out: &mut SealedBlock) -> Result<bool, StorageError> {
         let offset = self.record_offset(slot);
         self.file
             .seek(SeekFrom::Start(offset))
-            .and_then(|_| self.file.read_exact(&mut record))
+            .and_then(|_| self.file.read_exact(&mut self.scratch))
             .map_err(|e| io_err(&self.path, "read record", e))?;
-        decode_record(&record, &self.path)
+        decode_record(&self.scratch, &self.path, out)
     }
 
-    fn encode_record(&self, block: Option<&SealedBlock>) -> Result<Vec<u8>, StorageError> {
-        let mut record = vec![0u8; self.config.record_len() as usize];
-        if let Some(block) = block {
-            let body = block.ciphertext();
-            if body.len() > self.config.body_capacity {
-                return Err(StorageError::Backend {
-                    path: self.path.display().to_string(),
-                    reason: format!(
-                        "sealed body of {} bytes exceeds record capacity {}",
-                        body.len(),
-                        self.config.body_capacity
-                    ),
-                });
-            }
-            record[0] = 1;
-            record[1..5].copy_from_slice(&(body.len() as u32).to_le_bytes());
-            record[5..13].copy_from_slice(&block.block_id().to_le_bytes());
-            record[13..21].copy_from_slice(&block.epoch().to_le_bytes());
-            record[21..29].copy_from_slice(&block.tag().to_le_bytes());
-            record[RECORD_PREFIX..RECORD_PREFIX + body.len()].copy_from_slice(body);
+    /// Reads `slot` into `out` from the write-back buffer or the file.
+    fn read_slot(&mut self, slot: u64, out: &mut SealedBlock) -> Result<bool, StorageError> {
+        match self.buffer.get(&slot) {
+            Some(pending) => decode_record(pending, &self.path, out),
+            None => self.read_record(slot, out),
         }
+    }
+
+    fn encode_record(&self, block: &SealedBlock) -> Result<Vec<u8>, StorageError> {
+        let body = block.ciphertext();
+        if body.len() > self.config.body_capacity {
+            return Err(StorageError::Backend {
+                path: self.path.display().to_string(),
+                reason: format!(
+                    "sealed body of {} bytes exceeds record capacity {}",
+                    body.len(),
+                    self.config.body_capacity
+                ),
+            });
+        }
+        let mut record = vec![0u8; self.config.record_len() as usize];
+        record[0] = 1;
+        record[1..5].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        record[5..13].copy_from_slice(&block.block_id().to_le_bytes());
+        record[13..21].copy_from_slice(&block.epoch().to_le_bytes());
+        record[21..29].copy_from_slice(&block.tag().to_le_bytes());
+        record[RECORD_PREFIX..RECORD_PREFIX + body.len()].copy_from_slice(body);
         Ok(record)
     }
 
@@ -462,18 +472,19 @@ impl FileStore {
         // (reads still see it, a retried flush or sync resumes it) instead
         // of silently discarding dirty slots — which a later sync would
         // otherwise commit as a half-applied batch.
-        while let Some((slot, block)) = self.buffer.pop_first() {
-            let written = self.encode_record(block.as_ref()).and_then(|record| {
-                let offset = self.record_offset(slot);
-                self.file
-                    .seek(SeekFrom::Start(offset))
-                    .and_then(|_| self.file.write_all(&record))
-                    .map_err(|e| io_err(&self.path, "flush record", e))
-            });
+        let empty = vec![0u8; self.config.record_len() as usize];
+        while let Some((slot, record)) = self.buffer.pop_first() {
+            let offset = self.record_offset(slot);
+            let image = if record.is_empty() { &empty } else { &record };
+            let written = self
+                .file
+                .seek(SeekFrom::Start(offset))
+                .and_then(|_| self.file.write_all(image))
+                .map_err(|e| io_err(&self.path, "flush record", e));
             match written {
-                Ok(()) => self.file_occupied[slot as usize] = block.is_some(),
+                Ok(()) => self.file_occupied[slot as usize] = !record.is_empty(),
                 Err(e) => {
-                    self.buffer.insert(slot, block);
+                    self.buffer.insert(slot, record);
                     return Err(e);
                 }
             }
@@ -482,13 +493,15 @@ impl FileStore {
     }
 }
 
-fn decode_record(record: &[u8], path: &Path) -> Result<Option<SealedBlock>, StorageError> {
-    match record[0] {
-        0 => return Ok(None),
-        1 => {}
+/// Decodes a record into `out`; `false` for an empty record (or the
+/// empty vector that marks a pending erase).
+fn decode_record(record: &[u8], path: &Path, out: &mut SealedBlock) -> Result<bool, StorageError> {
+    match record.first() {
+        None | Some(0) => return Ok(false),
+        Some(1) => {}
         // Any other flag byte is on-disk corruption; erroring here keeps
         // decode and the occupancy scan (`flag == 1`) in agreement.
-        other => {
+        Some(other) => {
             return Err(StorageError::Backend {
                 path: path.display().to_string(),
                 reason: format!("record flag byte {other} (corrupt record header)"),
@@ -502,42 +515,33 @@ fn decode_record(record: &[u8], path: &Path) -> Result<Option<SealedBlock>, Stor
             reason: format!("record body length {body_len} exceeds record size"),
         });
     }
-    let block_id = u64::from_le_bytes(record[5..13].try_into().expect("8 bytes"));
-    let epoch = u64::from_le_bytes(record[13..21].try_into().expect("8 bytes"));
-    let tag = u64::from_le_bytes(record[21..29].try_into().expect("8 bytes"));
-    let body = record[RECORD_PREFIX..RECORD_PREFIX + body_len].to_vec();
-    Ok(Some(SealedBlock::from_parts(block_id, epoch, body, tag)))
+    let word = |i: usize| u64::from_le_bytes(record[i..i + 8].try_into().expect("8 bytes"));
+    out.assign(
+        word(5),
+        word(13),
+        &record[RECORD_PREFIX..RECORD_PREFIX + body_len],
+        word(21),
+    );
+    Ok(true)
 }
 
 impl DataStore for FileStore {
-    fn get(&mut self, addr: u64) -> Result<Option<SealedBlock>, StorageError> {
+    fn get(&mut self, addr: u64, out: &mut SealedBlock) -> Result<bool, StorageError> {
         self.check_slot(addr)?;
-        if let Some(pending) = self.buffer.get(&addr) {
-            return Ok(pending.clone());
-        }
-        self.read_record(addr)
+        self.read_slot(addr, out)
     }
 
-    fn put(&mut self, addr: u64, block: SealedBlock) -> Result<(), StorageError> {
+    fn put(&mut self, addr: u64, block: &SealedBlock) -> Result<(), StorageError> {
         self.check_slot(addr)?;
-        if block.ciphertext().len() > self.config.body_capacity {
-            return Err(StorageError::Backend {
-                path: self.path.display().to_string(),
-                reason: format!(
-                    "sealed body of {} bytes exceeds record capacity {}",
-                    block.ciphertext().len(),
-                    self.config.body_capacity
-                ),
-            });
-        }
+        let record = self.encode_record(block)?;
         let was_occupied = match self.buffer.get(&addr) {
-            Some(pending) => pending.is_some(),
+            Some(pending) => !pending.is_empty(),
             None => self.file_occupied[addr as usize],
         };
         if !was_occupied {
             self.occupied += 1;
         }
-        self.buffer.insert(addr, Some(block));
+        self.buffer.insert(addr, record);
         if self.buffer.len() > self.config.write_back_slots {
             self.flush_buffer()?;
         }
@@ -546,18 +550,16 @@ impl DataStore for FileStore {
 
     fn remove(&mut self, addr: u64) -> Result<Option<SealedBlock>, StorageError> {
         self.check_slot(addr)?;
-        let previous = match self.buffer.get(&addr) {
-            Some(pending) => pending.clone(),
-            None => self.read_record(addr)?,
-        };
-        if previous.is_some() {
-            self.occupied -= 1;
-            self.buffer.insert(addr, None);
-            if self.buffer.len() > self.config.write_back_slots {
-                self.flush_buffer()?;
-            }
+        let mut previous = SealedBlock::default();
+        if !self.read_slot(addr, &mut previous)? {
+            return Ok(None);
         }
-        Ok(previous)
+        self.occupied -= 1;
+        self.buffer.insert(addr, Vec::new());
+        if self.buffer.len() > self.config.write_back_slots {
+            self.flush_buffer()?;
+        }
+        Ok(Some(previous))
     }
 
     fn len(&self) -> usize {
@@ -567,11 +569,11 @@ impl DataStore for FileStore {
     fn clear(&mut self) -> Result<(), StorageError> {
         for slot in 0..self.config.capacity_slots {
             let occupied = match self.buffer.get(&slot) {
-                Some(pending) => pending.is_some(),
+                Some(pending) => !pending.is_empty(),
                 None => self.file_occupied[slot as usize],
             };
             if occupied {
-                self.buffer.insert(slot, None);
+                self.buffer.insert(slot, Vec::new());
             }
         }
         self.occupied = 0;
@@ -612,7 +614,8 @@ impl DataStore for FileStore {
             self.file
                 .read_exact(&mut record)
                 .map_err(|e| io_err(&self.path, "stream record", e))?;
-            if let Some(block) = decode_record(&record, &self.path)? {
+            let mut block = SealedBlock::default();
+            if decode_record(&record, &self.path, &mut block)? {
                 out.push((slot, block));
             }
         }
@@ -660,6 +663,11 @@ mod tests {
         BlockSealer::new(&MasterKey::from_bytes([4u8; 32]).derive("file-test", 0))
     }
 
+    fn get(store: &mut FileStore, slot: u64) -> Result<Option<SealedBlock>, StorageError> {
+        let mut out = SealedBlock::default();
+        Ok(store.get(slot, &mut out)?.then_some(out))
+    }
+
     fn config() -> FileStoreConfig {
         FileStoreConfig::new(32, 64).with_write_back_slots(4)
     }
@@ -684,16 +692,16 @@ mod tests {
         let scratch = Scratch::new("file-roundtrip");
         let mut store = FileStore::open(scratch.file(), config()).unwrap();
         let s = sealer();
-        assert!(store.get(3).unwrap().is_none());
-        store.put(3, s.seal(3, 0, b"bytes")).unwrap();
-        assert_eq!(store.get(3).unwrap().unwrap(), s.seal(3, 0, b"bytes"));
+        assert!(get(&mut store, 3).unwrap().is_none());
+        store.put(3, &s.seal(3, 0, b"bytes")).unwrap();
+        assert_eq!(get(&mut store, 3).unwrap().unwrap(), s.seal(3, 0, b"bytes"));
         assert_eq!(DataStore::len(&store), 1);
         // Force through the buffer and read back from the file proper.
         store.sync().unwrap();
         assert_eq!(store.buffered_writes(), 0);
-        assert_eq!(store.get(3).unwrap().unwrap(), s.seal(3, 0, b"bytes"));
+        assert_eq!(get(&mut store, 3).unwrap().unwrap(), s.seal(3, 0, b"bytes"));
         assert_eq!(store.remove(3).unwrap().unwrap(), s.seal(3, 0, b"bytes"));
-        assert!(store.get(3).unwrap().is_none());
+        assert!(get(&mut store, 3).unwrap().is_none());
         assert_eq!(DataStore::len(&store), 0);
     }
 
@@ -704,7 +712,9 @@ mod tests {
         {
             let mut store = FileStore::open(scratch.file(), config()).unwrap();
             for slot in 0..10u64 {
-                store.put(slot, s.seal(slot, 2, &[slot as u8; 16])).unwrap();
+                store
+                    .put(slot, &s.seal(slot, 2, &[slot as u8; 16]))
+                    .unwrap();
             }
             store.sync().unwrap();
         }
@@ -712,7 +722,7 @@ mod tests {
         assert_eq!(DataStore::len(&reopened), 10);
         for slot in 0..10u64 {
             assert_eq!(
-                reopened.get(slot).unwrap().unwrap(),
+                get(&mut reopened, slot).unwrap().unwrap(),
                 s.seal(slot, 2, &[slot as u8; 16]),
                 "slot {slot}"
             );
@@ -725,25 +735,28 @@ mod tests {
         let s = sealer();
         {
             let mut store = FileStore::open(scratch.file(), config()).unwrap();
-            store.put(1, s.seal(1, 0, b"committed")).unwrap();
+            store.put(1, &s.seal(1, 0, b"committed")).unwrap();
             store.sync().unwrap();
             // Overwrite + fresh writes, forcing buffer flushes (bound 4)
             // so the dirty records really reach the file — then "crash"
             // by dropping without sync.
-            store.put(1, s.seal(1, 1, b"doomed")).unwrap();
+            store.put(1, &s.seal(1, 1, b"doomed")).unwrap();
             for slot in 10..20u64 {
-                store.put(slot, s.seal(slot, 1, b"doomed too")).unwrap();
+                store.put(slot, &s.seal(slot, 1, b"doomed too")).unwrap();
             }
             assert!(store.buffered_writes() < 11, "flushes must have happened");
         }
         let mut recovered = FileStore::open(scratch.file(), config()).unwrap();
         assert_eq!(
-            recovered.get(1).unwrap().unwrap(),
+            get(&mut recovered, 1).unwrap().unwrap(),
             s.seal(1, 0, b"committed"),
             "slot 1 must roll back to the synced image"
         );
         for slot in 10..20u64 {
-            assert!(recovered.get(slot).unwrap().is_none(), "slot {slot} leaked");
+            assert!(
+                get(&mut recovered, slot).unwrap().is_none(),
+                "slot {slot} leaked"
+            );
         }
         assert_eq!(DataStore::len(&recovered), 1);
     }
@@ -759,9 +772,9 @@ mod tests {
         };
         {
             let mut store = FileStore::open(scratch.file(), config()).unwrap();
-            store.put(0, s.seal(0, 0, b"base")).unwrap();
+            store.put(0, &s.seal(0, 0, b"base")).unwrap();
             store.sync().unwrap();
-            store.put(0, s.seal(0, 1, b"post-sync")).unwrap();
+            store.put(0, &s.seal(0, 1, b"post-sync")).unwrap();
             store.flush_buffer().unwrap();
         }
         // Tear the journal's last entry.
@@ -771,7 +784,7 @@ mod tests {
         let mut recovered = FileStore::open(scratch.file(), config()).unwrap();
         // The torn entry was the only one; rollback applies nothing and
         // the post-sync write survives — still a *consistent* record.
-        let block = recovered.get(0).unwrap().unwrap();
+        let block = get(&mut recovered, 0).unwrap().unwrap();
         assert!(block == s.seal(0, 1, b"post-sync") || block == s.seal(0, 0, b"base"));
     }
 
@@ -780,7 +793,7 @@ mod tests {
         let scratch = Scratch::new("file-geometry");
         {
             let mut store = FileStore::open(scratch.file(), config()).unwrap();
-            store.put(0, sealer().seal(0, 0, b"data")).unwrap();
+            store.put(0, &sealer().seal(0, 0, b"data")).unwrap();
             store.sync().unwrap();
         }
         let wrong = FileStoreConfig::new(64, 64);
@@ -790,7 +803,7 @@ mod tests {
         ));
         // The original contents are untouched by the failed open.
         let mut store = FileStore::open(scratch.file(), config()).unwrap();
-        assert!(store.get(0).unwrap().is_some());
+        assert!(get(&mut store, 0).unwrap().is_some());
     }
 
     #[test]
@@ -798,15 +811,15 @@ mod tests {
         let scratch = Scratch::new("file-bounds");
         let mut store = FileStore::open(scratch.file(), config()).unwrap();
         assert!(matches!(
-            store.put(0, sealer().seal(0, 0, &[0u8; 100])),
+            store.put(0, &sealer().seal(0, 0, &[0u8; 100])),
             Err(StorageError::Backend { .. })
         ));
         assert!(matches!(
-            store.put(99, sealer().seal(99, 0, b"x")),
+            store.put(99, &sealer().seal(99, 0, b"x")),
             Err(StorageError::OutOfCapacity { addr: 99, .. })
         ));
         assert!(matches!(
-            store.get(99),
+            get(&mut store, 99),
             Err(StorageError::OutOfCapacity { .. })
         ));
     }
@@ -817,12 +830,12 @@ mod tests {
         let mut store = FileStore::open(scratch.file(), config()).unwrap();
         let s = sealer();
         for slot in 0..8u64 {
-            store.put(slot, s.seal(slot, 0, b"x")).unwrap();
+            store.put(slot, &s.seal(slot, 0, b"x")).unwrap();
         }
         store.clear().unwrap();
         assert_eq!(DataStore::len(&store), 0);
         for slot in 0..8u64 {
-            assert!(store.get(slot).unwrap().is_none());
+            assert!(get(&mut store, slot).unwrap().is_none());
         }
     }
 

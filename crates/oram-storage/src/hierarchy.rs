@@ -144,8 +144,8 @@ mod tests {
     fn shared_trace_observes_both_devices() {
         let mut h = MemoryHierarchy::dac2019().recording();
         let sealer = BlockSealer::new(&MasterKey::from_bytes([1; 32]).derive("h", 0));
-        h.memory.write_block(1, sealer.seal(1, 0, b"m")).unwrap();
-        h.storage.write_block(2, sealer.seal(2, 0, b"s")).unwrap();
+        h.memory.write_block(1, &sealer.seal(1, 0, b"m")).unwrap();
+        h.storage.write_block(2, &sealer.seal(2, 0, b"s")).unwrap();
         let events = h.trace().snapshot();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].device, device_ids::MEMORY);
@@ -157,7 +157,7 @@ mod tests {
         let mut h = MemoryHierarchy::dac2019();
         let sealer = BlockSealer::new(&MasterKey::from_bytes([1; 32]).derive("h", 0));
         h.storage
-            .write_block(7, sealer.seal(7, 0, b"keep"))
+            .write_block(7, &sealer.seal(7, 0, b"keep"))
             .unwrap();
         h.clock().advance(SimDuration::from_micros(1));
         h.reset_accounting();

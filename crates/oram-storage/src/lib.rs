@@ -43,7 +43,7 @@
 //! use oram_storage::device::{Device, DeviceId};
 //! use oram_storage::trace::AccessTrace;
 //! use oram_storage::clock::SimClock;
-//! use oram_crypto::{keys::MasterKey, seal::BlockSealer};
+//! use oram_crypto::{keys::MasterKey, seal::{BlockSealer, SealedBlock}};
 //!
 //! # fn main() -> Result<(), oram_storage::StorageError> {
 //! let trace = AccessTrace::new();
@@ -51,8 +51,9 @@
 //! let mut hdd = Device::new(DeviceId(0), "hdd", Box::new(paper_hdd()), clock, Some(trace.clone()));
 //!
 //! let sealer = BlockSealer::new(&MasterKey::from_bytes([1; 32]).derive("d", 0));
-//! hdd.write_block(3, sealer.seal(3, 0, b"hello"))?;
-//! let block = hdd.read_block(3)?;
+//! hdd.write_block(3, &sealer.seal(3, 0, b"hello"))?;
+//! let mut block = SealedBlock::default();
+//! hdd.read_block(3, &mut block)?;
 //! let plain = sealer.open(&block).expect("sealed by the same keys");
 //! assert_eq!(plain, b"hello");
 //! assert_eq!(trace.len(), 2);
@@ -144,6 +145,16 @@ pub enum StorageError {
         /// Physical slot address.
         addr: u64,
     },
+    /// A write whose sealed body length differs from the one the store's
+    /// fixed-length records hold ([`store::BlockStore`]).
+    RecordLength {
+        /// Physical slot address.
+        addr: u64,
+        /// Body length of the store's records.
+        expected: usize,
+        /// Body length of the refused block.
+        got: usize,
+    },
 }
 
 impl StorageError {
@@ -184,6 +195,16 @@ impl fmt::Display for StorageError {
                 write!(
                     f,
                     "permanent slot failure at address {addr} on device {device}"
+                )
+            }
+            StorageError::RecordLength {
+                addr,
+                expected,
+                got,
+            } => {
+                write!(
+                    f,
+                    "a {got}-byte body at address {addr} does not fit {expected}-byte records"
                 )
             }
         }

@@ -4,33 +4,34 @@
 //! bytes live) with a timing model (what an access costs). Two stores
 //! exist:
 //!
-//! * [`BlockStore`] — a sparse in-memory map, the simulation default: a
-//!   500 GB device costs memory only for slots actually written.
+//! * [`BlockStore`] — a dense in-memory arena of fixed-length records
+//!   indexed by slot, the simulation default: it spans slot 0 up to the
+//!   highest slot written.
 //! * [`crate::file::FileStore`] — a slot-indexed real file with a
 //!   write-back buffer and an undo journal, for durable experiments that
 //!   must survive a restart (see the `file` module docs).
 //!
-//! The trait is deliberately owned-value (`get` returns a clone):
-//! file-backed stores cannot hand out references into the file, and the
-//! protocol paths either clone anyway or take ownership via `remove`.
+//! Access is by borrow: `get` copies a slot into the caller's block and
+//! `put` copies the caller's block into the slot, so a caller that reuses
+//! its blocks moves bytes without allocating. `remove` hands back an owned
+//! block, for the shuffle that takes slots out of the store.
 
 use crate::StorageError;
 use oram_crypto::seal::SealedBlock;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Where a device's sealed blocks physically live.
 ///
 /// Implementations must behave like a map from slot address to block:
 /// `put` then `get` round-trips, `remove` empties the slot. I/O-backed
-/// stores surface failures as [`StorageError::Backend`]; the in-memory
-/// store is infallible.
+/// stores surface failures as [`StorageError::Backend`].
 pub trait DataStore: fmt::Debug + Send {
-    /// The block at `addr`, if present (cloned/decoded out of the store).
-    fn get(&mut self, addr: u64) -> Result<Option<SealedBlock>, StorageError>;
+    /// Copies the block at `addr` into `out` and returns `true`, or
+    /// returns `false` (leaving `out` as it was) if the slot is empty.
+    fn get(&mut self, addr: u64, out: &mut SealedBlock) -> Result<bool, StorageError>;
 
-    /// Stores `block` at `addr`.
-    fn put(&mut self, addr: u64, block: SealedBlock) -> Result<(), StorageError>;
+    /// Stores a copy of `block` at `addr`.
+    fn put(&mut self, addr: u64, block: &SealedBlock) -> Result<(), StorageError>;
 
     /// Removes and returns the block at `addr`.
     fn remove(&mut self, addr: u64) -> Result<Option<SealedBlock>, StorageError>;
@@ -65,7 +66,7 @@ pub trait DataStore: fmt::Debug + Send {
     fn install_blocks(&mut self, blocks: Vec<(u64, SealedBlock)>) -> Result<(), StorageError> {
         self.clear()?;
         for (addr, block) in blocks {
-            self.put(addr, block)?;
+            self.put(addr, &block)?;
         }
         Ok(())
     }
@@ -80,15 +81,6 @@ pub trait DataStore: fmt::Debug + Send {
         0
     }
 
-    /// Whether this store can return [`StorageError::TransientFault`].
-    /// Stores that can MUST return `true`: the device then preserves
-    /// write payloads across attempts (a clone per `put`) so transient
-    /// write faults are retryable. Stores that answer `false` get the
-    /// zero-copy write path and, by contract, never fault transiently.
-    fn can_fault(&self) -> bool {
-        false
-    }
-
     /// Counters of injected faults, when this store (or a store it wraps)
     /// is a [`crate::fault::FaultyStore`]. `None` for honest stores.
     fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
@@ -96,10 +88,35 @@ pub trait DataStore: fmt::Debug + Send {
     }
 }
 
-/// A sparse map from slot address to sealed block.
-#[derive(Debug, Clone, Default)]
+/// Bytes of a record before its body: block id, epoch, tag.
+const RECORD_HEADER: usize = 24;
+
+/// A dense arena of sealed blocks: slot `s` is the fixed-length record at
+/// `s · record_len` in one byte vector — block id, epoch and tag
+/// (little-endian), then the body — plus one occupancy bit per slot.
+///
+/// The first `put` fixes the body length; a block of another length is
+/// refused with [`StorageError::RecordLength`]. The arena grows to the
+/// highest slot written and keeps its size across
+/// [`clear`](DataStore::clear), so a tree rebuilt every period reuses it.
+#[derive(Clone, Default)]
 pub struct BlockStore {
-    slots: HashMap<u64, SealedBlock>,
+    /// Bytes per record, header included; 0 until the first `put`.
+    record_len: usize,
+    records: Vec<u8>,
+    /// Bit `s % 64` of word `s / 64` is set when slot `s` holds a block.
+    occupied: Vec<u64>,
+    len: usize,
+}
+
+impl fmt::Debug for BlockStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BlockStore")
+            .field("record_len", &self.record_len)
+            .field("slots", &self.slots())
+            .field("len", &self.len)
+            .finish()
+    }
 }
 
 impl BlockStore {
@@ -108,67 +125,98 @@ impl BlockStore {
         Self::default()
     }
 
-    /// Number of occupied slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
+    /// Slots the arena spans: one past the highest slot ever written.
+    fn slots(&self) -> u64 {
+        self.records.len().checked_div(self.record_len).unwrap_or(0) as u64
     }
 
-    /// Whether no slot is occupied.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+    fn is_occupied(&self, slot: u64) -> bool {
+        self.occupied
+            .get((slot / 64) as usize)
+            .is_some_and(|word| word & (1 << (slot % 64)) != 0)
     }
 
-    /// The block at `addr`, if present.
-    pub fn get(&self, addr: u64) -> Option<&SealedBlock> {
-        self.slots.get(&addr)
+    fn set_occupied(&mut self, slot: u64, occupied: bool) {
+        let (word, bit) = (&mut self.occupied[(slot / 64) as usize], 1 << (slot % 64));
+        if occupied {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
     }
 
-    /// Stores `block` at `addr`, returning the previous occupant.
-    pub fn put(&mut self, addr: u64, block: SealedBlock) -> Option<SealedBlock> {
-        self.slots.insert(addr, block)
-    }
-
-    /// Removes and returns the block at `addr`.
-    pub fn remove(&mut self, addr: u64) -> Option<SealedBlock> {
-        self.slots.remove(&addr)
-    }
-
-    /// Whether `addr` is occupied.
-    pub fn contains(&self, addr: u64) -> bool {
-        self.slots.contains_key(&addr)
-    }
-
-    /// Iterates over `(addr, block)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &SealedBlock)> {
-        self.slots.iter().map(|(a, b)| (*a, b))
-    }
-
-    /// Removes all blocks.
-    pub fn clear(&mut self) {
-        self.slots.clear();
+    /// Copies the block at an occupied slot into `out`.
+    fn read_into(&self, slot: u64, out: &mut SealedBlock) {
+        let start = slot as usize * self.record_len;
+        let record = &self.records[start..start + self.record_len];
+        let word = |i: usize| u64::from_le_bytes(record[i..i + 8].try_into().expect("8 bytes"));
+        out.assign(word(0), word(8), &record[RECORD_HEADER..], word(16));
     }
 }
 
 impl DataStore for BlockStore {
-    fn get(&mut self, addr: u64) -> Result<Option<SealedBlock>, StorageError> {
-        Ok(BlockStore::get(self, addr).cloned())
+    fn get(&mut self, addr: u64, out: &mut SealedBlock) -> Result<bool, StorageError> {
+        let occupied = self.is_occupied(addr);
+        if occupied {
+            self.read_into(addr, out);
+        }
+        Ok(occupied)
     }
 
-    fn put(&mut self, addr: u64, block: SealedBlock) -> Result<(), StorageError> {
-        BlockStore::put(self, addr, block);
+    fn put(&mut self, addr: u64, block: &SealedBlock) -> Result<(), StorageError> {
+        if self.record_len == 0 {
+            self.record_len = RECORD_HEADER + block.len();
+        }
+        let len = self.record_len;
+        if RECORD_HEADER + block.len() != len {
+            return Err(StorageError::RecordLength {
+                addr,
+                expected: len - RECORD_HEADER,
+                got: block.len(),
+            });
+        }
+        let end = usize::try_from(addr)
+            .ok()
+            .and_then(|slot| slot.checked_add(1)?.checked_mul(len))
+            .ok_or_else(|| StorageError::OutOfCapacity {
+                device: "memory arena".into(),
+                addr,
+                capacity: (usize::MAX / len) as u64,
+            })?;
+        if end > self.records.len() {
+            self.records.resize(end, 0);
+            self.occupied.resize((addr / 64 + 1) as usize, 0);
+        }
+        if !self.is_occupied(addr) {
+            self.set_occupied(addr, true);
+            self.len += 1;
+        }
+        let record = &mut self.records[end - len..end];
+        record[..8].copy_from_slice(&block.block_id().to_le_bytes());
+        record[8..16].copy_from_slice(&block.epoch().to_le_bytes());
+        record[16..24].copy_from_slice(&block.tag().to_le_bytes());
+        record[RECORD_HEADER..].copy_from_slice(block.ciphertext());
         Ok(())
     }
 
     fn remove(&mut self, addr: u64) -> Result<Option<SealedBlock>, StorageError> {
-        Ok(BlockStore::remove(self, addr))
+        if !self.is_occupied(addr) {
+            return Ok(None);
+        }
+        let mut block = SealedBlock::default();
+        self.read_into(addr, &mut block);
+        self.set_occupied(addr, false);
+        self.len -= 1;
+        Ok(Some(block))
     }
 
     fn len(&self) -> usize {
-        BlockStore::len(self)
+        self.len
     }
 
     fn clear(&mut self) -> Result<(), StorageError> {
-        BlockStore::clear(self);
+        self.occupied.fill(0);
+        self.len = 0;
         Ok(())
     }
 
@@ -181,8 +229,12 @@ impl DataStore for BlockStore {
     }
 
     fn snapshot_blocks(&mut self) -> Result<Vec<(u64, SealedBlock)>, StorageError> {
-        let mut blocks: Vec<_> = self.iter().map(|(a, b)| (a, b.clone())).collect();
-        blocks.sort_unstable_by_key(|&(addr, _)| addr);
+        let mut blocks = Vec::with_capacity(self.len);
+        for slot in (0..self.slots()).filter(|&slot| self.is_occupied(slot)) {
+            let mut block = SealedBlock::default();
+            self.read_into(slot, &mut block);
+            blocks.push((slot, block));
+        }
         Ok(blocks)
     }
 }
@@ -201,53 +253,88 @@ mod tests {
         )
     }
 
+    fn get(store: &mut BlockStore, addr: u64) -> Option<SealedBlock> {
+        let mut out = SealedBlock::default();
+        store.get(addr, &mut out).unwrap().then_some(out)
+    }
+
     #[test]
     fn put_get_remove_roundtrip() {
         let mut store = BlockStore::new();
         assert!(store.is_empty());
-        assert!(store.put(5, sealed(5)).is_none());
-        assert!(store.contains(5));
+        store.put(5, &sealed(5)).unwrap();
         assert_eq!(store.len(), 1);
-        assert_eq!(store.get(5).unwrap().block_id(), 5);
-        let removed = store.remove(5).unwrap();
-        assert_eq!(removed.block_id(), 5);
+        assert_eq!(get(&mut store, 5), Some(sealed(5)));
+        assert_eq!(get(&mut store, 4), None, "a slot below is empty");
+        assert_eq!(store.remove(5).unwrap(), Some(sealed(5)));
         assert!(store.is_empty());
+        assert_eq!(get(&mut store, 5), None, "removed slots read empty");
+        assert_eq!(store.remove(5).unwrap(), None);
     }
 
     #[test]
-    fn put_replaces_and_returns_previous() {
+    fn put_replaces() {
         let mut store = BlockStore::new();
-        store.put(1, sealed(10));
-        let prev = store.put(1, sealed(20)).unwrap();
-        assert_eq!(prev.block_id(), 10);
-        assert_eq!(store.get(1).unwrap().block_id(), 20);
+        store.put(1, &sealed(10)).unwrap();
+        store.put(1, &sealed(20)).unwrap();
+        assert_eq!(store.len(), 1);
+        assert_eq!(get(&mut store, 1), Some(sealed(20)));
+    }
+
+    /// The arena spans slot 0 to the highest slot written — whatever the
+    /// order of the writes, and across a clear — and holds one record
+    /// length: a body of another length is a typed error that changes
+    /// nothing.
+    #[test]
+    fn the_arena_follows_the_highest_slot_and_holds_one_record_length() {
+        let mut store = BlockStore::new();
+        assert_eq!(store.slots(), 0);
+        assert_eq!(get(&mut store, 0), None);
+        store.put(9, &sealed(9)).unwrap();
+        assert_eq!(store.slots(), 10);
+        store.put(3, &sealed(3)).unwrap();
+        assert_eq!(store.slots(), 10);
+        store.put(200, &sealed(200)).unwrap();
+        assert_eq!(store.slots(), 201);
+        store.clear().unwrap();
+        assert_eq!((store.len(), store.slots()), (0, 201));
+
+        store.put(7, &sealed(7)).unwrap();
+        let longer = BlockSealer::new(&MasterKey::from_bytes([0u8; 32]).derive("store", 0))
+            .seal(7, 1, &[0u8; 9]);
+        assert_eq!(
+            store.put(7, &longer),
+            Err(StorageError::RecordLength {
+                addr: 7,
+                expected: 8,
+                got: 9
+            })
+        );
+        assert_eq!(get(&mut store, 7), Some(sealed(7)));
+        assert_eq!(store.len(), 1);
     }
 
     #[test]
-    fn sparse_addresses_cost_no_intermediate_slots() {
+    fn snapshot_is_ascending_and_installs_back() {
         let mut store = BlockStore::new();
-        store.put(0, sealed(0));
-        store.put(u64::MAX - 1, sealed(1));
-        assert_eq!(store.len(), 2);
-    }
-
-    #[test]
-    fn iter_visits_all() {
-        let mut store = BlockStore::new();
-        for a in 0..10 {
-            store.put(a, sealed(a));
+        for a in [6, 0, 3, 64, 65] {
+            store.put(a, &sealed(a)).unwrap();
         }
-        let mut addrs: Vec<u64> = store.iter().map(|(a, _)| a).collect();
-        addrs.sort_unstable();
-        assert_eq!(addrs, (0..10).collect::<Vec<_>>());
+        let blocks = store.snapshot_blocks().unwrap();
+        let addrs: Vec<u64> = blocks.iter().map(|(a, _)| *a).collect();
+        assert_eq!(addrs, [0, 3, 6, 64, 65]);
+        assert!(blocks.iter().all(|(a, b)| *b == sealed(*a)));
+        let mut copy = BlockStore::new();
+        copy.install_blocks(blocks.clone()).unwrap();
+        assert_eq!(copy.snapshot_blocks().unwrap(), blocks);
     }
 
     #[test]
     fn clear_empties() {
         let mut store = BlockStore::new();
-        store.put(3, sealed(3));
-        store.clear();
+        store.put(3, &sealed(3)).unwrap();
+        store.clear().unwrap();
         assert!(store.is_empty());
-        assert!(!store.contains(3));
+        assert_eq!(get(&mut store, 3), None);
     }
 }

@@ -2,7 +2,7 @@
 //! never as silently wrong data.
 
 use horam::crypto::keys::{KeyHierarchy, MasterKey};
-use horam::crypto::seal::BlockSealer;
+use horam::crypto::seal::{BlockSealer, SealedBlock};
 use horam::crypto::CryptoError;
 use horam::prelude::*;
 use horam::protocols::{Oram, OramError, PathOram, PathOramConfig};
@@ -21,7 +21,7 @@ fn corrupt_one_block(device: &mut Device, addr: u64) {
     // Re-inserting without timing charge: we are modelling an attacker
     // writing directly to the medium, not a protocol write.
     let stats_before = *device.stats();
-    device.write_block(addr, block).expect("write back");
+    device.write_block(addr, &block).expect("write back");
     // (The extra charged write is irrelevant to the assertion below.)
     let _ = stats_before;
 }
@@ -53,6 +53,10 @@ fn path_oram_detects_tree_corruption() {
 /// in the trusted state — stash occupancy, resident count and the block's
 /// own leaf are what they were. (Opened slot by slot, the buckets above
 /// the corrupt one were already in the stash when the error came back.)
+/// The instance stays usable although its reused path buffer still holds
+/// the failed path's ciphertext: every block whose path avoids the
+/// corrupt bucket reads back, and once the slot is repaired so does
+/// every block.
 #[test]
 fn path_oram_fails_closed_on_a_corrupt_path_slot() {
     let device = MachineConfig::dac2019().build_memory(SimClock::new(), None);
@@ -82,6 +86,21 @@ fn path_oram_fails_closed_on_a_corrupt_path_slot() {
         before
     );
     assert_eq!(oram.leaf_hint(BlockId(7)), Some(leaf));
+
+    let corrupt_node = path[path.len() / 2];
+    let mut clear_of_it = 0;
+    for i in (0..32u64).filter(|&i| i != 7) {
+        let leaf = oram.leaf_hint(BlockId(i)).expect("resident");
+        if !geometry.path_nodes(leaf).contains(&corrupt_node) {
+            assert_eq!(oram.read(BlockId(i)).unwrap(), [i as u8; 8], "block {i}");
+            clear_of_it += 1;
+        }
+    }
+    assert!(clear_of_it > 0, "some paths must avoid the corrupt bucket");
+    corrupt_one_block(oram.device_mut(), addr); // flips the bit back
+    for i in 0..32u64 {
+        assert_eq!(oram.read(BlockId(i)).unwrap(), [i as u8; 8], "block {i}");
+    }
 }
 
 #[test]
@@ -128,7 +147,7 @@ fn horam_storage_corruption_is_detected_on_fetch() {
 #[test]
 fn reads_of_missing_slots_are_storage_errors() {
     let mut device = MachineConfig::dac2019().build_storage(SimClock::new(), None);
-    let result = device.read_block(12345);
+    let result = device.read_block(12345, &mut SealedBlock::default());
     assert!(matches!(
         result,
         Err(StorageError::MissingBlock { addr: 12345, .. })
@@ -140,7 +159,7 @@ fn capacity_violations_are_storage_errors() {
     let mut device = MachineConfig::dac2019().build_storage(SimClock::new(), None);
     device.set_capacity_slots(10);
     let sealer = BlockSealer::new(&MasterKey::from_bytes([55u8; 32]).derive("fi/cap", 0));
-    let result = device.write_block(10, sealer.seal(10, 0, b"x"));
+    let result = device.write_block(10, &sealer.seal(10, 0, b"x"));
     assert!(matches!(
         result,
         Err(StorageError::OutOfCapacity { capacity: 10, .. })
@@ -190,7 +209,7 @@ fn failed_fsync_leaves_journal_replayable_on_reopen() {
     // Epoch 1: a committed state (sync succeeds, journal truncated).
     {
         let mut store = FileStore::open(&path, config.clone()).expect("open");
-        store.put(3, sealer.seal(3, 0, b"committed")).expect("put");
+        store.put(3, &sealer.seal(3, 0, b"committed")).expect("put");
         store.sync().expect("clean sync commits");
 
         // Epoch 2 behind an fsync-refusing injector: overwrite slot 3 and
@@ -206,11 +225,11 @@ fn failed_fsync_leaves_journal_replayable_on_reopen() {
             },
         );
         faulty
-            .put(3, sealer.seal(3, 1, b"uncommitted"))
+            .put(3, &sealer.seal(3, 1, b"uncommitted"))
             .expect("buffered put");
         for slot in 7..12u64 {
             faulty
-                .put(slot, sealer.seal(slot, 0, b"new"))
+                .put(slot, &sealer.seal(slot, 0, b"new"))
                 .expect("buffered put");
         }
         let refused = faulty.sync();
@@ -232,14 +251,16 @@ fn failed_fsync_leaves_journal_replayable_on_reopen() {
 
     // Reopen: journal replay rolls the file back to the last commit.
     let mut store = FileStore::open(&path, config).expect("reopen replays journal");
+    let mut block = SealedBlock::default();
+    assert!(store.get(3, &mut block).expect("get"), "slot survives");
     assert_eq!(
-        store.get(3).expect("get").expect("slot survives"),
+        block,
         sealer.seal(3, 0, b"committed"),
         "rollback must restore the committed bytes"
     );
     for slot in 7..12u64 {
         assert!(
-            store.get(slot).expect("get").is_none(),
+            !store.get(slot, &mut block).expect("get"),
             "uncommitted slot {slot} must vanish with the rollback"
         );
     }

@@ -357,7 +357,7 @@ mod cached {
 
     use super::*;
     use horam::crypto::persist::{StateReader, StateWriter};
-    use horam::crypto::seal::BlockSealer;
+    use horam::crypto::seal::{BlockSealer, SealedBlock};
     use horam::storage::clock::SimClock;
     use horam::storage::device::Device;
     use horam::storage::device::DeviceId;
@@ -494,7 +494,7 @@ mod cached {
         for (a, block) in committed.iter().enumerate() {
             // write_block absorbs into the cache dirty; evictions beyond
             // the 8-slot capacity write back as we go.
-            dev.write_block(a as u64, block.clone()).unwrap();
+            dev.write_block(a as u64, block).unwrap();
         }
         dev.sync().unwrap(); // commit point: flush + file sync
         let mut w = StateWriter::new();
@@ -503,7 +503,7 @@ mod cached {
 
         // Post-snapshot dirty writes: stranded in RAM, never synced.
         for a in 0..16u64 {
-            dev.write_block(a, sealer().seal(a, 1, b"doomed")).unwrap();
+            dev.write_block(a, &sealer().seal(a, 1, b"doomed")).unwrap();
         }
         assert!(
             dev.cache_stats().unwrap().writebacks < SLOTS + 16,
@@ -518,12 +518,10 @@ mod cached {
         let mut r = StateReader::new(&saved);
         recovered.load_state(&mut r).unwrap();
         r.finish().unwrap();
+        let mut read = SealedBlock::default();
         for (a, block) in committed.iter().enumerate() {
-            assert_eq!(
-                recovered.read_block(a as u64).unwrap(),
-                *block,
-                "slot {a} lost the committed bytes"
-            );
+            recovered.read_block(a as u64, &mut read).unwrap();
+            assert_eq!(read, *block, "slot {a} lost the committed bytes");
         }
     }
 
@@ -535,7 +533,8 @@ mod cached {
         let scratch = Scratch::new("persist-cache-torn");
         let mut dev = open_device(&scratch.device(), SimClock::new());
         for a in 0..SLOTS {
-            dev.write_block(a, sealer().seal(a, 0, b"payload")).unwrap();
+            dev.write_block(a, &sealer().seal(a, 0, b"payload"))
+                .unwrap();
         }
         dev.sync().unwrap();
         let mut w = StateWriter::new();
