@@ -478,8 +478,8 @@ impl HOram {
     /// 1. **plan** — each cycle is planned exactly as in the sequential
     ///    path (hit hoisting, miss selection, padding). Planning mutates
     ///    control-layer state only — the ROB, the permutation list, the
-    ///    period markers ([`StorageLayer::plan_io`]) — so cycle `j+1`'s
-    ///    hit test already observes cycle `j`'s load, and the per-cycle
+    ///    period markers ([`StorageLayer::plan_io`]) — and cycle `j+1`'s
+    ///    hit test counts cycle `j`'s staged load as resident, so the per-cycle
     ///    decisions are *identical* to running
     ///    [`run_cycle`](Self::run_cycle) `max_cycles` times. Each cycle's
     ///    memory-layer leaves (hit remaps, padding paths, the arrival's
@@ -540,13 +540,19 @@ impl HOram {
         );
         let d = self.config.prefetch_distance;
         let mut cycles: Vec<PlannedCycle> = Vec::with_capacity(window as usize);
+        // A hit is a block in the memory layer's id → leaf table (never
+        // the position map) or one an earlier cycle of this window staged:
+        // staged loads reach the tree only at execute.
+        let mut arrivals: Vec<BlockId> = Vec::new();
         for offset in 0..window {
             if offset > 0 && self.queue.is_drained() {
                 break;
             }
             let c = self.config.stage_c(self.io_used_in_period + offset);
-            let storage = &mut self.storage;
-            let plan: CyclePlan = self.queue.plan(c, d, |id| storage.is_in_memory(id));
+            let memory = &self.memory;
+            let plan: CyclePlan = self
+                .queue
+                .plan(c, d, |id| memory.contains(id) || arrivals.contains(&id));
             let io = self.storage.plan_io(match plan.miss_block {
                 Some(id) => LoadPlan::Miss(id),
                 None => LoadPlan::Dummy,
@@ -559,6 +565,7 @@ impl HOram {
                 .map(|_| self.memory.draw_leaf())
                 .collect();
             let insert_leaf = io.expect.map(|_| self.memory.draw_leaf());
+            arrivals.extend(io.expect);
             cycles.push(PlannedCycle {
                 plan,
                 hit_leaves,
@@ -698,6 +705,7 @@ impl Oram for HOram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::permutation_list::Location;
     use oram_crypto::rng::DeterministicRng;
     use rand::Rng;
     use std::collections::HashMap;
@@ -1025,6 +1033,78 @@ mod tests {
             oram.drain(&[999]),
             Err(OramError::UnknownTicket { ticket: 999 })
         ));
+    }
+
+    /// Holds the hit test's source — the memory layer's id → leaf table —
+    /// to the position map for every id.
+    fn assert_residency_matches_posmap(oram: &mut HOram) {
+        for id in (0..oram.config.capacity).map(BlockId) {
+            let location = oram.storage.posmap_mut().location(id).unwrap();
+            assert_eq!(
+                oram.memory.contains(id),
+                location == Location::Memory,
+                "block {id} after {} cycles",
+                oram.stats().cycles
+            );
+        }
+    }
+
+    #[test]
+    fn memory_residency_matches_the_position_map() {
+        // A hot set of 16 ids keeps repeats inside one 16-cycle window.
+        let mut rng = DeterministicRng::from_u64_seed(29);
+        let requests: Vec<Request> = (0..300)
+            .map(|_| {
+                let range = if rng.gen_bool(0.6) { 16 } else { 256u64 };
+                let id = rng.gen_range(0..range);
+                if rng.gen_bool(0.3) {
+                    Request::write(id, vec![rng.gen::<u8>(); 8])
+                } else {
+                    Request::read(id)
+                }
+            })
+            .collect();
+        for recursive in [false, true] {
+            for io_batch in [1, 16] {
+                for partial in [None, Some(0.5)] {
+                    let mut config = HOramConfig::new(256, 8, 64)
+                        .with_seed(17)
+                        .with_io_batch(io_batch);
+                    if recursive {
+                        config = config.with_recursive_posmap(2);
+                    }
+                    if let Some(ratio) = partial {
+                        config = config.with_partial_shuffle(ratio);
+                    }
+                    let leg = format!("recursive {recursive}, io_batch {io_batch}, {partial:?}");
+                    let master = MasterKey::from_bytes([9; 32]);
+                    let mut oram = HOram::new(config, MemoryHierarchy::dac2019(), master).unwrap();
+                    for request in &requests {
+                        oram.enqueue(request.clone()).unwrap();
+                    }
+                    while !oram.queue().is_drained() {
+                        if let Err(error) = oram.run_cycle_window(io_batch) {
+                            panic!("{leg}: {error}");
+                        }
+                        assert_residency_matches_posmap(&mut oram);
+                    }
+                    assert!(oram.stats().shuffles >= 2, "{leg}: must cross periods");
+                }
+            }
+        }
+
+        // Staged arrivals: cycle 0 of a 16-cycle window stages block 7's
+        // load, and cycle 1's scan must count it resident although the tree
+        // receives it only at execute — otherwise the second read issues a
+        // fetch of an in-memory block.
+        let mut oram = build_batched(256, 64, 16);
+        oram.enqueue(Request::read(7u64)).unwrap();
+        oram.enqueue(Request::read(7u64)).unwrap();
+        assert!(oram.run_cycle_window(16).unwrap() >= 2);
+        assert!(oram.queue().is_drained(), "both reads served in one window");
+        let stats = oram.stats();
+        assert_eq!((stats.real_io_loads, stats.memory_hits), (1, 2));
+        assert_residency_matches_posmap(&mut oram);
     }
 
     mod properties {

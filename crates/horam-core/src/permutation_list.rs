@@ -63,11 +63,6 @@ impl PermutationList {
         self.locations[id.0 as usize]
     }
 
-    /// Whether `id` is in memory — the scheduler's hit test.
-    pub fn is_hit(&self, id: BlockId) -> bool {
-        matches!(self.locations[id.0 as usize], Location::Memory)
-    }
-
     /// Records that `id` now lives at storage `slot`.
     pub fn set_storage_slot(&mut self, id: BlockId, slot: u64) {
         if matches!(self.locations[id.0 as usize], Location::Memory) {
@@ -145,10 +140,9 @@ mod tests {
         assert_eq!(list.in_memory_count(), 0);
         list.set_storage_slot(BlockId(0), 42);
         assert_eq!(list.location(BlockId(0)), Location::Storage { slot: 42 });
-        assert!(!list.is_hit(BlockId(0)));
 
         list.set_in_memory(BlockId(0));
-        assert!(list.is_hit(BlockId(0)));
+        assert_eq!(list.location(BlockId(0)), Location::Memory);
         assert_eq!(list.in_memory_count(), 1);
 
         // Idempotent in-memory marking.

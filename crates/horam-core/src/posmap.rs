@@ -42,13 +42,16 @@
 //!
 //! Every level access is a full root→leaf path read followed by a full
 //! path write on the level's own bus — the standard Path ORAM shape, which
-//! `tests/leakage.rs` checks structurally. The pinned page cache
-//! suppresses *repeat* chain walks for hot pages, so the **number** of
-//! level accesses (not their addresses) correlates with query locality —
-//! the same bounded timing channel Freecursive-style caches accept;
-//! `docs/ARCHITECTURE.md` §12 quantifies it. Full shuffles rebuild all
-//! levels with one public linear sweep, leaking nothing beyond the (public)
-//! shuffle schedule.
+//! `tests/leakage.rs` checks structurally. Queries come from the storage
+//! layer only — one load per scheduling cycle and the shuffle's sweeps;
+//! the scheduler's hit test reads the memory layer's own id → leaf table,
+//! so how far its scan reaches never shows on a level bus. The pinned
+//! page cache suppresses *repeat* chain walks for hot pages, so the
+//! **number** of level accesses (not their addresses) correlates with
+//! load locality — the same bounded timing channel Freecursive-style
+//! caches accept; `docs/ARCHITECTURE.md` §12 quantifies it. Full shuffles
+//! rebuild all levels with one public linear sweep, leaking nothing beyond
+//! the (public) shuffle schedule.
 
 use crate::config::{HOramConfig, PosmapMode, RecursivePosmapConfig};
 use crate::permutation_list::{Location, PermutationList};
@@ -125,6 +128,9 @@ pub struct PosmapLevelView {
 /// * a **shuffle pass** is `take_pass_owners` over the pass's slot range,
 ///   then either per-entry `place` calls (partial windows) or one
 ///   [`rebuild_all`](Self::rebuild_all) (full windows).
+///
+/// The scheduler's hit test is not a caller: it reads the memory layer's
+/// own id → leaf table and the window's staged loads.
 pub trait PositionMap: std::fmt::Debug + Send {
     /// Number of logical blocks tracked.
     fn capacity(&self) -> u64;
@@ -134,12 +140,6 @@ pub trait PositionMap: std::fmt::Debug + Send {
 
     /// The current location of `id`.
     fn location(&mut self, id: BlockId) -> Result<Location, OramError>;
-
-    /// Whether `id` is resident in the memory layer — the scheduler's hit
-    /// test.
-    fn is_in_memory(&mut self, id: BlockId) -> Result<bool, OramError> {
-        Ok(matches!(self.location(id)?, Location::Memory))
-    }
 
     /// Number of blocks currently marked in-memory (O(1); maintained).
     fn in_memory_count(&self) -> u64;

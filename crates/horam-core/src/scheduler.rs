@@ -45,8 +45,7 @@ impl CyclePlan {
 
 /// Plans one cycle: removes up to `c` hit entries from the ROB's first
 /// `d` positions, selects the first un-issued miss in the window, and
-/// computes padding. `is_hit` is the control layer's permutation-list
-/// test.
+/// computes padding. `is_hit` is the control layer's residency test.
 pub fn plan_cycle(
     rob: &mut RobTable,
     c: u32,

@@ -305,10 +305,6 @@ pub struct StorageLayer {
     /// recursive ORAM per [`crate::config::PosmapMode`] — built by the
     /// engine via [`crate::posmap::build_posmap`].
     posmap: Box<dyn PositionMap>,
-    /// First position-map failure observed by the infallible scheduler
-    /// hit test, deferred to the next [`plan_io`](Self::plan_io) call
-    /// (position-map errors are instance-fatal either way).
-    posmap_error: Option<OramError>,
     /// Per-partition live-block counts, maintained incrementally so
     /// rebuild capacity checks are O(1) per partition instead of a scan.
     partition_live: Vec<u64>,
@@ -380,7 +376,6 @@ impl StorageLayer {
             epoch,
             seal_seq: 0,
             posmap,
-            posmap_error: None,
             partition_live: vec![0; partition_count as usize],
             touched: vec![false; total_slots as usize],
             dummy_prp: FeistelPrp::new([0u8; 16], total_slots)?,
@@ -452,23 +447,6 @@ impl StorageLayer {
     /// installed.
     pub fn cache_stats(&self) -> Option<oram_storage::cache::CacheStats> {
         self.device.cache_stats()
-    }
-
-    /// Whether the scheduler should treat `id` as a memory hit. The hit
-    /// test is infallible by contract; a position-map failure (possible on
-    /// the recursive variant) answers `false` and is re-raised by the next
-    /// [`plan_io`](Self::plan_io) — the error is instance-fatal, deferral
-    /// only moves where it surfaces.
-    pub fn is_in_memory(&mut self, id: BlockId) -> bool {
-        match self.posmap.is_in_memory(id) {
-            Ok(hit) => hit,
-            Err(error) => {
-                if self.posmap_error.is_none() {
-                    self.posmap_error = Some(error);
-                }
-                false
-            }
-        }
     }
 
     /// Dataset size `N` in blocks.
@@ -642,7 +620,6 @@ impl StorageLayer {
             epoch,
             seal_seq,
             posmap,
-            posmap_error: None,
             partition_live,
             touched,
             dummy_prp: FeistelPrp::new(dummy_key, (total_slots as u64).max(1))?,
@@ -665,8 +642,8 @@ impl StorageLayer {
     }
 
     /// Stages one load: applies every control-layer state transition now
-    /// (so later plans — and the scheduler's hit test — observe it) and
-    /// queues the device read for [`commit_io`](Self::commit_io).
+    /// (so later plans observe it; the hit test reads [`PlannedIo::expect`])
+    /// and queues the device read for [`commit_io`](Self::commit_io).
     ///
     /// # Errors
     ///
@@ -677,11 +654,6 @@ impl StorageLayer {
     /// instance's control state is damaged: fail-stop, quarantine, restore
     /// from a checkpoint.
     pub fn plan_io(&mut self, plan: LoadPlan) -> Result<PlannedIo, OramError> {
-        // A position-map failure swallowed by the infallible hit test
-        // surfaces here, before any further control-state transitions.
-        if let Some(error) = self.posmap_error.take() {
-            return Err(error);
-        }
         let planned = match plan {
             LoadPlan::Miss(id) => {
                 let Location::Storage { slot } = self.posmap.location(id)? else {
@@ -1297,6 +1269,10 @@ mod tests {
         build_with(capacity, None)
     }
 
+    fn in_memory(layer: &mut StorageLayer, id: BlockId) -> bool {
+        layer.posmap.location(id).unwrap() == Location::Memory
+    }
+
     fn build_traced(capacity: u64) -> (StorageLayer, AccessTrace) {
         let trace = AccessTrace::recording();
         let layer = build_with(capacity, Some(trace.clone()));
@@ -1341,7 +1317,7 @@ mod tests {
         assert_eq!(id, BlockId(5));
         assert_eq!(payload, vec![0u8; 8]);
         assert!(load.duration > SimDuration::ZERO);
-        assert!(layer.is_in_memory(BlockId(5)));
+        assert!(in_memory(&mut layer, BlockId(5)));
     }
 
     #[test]
@@ -1592,7 +1568,7 @@ mod tests {
         let period = |layer: &mut StorageLayer, seed: u64| {
             let mut hot = Vec::new();
             for id in [seed % 256, (seed + 100) % 256] {
-                if !layer.is_in_memory(BlockId(id)) {
+                if !in_memory(layer, BlockId(id)) {
                     hot.push(layer.fetch(BlockId(id)).unwrap().block.unwrap());
                 }
             }
@@ -1665,7 +1641,7 @@ mod tests {
         let period = |layer: &mut StorageLayer, seed: u64| {
             let mut hot = Vec::new();
             for id in [seed % 256, (seed + 100) % 256] {
-                if !layer.is_in_memory(BlockId(id)) {
+                if !in_memory(layer, BlockId(id)) {
                     hot.push(layer.fetch(BlockId(id)).unwrap().block.unwrap());
                 }
             }
@@ -1782,7 +1758,7 @@ mod tests {
         let hot = vec![(BlockId(100), vec![0u8; 8])];
         layer.rebuild_partial(hot, 2, 3).unwrap();
         // Block 100 went into the window, so it is on storage again.
-        assert!(!layer.is_in_memory(BlockId(100)));
+        assert!(!in_memory(&mut layer, BlockId(100)));
         layer.fetch(BlockId(100)).unwrap();
     }
 
@@ -1833,7 +1809,7 @@ mod tests {
                 let mut seq_blocks = Vec::new();
                 for step in intended {
                     let step = match step {
-                        LoadPlan::Miss(id) if sequential.is_in_memory(id) => LoadPlan::Dummy,
+                        LoadPlan::Miss(id) if in_memory(&mut sequential, id) => LoadPlan::Dummy,
                         other => other,
                     };
                     plan.push(step);

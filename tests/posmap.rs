@@ -229,6 +229,42 @@ fn trusted_memory_accounting_is_sublinear_for_the_recursive_map() {
     assert!(flat_large.level_views().is_empty());
 }
 
+/// The scheduler's hit test reads the memory layer, never the position
+/// map, so level checkouts per cycle stay bounded by the recursion depth
+/// however far the scan reaches. Distinct ids strided across the id
+/// space make every request a miss — each scan runs to the full
+/// prefetch distance — and keep every page cold in the 8-page caches.
+#[test]
+fn level_checkouts_per_cycle_do_not_follow_the_scheduler_scan() {
+    let config = HOramConfig::new(4096, 8, 1024)
+        .with_seed(3)
+        .with_recursive_posmap(8);
+    let mut oram = HOram::new(
+        config,
+        MemoryHierarchy::dac2019(),
+        MasterKey::from_bytes([0x41; 32]),
+    )
+    .expect("engine builds");
+    // One forward and one inverse table, each with the same level count.
+    let levels_per_table = oram.posmap().level_views().len() as u64 / 2;
+    let before = (oram.posmap().stats().checkouts, oram.stats().cycles);
+    let requests: Vec<Request> = (0..400u64)
+        .map(|i| Request::read(i * 1237 % 4096))
+        .collect();
+    oram.run_batch(&requests).expect("batch runs");
+    assert_eq!(
+        oram.stats().shuffles,
+        0,
+        "the stretch must cross no shuffle"
+    );
+    let checkouts = oram.posmap().stats().checkouts - before.0;
+    let cycles = oram.stats().cycles - before.1;
+    assert!(
+        checkouts <= 2 * levels_per_table * cycles,
+        "{checkouts} level checkouts over {cycles} cycles ({levels_per_table} levels per table)"
+    );
+}
+
 mod engine_equivalence {
     use super::*;
     use proptest::prelude::*;
