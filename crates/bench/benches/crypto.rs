@@ -2,7 +2,8 @@
 //!
 //! ChaCha20 keystream throughput, SipHash MAC throughput, block sealing
 //! (one block per call vs one path per call), and the Feistel PRP — the
-//! per-block costs behind every simulated ORAM access.
+//! per-block costs behind every simulated ORAM access — on the widest
+//! ChaCha20 kernel the host has (AVX-512F ×16, AVX2 ×8 or SSE2 ×4).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use horam::crypto::chacha::{ChaCha20, ChaChaKey};

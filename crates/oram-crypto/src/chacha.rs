@@ -28,9 +28,9 @@
 //!   (constants, key) are shared by the lanes; rows 12–15 (counter, nonce)
 //!   and the data pointer are **per lane**, so the N blocks of a *pass*
 //!   need not belong to one stream. One kernel source is instantiated at
-//!   two widths: `__m256i` × 8 blocks when
-//!   `is_x86_feature_detected!("avx2")`, `__m128i` × 4 on the SSE2 every
-//!   x86_64 has;
+//!   three widths, the widest the host has: `__m512i` × 16 blocks with
+//!   AVX-512F (each rotate one `vprold`), `__m256i` × 8 with AVX2, and
+//!   `__m128i` × 4 on the SSE2 every x86_64 has;
 //! * **the scheduler** ([`ChaChaKey::apply_keystreams`], and a single
 //!   [`ChaCha20::apply_keystream`] as a batch of one) cuts every body into
 //!   one-block *jobs* `(body, counter)`, in order. A body that still has a
@@ -44,10 +44,10 @@
 //!   depends only on the bodies' order and lengths;
 //! * **scalar = reference + remainder** — the fewer-than-N jobs left when
 //!   the bodies run out take one more pass (empty lanes are discarded), or
-//!   the scalar block function when there are only one or two of them: a
-//!   pass costs its full width, about two scalar blocks, however few lanes
-//!   are used. So a *single* 81-byte seal is still two scalar blocks — but
-//!   32 of them in one batch are eight full passes. The scalar function is
+//!   the scalar block function when there is only one: a pass costs its
+//!   full width, 1.6–2 scalar blocks, however few lanes are used. So a
+//!   *single* 81-byte seal is one pass with 14 empty lanes at ×16 — but 32
+//!   of them in one batch are four full passes. The scalar function is
 //!   also what every kernel test compares against, and the whole path on
 //!   other architectures. The kernel is explicit because plain `u32` lane
 //!   loops are *not* auto-vectorized: they measured 1.93 ns/B, scalar
@@ -98,13 +98,17 @@ impl ChaChaKey {
     }
 
     /// The keystream kernel this host dispatches, for logs: a runner
-    /// without AVX2 should say so, not silently run narrower.
+    /// without AVX-512F or AVX2 should say so, not silently run narrower.
     pub fn dispatch() -> &'static str {
         #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            "AVX2 x8 passes, scalar remainder"
-        } else {
-            "SSE2 x4 passes, scalar remainder (no AVX2 on this host: the x8 kernel is NOT used)"
+        match x86::detected() {
+            x86::Width::X16 => "AVX-512F x16 passes, scalar remainder",
+            x86::Width::X8 => {
+                "AVX2 x8 passes, scalar remainder (no AVX-512F on this host: the x16 kernel is NOT used)"
+            }
+            x86::Width::X4 => {
+                "SSE2 x4 passes, scalar remainder (no AVX-512F or AVX2 on this host: the x16 and x8 kernels are NOT used)"
+            }
         }
         #[cfg(not(target_arch = "x86_64"))]
         "scalar only (no kernel for this architecture)"
@@ -422,8 +426,8 @@ mod x86 {
 
                 // Rows 4g..4g+4 are a 4×4 word matrix per 128-bit lane:
                 // transposed, vector `j` holds 16 contiguous keystream
-                // bytes of lane `j`'s block (and of lane `j + 4`'s in the
-                // upper half at ×8), at byte `16 * g` of the block.
+                // bytes of lane `j + 4 q`'s block in 128-bit quarter `q`,
+                // at byte `16 * g` of the block.
                 for (g, rows) in x.chunks_exact(4).enumerate() {
                     let (ab_lo, ab_hi) =
                         (unpacklo32(rows[0], rows[1]), unpackhi32(rows[0], rows[1]));
@@ -437,9 +441,8 @@ mod x86 {
                     ];
                     for (j, column) in columns.into_iter().enumerate() {
                         // SAFETY: `16 * g + 16 <= BLOCK_LEN`, and
-                        // `xor_store` touches those 16 bytes of lane `j`
-                        // (and `j + 4` at ×8), which the caller vouches
-                        // for.
+                        // `xor_store` touches those 16 bytes of lanes
+                        // `j + 4 q`, which the caller vouches for.
                         unsafe { xor_store(column, &lanes.data, j, 16 * g) };
                     }
                 }
@@ -493,6 +496,46 @@ mod x86 {
         vertical_kernel!("sse2");
     }
 
+    /// ×16 blocks in `__m512i`: AVX-512F, detected at run time. At this
+    /// width `rotl!` compiles to one `vprold`.
+    pub(super) mod avx512 {
+        use super::sse2::xor16;
+        use super::{Lanes, CONSTANTS};
+        use std::arch::x86_64::{
+            __m512i as V, _mm512_add_epi32 as add32, _mm512_castsi512_si128,
+            _mm512_extracti32x4_epi32, _mm512_loadu_si512 as loadu, _mm512_or_si512 as or,
+            _mm512_set1_epi32 as set1, _mm512_slli_epi32 as slli, _mm512_srli_epi32 as srli,
+            _mm512_unpackhi_epi32 as unpackhi32, _mm512_unpackhi_epi64 as unpackhi64,
+            _mm512_unpacklo_epi32 as unpacklo32, _mm512_unpacklo_epi64 as unpacklo64,
+            _mm512_xor_si512 as xor,
+        };
+
+        /// Keystream blocks per pass.
+        pub const BLOCKS: usize = 16;
+
+        /// As [`super::sse2::xor16`] for each 128-bit quarter `q`, which
+        /// is lane `j + 4 q`.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX-512F; 16 bytes at `at` must be valid
+        /// for reads and writes at `data[j]`, `data[j + 4]`, `data[j + 8]`
+        /// and `data[j + 12]`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn xor_store(bytes: V, data: &[*mut u8; BLOCKS], j: usize, at: usize) {
+            // SAFETY: the caller vouches for the four 16-byte ranges.
+            unsafe {
+                xor16(_mm512_castsi512_si128(bytes), data[j], at);
+                xor16(_mm512_extracti32x4_epi32::<1>(bytes), data[j + 4], at);
+                xor16(_mm512_extracti32x4_epi32::<2>(bytes), data[j + 8], at);
+                xor16(_mm512_extracti32x4_epi32::<3>(bytes), data[j + 12], at);
+            }
+        }
+
+        vertical_kernel!("avx512f");
+    }
+
     /// ×8 blocks in `__m256i`: AVX2, detected at run time.
     pub(super) mod avx2 {
         use super::sse2::xor16;
@@ -530,18 +573,51 @@ mod x86 {
     }
 
     /// Fewest jobs worth a kernel pass of their own. A pass costs its full
-    /// width however few lanes carry a job — about two scalar blocks — so
-    /// one or two leftover jobs are cheaper on the scalar function.
-    const MIN_PASS_JOBS: usize = 3;
+    /// width however few lanes carry a job: medians of 41 interleaved
+    /// rounds on a 2-vCPU AVX-512 x86_64 host put a scalar block at
+    /// 163–169 ns and a pass at 1.69–1.72 of them (×16), 1.63–1.67 (×8)
+    /// and 1.94–1.97 (×4). Under two at every width, so two leftover jobs
+    /// take a pass (one 81-byte body: 0.82–0.91× the time of two scalar
+    /// blocks) and only a single one takes the scalar function.
+    const MIN_PASS_JOBS: usize = 2;
+
+    /// The kernel widths, in blocks per pass.
+    #[derive(Debug, PartialEq)]
+    pub(super) enum Width {
+        X16,
+        X8,
+        X4,
+    }
+
+    /// The widest kernel a CPU with these features can run — a pure
+    /// function, so every feature set is testable on any host.
+    pub(super) fn width(avx512f: bool, avx2: bool) -> Width {
+        if avx512f {
+            Width::X16
+        } else if avx2 {
+            Width::X8
+        } else {
+            Width::X4
+        }
+    }
+
+    /// [`width`] on this CPU.
+    pub(super) fn detected() -> Width {
+        width(
+            is_x86_feature_detected!("avx512f"),
+            is_x86_feature_detected!("avx2"),
+        )
+    }
 
     /// [`super::xor_streams`] on the widest kernel this CPU has.
     pub(super) fn xor_streams<'a>(key: &[u32; 8], streams: impl IntoIterator<Item = Stream<'a>>) {
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 was detected on the line above.
-            unsafe { Scheduler::new(key, avx2::xor_pass) }.run(streams);
-        } else {
+        match detected() {
+            // SAFETY: `detected` saw AVX-512F.
+            Width::X16 => unsafe { Scheduler::new(key, avx512::xor_pass) }.run(streams),
+            // SAFETY: `detected` saw AVX2.
+            Width::X8 => unsafe { Scheduler::new(key, avx2::xor_pass) }.run(streams),
             // SAFETY: SSE2 is part of the x86_64 baseline.
-            unsafe { Scheduler::new(key, sse2::xor_pass) }.run(streams);
+            Width::X4 => unsafe { Scheduler::new(key, sse2::xor_pass) }.run(streams),
         }
     }
 
@@ -824,12 +900,12 @@ mod tests {
         }
     }
 
-    /// Both kernel widths driven directly, whatever the dispatcher would
-    /// pick on this host, against the scalar block function, on the two
-    /// shapes a pass takes: one stream (consecutive counters up to the
+    /// Every kernel width this host can run, driven directly, whatever the
+    /// dispatcher would pick, against the scalar block function, on the
+    /// two shapes a pass takes: one stream (consecutive counters up to the
     /// wrap, pointers 64 bytes apart) and lanes across bodies (a different
     /// nonce and counter in every lane, unrelated buffers, short last
-    /// blocks, lanes with no job).
+    /// blocks, lanes with no job). Prints the widths it ran.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn each_kernel_width_matches_the_scalar_reference() {
@@ -883,9 +959,39 @@ mod tests {
                 assert_eq!(bodies, expected, "{count} jobs on {N} lanes");
             }
         }
+        let mut ran = vec!["SSE2 x4"];
         check(x86::sse2::xor_pass);
         if is_x86_feature_detected!("avx2") {
             check(x86::avx2::xor_pass);
+            ran.push("AVX2 x8");
+        }
+        if is_x86_feature_detected!("avx512f") {
+            check(x86::avx512::xor_pass);
+            ran.push("AVX-512F x16");
+        }
+        eprintln!(
+            "chacha20 kernel widths tested on this host: {}",
+            ran.join(", ")
+        );
+    }
+
+    /// The width choice on every (AVX-512F, AVX2) combination, whatever
+    /// this host has: the widest kernel the features allow.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn dispatch_picks_the_widest_supported_kernel() {
+        use x86::Width::{X16, X4, X8};
+        for (avx512f, avx2, expected) in [
+            (true, true, X16),
+            (true, false, X16),
+            (false, true, X8),
+            (false, false, X4),
+        ] {
+            assert_eq!(
+                x86::width(avx512f, avx2),
+                expected,
+                "avx512f {avx512f}, avx2 {avx2}"
+            );
         }
     }
 
@@ -1038,13 +1144,14 @@ mod tests {
         stream.apply_keystream(&mut data);
     }
 
-    /// At every run size — scalar, a padded pass, one whole pass, passes
-    /// plus a tail — a stream one block short panics *before* writing a byte, and
-    /// a stream with exactly enough blocks left is used to its last block.
+    /// At every run size — a remainder of two jobs, a padded pass, one
+    /// whole ×8 pass, one whole ×16 pass, passes plus a tail at each width
+    /// — a stream one block short panics *before* writing a byte, and a
+    /// stream with exactly enough blocks left is used to its last block.
     #[test]
     fn wide_path_respects_counter_budget() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        for len in [65usize, 256, 512, 1041] {
+        for len in [65usize, 256, 512, 1024, 1041, 2065] {
             let blocks = len.div_ceil(BLOCK_LEN) as u32;
             let src = patterned(len);
 

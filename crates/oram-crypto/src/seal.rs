@@ -16,8 +16,9 @@
 //! (the memory tree's path buffer), and [`BlockSealer::seal_batch`] /
 //! [`BlockSealer::open_batch`] over owned vectors; the one-block calls
 //! are the same routines on a batch of one. A batch takes its SIMD lanes
-//! *across* its blocks: ChaCha20 ×8 over the bodies' keystream blocks
-//! ([`ChaChaKey::apply_keystreams`]) and SipHash-2-4 ×4 over the blocks
+//! *across* its blocks: ChaCha20 ×16 over the bodies' keystream blocks
+//! (×8 or ×4 on hosts without AVX-512F; [`ChaChaKey::apply_keystreams`])
+//! and SipHash-2-4 ×4 over the blocks
 //! ([`SipHash24::finish4`]). What a caller may rely on:
 //!
 //! * **same bytes** — the output equals one [`BlockSealer::seal_into`] /

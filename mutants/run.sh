@@ -9,7 +9,7 @@
 #   Mutant:    what the patch breaks, in one sentence
 #   Invariant: the short name printed in the table (answers = map, trace,
 #              recovery, typed errors, stash bound, decoders, RPC, gates,
-#              posmap cost)
+#              posmap cost, dispatch)
 #   Breaks:    the invariant, spelled out
 #   Origin:    the bug, fix or review the mutant re-creates
 #   Test:      `cargo test --release` arguments naming one test that must
