@@ -60,7 +60,6 @@ fn main() {
                 max_pending_per_tenant: params.requests,
                 dedup: false,
                 io_batch: 1,
-                ..ServiceConfig::default()
             },
         );
 

@@ -701,10 +701,7 @@ mod sharding {
     /// every response in submission order (the equivalence check).
     fn run_sharded(schedule: &TenantSchedule, shards: u64) -> (ShardRow, Vec<Vec<u8>>) {
         let service_config = batched();
-        // The service's `worker_threads` sizes the engine's pump.
-        let base = service_config
-            .engine_config(HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS))
-            .with_seed(SEED);
+        let base = HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS).with_seed(SEED);
         let oram = sharded(base, shards, 0xD4);
         let balance = {
             let counts = schedule.route_counts(shards as usize, |id| {
@@ -777,6 +774,8 @@ mod sharding {
 
 /// Four worker threads must beat one on host wall-clock by a host-scaled
 /// bar, with identical responses and statistics at every thread count.
+/// Four threads run at the host's width (`HOramConfig::worker_width`),
+/// which the report states.
 mod parallel {
     use super::*;
 
@@ -803,6 +802,9 @@ mod parallel {
     #[derive(Debug, Clone, Serialize)]
     struct ThreadRow {
         threads: usize,
+        /// The width the engine ran at: `threads` capped at the host's
+        /// cores.
+        width: usize,
         /// Host wall clock of the drained batch, ms, and its rate.
         wall_ms: f64,
         wall_throughput_rps: f64,
@@ -820,6 +822,8 @@ mod parallel {
         io_batch: u64,
         available_parallelism: usize,
         gate_threads: usize,
+        /// The width the gate's threaded side ran at.
+        gate_width: usize,
         min_wall_speedup: f64,
         /// wall_ms(1 thread) / wall_ms(4 threads) of each alternating pair.
         pair_speedups: Vec<f64>,
@@ -837,11 +841,13 @@ mod parallel {
             .with_seed(SEED)
             .with_io_batch(IO_BATCH)
             .with_worker_threads(threads);
+        let width = config.worker_width();
         let mut oram = sharded(config, SHARDS, 0xE1);
         let (responses, wall_ms) = timed(|| oram.run_batch(requests).expect("runs"));
         let stats = oram.stats();
         let row = ThreadRow {
             threads,
+            width,
             wall_ms,
             wall_throughput_rps: ratio(requests.len() as f64, wall_ms / 1e3),
             sim_wall_us: since_start(oram.clock().now()).as_micros_f64(),
@@ -880,6 +886,8 @@ mod parallel {
                 }
             }
         }
+        // `order` starts 1, GATE_THREADS: row 1 is the bar's threaded side.
+        let gate_width = rows[1].width;
         let pair_speedups: Vec<f64> = rows[..2 * BAR_PAIRS]
             .chunks(2)
             .map(|pair| pair[0].wall_ms / pair[1].wall_ms.max(f64::MIN_POSITIVE))
@@ -900,6 +908,7 @@ mod parallel {
                 io_batch: IO_BATCH,
                 available_parallelism: cores,
                 gate_threads: GATE_THREADS,
+                gate_width,
                 min_wall_speedup: threshold,
                 pair_speedups,
                 wall_speedup,

@@ -65,16 +65,15 @@ pub struct HOramConfig {
     /// Wall-clock worker threads for the parallel execution engine:
     /// per-shard cycle windows (`ShardedOram`) and the shuffle's
     /// data-parallel seal/open stream (`StorageLayer::rebuild_window`)
-    /// run across this many OS threads. `1` is the fully serial path;
-    /// the default is the host's available parallelism. On error-free
-    /// runs, responses, storage traces, and statistics are
-    /// **byte-identical for every value** — the thread count changes
-    /// wall-clock time only (see `docs/ARCHITECTURE.md` §8 and
+    /// run across [`worker_width`](Self::worker_width) OS threads — this
+    /// value capped at the host's available parallelism, which is also
+    /// the default. On error-free runs, responses, storage traces, and
+    /// statistics are **byte-identical for every value** — the width
+    /// changes wall-clock time only (see `docs/ARCHITECTURE.md` §8 and
     /// `tests/parallel.rs`). Errors are fail-stop everywhere (the
     /// instance must be discarded); only on those discarded-instance
-    /// paths may internal state differ by thread count, because a
-    /// threaded round finishes its sibling shards before reporting where
-    /// the serial round stops at the first failure.
+    /// paths may internal state differ by width. A host property, so
+    /// snapshots do not carry it: a restored engine takes the default.
     pub worker_threads: usize,
     /// Optional block cache installed in front of the storage device;
     /// `None` (the default) reproduces the paper's uncached setup.
@@ -176,7 +175,7 @@ impl HOramConfig {
             prefetch_distance: 15, // 3 × c_max, like the paper's d=9 for c=3
             partial_shuffle_ratio: None,
             io_batch: 1,
-            worker_threads: default_worker_threads(),
+            worker_threads: host_threads(),
             cache: None,
             posmap: PosmapMode::Flat,
             seed: DEFAULT_SEED,
@@ -262,7 +261,7 @@ impl HOramConfig {
     }
 
     /// Sets the wall-clock worker-thread count (see
-    /// [`worker_threads`](Self::worker_threads); `1` = serial).
+    /// [`worker_threads`](Self::worker_threads)).
     ///
     /// # Panics
     ///
@@ -369,6 +368,14 @@ impl HOramConfig {
         self.stages.last().expect("non-empty stages").c
     }
 
+    /// The threads the engine runs on:
+    /// [`worker_threads`](Self::worker_threads) capped at the host's
+    /// available parallelism, since a thread beyond the cores only
+    /// competes with its siblings.
+    pub fn worker_width(&self) -> usize {
+        self.worker_threads.min(host_threads())
+    }
+
     /// Number of storage partitions: `⌈√N⌉` (paper §4.3.2).
     pub fn partition_count(&self) -> u64 {
         (self.capacity as f64).sqrt().ceil() as u64
@@ -405,12 +412,16 @@ const PARTITION_HEADROOM: f64 = 1.10;
 /// Default protocol seed (arbitrary; fixed for replayability).
 const DEFAULT_SEED: u64 = 0x04a3_2019;
 
-/// Default worker-thread count: everything the host offers. Results are
-/// byte-identical at any count, so the default trades nothing but CPUs.
-fn default_worker_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+/// The host's available parallelism: the default worker-thread count
+/// and the cap on [`HOramConfig::worker_width`]. Read once per process,
+/// since the query reads cgroup files and every engine build asks.
+pub(crate) fn host_threads() -> usize {
+    static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 #[cfg(test)]
@@ -478,18 +489,16 @@ mod tests {
     }
 
     #[test]
-    fn worker_thread_knob() {
+    fn worker_width_is_capped_at_the_host() {
         let defaults = HOramConfig::new(1024, 64, 256);
-        assert!(defaults.worker_threads >= 1, "auto default is at least 1");
+        assert_eq!(defaults.worker_threads, host_threads());
+        assert_eq!(defaults.worker_width(), host_threads());
         let serial = defaults.clone().with_worker_threads(1);
         serial.validate();
-        assert_eq!(serial.worker_threads, 1);
-        assert_eq!(
-            HOramConfig::new(1024, 64, 256)
-                .with_worker_threads(4)
-                .worker_threads,
-            4
-        );
+        assert_eq!(serial.worker_width(), 1);
+        let wide = defaults.with_worker_threads(host_threads() + 3);
+        assert_eq!(wide.worker_threads, host_threads() + 3);
+        assert_eq!(wide.worker_width(), host_threads());
     }
 
     #[test]

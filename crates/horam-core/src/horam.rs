@@ -234,15 +234,32 @@ impl HOram {
     /// [`OramError::SnapshotInvalid`] for a truncated, corrupted,
     /// wrong-key, or geometry-incompatible snapshot. Restores fail
     /// closed: an error never yields a partially restored instance.
+    ///
+    /// The snapshot does not carry
+    /// [`worker_threads`](HOramConfig::worker_threads), a property of the
+    /// host: the restored instance takes the default.
     pub fn restore(
         hierarchy: MemoryHierarchy,
         master: MasterKey,
         snapshot: &[u8],
     ) -> Result<Self, OramError> {
+        Self::restore_with_threads(hierarchy, master, snapshot, crate::config::host_threads())
+    }
+
+    /// [`restore`](Self::restore) at a given worker-thread count: a
+    /// sharded instance restores its shards at the count
+    /// [`ShardedConfig::shard_config`](crate::shard::ShardedConfig::shard_config)
+    /// gives them.
+    pub(crate) fn restore_with_threads(
+        hierarchy: MemoryHierarchy,
+        master: MasterKey,
+        snapshot: &[u8],
+        worker_threads: usize,
+    ) -> Result<Self, OramError> {
         let snapshot_keys = master.derive(SNAPSHOT_DOMAIN, 0);
         let body = open_envelope(&snapshot_keys, KIND_SINGLE, snapshot)?;
         let mut r = StateReader::new(&body);
-        let config = persist::load_config(&mut r)?;
+        let config = persist::load_config(&mut r)?.with_worker_threads(worker_threads);
         config.validate();
 
         let clock = hierarchy.clock().clone();

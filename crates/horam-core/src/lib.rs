@@ -25,7 +25,7 @@
 //! | multi-user identities and access control (§5.3.2) | [`access_control`] |
 //! | run statistics (Tables 5-3/5-4 rows) | [`stats`] |
 //! | sharded scale-out (beyond the paper) | [`shard`] |
-//! | wall-clock worker pool (beyond the paper) | [`pool`] |
+//! | wall-clock worker pool (beyond the paper) | `pool`, private to the crate |
 //!
 //! Multi-user sharing itself — tenants' queues merged into one engine's
 //! cycles — is `horam-server`'s `OramService` over a [`ShardedOram`].
@@ -42,7 +42,7 @@ pub mod evict;
 pub mod horam;
 pub mod permutation_list;
 pub mod persist;
-pub mod pool;
+mod pool;
 pub mod posmap;
 pub mod queue;
 pub mod rob;
@@ -57,7 +57,6 @@ pub use error::HOramError;
 pub use evict::{oblivious_tree_evict, EvictOutcome};
 pub use horam::HOram;
 pub use permutation_list::{Location, PermutationList};
-pub use pool::WorkerPool;
 pub use posmap::{
     build_posmap, FlatPositionMap, PositionMap, PosmapLevelView, PosmapStats, RecursivePositionMap,
 };

@@ -58,8 +58,10 @@ pub fn envelope_seq(keys: &oram_crypto::keys::SubKeys, body: &[u8]) -> u64 {
     mac.finish()
 }
 
-/// Serializes a full [`HOramConfig`] (embedded in every snapshot so
-/// restore can rebuild derived structures and validate geometry).
+/// Serializes an [`HOramConfig`] (embedded in every snapshot so restore
+/// can rebuild derived structures and validate geometry) — every field
+/// but [`worker_threads`](HOramConfig::worker_threads), which belongs to
+/// the host that runs the engine.
 ///
 /// The three `save_*` functions destructure their struct exhaustively
 /// (no `..`), so a field added without a codec line fails to compile.
@@ -72,7 +74,8 @@ pub fn save_config(config: &HOramConfig, w: &mut StateWriter) {
         prefetch_distance,
         partial_shuffle_ratio,
         io_batch,
-        worker_threads,
+        // A host property: the restoring host picks its own.
+        worker_threads: _,
         cache,
         posmap,
         seed,
@@ -94,7 +97,6 @@ pub fn save_config(config: &HOramConfig, w: &mut StateWriter) {
         }
     }
     w.put_u64(*io_batch);
-    w.put_usize(*worker_threads);
     save_cache_config(cache.as_ref(), w);
     save_posmap_mode(posmap, w);
     w.put_u64(*seed);
@@ -173,7 +175,8 @@ fn load_cache_config(r: &mut StateReader<'_>) -> Result<Option<CacheConfig>, Per
     }))
 }
 
-/// Reads a configuration serialized by [`save_config`].
+/// Reads a configuration serialized by [`save_config`], with the host's
+/// default [`worker_threads`](HOramConfig::worker_threads).
 ///
 /// # Errors
 ///
@@ -202,7 +205,6 @@ pub fn load_config(r: &mut StateReader<'_>) -> Result<HOramConfig, PersistError>
         None
     };
     let io_batch = r.get_u64()?;
-    let worker_threads = r.get_usize()?;
     let cache = load_cache_config(r)?;
     let posmap = load_posmap_mode(r)?;
     let seed = r.get_u64()?;
@@ -214,7 +216,7 @@ pub fn load_config(r: &mut StateReader<'_>) -> Result<HOramConfig, PersistError>
         prefetch_distance,
         partial_shuffle_ratio,
         io_batch,
-        worker_threads,
+        worker_threads: crate::config::host_threads(),
         cache,
         posmap,
         seed,
@@ -225,7 +227,7 @@ pub fn load_config(r: &mut StateReader<'_>) -> Result<HOramConfig, PersistError>
 mod tests {
     use super::*;
 
-    /// Every surviving field — of the engine config, the cache config and
+    /// Every persisted field — of the engine config, the cache config and
     /// the recursive posmap config — at a non-default value.
     #[test]
     fn config_roundtrips_exactly_with_every_field_non_default() {
@@ -237,7 +239,6 @@ mod tests {
             .with_prefetch_distance(7)
             .with_partial_shuffle(0.25)
             .with_io_batch(8)
-            .with_worker_threads(3)
             .with_cache(cache)
             .with_posmap(PosmapMode::Recursive(RecursivePosmapConfig {
                 fanout: Some(16),

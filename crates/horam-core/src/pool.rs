@@ -1,61 +1,52 @@
-//! A hand-rolled scoped worker pool for the wall-clock execution engine.
+//! The worker pool behind H-ORAM's two levels of wall-clock parallelism.
 //!
-//! The simulated-time machinery (PRs 2–3) made H-ORAM fast on the
-//! *simulated* device timeline, but every byte of real CPU work — shard
-//! cycle windows, the shuffle's seal/open stream, ChaCha20 keystream
-//! generation — still ran serially on one core. [`WorkerPool`] is the
-//! execution substrate that converts the design's independent work units
-//! into measured wall-clock concurrency:
+//! The simulated-time machinery made H-ORAM fast on the *simulated*
+//! device timeline; [`WorkerPool`] spreads the real CPU work of the
+//! design's independent units across host threads:
 //!
-//! * [`ShardedOram`](crate::shard::ShardedOram) dispatches per-shard cycle
-//!   windows onto it (shards are fully independent instances);
-//! * [`StorageLayer`](crate::storage_layer::StorageLayer) runs the
-//!   rebuild stream's per-block crypto data-parallel across it.
+//! * [`ShardedOram`](crate::shard::ShardedOram) runs its busy shards'
+//!   cycle windows on it (shards are fully independent instances);
+//! * [`StorageLayer`](crate::storage_layer::StorageLayer) runs each
+//!   rebuild pass's per-slot crypto on it, one contiguous chunk of slots
+//!   per thread.
 //!
 //! # Design
 //!
-//! The pool is deliberately small (no external dependencies; the
-//! environment has no crates.io access): a shared FIFO injector queue
-//! behind a mutex/condvar pair, `threads − 1` detached worker threads,
-//! and a **scoped** spawn API in the style of `std::thread::scope` /
-//! rayon's `scope`:
+//! The pool has one entry point, [`fork_join`](WorkerPool::fork_join):
+//! run `f(i, &mut items[i])` for every item, return the results in index
+//! order. Behind it sit `width − 1` persistent worker threads and a FIFO
+//! job queue behind a mutex/condvar pair (no external dependencies). A
+//! call queues one job per helping worker, and every executor — the
+//! caller included — claims items one at a time until none is left. The
+//! call returns only after every helper job has finished (a barrier), so
+//! the borrowed items and closure can never dangle. A panicking item is
+//! caught where it runs and re-raised on the caller after the barrier;
+//! the workers survive it, so the pool stays usable.
 //!
-//! * [`WorkerPool::scope`] lets tasks borrow from the caller's stack
-//!   (`&mut` shard instances, buffer chunks). Safety comes from the
-//!   barrier: `scope` does not return — not even by unwinding — until
-//!   every task spawned in it has finished, so the erased lifetimes can
-//!   never dangle.
-//! * The **caller helps** while it waits: a scope blocked on its tasks
-//!   pops and runs queued jobs instead of sleeping, so a pool configured
-//!   for `t` threads delivers exactly `t`-way concurrency (`t − 1`
-//!   workers + the scoping thread) and nested scopes cannot deadlock the
-//!   queue (the waiter drains it).
-//! * **Panics propagate, never deadlock**: a panicking task is caught on
-//!   the worker, recorded, and counted as finished; the scope re-raises
-//!   the first payload on the scoping thread after the barrier. Workers
-//!   survive task panics, so the pool stays usable — a panicking shard
-//!   task cannot wedge the serving layer's pump.
+//! The workers persist across calls because a pump round is short: a
+//! fresh `std::thread::scope` per round measured 0.94× `serve_zipf`
+//! throughput and a larger peak RSS (`docs/ARCHITECTURE.md` §8).
 //!
-//! Determinism is unaffected by any of this: tasks only ever write
-//! disjoint state handed to them by the caller, and every merge of task
-//! results happens on the scoping thread in a fixed order. The pool
-//! decides *when* work runs, never *what* it computes — see
-//! `docs/ARCHITECTURE.md` §8 for the full argument.
+//! Determinism is unaffected: items are disjoint, and the results are
+//! merged on the caller in index order. The pool decides *when* work
+//! runs, never *what* it computes — at width 1, or for fewer than two
+//! items, `fork_join` is a plain loop on the caller.
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::iter::{Enumerate, Rev};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::{self, JoinHandle};
 
-/// A type-erased unit of work. Jobs never unwind: scope tasks are wrapped
-/// in `catch_unwind` before they are erased.
+/// A type-erased helper job. Jobs never unwind: every item runs under
+/// `catch_unwind`.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// State shared between the pool handle and its worker threads.
 struct Shared {
-    /// FIFO injector: scopes push, workers (and helping waiters) pop.
+    /// FIFO job queue: calls push, workers (and waiting callers) pop.
     queue: Mutex<VecDeque<Job>>,
     /// Signalled when a job is pushed or shutdown begins.
     available: Condvar,
@@ -64,173 +55,166 @@ struct Shared {
     shutdown: AtomicBool,
 }
 
-/// Completion tracking for one [`WorkerPool::scope`] call.
-struct ScopeState {
-    /// Tasks spawned and not yet finished.
-    pending: AtomicUsize,
-    /// Paired with [`done`](Self::done) to block the scoping thread when
-    /// the queue is empty but tasks are still running on workers.
-    done: Mutex<()>,
-    /// Signalled by the task that drops `pending` to zero.
-    done_cv: Condvar,
-    /// First panic payload raised by any task in this scope.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+/// Locks `mutex`, ignoring poison: no critical section here can panic
+/// half-way through an update.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A fixed-size pool of worker threads with a scoped spawn API.
-///
-/// See the [module docs](self) for the design. `worker_threads = t`
-/// spawns `t − 1` OS threads; the thread calling [`scope`](Self::scope)
-/// is the `t`-th executor while it waits.
-///
-/// # Example
-///
-/// ```
-/// use horam_core::pool::WorkerPool;
-///
-/// let pool = WorkerPool::new(4);
-/// let mut results = vec![0u64; 8];
-/// pool.scope(|scope| {
-///     for (i, slot) in results.iter_mut().enumerate() {
-///         scope.spawn(move || *slot = (i as u64) * 2);
-///     }
-/// });
-/// assert_eq!(results, vec![0, 2, 4, 6, 8, 10, 12, 14]);
-/// ```
-pub struct WorkerPool {
+/// One [`WorkerPool::fork_join`] call, shared by every executor.
+struct Call<'a, T, R, F> {
+    /// Unclaimed items, handed out from the last one down.
+    todo: Mutex<Rev<Enumerate<std::slice::IterMut<'a, T>>>>,
+    /// Finished items with their index, in completion order.
+    done: Mutex<Vec<(usize, thread::Result<R>)>>,
+    f: &'a F,
+    /// Helper jobs queued and not yet finished.
+    helpers: Mutex<usize>,
+    /// Signalled by the helper that drops [`helpers`](Self::helpers) to 0.
+    helped: Condvar,
+}
+
+impl<T, R, F: Fn(usize, &mut T) -> R> Call<'_, T, R, F> {
+    /// Claims and runs items until none is left.
+    fn run(&self) {
+        loop {
+            let Some((i, item)) = lock(&self.todo).next() else {
+                return;
+            };
+            let result = catch_unwind(AssertUnwindSafe(|| (self.f)(i, item)));
+            lock(&self.done).push((i, result));
+        }
+    }
+
+    /// A helper job's last act: count itself out.
+    fn finish_helper(&self) {
+        let mut helpers = lock(&self.helpers);
+        *helpers -= 1;
+        if *helpers == 0 {
+            self.helped.notify_all();
+        }
+    }
+}
+
+/// A fixed-width pool of persistent worker threads with one ordered
+/// fork-join call. See the [module docs](self).
+pub(crate) struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    threads: usize,
 }
 
 impl fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("threads", &self.threads)
+            .field("width", &self.width())
             .finish()
     }
 }
 
 impl WorkerPool {
-    /// Creates a pool delivering `threads`-way concurrency (spawning
-    /// `threads − 1` workers; the scoping caller is the last executor).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads < 2` — a 1-thread "pool" is the serial path and
-    /// callers select it by not constructing a pool at all (see
-    /// [`for_threads`](Self::for_threads)).
-    pub fn new(threads: usize) -> Self {
-        assert!(
-            threads >= 2,
-            "a worker pool needs at least 2 threads; use the serial path for 1"
-        );
+    /// Creates a pool `width` executors wide: `width − 1` worker threads
+    /// plus the caller of [`fork_join`](Self::fork_join). Width 1 spawns
+    /// no thread. Engines size it with
+    /// [`HOramConfig::worker_width`](crate::config::HOramConfig::worker_width).
+    pub(crate) fn new(width: usize) -> Self {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
-        let workers = (0..threads - 1)
+        let workers = (1..width)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
+                thread::Builder::new()
                     .name(format!("horam-worker-{i}"))
                     .spawn(move || worker_loop(&shared))
                     .expect("spawns worker thread")
             })
             .collect();
-        Self {
-            shared,
-            workers,
-            threads,
-        }
+        Self { shared, workers }
     }
 
-    /// The conventional constructor: `None` for `threads ≤ 1` (callers
-    /// take the serial path), `Some(pool)` otherwise. This is what
-    /// [`HOramConfig::worker_threads`](crate::config::HOramConfig::worker_threads)
-    /// feeds.
-    pub fn for_threads(threads: usize) -> Option<Arc<Self>> {
-        (threads >= 2).then(|| Arc::new(Self::new(threads)))
+    /// The executors a call runs on: the workers and the caller.
+    pub(crate) fn width(&self) -> usize {
+        self.workers.len() + 1
     }
 
-    /// The concurrency the pool delivers (workers + the scoping caller).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs `f` with a [`Scope`] whose spawned tasks may borrow anything
-    /// that outlives this call. Returns only after every spawned task has
-    /// finished; while waiting, the calling thread executes queued jobs
-    /// itself.
+    /// Runs `f(i, &mut items[i])` for every item across the pool, the
+    /// calling thread included, and returns the results in index order.
     ///
     /// # Panics
     ///
-    /// If `f` or any spawned task panics, the panic is re-raised here —
-    /// *after* the completion barrier, so borrowed state is never touched
-    /// by a task once `scope` has unwound. When both panic, `f`'s payload
-    /// wins (matching `std::thread::scope`).
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
-        let state = Arc::new(ScopeState {
-            pending: AtomicUsize::new(0),
-            done: Mutex::new(()),
-            done_cv: Condvar::new(),
-            panic: Mutex::new(None),
-        });
-        let scope = Scope {
-            pool: self,
-            state: Arc::clone(&state),
-            _env: std::marker::PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        // The barrier: every spawned task must finish before control (or a
-        // panic) leaves this frame, or erased borrows could dangle.
-        self.wait_until_done(&state);
-        match result {
-            Err(payload) => resume_unwind(payload),
-            Ok(value) => {
-                if let Some(payload) = state.panic.lock().unwrap_or_else(|e| e.into_inner()).take()
-                {
-                    resume_unwind(payload);
-                }
-                value
-            }
+    /// If any item panics, the lowest-indexed panic is re-raised here
+    /// after every item has finished.
+    pub(crate) fn fork_join<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, &mut T) -> R + Sync,
+    {
+        if self.workers.is_empty() || items.len() < 2 {
+            return items
+                .iter_mut()
+                .enumerate()
+                .map(|(i, item)| f(i, item))
+                .collect();
         }
+        let helpers = self.workers.len().min(items.len() - 1);
+        let count = items.len();
+        // Claims run from the last item down: on one executor the
+        // completion order is the reverse of index order, so only the
+        // sort below can make results ordered.
+        let call = Call {
+            todo: Mutex::new(items.iter_mut().enumerate().rev()),
+            done: Mutex::new(Vec::with_capacity(count)),
+            f: &f,
+            helpers: Mutex::new(helpers),
+            helped: Condvar::new(),
+        };
+        for _ in 0..helpers {
+            let call = &call;
+            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                call.run();
+                call.finish_helper();
+            });
+            // SAFETY: the job borrows `call` (and through it `items` and
+            // `f`). This function does not return or unwind until
+            // `call.helpers` reaches zero, i.e. until every helper job has
+            // run to completion: `run` catches every item's panic, and the
+            // wait below cannot panic. Queued jobs are never dropped
+            // unrun: shutdown happens only in `WorkerPool::drop`, which
+            // cannot run while `&self` is borrowed here.
+            let job: Job = unsafe { std::mem::transmute(job) };
+            lock(&self.shared.queue).push_back(job);
+            self.shared.available.notify_one();
+        }
+        call.run();
+        self.wait_for_helpers(&call);
+
+        let mut done = call.done.into_inner().unwrap_or_else(|e| e.into_inner());
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter()
+            .map(|(_, result)| result.unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
     }
 
-    /// Queues a job and wakes one worker.
-    fn push(&self, job: Job) {
-        self.shared
-            .queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(job);
-        self.shared.available.notify_one();
-    }
-
-    /// Blocks until `state.pending` hits zero, running queued jobs (from
-    /// any scope) instead of sleeping whenever the queue is non-empty.
-    fn wait_until_done(&self, state: &ScopeState) {
+    /// Blocks until every helper job of `call` has finished. A job still
+    /// queued is run here rather than waited for: every item is claimed
+    /// by now, so it only counts itself out.
+    fn wait_for_helpers<T, R, F: Fn(usize, &mut T) -> R>(&self, call: &Call<'_, T, R, F>) {
         loop {
-            if state.pending.load(Ordering::Acquire) == 0 {
+            if *lock(&call.helpers) == 0 {
                 return;
             }
-            let job = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_front();
-            match job {
+            let queued = lock(&self.shared.queue).pop_front();
+            match queued {
                 Some(job) => job(),
                 None => {
-                    // Queue empty but tasks still running on workers: park
-                    // on the scope's condvar. The pending check under the
-                    // `done` mutex pairs with the finisher locking it
-                    // before notifying, so the wakeup cannot be missed.
-                    let guard = state.done.lock().unwrap_or_else(|e| e.into_inner());
-                    if state.pending.load(Ordering::Acquire) != 0 {
-                        drop(state.done_cv.wait(guard).unwrap_or_else(|e| e.into_inner()));
+                    // The count is re-checked under its lock, which the
+                    // last helper takes before notifying: no lost wakeup.
+                    let helpers = lock(&call.helpers);
+                    if *helpers != 0 {
+                        drop(call.helped.wait(helpers).unwrap_or_else(|e| e.into_inner()));
                     }
                 }
             }
@@ -243,55 +227,10 @@ impl Drop for WorkerPool {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.available.notify_all();
         for worker in self.workers.drain(..) {
-            // Workers never unwind (tasks are caught), so join only fails
+            // Workers never unwind (items are caught), so join only fails
             // if a worker was killed externally; nothing to clean up then.
             let _ = worker.join();
         }
-    }
-}
-
-/// Spawn handle passed to the closure of [`WorkerPool::scope`]. Tasks may
-/// borrow anything alive for `'env`.
-pub struct Scope<'pool, 'env> {
-    pool: &'pool WorkerPool,
-    state: Arc<ScopeState>,
-    /// Invariant over `'env`, like `std::thread::Scope`: keeps callers
-    /// from shrinking the environment lifetime of spawned borrows.
-    _env: std::marker::PhantomData<&'env mut &'env ()>,
-}
-
-impl<'env> Scope<'_, 'env> {
-    /// Spawns `task` onto the pool. The task starts as soon as a worker
-    /// (or the waiting scope owner) picks it up; it is guaranteed to have
-    /// finished when the enclosing [`WorkerPool::scope`] returns.
-    pub fn spawn(&self, task: impl FnOnce() + Send + 'env) {
-        self.state.pending.fetch_add(1, Ordering::AcqRel);
-        let state = Arc::clone(&self.state);
-        let wrapped = move || {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-                state
-                    .panic
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .get_or_insert(payload);
-            }
-            if state.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Last task out: take the done lock before notifying so a
-                // waiter between its pending check and its wait cannot
-                // miss the signal.
-                drop(state.done.lock().unwrap_or_else(|e| e.into_inner()));
-                state.done_cv.notify_all();
-            }
-        };
-        let job: Box<dyn FnOnce() + Send + 'env> = Box::new(wrapped);
-        // SAFETY: `scope` does not return (by value or unwind) until
-        // `pending` reaches zero, i.e. until this job has run to
-        // completion; the pool never drops queued jobs while scopes wait
-        // (shutdown happens only in `WorkerPool::drop`, which cannot be
-        // reached while `&self` borrows the pool). The erased borrows
-        // therefore outlive every use.
-        let job: Job = unsafe { std::mem::transmute(job) };
-        self.pool.push(job);
     }
 }
 
@@ -299,7 +238,7 @@ impl<'env> Scope<'_, 'env> {
 fn worker_loop(shared: &Shared) {
     loop {
         let job = {
-            let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut queue = lock(&shared.queue);
             loop {
                 if let Some(job) = queue.pop_front() {
                     break Some(job);
@@ -326,135 +265,84 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn executes_borrowed_tasks_to_completion() {
-        let pool = WorkerPool::new(4);
-        let mut slots = vec![0u64; 64];
-        pool.scope(|scope| {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                scope.spawn(move || *slot = i as u64 + 1);
-            }
-        });
-        assert!(slots.iter().enumerate().all(|(i, &v)| v == i as u64 + 1));
-    }
-
-    #[test]
-    fn tasks_actually_run_concurrently_or_interleaved() {
-        // With 3 executors, a counter incremented from many tasks must
-        // land exactly on the task count whatever the interleaving.
-        let pool = WorkerPool::new(3);
-        let counter = AtomicU64::new(0);
-        pool.scope(|scope| {
-            for _ in 0..100 {
-                scope.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn scope_reuses_the_pool_across_calls() {
-        let pool = WorkerPool::new(2);
-        for round in 0..20u64 {
-            let mut out = [0u64; 4];
-            pool.scope(|scope| {
-                for slot in out.iter_mut() {
-                    scope.spawn(move || *slot = round);
-                }
+    fn results_come_back_in_index_order() {
+        for width in [1, 2, 4] {
+            let pool = WorkerPool::new(width);
+            let mut items: Vec<u64> = (0..64).collect();
+            let out = pool.fork_join(&mut items, |i, item| {
+                *item += 1;
+                (i as u64) * 2
             });
-            assert_eq!(out, [round; 4]);
+            assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<u64>>());
+            assert_eq!(items, (1..=64).collect::<Vec<u64>>(), "width {width}");
         }
     }
 
     #[test]
-    fn panicking_task_propagates_and_does_not_deadlock() {
-        let pool = WorkerPool::new(2);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|scope| {
-                scope.spawn(|| panic!("shard task exploded"));
+    fn every_item_runs_once_and_the_pool_is_reused() {
+        let pool = WorkerPool::new(3);
+        let counter = AtomicU64::new(0);
+        for round in 1..=20u64 {
+            let mut items = vec![0u64; 7];
+            pool.fork_join(&mut items, |_, item| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                *item = round;
             });
+            assert_eq!(items, vec![round; 7]);
+        }
+        assert_eq!(counter.load(Ordering::Relaxed), 140);
+    }
+
+    #[test]
+    fn width_one_spawns_no_thread() {
+        let pool = WorkerPool::new(1);
+        assert_eq!(pool.width(), 1);
+        let caller = thread::current().id();
+        let ran_on = pool.fork_join(&mut [(); 4], |_, _| thread::current().id());
+        assert!(ran_on.iter().all(|id| *id == caller));
+    }
+
+    /// A panicking item surfaces as a panic on the caller — after every
+    /// sibling finished, never as a deadlock — and the pool keeps serving
+    /// the next call, as the shard pump needs after a failed round.
+    #[test]
+    fn panicking_item_propagates_and_does_not_deadlock() {
+        let pool = WorkerPool::new(4);
+        let finished = AtomicU64::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.fork_join(&mut [0u32; 32], |i, _| {
+                if i == 13 {
+                    panic!("shard task exploded");
+                }
+                finished.fetch_add(1, Ordering::Relaxed);
+            })
         }));
-        let payload = caught.expect_err("panic must propagate to the scope");
+        let payload = caught.expect_err("panic must propagate to the caller");
         let message = payload
             .downcast_ref::<&str>()
             .copied()
             .unwrap_or("<non-str payload>");
         assert!(message.contains("shard task exploded"));
+        assert_eq!(
+            finished.load(Ordering::Relaxed),
+            31,
+            "the barrier ran the rest"
+        );
 
-        // The pump keeps running: the pool must still execute work after a
-        // task panic (the worker survived).
-        let mut out = [0u64; 3];
-        pool.scope(|scope| {
-            for (i, slot) in out.iter_mut().enumerate() {
-                scope.spawn(move || *slot = i as u64 + 7);
-            }
-        });
-        assert_eq!(out, [7, 8, 9]);
+        let mut round = vec![0u32; 16];
+        pool.fork_join(&mut round, |i, slot| *slot = i as u32 + 1);
+        assert_eq!(round, (1..=16).collect::<Vec<u32>>());
     }
 
     #[test]
-    fn one_of_many_panics_still_finishes_every_task() {
-        let pool = WorkerPool::new(4);
-        let finished = AtomicU64::new(0);
-        let finished = &finished;
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|scope| {
-                for i in 0..32 {
-                    scope.spawn(move || {
-                        if i == 13 {
-                            panic!("unlucky");
-                        }
-                        finished.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }));
-        assert!(caught.is_err(), "panic must surface");
-        // The barrier ran every non-panicking task before re-raising.
-        assert_eq!(finished.load(Ordering::Relaxed), 31);
-    }
-
-    #[test]
-    fn for_threads_selects_the_serial_path_below_two() {
-        assert!(WorkerPool::for_threads(0).is_none());
-        assert!(WorkerPool::for_threads(1).is_none());
-        assert_eq!(WorkerPool::for_threads(2).unwrap().threads(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2 threads")]
-    fn single_thread_pool_rejected() {
-        let _ = WorkerPool::new(1);
-    }
-
-    #[test]
-    fn nested_scopes_do_not_deadlock() {
-        // A task that itself opens a scope on the same pool: the waiter
-        // helps drain the queue, so this completes even with 2 threads.
-        let pool = Arc::new(WorkerPool::new(2));
-        let mut outer = [0u64; 4];
-        pool.scope(|scope| {
-            for (i, slot) in outer.iter_mut().enumerate() {
-                let pool = Arc::clone(&pool);
-                scope.spawn(move || {
-                    let mut inner = [0u64; 4];
-                    pool.scope(|inner_scope| {
-                        for (j, cell) in inner.iter_mut().enumerate() {
-                            inner_scope.spawn(move || *cell = (i * 4 + j) as u64);
-                        }
-                    });
-                    *slot = inner.iter().sum();
-                });
-            }
-        });
-        assert_eq!(outer.iter().sum::<u64>(), (0..16).sum::<u64>());
-    }
-
-    #[test]
-    fn empty_scope_returns_immediately() {
+    fn empty_and_single_item_calls_run_on_the_caller() {
         let pool = WorkerPool::new(2);
-        let value = pool.scope(|_| 42);
-        assert_eq!(value, 42);
+        let none: Vec<u8> = pool.fork_join(&mut [] as &mut [u8], |_, _| 1);
+        assert!(none.is_empty());
+        let caller = thread::current().id();
+        assert_eq!(
+            pool.fork_join(&mut [7u8], |_, _| thread::current().id()),
+            vec![caller]
+        );
     }
 }

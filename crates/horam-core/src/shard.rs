@@ -52,7 +52,6 @@ use oram_protocols::types::{BlockId, Request, RequestOp};
 use oram_storage::clock::{SimClock, SimTime};
 use oram_storage::hierarchy::MemoryHierarchy;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Configuration of a sharded instance: the aggregate geometry plus the
 /// shard count.
@@ -290,9 +289,9 @@ pub struct ShardedOram {
     clock: SimClock,
     routes: HashMap<u64, TicketRoute>,
     next_ticket: u64,
-    /// Wall-clock worker pool the pump dispatches shard windows onto
-    /// (`None` at `worker_threads = 1` — the serial round-robin).
-    workers: Option<Arc<WorkerPool>>,
+    /// Wall-clock worker pool the pump runs busy shards' windows on,
+    /// [`HOramConfig::worker_width`] of the base config wide.
+    workers: WorkerPool,
     /// Keys sealing this instance's manifest snapshots.
     snapshot_keys: SubKeys,
     /// Per-shard derived master keys, retained so a quarantined shard can
@@ -373,7 +372,7 @@ impl ShardedOram {
             )?);
             shard_masters.push(shard_master);
         }
-        let workers = WorkerPool::for_threads(config.base.worker_threads);
+        let workers = WorkerPool::new(config.base.worker_width());
         let snapshot_keys = master.derive(SNAPSHOT_DOMAIN, 0);
         let degraded = vec![None; shards.len()];
         Ok(Self {
@@ -497,17 +496,18 @@ impl ShardedOram {
         for shard in 0..shard_count {
             let sealed = r.get_bytes()?;
             let shard_master = Self::derive_shard_master(&master, shard);
-            shards.push(HOram::restore(
+            shards.push(HOram::restore_with_threads(
                 hierarchy_for(shard),
                 shard_master.clone(),
                 sealed,
+                config.shard_config(shard).worker_threads,
             )?);
             shard_masters.push(shard_master);
         }
         r.finish()?;
         let clock = SimClock::new();
         clock.advance(oram_storage::clock::SimDuration::from_nanos(clock_nanos));
-        let workers = WorkerPool::for_threads(config.base.worker_threads);
+        let workers = WorkerPool::new(config.base.worker_width());
         let degraded = vec![None; shards.len()];
         Ok(Self {
             config,
@@ -671,14 +671,14 @@ impl ShardedOram {
     /// fully concurrently in simulated time; idle shards cost nothing.
     /// Returns the total cycles executed this round.
     ///
-    /// With `worker_threads > 1` the busy shards' windows also execute
-    /// concurrently in **wall-clock** time: each is dispatched to the
+    /// With two or more busy shards and a worker width above one, their
+    /// windows also execute concurrently in **wall-clock** time on the
     /// worker pool, and the round barriers before the frontier merge.
     /// Shards share no mutable state (own device, tree, stash, RNG), so
-    /// responses, traces, and stats are byte-identical to the serial
-    /// round at any thread count — only real elapsed time changes. The
-    /// frontier merge itself is unchanged: per-shard clocks advance only
-    /// while their shard works, whichever OS thread does the working.
+    /// responses, traces, and stats are byte-identical at any width —
+    /// only real elapsed time changes. The frontier merge itself is
+    /// unchanged: per-shard clocks advance only while their shard works,
+    /// whichever OS thread does the working.
     ///
     /// # Errors
     ///
@@ -692,66 +692,37 @@ impl ShardedOram {
     /// shards keep serving. `Err` from this method therefore means the
     /// engine as a whole cannot continue, which the current absorption
     /// policy never concludes — the signature reserves the channel.
-    /// When several shards fail in one threaded round they are processed
-    /// in shard-index order (the order the serial round encounters them).
+    /// When several shards fail in one round they are processed in
+    /// shard-index order, at any width.
     ///
     /// # Panics
     ///
-    /// Panics if `max_cycles` is zero. A panic inside a threaded shard
-    /// task propagates to this caller after the round's barrier — it
-    /// cannot deadlock the pump.
+    /// Panics if `max_cycles` is zero. A panic inside a shard's window
+    /// propagates to this caller after the round's barrier — it cannot
+    /// deadlock the pump.
     pub fn run_cycle_window(&mut self, max_cycles: u64) -> Result<u64, HOramError> {
         assert!(
             max_cycles >= 1,
             "a cycle window must cover at least one cycle"
         );
-        let busy = self
+        let degraded = &self.degraded;
+        let mut busy: Vec<(usize, &mut HOram)> = self
             .shards
-            .iter()
-            .zip(&self.degraded)
-            .filter(|(shard, down)| down.is_none() && !shard.queue().is_drained())
-            .count();
+            .iter_mut()
+            .enumerate()
+            .filter(|(index, shard)| degraded[*index].is_none() && !shard.queue().is_drained())
+            .collect();
+        let results = self.workers.fork_join(&mut busy, |_, (_, shard)| {
+            shard.run_cycle_window(max_cycles)
+        });
+        // Merge in shard-index order — deterministic totals and
+        // deterministic failure-handling order.
         let mut executed = 0;
         let mut failed: Vec<(usize, OramError)> = Vec::new();
-        match self.workers.clone() {
-            // Threading pays only when two or more shards have work this
-            // round; a lone busy shard runs on the caller, serially.
-            Some(pool) if busy > 1 => {
-                let mut results: Vec<Option<Result<u64, OramError>>> =
-                    (0..self.shards.len()).map(|_| None).collect();
-                let degraded = &self.degraded;
-                pool.scope(|scope| {
-                    for (index, (shard, slot)) in
-                        self.shards.iter_mut().zip(results.iter_mut()).enumerate()
-                    {
-                        if degraded[index].is_some() || shard.queue().is_drained() {
-                            continue;
-                        }
-                        scope.spawn(move || {
-                            *slot = Some(shard.run_cycle_window(max_cycles));
-                        });
-                    }
-                });
-                // Merge in shard-index order — deterministic totals and
-                // deterministic failure-handling order.
-                for (index, result) in results.into_iter().enumerate() {
-                    match result {
-                        Some(Ok(cycles)) => executed += cycles,
-                        Some(Err(e)) => failed.push((index, e)),
-                        None => {}
-                    }
-                }
-            }
-            _ => {
-                for (index, shard) in self.shards.iter_mut().enumerate() {
-                    if self.degraded[index].is_some() || shard.queue().is_drained() {
-                        continue;
-                    }
-                    match shard.run_cycle_window(max_cycles) {
-                        Ok(cycles) => executed += cycles,
-                        Err(e) => failed.push((index, e)),
-                    }
-                }
+        for ((index, _), result) in busy.into_iter().zip(results) {
+            match result {
+                Ok(cycles) => executed += cycles,
+                Err(e) => failed.push((index, e)),
             }
         }
         for (index, error) in failed {
@@ -784,10 +755,11 @@ impl ShardedOram {
             && match self.recovery.as_mut() {
                 Some(kit) => {
                     let hierarchy = (kit.hierarchy_for)(shard as u64);
-                    match HOram::restore(
+                    match HOram::restore_with_threads(
                         hierarchy,
                         self.shard_masters[shard].clone(),
                         &kit.checkpoints[shard],
+                        self.config.shard_config(shard as u64).worker_threads,
                     ) {
                         Ok(fresh) => {
                             self.shards[shard] = fresh;
@@ -1279,6 +1251,33 @@ mod tests {
                     "threads={threads} shard {i} trace diverged"
                 );
             }
+        }
+
+        // Failures merge in shard-index order too: with shard 0's reads
+        // dead, the same shard quarantines and the same tickets fail.
+        let faulted = |threads: usize| {
+            let mut oram = build_threaded(256, 64, 4, threads);
+            oram.run_batch(&requests).unwrap();
+            oram.inject_storage_faults(0, dead_reads());
+            let tickets: Vec<u64> = (0..64)
+                .map(|id| oram.enqueue(Request::read(id)).unwrap())
+                .collect();
+            while !oram.is_drained() {
+                oram.run_cycle_window(4).unwrap();
+            }
+            let outcomes: Vec<_> = tickets
+                .into_iter()
+                .map(|t| {
+                    let failure = oram.take_failure(t).map(|e| e.to_string());
+                    (oram.take_response(t), failure)
+                })
+                .collect();
+            (oram.degraded_shards(), outcomes)
+        };
+        let serial_faulted = faulted(1);
+        assert_eq!(serial_faulted.0, vec![0], "setup: shard 0 quarantines");
+        for threads in [2usize, 4] {
+            assert_eq!(serial_faulted, faulted(threads), "threads={threads}");
         }
     }
 

@@ -59,7 +59,6 @@ use oram_storage::clock::SimDuration;
 use oram_storage::device::Device;
 use oram_storage::stats::DeviceStats;
 use oram_storage::StorageError;
-use std::sync::Arc;
 
 /// Result of one I/O load (real miss or dummy/prefetch load).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -248,47 +247,43 @@ fn seal_pass_slot(
     ctx.write_sealer.seal_into(addr, seq, body)
 }
 
-/// Chunk length for splitting one pass's slots across `threads` workers.
-/// Deterministic in `(len, threads)` — both phases of a pass and the
-/// pre-stocking sweep must agree on it.
-fn chunk_len(len: usize, threads: usize) -> usize {
-    len.div_ceil(threads).max(1)
-}
-
-/// Runs `per_slot` over every `(inputs[i], outputs[i])` pair, chunked
-/// across the worker pool — the shared scaffolding of both crypto halves
-/// of a rebuild pass. Chunk boundaries depend only on `(len, threads)`,
-/// each chunk gets exclusive use of one per-worker buffer pool, and every
-/// worker pool is drained back into `shared` before returning, so buffer
-/// pooling stays globally balanced and results land in slot order.
-fn dispatch_chunks<I: Send, O: Send>(
-    pool: &WorkerPool,
-    worker_pools: &mut [BufferPool],
+/// Runs `per_slot` over every input of one rebuild phase, cut into one
+/// contiguous chunk per pool thread, and returns the outputs in slot
+/// order — the shared scaffolding of both crypto halves of a rebuild
+/// pass. Chunk boundaries depend only on the input length and the pool
+/// width, each chunk gets exclusive use of one of `chunk_pools`, and every
+/// chunk pool is drained back into `shared` before returning, so buffer
+/// pooling stays globally balanced.
+fn map_chunked<I: Send, O: Send>(
+    workers: &WorkerPool,
+    chunk_pools: &mut [BufferPool],
     shared: &mut BufferPool,
     inputs: &mut [I],
-    outputs: &mut [O],
-    per_slot: impl Fn(&mut BufferPool, usize, &mut I, &mut O) + Sync,
-) {
-    let chunk = chunk_len(inputs.len(), pool.threads());
-    let per_slot = &per_slot;
-    pool.scope(|scope| {
-        for (chunk_index, ((in_chunk, out_chunk), wpool)) in inputs
-            .chunks_mut(chunk)
-            .zip(outputs.chunks_mut(chunk))
-            .zip(worker_pools.iter_mut())
+    per_slot: impl Fn(&mut BufferPool, usize, &mut I) -> O + Sync,
+) -> Vec<O> {
+    let chunk = chunk_len(inputs.len(), workers.width());
+    let mut chunks: Vec<(&mut [I], &mut BufferPool)> = inputs
+        .chunks_mut(chunk)
+        .zip(chunk_pools.iter_mut())
+        .collect();
+    let outputs = workers.fork_join(&mut chunks, |index, (inputs, pool)| {
+        let first = index * chunk;
+        inputs
+            .iter_mut()
             .enumerate()
-        {
-            let chunk_base = chunk_index * chunk;
-            scope.spawn(move || {
-                for (j, (input, output)) in in_chunk.iter_mut().zip(out_chunk).enumerate() {
-                    per_slot(wpool, chunk_base + j, input, output);
-                }
-            });
-        }
+            .map(|(j, input)| per_slot(pool, first + j, input))
+            .collect::<Vec<O>>()
     });
-    for wpool in worker_pools {
-        wpool.drain_into(shared);
+    for pool in chunk_pools {
+        pool.drain_into(shared);
     }
+    outputs.into_iter().flatten().collect()
+}
+
+/// Slots per chunk when `len` slots are cut into `width` chunks —
+/// shared by [`map_chunked`] and the seal phase's pre-stocking sweep.
+fn chunk_len(len: usize, width: usize) -> usize {
+    len.div_ceil(width).max(1)
 }
 
 /// The storage layer. See the [module docs](self).
@@ -325,13 +320,13 @@ pub struct StorageLayer {
     /// Recycled wire-body buffers for the in-place seal/open stream.
     pool: BufferPool,
     /// Wall-clock worker pool for the rebuild stream's data-parallel
-    /// crypto (`None` at `worker_threads = 1` — the serial path).
-    workers: Option<Arc<WorkerPool>>,
-    /// Per-chunk buffer pools for the parallel stream. Between passes the
-    /// buffers live in [`pool`](Self::pool); each seal phase pre-stocks
-    /// chunk `i`'s pool with exactly the buffers its slots will take, so
-    /// chunked execution allocates no more than the serial path.
-    worker_pools: Vec<BufferPool>,
+    /// crypto, [`HOramConfig::worker_width`] wide.
+    workers: WorkerPool,
+    /// One buffer pool per chunk of the rebuild stream. Between phases
+    /// the buffers live in [`pool`](Self::pool); each seal phase
+    /// pre-stocks chunk `i`'s pool with exactly the buffers its slots
+    /// will take, so the chunked stream allocates no more at any width.
+    chunk_pools: Vec<BufferPool>,
     partition_count: u64,
     partition_slots: u64,
     capacity: u64,
@@ -384,8 +379,8 @@ impl StorageLayer {
             dummy_key: [0u8; 16],
             pending: Vec::new(),
             pool: BufferPool::new(),
-            workers: WorkerPool::for_threads(config.worker_threads),
-            worker_pools: (0..config.worker_threads)
+            workers: WorkerPool::new(config.worker_width()),
+            chunk_pools: (0..config.worker_width())
                 .map(|_| BufferPool::new())
                 .collect(),
             partition_count,
@@ -628,8 +623,8 @@ impl StorageLayer {
             dummy_key,
             pending: Vec::new(),
             pool: BufferPool::new(),
-            workers: WorkerPool::for_threads(config.worker_threads),
-            worker_pools: (0..config.worker_threads)
+            workers: WorkerPool::new(config.worker_width()),
+            chunk_pools: (0..config.worker_width())
                 .map(|_| BufferPool::new())
                 .collect(),
             partition_count,
@@ -1016,7 +1011,6 @@ impl StorageLayer {
 
         let wire_len = BlockContent::encoded_len(self.payload_len);
         let slots_per_pass = self.partition_slots as usize;
-        let workers = self.workers.clone();
         let mut spilled_total = 0u64;
         for (pass, &partition) in window.iter().enumerate() {
             let base = partition * self.partition_slots;
@@ -1035,69 +1029,33 @@ impl StorageLayer {
             debug_assert_eq!(self.partition_live[partition as usize], 0);
 
             // Open: keep only live blocks (cold data) as decrypted wire
-            // bodies; discarded ciphertext buffers refill the pool. With
-            // a worker pool the per-slot crypto runs data-parallel over
-            // deterministic chunks; results land in slot order either way.
-            let mut opened: Vec<OpenedSlot> = Vec::with_capacity(slots_per_pass);
-            {
-                let ctx = PassCrypto {
-                    read_sealer: &read_sealer,
-                    write_sealer: &self.sealer,
-                    payload_len: self.payload_len,
-                    wire_len,
-                    device: self.device.name(),
-                };
-                match &workers {
-                    None => {
-                        for (offset, (sealed, owner)) in
-                            taken.drain(..).zip(owners.iter()).enumerate()
-                        {
-                            let addr = base + offset as u64;
-                            opened.push(open_pass_slot(
-                                &ctx,
-                                &mut self.pool,
-                                addr,
-                                *owner,
-                                sealed,
-                            )?);
-                        }
-                    }
-                    Some(pool_handle) => {
-                        let mut results: Vec<Option<Result<OpenedSlot, OramError>>> =
-                            (0..slots_per_pass).map(|_| None).collect();
-                        let owners = owners.as_slice();
-                        dispatch_chunks(
-                            pool_handle,
-                            &mut self.worker_pools,
-                            &mut self.pool,
-                            &mut taken,
-                            &mut results,
-                            |wpool, offset, sealed, out| {
-                                *out = Some(open_pass_slot(
-                                    &ctx,
-                                    wpool,
-                                    base + offset as u64,
-                                    owners[offset],
-                                    sealed.take(),
-                                ));
-                            },
-                        );
-                        // Errors surface in slot order — the same slot the
-                        // serial path would fail on first.
-                        for result in results {
-                            let result = result.ok_or_else(|| {
-                                OramError::internal("worker left a shuffle slot unprocessed")
-                            })?;
-                            opened.push(result?);
-                        }
-                    }
+            // bodies; discarded ciphertext buffers refill the pool. The
+            // per-slot crypto runs data-parallel over deterministic chunks
+            // and its results land in slot order, so errors surface at the
+            // lowest failing slot.
+            let ctx = PassCrypto {
+                read_sealer: &read_sealer,
+                write_sealer: &self.sealer,
+                payload_len: self.payload_len,
+                wire_len,
+                device: self.device.name(),
+            };
+            let opened = map_chunked(
+                &self.workers,
+                &mut self.chunk_pools,
+                &mut self.pool,
+                &mut taken,
+                |pool, offset, sealed| {
+                    let addr = base + offset as u64;
+                    open_pass_slot(&ctx, pool, addr, owners[offset], sealed.take())
+                },
+            );
+            let mut union: Vec<PassEntry> = Vec::with_capacity(slots_per_pass);
+            for slot in opened {
+                if let Some((id, body)) = slot? {
+                    union.push(PassEntry::Wire(id, body));
                 }
             }
-            let mut union: Vec<PassEntry> = opened
-                .into_iter()
-                .flatten()
-                .map(|(id, body)| PassEntry::Wire(id, body))
-                .collect();
 
             // Concatenate the hot piece (sized to fit by construction);
             // payload bytes are encoded onto recycled buffers at seal
@@ -1159,62 +1117,28 @@ impl StorageLayer {
                 wire_len,
                 device: self.device.name(),
             };
-            let sealed_run: Vec<SealedBlock> = match &workers {
-                None => image
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(offset, entry)| {
-                        seal_pass_slot(
-                            &ctx,
-                            &mut self.pool,
-                            base + offset as u64,
-                            seq_base + offset as u64,
-                            entry.take(),
-                        )
-                    })
-                    .collect(),
-                Some(pool_handle) => {
-                    // Pre-stock each chunk's pool with exactly the buffers
-                    // its dummy/hot slots will take, so the chunked stream
-                    // allocates no more than the serial one (chunk
-                    // boundaries match `dispatch_chunks` by construction).
-                    let chunk = chunk_len(slots_per_pass, pool_handle.threads());
-                    for (chunk_index, image_chunk) in image.chunks(chunk).enumerate() {
-                        let need = image_chunk
-                            .iter()
-                            .filter(|entry| !matches!(entry, Some(PassEntry::Wire(..))))
-                            .count();
-                        self.pool
-                            .transfer_to(&mut self.worker_pools[chunk_index], need);
-                    }
-                    let mut outputs: Vec<Option<SealedBlock>> =
-                        (0..slots_per_pass).map(|_| None).collect();
-                    dispatch_chunks(
-                        pool_handle,
-                        &mut self.worker_pools,
-                        &mut self.pool,
-                        &mut image,
-                        &mut outputs,
-                        |wpool, offset, entry, out| {
-                            *out = Some(seal_pass_slot(
-                                &ctx,
-                                wpool,
-                                base + offset as u64,
-                                seq_base + offset as u64,
-                                entry.take(),
-                            ));
-                        },
-                    );
-                    outputs
-                        .into_iter()
-                        .map(|sealed| {
-                            sealed.ok_or_else(|| {
-                                OramError::internal("worker left a shuffle slot unsealed")
-                            })
-                        })
-                        .collect::<Result<Vec<_>, OramError>>()?
-                }
-            };
+            // Pre-stock each chunk's pool with exactly the buffers its
+            // dummy/hot slots will take, so the chunked stream allocates
+            // no more than one chunk would (chunk boundaries match
+            // `map_chunked` by construction).
+            let chunk = chunk_len(slots_per_pass, self.workers.width());
+            for (image_chunk, pool) in image.chunks(chunk).zip(&mut self.chunk_pools) {
+                let need = image_chunk
+                    .iter()
+                    .filter(|entry| !matches!(entry, Some(PassEntry::Wire(..))))
+                    .count();
+                self.pool.transfer_to(pool, need);
+            }
+            let sealed_run = map_chunked(
+                &self.workers,
+                &mut self.chunk_pools,
+                &mut self.pool,
+                &mut image,
+                |pool, offset, entry| {
+                    let (addr, seq) = (base + offset as u64, seq_base + offset as u64);
+                    seal_pass_slot(&ctx, pool, addr, seq, entry.take())
+                },
+            );
             self.device.write_run(base, sealed_run)?;
         }
         if full {
@@ -1258,9 +1182,8 @@ mod tests {
         StorageLayer::new(&config, device, keys, posmap).unwrap()
     }
 
-    // The baseline fixtures pin `worker_threads = 1` (the serial path) so
-    // assertions about the shared pool's counters stay machine-independent;
-    // the `parallel_*` tests below compare the threaded path against them.
+    // The baseline fixtures pin `worker_threads = 1`, one chunk per
+    // phase; the `parallel_*` tests below compare wider pools against it.
     fn build_with(capacity: u64, trace: Option<AccessTrace>) -> StorageLayer {
         build_threaded(capacity, trace, 1)
     }
@@ -1560,11 +1483,12 @@ mod tests {
         }
     }
 
+    /// Whole periods — hot blocks included — run allocation-free off
+    /// recycled buffers after a warm-up, at one chunk per phase and at
+    /// four (pre-stocked per chunk, drained back each phase), counting
+    /// the shared pool and every chunk pool.
     #[test]
     fn steady_state_shuffle_recycles_buffers() {
-        let mut layer = build(256);
-        // One warm-up period with real traffic (misses + dummies + a hot
-        // set folding back in) fills the pool to its working set...
         let period = |layer: &mut StorageLayer, seed: u64| {
             let mut hot = Vec::new();
             for id in [seed % 256, (seed + 100) % 256] {
@@ -1579,18 +1503,28 @@ mod tests {
             }
             layer.rebuild_full(hot, seed).unwrap();
         };
-        period(&mut layer, 1);
-        let (_, allocated_before) = layer.pool.counters();
-        // ...after which whole periods — hot blocks included — must run
-        // allocation-free off recycled buffers.
-        period(&mut layer, 2);
-        period(&mut layer, 3);
-        let (reused, allocated_after) = layer.pool.counters();
-        assert_eq!(
-            allocated_after, allocated_before,
-            "steady-state shuffle must not allocate"
-        );
-        assert!(reused > 0, "pool must actually be exercised");
+        let counters = |layer: &StorageLayer| {
+            let (mut reused, mut allocated) = layer.pool.counters();
+            for pool in &layer.chunk_pools {
+                let (r, a) = pool.counters();
+                reused += r;
+                allocated += a;
+            }
+            (reused, allocated)
+        };
+        for threads in [1, 4] {
+            let mut layer = build_threaded(256, None, threads);
+            period(&mut layer, 1);
+            let (_, allocated_before) = counters(&layer);
+            period(&mut layer, 2);
+            period(&mut layer, 3);
+            let (reused, allocated_after) = counters(&layer);
+            assert_eq!(
+                allocated_after, allocated_before,
+                "threads={threads}: steady-state shuffle must not allocate"
+            );
+            assert!(reused > 0, "threads={threads}: pools must be exercised");
+        }
     }
 
     /// Drives one instance through misses, dummies and a rebuild; returns
@@ -1629,48 +1563,6 @@ mod tests {
                 "threads={threads} device accounting diverged"
             );
         }
-    }
-
-    #[test]
-    fn parallel_steady_state_shuffle_recycles_buffers() {
-        // The per-worker pools (pre-stocked per chunk, drained back each
-        // phase) must preserve the zero-allocation steady state: after a
-        // warm-up period, whole periods allocate nothing across the shared
-        // pool and every worker pool combined.
-        let mut layer = build_threaded(256, None, 4);
-        let period = |layer: &mut StorageLayer, seed: u64| {
-            let mut hot = Vec::new();
-            for id in [seed % 256, (seed + 100) % 256] {
-                if !in_memory(layer, BlockId(id)) {
-                    hot.push(layer.fetch(BlockId(id)).unwrap().block.unwrap());
-                }
-            }
-            for _ in 0..6 {
-                if let Some(block) = layer.dummy_load().unwrap().block {
-                    hot.push(block);
-                }
-            }
-            layer.rebuild_full(hot, seed).unwrap();
-        };
-        let total_counters = |layer: &StorageLayer| {
-            let (mut reused, mut allocated) = layer.pool.counters();
-            for pool in &layer.worker_pools {
-                let (r, a) = pool.counters();
-                reused += r;
-                allocated += a;
-            }
-            (reused, allocated)
-        };
-        period(&mut layer, 1);
-        let (_, allocated_before) = total_counters(&layer);
-        period(&mut layer, 2);
-        period(&mut layer, 3);
-        let (reused, allocated_after) = total_counters(&layer);
-        assert_eq!(
-            allocated_after, allocated_before,
-            "steady-state parallel shuffle must not allocate"
-        );
-        assert!(reused > 0, "worker pools must actually be exercised");
     }
 
     #[test]

@@ -153,18 +153,10 @@ const USAGE: &str = "horam-serverd — H-ORAM network server
 /// a previous drain carries the sealed engine state and the window;
 /// tenants and grants are configuration, re-registered from the flags),
 /// fresh at epoch 0 otherwise.
-fn open_engine(
-    args: &Args,
-    service_config: &ServiceConfig,
-) -> Result<(ShardedOram, u64, Vec<WindowEntry>), String> {
+fn open_engine(args: &Args) -> Result<(ShardedOram, u64, Vec<WindowEntry>), String> {
     let master = MasterKey::from_bytes([args.key; 32]);
     let Some(path) = args.checkpoint.as_ref().filter(|path| path.exists()) else {
-        let base = service_config
-            .engine_config(HOramConfig::new(
-                args.capacity,
-                args.payload_len,
-                args.memory_slots,
-            ))
+        let base = HOramConfig::new(args.capacity, args.payload_len, args.memory_slots)
             .with_seed(args.seed);
         let oram = ShardedOram::new(ShardedConfig::new(base, args.shards), master, |_| {
             MemoryHierarchy::dac2019()
@@ -230,7 +222,7 @@ fn run() -> Result<(), String> {
         batch_size: args.batch_size,
         ..ServiceConfig::default()
     };
-    let (oram, epoch, preload_window) = open_engine(&args, &service_config)?;
+    let (oram, epoch, preload_window) = open_engine(&args)?;
 
     let mut service = OramService::new(oram, Box::new(FifoPolicy), service_config);
     let per_tenant = args.capacity / u64::from(args.tenants);
@@ -325,8 +317,7 @@ mod tests {
         let path = dir.join("checkpoint");
         let path = path.to_str().expect("utf-8 path");
         let first = args(&["--checkpoint", path]).expect("defaults: 4096 blocks, 4 shards");
-        let config = ServiceConfig::default();
-        let (mut oram, epoch, _) = open_engine(&first, &config).expect("fresh engine");
+        let (mut oram, epoch, _) = open_engine(&first).expect("fresh engine");
         assert_eq!(epoch, 0);
         let checkpoint = Checkpoint {
             snapshot: oram.snapshot().expect("idle engine snapshots"),
@@ -337,12 +328,12 @@ mod tests {
 
         let resized = args(&["--checkpoint", path, "--capacity", "8192", "--shards", "2"])
             .expect("valid flags on their own");
-        let error = open_engine(&resized, &config).expect_err("mismatch refused");
+        let error = open_engine(&resized).expect_err("mismatch refused");
         assert!(
             error.contains("--capacity 4096, not 8192"),
             "names both values: {error}"
         );
-        let (_, epoch, _) = open_engine(&first, &config).expect("matching flags restore");
+        let (_, epoch, _) = open_engine(&first).expect("matching flags restore");
         assert_eq!(epoch, 1);
         std::fs::remove_dir_all(dir).expect("scratch removed");
     }

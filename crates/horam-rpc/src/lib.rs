@@ -11,8 +11,8 @@
 //! * [`status`] — stable numeric wire codes for every serving and
 //!   transport outcome; an exhaustive match makes shipping an uncoded
 //!   `ServeError` variant a compile error.
-//! * [`server`] — thread-per-connection serving on the existing
-//!   [`WorkerPool`](horam_core::pool::WorkerPool) (no async runtime):
+//! * [`server`] — thread-per-connection serving on
+//!   [`std::thread::scope`] (no async runtime):
 //!   server-side deadline shedding, a bounded idempotency window that
 //!   makes client retries safe (no duplicated writes), typed
 //!   `BUSY`/`QUEUE_FULL` backpressure, and SIGTERM-triggered graceful

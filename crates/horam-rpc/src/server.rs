@@ -2,15 +2,14 @@
 //!
 //! # Threading model
 //!
-//! Thread-per-connection on the existing
-//! [`WorkerPool`] — no async runtime. One
-//! **control thread** (the pool's scope body) owns the
+//! Thread-per-connection on [`std::thread::scope`] — no async runtime.
+//! One **control thread** (the scope's body) owns the
 //! [`OramService`] outright and interleaves three duties per tick:
 //! accept pending connections (nonblocking), drain the job inbox into
 //! the service, and pump the engine / collect results. Each accepted
-//! connection runs on a pool worker that only reads: it parses frames
-//! and forwards the [`Frame::Request`]s of one read to the control
-//! thread as one inbox message. The control thread writes the responses
+//! connection runs on its own scoped thread (its *worker*), which only
+//! reads: it parses frames and forwards the [`Frame::Request`]s of one
+//! read to the control thread as one inbox message. The control thread writes the responses
 //! itself — shed verdicts and dedup replays at once, executed outcomes
 //! right after the pump that resolved them, one write per connection —
 //! through the connection's mutex-guarded write handle, which the worker
@@ -55,7 +54,6 @@ use crate::wire::{
     encode_frame, write_frame, Accept, Frame, FramePoll, FrameReader, PollError, ServerCounters,
 };
 use horam_core::access_control::UserId;
-use horam_core::pool::WorkerPool;
 use horam_server::service::{OramService, ServeError, ServiceTicket};
 use oram_protocols::types::Request;
 use std::collections::{HashMap, VecDeque};
@@ -437,10 +435,9 @@ pub fn run_server(
     let active = Arc::new(AtomicUsize::new(0));
     let (inbox_tx, inbox_rx) = mpsc::channel::<Vec<Job>>();
 
-    // Workers cover every concurrent connection; the control loop is the
-    // scope body and does not help until the final barrier.
-    let pool = WorkerPool::new(config.max_connections.max(1) + 1);
-    pool.scope(|scope| {
+    // One scoped thread per connection; the control loop is the scope
+    // body, and the scope joins every connection thread before returning.
+    thread::scope(|scope| {
         let run = (|| -> Result<ServerOutcome, ServerError> {
             let mut window = DedupWindow::new(config.dedup_window, config.preload_window.clone());
             let mut inflight: HashMap<ServiceTicket, Inflight> = HashMap::new();
@@ -681,7 +678,7 @@ fn collect_resolved(
     }
 }
 
-/// One connection's lifecycle on a pool worker: handshake, then a
+/// One connection's lifecycle on its scoped thread: handshake, then a
 /// bounded-poll loop forwarding each read's requests inward as one inbox
 /// message. The worker only reads; everything it says goes through
 /// `outbox`. Never blocks unboundedly; exits on peer close, poisoned
@@ -802,8 +799,8 @@ fn handle_conn(mut stream: Box<dyn NetStream>, outbox: Outbox, shared: &ConnShar
             }
             next = reader.next_buffered();
         };
-        // The receiver outlives every connection worker (the pool scope
-        // joins them first), so this send cannot fail.
+        // The receiver outlives every connection worker (the thread
+        // scope joins them first), so this send cannot fail.
         if !jobs.is_empty() {
             let _ = shared.inbox.send(jobs);
         }

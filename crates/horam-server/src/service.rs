@@ -69,16 +69,6 @@ pub struct ServiceConfig {
     /// while larger windows check the pump's low watermark only between
     /// windows (so a drain can run up to one window past it).
     pub io_batch: u64,
-    /// Wall-clock worker threads the deployment should build its engine
-    /// with (`HOramConfig::worker_threads`): the engine pumps busy shards
-    /// concurrently on real OS threads, and each shard parallelizes its
-    /// shuffle stream. The service only sees the built engine — consume
-    /// this through
-    /// [`engine_config`](Self::engine_config) when constructing the
-    /// engine, so engine and service are sized from one configuration.
-    /// Responses and stats are byte-identical at any value. Defaults to
-    /// the host's available parallelism.
-    pub worker_threads: usize,
 }
 
 impl Default for ServiceConfig {
@@ -88,25 +78,19 @@ impl Default for ServiceConfig {
             max_pending_per_tenant: 4096,
             dedup: true,
             io_batch: 16,
-            worker_threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
         }
     }
 }
 
 impl ServiceConfig {
-    /// Applies the serving deployment's sizing to the engine configuration
-    /// it is about to build — currently the wall-clock thread count. This
-    /// is the supported way to consume
-    /// [`worker_threads`](Self::worker_threads): build the engine from
-    /// `config.engine_config(base)` and pass the same `config` to
-    /// [`OramService::new`], and the two cannot drift apart.
+    /// Returns `base` unchanged: nothing in the service sizes the engine,
+    /// whose configuration is built directly. The identity remains only
+    /// for callers that still route their configuration through it.
     pub fn engine_config(
         &self,
         base: horam_core::config::HOramConfig,
     ) -> horam_core::config::HOramConfig {
-        base.with_worker_threads(self.worker_threads)
+        base
     }
 }
 
@@ -330,7 +314,6 @@ impl OramService {
             "backpressure bound must be positive"
         );
         assert!(config.io_batch > 0, "io_batch must be positive");
-        assert!(config.worker_threads > 0, "worker_threads must be positive");
         Self {
             oram,
             acl: AccessControl::new(),

@@ -41,9 +41,7 @@ fn make_service(snapshot: Option<&[u8]>) -> OramService<ShardedOram> {
         batch_size: 16,
         ..ServiceConfig::default()
     };
-    let base = config
-        .engine_config(HOramConfig::new(CAPACITY, PAYLOAD_LEN, 64))
-        .with_seed(9);
+    let base = HOramConfig::new(CAPACITY, PAYLOAD_LEN, 64).with_seed(9);
     let master = MasterKey::from_bytes([0x5A; 32]);
     let oram = match snapshot {
         Some(bytes) => ShardedOram::restore(master, |_| MemoryHierarchy::dac2019(), bytes)

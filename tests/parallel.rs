@@ -6,15 +6,15 @@
 //! at every thread count. These tests pin that contract for both levels
 //! of parallelism — the threaded shard pump (`ShardedOram`) and the
 //! data-parallel shuffle stream (`StorageLayer::rebuild_window` inside a
-//! single instance) — plus the worker pool's panic discipline (a
-//! panicking task must surface as a panic, not a deadlock).
+//! single instance). The worker pool's own panic discipline is unit-tested
+//! in `horam-core`'s `pool.rs`. Counts above the host's cores run at the
+//! host's width (`HOramConfig::worker_width`).
 //!
 //! The CI workflow also runs this file under `RUST_TEST_THREADS=1`: with
-//! the harness serialized, pool shutdown/ordering bugs (e.g. a scope that
-//! returns before its tasks finish) cannot hide behind inter-test
-//! concurrency.
+//! the harness serialized, pool shutdown/ordering bugs (e.g. a fork-join
+//! call that returns before its helpers finish) cannot hide behind
+//! inter-test concurrency.
 
-use horam::core::pool::WorkerPool;
 use horam::core::shard::{ShardedConfig, ShardedOram};
 use horam::core::{Permission, UserId};
 use horam::crypto::rng::DeterministicRng;
@@ -167,7 +167,7 @@ fn threaded_engine_read_your_writes_across_periods() {
     assert_eq!(serial.stats(), threaded.stats());
 }
 
-/// The serving layer sized by `ServiceConfig::worker_threads` returns the
+/// The serving layer over an engine built at any thread count returns the
 /// same responses as a serial engine — the router is thread-agnostic.
 #[test]
 fn service_over_threaded_engine_matches_serial() {
@@ -175,13 +175,12 @@ fn service_over_threaded_engine_matches_serial() {
     let serve = |threads: usize| -> Vec<Vec<u8>> {
         let service_config = ServiceConfig {
             batch_size: 32,
-            worker_threads: threads,
             ..ServiceConfig::default()
         };
         let config = ShardedConfig::new(
-            service_config
-                .engine_config(HOramConfig::new(256, 8, 64))
-                .with_seed(23),
+            HOramConfig::new(256, 8, 64)
+                .with_seed(23)
+                .with_worker_threads(threads),
             4,
         );
         let oram = ShardedOram::new(config, MasterKey::from_bytes([0x3C; 32]), |_| {
@@ -201,29 +200,6 @@ fn service_over_threaded_engine_matches_serial() {
     let serial = serve(1);
     assert_eq!(serial, serve(2));
     assert_eq!(serial, serve(4));
-}
-
-/// A panicking task propagates out of the pool's scope as a panic on the
-/// caller — it must not deadlock the pump loop or kill the pool.
-#[test]
-fn pool_panic_propagates_without_deadlocking() {
-    let pool = WorkerPool::new(4);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        pool.scope(|scope| {
-            scope.spawn(|| panic!("injected shard failure"));
-            scope.spawn(|| { /* healthy sibling keeps running */ });
-        });
-    }));
-    assert!(outcome.is_err(), "the injected panic must surface");
-
-    // The pool survives: the next "pump round" completes normally.
-    let mut round = vec![0u32; 16];
-    pool.scope(|scope| {
-        for (i, slot) in round.iter_mut().enumerate() {
-            scope.spawn(move || *slot = i as u32 + 1);
-        }
-    });
-    assert_eq!(round, (1..=16).collect::<Vec<u32>>());
 }
 
 /// Degenerate geometries (one shard, shards larger than the thread

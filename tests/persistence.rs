@@ -192,7 +192,7 @@ fn corrupted_and_wrong_key_snapshots_error() {
     assert!(HOram::restore(MemoryHierarchy::dac2019(), wrong_key, &snapshot).is_err());
 }
 
-/// Envelope versions 2 through 5 each dropped fields from the embedded
+/// Envelope versions 2 through 6 each dropped fields from the embedded
 /// config codec, which shifts every later byte: a snapshot or drain checkpoint of
 /// an older version must be refused with the typed version error by every
 /// restore path, never mis-parsed. The reader checks the version before
@@ -261,6 +261,49 @@ fn version_3_envelopes_are_refused_by_every_restore_path() {
 #[test]
 fn version_4_envelopes_are_refused_by_every_restore_path() {
     assert_old_envelopes_are_refused(4);
+}
+
+#[test]
+fn version_5_envelopes_are_refused_by_every_restore_path() {
+    assert_old_envelopes_are_refused(5);
+}
+
+/// The worker-thread count is a property of the host that runs the
+/// engine, not of the engine's state: a snapshot does not carry it, so a
+/// restore takes the restoring host's default — and a sharded restore
+/// keeps its shards at the one thread their configuration gives them.
+#[test]
+fn restore_takes_the_hosts_worker_threads() {
+    let host_default = HOramConfig::new(CAPACITY, PAYLOAD, MEMORY_SLOTS).worker_threads;
+    let wide = config().with_worker_threads(host_default + 3);
+
+    let mut oram = HOram::new(wide.clone(), traced(), master()).unwrap();
+    oram.run_batch(&workload(16, 5)).unwrap();
+    let restored = HOram::restore(traced(), master(), &oram.snapshot().unwrap()).unwrap();
+    assert_eq!(restored.config().worker_threads, host_default);
+    assert_eq!(
+        restored.config(),
+        &wide.with_worker_threads(host_default),
+        "every other field is restored"
+    );
+
+    let mut sharded = ShardedOram::new(
+        ShardedConfig::new(config().with_worker_threads(host_default + 3), 2),
+        master(),
+        |_| MemoryHierarchy::dac2019(),
+    )
+    .unwrap();
+    sharded.run_batch(&workload(16, 5)).unwrap();
+    let restored = ShardedOram::restore(
+        master(),
+        |_| MemoryHierarchy::dac2019(),
+        &sharded.snapshot().unwrap(),
+    )
+    .unwrap();
+    assert_eq!(restored.config().base.worker_threads, host_default);
+    for shard in restored.shards() {
+        assert_eq!(shard.config().worker_threads, 1);
+    }
 }
 
 #[test]
