@@ -176,17 +176,17 @@ pub fn run_tree_top_baseline(params: &TableParams, machine: MachineConfig) -> Sy
     )
     .expect("bulk load");
     // Construction traffic must not pollute the measured run.
-    let (construction_memory, construction_storage) = oram.backend().stats();
+    let (construction_memory, construction_storage) = oram.tree().backend().stats();
 
     let requests = params.workload();
     for request in &requests {
         oram.access(request).expect("access");
     }
 
-    let (memory, storage) = oram.backend().stats();
+    let (memory, storage) = oram.tree().backend().stats();
     let memory = memory.delta_since(&construction_memory);
     let storage = storage.delta_since(&construction_storage);
-    let geometry_slots = oram.geometry().total_slots();
+    let geometry_slots = oram.tree().geometry().total_slots();
     SystemRow {
         storage_bytes: geometry_slots.saturating_sub(params.memory_slots) * 1024,
         memory_bytes: params.memory_slots * 1024,

@@ -105,15 +105,11 @@ pub enum PosmapMode {
     Recursive(RecursivePosmapConfig),
 }
 
-/// Sizing knobs for the recursive position map.
+/// Sizing knobs for the recursive position map. Its shape is fixed: 32
+/// position entries per page, recursing until at most 64 page leaves
+/// remain for the flat trusted root.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecursivePosmapConfig {
-    /// Position entries packed per page. `None` (the default) means 32.
-    /// Must be ≥ 2 when given.
-    pub fanout: Option<u64>,
-    /// Recursion stops once a level has at most this many pages; their
-    /// leaf labels form the flat trusted root. Default 64.
-    pub root_threshold: u64,
     /// Pinned page-cache budget per level, in pages (≥ 1). Trusted memory
     /// per level is `cache_pages + stash` pages. Default 8.
     pub cache_pages: usize,
@@ -127,8 +123,6 @@ pub struct RecursivePosmapConfig {
 impl Default for RecursivePosmapConfig {
     fn default() -> Self {
         Self {
-            fanout: None,
-            root_threshold: 64,
             cache_pages: 8,
             backing_dir: None,
         }
@@ -136,26 +130,12 @@ impl Default for RecursivePosmapConfig {
 }
 
 impl RecursivePosmapConfig {
-    /// The fanout actually used: an explicit [`fanout`](Self::fanout),
-    /// otherwise 32.
-    pub fn effective_fanout(&self) -> u64 {
-        self.fanout.unwrap_or(32).max(2)
-    }
-
     /// Validates the knobs (called from [`HOramConfig::validate`]).
     ///
     /// # Panics
     ///
-    /// Panics on a fanout below 2, a zero cache budget, or a zero root
-    /// threshold.
+    /// Panics on a zero cache budget.
     pub fn validate(&self) {
-        if let Some(fanout) = self.fanout {
-            assert!(fanout >= 2, "posmap fanout must be at least 2");
-        }
-        assert!(
-            self.root_threshold >= 1,
-            "posmap root threshold must be at least 1"
-        );
         assert!(
             self.cache_pages >= 1,
             "posmap cache budget must be at least 1 page"
@@ -280,8 +260,7 @@ impl HOramConfig {
     }
 
     /// Switches to the recursive position map with `cache_pages` pinned
-    /// pages per level and the default fanout and root threshold. For
-    /// full control (fanout, root threshold, file backing) use
+    /// pages per level. For file-backed levels use
     /// [`with_posmap`](Self::with_posmap).
     ///
     /// # Panics
@@ -545,7 +524,6 @@ mod tests {
             panic!("expected recursive mode");
         };
         assert_eq!(rcfg.cache_pages, 4);
-        assert_eq!(rcfg.effective_fanout(), 32);
     }
 
     #[test]

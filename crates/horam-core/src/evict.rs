@@ -44,7 +44,7 @@ pub struct EvictOutcome {
 ///
 /// Storage/crypto errors from the tree read propagate.
 pub fn oblivious_tree_evict(memory: &mut PathOram, seed: u64) -> Result<EvictOutcome, OramError> {
-    let total_slots = memory.geometry().total_slots();
+    let total_slots = memory.tree().geometry().total_slots();
     let (blocks, receipt) = memory.evict_all()?;
 
     // Reconstitute the buffer the paper shuffles: every tree slot, real or
@@ -130,7 +130,7 @@ mod tests {
         let keys = MasterKey::from_bytes([6; 32]).derive("evict-test", 0);
         let mut oram = PathOram::for_slot_budget(10, Some(64), 8, device, &keys, 3).unwrap();
         assert!(
-            oram.geometry().total_slots() < 6,
+            oram.tree().geometry().total_slots() < 6,
             "fixture needs a tiny tree"
         );
         for id in 0..6u64 {

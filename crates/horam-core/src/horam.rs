@@ -353,7 +353,7 @@ impl HOram {
 
     /// Peak stash occupancy of the memory layer.
     pub fn memory_stash_peak(&self) -> usize {
-        self.memory.stash_peak()
+        self.memory.tree().stash_peak()
     }
 
     /// The position map (control-layer view): trusted-byte accounting,

@@ -108,14 +108,10 @@ fn save_posmap_mode(posmap: &PosmapMode, w: &mut StateWriter) {
         return;
     };
     let RecursivePosmapConfig {
-        fanout,
-        root_threshold,
         cache_pages,
         backing_dir,
     } = rcfg;
     w.put_bool(true);
-    w.put_opt_u64(*fanout);
-    w.put_u64(*root_threshold);
     w.put_usize(*cache_pages);
     match backing_dir {
         None => w.put_bool(false),
@@ -130,8 +126,6 @@ fn load_posmap_mode(r: &mut StateReader<'_>) -> Result<PosmapMode, PersistError>
     if !r.get_bool()? {
         return Ok(PosmapMode::Flat);
     }
-    let fanout = r.get_opt_u64()?;
-    let root_threshold = r.get_u64()?;
     let cache_pages = r.get_usize()?;
     let backing_dir = if r.get_bool()? {
         let dir = String::from_utf8(r.get_bytes()?.to_vec())
@@ -141,8 +135,6 @@ fn load_posmap_mode(r: &mut StateReader<'_>) -> Result<PosmapMode, PersistError>
         None
     };
     Ok(PosmapMode::Recursive(RecursivePosmapConfig {
-        fanout,
-        root_threshold,
         cache_pages,
         backing_dir,
     }))
@@ -241,8 +233,6 @@ mod tests {
             .with_io_batch(8)
             .with_cache(cache)
             .with_posmap(PosmapMode::Recursive(RecursivePosmapConfig {
-                fanout: Some(16),
-                root_threshold: 32,
                 cache_pages: 4,
                 backing_dir: Some("/tmp/posmap".into()),
             }))

@@ -14,8 +14,10 @@
 //!   own (much smaller) position table is packed into pages of an even
 //!   smaller ORAM, … terminating in a tiny flat root. Steady-state trusted
 //!   memory is O(log N): the root, a bounded stash, and a pinned page
-//!   cache per level. The level ORAMs live on their *own* devices with
-//!   their own clock and traces, so the data ORAM's observable trace and
+//!   cache per level. Each level ORAM is `oram-protocols`' [`PathTree`]
+//!   — the memory layer's Path ORAM without its id → leaf table, since a
+//!   page's leaf lives in its parent page — on its *own* device with its
+//!   own clock and trace, so the data ORAM's observable trace and
 //!   simulated time are byte-identical between the two implementations —
 //!   `tests/posmap.rs` proves this differentially.
 //!
@@ -41,9 +43,13 @@
 //! # Leakage of the recursive levels
 //!
 //! Every level access is a full root→leaf path read followed by a full
-//! path write on the level's own bus — the standard Path ORAM shape, which
-//! `tests/leakage.rs` checks structurally. Queries come from the storage
-//! layer only — one load per scheduling cycle and the shuffle's sweeps;
+//! path write on the level's own bus, one event per slot as on the memory
+//! tree's — the standard Path ORAM shape, which `tests/leakage.rs` checks
+//! structurally. A page's fresh return leaf is drawn before its checkout
+//! but replaces the leaf in its parent entry only after the checkout
+//! succeeds, so a level read that fails verification (typed error)
+//! changes no trusted state and a retry finds the page. Queries come
+//! from the storage layer only — one load per scheduling cycle and the shuffle's sweeps;
 //! the scheduler's hit test reads the memory layer's own id → leaf table,
 //! so how far its scan reaches never shows on a level bus. The pinned
 //! page cache suppresses *repeat* chain walks for hot pages, so the
@@ -56,18 +62,20 @@
 use crate::config::{HOramConfig, PosmapMode, RecursivePosmapConfig};
 use crate::permutation_list::{Location, PermutationList};
 use oram_crypto::keys::{KeyHierarchy, MasterKey};
-use oram_crypto::persist::{PersistError, StateReader, StateWriter};
+use oram_crypto::persist::{StateReader, StateWriter};
 use oram_crypto::rng::DeterministicRng;
-use oram_crypto::seal::BlockSealer;
+use oram_protocols::backend::{SingleDeviceBackend, TreeBackend};
 use oram_protocols::bucket_tree::TreeGeometry;
 use oram_protocols::error::OramError;
+use oram_protocols::path_oram::PathTree;
 use oram_protocols::types::{BlockContent, BlockId};
 use oram_storage::calibration::paper_dram;
 use oram_storage::clock::{SimClock, SimDuration};
 use oram_storage::device::{Device, DeviceId};
 use oram_storage::file::{FileStore, FileStoreConfig};
+use oram_storage::store::{BlockStore, DataStore};
 use oram_storage::trace::AccessTrace;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Bucket size of the position-map level ORAMs (paper default Z).
 const POSMAP_Z: u32 = 4;
@@ -193,10 +201,6 @@ pub trait PositionMap: std::fmt::Debug + Send {
     /// Per-level views (empty for the flat map).
     fn level_views(&self) -> Vec<PosmapLevelView>;
 
-    /// Simulated time spent on position-map I/O (its own clock; never
-    /// part of the engine's timeline).
-    fn sim_time(&self) -> SimDuration;
-
     /// Clears timing/tracing/statistics state (not data).
     fn reset_accounting(&mut self);
 
@@ -239,6 +243,7 @@ pub(crate) fn build_posmap_on(
     match &config.posmap {
         PosmapMode::Flat => Ok(Box::new(FlatPositionMap::new(config.capacity, total_slots))),
         PosmapMode::Recursive(rcfg) => Ok(Box::new(RecursivePositionMap::new(
+            SHAPE,
             config.capacity,
             total_slots,
             rcfg,
@@ -348,10 +353,6 @@ impl PositionMap for FlatPositionMap {
         Vec::new()
     }
 
-    fn sim_time(&self) -> SimDuration {
-        SimDuration::ZERO
-    }
-
     fn reset_accounting(&mut self) {
         self.stats = PosmapStats::default();
     }
@@ -422,43 +423,55 @@ fn snapshot_err(reason: String) -> OramError {
 // Recursive implementation
 // ---------------------------------------------------------------------------
 
-/// One page checked into a level's plaintext stash (trusted memory),
-/// awaiting write-back onto a tree path.
-#[derive(Debug, Clone)]
-struct StashPage {
-    page: u64,
-    leaf: u64,
-    data: Vec<u64>,
+/// How a table folds into levels: position entries per page, and the page
+/// count at which recursion stops (those pages' leaves form the root).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LevelShape {
+    fanout: u64,
+    root_threshold: u64,
 }
 
-/// One page pinned in a level's cache. `return_leaf` was already written
-/// into the parent entry at checkout time, so eviction is a plain stash
-/// check-in with no upward cascade.
-#[derive(Debug, Clone)]
+/// The one shape engines use: 32 entries (256 bytes) per page, recursing
+/// until at most 64 page leaves remain for the trusted root.
+const SHAPE: LevelShape = LevelShape {
+    fanout: 32,
+    root_threshold: 64,
+};
+
+/// What every level of one map shares.
+struct LevelEnv<'a> {
+    shape: LevelShape,
+    cache_pages: usize,
+    master: &'a MasterKey,
+    clock: &'a SimClock,
+    seed: u64,
+    backing_dir: Option<&'a std::path::Path>,
+    bus: &'a AccessTrace,
+}
+
+/// One page pinned in a level's cache: its packed entries and the leaf
+/// already written into its parent entry (or root slot), under which
+/// eviction files it back into the stash with no upward cascade.
+#[derive(Debug, Clone, PartialEq)]
 struct CachedPage {
-    data: Vec<u64>,
+    page: u64,
+    data: Vec<u8>,
     return_leaf: u64,
 }
 
-/// One recursion level: a bucket-tree ORAM over position pages, with its
-/// own device, sealer epoch, stash, and pinned LRU page cache.
+/// One recursion level: a [`PathTree`] of position pages on the level's
+/// own device, with per-epoch keys and a pinned LRU page cache (most
+/// recently used first). A page's leaf lives in its parent page (or the
+/// root), never in the level.
 #[derive(Debug)]
 struct MapLevel {
     name: String,
-    geometry: TreeGeometry,
-    device: Device,
+    tree: PathTree<SingleDeviceBackend>,
     clock: SimClock,
     keys: KeyHierarchy,
-    sealer: BlockSealer,
     epoch: u64,
-    seal_seq: u64,
     page_count: u64,
-    fanout: u64,
-    payload_len: usize,
-    stash: Vec<StashPage>,
-    stash_peak: usize,
-    cache: HashMap<u64, CachedPage>,
-    cache_order: VecDeque<u64>,
+    cache: VecDeque<CachedPage>,
     cache_budget: usize,
     checkouts: u64,
     cache_hits: u64,
@@ -466,315 +479,156 @@ struct MapLevel {
 }
 
 impl MapLevel {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         name: String,
         device_id: DeviceId,
         page_count: u64,
-        fanout: u64,
-        cache_budget: usize,
-        master: &MasterKey,
-        clock: &SimClock,
-        backing_dir: Option<&std::path::Path>,
-        bus: &AccessTrace,
+        env: &LevelEnv<'_>,
     ) -> Result<Self, OramError> {
         let geometry = TreeGeometry::for_capacity(page_count, POSMAP_Z);
-        let payload_len = fanout as usize * 8;
+        let payload_len = env.shape.fanout as usize * 8;
         let wire_len = BlockContent::encoded_len(payload_len);
-        let trace = if bus.is_recording() {
+        let trace = if env.bus.is_recording() {
             AccessTrace::recording()
         } else {
             AccessTrace::new()
         };
-        let mut device = match backing_dir {
-            None => Device::new(
-                device_id,
-                name.clone(),
-                Box::new(paper_dram()),
-                clock.clone(),
-                Some(trace.clone()),
-            ),
-            Some(dir) => {
-                let path = dir.join(format!("{name}.dev"));
-                let store =
-                    FileStore::open(path, FileStoreConfig::new(geometry.total_slots(), wire_len))?;
-                Device::with_store(
-                    device_id,
-                    name.clone(),
-                    Box::new(paper_dram()),
-                    clock.clone(),
-                    Some(trace.clone()),
-                    Box::new(store),
-                )
-            }
+        let store: Box<dyn DataStore> = match env.backing_dir {
+            None => Box::new(BlockStore::new()),
+            Some(dir) => Box::new(FileStore::open(
+                dir.join(format!("{name}.dev")),
+                FileStoreConfig::new(geometry.total_slots(), wire_len),
+            )?),
         };
+        let mut device = Device::with_store(
+            device_id,
+            name.clone(),
+            Box::new(paper_dram()),
+            env.clock.clone(),
+            Some(trace.clone()),
+            store,
+        );
         device.set_capacity_slots(geometry.total_slots());
         device.set_charged_block_bytes(wire_len as u64);
-        let keys = KeyHierarchy::new(master.clone(), format!("horam/posmap/{name}"));
-        let sealer = BlockSealer::new(&keys.epoch_keys(0));
+        let keys = KeyHierarchy::new(env.master.clone(), format!("horam/posmap/{name}"));
+        let tree = PathTree::new(
+            geometry,
+            SingleDeviceBackend::new(device),
+            &keys.epoch_keys(0),
+            payload_len,
+            POSMAP_STASH_LIMIT,
+        );
         Ok(Self {
             name,
-            geometry,
-            device,
-            clock: clock.clone(),
+            tree,
+            clock: env.clock.clone(),
             keys,
-            sealer,
             epoch: 0,
-            seal_seq: 0,
             page_count,
-            fanout,
-            payload_len,
-            stash: Vec::new(),
-            stash_peak: 0,
-            cache: HashMap::new(),
-            cache_order: VecDeque::new(),
-            cache_budget,
+            cache: VecDeque::new(),
+            cache_budget: env.cache_pages,
             checkouts: 0,
             cache_hits: 0,
             trace,
         })
     }
 
-    /// Advances the posmap clock by the device occupancy accrued since
-    /// `busy_before` (the devices record costs; callers own the clock).
-    fn advance_clock_since(&mut self, busy_before: SimDuration) {
-        let delta = self.device.stats().busy.saturating_sub(busy_before);
-        self.clock.advance(delta);
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        let seq = self.seal_seq;
-        self.seal_seq += 1;
-        seq
-    }
-
-    fn seal_page(&mut self, addr: u64, content: &BlockContent) -> oram_crypto::seal::SealedBlock {
-        let wire = content.encode(self.payload_len);
-        let seq = self.next_seq();
-        self.sealer.seal(addr, seq, &wire)
-    }
-
-    /// Rebuilds the whole level from scratch: fresh epoch keys, a fresh
-    /// leaf per page drawn from `rng`, greedy deepest-first placement, and
-    /// one streaming write of every tree slot (a public linear sweep).
-    /// Returns the leaf assigned to each page. Stash and cache are
-    /// discarded — the caller supplies complete, current page contents.
-    fn bulk_build(
+    /// Runs `op` on the tree, then advances the posmap clock by the device
+    /// occupancy it accrued.
+    fn timed<T>(
         &mut self,
-        pages: &[Vec<u64>],
+        op: impl FnOnce(&mut PathTree<SingleDeviceBackend>) -> Result<T, OramError>,
+    ) -> Result<T, OramError> {
+        let (busy_before, _) = self.tree.backend().busy();
+        let out = op(&mut self.tree);
+        let delta = self.tree.backend().busy().0.saturating_sub(busy_before);
+        self.clock.advance(delta);
+        out
+    }
+
+    /// Rebuilds the level from complete page contents: fresh epoch keys,
+    /// a fresh leaf per page drawn from `rng` in page order, and the
+    /// tree's greedy image (one public linear sweep), which the old stash
+    /// and cache do not survive. Returns the pages' leaves.
+    fn rebuild(
+        &mut self,
+        pages: Vec<Vec<u8>>,
         rng: &mut DeterministicRng,
     ) -> Result<Vec<u64>, OramError> {
         debug_assert_eq!(pages.len() as u64, self.page_count);
-        let busy_before = self.device.stats().busy;
         self.epoch += 1;
-        self.sealer = BlockSealer::new(&self.keys.epoch_keys(self.epoch));
-        self.stash.clear();
+        self.tree.rekey(&self.keys.epoch_keys(self.epoch));
         self.cache.clear();
-        self.cache_order.clear();
-
-        let leaves: Vec<u64> = pages
-            .iter()
-            .map(|_| self.geometry.random_leaf(rng))
-            .collect();
-        let z = self.geometry.z() as usize;
-        let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); self.geometry.bucket_count() as usize];
-        for (page, &leaf) in leaves.iter().enumerate() {
-            let mut placed = false;
-            for &node in self.geometry.path_nodes(leaf).iter().rev() {
-                if buckets[node as usize].len() < z {
-                    buckets[node as usize].push(page as u64);
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                // ≈50 % utilization makes this rare; spill to the stash.
-                self.stash.push(StashPage {
-                    page: page as u64,
-                    leaf,
-                    data: pages[page].clone(),
-                });
-                if self.stash.len() > POSMAP_STASH_LIMIT {
-                    return Err(OramError::StashOverflow {
-                        limit: POSMAP_STASH_LIMIT,
-                    });
-                }
-            }
-        }
-        self.stash_peak = self.stash_peak.max(self.stash.len());
-
-        let mut blocks = Vec::with_capacity(self.geometry.total_slots() as usize);
-        for node in 0..self.geometry.bucket_count() {
-            for slot in 0..z {
-                let addr = self.geometry.slot_addr(node, slot as u32);
-                let content = match buckets[node as usize].get(slot) {
-                    Some(&page) => BlockContent::Real {
-                        id: BlockId(page),
-                        leaf: leaves[page as usize],
-                        payload: pack_entries(&pages[page as usize]),
-                    },
-                    None => BlockContent::Dummy,
-                };
-                blocks.push(self.seal_page(addr, &content));
-            }
-        }
-        self.device.write_run(0, blocks)?;
-        self.advance_clock_since(busy_before);
+        let geometry = self.tree.geometry();
+        let leaves: Vec<u64> = pages.iter().map(|_| geometry.random_leaf(rng)).collect();
+        let blocks = (0..)
+            .zip(pages)
+            .zip(&leaves)
+            .map(|((page, data), &leaf)| (BlockId(page), leaf, data));
+        self.timed(|tree| tree.write_greedy_image(blocks))?;
         Ok(leaves)
     }
 
-    /// Fetches `page` (tagged `leaf`) out of the level: reads the full
-    /// root→leaf path, absorbs every real page into the stash, extracts
-    /// the target, then greedily writes the path back from the stash. The
-    /// target is *not* written back — it moves to the pinned cache until
-    /// [`checkin`](Self::checkin).
-    fn checkout(&mut self, page: u64, leaf: u64) -> Result<Vec<u64>, OramError> {
+    /// Fetches `page`, filed under `leaf`, out of the level: path read,
+    /// take from the stash, write-back. It stays out of the tree until
+    /// [`pin`](Self::pin) evicts it back into the stash.
+    fn checkout(&mut self, page: u64, leaf: u64) -> Result<Vec<u8>, OramError> {
         self.checkouts += 1;
-        let busy_before = self.device.stats().busy;
-        let z = self.geometry.z() as u64;
-        let path = self.geometry.path_nodes(leaf);
-        for &node in &path {
-            let run = self.device.read_run(node * z, z)?;
-            for (offset, block) in run.into_iter().enumerate() {
-                let addr = node * z + offset as u64;
-                let Some(block) = block else {
-                    return Err(OramError::internal(format!(
-                        "posmap level {} slot {addr} empty — level never built",
-                        self.name
-                    )));
-                };
-                let wire = self.sealer.open_in_place(block)?;
-                match BlockContent::decode_owned(wire, addr)? {
-                    BlockContent::Dummy => {}
-                    BlockContent::Real { id, leaf, payload } => {
-                        self.stash.push(StashPage {
-                            page: id.0,
-                            leaf,
-                            data: unpack_entries(&payload),
-                        });
-                    }
-                }
-            }
-        }
-        let position = self
-            .stash
-            .iter()
-            .position(|entry| entry.page == page)
-            .ok_or_else(|| {
-                OramError::internal(format!(
-                    "posmap level {} page {page} missing from path to leaf {leaf}",
-                    self.name
-                ))
-            })?;
-        let target = self.stash.remove(position);
-
-        // Greedy write-back, leaf-first, from the stash.
-        for &node in path.iter().rev() {
-            let mut bucket = Vec::with_capacity(z as usize);
-            let mut index = 0;
-            while index < self.stash.len() && bucket.len() < z as usize {
-                if self.geometry.node_on_path(node, self.stash[index].leaf) {
-                    let entry = self.stash.remove(index);
-                    let addr = node * z + bucket.len() as u64;
-                    let content = BlockContent::Real {
-                        id: BlockId(entry.page),
-                        leaf: entry.leaf,
-                        payload: pack_entries(&entry.data),
-                    };
-                    bucket.push(self.seal_page(addr, &content));
-                } else {
-                    index += 1;
-                }
-            }
-            while bucket.len() < z as usize {
-                let addr = node * z + bucket.len() as u64;
-                bucket.push(self.seal_page(addr, &BlockContent::Dummy));
-            }
-            self.device.write_run(node * z, bucket)?;
-        }
-        self.stash_peak = self.stash_peak.max(self.stash.len());
-        if self.stash.len() > POSMAP_STASH_LIMIT {
-            return Err(OramError::StashOverflow {
-                limit: POSMAP_STASH_LIMIT,
-            });
-        }
-        self.advance_clock_since(busy_before);
-        Ok(target.data)
+        let data = self.timed(|tree| {
+            tree.read_path(leaf, |_, stored| stored)?;
+            let data = tree.take(BlockId(page));
+            tree.write_back(leaf)?;
+            Ok(data)
+        })?;
+        data.ok_or_else(|| {
+            OramError::internal(format!(
+                "posmap level {} page {page} missing from path to leaf {leaf}",
+                self.name
+            ))
+        })
     }
 
-    /// Returns an evicted page to the stash under the leaf that was
-    /// reserved for it at checkout. No device access — the page rides a
-    /// later checkout's write-back.
-    fn checkin(&mut self, page: u64, return_leaf: u64, data: Vec<u64>) -> Result<(), OramError> {
-        self.stash.push(StashPage {
-            page,
-            leaf: return_leaf,
-            data,
-        });
-        self.stash_peak = self.stash_peak.max(self.stash.len());
-        if self.stash.len() > POSMAP_STASH_LIMIT {
-            return Err(OramError::StashOverflow {
-                limit: POSMAP_STASH_LIMIT,
-            });
+    /// Pins a checked-out page as most recently used, evicting the least
+    /// recently used beyond the budget into the stash under their return
+    /// leaves (they ride later write-backs).
+    fn pin(&mut self, pinned: CachedPage) -> Result<(), OramError> {
+        self.cache.push_front(pinned);
+        while self.cache.len() > self.cache_budget {
+            let evicted = self.cache.pop_back().expect("cache beyond budget");
+            self.tree
+                .put(BlockId(evicted.page), evicted.return_leaf, evicted.data)?;
         }
         Ok(())
     }
 
-    /// Marks `page` most-recently-used.
-    fn touch(&mut self, page: u64) {
-        if let Some(pos) = self.cache_order.iter().position(|&p| p == page) {
-            self.cache_order.remove(pos);
-        }
-        self.cache_order.push_front(page);
+    /// Moves `page` to the front of the cache; false if it is not pinned.
+    fn touch(&mut self, page: u64) -> bool {
+        let Some(at) = self.cache.iter().position(|cached| cached.page == page) else {
+            return false;
+        };
+        let cached = self.cache.remove(at).expect("position in range");
+        self.cache.push_front(cached);
+        true
     }
 
     fn trusted_bytes(&self) -> u64 {
-        let per_page = 24 + self.fanout * 8;
-        (self.stash.len() as u64 + self.cache.len() as u64) * per_page
+        let per_page = 24 + self.tree.payload_len() as u64;
+        (self.tree.stash_len() + self.cache.len()) as u64 * per_page
     }
 
     fn save_state(&mut self, w: &mut StateWriter) -> Result<(), OramError> {
         w.put_u64(self.epoch);
-        w.put_u64(self.seal_seq);
-        w.put_usize(self.stash.len());
-        for entry in &self.stash {
-            w.put_u64(entry.page);
-            w.put_u64(entry.leaf);
-            put_entries(w, &entry.data);
-        }
-        w.put_usize(self.cache_order.len());
-        for &page in &self.cache_order {
-            let cached = &self.cache[&page];
-            w.put_u64(page);
+        w.put_usize(self.cache.len());
+        for cached in &self.cache {
+            w.put_u64(cached.page);
             w.put_u64(cached.return_leaf);
-            put_entries(w, &cached.data);
+            w.put_bytes(&cached.data);
         }
-        self.device.save_state(w)?;
-        Ok(())
+        self.tree.save_state(w)
     }
 
     fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), OramError> {
-        self.epoch = r.get_u64()?;
-        self.seal_seq = r.get_u64()?;
-        self.sealer = BlockSealer::new(&self.keys.epoch_keys(self.epoch));
-        let stash_len = r.get_usize()?;
-        if stash_len > POSMAP_STASH_LIMIT {
-            return Err(snapshot_err(format!(
-                "posmap level {} stash of {stash_len} beyond bound {POSMAP_STASH_LIMIT}",
-                self.name
-            )));
-        }
-        let mut stash = Vec::with_capacity(stash_len);
-        for _ in 0..stash_len {
-            let page = r.get_u64()?;
-            let leaf = r.get_u64()?;
-            stash.push(StashPage {
-                page,
-                leaf,
-                data: get_entries(r, self.fanout)?,
-            });
-        }
-        self.stash = stash;
+        let epoch = r.get_u64()?;
         let cache_len = r.get_usize()?;
         if cache_len > self.cache_budget {
             return Err(snapshot_err(format!(
@@ -782,54 +636,49 @@ impl MapLevel {
                 self.name, self.cache_budget
             )));
         }
-        self.cache.clear();
-        self.cache_order.clear();
+        let mut cache = VecDeque::new();
         for _ in 0..cache_len {
             let page = r.get_u64()?;
             let return_leaf = r.get_u64()?;
-            let data = get_entries(r, self.fanout)?;
-            self.cache.insert(page, CachedPage { data, return_leaf });
-            self.cache_order.push_back(page);
+            let data = r.get_bytes()?.to_vec();
+            if page >= self.page_count
+                || return_leaf >= self.tree.geometry().leaf_count()
+                || data.len() != self.tree.payload_len()
+            {
+                return Err(snapshot_err(format!(
+                    "posmap level {} cached page {page} out of range or of the wrong length",
+                    self.name
+                )));
+            }
+            cache.push_back(CachedPage {
+                page,
+                data,
+                return_leaf,
+            });
         }
-        self.device.load_state(r)?;
+        self.tree.load_state(r, self.page_count)?;
+        self.epoch = epoch;
+        self.tree.rekey(&self.keys.epoch_keys(epoch));
+        self.cache = cache;
         Ok(())
     }
 }
 
-fn pack_entries(entries: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(entries.len() * 8);
-    for value in entries {
-        out.extend_from_slice(&value.to_le_bytes());
-    }
-    out
+/// Entry `index` of a packed page (little-endian `u64`s).
+fn page_entry(page: &[u8], index: u64) -> u64 {
+    let at = index as usize * 8;
+    u64::from_le_bytes(page[at..at + 8].try_into().expect("8-byte entry"))
 }
 
-fn unpack_entries(bytes: &[u8]) -> Vec<u64> {
-    bytes
-        .chunks_exact(8)
-        .map(|chunk| u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")))
-        .collect()
-}
-
-fn put_entries(w: &mut StateWriter, entries: &[u64]) {
-    for &value in entries {
-        w.put_u64(value);
-    }
-}
-
-fn get_entries(r: &mut StateReader<'_>, fanout: u64) -> Result<Vec<u64>, PersistError> {
-    let mut out = Vec::with_capacity(fanout as usize);
-    for _ in 0..fanout {
-        out.push(r.get_u64()?);
-    }
-    Ok(out)
+fn set_page_entry(page: &mut [u8], index: u64, value: u64) {
+    let at = index as usize * 8;
+    page[at..at + 8].copy_from_slice(&value.to_le_bytes());
 }
 
 /// One recursive table: progressively smaller levels over packed `u64`
 /// entries, terminating in a tiny flat root of page leaves.
 #[derive(Debug)]
 struct RecursiveTable {
-    entries: u64,
     fanout: u64,
     levels: Vec<MapLevel>,
     root: Vec<u64>,
@@ -838,128 +687,94 @@ struct RecursiveTable {
 }
 
 impl RecursiveTable {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         label: &str,
         entries: u64,
-        rcfg: &RecursivePosmapConfig,
-        master: &MasterKey,
-        clock: &SimClock,
         device_id_base: u16,
-        seed: u64,
-        backing_dir: Option<&std::path::Path>,
-        bus: &AccessTrace,
+        env: &LevelEnv<'_>,
     ) -> Result<Self, OramError> {
-        let fanout = rcfg.effective_fanout();
-        let page_counts = level_page_counts(entries, fanout, rcfg.root_threshold);
+        let page_counts = level_page_counts(entries, env.shape);
         let mut levels = Vec::with_capacity(page_counts.len());
         for (index, &page_count) in page_counts.iter().enumerate() {
-            levels.push(MapLevel::new(
-                format!("posmap-{label}-l{index}"),
-                DeviceId(device_id_base + 2 * index as u16),
-                page_count,
-                fanout,
-                rcfg.cache_pages,
-                master,
-                clock,
-                backing_dir,
-                bus,
-            )?);
+            let name = format!("posmap-{label}-l{index}");
+            let device_id = DeviceId(device_id_base + 2 * index as u16);
+            levels.push(MapLevel::new(name, device_id, page_count, env)?);
         }
         let root_len = *page_counts.last().expect("at least one level") as usize;
         Ok(Self {
-            entries,
-            fanout,
+            fanout: env.shape.fanout,
             levels,
             root: vec![0; root_len],
             rng: DeterministicRng::from_u64_seed(
-                seed ^ (device_id_base as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                env.seed ^ (device_id_base as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             ),
             bulk_rebuilds: 0,
         })
     }
 
-    /// Rebuilds every level from a complete entry image (`values.len() ==
-    /// entries`). O(entries) *transient* host memory — an honest stand-in
+    /// Rebuilds every level from a complete entry image (one value per
+    /// table entry). O(entries) *transient* host memory — an honest stand-in
     /// for an oblivious external-memory build pass; steady-state trusted
     /// memory is what [`trusted_bytes`](Self::trusted_bytes) reports.
     fn bulk_load(&mut self, values: &[u64]) -> Result<(), OramError> {
-        debug_assert_eq!(values.len() as u64, self.entries);
-        let mut current = chunk_pages(values, self.fanout);
-        for index in 0..self.levels.len() {
-            debug_assert_eq!(current.len() as u64, self.levels[index].page_count);
-            let leaves = self.levels[index].bulk_build(&current, &mut self.rng)?;
-            if index + 1 == self.levels.len() {
-                self.root = leaves;
-            } else {
-                current = chunk_pages(&leaves, self.fanout);
-            }
+        let mut pages = chunk_pages(values, self.fanout);
+        let mut leaves = Vec::new();
+        for level in &mut self.levels {
+            leaves = level.rebuild(pages, &mut self.rng)?;
+            pages = chunk_pages(&leaves, self.fanout);
         }
+        self.root = leaves;
         self.bulk_rebuilds += 1;
         Ok(())
     }
 
-    /// Pins `page` of `level` in that level's cache, walking the chain of
-    /// parent pages upward as needed. At fetch time the parent entry (or
-    /// root slot) is rewritten to a freshly drawn *return leaf*, so a
-    /// later eviction is a plain check-in with no further accesses.
-    fn ensure_cached(&mut self, level: usize, page: u64) -> Result<(), OramError> {
-        if self.levels[level].cache.contains_key(&page) {
+    /// Pins `page` of `level` at the front of that level's cache, walking
+    /// the chain of parent pages upward as needed. A fetch draws the
+    /// page's fresh *return leaf* first, checks the page out under the
+    /// leaf its parent entry (or root slot) holds, and only then
+    /// overwrites that entry with the return leaf — so a failed level read
+    /// changes no leaf, and a later eviction is a plain stash put with no
+    /// further accesses.
+    fn ensure_cached(&mut self, level: usize, page: u64) -> Result<&mut CachedPage, OramError> {
+        if self.levels[level].touch(page) {
             self.levels[level].cache_hits += 1;
-            self.levels[level].touch(page);
-            return Ok(());
+            return Ok(&mut self.levels[level].cache[0]);
         }
-        let fresh = self.levels[level].geometry.random_leaf(&mut self.rng);
-        let leaf = if level + 1 == self.levels.len() {
-            std::mem::replace(&mut self.root[page as usize], fresh)
+        let geometry = self.levels[level].tree.geometry();
+        let fresh = geometry.random_leaf(&mut self.rng);
+        let top = level + 1 == self.levels.len();
+        let (parent_page, slot) = (page / self.fanout, page % self.fanout);
+        let leaf = if top {
+            self.root[page as usize]
         } else {
-            let parent_page = page / self.fanout;
-            self.ensure_cached(level + 1, parent_page)?;
-            let slot = (page % self.fanout) as usize;
-            let parent = self.levels[level + 1]
-                .cache
-                .get_mut(&parent_page)
-                .expect("parent pinned by ensure_cached");
-            std::mem::replace(&mut parent.data[slot], fresh)
+            page_entry(&self.ensure_cached(level + 1, parent_page)?.data, slot)
         };
         let data = self.levels[level].checkout(page, leaf)?;
-        let map_level = &mut self.levels[level];
-        map_level.cache.insert(
-            page,
-            CachedPage {
-                data,
-                return_leaf: fresh,
-            },
-        );
-        map_level.cache_order.push_front(page);
-        while map_level.cache.len() > map_level.cache_budget {
-            let victim = map_level
-                .cache_order
-                .pop_back()
-                .expect("cache non-empty beyond budget");
-            let evicted = map_level
-                .cache
-                .remove(&victim)
-                .expect("ordered page cached");
-            map_level.checkin(victim, evicted.return_leaf, evicted.data)?;
+        if top {
+            self.root[page as usize] = fresh;
+        } else {
+            // Still the front page of its level: the checkout below it
+            // touched no other cache.
+            set_page_entry(&mut self.levels[level + 1].cache[0].data, slot, fresh);
         }
-        Ok(())
+        self.levels[level].pin(CachedPage {
+            page,
+            data,
+            return_leaf: fresh,
+        })?;
+        Ok(&mut self.levels[level].cache[0])
     }
 
     fn get(&mut self, index: u64) -> Result<u64, OramError> {
-        let page = index / self.fanout;
-        self.ensure_cached(0, page)?;
-        Ok(self.levels[0].cache[&page].data[(index % self.fanout) as usize])
+        let fanout = self.fanout;
+        let cached = self.ensure_cached(0, index / fanout)?;
+        Ok(page_entry(&cached.data, index % fanout))
     }
 
     fn set(&mut self, index: u64, value: u64) -> Result<(), OramError> {
-        let page = index / self.fanout;
-        self.ensure_cached(0, page)?;
-        let cached = self.levels[0]
-            .cache
-            .get_mut(&page)
-            .expect("page pinned by ensure_cached");
-        cached.data[(index % self.fanout) as usize] = value;
+        let fanout = self.fanout;
+        let cached = self.ensure_cached(0, index / fanout)?;
+        set_page_entry(&mut cached.data, index % fanout, value);
         Ok(())
     }
 
@@ -1006,14 +821,14 @@ impl RecursiveTable {
     }
 }
 
-/// Splits a flat entry array into fanout-sized pages, zero-padding the
-/// last one (entry value 0 is "unassigned" in both tables).
-fn chunk_pages(values: &[u64], fanout: u64) -> Vec<Vec<u64>> {
+/// Splits a flat entry array into packed fanout-entry pages, zero-padding
+/// the last one (entry value 0 is "unassigned" in both tables).
+fn chunk_pages(values: &[u64], fanout: u64) -> Vec<Vec<u8>> {
     values
         .chunks(fanout as usize)
         .map(|chunk| {
-            let mut page = chunk.to_vec();
-            page.resize(fanout as usize, 0);
+            let mut page: Vec<u8> = chunk.iter().flat_map(|v| v.to_le_bytes()).collect();
+            page.resize(fanout as usize * 8, 0);
             page
         })
         .collect()
@@ -1022,15 +837,15 @@ fn chunk_pages(values: &[u64], fanout: u64) -> Vec<Vec<u64>> {
 /// Page counts per level: level 0 packs the entries; each further level
 /// packs the previous level's page leaves; recursion stops once a level
 /// fits under the root threshold.
-fn level_page_counts(entries: u64, fanout: u64, root_threshold: u64) -> Vec<u64> {
+fn level_page_counts(entries: u64, shape: LevelShape) -> Vec<u64> {
     let mut counts = Vec::new();
-    let mut pages = entries.div_ceil(fanout).max(1);
+    let mut pages = entries.div_ceil(shape.fanout).max(1);
     loop {
         counts.push(pages);
-        if pages <= root_threshold {
+        if pages <= shape.root_threshold {
             return counts;
         }
-        pages = pages.div_ceil(fanout);
+        pages = pages.div_ceil(shape.fanout);
     }
 }
 
@@ -1050,16 +865,14 @@ pub struct RecursivePositionMap {
 }
 
 impl RecursivePositionMap {
-    /// Builds a recursive map for `capacity` blocks over `slots` physical
-    /// slots. With `restore = false` the levels are bulk-built to the
-    /// all-unassigned image (every block "in memory", every slot
-    /// unowned); with `restore = true` construction performs no device
-    /// writes — [`PositionMap::load_state`] adopts the snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Backing-file and level build errors propagate.
-    pub fn new(
+    /// Builds a map of `shape` (engines use [`SHAPE`]; unit tests reach
+    /// deep recursions with smaller ones) for `capacity` blocks over
+    /// `slots` slots. With `restore = false` the levels are bulk-built to
+    /// the all-unassigned image; with `restore = true` construction writes
+    /// nothing — [`PositionMap::load_state`] adopts the snapshot.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        shape: LevelShape,
         capacity: u64,
         slots: u64,
         rcfg: &RecursivePosmapConfig,
@@ -1069,42 +882,26 @@ impl RecursivePositionMap {
         bus: &AccessTrace,
     ) -> Result<Self, OramError> {
         let clock = SimClock::new();
-        let backing_dir = match &rcfg.backing_dir {
-            None => None,
-            Some(dir) => {
-                let path = std::path::PathBuf::from(dir);
-                std::fs::create_dir_all(&path).map_err(|e| {
-                    OramError::Storage(oram_storage::StorageError::Backend {
-                        path: dir.clone(),
-                        reason: format!("creating posmap backing dir: {e}"),
-                    })
-                })?;
-                Some(path)
-            }
+        let backing_dir = rcfg.backing_dir.as_ref().map(std::path::PathBuf::from);
+        if let (Some(dir), Some(path)) = (&rcfg.backing_dir, &backing_dir) {
+            std::fs::create_dir_all(path).map_err(|e| {
+                OramError::Storage(oram_storage::StorageError::Backend {
+                    path: dir.clone(),
+                    reason: format!("creating posmap backing dir: {e}"),
+                })
+            })?;
+        }
+        let env = LevelEnv {
+            shape,
+            cache_pages: rcfg.cache_pages,
+            master,
+            clock: &clock,
+            seed,
+            backing_dir: backing_dir.as_deref(),
+            bus,
         };
-        let backing = backing_dir.as_deref();
-        let mut forward = RecursiveTable::new(
-            "fwd",
-            capacity,
-            rcfg,
-            master,
-            &clock,
-            POSMAP_DEVICE_ID_BASE,
-            seed,
-            backing,
-            bus,
-        )?;
-        let mut inverse = RecursiveTable::new(
-            "inv",
-            slots,
-            rcfg,
-            master,
-            &clock,
-            POSMAP_DEVICE_ID_BASE + 1,
-            seed,
-            backing,
-            bus,
-        )?;
+        let mut forward = RecursiveTable::new("fwd", capacity, POSMAP_DEVICE_ID_BASE, &env)?;
+        let mut inverse = RecursiveTable::new("inv", slots, POSMAP_DEVICE_ID_BASE + 1, &env)?;
         if !restore {
             forward.bulk_load(&vec![0; capacity as usize])?;
             inverse.bulk_load(&vec![0; slots as usize])?;
@@ -1120,19 +917,15 @@ impl RecursivePositionMap {
         })
     }
 
-    /// Peak stash occupancy across all levels (test instrumentation).
-    pub fn stash_peak(&self) -> usize {
-        self.forward
-            .levels
-            .iter()
-            .chain(self.inverse.levels.iter())
-            .map(|level| level.stash_peak)
-            .max()
-            .unwrap_or(0)
+    fn levels(&self) -> impl Iterator<Item = &MapLevel> {
+        self.forward.levels.iter().chain(&self.inverse.levels)
     }
 
-    fn tables(&mut self) -> [&mut RecursiveTable; 2] {
-        [&mut self.forward, &mut self.inverse]
+    fn levels_mut(&mut self) -> impl Iterator<Item = &mut MapLevel> {
+        self.forward
+            .levels
+            .iter_mut()
+            .chain(&mut self.inverse.levels)
     }
 }
 
@@ -1215,7 +1008,7 @@ impl PositionMap for RecursivePositionMap {
             bulk_rebuilds: self.forward.bulk_rebuilds + self.inverse.bulk_rebuilds,
             ..PosmapStats::default()
         };
-        for level in self.forward.levels.iter().chain(self.inverse.levels.iter()) {
+        for level in self.levels() {
             stats.checkouts += level.checkouts;
             stats.cache_hits += level.cache_hits;
         }
@@ -1223,44 +1016,35 @@ impl PositionMap for RecursivePositionMap {
     }
 
     fn level_views(&self) -> Vec<PosmapLevelView> {
-        self.forward
-            .levels
-            .iter()
-            .chain(self.inverse.levels.iter())
+        self.levels()
             .map(|level| PosmapLevelView {
                 name: level.name.clone(),
-                device_id: level.device.id(),
-                depth: level.geometry.depth(),
-                z: level.geometry.z(),
+                device_id: level.tree.backend().device().id(),
+                depth: level.tree.geometry().depth(),
+                z: level.tree.geometry().z(),
                 page_count: level.page_count,
                 trace: level.trace.clone(),
             })
             .collect()
     }
 
-    fn sim_time(&self) -> SimDuration {
-        SimDuration::from_nanos(self.clock.now().as_nanos())
-    }
-
     fn reset_accounting(&mut self) {
         self.queries = 0;
-        for table in self.tables() {
-            table.bulk_rebuilds = 0;
-            for level in &mut table.levels {
-                level.checkouts = 0;
-                level.cache_hits = 0;
-                level.device.reset_accounting();
-                level.trace.clear();
-            }
+        self.forward.bulk_rebuilds = 0;
+        self.inverse.bulk_rebuilds = 0;
+        for level in self.levels_mut() {
+            level.checkouts = 0;
+            level.cache_hits = 0;
+            level.tree.backend_mut().device_mut().reset_accounting();
+            level.trace.clear();
         }
         self.clock.reset();
     }
 
     fn sync(&mut self) -> Result<(), OramError> {
-        for table in self.tables() {
-            for level in &mut table.levels {
-                level.device.sync().map_err(OramError::Storage)?;
-            }
+        for level in self.levels_mut() {
+            let device = level.tree.backend_mut().device_mut();
+            device.sync().map_err(OramError::Storage)?;
         }
         Ok(())
     }
@@ -1300,23 +1084,38 @@ impl PositionMap for RecursivePositionMap {
 mod tests {
     use super::*;
 
-    fn recursive_map(capacity: u64, slots: u64) -> RecursivePositionMap {
+    /// Eight entries per page and at most four root leaves: two or three
+    /// levels at the capacities these tests use.
+    const DEEP: LevelShape = LevelShape {
+        fanout: 8,
+        root_threshold: 4,
+    };
+
+    fn shaped_map(
+        shape: LevelShape,
+        capacity: u64,
+        slots: u64,
+        restore: bool,
+    ) -> RecursivePositionMap {
         let rcfg = RecursivePosmapConfig {
-            fanout: Some(8),
-            root_threshold: 4,
             cache_pages: 2,
             backing_dir: None,
         };
         RecursivePositionMap::new(
+            shape,
             capacity,
             slots,
             &rcfg,
             &MasterKey::from_bytes([5; 32]),
             11,
-            false,
+            restore,
             &AccessTrace::recording(),
         )
         .expect("build")
+    }
+
+    fn recursive_map(capacity: u64, slots: u64) -> RecursivePositionMap {
+        shaped_map(DEEP, capacity, slots, false)
     }
 
     fn full_image(capacity: u64, slots: u64) -> Vec<Option<BlockId>> {
@@ -1330,10 +1129,11 @@ mod tests {
 
     #[test]
     fn geometry_shrinks_to_the_root() {
-        assert_eq!(level_page_counts(1 << 16, 32, 64), vec![2048, 64]);
-        assert_eq!(level_page_counts(100, 32, 64), vec![4]);
-        assert_eq!(level_page_counts(1, 32, 64), vec![1]);
-        assert_eq!(level_page_counts(1 << 20, 32, 64), vec![32768, 1024, 32]);
+        assert_eq!(level_page_counts(1 << 16, SHAPE), vec![2048, 64]);
+        assert_eq!(level_page_counts(100, SHAPE), vec![4]);
+        assert_eq!(level_page_counts(1, SHAPE), vec![1]);
+        assert_eq!(level_page_counts(1 << 20, SHAPE), vec![32768, 1024, 32]);
+        assert_eq!(level_page_counts(512, DEEP), vec![64, 8, 1]);
     }
 
     #[test]
@@ -1459,7 +1259,8 @@ mod tests {
             recursive_bytes * 4 < flat_bytes,
             "recursive {recursive_bytes} B not ≪ flat {flat_bytes} B"
         );
-        assert!(map.stash_peak() <= POSMAP_STASH_LIMIT);
+        let stash_peak = map.levels().map(|level| level.tree.stash_peak()).max();
+        assert!(stash_peak.unwrap() <= POSMAP_STASH_LIMIT);
     }
 
     #[test]
@@ -1478,10 +1279,10 @@ mod tests {
         assert!(!views.is_empty());
         for view in views {
             let events = view.trace.snapshot();
-            // Every checkout is one bucket-run read per path node, then
-            // one bucket-run write per path node; the whole trace must
-            // decompose into such path groups.
-            let per_access = view.depth as usize;
+            // Every checkout reads the z·depth slots of one path, one
+            // event per slot, then writes the same slots back; the whole
+            // trace must decompose into such path groups.
+            let per_access = (view.depth * view.z) as usize;
             assert_eq!(
                 events.len() % (2 * per_access),
                 0,
@@ -1491,7 +1292,56 @@ mod tests {
             );
         }
         assert!(map.stats().checkouts > 0);
-        assert!(map.sim_time() > SimDuration::ZERO);
+    }
+
+    /// A level read that fails verification changes no trusted state: the
+    /// page's leaf stays in the root (it used to be overwritten by the
+    /// fresh return leaf before the checkout, so the retry read the wrong
+    /// path and lost the page), and the level stash and caches are as they
+    /// were. Once the slot is repaired, the retry answers correctly.
+    #[test]
+    fn a_failed_level_read_loses_nothing() {
+        use oram_crypto::CryptoError;
+
+        let single_level = LevelShape {
+            fanout: 8,
+            root_threshold: 64,
+        };
+        let (capacity, slots) = (256, 512);
+        let mut map = shaped_map(single_level, capacity, slots, false);
+        map.rebuild_all(&full_image(capacity, slots)).unwrap();
+        assert_eq!(map.forward.levels.len(), 1, "setup: one forward level");
+        let id = BlockId(42);
+
+        // Slot 0 of the root bucket is on every path.
+        let device = map.forward.levels[0].tree.backend_mut().device_mut();
+        let pristine = device.take_block(0).unwrap().expect("built slot");
+        let mut corrupt = pristine.clone();
+        corrupt.corrupt_bit(9);
+        device.write_block(0, &corrupt).unwrap();
+
+        let observe = |map: &RecursivePositionMap| {
+            let level = &map.forward.levels[0];
+            let root = map.forward.root.clone();
+            (root, level.tree.stash_len(), level.cache.clone())
+        };
+        let before = observe(&map);
+        let result = map.location(id);
+        assert!(
+            matches!(
+                result,
+                Err(OramError::Crypto(CryptoError::TagMismatch { block_id: 0 }))
+            ),
+            "{result:?}"
+        );
+        assert!(
+            observe(&map) == before,
+            "a failed read changed trusted state"
+        );
+
+        let device = map.forward.levels[0].tree.backend_mut().device_mut();
+        device.write_block(0, &pristine).unwrap();
+        assert_eq!(map.location(id).unwrap(), Location::Storage { slot: 84 });
     }
 
     #[test]
@@ -1511,22 +1361,7 @@ mod tests {
         map.save_state(&mut w).unwrap();
         let bytes = w.into_bytes();
 
-        let rcfg = RecursivePosmapConfig {
-            fanout: Some(8),
-            root_threshold: 4,
-            cache_pages: 2,
-            backing_dir: None,
-        };
-        let mut restored = RecursivePositionMap::new(
-            capacity,
-            slots,
-            &rcfg,
-            &MasterKey::from_bytes([5; 32]),
-            11,
-            true,
-            &AccessTrace::new(),
-        )
-        .unwrap();
+        let mut restored = shaped_map(DEEP, capacity, slots, true);
         let mut r = StateReader::new(&bytes);
         restored.load_state(&mut r).unwrap();
         r.finish().map_err(OramError::from).unwrap();

@@ -31,6 +31,8 @@ pub use backend::{SingleDeviceBackend, SplitBackend, TreeBackend};
 pub use bucket_tree::TreeGeometry;
 pub use error::OramError;
 pub use oram_trait::Oram;
-pub use path_oram::{AccessReceipt, PathOram, PathOramConfig, PathOramCore, PathOramStats};
+pub use path_oram::{
+    AccessReceipt, PathOram, PathOramConfig, PathOramCore, PathOramStats, PathTree,
+};
 pub use tree_top_cache::{build_tree_top_cache, TreeTopCachePathOram, TreeTopSplit};
 pub use types::{BlockContent, BlockContentRef, BlockId, Request, RequestOp};

@@ -13,6 +13,12 @@
 //! slot that leaves the trusted boundary is sealed, so real and dummy
 //! ciphertexts are indistinguishable.
 //!
+//! Two layers: [`PathTree`] is the tree — geometry, backend, stash,
+//! sealer — and its caller names every leaf; [`PathOramCore`] adds the
+//! id → leaf table, the RNG and the statistics. `horam-core`'s recursive
+//! position map drives one `PathTree` per level, whose pages' leaves live
+//! in their parent pages.
+//!
 //! Additions for the H-ORAM memory layer (used in `horam-core`):
 //!
 //! * [`PathOramCore::insert_block`] — place an I/O-fetched block directly
@@ -34,6 +40,7 @@ use crate::position_map::PositionMap;
 use crate::stash::{Stash, StashEntry};
 use crate::types::{BlockContent, BlockContentRef, BlockId};
 use oram_crypto::keys::SubKeys;
+use oram_crypto::persist::{StateReader, StateWriter};
 use oram_crypto::rng::DeterministicRng;
 use oram_crypto::seal::{BlockSealer, SealedBlock};
 use oram_storage::clock::SimDuration;
@@ -113,24 +120,304 @@ pub struct PathOramStats {
 /// `(logical id, payload)` pairs.
 pub type EvictedBlocks = Vec<(BlockId, Vec<u8>)>;
 
-/// Path ORAM over a generic backend. See the [module docs](self).
+/// The tree half of Path ORAM — everything but the id → leaf table and
+/// the randomness, which the caller owns. A path access is
+/// [`read_path`](Self::read_path), stash work ([`take`](Self::take),
+/// [`put`](Self::put)), then [`write_back`](Self::write_back).
 #[derive(Debug)]
-pub struct PathOramCore<B: TreeBackend> {
+pub struct PathTree<B: TreeBackend> {
     geometry: TreeGeometry,
     backend: B,
-    position_map: PositionMap,
     stash: Stash,
     sealer: BlockSealer,
-    rng: DeterministicRng,
     payload_len: usize,
-    capacity: u64,
     /// Monotonic sequence number making every seal nonce unique.
     seal_seq: u64,
-    stats: PathOramStats,
     /// One block per slot of a root-to-leaf path, reused by every access:
     /// the read copies the path's records in and opens them in place, the
     /// write-back seals the new contents into it.
     path: Vec<SealedBlock>,
+}
+
+impl<B: TreeBackend> PathTree<B> {
+    /// A tree over `backend` sealing under `keys`, with `payload_len`-byte
+    /// blocks and a stash of at most `stash_limit`. Writes nothing.
+    pub fn new(
+        geometry: TreeGeometry,
+        backend: B,
+        keys: &SubKeys,
+        payload_len: usize,
+        stash_limit: usize,
+    ) -> Self {
+        Self {
+            geometry,
+            backend,
+            stash: Stash::new(stash_limit),
+            sealer: BlockSealer::new(keys),
+            payload_len,
+            seal_seq: 0,
+            path: vec![SealedBlock::default(); (geometry.depth() * geometry.z()) as usize],
+        }
+    }
+
+    /// The tree geometry.
+    pub fn geometry(&self) -> TreeGeometry {
+        self.geometry
+    }
+
+    /// The backend (device accounting).
+    pub fn backend(&self) -> &B {
+        &self.backend
+    }
+
+    /// Mutable access to the backend (experiment plumbing, fault tests).
+    pub fn backend_mut(&mut self) -> &mut B {
+        &mut self.backend
+    }
+
+    /// Payload bytes per block.
+    pub fn payload_len(&self) -> usize {
+        self.payload_len
+    }
+
+    /// Current stash occupancy.
+    pub fn stash_len(&self) -> usize {
+        self.stash.len()
+    }
+
+    /// Peak stash occupancy (the bounded-stash invariant's witness).
+    pub fn stash_peak(&self) -> usize {
+        self.stash.peak()
+    }
+
+    /// Seals everything written from now on under `keys` (a new epoch).
+    pub fn rekey(&mut self, keys: &SubKeys) {
+        self.sealer = BlockSealer::new(keys);
+    }
+
+    /// Takes block `id` out of the stash, returning its payload.
+    pub fn take(&mut self, id: BlockId) -> Option<Vec<u8>> {
+        self.stash.remove(id).map(|entry| entry.payload)
+    }
+
+    /// Files block `id` in the stash under `leaf` (no device access),
+    /// replacing any entry of that id. A wrong payload length or a full
+    /// stash is a typed error that leaves the stash unchanged. Panics if
+    /// `leaf` is outside the tree.
+    pub fn put(&mut self, id: BlockId, leaf: u64, payload: Vec<u8>) -> Result<(), OramError> {
+        assert!(leaf < self.geometry.leaf_count(), "leaf out of range");
+        self.check_payload(payload.len())?;
+        self.stash.insert(StashEntry { id, leaf, payload })
+    }
+
+    fn check_payload(&self, len: usize) -> Result<(), OramError> {
+        if len != self.payload_len {
+            return Err(OramError::PayloadSize {
+                expected: self.payload_len,
+                got: len,
+            });
+        }
+        Ok(())
+    }
+
+    /// The slot addresses of the path to `leaf`, root first.
+    fn path_slots(&self, leaf: u64) -> Vec<u64> {
+        let geometry = self.geometry;
+        let nodes = geometry.path_nodes(leaf);
+        nodes
+            .into_iter()
+            .flat_map(|node| (0..geometry.z()).map(move |slot| geometry.slot_addr(node, slot)))
+            .collect()
+    }
+
+    /// Reads the path to `leaf` slot by slot, root first, into the path
+    /// buffer, opens it in place as one batch, and files every real block
+    /// in the stash under `relabel(id, stored leaf)`. Fail-closed: the
+    /// whole path is verified before anything is decrypted, so on a
+    /// corrupt slot the stash is exactly what it was and the buffer holds
+    /// only ciphertext.
+    pub fn read_path(
+        &mut self,
+        leaf: u64,
+        relabel: impl Fn(BlockId, u64) -> u64,
+    ) -> Result<(), OramError> {
+        let addrs = self.path_slots(leaf);
+        for (&addr, block) in addrs.iter().zip(&mut self.path) {
+            self.backend.read_slot(addr, block)?;
+        }
+        self.sealer.open_blocks(&mut self.path)?;
+        for (&addr, block) in addrs.iter().zip(&self.path) {
+            if let BlockContentRef::Real { id, leaf, payload } =
+                BlockContent::decode_ref(block.ciphertext(), addr)?
+            {
+                self.stash.insert(StashEntry {
+                    id,
+                    leaf: relabel(id, leaf),
+                    payload: payload.to_vec(),
+                })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Fills the path to `leaf` from the stash leaf-first, encoding each
+    /// slot into the path buffer under the next seal sequence number,
+    /// seals the buffer as one batch, and writes the slots in the order
+    /// they were filled.
+    pub fn write_back(&mut self, leaf: u64) -> Result<(), OramError> {
+        let geometry = self.geometry;
+        let z = geometry.z() as usize;
+        // Leaf-first: deepest buckets take the most constrained blocks.
+        let mut nodes = geometry.path_nodes(leaf);
+        nodes.reverse();
+        let mut buffer = self.path.iter_mut();
+        for node in nodes {
+            let selected = self
+                .stash
+                .take_matching(z, |entry| geometry.node_on_path(node, entry.leaf));
+            let mut selected = selected.into_iter();
+            for slot in 0..geometry.z() {
+                let content = match selected.next() {
+                    Some(StashEntry { id, leaf, payload }) => {
+                        BlockContent::Real { id, leaf, payload }
+                    }
+                    None => BlockContent::Dummy,
+                };
+                // A slot's seal is bound to its address.
+                let block = buffer.next().expect("one buffer entry per path slot");
+                let body = block.rebind(geometry.slot_addr(node, slot), self.seal_seq);
+                content.encode_into(self.payload_len, body);
+                self.seal_seq += 1;
+            }
+        }
+        self.sealer.seal_blocks(&mut self.path);
+        for block in &self.path {
+            self.backend.write_slot(block.block_id(), block)?;
+        }
+        Ok(())
+    }
+
+    /// Replaces the tree and the stash with `(id, leaf, payload)` blocks:
+    /// each, in the order given, goes into the deepest bucket on its path
+    /// with room, else into the stash. Every slot then streams out in
+    /// address order as one write run, sealed in batches of
+    /// `STREAM_CHUNK` as the run consumes it (one batch exists outside
+    /// the device) under sequence numbers drawn slot by slot.
+    pub fn write_greedy_image(
+        &mut self,
+        blocks: impl IntoIterator<Item = (BlockId, u64, Vec<u8>)>,
+    ) -> Result<(), OramError> {
+        let geometry = self.geometry;
+        let z = geometry.z() as usize;
+        let mut staged: Vec<Vec<StashEntry>> = vec![Vec::new(); geometry.bucket_count() as usize];
+        self.stash.drain_all();
+        for (id, leaf, payload) in blocks {
+            self.check_payload(payload.len())?;
+            // Deepest-first greedy placement.
+            match geometry
+                .path_nodes(leaf)
+                .into_iter()
+                .rev()
+                .find(|&node| staged[node as usize].len() < z)
+            {
+                Some(node) => staged[node as usize].push(StashEntry { id, leaf, payload }),
+                None => self.put(id, leaf, payload)?,
+            }
+        }
+        let mut slots = (0u64..).zip(staged).flat_map(|(node, bucket)| {
+            let mut bucket = bucket.into_iter();
+            (0..geometry.z()).map(move |slot| {
+                let content = match bucket.next() {
+                    Some(StashEntry { id, leaf, payload }) => {
+                        BlockContent::Real { id, leaf, payload }
+                    }
+                    None => BlockContent::Dummy,
+                };
+                (geometry.slot_addr(node, slot), content)
+            })
+        });
+        let (sealer, seal_seq, payload_len) = (&self.sealer, &mut self.seal_seq, self.payload_len);
+        let mut batch = Vec::new().into_iter();
+        let image = (0..geometry.total_slots() as usize).map(|_| {
+            if batch.len() == 0 {
+                let mut blocks: Vec<SealedBlock> = (&mut slots)
+                    .take(STREAM_CHUNK)
+                    .map(|(addr, content)| {
+                        *seal_seq += 1;
+                        SealedBlock::from_parts(addr, *seal_seq - 1, content.encode(payload_len), 0)
+                    })
+                    .collect();
+                sealer.seal_blocks(&mut blocks);
+                batch = blocks.into_iter();
+            }
+            batch.next().expect("one content per tree slot")
+        });
+        self.backend.init_all_slots(image)?;
+        Ok(())
+    }
+}
+
+impl PathTree<SingleDeviceBackend> {
+    /// Serializes the seal sequence, the stash (plaintext — the caller
+    /// seals the snapshot) and its peak, and the device image.
+    pub fn save_state(&mut self, w: &mut StateWriter) -> Result<(), OramError> {
+        w.put_u64(self.seal_seq);
+        w.put_usize(self.stash.len());
+        for entry in self.stash.iter() {
+            w.put_u64(entry.id.0);
+            w.put_u64(entry.leaf);
+            w.put_bytes(&entry.payload);
+        }
+        w.put_usize(self.stash.peak());
+        self.backend
+            .device_mut()
+            .save_state(w)
+            .map_err(OramError::Storage)
+    }
+
+    /// Restores [`save_state`](Self::save_state)'s output onto a tree of
+    /// the same shape, refusing stash ids from `id_bound` up; a malformed
+    /// state is refused before the seal sequence or stash is adopted.
+    pub fn load_state(&mut self, r: &mut StateReader<'_>, id_bound: u64) -> Result<(), OramError> {
+        let seal_seq = r.get_u64()?;
+        let stash_count = r.get_usize()?;
+        if stash_count > self.stash.limit() {
+            return Err(OramError::SnapshotInvalid {
+                reason: "stash beyond configured bound".into(),
+            });
+        }
+        let mut entries = Vec::with_capacity(stash_count);
+        for _ in 0..stash_count {
+            let id = BlockId(r.get_u64()?);
+            let leaf = r.get_u64()?;
+            let payload = r.get_bytes()?.to_vec();
+            if id.0 >= id_bound
+                || leaf >= self.geometry.leaf_count()
+                || payload.len() != self.payload_len
+            {
+                return Err(OramError::SnapshotInvalid {
+                    reason: format!("stash entry {id} out of range or of the wrong length"),
+                });
+            }
+            entries.push(StashEntry { id, leaf, payload });
+        }
+        let stash_peak = r.get_usize()?;
+        self.backend.device_mut().load_state(r)?;
+        self.seal_seq = seal_seq;
+        self.stash.restore(entries, stash_peak);
+        Ok(())
+    }
+}
+
+/// Path ORAM over a generic backend: a [`PathTree`] plus the position
+/// map, the leaf RNG and the statistics. See the [module docs](self).
+#[derive(Debug)]
+pub struct PathOramCore<B: TreeBackend> {
+    tree: PathTree<B>,
+    position_map: PositionMap,
+    rng: DeterministicRng,
+    capacity: u64,
+    stats: PathOramStats,
 }
 
 /// Path ORAM with the whole tree on one device — the H-ORAM memory layer
@@ -182,32 +469,26 @@ impl PathOram {
 
     /// The underlying device (experiment accounting).
     pub fn device(&self) -> &Device {
-        self.backend().device()
+        self.tree.backend.device()
     }
 
     /// Mutable access to the underlying device (experiment plumbing, e.g.
     /// charging the oblivious-evict buffer shuffle to DRAM).
     pub fn device_mut(&mut self) -> &mut Device {
-        self.backend.device_mut()
+        self.tree.backend_mut().device_mut()
     }
 
     /// Serializes every piece of mutable state a restore needs to resume
-    /// byte-identically: position map, stash (plaintext — the caller
-    /// seals the snapshot), RNG stream position, seal sequence,
-    /// statistics, and the device image (tree ciphertexts, device stats,
-    /// timing-model locality state).
+    /// byte-identically: position map, RNG stream position, statistics,
+    /// and [`PathTree::save_state`].
     ///
     /// # Errors
     ///
     /// Storage backend errors propagate.
-    pub fn save_state(
-        &mut self,
-        w: &mut oram_crypto::persist::StateWriter,
-    ) -> Result<(), OramError> {
+    pub fn save_state(&mut self, w: &mut StateWriter) -> Result<(), OramError> {
         w.put_u64(self.capacity);
-        w.put_usize(self.payload_len);
-        w.put_u64(self.geometry.total_slots());
-        w.put_u64(self.seal_seq);
+        w.put_usize(self.tree.payload_len);
+        w.put_u64(self.tree.geometry.total_slots());
         let (counter, cursor) = self.rng.stream_pos();
         w.put_u32(counter);
         w.put_usize(cursor);
@@ -215,23 +496,12 @@ impl PathOram {
         w.put_u64(self.stats.dummy_accesses);
         w.put_u64(self.stats.stash_inserts);
         w.put_u64(self.stats.rebuilds);
-        let positions: Vec<(u64, u64)> = self.position_map.assigned_entries().collect();
-        w.put_usize(positions.len());
-        for (id, tag) in positions {
+        w.put_usize(self.position_map.assigned());
+        for (id, tag) in self.position_map.assigned_entries() {
             w.put_u64(id);
             w.put_u64(tag);
         }
-        w.put_usize(self.stash.len());
-        for entry in self.stash.iter() {
-            w.put_u64(entry.id.0);
-            w.put_u64(entry.leaf);
-            w.put_bytes(&entry.payload);
-        }
-        w.put_usize(self.stash.peak());
-        self.backend
-            .device_mut()
-            .save_state(w)
-            .map_err(OramError::Storage)
+        self.tree.save_state(w)
     }
 
     /// Restores state captured by [`save_state`](Self::save_state) onto a
@@ -244,29 +514,23 @@ impl PathOram {
     /// [`OramError::SnapshotInvalid`] on geometry mismatch or malformed
     /// state; nothing is partially adopted on error paths that matter
     /// (validation happens before mutation).
-    pub fn load_state(
-        &mut self,
-        r: &mut oram_crypto::persist::StateReader<'_>,
-    ) -> Result<(), OramError> {
+    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), OramError> {
         let capacity = r.get_u64()?;
         let payload_len = r.get_usize()?;
         let total_slots = r.get_u64()?;
-        if capacity != self.capacity
-            || payload_len != self.payload_len
-            || total_slots != self.geometry.total_slots()
-        {
+        let geometry = self.tree.geometry;
+        let (snapshot, instance) = (
+            (capacity, payload_len, total_slots),
+            (self.capacity, self.tree.payload_len, geometry.total_slots()),
+        );
+        if snapshot != instance {
             return Err(OramError::SnapshotInvalid {
                 reason: format!(
-                    "memory-tree geometry mismatch: snapshot has \
-                     {capacity}×{payload_len}B over {total_slots} slots, instance has {}×{}B \
-                     over {}",
-                    self.capacity,
-                    self.payload_len,
-                    self.geometry.total_slots()
+                    "memory-tree geometry mismatch: (blocks, payload bytes, slots) \
+                     {snapshot:?} in the snapshot, {instance:?} here"
                 ),
             });
         }
-        let seal_seq = r.get_u64()?;
         let rng_counter = r.get_u32()?;
         let rng_cursor = r.get_usize()?;
         if rng_cursor > 64 || (rng_cursor < 64 && rng_counter == 0) {
@@ -290,41 +554,17 @@ impl PathOram {
         for _ in 0..position_count {
             let id = r.get_u64()?;
             let tag = r.get_u64()?;
-            if id >= self.capacity || tag >= self.geometry.leaf_count() {
+            if id >= self.capacity || tag >= geometry.leaf_count() {
                 return Err(OramError::SnapshotInvalid {
                     reason: format!("position entry ({id}, {tag}) out of range"),
                 });
             }
             positions.push((id, tag));
         }
-        let stash_count = r.get_usize()?;
-        if stash_count > self.stash.limit() {
-            return Err(OramError::SnapshotInvalid {
-                reason: "stash beyond configured bound".into(),
-            });
-        }
-        let mut entries = Vec::with_capacity(stash_count);
-        for _ in 0..stash_count {
-            let id = BlockId(r.get_u64()?);
-            let leaf = r.get_u64()?;
-            let payload = r.get_bytes()?.to_vec();
-            if id.0 >= self.capacity
-                || leaf >= self.geometry.leaf_count()
-                || payload.len() != self.payload_len
-            {
-                return Err(OramError::SnapshotInvalid {
-                    reason: format!("stash entry {id} out of range or of the wrong length"),
-                });
-            }
-            entries.push(StashEntry { id, leaf, payload });
-        }
-        let stash_peak = r.get_usize()?;
-        self.backend.device_mut().load_state(r)?;
-        self.seal_seq = seal_seq;
+        self.tree.load_state(r, self.capacity)?;
         self.rng.seek_to(rng_counter, rng_cursor);
         self.stats = stats;
         self.position_map.restore(positions);
-        self.stash.restore(entries, stash_peak);
         Ok(())
     }
 }
@@ -343,80 +583,30 @@ impl<B: TreeBackend> PathOramCore<B> {
     ) -> Result<Self, OramError> {
         assert!(config.capacity > 0, "capacity must be positive");
         let mut oram = Self {
-            geometry,
-            backend,
+            tree: PathTree::new(
+                geometry,
+                backend,
+                keys,
+                config.payload_len,
+                config.stash_limit,
+            ),
             position_map: PositionMap::new(config.capacity),
-            stash: Stash::new(config.stash_limit),
-            sealer: BlockSealer::new(keys),
             rng: DeterministicRng::from_u64_seed(config.seed),
-            payload_len: config.payload_len,
             capacity: config.capacity,
-            seal_seq: 0,
             stats: PathOramStats::default(),
-            path: vec![SealedBlock::default(); (geometry.depth() * geometry.z()) as usize],
         };
-        oram.write_dummy_image()?;
+        oram.tree.write_greedy_image([])?;
         Ok(oram)
     }
 
-    fn write_dummy_image(&mut self) -> Result<(), OramError> {
-        let total = self.geometry.total_slots();
-        self.write_image((0..total).map(|addr| (addr, BlockContent::Dummy)))
-    }
-
-    /// Streams a whole-tree image — `(slot address, content)` for every
-    /// slot, in order — to the backend as one write run, sealing it in
-    /// batches of [`STREAM_CHUNK`] as the run consumes it: however large
-    /// the tree, one batch of blocks exists outside the device. Every slot
-    /// draws its seal sequence number in the order given, so the bytes are
-    /// those of sealing slot by slot.
-    fn write_image(
-        &mut self,
-        mut slots: impl Iterator<Item = (u64, BlockContent)>,
-    ) -> Result<(), OramError> {
-        let (sealer, seal_seq, payload_len) = (&self.sealer, &mut self.seal_seq, self.payload_len);
-        let mut batch = Vec::new().into_iter();
-        let image = (0..self.geometry.total_slots() as usize).map(|_| {
-            if batch.len() == 0 {
-                let mut blocks: Vec<SealedBlock> = (&mut slots)
-                    .take(STREAM_CHUNK)
-                    .map(|(addr, content)| {
-                        *seal_seq += 1;
-                        SealedBlock::from_parts(addr, *seal_seq - 1, content.encode(payload_len), 0)
-                    })
-                    .collect();
-                sealer.seal_blocks(&mut blocks);
-                batch = blocks.into_iter();
-            }
-            batch.next().expect("one content per tree slot")
-        });
-        self.backend.init_all_slots(image)?;
-        Ok(())
-    }
-
-    /// The tree geometry.
-    pub fn geometry(&self) -> TreeGeometry {
-        self.geometry
-    }
-
-    /// The backend (device accounting).
-    pub fn backend(&self) -> &B {
-        &self.backend
+    /// The tree: geometry, backend (device accounting), stash occupancy.
+    pub fn tree(&self) -> &PathTree<B> {
+        &self.tree
     }
 
     /// Statistics of this instance.
     pub fn stats(&self) -> PathOramStats {
         self.stats
-    }
-
-    /// Peak stash occupancy (the bounded-stash invariant's witness).
-    pub fn stash_peak(&self) -> usize {
-        self.stash.peak()
-    }
-
-    /// Current stash occupancy.
-    pub fn stash_len(&self) -> usize {
-        self.stash.len()
     }
 
     /// Number of logical blocks currently resident (position-map entries).
@@ -435,7 +625,7 @@ impl<B: TreeBackend> PathOramCore<B> {
     }
 
     fn busy_delta(&self, before: (SimDuration, SimDuration)) -> AccessReceipt {
-        let (mem, storage) = self.backend.busy();
+        let (mem, storage) = self.tree.backend.busy();
         AccessReceipt {
             memory: mem - before.0,
             storage: storage - before.1,
@@ -453,12 +643,11 @@ impl<B: TreeBackend> PathOramCore<B> {
         op: impl FnMut(&mut StashEntry) -> Vec<u8>,
     ) -> Result<(Vec<u8>, AccessReceipt), OramError> {
         self.check_range(id)?;
-        let leaf_count = self.geometry.leaf_count();
         let leaf = match self.position_map.get(id) {
             Some(leaf) => leaf,
-            None => rng_uniform(&mut self.rng, leaf_count),
+            None => self.draw_leaf(),
         };
-        let new_leaf = rng_uniform(&mut self.rng, leaf_count);
+        let new_leaf = self.draw_leaf();
         self.access_explicit(id, leaf, new_leaf, op)
     }
 
@@ -479,108 +668,35 @@ impl<B: TreeBackend> PathOramCore<B> {
         mut op: impl FnMut(&mut StashEntry) -> Vec<u8>,
     ) -> Result<(Vec<u8>, AccessReceipt), OramError> {
         assert!(
-            new_leaf < self.geometry.leaf_count(),
+            new_leaf < self.tree.geometry.leaf_count(),
             "new leaf out of range"
         );
-        let busy_before = self.backend.busy();
-        self.read_path_into_stash(leaf)?;
+        let busy_before = self.tree.backend.busy();
+        // The position map is authoritative; the stored leaf should match
+        // it for tree-resident blocks.
+        let position_map = &self.position_map;
+        self.tree
+            .read_path(leaf, |id, stored| position_map.get(id).unwrap_or(stored))?;
 
-        if !self.stash.contains(id) {
+        let stash = &mut self.tree.stash;
+        if !stash.contains(id) {
             // First access to this block: materialize zero-filled content
             // (the ORAM stores the whole logical array, lazily).
-            self.stash.insert(StashEntry {
+            stash.insert(StashEntry {
                 id,
                 leaf: new_leaf,
-                payload: vec![0u8; self.payload_len],
+                payload: vec![0u8; self.tree.payload_len],
             })?;
         }
         // Remap before serving so the stash entry carries the new leaf.
         self.position_map.set(id, new_leaf);
-        let entry = self.stash.get_mut(id).expect("just ensured present");
+        let entry = stash.get_mut(id).expect("just ensured present");
         entry.leaf = new_leaf;
         let out = op(entry);
 
-        self.write_back_path(leaf)?;
+        self.tree.write_back(leaf)?;
         self.stats.accesses += 1;
         Ok((out, self.busy_delta(busy_before)))
-    }
-
-    /// The slot addresses of the path to `leaf`, root first.
-    fn path_slots(&self, leaf: u64) -> Vec<u64> {
-        let geometry = self.geometry;
-        let nodes = geometry.path_nodes(leaf);
-        nodes
-            .into_iter()
-            .flat_map(|node| (0..geometry.z()).map(move |slot| geometry.slot_addr(node, slot)))
-            .collect()
-    }
-
-    /// Reads the path's slots root to leaf into the path buffer, opens
-    /// them in place as one batch, and copies the real blocks' payloads
-    /// into the stash. Fail-closed: the whole path is verified before
-    /// anything is decrypted, so on a corrupt slot the stash is exactly
-    /// what it was and the buffer holds only ciphertext.
-    fn read_path_into_stash(&mut self, leaf: u64) -> Result<(), OramError> {
-        let addrs = self.path_slots(leaf);
-        for (&addr, block) in addrs.iter().zip(&mut self.path) {
-            self.backend.read_slot(addr, block)?;
-        }
-        self.sealer.open_blocks(&mut self.path)?;
-        for (&addr, block) in addrs.iter().zip(&self.path) {
-            if let BlockContentRef::Real {
-                id,
-                leaf: stored_leaf,
-                payload,
-            } = BlockContent::decode_ref(block.ciphertext(), addr)?
-            {
-                // The position map is authoritative; the stored leaf
-                // should match it for tree-resident blocks.
-                let current = self.position_map.get(id).unwrap_or(stored_leaf);
-                self.stash.insert(StashEntry {
-                    id,
-                    leaf: current,
-                    payload: payload.to_vec(),
-                })?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Fills the path's buckets from the stash leaf-first, encoding each
-    /// slot into the path buffer under the next seal sequence number,
-    /// seals the buffer as one batch, and writes the slots in the order
-    /// they were filled.
-    fn write_back_path(&mut self, leaf: u64) -> Result<(), OramError> {
-        let geometry = self.geometry;
-        let z = geometry.z() as usize;
-        // Leaf-first: deepest buckets take the most constrained blocks.
-        let mut nodes = geometry.path_nodes(leaf);
-        nodes.reverse();
-        let mut buffer = self.path.iter_mut();
-        for node in nodes {
-            let selected = self
-                .stash
-                .take_matching(z, |entry| geometry.node_on_path(node, entry.leaf));
-            let mut selected = selected.into_iter();
-            for slot in 0..geometry.z() {
-                let content = match selected.next() {
-                    Some(StashEntry { id, leaf, payload }) => {
-                        BlockContent::Real { id, leaf, payload }
-                    }
-                    None => BlockContent::Dummy,
-                };
-                // A slot's seal is bound to its address.
-                let block = buffer.next().expect("one buffer entry per path slot");
-                let body = block.rebind(geometry.slot_addr(node, slot), self.seal_seq);
-                content.encode_into(self.payload_len, body);
-                self.seal_seq += 1;
-            }
-        }
-        self.sealer.seal_blocks(&mut self.path);
-        for block in &self.path {
-            self.backend.write_slot(block.block_id(), block)?;
-        }
-        Ok(())
     }
 
     /// Reads block `id`, returning its payload and timing receipt.
@@ -597,7 +713,7 @@ impl<B: TreeBackend> PathOramCore<B> {
     /// exposed so H-ORAM's scheduler can **pre-draw** an access's
     /// randomness at plan time (see the `*_at` access variants).
     pub fn draw_leaf(&mut self) -> u64 {
-        rng_uniform(&mut self.rng, self.geometry.leaf_count())
+        self.tree.geometry.random_leaf(&mut self.rng)
     }
 
     /// The RNG stream position `(block counter, byte cursor)` — exposed
@@ -655,12 +771,7 @@ impl<B: TreeBackend> PathOramCore<B> {
         new_leaf: u64,
         data: &[u8],
     ) -> Result<(Vec<u8>, AccessReceipt), OramError> {
-        if data.len() != self.payload_len {
-            return Err(OramError::PayloadSize {
-                expected: self.payload_len,
-                got: data.len(),
-            });
-        }
+        self.tree.check_payload(data.len())?;
         let leaf = self.pinned_leaf(id)?;
         let data = data.to_vec();
         self.access_explicit(id, leaf, new_leaf, move |entry| {
@@ -689,12 +800,7 @@ impl<B: TreeBackend> PathOramCore<B> {
         id: BlockId,
         data: &[u8],
     ) -> Result<(Vec<u8>, AccessReceipt), OramError> {
-        if data.len() != self.payload_len {
-            return Err(OramError::PayloadSize {
-                expected: self.payload_len,
-                got: data.len(),
-            });
-        }
+        self.tree.check_payload(data.len())?;
         let data = data.to_vec();
         self.path_access(id, move |entry| {
             std::mem::replace(&mut entry.payload, data.clone())
@@ -709,7 +815,7 @@ impl<B: TreeBackend> PathOramCore<B> {
     ///
     /// Storage/crypto errors propagate.
     pub fn dummy_access(&mut self) -> Result<AccessReceipt, OramError> {
-        let leaf = rng_uniform(&mut self.rng, self.geometry.leaf_count());
+        let leaf = self.draw_leaf();
         self.dummy_access_at(leaf)
     }
 
@@ -726,10 +832,11 @@ impl<B: TreeBackend> PathOramCore<B> {
     ///
     /// Panics if `leaf` is outside the tree.
     pub fn dummy_access_at(&mut self, leaf: u64) -> Result<AccessReceipt, OramError> {
-        assert!(leaf < self.geometry.leaf_count(), "dummy leaf out of range");
-        let busy_before = self.backend.busy();
-        self.read_path_into_stash(leaf)?;
-        self.write_back_path(leaf)?;
+        let busy_before = self.tree.backend.busy();
+        let position_map = &self.position_map;
+        self.tree
+            .read_path(leaf, |id, stored| position_map.get(id).unwrap_or(stored))?;
+        self.tree.write_back(leaf)?;
         self.stats.dummy_accesses += 1;
         Ok(self.busy_delta(busy_before))
     }
@@ -742,7 +849,7 @@ impl<B: TreeBackend> PathOramCore<B> {
     /// [`OramError::StashOverflow`] if the stash bound is hit;
     /// [`OramError::PayloadSize`] on wrong payload length.
     pub fn insert_block(&mut self, id: BlockId, payload: Vec<u8>) -> Result<(), OramError> {
-        let leaf = rng_uniform(&mut self.rng, self.geometry.leaf_count());
+        let leaf = self.draw_leaf();
         self.insert_block_at(id, payload, leaf)
     }
 
@@ -763,16 +870,9 @@ impl<B: TreeBackend> PathOramCore<B> {
         payload: Vec<u8>,
         leaf: u64,
     ) -> Result<(), OramError> {
-        assert!(leaf < self.geometry.leaf_count(), "leaf out of range");
         self.check_range(id)?;
-        if payload.len() != self.payload_len {
-            return Err(OramError::PayloadSize {
-                expected: self.payload_len,
-                got: payload.len(),
-            });
-        }
         // Stash first: a refused block must not become `contains`-visible.
-        self.stash.insert(StashEntry { id, leaf, payload })?;
+        self.tree.put(id, leaf, payload)?;
         self.position_map.set(id, leaf);
         self.stats.stash_inserts += 1;
         Ok(())
@@ -795,9 +895,9 @@ impl<B: TreeBackend> PathOramCore<B> {
     ///
     /// Storage/crypto errors propagate.
     pub fn evict_all(&mut self) -> Result<(EvictedBlocks, AccessReceipt), OramError> {
-        let busy_before = self.backend.busy();
-        let total = self.geometry.total_slots();
-        let slots = self.backend.read_all_slots(total)?;
+        let busy_before = self.tree.backend.busy();
+        let tree = &mut self.tree;
+        let slots = tree.backend.read_all_slots(tree.geometry.total_slots())?;
         let mut blocks = Vec::new();
         let mut occupied = (0u64..)
             .zip(slots)
@@ -807,7 +907,7 @@ impl<B: TreeBackend> PathOramCore<B> {
             let (addrs, mut sealed): (Vec<u64>, Vec<SealedBlock>) =
                 occupied.by_ref().take(STREAM_CHUNK).unzip();
             // One batch: every tag is verified before any body is decrypted.
-            self.sealer.open_blocks(&mut sealed)?;
+            tree.sealer.open_blocks(&mut sealed)?;
             for (addr, block) in addrs.into_iter().zip(&sealed) {
                 if let BlockContent::Real { id, payload, .. } =
                     BlockContent::decode(block.ciphertext(), addr)?
@@ -816,10 +916,10 @@ impl<B: TreeBackend> PathOramCore<B> {
                 }
             }
         }
-        for entry in self.stash.drain_all() {
+        for entry in tree.stash.drain_all() {
             blocks.push((entry.id, entry.payload));
         }
-        self.backend.clear()?;
+        tree.backend.clear()?;
         self.position_map.clear_all();
         Ok((blocks, self.busy_delta(busy_before)))
     }
@@ -831,16 +931,16 @@ impl<B: TreeBackend> PathOramCore<B> {
     ///
     /// Storage errors propagate.
     pub fn rebuild_empty(&mut self) -> Result<AccessReceipt, OramError> {
-        let busy_before = self.backend.busy();
+        let busy_before = self.tree.backend.busy();
         self.position_map.clear_all();
-        self.write_dummy_image()?;
+        self.tree.write_greedy_image([])?;
         self.stats.rebuilds += 1;
         Ok(self.busy_delta(busy_before))
     }
 
-    /// Bulk-loads a dataset at construction time: every block gets a random
-    /// leaf and is greedily placed into the deepest bucket on its path
-    /// (leftovers go to the stash). One streaming device pass.
+    /// Replaces the contents with a dataset: every block gets a random
+    /// leaf, in the order given, and [`PathTree::write_greedy_image`]
+    /// writes them in one streaming device pass.
     ///
     /// Used by baselines that start full (tree-top-cache Path ORAM); the
     /// H-ORAM memory layer starts empty instead.
@@ -849,52 +949,22 @@ impl<B: TreeBackend> PathOramCore<B> {
     ///
     /// [`OramError::StashOverflow`] if more than the stash bound fails
     /// placement (practically impossible at ≤50 % utilization);
-    /// [`OramError::PayloadSize`] on wrong payload length.
+    /// [`OramError::PayloadSize`] on wrong payload length;
+    /// [`OramError::BlockOutOfRange`] for ids ≥ capacity.
     pub fn bulk_load(
         &mut self,
         blocks: impl IntoIterator<Item = (BlockId, Vec<u8>)>,
     ) -> Result<AccessReceipt, OramError> {
-        let busy_before = self.backend.busy();
-        let z = self.geometry.z() as usize;
-        let bucket_count = self.geometry.bucket_count() as usize;
-        let mut staged: Vec<Vec<(BlockId, u64, Vec<u8>)>> = vec![Vec::new(); bucket_count];
-
+        let busy_before = self.tree.backend.busy();
+        let mut placed = Vec::new();
+        self.position_map.clear_all();
         for (id, payload) in blocks {
             self.check_range(id)?;
-            if payload.len() != self.payload_len {
-                return Err(OramError::PayloadSize {
-                    expected: self.payload_len,
-                    got: payload.len(),
-                });
-            }
-            let leaf = rng_uniform(&mut self.rng, self.geometry.leaf_count());
-            // Deepest-first greedy placement.
-            let mut placed = None;
-            for node in self.geometry.path_nodes(leaf).into_iter().rev() {
-                if staged[node as usize].len() < z {
-                    placed = Some(node as usize);
-                    break;
-                }
-            }
-            match placed {
-                Some(node) => staged[node].push((id, leaf, payload)),
-                None => self.stash.insert(StashEntry { id, leaf, payload })?,
-            }
+            let leaf = self.draw_leaf();
             self.position_map.set(id, leaf);
+            placed.push((id, leaf, payload));
         }
-
-        let geometry = self.geometry;
-        let slots = (0u64..).zip(staged).flat_map(|(node, bucket)| {
-            let mut bucket = bucket.into_iter();
-            (0..geometry.z()).map(move |slot| {
-                let content = match bucket.next() {
-                    Some((id, leaf, payload)) => BlockContent::Real { id, leaf, payload },
-                    None => BlockContent::Dummy,
-                };
-                (geometry.slot_addr(node, slot), content)
-            })
-        });
-        self.write_image(slots)?;
+        self.tree.write_greedy_image(placed)?;
         Ok(self.busy_delta(busy_before))
     }
 }
@@ -905,7 +975,7 @@ impl<B: TreeBackend> Oram for PathOramCore<B> {
     }
 
     fn payload_len(&self) -> usize {
-        self.payload_len
+        self.tree.payload_len
     }
 
     fn read(&mut self, id: BlockId) -> Result<Vec<u8>, OramError> {
@@ -917,17 +987,11 @@ impl<B: TreeBackend> Oram for PathOramCore<B> {
     }
 }
 
-/// Slots a whole-tree stream (`evict_all`, the dummy image, `bulk_load`)
-/// seals or opens per batch: enough to keep every SIMD lane full, few
-/// enough that a chunk's bodies (≈ 270 KB at 1 KB blocks) stay in cache
-/// and a tree of any size adds only this much plaintext in flight.
+/// Slots a whole-tree stream (`evict_all`, the dummy image, the greedy
+/// image) seals or opens per batch: enough to keep every SIMD lane full,
+/// few enough that a chunk's bodies (≈ 270 KB at 1 KB blocks) stay in
+/// cache and a tree of any size adds only this much plaintext in flight.
 const STREAM_CHUNK: usize = 256;
-
-fn rng_uniform(rng: &mut DeterministicRng, bound: u64) -> u64 {
-    use rand::Rng;
-    rng.gen_range(0..bound)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1016,7 +1080,11 @@ mod tests {
         }
         // The classic Path ORAM result: stash stays O(log N)·ω(1); for
         // N=128 a peak beyond 40 would indicate a protocol bug.
-        assert!(oram.stash_peak() < 40, "stash peak {}", oram.stash_peak());
+        assert!(
+            oram.tree().stash_peak() < 40,
+            "stash peak {}",
+            oram.tree().stash_peak()
+        );
     }
 
     #[test]
@@ -1025,7 +1093,7 @@ mod tests {
         let reads_before = oram.device().stats().reads;
         oram.read(BlockId(0)).unwrap();
         let reads = oram.device().stats().reads - reads_before;
-        let expected = (oram.geometry().depth() * oram.geometry().z()) as u64;
+        let expected = (oram.tree().geometry().depth() * oram.tree().geometry().z()) as u64;
         assert_eq!(reads, expected);
     }
 
@@ -1161,8 +1229,8 @@ mod tests {
     fn for_slot_budget_respects_budget() {
         let device = MachineConfig::dac2019().build_memory(SimClock::new(), None);
         let oram = PathOram::for_slot_budget(8192, None, 16, device, &keys(), 1).unwrap();
-        assert!(oram.geometry().total_slots() <= 8192);
-        assert_eq!(oram.geometry().depth(), 11);
+        assert!(oram.tree().geometry().total_slots() <= 8192);
+        assert_eq!(oram.tree().geometry().depth(), 11);
     }
 
     #[test]
@@ -1229,7 +1297,7 @@ mod tests {
     fn corrupt_path_slot_fails_closed() {
         use oram_crypto::CryptoError;
 
-        let geometry = memory_oram(64, 8).geometry();
+        let geometry = memory_oram(64, 8).tree().geometry();
         let slots_on_path = (geometry.depth() * geometry.z()) as usize;
         for id in [BlockId(5), BlockId(40)] {
             for k in [0, slots_on_path / 2, slots_on_path - 1] {
@@ -1241,13 +1309,13 @@ mod tests {
                 // its access draws its path first — replay the draw.
                 let leaf = oram
                     .leaf_hint(id)
-                    .unwrap_or_else(|| rng_uniform(&mut oram.rng.clone(), geometry.leaf_count()));
-                let addr = oram.path_slots(leaf)[k];
+                    .unwrap_or_else(|| geometry.random_leaf(&mut oram.rng.clone()));
+                let addr = oram.tree.path_slots(leaf)[k];
                 let mut block = oram.device_mut().take_block(addr).unwrap().unwrap();
                 block.corrupt_bit(9);
                 oram.device_mut().write_block(addr, &block).unwrap();
 
-                let stash_before: Vec<StashEntry> = oram.stash.iter().cloned().collect();
+                let stash_before: Vec<StashEntry> = oram.tree.stash.iter().cloned().collect();
                 let positions_before: Vec<(u64, u64)> =
                     oram.position_map.assigned_entries().collect();
                 let (stats_before, device_before) = (oram.stats(), *oram.device().stats());
@@ -1260,7 +1328,7 @@ mod tests {
                     ),
                     "block {id}, slot {k}: {result:?}"
                 );
-                let stash_after: Vec<StashEntry> = oram.stash.iter().cloned().collect();
+                let stash_after: Vec<StashEntry> = oram.tree.stash.iter().cloned().collect();
                 assert_eq!(stash_after, stash_before, "block {id}, slot {k}");
                 assert_eq!(
                     oram.position_map.assigned_entries().collect::<Vec<_>>(),
@@ -1295,7 +1363,7 @@ mod tests {
 
         let observe = |oram: &PathOram| {
             (
-                oram.stash_len(),
+                oram.tree().stash_len(),
                 oram.resident_blocks(),
                 oram.stats(),
                 oram.contains(BlockId(3)),
@@ -1341,10 +1409,12 @@ mod tests {
             }),
             ("stash count beyond the bound", |w| {
                 w.put_usize(0);
+                w.put_u64(0); // seal sequence
                 w.put_usize(usize::MAX >> 1);
             }),
             ("stash payload one byte short", |w| {
                 w.put_usize(0);
+                w.put_u64(0); // seal sequence
                 w.put_usize(1);
                 w.put_u64(9);
                 w.put_u64(0);
@@ -1356,8 +1426,7 @@ mod tests {
             let mut w = StateWriter::new();
             w.put_u64(64);
             w.put_usize(8);
-            w.put_u64(oram.geometry().total_slots());
-            w.put_u64(0); // seal sequence
+            w.put_u64(oram.tree().geometry().total_slots());
             w.put_u32(0); // rng counter
             w.put_usize(64); // rng cursor
             (0..4).for_each(|_| w.put_u64(0)); // stats

@@ -70,6 +70,12 @@ impl Stash {
         Some(&mut self.entries[index])
     }
 
+    /// Removes and returns the entry for `id`.
+    pub fn remove(&mut self, id: BlockId) -> Option<StashEntry> {
+        let index = self.position(id).ok()?;
+        Some(self.entries.remove(index))
+    }
+
     /// Inserts or replaces an entry.
     ///
     /// # Errors

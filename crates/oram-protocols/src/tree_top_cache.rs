@@ -153,9 +153,9 @@ mod tests {
     #[test]
     fn io_bucket_count_matches_split() {
         let (mut oram, split) = build(256, 64);
-        let (_, storage_before) = oram.backend().stats();
+        let (_, storage_before) = oram.tree().backend().stats();
         oram.read(BlockId(0)).unwrap();
-        let (_, storage_after) = oram.backend().stats();
+        let (_, storage_after) = oram.tree().backend().stats();
         let io_reads = storage_after.reads - storage_before.reads;
         let io_writes = storage_after.writes - storage_before.writes;
         assert_eq!(io_reads, (split.io_buckets_per_access * 4) as u64);
@@ -181,7 +181,11 @@ mod tests {
                 oram.read(id).unwrap();
             }
         }
-        assert!(oram.stash_peak() < 40, "stash peak {}", oram.stash_peak());
+        assert!(
+            oram.tree().stash_peak() < 40,
+            "stash peak {}",
+            oram.tree().stash_peak()
+        );
     }
 
     #[test]

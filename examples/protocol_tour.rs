@@ -68,7 +68,7 @@ fn main() -> Result<(), OramError> {
             &master.derive("tour/ttc", 0),
         )?;
         run(&mut oram, &requests)?;
-        let (_, storage) = oram.backend().stats();
+        let (_, storage) = oram.tree().backend().stats();
         table.row(vec![
             "Tree-top-cache Path ORAM".into(),
             storage.ops().to_string(),

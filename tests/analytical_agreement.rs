@@ -30,11 +30,11 @@ fn baseline_io_per_access_matches_model() {
     assert_eq!(split.storage_levels as f64, model.storage_levels());
 
     let accesses = 50u64;
-    let before = oram.backend().stats().1;
+    let before = oram.tree().backend().stats().1;
     for i in 0..accesses {
         oram.read(BlockId(i * 37 % capacity)).expect("read");
     }
-    let after = oram.backend().stats().1;
+    let after = oram.tree().backend().stats().1;
     let reads_per_access = (after.reads - before.reads) as f64 / accesses as f64;
     let writes_per_access = (after.writes - before.writes) as f64 / accesses as f64;
     let expected = model.path_oram_io_per_request();

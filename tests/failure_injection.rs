@@ -67,12 +67,16 @@ fn path_oram_fails_closed_on_a_corrupt_path_slot() {
     }
 
     let leaf = oram.leaf_hint(BlockId(7)).expect("block 7 is resident");
-    let geometry = oram.geometry();
+    let geometry = oram.tree().geometry();
     let path = geometry.path_nodes(leaf);
     let addr = geometry.slot_addr(path[path.len() / 2], 1);
     corrupt_one_block(oram.device_mut(), addr);
 
-    let before = (oram.stash_len(), oram.resident_blocks(), oram.stats());
+    let before = (
+        oram.tree().stash_len(),
+        oram.resident_blocks(),
+        oram.stats(),
+    );
     let result = oram.read(BlockId(7));
     assert!(
         matches!(
@@ -82,7 +86,11 @@ fn path_oram_fails_closed_on_a_corrupt_path_slot() {
         "expected the tag error of slot {addr}: {result:?}"
     );
     assert_eq!(
-        (oram.stash_len(), oram.resident_blocks(), oram.stats()),
+        (
+            oram.tree().stash_len(),
+            oram.resident_blocks(),
+            oram.stats()
+        ),
         before
     );
     assert_eq!(oram.leaf_hint(BlockId(7)), Some(leaf));

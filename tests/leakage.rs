@@ -346,6 +346,8 @@ fn retries_are_timing_only_on_the_bus() {
 mod recursive_posmap {
     use super::*;
     use horam::core::PosmapMode;
+    use horam::protocols::TreeGeometry;
+    use horam::storage::trace::TraceEvent;
 
     fn build_recursive(capacity: u64, memory_slots: u64, seed: u64) -> HOram {
         let config = HOramConfig::new(capacity, 8, memory_slots)
@@ -382,41 +384,33 @@ mod recursive_posmap {
     }
 
     /// Each level's trace is a well-formed path-ORAM view: every event
-    /// moves one fixed-size page, addresses stay inside the level's
-    /// bucket tree, and path reads are matched by path write-backs.
+    /// moves one fixed-size page or is a rebuild's stream over the whole
+    /// tree, addresses stay inside the level's bucket tree, and every
+    /// checkout reads exactly the z·depth slots of one root → leaf path,
+    /// one event per slot, then writes back the same slots.
     #[test]
     fn level_traces_are_uniform_and_bounded() {
         let mut oram = build_recursive(256, 64, 10);
         // Drop the construction-time bulk-build traffic so the checked
-        // trace is pure steady-state checkout/check-in traffic.
+        // trace is pure steady-state checkout/check-in traffic (plus the
+        // rebuild streams of full shuffles).
         oram.reset_accounting();
         let requests: Vec<Request> = (0..200u64).map(|i| Request::read(i * 11 % 256)).collect();
         oram.run_batch(&requests).expect("batch");
 
         let views = oram.posmap().level_views();
         assert!(!views.is_empty(), "recursive map must expose levels");
-        let mut some_level_active = false;
+        let mut checkouts = 0;
         for view in &views {
             let events = view.trace.snapshot();
-            if events.is_empty() {
+            let geometry = TreeGeometry::new(view.depth, view.z);
+            let tree_slots = geometry.total_slots();
+            let path_len = (view.depth * view.z) as usize;
+            // Path events move single slots, the smallest transfer.
+            let Some(page_bytes) = events.iter().map(|e| e.bytes).min() else {
                 continue; // a fully cache-resident level is legitimate
-            }
-            some_level_active = true;
-            let tree_slots = ((1u64 << view.depth) - 1) * view.z as u64;
-            // Events are run-granular (a path segment or a rebuild
-            // stream), so sizes are multiples of one sealed page — the
-            // smallest transfer observed.
-            let page_bytes = events.iter().map(|e| e.bytes).min().unwrap();
-            let mut read_bytes = 0u64;
-            let mut write_bytes = 0u64;
+            };
             for event in &events {
-                assert!(
-                    event.bytes > 0 && event.bytes % page_bytes == 0,
-                    "level {} moved a fractional page ({} bytes, page {})",
-                    view.name,
-                    event.bytes,
-                    page_bytes
-                );
                 assert!(
                     event.addr < tree_slots,
                     "level {} touched address {} outside its {} tree slots",
@@ -424,25 +418,48 @@ mod recursive_posmap {
                     event.addr,
                     tree_slots
                 );
-                match event.kind {
-                    AccessKind::Read => read_bytes += event.bytes,
-                    AccessKind::Write => write_bytes += event.bytes,
-                }
             }
-            // Every path read is written back; rebuild streams only add
-            // writes — so read traffic never exceeds write traffic.
-            assert!(
-                read_bytes <= write_bytes,
-                "level {}: {} bytes read but only {} written back",
-                view.name,
-                read_bytes,
-                write_bytes
-            );
+            let mut rest = &events[..];
+            while let Some(first) = rest.first() {
+                if first.bytes == tree_slots * page_bytes {
+                    assert_eq!(first.kind, AccessKind::Write, "level {}", view.name);
+                    rest = &rest[1..];
+                    continue;
+                }
+                assert!(
+                    rest.len() >= 2 * path_len,
+                    "level {}: {} events left, not a whole path access",
+                    view.name,
+                    rest.len()
+                );
+                let (reads, tail) = rest.split_at(path_len);
+                let (writes, tail) = tail.split_at(path_len);
+                let slots = |events: &[TraceEvent], kind| {
+                    for event in events {
+                        assert_eq!((event.kind, event.bytes), (kind, page_bytes));
+                    }
+                    events.iter().map(|e| e.addr).collect::<Vec<_>>()
+                };
+                let read = slots(reads, AccessKind::Read);
+                let leaf = read[path_len - 1] / geometry.z() as u64 + 1 - geometry.leaf_count();
+                let path: Vec<u64> = geometry
+                    .path_nodes(leaf)
+                    .into_iter()
+                    .flat_map(|node| (0..view.z).map(move |slot| geometry.slot_addr(node, slot)))
+                    .collect();
+                assert_eq!(read, path, "level {}: a read is not one path", view.name);
+                let mut written = slots(writes, AccessKind::Write);
+                written.sort_unstable();
+                assert_eq!(
+                    written, path,
+                    "level {}: write-back off the path",
+                    view.name
+                );
+                checkouts += 1;
+                rest = tail;
+            }
         }
-        assert!(
-            some_level_active,
-            "workload must exercise at least one level"
-        );
+        assert!(checkouts > 0, "workload must exercise at least one level");
     }
 
     /// Level traces depend only on the access schedule, never on the data:

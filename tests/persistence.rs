@@ -192,9 +192,10 @@ fn corrupted_and_wrong_key_snapshots_error() {
     assert!(HOram::restore(MemoryHierarchy::dac2019(), wrong_key, &snapshot).is_err());
 }
 
-/// Envelope versions 2 through 6 each dropped fields from the embedded
-/// config codec, which shifts every later byte: a snapshot or drain checkpoint of
-/// an older version must be refused with the typed version error by every
+/// Envelope versions 2 through 7 each dropped fields from the embedded
+/// config codec (7 also moved the memory tree's seal sequence and stash
+/// behind its statistics and position map), which shifts every later
+/// byte: a snapshot or drain checkpoint of an older version must be refused with the typed version error by every
 /// restore path, never mis-parsed. The reader checks the version before
 /// anything else it trusts, so rewriting the field on a fresh snapshot
 /// takes exactly the path a genuine old one does.
@@ -266,6 +267,11 @@ fn version_4_envelopes_are_refused_by_every_restore_path() {
 #[test]
 fn version_5_envelopes_are_refused_by_every_restore_path() {
     assert_old_envelopes_are_refused(5);
+}
+
+#[test]
+fn version_6_envelopes_are_refused_by_every_restore_path() {
+    assert_old_envelopes_are_refused(6);
 }
 
 /// The worker-thread count is a property of the host that runs the
@@ -898,7 +904,6 @@ mod recursive_posmap {
         config().with_posmap(PosmapMode::Recursive(RecursivePosmapConfig {
             cache_pages: 4,
             backing_dir: backing.map(|p| p.to_string_lossy().into_owned()),
-            ..RecursivePosmapConfig::default()
         }))
     }
 
