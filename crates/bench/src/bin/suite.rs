@@ -56,7 +56,7 @@ fn main() {
     if let Some(baseline_path) = &args.baseline {
         let baseline_json = std::fs::read_to_string(baseline_path)
             .unwrap_or_else(|e| panic!("reading baseline {}: {e}", baseline_path.display()));
-        let baseline: serde::Value = serde_json::from_str(&baseline_json)
+        let baseline = bench::json::parse(&baseline_json)
             .unwrap_or_else(|e| panic!("parsing baseline {}: {e}", baseline_path.display()));
         let regressions = baseline_regressions(&report, &baseline, TREND_TOLERANCE);
         if regressions.is_empty() {

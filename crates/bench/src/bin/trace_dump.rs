@@ -9,6 +9,7 @@
 //! cargo run --release -p bench --bin trace_dump -- [--out <path>]
 //! ```
 
+use bench::json::{to_pretty, ToJson};
 use horam::analysis::autocorr::{serial_correlation, zero_correlation_band};
 use horam::analysis::leakage::TraceShape;
 use horam::analysis::table::Table;
@@ -32,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     oram.run_batch(&requests)?;
 
     let events = oram.trace().snapshot();
-    std::fs::write(&out_path, serde_json::to_string_pretty(&events)?)?;
+    std::fs::write(&out_path, to_pretty(&events.to_json()))?;
     println!(
         "wrote {} bus events to {}\n",
         events.len(),

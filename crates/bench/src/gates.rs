@@ -6,6 +6,7 @@
 //! merges the reports ([`merge_outcomes`]) and diffs the trend metrics
 //! against `BENCH_baseline.json` ([`baseline_regressions`]).
 
+use crate::json::{self, json_struct, ToJson, Value};
 use horam::analysis::table::Table;
 use horam::core::shard::{ShardedConfig, ShardedOram};
 use horam::core::{Permission, UserId};
@@ -17,7 +18,6 @@ use horam::storage::file::{scratch_dir, FileStoreConfig};
 use horam::storage::trace::TraceEvent;
 use horam::workload::{SequentialWorkload, TenantSchedule, WorkloadGenerator, ZipfWorkload};
 use horam_server::{AdmissionPolicy, FairSharePolicy, FifoPolicy, OramService, ServiceConfig};
-use serde::{Number, Serialize, Value};
 use std::path::Path;
 use std::time::Instant;
 
@@ -73,9 +73,9 @@ pub struct Report {
 }
 
 impl Report {
-    fn new(summary: &impl Serialize, failed: Vec<&'static str>) -> Self {
+    fn new(summary: &impl ToJson, failed: Vec<&'static str>) -> Self {
         Self {
-            value: summary.to_value(),
+            value: summary.to_json(),
             failed,
         }
     }
@@ -162,7 +162,6 @@ fn rows(value: &Value) -> Option<&[Value]> {
 /// A row's label: its first field.
 fn label(row: &Value) -> String {
     row.as_map()
-        .ok()
         .and_then(|fields| fields.first())
         .map_or_else(String::new, |(_, value)| cell(value))
 }
@@ -172,9 +171,8 @@ fn cell(value: &Value) -> String {
     match value {
         Value::Null => "-".into(),
         Value::Bool(b) => b.to_string(),
-        Value::Num(Number::F(f)) => format!("{f:.3}"),
-        Value::Num(Number::U(n)) => n.to_string(),
-        Value::Num(Number::I(n)) => n.to_string(),
+        Value::UInt(n) => n.to_string(),
+        Value::Float(f) => format!("{f:.3}"),
         Value::Str(s) => s.clone(),
         Value::Seq(items) => {
             let cells: Vec<String> = items.iter().map(cell).collect();
@@ -213,8 +211,8 @@ pub fn merge_outcomes(outcomes: &[GateOutcome]) -> (Value, bool) {
 /// Panics if the file cannot be written (CI treats that as a failed
 /// gate run).
 pub fn write_report(path: &Path, report: &Value) {
-    let json = serde_json::to_string_pretty(report).expect("serializes");
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writes {}: {e}", path.display()));
+    std::fs::write(path, json::to_pretty(report))
+        .unwrap_or_else(|e| panic!("writes {}: {e}", path.display()));
     println!("wrote {}", path.display());
 }
 
@@ -223,18 +221,10 @@ pub fn write_report(path: &Path, report: &Value) {
 /// wall-clock enters them), so a fresh run on any machine reproduces the
 /// committed baseline exactly; the trend check fails on >25 % regression.
 pub fn trend_metrics(suite_report: &Value) -> Vec<(String, f64)> {
-    fn number(value: Result<&Value, serde::Error>) -> Option<f64> {
-        match value.ok()? {
-            Value::Num(Number::F(f)) => Some(*f),
-            Value::Num(Number::U(u)) => Some(*u as f64),
-            Value::Num(Number::I(i)) => Some(*i as f64),
-            _ => None,
-        }
-    }
     let mut metrics = Vec::new();
     let gates = suite_report.field("gates").and_then(Value::as_seq);
     for gate in gates.unwrap_or(&[]) {
-        let (Ok(name), Ok(report)) = (
+        let (Some(name), Some(report)) = (
             gate.field("gate").and_then(Value::as_str),
             gate.field("report"),
         ) else {
@@ -246,11 +236,16 @@ pub fn trend_metrics(suite_report: &Value) -> Vec<(String, f64)> {
             .map_or(&[][..], |g| g.trend);
         for key in keys {
             let Some((seq, key)) = key.split_once("[].") else {
-                metrics.extend(number(report.field(key)).map(|v| (format!("{name}.{key}"), v)));
+                metrics.extend(
+                    report
+                        .field(key)
+                        .and_then(Value::as_f64)
+                        .map(|v| (format!("{name}.{key}"), v)),
+                );
                 continue;
             };
             for row in report.field(seq).and_then(Value::as_seq).unwrap_or(&[]) {
-                if let Some(v) = number(row.field(key)) {
+                if let Some(v) = row.field(key).and_then(Value::as_f64) {
                     metrics.push((format!("{name}.{}.{key}", label(row)), v));
                 }
             }
@@ -305,12 +300,7 @@ const WRITE_RATIO: f64 = 0.2;
 fn zipf_schedule(requests: usize, seed: u64) -> TenantSchedule {
     let mut generator =
         ZipfWorkload::new(CAPACITY, ZIPF_EXPONENT, WRITE_RATIO, seed).with_payload_len(PAYLOAD_LEN);
-    TenantSchedule::shard(
-        format!("zipf(α={ZIPF_EXPONENT})×{TENANTS} tenants"),
-        &mut generator,
-        TENANTS,
-        requests,
-    )
+    TenantSchedule::shard(&mut generator, TENANTS, requests)
 }
 
 /// `num / den`, or 0 when `den` is not positive.
@@ -435,32 +425,32 @@ mod serving {
 
     const SEED: u64 = 0x5e57;
 
-    #[derive(Debug, Clone, Serialize)]
-    struct ModeRow {
-        mode: String,
-        sim_wall_us: f64,
-        /// Host-side wall clock of the mode's run, ms.
-        wall_ms: f64,
-        throughput_rps: f64,
-        oram_requests: u64,
-        deduped: u64,
-        /// Submission-to-completion latency; `null` without a server.
-        mean_latency_us: Option<f64>,
-        worst_tenant_latency_us: Option<f64>,
-    }
+    json_struct! {
+        struct ModeRow {
+            mode: String,
+            sim_wall_us: f64,
+            /// Host-side wall clock of the mode's run, ms.
+            wall_ms: f64,
+            throughput_rps: f64,
+            oram_requests: u64,
+            deduped: u64,
+            /// Submission-to-completion latency; `null` without a server.
+            mean_latency_us: Option<f64>,
+            worst_tenant_latency_us: Option<f64>,
+        }
 
-    #[derive(Debug, Serialize)]
-    struct Summary {
-        bench: &'static str,
-        requests: usize,
-        tenants: u32,
-        batch_size: usize,
-        pass: bool,
-        /// Fair-share server throughput over sequential `run_batch`, and
-        /// over per-request callers.
-        vs_sequential: f64,
-        vs_per_request: f64,
-        modes: Vec<ModeRow>,
+        struct Summary {
+            bench: &'static str,
+            requests: usize,
+            tenants: u32,
+            batch_size: usize,
+            pass: bool,
+            /// Fair-share server throughput over sequential `run_batch`, and
+            /// over per-request callers.
+            vs_sequential: f64,
+            vs_per_request: f64,
+            modes: Vec<ModeRow>,
+        }
     }
 
     /// Every mode runs the same one-shard engine: the gate compares ways
@@ -522,7 +512,7 @@ mod serving {
     pub(super) fn run(quick: bool) -> Report {
         let requests = scaled(6_000, quick, 8);
         let schedule = zipf_schedule(requests, SEED);
-        let flat = schedule.to_trace().requests;
+        let flat = schedule.requests();
         let per_request = unserved("per-request (sync caller)", &flat, 1);
         let sequential = unserved("sequential run_batch", &flat, flat.len().max(1));
         let fifo = served(&schedule, Box::new(FifoPolicy));
@@ -555,37 +545,36 @@ mod io_pipeline {
     const SEED: u64 = 0x10b1;
     const MIN_IO_SPEEDUP: f64 = 1.5;
 
-    #[derive(Debug, Clone, Copy, Serialize)]
-    struct ModeRow {
-        mode: &'static str,
-        io_batch: u64,
-        /// Simulated access-period storage time, mean load latency, and
-        /// end-to-end wall time, µs; host wall clock, ms.
-        sim_io_us: f64,
-        mean_io_latency_us: f64,
-        sim_wall_us: f64,
-        host_ms: f64,
-    }
+    json_struct! {
+        struct ModeRow {
+            mode: &'static str,
+            io_batch: u64,
+            /// Simulated access-period storage time, mean load latency, and
+            /// end-to-end wall time, µs; host wall clock, ms.
+            sim_io_us: f64,
+            mean_io_latency_us: f64,
+            sim_wall_us: f64,
+            host_ms: f64,
+        }
 
-    #[derive(Debug, Serialize)]
-    struct WorkloadReport {
-        workload: &'static str,
-        requests: usize,
-        modes: Vec<ModeRow>,
-        /// per-block simulated I/O time over batched.
-        io_speedup: f64,
-        /// per-block simulated wall time over batched.
-        wall_speedup: f64,
-        responses_match: bool,
-    }
+        struct WorkloadReport {
+            workload: &'static str,
+            requests: usize,
+            modes: Vec<ModeRow>,
+            /// per-block simulated I/O time over batched.
+            io_speedup: f64,
+            /// per-block simulated wall time over batched.
+            wall_speedup: f64,
+            responses_match: bool,
+        }
 
-    #[derive(Debug, Serialize)]
-    struct Summary {
-        bench: &'static str,
-        gate_workload: &'static str,
-        min_io_speedup: f64,
-        pass: bool,
-        workloads: Vec<WorkloadReport>,
+        struct Summary {
+            bench: &'static str,
+            gate_workload: &'static str,
+            min_io_speedup: f64,
+            pass: bool,
+            workloads: Vec<WorkloadReport>,
+        }
     }
 
     fn run_mode(
@@ -663,38 +652,38 @@ mod sharding {
     const GATE_SHARDS: u64 = 4;
     const MIN_IO_SPEEDUP: f64 = 2.5;
 
-    #[derive(Debug, Clone, Serialize)]
-    struct ShardRow {
-        shards: u64,
-        /// The busiest shard's access-period storage time, µs.
-        sim_io_us: f64,
-        /// Elapsed simulated time on the shared clock, µs.
-        sim_wall_us: f64,
-        /// Requests per second of `sim_io_us` and of `sim_wall_us`.
-        io_throughput_rps: f64,
-        wall_throughput_rps: f64,
-        /// Busiest shard's request share over the ideal 1/shards share.
-        balance: f64,
-        /// Reads served by batch dedup instead of their own ORAM access.
-        deduped: u64,
-        /// Host-side wall clock of the run, ms.
-        host_ms: f64,
-    }
+    json_struct! {
+        struct ShardRow {
+            shards: u64,
+            /// The busiest shard's access-period storage time, µs.
+            sim_io_us: f64,
+            /// Elapsed simulated time on the shared clock, µs.
+            sim_wall_us: f64,
+            /// Requests per second of `sim_io_us` and of `sim_wall_us`.
+            io_throughput_rps: f64,
+            wall_throughput_rps: f64,
+            /// Busiest shard's request share over the ideal 1/shards share.
+            balance: f64,
+            /// Reads served by batch dedup instead of their own ORAM access.
+            deduped: u64,
+            /// Host-side wall clock of the run, ms.
+            host_ms: f64,
+        }
 
-    #[derive(Debug, Serialize)]
-    struct Summary {
-        bench: &'static str,
-        requests: usize,
-        tenants: u32,
-        batch_size: usize,
-        gate_shards: u64,
-        min_io_speedup: f64,
-        pass: bool,
-        /// The gate row's throughputs over the 1-shard row's.
-        io_speedup: f64,
-        wall_speedup: f64,
-        responses_match: bool,
-        rows: Vec<ShardRow>,
+        struct Summary {
+            bench: &'static str,
+            requests: usize,
+            tenants: u32,
+            batch_size: usize,
+            gate_shards: u64,
+            min_io_speedup: f64,
+            pass: bool,
+            /// The gate row's throughputs over the 1-shard row's.
+            io_speedup: f64,
+            wall_speedup: f64,
+            responses_match: bool,
+            rows: Vec<ShardRow>,
+        }
     }
 
     /// Serves the schedule through the shard router; returns the row and
@@ -799,40 +788,40 @@ mod parallel {
         }
     }
 
-    #[derive(Debug, Clone, Serialize)]
-    struct ThreadRow {
-        threads: usize,
-        /// The width the engine ran at: `threads` capped at the host's
-        /// cores.
-        width: usize,
-        /// Host wall clock of the drained batch, ms, and its rate.
-        wall_ms: f64,
-        wall_throughput_rps: f64,
-        /// Elapsed simulated time (identical across rows by design).
-        sim_wall_us: f64,
-        cycles: u64,
-        shuffles: u64,
-    }
+    json_struct! {
+        struct ThreadRow {
+            threads: usize,
+            /// The width the engine ran at: `threads` capped at the host's
+            /// cores.
+            width: usize,
+            /// Host wall clock of the drained batch, ms, and its rate.
+            wall_ms: f64,
+            wall_throughput_rps: f64,
+            /// Elapsed simulated time (identical across rows by design).
+            sim_wall_us: f64,
+            cycles: u64,
+            shuffles: u64,
+        }
 
-    #[derive(Debug, Serialize)]
-    struct Summary {
-        bench: &'static str,
-        requests: usize,
-        shards: u64,
-        io_batch: u64,
-        available_parallelism: usize,
-        gate_threads: usize,
-        /// The width the gate's threaded side ran at.
-        gate_width: usize,
-        min_wall_speedup: f64,
-        /// wall_ms(1 thread) / wall_ms(4 threads) of each alternating pair.
-        pair_speedups: Vec<f64>,
-        /// Median of `pair_speedups` — what the bar is held against.
-        wall_speedup: f64,
-        responses_match: bool,
-        stats_match: bool,
-        pass: bool,
-        rows: Vec<ThreadRow>,
+        struct Summary {
+            bench: &'static str,
+            requests: usize,
+            shards: u64,
+            io_batch: u64,
+            available_parallelism: usize,
+            gate_threads: usize,
+            /// The width the gate's threaded side ran at.
+            gate_width: usize,
+            min_wall_speedup: f64,
+            /// wall_ms(1 thread) / wall_ms(4 threads) of each alternating pair.
+            pair_speedups: Vec<f64>,
+            /// Median of `pair_speedups` — what the bar is held against.
+            wall_speedup: f64,
+            responses_match: bool,
+            stats_match: bool,
+            pass: bool,
+            rows: Vec<ThreadRow>,
+        }
     }
 
     /// Drains the schedule at a pump width of `threads`.
@@ -862,7 +851,7 @@ mod parallel {
         let thread_counts: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
         let cores = host_cores();
         let threshold = min_wall_speedup(cores);
-        let flat = zipf_schedule(requests, SEED).to_trace();
+        let flat = zipf_schedule(requests, SEED).requests();
 
         // The bar's pair alternates `BAR_PAIRS` times, the rest run once;
         // every run must reproduce the first one's responses and stats.
@@ -876,7 +865,7 @@ mod parallel {
         let mut reference: Option<(Vec<Vec<u8>>, HOramStats)> = None;
         let (mut responses_match, mut stats_match) = (true, true);
         for threads in order {
-            let (row, response, stat) = run_threads(&flat.requests, threads);
+            let (row, response, stat) = run_threads(&flat, threads);
             rows.push(row);
             match &reference {
                 None => reference = Some((response, stat)),
@@ -938,23 +927,24 @@ mod persistence {
     /// Cycles past the checkpoint before the kill: past a shuffle.
     const KILL_AFTER_CYCLES: u64 = 600;
 
-    #[derive(Debug, Serialize)]
-    struct Summary {
-        bench: &'static str,
-        requests: usize,
-        pass: bool,
-        snapshot_bytes: usize,
-        /// Host ms of the checkpoint and of recovery (journal rollback +
-        /// state restore).
-        snapshot_ms: f64,
-        restore_ms: f64,
-        max_checkpoint_ms: f64,
-        kill_after_cycles: u64,
-        replayed_requests: usize,
-        responses_match: bool,
-        trace_match: bool,
-        stats_match: bool,
-        clock_match: bool,
+    json_struct! {
+        struct Summary {
+            bench: &'static str,
+            requests: usize,
+            pass: bool,
+            snapshot_bytes: usize,
+            /// Host ms of the checkpoint and of recovery (journal rollback +
+            /// state restore).
+            snapshot_ms: f64,
+            restore_ms: f64,
+            max_checkpoint_ms: f64,
+            kill_after_cycles: u64,
+            replayed_requests: usize,
+            responses_match: bool,
+            trace_match: bool,
+            stats_match: bool,
+            clock_match: bool,
+        }
     }
 
     fn engine_config() -> HOramConfig {
@@ -970,7 +960,7 @@ mod persistence {
 
     pub(super) fn run(quick: bool) -> Report {
         let requests = scaled(6_000, quick, 8);
-        let trace = zipf_schedule(requests, SEED).to_trace().requests;
+        let trace = zipf_schedule(requests, SEED).requests();
         let (pre, post) = trace.split_at(requests / 2);
         in_scratch("bench-persistence", |scratch| {
             drive(scratch, pre, post, requests)
@@ -1061,21 +1051,22 @@ mod cache {
     /// DRAM copy, a miss an HDD access), well under the observed one.
     const MIN_IO_SPEEDUP: f64 = 1.5;
 
-    #[derive(Debug, Serialize)]
-    struct Summary {
-        bench: &'static str,
-        requests: usize,
-        pass: bool,
-        /// Cache capacity in blocks (covers every storage slot — the
-        /// hit-bound point of the sweep in `cache_sweep`).
-        cache_blocks: u64,
-        hit_rate: f64,
-        io_ms_uncached: f64,
-        io_ms_cached: f64,
-        io_speedup: f64,
-        min_io_speedup: f64,
-        responses_match: bool,
-        counters_match: bool,
+    json_struct! {
+        struct Summary {
+            bench: &'static str,
+            requests: usize,
+            pass: bool,
+            /// Cache capacity in blocks (covers every storage slot — the
+            /// hit-bound point of the sweep in `cache_sweep`).
+            cache_blocks: u64,
+            hit_rate: f64,
+            io_ms_uncached: f64,
+            io_ms_cached: f64,
+            io_speedup: f64,
+            min_io_speedup: f64,
+            responses_match: bool,
+            counters_match: bool,
+        }
     }
 
     /// Every protocol counter — the fields a cache must not move.
@@ -1098,7 +1089,7 @@ mod cache {
         let requests = scaled(6_000, quick, 8);
         let config = HOramConfig::new(CAPACITY, PAYLOAD_LEN, GATE_MEMORY_SLOTS).with_seed(SEED);
         let slots = storage_slots(&config);
-        let trace = zipf_schedule(requests, SEED).to_trace().requests;
+        let trace = zipf_schedule(requests, SEED).requests();
 
         let mut uncached = horam(config.clone(), 0xCA);
         let uncached_responses = uncached.run_batch(&trace).expect("uncached runs");
@@ -1157,31 +1148,32 @@ mod chaos {
     /// Faulted / fault-free simulated throughput floor: backoff is cheap.
     const MIN_THROUGHPUT_RATIO: f64 = 0.9;
 
-    #[derive(Debug, Serialize)]
-    struct Summary {
-        bench: &'static str,
-        requests: usize,
-        shards: u64,
-        fault_permille: u32,
-        pass: bool,
-        /// Transient faults raised, the retries they caused, and the
-        /// simulated backoff charged, ms.
-        injected_transients: u64,
-        retries: u64,
-        backoff_ms: f64,
-        /// Retry budgets exhausted (each fails one shard window).
-        exhausted: u64,
-        /// Tickets resolved to a typed failure.
-        failed_tickets: u64,
-        /// Shards quarantined by the end of the run.
-        degraded_shards: usize,
-        throughput_clean_rps: f64,
-        throughput_faulted_rps: f64,
-        /// faulted / clean simulated throughput — the trend metric.
-        throughput_ratio: f64,
-        min_throughput_ratio: f64,
-        /// Every completed ticket byte-identical to the fault-free run.
-        responses_match: bool,
+    json_struct! {
+        struct Summary {
+            bench: &'static str,
+            requests: usize,
+            shards: u64,
+            fault_permille: u32,
+            pass: bool,
+            /// Transient faults raised, the retries they caused, and the
+            /// simulated backoff charged, ms.
+            injected_transients: u64,
+            retries: u64,
+            backoff_ms: f64,
+            /// Retry budgets exhausted (each fails one shard window).
+            exhausted: u64,
+            /// Tickets resolved to a typed failure.
+            failed_tickets: u64,
+            /// Shards quarantined by the end of the run.
+            degraded_shards: usize,
+            throughput_clean_rps: f64,
+            throughput_faulted_rps: f64,
+            /// faulted / clean simulated throughput — the trend metric.
+            throughput_ratio: f64,
+            min_throughput_ratio: f64,
+            /// Every completed ticket byte-identical to the fault-free run.
+            responses_match: bool,
+        }
     }
 
     fn engine(fault: Option<u32>) -> ShardedOram {
@@ -1229,7 +1221,7 @@ mod chaos {
 
     pub(super) fn run(quick: bool) -> Report {
         let requests = scaled(6_000, quick, 8);
-        let trace = zipf_schedule(requests, SEED).to_trace().requests;
+        let trace = zipf_schedule(requests, SEED).requests();
 
         let mut clean = engine(None);
         let clean_outcomes = drive(&mut clean, &trace);
@@ -1312,38 +1304,39 @@ mod capacity {
     /// since the map's I/O never enters the engine clock.
     const MIN_THROUGHPUT_RATIO: f64 = 0.99;
 
-    #[derive(Debug, Serialize)]
-    struct Summary {
-        bench: &'static str,
-        requests: usize,
-        pass: bool,
-        // Small-N parity: flat vs recursive on the shared Zipf mix.
-        parity_capacity: u64,
-        responses_match: bool,
-        trace_match: bool,
-        stats_match: bool,
-        clock_match: bool,
-        throughput_flat_rps: f64,
-        throughput_recursive_rps: f64,
-        throughput_ratio: f64,
-        min_throughput_ratio: f64,
-        // Large-N demonstration: durable devices, recursive posmap.
-        large_capacity: u64,
-        capacity_factor: f64,
-        posmap_levels: usize,
-        large_roundtrip_ok: bool,
-        restore_roundtrip_ok: bool,
-        flat_trusted_bytes: u64,
-        recursive_trusted_bytes: u64,
-        trusted_shrink: f64,
-        min_trusted_shrink: f64,
-        recursive_small_trusted_bytes: u64,
-        trusted_growth: f64,
-        max_trusted_growth: f64,
-        flat_snapshot_bytes: usize,
-        recursive_snapshot_bytes: usize,
-        snapshot_shrink: f64,
-        min_snapshot_shrink: f64,
+    json_struct! {
+        struct Summary {
+            bench: &'static str,
+            requests: usize,
+            pass: bool,
+            // Small-N parity: flat vs recursive on the shared Zipf mix.
+            parity_capacity: u64,
+            responses_match: bool,
+            trace_match: bool,
+            stats_match: bool,
+            clock_match: bool,
+            throughput_flat_rps: f64,
+            throughput_recursive_rps: f64,
+            throughput_ratio: f64,
+            min_throughput_ratio: f64,
+            // Large-N demonstration: durable devices, recursive posmap.
+            large_capacity: u64,
+            capacity_factor: f64,
+            posmap_levels: usize,
+            large_roundtrip_ok: bool,
+            restore_roundtrip_ok: bool,
+            flat_trusted_bytes: u64,
+            recursive_trusted_bytes: u64,
+            trusted_shrink: f64,
+            min_trusted_shrink: f64,
+            recursive_small_trusted_bytes: u64,
+            trusted_growth: f64,
+            max_trusted_growth: f64,
+            flat_snapshot_bytes: usize,
+            recursive_snapshot_bytes: usize,
+            snapshot_shrink: f64,
+            min_snapshot_shrink: f64,
+        }
     }
 
     fn recursive_mode(backing: Option<&Path>) -> PosmapMode {
@@ -1389,7 +1382,7 @@ mod capacity {
     fn drive(scratch: &Path, requests: usize) -> Report {
         // Leg 1 — parity at small N: the posmap mode is invisible on the
         // data ORAM (responses, timed bus trace, counters, clock).
-        let trace = zipf_schedule(requests, SEED).to_trace().requests;
+        let trace = zipf_schedule(requests, SEED).requests();
 
         let mut flat = parity_engine(PosmapMode::Flat);
         let flat_responses = flat.run_batch(&trace).expect("flat parity run");
@@ -1737,43 +1730,43 @@ mod rpc {
         std::process::exit(0);
     }
 
-    #[derive(Debug, Serialize)]
-    struct ClientRow {
-        client: u32,
-        ops: usize,
-        /// Host wall clock of the op loop inside the client process.
-        elapsed_ms: f64,
-        digest: String,
-        matches_reference: bool,
-    }
+    json_struct! {
+        struct ClientRow {
+            client: u32,
+            ops: usize,
+            /// Host wall clock of the op loop inside the client process.
+            elapsed_ms: f64,
+            digest: String,
+            matches_reference: bool,
+        }
 
-    #[derive(Debug, Serialize)]
-    struct Summary {
-        bench: &'static str,
-        clients: u32,
-        ops_per_client: usize,
-        pipeline: usize,
-        available_parallelism: usize,
-        /// Host wall-clock rates: outside the trend file.
-        in_process_rps: f64,
-        rpc_rps: f64,
-        throughput_ratio: f64,
-        min_ratio: f64,
-        digests_match: bool,
-        served: u64,
-        connections: u64,
-        rows: Vec<ClientRow>,
-        drain_writes: usize,
-        landed_before_exit: usize,
-        suffix_shed_typed: bool,
-        drain_exit_ok: bool,
-        checkpoint_bytes: usize,
-        window_entries: usize,
-        restored_epoch: u64,
-        epoch_visible: bool,
-        replayed: usize,
-        state_match: bool,
-        pass: bool,
+        struct Summary {
+            bench: &'static str,
+            clients: u32,
+            ops_per_client: usize,
+            pipeline: usize,
+            available_parallelism: usize,
+            /// Host wall-clock rates: outside the trend file.
+            in_process_rps: f64,
+            rpc_rps: f64,
+            throughput_ratio: f64,
+            min_ratio: f64,
+            digests_match: bool,
+            served: u64,
+            connections: u64,
+            rows: Vec<ClientRow>,
+            drain_writes: usize,
+            landed_before_exit: usize,
+            suffix_shed_typed: bool,
+            drain_exit_ok: bool,
+            checkpoint_bytes: usize,
+            window_entries: usize,
+            restored_epoch: u64,
+            epoch_visible: bool,
+            replayed: usize,
+            state_match: bool,
+            pass: bool,
+        }
     }
 
     pub(super) fn run(quick: bool) -> Report {
@@ -2038,7 +2031,7 @@ mod tests {
     const BASELINE: &str = include_str!("../../../BENCH_baseline.json");
 
     fn parse(json: &str) -> Value {
-        serde_json::from_str(json).expect("suite report parses")
+        json::parse(json).expect("suite report parses")
     }
 
     #[test]
@@ -2052,7 +2045,7 @@ mod tests {
         for gate in GATES {
             let report = entries
                 .iter()
-                .find(|entry| entry.field("gate").and_then(Value::as_str).ok() == Some(gate.name))
+                .find(|entry| entry.field("gate").and_then(Value::as_str) == Some(gate.name))
                 .unwrap_or_else(|| panic!("gate {} has no baseline entry", gate.name))
                 .field("report")
                 .expect("report");

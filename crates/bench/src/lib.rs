@@ -28,6 +28,7 @@ use horam::storage::calibration::MachineConfig;
 use horam::storage::clock::SimClock;
 
 pub mod gates;
+pub mod json;
 
 /// Parameters of one table experiment.
 #[derive(Debug, Clone)]

@@ -47,7 +47,7 @@ pub mod prelude {
     pub use oram_crypto::keys::MasterKey;
     pub use oram_protocols::{BlockId, Oram, OramError, Request, RequestOp};
     pub use oram_storage::{MemoryHierarchy, SimDuration};
-    pub use oram_workload::{HotspotWorkload, RequestTrace, WorkloadGenerator};
+    pub use oram_workload::{HotspotWorkload, WorkloadGenerator};
 }
 
 #[cfg(test)]

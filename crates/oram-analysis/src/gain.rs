@@ -8,10 +8,9 @@
 //! `N/n = 8`: ≈ 3.8× per I/O access and ≈ 15.1× per request.
 
 use crate::model::OramModel;
-use serde::{Deserialize, Serialize};
 
 /// One point of a Figure 5-1 curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GainPoint {
     /// Grouping factor `c` of the curve.
     pub c: u32,

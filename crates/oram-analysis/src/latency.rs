@@ -6,10 +6,9 @@
 //! into mean/percentile form for the experiment reports and ablations.
 
 use oram_storage::clock::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Percentile summary of a duration sample.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Sample count.
     pub count: usize,

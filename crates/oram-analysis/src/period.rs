@@ -6,10 +6,9 @@
 
 use crate::model::OramModel;
 use crate::table::Table;
-use serde::{Deserialize, Serialize};
 
 /// All quantities of the paper's Table 5-1 for one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeriodOverhead {
     /// Block size in bytes.
     pub block_bytes: u64,

@@ -2,16 +2,12 @@
 //!
 //! Every bench binary emits an [`ExperimentReport`]: the experiment id
 //! (table/figure number), the paper's reference values, the measured
-//! values, and free-form notes. Reports print as aligned tables and
-//! serialize to JSON.
+//! values, and free-form notes. Reports print as aligned tables.
 
 use crate::table::Table;
-use serde::{Deserialize, Serialize};
-use std::io;
-use std::path::Path;
 
 /// One compared quantity: paper vs. measured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonRow {
     /// Quantity name (e.g. "Total Time").
     pub metric: String,
@@ -22,7 +18,7 @@ pub struct ComparisonRow {
 }
 
 /// A full experiment report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentReport {
     /// Experiment identifier ("table-5-3", "fig-5-1", …).
     pub id: String,
@@ -92,26 +88,6 @@ impl ExperimentReport {
         }
         out
     }
-
-    /// Saves the report as JSON.
-    ///
-    /// # Errors
-    ///
-    /// I/O and serialization errors surface as [`io::Error`].
-    pub fn save_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let json = serde_json::to_string_pretty(self).map_err(io::Error::other)?;
-        std::fs::write(path, json)
-    }
-
-    /// Loads a report from JSON.
-    ///
-    /// # Errors
-    ///
-    /// I/O and deserialization errors surface as [`io::Error`].
-    pub fn load_json(path: impl AsRef<Path>) -> io::Result<Self> {
-        let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json).map_err(io::Error::other)
-    }
 }
 
 #[cfg(test)]
@@ -128,17 +104,5 @@ mod tests {
         assert!(text.contains("table-5-3"));
         assert!(text.contains("1290 ms"));
         assert!(text.contains("simulated HDD"));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut report = ExperimentReport::new("fig-5-1", "Gain", "sweep");
-        report.compare("peak", "16x", "15.1x");
-        let dir = std::env::temp_dir().join("horam-report-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("report.json");
-        report.save_json(&path).unwrap();
-        assert_eq!(ExperimentReport::load_json(&path).unwrap(), report);
-        std::fs::remove_file(&path).ok();
     }
 }

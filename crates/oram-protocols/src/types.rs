@@ -2,14 +2,13 @@
 //! block wire format.
 
 use crate::error::OramError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A logical block identifier — the address the *application* uses.
 ///
 /// Logical identifiers never appear on any bus: protocols translate them to
 /// physical slots through position maps and permutation lists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u64);
 
 impl fmt::Display for BlockId {
@@ -25,7 +24,7 @@ impl From<u64> for BlockId {
 }
 
 /// The operation of one ORAM request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RequestOp {
     /// Fetch the block's payload.
     Read,
@@ -41,7 +40,7 @@ impl RequestOp {
 }
 
 /// One application request against an ORAM.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Target logical block.
     pub id: BlockId,
@@ -401,13 +400,5 @@ mod tests {
     #[test]
     fn block_id_display_and_from() {
         assert_eq!(BlockId::from(9u64).to_string(), "b9");
-    }
-
-    #[test]
-    fn request_serde_roundtrip() {
-        let w = Request::write(4u64, vec![1, 2]);
-        let json = serde_json::to_string(&w).unwrap();
-        let back: Request = serde_json::from_str(&json).unwrap();
-        assert_eq!(w, back);
     }
 }

@@ -74,7 +74,7 @@ impl CacheConfig {
 
 /// Counters of the cache, surfaced through
 /// [`crate::device::Device::cache_stats`] and the ORAM layers above.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Random reads served by the RAM tier.
     pub hits: u64,

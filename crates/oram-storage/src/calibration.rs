@@ -49,7 +49,7 @@ pub fn ablation_ssd() -> SsdModel {
 }
 
 /// Which storage technology backs the flat ORAM region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageKind {
     /// The paper's 7200 RPM HDD.
     PaperHdd,
@@ -58,7 +58,7 @@ pub enum StorageKind {
 }
 
 /// A full machine description for one experiment run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Human-readable label used in reports.
     pub label: String,
@@ -205,13 +205,5 @@ mod tests {
         assert!(text.contains("102.7 MB/s"));
         assert!(text.contains("55.2 MB/s"));
         assert!(text.contains("1024 B"));
-    }
-
-    #[test]
-    fn config_serde_roundtrip() {
-        let config = MachineConfig::dac2019();
-        let json = serde_json::to_string(&config).unwrap();
-        let back: MachineConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(config, back);
     }
 }

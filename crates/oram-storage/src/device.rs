@@ -29,7 +29,7 @@ use oram_crypto::seal::SealedBlock;
 use std::fmt;
 
 /// Read or write direction of an access, as visible on the bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Data flows device → controller.
     Read,
@@ -47,9 +47,7 @@ impl fmt::Display for AccessKind {
 }
 
 /// Identifier distinguishing devices within one experiment's trace.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(pub u16);
 
 impl fmt::Display for DeviceId {

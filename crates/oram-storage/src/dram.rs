@@ -11,7 +11,7 @@ use crate::clock::SimDuration;
 use crate::device::{AccessKind, TimingModel};
 
 /// Timing parameters for a DRAM device.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramParams {
     /// Per-access latency in nanoseconds (row activation + controller).
     pub latency_nanos: u64,

@@ -26,7 +26,7 @@ use crate::clock::SimDuration;
 use crate::device::{AccessKind, TimingModel};
 
 /// Timing parameters for a rotating disk.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HddParams {
     /// Usable capacity in bytes (seek distances are normalized to this).
     pub capacity_bytes: u64,

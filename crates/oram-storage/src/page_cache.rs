@@ -18,7 +18,7 @@ use crate::device::{AccessKind, TimingModel};
 use std::collections::HashMap;
 
 /// Parameters of the page-cache model.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PageCacheParams {
     /// Cache capacity in pages.
     pub capacity_pages: u64,

@@ -10,7 +10,7 @@ use crate::clock::SimDuration;
 use crate::device::{AccessKind, TimingModel};
 
 /// Timing parameters for an SSD.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsdParams {
     /// Per-operation read latency in nanoseconds (flash page read + FTL).
     pub read_latency_nanos: u64,

@@ -8,7 +8,7 @@ use crate::device::AccessKind;
 /// `busy` is the sum of simulated access costs — the device-occupancy time
 /// an experiment apportions to serial or overlapped execution as its
 /// protocol dictates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStats {
     /// Number of read operations.
     pub reads: u64,

@@ -1,4 +1,4 @@
-//! Workload generation and trace handling for the H-ORAM reproduction.
+//! Workload generation for the H-ORAM reproduction.
 //!
 //! The paper's evaluation drives both systems with a synthetic request
 //! stream: "we randomly generate a sequence of requests in which 80 % of
@@ -15,8 +15,7 @@
 //!   stressing the cache across periods.
 //!
 //! All generators are deterministic in their seed and implement
-//! [`WorkloadGenerator`]; [`trace::RequestTrace`] records, saves, loads
-//! and replays streams so experiments are exactly repeatable across
+//! [`WorkloadGenerator`], so experiments are exactly repeatable across
 //! systems (H-ORAM and the Path ORAM baseline see byte-identical request
 //! sequences).
 //!
@@ -31,7 +30,6 @@ pub mod hotspot;
 pub mod sequential;
 pub mod serve;
 pub mod stats;
-pub mod trace;
 pub mod uniform;
 pub mod zipf;
 
@@ -40,7 +38,6 @@ pub use hotspot::HotspotWorkload;
 pub use sequential::SequentialWorkload;
 pub use serve::{TenantArrival, TenantSchedule};
 pub use stats::WorkloadStats;
-pub use trace::RequestTrace;
 pub use uniform::UniformWorkload;
 pub use zipf::ZipfWorkload;
 

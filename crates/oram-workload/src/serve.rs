@@ -14,10 +14,9 @@
 //! * [`TenantSchedule::with_hot_tenant`] — one tenant submits `weight`×
 //!   as often as each other tenant, the fairness stress case.
 //!
-//! Schedules convert back to flat [`RequestTrace`]s (for the sequential
+//! Schedules convert back to flat request lists (for the sequential
 //! baseline), so every execution mode sees byte-identical requests.
 
-use crate::trace::RequestTrace;
 use crate::WorkloadGenerator;
 use oram_protocols::types::{BlockId, Request};
 
@@ -33,8 +32,6 @@ pub struct TenantArrival {
 /// A deterministic multi-tenant arrival sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantSchedule {
-    /// Label describing how the schedule was built.
-    pub label: String,
     /// The arrivals, in submission order.
     pub arrivals: Vec<TenantArrival>,
 }
@@ -49,12 +46,7 @@ impl TenantSchedule {
     /// # Panics
     ///
     /// Panics if `tenants` is zero.
-    pub fn shard(
-        label: impl Into<String>,
-        generator: &mut dyn WorkloadGenerator,
-        tenants: u32,
-        count: usize,
-    ) -> Self {
+    pub fn shard(generator: &mut dyn WorkloadGenerator, tenants: u32, count: usize) -> Self {
         assert!(tenants > 0, "at least one tenant required");
         let arrivals = (0..count)
             .map(|i| TenantArrival {
@@ -62,16 +54,12 @@ impl TenantSchedule {
                 request: generator.next_request(),
             })
             .collect();
-        Self {
-            label: label.into(),
-            arrivals,
-        }
+        Self { arrivals }
     }
 
     /// Merges per-tenant generators round-robin, `count_each` requests
     /// per tenant.
     pub fn interleave(
-        label: impl Into<String>,
         mut generators: Vec<(u32, &mut dyn WorkloadGenerator)>,
         count_each: usize,
     ) -> Self {
@@ -84,10 +72,7 @@ impl TenantSchedule {
                 });
             }
         }
-        Self {
-            label: label.into(),
-            arrivals,
-        }
+        Self { arrivals }
     }
 
     /// Like [`shard`](Self::shard), but tenant 0 submits `weight` requests
@@ -98,7 +83,6 @@ impl TenantSchedule {
     ///
     /// Panics if `tenants` or `weight` is zero.
     pub fn with_hot_tenant(
-        label: impl Into<String>,
         generator: &mut dyn WorkloadGenerator,
         tenants: u32,
         weight: u32,
@@ -117,10 +101,7 @@ impl TenantSchedule {
                 request: generator.next_request(),
             })
             .collect();
-        Self {
-            label: label.into(),
-            arrivals,
-        }
+        Self { arrivals }
     }
 
     /// Number of arrivals.
@@ -143,11 +124,8 @@ impl TenantSchedule {
 
     /// The flat request stream in arrival order (the sequential
     /// baseline's input — byte-identical to what the server sees).
-    pub fn to_trace(&self) -> RequestTrace {
-        RequestTrace::from_requests(
-            self.label.clone(),
-            self.arrivals.iter().map(|a| a.request.clone()).collect(),
-        )
+    pub fn requests(&self) -> Vec<Request> {
+        self.arrivals.iter().map(|a| a.request.clone()).collect()
     }
 
     /// How this schedule's requests spread over `shards` shards under the
@@ -189,7 +167,6 @@ impl TenantSchedule {
     /// a matching request within a generous draw budget (a routing
     /// function that never selects `target_shard`).
     pub fn single_shard(
-        label: impl Into<String>,
         generator: &mut dyn WorkloadGenerator,
         tenants: u32,
         count: usize,
@@ -220,10 +197,7 @@ impl TenantSchedule {
                 request,
             });
         }
-        Self {
-            label: label.into(),
-            arrivals,
-        }
+        Self { arrivals }
     }
 }
 
@@ -238,7 +212,7 @@ mod tests {
 
     #[test]
     fn shard_deals_round_robin() {
-        let schedule = TenantSchedule::shard("s", &mut zipf(), 4, 40);
+        let schedule = TenantSchedule::shard(&mut zipf(), 4, 40);
         assert_eq!(schedule.len(), 40);
         assert_eq!(schedule.tenants(), vec![0, 1, 2, 3]);
         for (i, arrival) in schedule.arrivals.iter().enumerate() {
@@ -248,14 +222,14 @@ mod tests {
 
     #[test]
     fn shard_is_deterministic() {
-        let a = TenantSchedule::shard("s", &mut zipf(), 4, 50);
-        let b = TenantSchedule::shard("s", &mut zipf(), 4, 50);
+        let a = TenantSchedule::shard(&mut zipf(), 4, 50);
+        let b = TenantSchedule::shard(&mut zipf(), 4, 50);
         assert_eq!(a, b);
     }
 
     #[test]
     fn hot_tenant_dominates_arrivals() {
-        let schedule = TenantSchedule::with_hot_tenant("h", &mut zipf(), 4, 5, 80);
+        let schedule = TenantSchedule::with_hot_tenant(&mut zipf(), 4, 5, 80);
         let hot = schedule.arrivals.iter().filter(|a| a.tenant == 0).count();
         // One round is 5 hot + 3 cold arrivals.
         assert!(
@@ -267,10 +241,10 @@ mod tests {
 
     #[test]
     fn trace_matches_arrival_order() {
-        let schedule = TenantSchedule::shard("s", &mut zipf(), 2, 20);
-        let trace = schedule.to_trace();
-        assert_eq!(trace.len(), 20);
-        for (arrival, request) in schedule.arrivals.iter().zip(&trace.requests) {
+        let schedule = TenantSchedule::shard(&mut zipf(), 2, 20);
+        let requests = schedule.requests();
+        assert_eq!(requests.len(), 20);
+        for (arrival, request) in schedule.arrivals.iter().zip(&requests) {
             assert_eq!(&arrival.request, request);
         }
     }
@@ -279,7 +253,7 @@ mod tests {
     fn interleave_merges_generators() {
         let mut a = zipf();
         let mut b = ZipfWorkload::new(256, 0.8, 0.0, 9);
-        let schedule = TenantSchedule::interleave("i", vec![(7, &mut a), (9, &mut b)], 10);
+        let schedule = TenantSchedule::interleave(vec![(7, &mut a), (9, &mut b)], 10);
         assert_eq!(schedule.len(), 20);
         assert_eq!(schedule.tenants(), vec![7, 9]);
         assert_eq!(schedule.arrivals[0].tenant, 7);
@@ -288,7 +262,7 @@ mod tests {
 
     #[test]
     fn route_counts_cover_every_arrival() {
-        let schedule = TenantSchedule::shard("s", &mut zipf(), 4, 100);
+        let schedule = TenantSchedule::shard(&mut zipf(), 4, 100);
         let counts = schedule.route_counts(4, |id| (id.0 % 4) as usize);
         assert_eq!(counts.iter().sum::<usize>(), 100);
         // The Zipf stream touches more than one residue class.
@@ -298,14 +272,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "route returned shard")]
     fn route_counts_reject_out_of_range_shards() {
-        let schedule = TenantSchedule::shard("s", &mut zipf(), 2, 10);
+        let schedule = TenantSchedule::shard(&mut zipf(), 2, 10);
         schedule.route_counts(2, |_| 5);
     }
 
     #[test]
     fn single_shard_funnels_every_request() {
         let route = |id: BlockId| (id.0 % 4) as usize;
-        let schedule = TenantSchedule::single_shard("hot", &mut zipf(), 3, 60, route, 2);
+        let schedule = TenantSchedule::single_shard(&mut zipf(), 3, 60, route, 2);
         assert_eq!(schedule.len(), 60);
         assert!(schedule.arrivals.iter().all(|a| route(a.request.id) == 2));
         // Round-robin tenant dealing is preserved.
@@ -318,6 +292,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "never selected shard")]
     fn single_shard_detects_impossible_routes() {
-        TenantSchedule::single_shard("h", &mut zipf(), 1, 1, |_| 0, 1);
+        TenantSchedule::single_shard(&mut zipf(), 1, 1, |_| 0, 1);
     }
 }

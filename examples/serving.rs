@@ -62,7 +62,7 @@ fn main() -> Result<(), ServeError> {
     service.grant(UserId(1), 0..512, Permission::ReadWrite);
     service.grant(UserId(2), 0..512, Permission::ReadWrite);
     let mut generator = ZipfWorkload::new(512, 1.2, 0.0, 42);
-    let schedule = TenantSchedule::shard("zipf", &mut generator, 3, 3_000);
+    let schedule = TenantSchedule::shard(&mut generator, 3, 3_000);
     let arrivals = schedule
         .arrivals
         .iter()

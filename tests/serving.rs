@@ -217,7 +217,7 @@ fn fairness_under_a_hot_tenant() {
             service.register_tenant(UserId(t), 0..CAPACITY, Permission::ReadWrite);
         }
         let mut generator = ZipfWorkload::new(CAPACITY, 1.1, 0.0, 5);
-        let schedule = TenantSchedule::with_hot_tenant("hot", &mut generator, tenants, 8, 1200);
+        let schedule = TenantSchedule::with_hot_tenant(&mut generator, tenants, 8, 1200);
         for arrival in &schedule.arrivals {
             service
                 .submit(UserId(arrival.tenant), arrival.request.clone())

@@ -143,9 +143,7 @@ fn one_shard_engine_matches_single_instance_on_the_schedule() {
         .with_worker_threads(1);
     let key = MasterKey::from_bytes([0xA5; 32]);
     let mut generator = ZipfWorkload::new(4096, 1.2, 0.2, 0x5e57).with_payload_len(16);
-    let requests = TenantSchedule::shard("zipf", &mut generator, 8, 3_000)
-        .to_trace()
-        .requests;
+    let requests = TenantSchedule::shard(&mut generator, 8, 3_000).requests();
 
     let mut instance =
         HOram::new(config.clone(), MemoryHierarchy::dac2019(), key.clone()).expect("builds");
@@ -171,7 +169,7 @@ fn one_shard_engine_matches_single_instance_on_the_schedule() {
 
 fn zipf_schedule(capacity: u64, tenants: u32, requests: usize) -> TenantSchedule {
     let mut generator = ZipfWorkload::new(capacity, 1.1, 0.2, 0x51ed).with_payload_len(8);
-    TenantSchedule::shard("zipf", &mut generator, tenants, requests)
+    TenantSchedule::shard(&mut generator, tenants, requests)
 }
 
 fn collect(
@@ -278,7 +276,6 @@ fn hot_shard_schedule_stays_on_one_shard() {
     let mut generator = ZipfWorkload::new(256, 1.1, 0.0, 7).with_payload_len(8);
     let mapper = oram.mapper().clone();
     let schedule = TenantSchedule::single_shard(
-        "hot-shard",
         &mut generator,
         2,
         40,
