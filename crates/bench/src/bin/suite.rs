@@ -1,17 +1,21 @@
-//! The CI bench suite: runs the gates of [`bench::gates::GATES`] (all, or
-//! those named), merges their reports into one `BENCH.json` (or `--out
-//! <path>`), and exits nonzero if any gate fails. `--baseline <path>`
-//! also fails on a trend ratio >25 % below the committed baseline's
-//! (a partial run reports the skipped gates' ratios as missing).
+//! The bench runner. With no names it runs the CI gates of
+//! [`bench::gates::GATES`]; otherwise it runs the named rows, gates or
+//! paper rows ([`bench::paper::PAPER`]: the paper's tables, figures and
+//! ablations), in the order given. It merges their reports into one
+//! `BENCH.json` (or `--out <path>`) and exits nonzero if any gate fails.
+//! `--baseline <path>` also fails on a trend ratio >25 % below the
+//! committed baseline's (a partial run reports the skipped gates' ratios
+//! as missing).
 //!
 //! ```sh
 //! cargo run --release -p bench --bin suite -- \
-//!     [--quick] [--out <path>] [--baseline BENCH_baseline.json] [<gate>...]
+//!     [--quick] [--out <path>] [--baseline BENCH_baseline.json] [<row>...]
 //! ```
 
 use bench::gates::{
     baseline_regressions, merge_outcomes, rpc_role_hook, run_gate, write_report, Gate, GATES,
 };
+use bench::paper::PAPER;
 use bench::BenchArgs;
 
 /// Trend tolerance: fail on >25 % regression of any tracked ratio.
@@ -22,20 +26,18 @@ fn main() {
     // the role env var routes us there, run the role and exit.
     rpc_role_hook();
     let args = BenchArgs::parse();
+    let rows = || GATES.iter().chain(PAPER);
     let gates: Vec<&Gate> = if args.names.is_empty() {
         GATES.iter().collect()
     } else {
         args.names
             .iter()
             .map(|name| {
-                GATES
-                    .iter()
-                    .find(|gate| gate.name == name)
-                    .unwrap_or_else(|| {
-                        let names: Vec<&str> = GATES.iter().map(|gate| gate.name).collect();
-                        eprintln!("unknown gate {name:?}; gates: {}", names.join(" "));
-                        std::process::exit(2);
-                    })
+                rows().find(|row| row.name == name).unwrap_or_else(|| {
+                    let names: Vec<&str> = rows().map(|row| row.name).collect();
+                    eprintln!("unknown row {name:?}; rows: {}", names.join(" "));
+                    std::process::exit(2);
+                })
             })
             .collect()
     };

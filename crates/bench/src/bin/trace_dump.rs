@@ -1,15 +1,16 @@
 //! Utility: run a workload and dump the adversary's bus trace.
 //!
 //! Produces the raw material of the security analysis as an artifact:
-//! every observable bus event of an H-ORAM run (JSON), plus the summary
-//! statistics the leakage tests compute — shape, per-device histograms,
-//! serial correlation of the storage-read address sequence.
+//! every observable bus event of an H-ORAM run (JSON, written event by
+//! event), plus the summary statistics the leakage tests compute —
+//! shape, per-device histograms, serial correlation of the storage-read
+//! address sequence.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin trace_dump -- [--out <path>]
 //! ```
 
-use bench::json::{to_pretty, ToJson};
+use bench::json::write_pretty_seq;
 use horam::analysis::autocorr::{serial_correlation, zero_correlation_band};
 use horam::analysis::leakage::TraceShape;
 use horam::analysis::table::Table;
@@ -17,6 +18,8 @@ use horam::prelude::*;
 use horam::storage::calibration::device_ids;
 use horam::storage::device::AccessKind;
 use horam::workload::WorkloadGenerator;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out_path = bench::BenchArgs::parse().out_or("trace.json");
@@ -33,7 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     oram.run_batch(&requests)?;
 
     let events = oram.trace().snapshot();
-    std::fs::write(&out_path, to_pretty(&events.to_json()))?;
+    let mut file = BufWriter::new(File::create(&out_path)?);
+    write_pretty_seq(&mut file, &events)?;
+    file.flush()?;
     println!(
         "wrote {} bus events to {}\n",
         events.len(),

@@ -1,7 +1,9 @@
 //! The CI bench gates as data: [`GATES`] holds one row per gate — its
 //! name, its trend keys and its experiment — and [`run_gate`] prints any
 //! row's report as tables, prints its verdict with the failed conditions,
-//! and builds its [`GateOutcome`]. Everything runs on the simulated clock
+//! and builds its [`GateOutcome`]. The paper's rows
+//! ([`crate::paper::PAPER`]) are the same [`Gate`] type with no pass
+//! conditions and no trend keys. Everything runs on the simulated clock
 //! except the `parallel` and `rpc` bars and the `*_ms` fields. `suite`
 //! merges the reports ([`merge_outcomes`]) and diffs the trend metrics
 //! against `BENCH_baseline.json` ([`baseline_regressions`]).
@@ -21,9 +23,9 @@ use horam_server::{AdmissionPolicy, FairSharePolicy, FifoPolicy, OramService, Se
 use std::path::Path;
 use std::time::Instant;
 
-/// One CI gate.
+/// One CI gate, or one paper row.
 pub struct Gate {
-    /// What `suite <gate>` selects, and the merged report's `gate` field.
+    /// What `suite <name>` selects, and the merged report's `gate` field.
     pub name: &'static str,
     /// Report fields the trend check tracks, as `<name>.<key>`. A key
     /// `rows[].key` tracks `key` of every element of the sequence `rows`,
@@ -60,7 +62,11 @@ pub const GATES: &[Gate] = &[
     gate("rpc", &[], rpc::run),
 ];
 
-const fn gate(name: &'static str, trend: &'static [&'static str], run: fn(bool) -> Report) -> Gate {
+pub(crate) const fn gate(
+    name: &'static str,
+    trend: &'static [&'static str],
+    run: fn(bool) -> Report,
+) -> Gate {
     Gate { name, trend, run }
 }
 
@@ -73,7 +79,7 @@ pub struct Report {
 }
 
 impl Report {
-    fn new(summary: &impl ToJson, failed: Vec<&'static str>) -> Self {
+    pub(crate) fn new(summary: &impl ToJson, failed: Vec<&'static str>) -> Self {
         Self {
             value: summary.to_json(),
             failed,
@@ -128,7 +134,9 @@ fn print_report(report: &Value) {
     for (key, value) in fields.iter().filter(|(_, value)| rows(value).is_none()) {
         scalars.row(vec![key.clone(), cell(value)]);
     }
-    println!("{scalars}");
+    if !scalars.is_empty() {
+        println!("{scalars}");
+    }
     let nested = |item: &Value| {
         let fields = item.as_map().unwrap_or(&[]);
         fields.iter().any(|(_, value)| rows(value).is_some())
@@ -287,13 +295,13 @@ pub fn baseline_regressions(fresh: &Value, baseline: &Value, tolerance: f64) -> 
 // Shared workload shape: every gate drives the same simulated machine
 // and the same hit-bound Zipf mix, so their numbers are comparable and
 // cannot drift apart. Seeds and thresholds stay per-gate.
-const CAPACITY: u64 = 4096;
-const MEMORY_SLOTS: u64 = 1024;
-const PAYLOAD_LEN: usize = 16;
+pub(crate) const CAPACITY: u64 = 4096;
+pub(crate) const MEMORY_SLOTS: u64 = 1024;
+pub(crate) const PAYLOAD_LEN: usize = 16;
 const TENANTS: u32 = 8;
 const BATCH_SIZE: usize = 128;
 const ZIPF_EXPONENT: f64 = 1.2;
-const WRITE_RATIO: f64 = 0.2;
+pub(crate) const WRITE_RATIO: f64 = 0.2;
 
 /// The shared multi-tenant arrival sequence: `requests` Zipf draws dealt
 /// round-robin across the tenants.
@@ -304,7 +312,7 @@ fn zipf_schedule(requests: usize, seed: u64) -> TenantSchedule {
 }
 
 /// `num / den`, or 0 when `den` is not positive.
-fn ratio(num: f64, den: f64) -> f64 {
+pub(crate) fn ratio(num: f64, den: f64) -> f64 {
     if den > 0.0 {
         num / den
     } else {
@@ -312,7 +320,7 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-fn throughput(requests: usize, wall: SimDuration) -> f64 {
+pub(crate) fn throughput(requests: usize, wall: SimDuration) -> f64 {
     ratio(requests as f64, wall.as_secs_f64())
 }
 

@@ -1,16 +1,18 @@
-//! The JSON format of the harness's two machine-readable outputs: the
-//! suite's gate reports (`BENCH.json`, which the trend check reads back
-//! against `BENCH_baseline.json`) and `trace_dump`'s bus trace.
+//! The JSON format of the harness's machine-readable outputs: the
+//! suite's reports (`BENCH.json`, which the trend check reads back
+//! against `BENCH_baseline.json`, and the paper rows' results files) and
+//! `trace_dump`'s bus trace.
 //!
 //! A [`Value`] tree, a pretty writer ([`to_pretty`], two-space indent,
-//! fields in insertion order) and a parser ([`parse`]) for what the writer
-//! emits. Report structs convert through [`ToJson`]; `json_struct!`
+//! fields in insertion order; [`write_pretty_seq`] streams an array in the
+//! same bytes) and a parser ([`parse`]) for what the writer emits. Report structs convert through [`ToJson`]; `json_struct!`
 //! declares a struct together with its conversion, so the JSON field list
 //! cannot drift from the struct's.
 
 use horam::storage::device::AccessKind;
 use horam::storage::trace::TraceEvent;
 use std::fmt::{self, Write};
+use std::io;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,6 +172,25 @@ pub fn to_pretty(value: &Value) -> String {
     let mut out = String::new();
     write_value(value, 0, &mut out);
     out
+}
+
+/// Writes `items` to `out` as the array [`to_pretty`] writes, one element
+/// at a time, so neither the array's [`Value`] nor its text is ever held
+/// whole (`trace_dump`'s trace has hundreds of thousands of events).
+///
+/// # Errors
+///
+/// The first error `out` returns.
+pub fn write_pretty_seq<T: ToJson>(out: &mut impl io::Write, items: &[T]) -> io::Result<()> {
+    let mut text = String::new();
+    out.write_all(b"[")?;
+    for (i, item) in items.iter().enumerate() {
+        text.clear();
+        text.push_str(if i == 0 { "\n  " } else { ",\n  " });
+        write_value(&item.to_json(), 1, &mut text);
+        out.write_all(text.as_bytes())?;
+    }
+    out.write_all(if items.is_empty() { b"]" } else { b"\n]" })
 }
 
 fn write_value(value: &Value, depth: usize, out: &mut String) {
@@ -493,6 +514,12 @@ mod tests {
   }
 ]"#;
         assert_eq!(to_pretty(&events.to_json()), expected);
+        for n in 0..=events.len() {
+            let mut streamed = Vec::new();
+            write_pretty_seq(&mut streamed, &events[..n]).expect("writes to a Vec");
+            let whole = to_pretty(&events[..n].to_vec().to_json());
+            assert_eq!(String::from_utf8(streamed).expect("utf-8"), whole);
+        }
     }
 
     #[test]

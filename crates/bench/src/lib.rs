@@ -1,10 +1,11 @@
-//! Shared experiment harness for the table/figure reproduction binaries.
+//! Shared experiment harness: the paper's tables, figures and ablations
+//! ([`paper::PAPER`]) and the CI gates ([`gates::GATES`]) are rows of one
+//! runner, the `suite` binary.
 //!
 //! Tables 5-3 and 5-4 of the paper compare H-ORAM against the
 //! tree-top-cache Path ORAM baseline on the same machine and request
 //! trace. [`run_horam`] and [`run_tree_top_baseline`] run those two
-//! systems under identical [`TableParams`] on a given machine model, and
-//! [`print_system_table`] prints either table.
+//! systems under identical [`TableParams`] on a given machine model.
 //!
 //! **Payload scaling.** The paper's experiments move gigabytes of 1 KB
 //! blocks; the simulator charges timing for full 1 KB blocks while storing
@@ -20,8 +21,6 @@
 //! Table 5-3 (+1.9 %) but 154 445 for Table 5-4 (+19.5 %); ROADMAP item 8
 //! tracks that gap.
 
-use horam::analysis::report::ExperimentReport;
-use horam::analysis::table::Table;
 use horam::prelude::*;
 use horam::protocols::{build_tree_top_cache, Oram, PathOramConfig, TreeBackend};
 use horam::storage::calibration::MachineConfig;
@@ -29,6 +28,7 @@ use horam::storage::clock::SimClock;
 
 pub mod gates;
 pub mod json;
+pub mod paper;
 
 /// Parameters of one table experiment.
 #[derive(Debug, Clone)]
@@ -68,23 +68,15 @@ impl TableParams {
         }
     }
 
-    /// Divides the scale for a smoke-test run (`--quick`).
-    pub fn quick(mut self) -> Self {
-        self.capacity_blocks /= 8;
-        self.memory_slots /= 8;
-        self.requests /= 8;
-        self
-    }
-
-    /// [`quick`](Self::quick) when the command line has `--quick` (and
-    /// says so on stdout), unchanged otherwise.
-    pub fn with_args(self) -> Self {
-        if BenchArgs::parse().quick {
-            println!("(--quick: scaled to 1/8)\n");
-            self.quick()
-        } else {
-            self
+    /// Divides the scale by 8 for a smoke-test run (`--quick`) when
+    /// `quick`; unchanged otherwise.
+    pub fn scaled(mut self, quick: bool) -> Self {
+        if quick {
+            self.capacity_blocks /= 8;
+            self.memory_slots /= 8;
+            self.requests /= 8;
         }
+        self
     }
 
     /// The paper-calibrated hot-region workload (see module docs).
@@ -199,106 +191,8 @@ pub fn run_tree_top_baseline(params: &TableParams, machine: MachineConfig) -> Sy
     }
 }
 
-/// One of the paper's two system tables (Tables 5-3 and 5-4).
-#[derive(Debug, Clone)]
-pub struct SystemTable {
-    /// Heading name, report id and report title, e.g. `Table 5-3`,
-    /// `table-5-3`, `Small dataset comparison`.
-    pub name: &'static str,
-    pub id: &'static str,
-    pub title: &'static str,
-    /// The experiment (scaled by `--quick`).
-    pub params: TableParams,
-    /// Formats a byte count: the storage column and the heading's
-    /// dataset size (capacity × 1 KB blocks).
-    pub storage: fn(u64) -> String,
-    /// The paper's I/O count, I/O latency, shuffle time and total time.
-    pub paper: [&'static str; 4],
-}
-
-/// Runs both systems and prints the table, then paper vs measured.
-pub fn print_system_table(table: &SystemTable) {
-    let params = table.params.clone().with_args();
-    println!(
-        "{} — {} dataset, {} requests\n",
-        table.name,
-        (table.storage)(params.capacity_blocks * 1024),
-        params.requests
-    );
-    let horam = SystemRow::horam(&params, MachineConfig::dac2019());
-    let baseline = run_tree_top_baseline(&params, MachineConfig::dac2019());
-
-    let size = |row: &SystemRow| {
-        let storage = (table.storage)(row.storage_bytes);
-        format!("{storage} / {} MB", row.memory_bytes >> 20)
-    };
-    let shuffle = format!(
-        "{} * {}",
-        horam.shuffle_time / horam.shuffles.max(1),
-        horam.shuffles
-    );
-    let mut rows = Table::new(vec!["", "H-ORAM", "Path ORAM"]);
-    rows.row(vec![
-        "Storage/Memory Size".into(),
-        size(&horam),
-        size(&baseline),
-    ]);
-    rows.row(vec![
-        "Number of I/O Access".into(),
-        horam.io_accesses.to_string(),
-        baseline.io_accesses.to_string(),
-    ]);
-    rows.row(vec![
-        "I/O Latency".into(),
-        horam.io_latency.to_string(),
-        baseline.io_latency.to_string(),
-    ]);
-    rows.row(vec!["Shuffle Time".into(), shuffle.clone(), "N/A".into()]);
-    rows.row(vec![
-        "Total Time".into(),
-        horam.total_time.to_string(),
-        baseline.total_time.to_string(),
-    ]);
-    println!("{rows}");
-
-    let mut report = ExperimentReport::new(
-        table.id,
-        table.title,
-        format!(
-            "{} blocks x 1 KB, memory {} slots, {} hotspot requests (80% to a cache-sized region)",
-            params.capacity_blocks, params.memory_slots, params.requests
-        ),
-    );
-    let [io, latency, shuffle_paper, total] = table.paper;
-    report.compare(
-        "Number of I/O Access",
-        io,
-        format!("{} vs {}", horam.io_accesses, baseline.io_accesses),
-    );
-    report.compare(
-        "I/O Latency",
-        latency,
-        format!("{} vs {}", horam.io_latency, baseline.io_latency),
-    );
-    report.compare("Shuffle Time", shuffle_paper, shuffle);
-    report.compare(
-        "Total Time",
-        total,
-        format!(
-            "{} vs {} ({})",
-            horam.total_time,
-            baseline.total_time,
-            speedup(baseline.total_time, horam.total_time)
-        ),
-    );
-    report.note("Simulated machine; payload scaling active (timing charges full 1 KB blocks).");
-    println!("{}", report.render());
-}
-
-/// Command-line options shared by every bench binary. Historically each
-/// binary hand-parsed its flags (`--quick` here, `--out` there); this is
-/// the one parser they all go through now, so flags cannot drift in
-/// meaning between binaries.
+/// Command-line options of the bench binaries, `suite` and `trace_dump`:
+/// one parser, so a flag cannot drift in meaning between them.
 ///
 /// Recognized flags:
 ///
@@ -307,8 +201,8 @@ pub fn print_system_table(table: &SystemTable) {
 /// * `--baseline <path>` — a previously committed report to diff the
 ///   fresh one against (the suite's trend-regression check).
 ///
-/// Positional arguments are collected in order (the gates `suite` runs).
-/// Unknown flags are ignored (binaries historically tolerated them).
+/// Positional arguments are collected in order (the rows `suite` runs).
+/// Unknown flags are ignored.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BenchArgs {
     /// `--quick` was given.
@@ -362,17 +256,6 @@ impl BenchArgs {
     }
 }
 
-/// Formats a speedup factor.
-pub fn speedup(baseline: SimDuration, ours: SimDuration) -> String {
-    if ours.as_nanos() == 0 {
-        return "n/a".into();
-    }
-    format!(
-        "{:.1}x",
-        baseline.as_nanos() as f64 / ours.as_nanos() as f64
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,14 +294,14 @@ mod tests {
 
     #[test]
     fn quick_scales_down() {
-        let params = TableParams::table_5_3().quick();
+        let params = TableParams::table_5_3().scaled(true);
         assert_eq!(params.capacity_blocks, 8 * 1024);
         assert_eq!(params.requests, 3_125);
     }
 
     #[test]
     fn workload_is_hot_heavy() {
-        let params = TableParams::table_5_3().quick();
+        let params = TableParams::table_5_3().scaled(true);
         let requests = params.workload();
         let hot_bound = params.memory_slots / 2;
         let hot = requests.iter().filter(|r| r.id.0 < hot_bound).count();

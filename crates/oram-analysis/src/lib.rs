@@ -14,8 +14,7 @@
 //! tests use against recorded bus traces: chi-square uniformity tests,
 //! the once-per-period checker, and trace-shape equivalence.
 //!
-//! [`table`] renders aligned ASCII tables matching the paper's layout;
-//! [`report`] serializes experiment outcomes as JSON for archival.
+//! [`table`] renders aligned ASCII tables.
 
 pub mod autocorr;
 pub mod gain;
@@ -23,7 +22,6 @@ pub mod latency;
 pub mod leakage;
 pub mod model;
 pub mod period;
-pub mod report;
 pub mod table;
 
 pub use autocorr::{serial_correlation, zero_correlation_band};
@@ -32,5 +30,4 @@ pub use latency::LatencySummary;
 pub use leakage::{chi_square_uniform, once_per_period, TraceShape};
 pub use model::{AccessCost, OramModel};
 pub use period::PeriodOverhead;
-pub use report::ExperimentReport;
 pub use table::Table;

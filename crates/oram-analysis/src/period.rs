@@ -5,7 +5,6 @@
 //! 1 KB blocks).
 
 use crate::model::OramModel;
-use crate::table::Table;
 
 /// All quantities of the paper's Table 5-1 for one configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,69 +70,6 @@ impl PeriodOverhead {
     pub fn paper_point() -> Self {
         Self::compute(&OramModel::new(1 << 20, 1 << 17, 4, 4.0), 1024)
     }
-
-    /// Renders the paper's two-column table.
-    pub fn to_table(&self) -> Table {
-        let gb = |bytes: u64| format!("{:.3} GB", bytes as f64 / (1u64 << 30) as f64);
-        let mb = |bytes: u64| format!("{:.0} MB", bytes as f64 / (1u64 << 20) as f64);
-        let mut table = Table::new(vec!["", "H-ORAM", "Path ORAM"]);
-        table.row(vec![
-            "Storage/Memory Size".into(),
-            format!(
-                "{} / {}",
-                gb(self.horam_storage_bytes),
-                mb(self.memory_bytes)
-            ),
-            format!(
-                "{} / {}",
-                gb(self.path_storage_bytes),
-                mb(self.memory_bytes)
-            ),
-        ]);
-        table.row(vec![
-            "Path ORAM level".into(),
-            format!("{:.0}", self.memory_levels),
-            format!(
-                "{:.0} + {:.0}",
-                self.memory_levels,
-                self.path_levels - self.memory_levels
-            ),
-        ]);
-        table.row(vec![
-            "Requests Serviced".into(),
-            format!("{:.0}", self.horam_requests_per_period),
-            format!("{:.0}", self.path_requests_per_period),
-        ]);
-        table.row(vec![
-            "Access Overhead".into(),
-            format!("{:.0} KB (read)", self.horam_access_read_kb),
-            format!(
-                "{:.0} KB (read) + {:.0} KB (write)",
-                self.path_access_kb_each_way, self.path_access_kb_each_way
-            ),
-        ]);
-        table.row(vec![
-            "Shuffle Overhead".into(),
-            format!(
-                "{} (read) + {} (write)",
-                gb(self.shuffle_read_bytes),
-                gb(self.shuffle_write_bytes)
-            ),
-            "N/A".into(),
-        ]);
-        table.row(vec![
-            "Average Overhead".into(),
-            format!(
-                "{:.1} KB (read) + {:.0} KB (write)",
-                self.horam_avg_read_kb, self.horam_avg_write_kb
-            ),
-            format!(
-                "{:.0} KB (read) + {:.0} KB (write)",
-                self.path_access_kb_each_way, self.path_access_kb_each_way
-            ),
-        ]);
-        table
-    }
 }
 
 #[cfg(test)]
@@ -156,14 +92,5 @@ mod tests {
         assert_eq!(t.shuffle_write_bytes, 1 << 30);
         assert!((t.horam_avg_read_kb - 4.5).abs() < 1e-9);
         assert!((t.horam_avg_write_kb - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn table_renders_key_cells() {
-        let rendered = PeriodOverhead::paper_point().to_table().render();
-        assert!(rendered.contains("262144"));
-        assert!(rendered.contains("4.5 KB"));
-        assert!(rendered.contains("16 KB"));
-        assert!(rendered.contains("N/A"));
     }
 }

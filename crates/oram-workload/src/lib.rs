@@ -29,7 +29,6 @@ pub mod burst;
 pub mod hotspot;
 pub mod sequential;
 pub mod serve;
-pub mod stats;
 pub mod uniform;
 pub mod zipf;
 
@@ -37,7 +36,6 @@ pub use burst::BurstWorkload;
 pub use hotspot::HotspotWorkload;
 pub use sequential::SequentialWorkload;
 pub use serve::{TenantArrival, TenantSchedule};
-pub use stats::WorkloadStats;
 pub use uniform::UniformWorkload;
 pub use zipf::ZipfWorkload;
 
