@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use horam::crypto::chacha::{ChaCha20, ChaChaKey};
 use horam::crypto::keys::MasterKey;
 use horam::crypto::prp::FeistelPrp;
-use horam::crypto::seal::BlockSealer;
+use horam::crypto::seal::{BlockSealer, SealedBlock};
 use horam::crypto::siphash::{siphash24, SipHash24};
 use std::hint::black_box;
 
@@ -90,19 +90,28 @@ fn bench_sealing(c: &mut Criterion) {
         for blocks in [32u64, 40] {
             let row = format!("{size}x{blocks}");
             group.throughput(Throughput::Elements(blocks));
-            group.bench_with_input(BenchmarkId::new("seal_batch", &row), &size, |b, _| {
+            // One path buffer reused across seals, as the memory tree does.
+            let mut buffer: Vec<SealedBlock> =
+                (0..blocks).map(|_| SealedBlock::default()).collect();
+            group.bench_with_input(BenchmarkId::new("seal_blocks", &row), &size, |b, _| {
                 let mut seq = 0u64;
                 b.iter(|| {
                     seq += 1;
-                    let items = (0..blocks).map(|slot| (slot, seq, body.clone()));
-                    black_box(sealer.seal_batch(items))
+                    for (slot, block) in (0..).zip(&mut buffer) {
+                        block.rebind(slot, seq).extend_from_slice(&body);
+                    }
+                    sealer.seal_blocks(black_box(&mut buffer));
                 });
             });
             let path: Vec<_> = (0..blocks)
                 .map(|slot| sealer.seal(slot, 0, &body))
                 .collect();
-            group.bench_with_input(BenchmarkId::new("open_batch", &row), &size, |b, _| {
-                b.iter(|| black_box(sealer.open_batch(path.clone()).expect("verifies")));
+            group.bench_with_input(BenchmarkId::new("open_blocks", &row), &size, |b, _| {
+                b.iter(|| {
+                    let mut opened = path.clone();
+                    sealer.open_blocks(&mut opened).expect("verifies");
+                    black_box(opened)
+                });
             });
         }
     }

@@ -1606,6 +1606,12 @@ mod rpc {
             .collect()
     }
 
+    /// The master key of every side: it seals the engine and the drain
+    /// checkpoint.
+    fn master() -> MasterKey {
+        MasterKey::from_bytes([0xEC; 32])
+    }
+
     /// The service every side serves: gate, reference and server role.
     fn fresh_service(snapshot: Option<&[u8]>) -> OramService {
         let config = batched();
@@ -1613,12 +1619,8 @@ mod rpc {
             .engine_config(HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS))
             .with_seed(SEED);
         let oram = match snapshot {
-            Some(bytes) => ShardedOram::restore(
-                MasterKey::from_bytes([0xEC; 32]),
-                |_| MemoryHierarchy::dac2019(),
-                bytes,
-            )
-            .expect("checkpoint restores"),
+            Some(bytes) => ShardedOram::restore(master(), |_| MemoryHierarchy::dac2019(), bytes)
+                .expect("checkpoint restores"),
             None => sharded(base, SHARDS, 0xEC),
         };
         let mut service = OramService::new(oram, Box::new(FifoPolicy), config);
@@ -1730,7 +1732,7 @@ mod rpc {
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
         let outcome = run_server(&mut service, &listener, &config).expect("role server drains");
-        std::fs::write(&checkpoint_path, outcome.checkpoint.to_bytes())
+        std::fs::write(&checkpoint_path, outcome.checkpoint.to_bytes(&master()))
             .expect("checkpoint file writes");
         if let Endpoint::Unix(path) = &endpoint {
             let _ = std::fs::remove_file(path);
@@ -1949,7 +1951,7 @@ mod rpc {
 
         let drain_exit_ok = child.wait().expect("server role exits").success();
         let ckpt_bytes = std::fs::read(&ckpt_path).expect("checkpoint file");
-        let checkpoint = Checkpoint::from_bytes(&ckpt_bytes).expect("checkpoint parses");
+        let checkpoint = Checkpoint::from_bytes(&master(), &ckpt_bytes).expect("checkpoint parses");
         let window_entries = checkpoint.window.len();
 
         let restored_epoch = checkpoint.epoch + 1;

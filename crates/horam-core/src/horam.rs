@@ -722,7 +722,6 @@ impl Oram for HOram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::permutation_list::Location;
     use oram_crypto::rng::DeterministicRng;
     use rand::Rng;
     use std::collections::HashMap;
@@ -1053,13 +1052,13 @@ mod tests {
     }
 
     /// Holds the hit test's source — the memory layer's id → leaf table —
-    /// to the position map for every id.
-    fn assert_residency_matches_posmap(oram: &mut HOram) {
+    /// to slot ownership for every id: a block is resident exactly when
+    /// the slot its permutation-list entry names does not name it back.
+    fn assert_residency_matches_slot_owners(oram: &mut HOram) {
         for id in (0..oram.config.capacity).map(BlockId) {
-            let location = oram.storage.posmap_mut().location(id).unwrap();
             assert_eq!(
                 oram.memory.contains(id),
-                location == Location::Memory,
+                oram.storage.is_resident(id),
                 "block {id} after {} cycles",
                 oram.stats().cycles
             );
@@ -1067,7 +1066,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_residency_matches_the_position_map() {
+    fn residency_and_slot_ownership_agree() {
         // A hot set of 16 ids keeps repeats inside one 16-cycle window.
         let mut rng = DeterministicRng::from_u64_seed(29);
         let requests: Vec<Request> = (0..300)
@@ -1103,7 +1102,7 @@ mod tests {
                         if let Err(error) = oram.run_cycle_window(io_batch) {
                             panic!("{leg}: {error}");
                         }
-                        assert_residency_matches_posmap(&mut oram);
+                        assert_residency_matches_slot_owners(&mut oram);
                     }
                     assert!(oram.stats().shuffles >= 2, "{leg}: must cross periods");
                 }
@@ -1113,7 +1112,7 @@ mod tests {
         // Staged arrivals: cycle 0 of a 16-cycle window stages block 7's
         // load, and cycle 1's scan must count it resident although the tree
         // receives it only at execute — otherwise the second read issues a
-        // fetch of an in-memory block.
+        // fetch of a resident block.
         let mut oram = build_batched(256, 64, 16);
         oram.enqueue(Request::read(7u64)).unwrap();
         oram.enqueue(Request::read(7u64)).unwrap();
@@ -1121,7 +1120,7 @@ mod tests {
         assert!(oram.queue().is_drained(), "both reads served in one window");
         let stats = oram.stats();
         assert_eq!((stats.real_io_loads, stats.memory_hits), (1, 2));
-        assert_residency_matches_posmap(&mut oram);
+        assert_residency_matches_slot_owners(&mut oram);
     }
 
     mod properties {
@@ -1198,7 +1197,7 @@ mod tests {
                 let mut oram = build(256, 64);
                 for id in ids {
                     oram.read(BlockId(id)).expect("read");
-                    let resident = oram.storage.posmap().in_memory_count();
+                    let resident = oram.memory.resident_blocks() as u64;
                     prop_assert!(
                         resident <= oram.config.period_io_limit() + oram.config().memory_slots,
                         "resident {} beyond budget",

@@ -13,7 +13,7 @@
 //! | Paper element | Module |
 //! |---|---|
 //! | configuration & stage schedule (§4.2) | [`config`] |
-//! | permutation list (§4.1) | [`permutation_list`] |
+//! | permutation list (§4.1: slot per id; residency is the memory tree's) | [`posmap`] |
 //! | position map (flat + recursive, beyond the paper) | [`posmap`] |
 //! | request admission queue + tickets | [`queue`] |
 //! | ROB table (§4.1) | [`rob`] |
@@ -40,7 +40,6 @@ pub mod config;
 pub mod error;
 pub mod evict;
 pub mod horam;
-pub mod permutation_list;
 pub mod persist;
 mod pool;
 pub mod posmap;
@@ -56,7 +55,6 @@ pub use config::{HOramConfig, PosmapMode, RecursivePosmapConfig, StagePlan};
 pub use error::HOramError;
 pub use evict::{oblivious_tree_evict, EvictOutcome};
 pub use horam::HOram;
-pub use permutation_list::{Location, PermutationList};
 pub use posmap::{
     build_posmap, FlatPositionMap, PositionMap, PosmapLevelView, PosmapStats, RecursivePositionMap,
 };

@@ -1,11 +1,16 @@
-//! Position maps: where every logical block currently lives.
+//! Position maps: where every block's last storage copy lives.
 //!
-//! H-ORAM's control layer keeps two per-block tables (paper §4.1): the
-//! **permutation list** (block id → storage slot, or "in memory") and the
-//! **slot owner table** (storage slot → block id), used to resolve dummy
-//! prefetches at plan time. Together they are the *position map* of the
-//! system, and this module puts them behind one trait with two
-//! implementations:
+//! Paper §4.1: "the permutation list records: 1) a Boolean bit representing
+//! whether a block is loaded into memory already, 2) its file address if in
+//! storage (or the position map id if in memory)." Here the Boolean lives in
+//! the memory layer alone — its id → leaf table answers "is this block
+//! loaded?" — so the control layer keeps only what no other module knows:
+//! the **permutation list** (block id → the storage slot of its last
+//! sealed copy) and the **slot owner table** (storage slot → block id),
+//! used to resolve dummy prefetches at plan time. A block is resident
+//! exactly when the slot its list entry names no longer names it back.
+//! Together the two tables are the *position map* of the system, and this
+//! module puts them behind one trait with two implementations:
 //!
 //! * [`FlatPositionMap`] — both tables as plain in-RAM vectors, O(N)
 //!   trusted bytes. This is the seed behaviour and the default.
@@ -25,7 +30,6 @@
 //!
 //! ```
 //! use horam_core::posmap::{build_posmap, PositionMap};
-//! use horam_core::permutation_list::Location;
 //! use horam_core::HOramConfig;
 //! use oram_crypto::keys::MasterKey;
 //! use oram_protocols::BlockId;
@@ -34,7 +38,7 @@
 //! let config = HOramConfig::new(256, 16, 64).with_recursive_posmap(8);
 //! let mut map = build_posmap(&config, &MasterKey::from_bytes([7; 32]), false)?;
 //! map.place(BlockId(3), 42)?;
-//! assert_eq!(map.location(BlockId(3))?, Location::Storage { slot: 42 });
+//! assert_eq!(map.location(BlockId(3))?, 42);
 //! assert_eq!(map.take_owner(42)?, Some(BlockId(3)));
 //! # Ok(())
 //! # }
@@ -60,7 +64,6 @@
 //! the (public) shuffle schedule.
 
 use crate::config::{HOramConfig, PosmapMode, RecursivePosmapConfig};
-use crate::permutation_list::{Location, PermutationList};
 use oram_crypto::keys::{KeyHierarchy, MasterKey};
 use oram_crypto::persist::{StateReader, StateWriter};
 use oram_crypto::rng::DeterministicRng;
@@ -127,12 +130,11 @@ pub struct PosmapLevelView {
 /// All mutating lookups are fallible because the recursive implementation
 /// performs real (simulated) ORAM I/O per query; the flat implementation
 /// never returns an error. Implementations must keep the forward table
-/// (id → location) and the inverse table (slot → owner) consistent under
-/// the call discipline the storage layer uses:
+/// (id → slot) and the inverse table (slot → owner) consistent under the
+/// call discipline the storage layer uses:
 ///
-/// * a **miss** is `location` → `take_owner` → `set_in_memory`;
-/// * a **dummy prefetch** is `take_owner` (+ `set_in_memory` if it hit a
-///   real block);
+/// * a **miss** is `location` → `take_owner`;
+/// * a **dummy prefetch** is `take_owner`;
 /// * a **shuffle pass** is `take_pass_owners` over the pass's slot range,
 ///   then either per-entry `place` calls (partial windows) or one
 ///   [`rebuild_all`](Self::rebuild_all) (full windows).
@@ -146,23 +148,17 @@ pub trait PositionMap: std::fmt::Debug + Send {
     /// Number of physical storage slots tracked by the inverse table.
     fn total_slots(&self) -> u64;
 
-    /// The current location of `id`.
-    fn location(&mut self, id: BlockId) -> Result<Location, OramError>;
-
-    /// Number of blocks currently marked in-memory (O(1); maintained).
-    fn in_memory_count(&self) -> u64;
-
-    /// Records that `id` migrated into the memory layer (idempotent).
-    fn set_in_memory(&mut self, id: BlockId) -> Result<(), OramError>;
+    /// The slot that holds (or, once the block is resident, last held)
+    /// `id`'s sealed copy.
+    fn location(&mut self, id: BlockId) -> Result<u64, OramError>;
 
     /// Records that `id` now lives at storage `slot`: updates the forward
     /// entry and claims the slot in the inverse table.
     fn place(&mut self, id: BlockId, slot: u64) -> Result<(), OramError>;
 
     /// Removes and returns the owner of `slot`, if any. Does **not**
-    /// touch the forward table — callers decide (a real miss already knew
-    /// the owner; a dummy prefetch promotes it via
-    /// [`set_in_memory`](Self::set_in_memory)).
+    /// touch the forward table: the block's entry keeps naming the slot
+    /// it left.
     fn take_owner(&mut self, slot: u64) -> Result<Option<BlockId>, OramError>;
 
     /// Bulk [`take_owner`](Self::take_owner) over the contiguous slot
@@ -179,10 +175,11 @@ pub trait PositionMap: std::fmt::Debug + Send {
     /// physical slot; `owners.len()` must equal
     /// [`total_slots`](Self::total_slots)) at the end of a shuffle pass
     /// that swept every partition. A block may appear at most once;
-    /// blocks absent from the image are marked in-memory (a full-extent
-    /// *partial* shuffle legitimately leaves cached blocks out of
-    /// storage). The recursive implementation rebuilds all levels in one
-    /// public linear sweep instead of O(N) per-entry chain walks.
+    /// blocks absent from the image (a full-extent *partial* shuffle
+    /// legitimately leaves cached blocks out of storage) get slot 0,
+    /// which does not name them back. The recursive implementation
+    /// rebuilds all levels in one public linear sweep instead of O(N)
+    /// per-entry chain walks.
     ///
     /// # Errors
     ///
@@ -259,10 +256,11 @@ pub(crate) fn build_posmap_on(
 // Flat implementation
 // ---------------------------------------------------------------------------
 
-/// The seed behaviour: both tables as plain vectors in trusted memory.
+/// The seed behaviour: both tables as plain vectors in trusted memory,
+/// 8 B per block and 16 B per slot.
 #[derive(Debug)]
 pub struct FlatPositionMap {
-    list: PermutationList,
+    slots: Vec<u64>,
     owners: Vec<Option<BlockId>>,
     stats: PosmapStats,
 }
@@ -274,7 +272,7 @@ impl FlatPositionMap {
     /// shuffle).
     pub fn new(capacity: u64, total_slots: u64) -> Self {
         Self {
-            list: PermutationList::new(capacity),
+            slots: vec![0; capacity as usize],
             owners: vec![None; total_slots as usize],
             stats: PosmapStats::default(),
         }
@@ -283,26 +281,16 @@ impl FlatPositionMap {
 
 impl PositionMap for FlatPositionMap {
     fn capacity(&self) -> u64 {
-        self.list.capacity()
+        self.slots.len() as u64
     }
 
     fn total_slots(&self) -> u64 {
         self.owners.len() as u64
     }
 
-    fn location(&mut self, id: BlockId) -> Result<Location, OramError> {
+    fn location(&mut self, id: BlockId) -> Result<u64, OramError> {
         self.stats.queries += 1;
-        Ok(self.list.location(id))
-    }
-
-    fn in_memory_count(&self) -> u64 {
-        self.list.in_memory_count()
-    }
-
-    fn set_in_memory(&mut self, id: BlockId) -> Result<(), OramError> {
-        self.stats.queries += 1;
-        self.list.set_in_memory(id);
-        Ok(())
+        Ok(self.slots[id.0 as usize])
     }
 
     fn place(&mut self, id: BlockId, slot: u64) -> Result<(), OramError> {
@@ -311,7 +299,7 @@ impl PositionMap for FlatPositionMap {
             self.owners[slot as usize].is_none(),
             "slot {slot} doubly owned"
         );
-        self.list.set_storage_slot(id, slot);
+        self.slots[id.0 as usize] = slot;
         self.owners[slot as usize] = Some(id);
         Ok(())
     }
@@ -323,26 +311,20 @@ impl PositionMap for FlatPositionMap {
 
     fn rebuild_all(&mut self, owners: &[Option<BlockId>]) -> Result<(), OramError> {
         validate_full_image(owners, self.capacity(), self.total_slots())?;
-        let mut placed = vec![false; self.list.capacity() as usize];
+        self.slots.fill(0);
         for (slot, owner) in owners.iter().enumerate() {
             if let Some(id) = owner {
-                self.list.set_storage_slot(*id, slot as u64);
-                placed[id.0 as usize] = true;
-            }
-            self.owners[slot] = *owner;
-        }
-        for (id, was_placed) in placed.iter().enumerate() {
-            if !was_placed {
-                self.list.set_in_memory(BlockId(id as u64));
+                self.slots[id.0 as usize] = slot as u64;
             }
         }
+        self.owners.copy_from_slice(owners);
         self.stats.bulk_rebuilds += 1;
         Ok(())
     }
 
     fn memory_bytes(&self) -> u64 {
-        (self.list.memory_bytes() + self.owners.len() * std::mem::size_of::<Option<BlockId>>())
-            as u64
+        let slots = self.slots.len() * std::mem::size_of::<u64>();
+        (slots + self.owners.len() * std::mem::size_of::<Option<BlockId>>()) as u64
     }
 
     fn stats(&self) -> PosmapStats {
@@ -362,7 +344,10 @@ impl PositionMap for FlatPositionMap {
     }
 
     fn save_state(&mut self, w: &mut StateWriter) -> Result<(), OramError> {
-        self.list.save_state(w);
+        w.put_usize(self.slots.len());
+        for &slot in &self.slots {
+            w.put_u64(slot);
+        }
         w.put_usize(self.owners.len());
         for owner in &self.owners {
             w.put_opt_u64(owner.map(|id| id.0));
@@ -371,7 +356,16 @@ impl PositionMap for FlatPositionMap {
     }
 
     fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), OramError> {
-        self.list.load_state(r)?;
+        let slot_count = r.get_usize()?;
+        if slot_count != self.slots.len() {
+            return Err(snapshot_err(format!(
+                "permutation list of {slot_count} entries for capacity {}",
+                self.slots.len()
+            )));
+        }
+        for slot in &mut self.slots {
+            *slot = r.get_u64()?;
+        }
         let owner_count = r.get_usize()?;
         if owner_count != self.owners.len() {
             return Err(snapshot_err(format!(
@@ -387,7 +381,7 @@ impl PositionMap for FlatPositionMap {
 }
 
 /// Shared full-image validation: correct size, no block placed twice.
-/// Blocks absent from the image are legitimate — they remain in memory.
+/// Blocks absent from the image are legitimate — they are resident.
 fn validate_full_image(
     owners: &[Option<BlockId>],
     capacity: u64,
@@ -822,7 +816,7 @@ impl RecursiveTable {
 }
 
 /// Splits a flat entry array into packed fanout-entry pages, zero-padding
-/// the last one (entry value 0 is "unassigned" in both tables).
+/// the last one.
 fn chunk_pages(values: &[u64], fanout: u64) -> Vec<Vec<u8>> {
     values
         .chunks(fanout as usize)
@@ -849,15 +843,13 @@ fn level_page_counts(entries: u64, shape: LevelShape) -> Vec<u64> {
     }
 }
 
-/// The recursive position map: a forward table (id → encoded location)
-/// and an inverse table (slot → encoded owner), kept in lockstep, each
-/// stored recursively. Encodings: forward `0` = in memory, else
-/// `slot + 1`; inverse `0` = unowned, else `id + 1`.
+/// The recursive position map: a forward table (id → slot) and an
+/// inverse table (slot → encoded owner: `0` = unowned, else `id + 1`),
+/// kept in lockstep, each stored recursively.
 #[derive(Debug)]
 pub struct RecursivePositionMap {
     capacity: u64,
     slots: u64,
-    in_memory: u64,
     forward: RecursiveTable,
     inverse: RecursiveTable,
     clock: SimClock,
@@ -868,8 +860,9 @@ impl RecursivePositionMap {
     /// Builds a map of `shape` (engines use [`SHAPE`]; unit tests reach
     /// deep recursions with smaller ones) for `capacity` blocks over
     /// `slots` slots. With `restore = false` the levels are bulk-built to
-    /// the all-unassigned image; with `restore = true` construction writes
-    /// nothing — [`PositionMap::load_state`] adopts the snapshot.
+    /// the all-zero image (every block at slot 0, every slot unowned);
+    /// with `restore = true` construction writes nothing —
+    /// [`PositionMap::load_state`] adopts the snapshot.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         shape: LevelShape,
@@ -909,7 +902,6 @@ impl RecursivePositionMap {
         Ok(Self {
             capacity,
             slots,
-            in_memory: capacity,
             forward,
             inverse,
             clock,
@@ -938,33 +930,14 @@ impl PositionMap for RecursivePositionMap {
         self.slots
     }
 
-    fn location(&mut self, id: BlockId) -> Result<Location, OramError> {
+    fn location(&mut self, id: BlockId) -> Result<u64, OramError> {
         self.queries += 1;
-        Ok(match self.forward.get(id.0)? {
-            0 => Location::Memory,
-            encoded => Location::Storage { slot: encoded - 1 },
-        })
-    }
-
-    fn in_memory_count(&self) -> u64 {
-        self.in_memory
-    }
-
-    fn set_in_memory(&mut self, id: BlockId) -> Result<(), OramError> {
-        self.queries += 1;
-        if self.forward.get(id.0)? != 0 {
-            self.forward.set(id.0, 0)?;
-            self.in_memory += 1;
-        }
-        Ok(())
+        self.forward.get(id.0)
     }
 
     fn place(&mut self, id: BlockId, slot: u64) -> Result<(), OramError> {
         self.queries += 1;
-        if self.forward.get(id.0)? == 0 {
-            self.in_memory -= 1;
-        }
-        self.forward.set(id.0, slot + 1)?;
+        self.forward.set(id.0, slot)?;
         self.inverse.set(slot, id.0 + 1)?;
         Ok(())
     }
@@ -984,18 +957,14 @@ impl PositionMap for RecursivePositionMap {
         validate_full_image(owners, self.capacity, self.slots)?;
         let mut forward_values = vec![0u64; self.capacity as usize];
         let mut inverse_values = vec![0u64; self.slots as usize];
-        let mut placed: u64 = 0;
         for (slot, owner) in owners.iter().enumerate() {
             if let Some(id) = owner {
-                forward_values[id.0 as usize] = slot as u64 + 1;
+                forward_values[id.0 as usize] = slot as u64;
                 inverse_values[slot] = id.0 + 1;
-                placed += 1;
             }
         }
         self.forward.bulk_load(&forward_values)?;
-        self.inverse.bulk_load(&inverse_values)?;
-        self.in_memory = self.capacity - placed;
-        Ok(())
+        self.inverse.bulk_load(&inverse_values)
     }
 
     fn memory_bytes(&self) -> u64 {
@@ -1052,7 +1021,6 @@ impl PositionMap for RecursivePositionMap {
     fn save_state(&mut self, w: &mut StateWriter) -> Result<(), OramError> {
         w.put_u64(self.capacity);
         w.put_u64(self.slots);
-        w.put_u64(self.in_memory);
         w.put_u64(self.queries);
         w.put_u64(self.clock.now().as_nanos());
         self.forward.save_state(w)?;
@@ -1069,7 +1037,6 @@ impl PositionMap for RecursivePositionMap {
                 self.capacity, self.slots
             )));
         }
-        self.in_memory = r.get_u64()?;
         self.queries = r.get_u64()?;
         let clock_nanos = r.get_u64()?;
         self.clock.reset();
@@ -1151,16 +1118,12 @@ mod tests {
         for _ in 0..500 {
             let id = BlockId(rng.gen_range(0..capacity));
             match rng.gen_range(0..4u32) {
-                0 => {
+                0 | 1 => {
                     assert_eq!(
                         flat.location(id).unwrap(),
                         recursive.location(id).unwrap(),
                         "location of {id:?}"
                     );
-                }
-                1 => {
-                    flat.set_in_memory(id).unwrap();
-                    recursive.set_in_memory(id).unwrap();
                 }
                 2 => {
                     let slot = rng.gen_range(0..slots);
@@ -1178,17 +1141,13 @@ mod tests {
                         flat.place(id, slot).unwrap();
                         recursive.place(id, slot).unwrap();
                     } else {
-                        // Slot was owned: mirror the take on the other map
-                        // and push the prior owner to memory on both.
-                        let prior = recursive.take_owner(slot).unwrap().expect("mirrored");
-                        flat.set_in_memory(prior).unwrap();
-                        recursive.set_in_memory(prior).unwrap();
+                        // Slot was owned: mirror the take on the other map.
+                        assert!(recursive.take_owner(slot).unwrap().is_some());
                         flat.place(id, slot).unwrap();
                         recursive.place(id, slot).unwrap();
                     }
                 }
             }
-            assert_eq!(flat.in_memory_count(), recursive.in_memory_count());
         }
     }
 
@@ -1229,16 +1188,14 @@ mod tests {
             map.rebuild_all(&owners),
             Err(OramError::Internal { .. })
         ));
-        // Blocks absent from the image are legal: they go to memory.
+        // Blocks absent from the image are legal (they are resident):
+        // they get slot 0, whose owner does not name them back.
         let mut owners = vec![None; 10];
         owners[0] = Some(BlockId(1));
         map.rebuild_all(&owners).unwrap();
-        assert_eq!(map.in_memory_count(), 3);
-        assert_eq!(
-            map.location(BlockId(1)).unwrap(),
-            Location::Storage { slot: 0 }
-        );
-        assert_eq!(map.location(BlockId(2)).unwrap(), Location::Memory);
+        assert_eq!(map.location(BlockId(1)).unwrap(), 0);
+        assert_eq!(map.location(BlockId(2)).unwrap(), 0);
+        assert_eq!(map.take_owner(0).unwrap(), Some(BlockId(1)));
     }
 
     #[test]
@@ -1341,7 +1298,7 @@ mod tests {
 
         let device = map.forward.levels[0].tree.backend_mut().device_mut();
         device.write_block(0, &pristine).unwrap();
-        assert_eq!(map.location(id).unwrap(), Location::Storage { slot: 84 });
+        assert_eq!(map.location(id).unwrap(), 84);
     }
 
     #[test]
@@ -1354,7 +1311,7 @@ mod tests {
         let mut rng = DeterministicRng::from_u64_seed(7);
         for _ in 0..100 {
             let id = BlockId(rng.gen_range(0..capacity));
-            map.set_in_memory(id).unwrap();
+            map.location(id).unwrap();
         }
 
         let mut w = StateWriter::new();
@@ -1366,7 +1323,6 @@ mod tests {
         restored.load_state(&mut r).unwrap();
         r.finish().map_err(OramError::from).unwrap();
 
-        assert_eq!(map.in_memory_count(), restored.in_memory_count());
         for id in 0..capacity {
             assert_eq!(
                 map.location(BlockId(id)).unwrap(),

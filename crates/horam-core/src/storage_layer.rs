@@ -13,7 +13,7 @@
 //!
 //! Loads go through a **plan/commit** split: [`StorageLayer::plan_io`]
 //! performs all control-layer state transitions for one load (slot
-//! resolution, once-per-period marking, liveness and location updates)
+//! resolution, once-per-period marking, slot-owner and liveness updates)
 //! without touching the device, and [`StorageLayer::commit_io`] issues
 //! every planned load as **one scatter read**
 //! ([`Device::read_scatter`]) so per-op device overhead coalesces.
@@ -44,7 +44,6 @@
 //!   keys, so ciphertexts cannot be correlated across periods.
 
 use crate::config::HOramConfig;
-use crate::permutation_list::Location;
 use crate::pool::WorkerPool;
 use crate::posmap::PositionMap;
 use oram_crypto::keys::KeyHierarchy;
@@ -476,6 +475,24 @@ impl StorageLayer {
         Ok(owner)
     }
 
+    /// The owner of `slot`, read by a take and a re-place.
+    #[cfg(test)]
+    pub(crate) fn slot_owner(&mut self, slot: u64) -> Option<BlockId> {
+        let owner = self.posmap.take_owner(slot).unwrap();
+        if let Some(id) = owner {
+            self.posmap.place(id, slot).unwrap();
+        }
+        owner
+    }
+
+    /// Whether `id` is resident: the slot its permutation-list entry names
+    /// does not name it back.
+    #[cfg(test)]
+    pub(crate) fn is_resident(&mut self, id: BlockId) -> bool {
+        let slot = self.posmap.location(id).unwrap();
+        self.slot_owner(slot) != Some(id)
+    }
+
     /// The next untouched slot of the period's PRP dummy order, walking
     /// the lazy Feistel cursor past slots consumed by real misses.
     fn next_dummy_slot(&mut self) -> Result<Option<u64>, OramError> {
@@ -642,20 +659,16 @@ impl StorageLayer {
     ///
     /// # Errors
     ///
-    /// For a [`LoadPlan::Miss`], [`OramError::Internal`] if the block is
-    /// already marked in-memory (the scheduler must classify hits before
-    /// issuing I/O) or if its slot was already read this period (the
-    /// once-per-period invariant would be violated). Either means the
-    /// instance's control state is damaged: fail-stop, quarantine, restore
-    /// from a checkpoint.
+    /// For a [`LoadPlan::Miss`], [`OramError::Internal`] if the block's
+    /// slot was already read this period (the once-per-period invariant
+    /// would be violated) or no longer names the block as its owner (the
+    /// block is resident: the scheduler must classify hits before issuing
+    /// I/O). Either means the instance's control state is damaged:
+    /// fail-stop, quarantine, restore from a checkpoint.
     pub fn plan_io(&mut self, plan: LoadPlan) -> Result<PlannedIo, OramError> {
         let planned = match plan {
             LoadPlan::Miss(id) => {
-                let Location::Storage { slot } = self.posmap.location(id)? else {
-                    return Err(OramError::internal(format!(
-                        "fetch of in-memory block {id} — scheduler hit classification broken"
-                    )));
-                };
+                let slot = self.posmap.location(id)?;
                 if self.touched[slot as usize] {
                     return Err(OramError::internal(format!(
                         "slot {slot} read twice in one period — invariant broken"
@@ -663,8 +676,12 @@ impl StorageLayer {
                 }
                 self.touched[slot as usize] = true;
                 let owner = self.take_owner_tracked(slot)?;
-                debug_assert_eq!(owner, Some(id), "location table and slot owners diverged");
-                self.posmap.set_in_memory(id)?;
+                if owner != Some(id) {
+                    return Err(OramError::internal(format!(
+                        "fetch of block {id} whose slot {slot} holds {owner:?} — \
+                         resident block or diverged owner table"
+                    )));
+                }
                 PlannedIo {
                     slot: Some(slot),
                     expect: Some(id),
@@ -682,9 +699,6 @@ impl StorageLayer {
                 Some(slot) => {
                     self.touched[slot as usize] = true;
                     let expect = self.take_owner_tracked(slot)?;
-                    if let Some(id) = expect {
-                        self.posmap.set_in_memory(id)?;
-                    }
                     PlannedIo {
                         slot: Some(slot),
                         expect,
@@ -713,7 +727,7 @@ impl StorageLayer {
     /// [`StorageError::MissingBlock`] if a slot the metadata calls live
     /// came back empty; storage/crypto errors propagate. Every error here
     /// is **fail-stop**: planning already applied the loads' control-state
-    /// transitions (period markers, locations), and they are not rolled
+    /// transitions (period markers, slot owners), and they are not rolled
     /// back — a corrupted or missing block means the device no longer
     /// matches the trusted metadata, so the instance must be discarded,
     /// not retried.
@@ -811,8 +825,8 @@ impl StorageLayer {
     }
 
     /// Fetches the block `id` from its permuted slot (a **miss** load).
-    /// Marks the block in-memory; the caller inserts it into the memory
-    /// ORAM's stash. Equivalent to a single-element
+    /// Releases the slot's ownership; the caller inserts the block into
+    /// the memory ORAM's stash. Equivalent to a single-element
     /// [`load_batch`](Self::load_batch).
     ///
     /// # Errors
@@ -1192,10 +1206,6 @@ mod tests {
         build_with(capacity, None)
     }
 
-    fn in_memory(layer: &mut StorageLayer, id: BlockId) -> bool {
-        layer.posmap.location(id).unwrap() == Location::Memory
-    }
-
     fn build_traced(capacity: u64) -> (StorageLayer, AccessTrace) {
         let trace = AccessTrace::recording();
         let layer = build_with(capacity, Some(trace.clone()));
@@ -1207,27 +1217,15 @@ mod tests {
     fn initial_layout_places_every_block() {
         let mut layer = build(100);
         for id in 0..100 {
-            assert!(
-                matches!(
-                    layer.posmap_mut().location(BlockId(id)).unwrap(),
-                    Location::Storage { .. }
-                ),
-                "block {id} missing"
-            );
+            assert!(!layer.is_resident(BlockId(id)), "block {id} missing");
         }
-        assert_eq!(layer.posmap().in_memory_count(), 0);
     }
 
     #[test]
     fn initial_slots_are_distinct() {
         let mut layer = build(64);
         let slots: HashSet<u64> = (0..64)
-            .map(
-                |id| match layer.posmap_mut().location(BlockId(id)).unwrap() {
-                    Location::Storage { slot } => slot,
-                    Location::Memory => panic!("unexpected memory residence"),
-                },
-            )
+            .map(|id| layer.posmap_mut().location(BlockId(id)).unwrap())
             .collect();
         assert_eq!(slots.len(), 64);
     }
@@ -1240,7 +1238,7 @@ mod tests {
         assert_eq!(id, BlockId(5));
         assert_eq!(payload, vec![0u8; 8]);
         assert!(load.duration > SimDuration::ZERO);
-        assert!(in_memory(&mut layer, BlockId(5)));
+        assert!(layer.is_resident(BlockId(5)));
     }
 
     #[test]
@@ -1251,7 +1249,22 @@ mod tests {
         let OramError::Internal { context } = err else {
             panic!("expected Internal, got {err:?}");
         };
-        assert!(context.contains("scheduler hit classification broken"));
+        assert!(context.contains("read twice"), "{context}");
+    }
+
+    /// A miss whose slot no longer names the block is a typed invariant
+    /// error in every build, never a fetch of whatever the slot holds.
+    #[test]
+    fn cleared_slot_owner_fails_the_fetch_typed() {
+        let mut layer = build(64);
+        let id = BlockId(5);
+        let slot = layer.posmap_mut().location(id).unwrap();
+        assert_eq!(layer.posmap_mut().take_owner(slot).unwrap(), Some(id));
+        let err = layer.fetch(id).unwrap_err();
+        let OramError::Internal { context } = err else {
+            panic!("expected Internal, got {err:?}");
+        };
+        assert!(context.contains("diverged owner table"), "{context}");
     }
 
     /// A slot that opens cleanly but holds a different block than the
@@ -1261,9 +1274,7 @@ mod tests {
         let mut layer = build(64);
         let (a, b) = (BlockId(5), BlockId(9));
         let posmap = layer.posmap_mut();
-        let Location::Storage { slot } = posmap.location(b).unwrap() else {
-            panic!("block {b} starts in storage");
-        };
+        let slot = posmap.location(b).unwrap();
         assert_eq!(posmap.take_owner(slot).unwrap(), Some(b));
         posmap.place(a, slot).unwrap();
         let err = layer.fetch(a).unwrap_err();
@@ -1463,11 +1474,11 @@ mod tests {
         layer
             .rebuild_partial(vec![(BlockId(3), vec![0u8; 8])], 4, 6)
             .unwrap();
-        // Cross-check the incremental counts against the location table:
-        // a slot is live iff some block's current location maps to it.
+        // Cross-check the incremental counts against the owner table: a
+        // slot is live iff it has an owner.
         let mut scanned = vec![0u64; layer.partition_count() as usize];
-        for id in 0..256 {
-            if let Location::Storage { slot } = layer.posmap_mut().location(BlockId(id)).unwrap() {
+        for slot in 0..layer.total_slots() {
+            if layer.slot_owner(slot).is_some() {
                 scanned[(slot / layer.partition_slots) as usize] += 1;
             }
         }
@@ -1492,7 +1503,7 @@ mod tests {
         let period = |layer: &mut StorageLayer, seed: u64| {
             let mut hot = Vec::new();
             for id in [seed % 256, (seed + 100) % 256] {
-                if !in_memory(layer, BlockId(id)) {
+                if !layer.is_resident(BlockId(id)) {
                     hot.push(layer.fetch(BlockId(id)).unwrap().block.unwrap());
                 }
             }
@@ -1576,7 +1587,7 @@ mod tests {
         hot[0].1 = vec![9u8; 8];
         let report = layer.rebuild_full(hot, 33).unwrap();
         assert_eq!(report.partitions, layer.partition_count);
-        assert_eq!(layer.posmap().in_memory_count(), 0);
+        assert!((0..64).all(|id| !layer.is_resident(BlockId(id))));
         // Refetch the updated block and verify the new payload survived.
         let load = layer.fetch(BlockId(1)).unwrap();
         assert_eq!(load.block.unwrap().1, vec![9u8; 8]);
@@ -1585,23 +1596,14 @@ mod tests {
     #[test]
     fn rebuild_repermutes_slots() {
         let mut layer = build(256);
-        let before: Vec<u64> = (0..256)
-            .map(
-                |id| match layer.posmap_mut().location(BlockId(id)).unwrap() {
-                    Location::Storage { slot } => slot,
-                    Location::Memory => unreachable!(),
-                },
-            )
-            .collect();
+        let slots = |layer: &mut StorageLayer| -> Vec<u64> {
+            (0..256)
+                .map(|id| layer.posmap_mut().location(BlockId(id)).unwrap())
+                .collect()
+        };
+        let before = slots(&mut layer);
         layer.rebuild_full(Vec::new(), 77).unwrap();
-        let after: Vec<u64> = (0..256)
-            .map(
-                |id| match layer.posmap_mut().location(BlockId(id)).unwrap() {
-                    Location::Storage { slot } => slot,
-                    Location::Memory => unreachable!(),
-                },
-            )
-            .collect();
+        let after = slots(&mut layer);
         let moved = before.iter().zip(&after).filter(|(a, b)| a != b).count();
         assert!(moved > 200, "only {moved}/256 blocks moved");
     }
@@ -1645,12 +1647,12 @@ mod tests {
         let mut layer = build(256);
         // Fetch a block, then partially shuffle a window. The fetched
         // block's home partition may not be rewritten; it must remain
-        // marked in-memory either way.
+        // resident either way.
         layer.fetch(BlockId(100)).unwrap();
         let hot = vec![(BlockId(100), vec![0u8; 8])];
         layer.rebuild_partial(hot, 2, 3).unwrap();
         // Block 100 went into the window, so it is on storage again.
-        assert!(!in_memory(&mut layer, BlockId(100)));
+        assert!(!layer.is_resident(BlockId(100)));
         layer.fetch(BlockId(100)).unwrap();
     }
 
@@ -1693,15 +1695,16 @@ mod tests {
                 intended.extend(gaps.flat_map(|n| std::iter::repeat_n(LoadPlan::Dummy, n)));
 
                 // Run the sequential reference, downgrading misses whose
-                // block an earlier dummy already prefetched (the scheduler
-                // never issues I/O for in-memory blocks); the surviving
+                // block an earlier dummy already prefetched — its slot's
+                // owner no longer names it (the scheduler never issues I/O
+                // for resident blocks); the surviving
                 // plan is what the batch replays.
                 let (mut sequential, seq_trace) = build_traced(64);
                 let mut plan: Vec<LoadPlan> = Vec::with_capacity(intended.len());
                 let mut seq_blocks = Vec::new();
                 for step in intended {
                     let step = match step {
-                        LoadPlan::Miss(id) if in_memory(&mut sequential, id) => LoadPlan::Dummy,
+                        LoadPlan::Miss(id) if sequential.is_resident(id) => LoadPlan::Dummy,
                         other => other,
                     };
                     plan.push(step);

@@ -165,7 +165,7 @@ fn open_engine(args: &Args) -> Result<(ShardedOram, u64, Vec<WindowEntry>), Stri
         return Ok((oram, 0, Vec::new()));
     };
     let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let checkpoint = Checkpoint::from_bytes(&bytes).map_err(|e| e.to_string())?;
+    let checkpoint = Checkpoint::from_bytes(&master, &bytes).map_err(|e| e.to_string())?;
     let epoch = checkpoint.epoch + 1;
     eprintln!(
         "horam-serverd: restoring epoch {epoch} from {} ({} window entries)",
@@ -275,7 +275,8 @@ fn run() -> Result<(), String> {
         outcome.counters.connections,
     );
     if let Some(path) = &args.checkpoint {
-        std::fs::write(path, outcome.checkpoint.to_bytes())
+        let master = MasterKey::from_bytes([args.key; 32]);
+        std::fs::write(path, outcome.checkpoint.to_bytes(&master))
             .map_err(|e| format!("write {}: {e}", path.display()))?;
         eprintln!("horam-serverd: checkpoint written to {}", path.display());
     }
@@ -324,7 +325,8 @@ mod tests {
             window: Vec::new(),
             epoch,
         };
-        std::fs::write(path, checkpoint.to_bytes()).expect("checkpoint written");
+        let master = MasterKey::from_bytes([first.key; 32]);
+        std::fs::write(path, checkpoint.to_bytes(&master)).expect("checkpoint written");
 
         let resized = args(&["--checkpoint", path, "--capacity", "8192", "--shards", "2"])
             .expect("valid flags on their own");

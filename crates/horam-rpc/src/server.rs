@@ -54,7 +54,10 @@ use crate::wire::{
     encode_frame, write_frame, Accept, Frame, FramePoll, FrameReader, PollError, ServerCounters,
 };
 use horam_core::access_control::UserId;
+use horam_core::persist::envelope_seq;
 use horam_server::service::{OramService, ServeError, ServiceTicket};
+use oram_crypto::keys::MasterKey;
+use oram_crypto::persist::{open_envelope, seal_envelope, StateReader, StateWriter};
 use oram_protocols::types::Request;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
@@ -142,90 +145,78 @@ pub struct Checkpoint {
     pub epoch: u64,
 }
 
-const CHECKPOINT_MAGIC: &[u8; 4] = b"HCKP";
-const CHECKPOINT_VERSION: u32 = 1;
+/// Key-derivation domain of the checkpoint envelope.
+const CHECKPOINT_DOMAIN: &str = "horam/rpc/checkpoint";
+/// Envelope kind of a drain checkpoint (engine snapshots use 1 and 2).
+const KIND_CHECKPOINT: u32 = 3;
+/// Smallest serialized window entry: two ids, a length prefix and a
+/// frame's 5-byte header.
+const MIN_ENTRY_BYTES: usize = 8 + 8 + 8 + 5;
+
+/// Seals a checkpoint body under the checkpoint key derived from `master`.
+fn seal_checkpoint(master: &MasterKey, body: &[u8]) -> Vec<u8> {
+    let keys = master.derive(CHECKPOINT_DOMAIN, 0);
+    seal_envelope(&keys, KIND_CHECKPOINT, envelope_seq(&keys, body), body)
+}
 
 impl Checkpoint {
-    /// Serializes the checkpoint for the restart file.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&(self.snapshot.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.snapshot);
-        out.extend_from_slice(&(self.window.len() as u32).to_le_bytes());
+    /// Serializes the checkpoint for the restart file: the epoch, the
+    /// engine snapshot and the window in one authenticated, encrypted
+    /// envelope under a key derived from the daemon's `master` key. The
+    /// window's frames carry recent reads' payloads and recent writes'
+    /// previous bytes, so they are neither readable nor editable at rest.
+    pub fn to_bytes(&self, master: &MasterKey) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.put_u64(self.epoch);
+        w.put_bytes(&self.snapshot);
+        w.put_usize(self.window.len());
         for entry in &self.window {
-            out.extend_from_slice(&entry.client_id.to_le_bytes());
-            out.extend_from_slice(&entry.req_id.to_le_bytes());
-            let frame = crate::wire::encode_frame(&entry.response);
-            out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-            out.extend_from_slice(&frame);
+            w.put_u64(entry.client_id);
+            w.put_u64(entry.req_id);
+            w.put_bytes(&crate::wire::encode_frame(&entry.response));
         }
-        out
+        seal_checkpoint(master, &w.into_bytes())
     }
 
-    /// Parses a checkpoint file.
+    /// Opens a checkpoint file sealed by [`to_bytes`](Self::to_bytes)
+    /// under the same `master` key.
     ///
     /// # Errors
     ///
-    /// `InvalidData` on truncation, bad magic, or an unknown version —
-    /// restores fail closed, a corrupt checkpoint is never half-adopted.
-    pub fn from_bytes(bytes: &[u8]) -> io::Result<Self> {
-        fn bad(reason: &str) -> io::Error {
+    /// `InvalidData` on truncation, tampering, a wrong key, an unknown
+    /// envelope version or a malformed body — restores fail closed, a
+    /// corrupt checkpoint is never half-adopted.
+    pub fn from_bytes(master: &MasterKey, bytes: &[u8]) -> io::Result<Self> {
+        fn bad(reason: impl std::fmt::Display) -> io::Error {
             io::Error::new(io::ErrorKind::InvalidData, format!("checkpoint: {reason}"))
         }
-        fn take<'a>(rest: &mut &'a [u8], n: usize) -> io::Result<&'a [u8]> {
-            if n > rest.len() {
-                return Err(bad("truncated"));
-            }
-            let (head, tail) = rest.split_at(n);
-            *rest = tail;
-            Ok(head)
-        }
-        let mut rest = bytes;
-        if take(&mut rest, 4)? != CHECKPOINT_MAGIC {
-            return Err(bad("bad magic"));
-        }
-        let version = u32::from_le_bytes(take(&mut rest, 4)?.try_into().expect("4 bytes"));
-        if version != CHECKPOINT_VERSION {
-            return Err(bad("unknown version"));
-        }
-        let epoch = u64::from_le_bytes(take(&mut rest, 8)?.try_into().expect("8 bytes"));
-        let snapshot_len = u64::from_le_bytes(take(&mut rest, 8)?.try_into().expect("8 bytes"));
-        let snapshot = take(
-            &mut rest,
-            usize::try_from(snapshot_len).unwrap_or(usize::MAX),
-        )?
-        .to_vec();
-        let count = u32::from_le_bytes(take(&mut rest, 4)?.try_into().expect("4 bytes")) as usize;
-        // An entry is at least 25 bytes (two ids, a length, a frame's
-        // 5-byte header): bound the count by what is left before
-        // allocating for it.
-        if count > rest.len() / 25 {
+        let keys = master.derive(CHECKPOINT_DOMAIN, 0);
+        let body = open_envelope(&keys, KIND_CHECKPOINT, bytes).map_err(bad)?;
+        let mut r = StateReader::new(&body);
+        let epoch = r.get_u64().map_err(bad)?;
+        let snapshot = r.get_bytes().map_err(bad)?.to_vec();
+        let count = r.get_usize().map_err(bad)?;
+        // Bound the count by what is left before allocating for it.
+        if count > r.remaining() / MIN_ENTRY_BYTES {
             return Err(bad("window count exceeds the file"));
         }
         let mut window = Vec::with_capacity(count);
         for _ in 0..count {
-            let client_id = u64::from_le_bytes(take(&mut rest, 8)?.try_into().expect("8 bytes"));
-            let req_id = u64::from_le_bytes(take(&mut rest, 8)?.try_into().expect("8 bytes"));
-            let frame_len =
-                u32::from_le_bytes(take(&mut rest, 4)?.try_into().expect("4 bytes")) as usize;
-            let frame_bytes = take(&mut rest, frame_len)?;
+            let client_id = r.get_u64().map_err(bad)?;
+            let req_id = r.get_u64().map_err(bad)?;
+            let frame_bytes = r.get_bytes().map_err(bad)?;
             if frame_bytes.len() < 5 {
                 return Err(bad("window frame too short"));
             }
             let response = crate::wire::decode_frame(frame_bytes[4], &frame_bytes[5..])
-                .map_err(|e| bad(&format!("window frame: {e}")))?;
+                .map_err(|e| bad(format!("window frame: {e}")))?;
             window.push(WindowEntry {
                 client_id,
                 req_id,
                 response,
             });
         }
-        if !rest.is_empty() {
-            return Err(bad("trailing bytes"));
-        }
+        r.finish().map_err(bad)?;
         Ok(Self {
             snapshot,
             window,
@@ -855,9 +846,12 @@ mod tests {
     use horam_core::access_control::Permission;
     use horam_core::{HOramConfig, ShardedConfig, ShardedOram};
     use horam_server::{FifoPolicy, ServiceConfig};
-    use oram_crypto::keys::MasterKey;
     use oram_storage::hierarchy::MemoryHierarchy;
     use std::net::TcpStream;
+
+    fn checkpoint_master() -> MasterKey {
+        MasterKey::from_bytes([0x42; 32])
+    }
 
     #[test]
     fn checkpoint_roundtrips() {
@@ -883,12 +877,44 @@ mod tests {
             ],
             epoch: 3,
         };
-        let bytes = checkpoint.to_bytes();
-        assert_eq!(Checkpoint::from_bytes(&bytes).expect("parses"), checkpoint);
+        let bytes = checkpoint.to_bytes(&checkpoint_master());
+        assert_eq!(
+            Checkpoint::from_bytes(&checkpoint_master(), &bytes).expect("parses"),
+            checkpoint
+        );
+        let other = MasterKey::from_bytes([0x43; 32]);
+        assert!(Checkpoint::from_bytes(&other, &bytes).is_err());
+    }
+
+    /// The window's response payloads (recent reads' data, recent writes'
+    /// previous bytes) never reach the file in the clear.
+    #[test]
+    fn checkpoint_hides_the_window() {
+        let payload = b"a payload the checkpoint file must not show".to_vec();
+        let checkpoint = Checkpoint {
+            snapshot: Vec::new(),
+            window: vec![WindowEntry {
+                client_id: 1,
+                req_id: 2,
+                response: Frame::Response {
+                    req_id: 2,
+                    status: st::OK,
+                    shard: 0,
+                    message: String::new(),
+                    payload: payload.clone(),
+                },
+            }],
+            epoch: 0,
+        };
+        let bytes = checkpoint.to_bytes(&checkpoint_master());
+        assert!(!bytes
+            .windows(payload.len())
+            .any(|w| w == payload.as_slice()));
     }
 
     #[test]
     fn checkpoint_rejects_corruption() {
+        let master = checkpoint_master();
         let checkpoint = Checkpoint {
             snapshot: vec![1, 2, 3],
             window: vec![WindowEntry {
@@ -904,33 +930,51 @@ mod tests {
             }],
             epoch: 0,
         };
-        let bytes = checkpoint.to_bytes();
+        let bytes = checkpoint.to_bytes(&master);
         // Truncations at every boundary fail closed.
         for cut in 0..bytes.len() {
-            assert!(Checkpoint::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(
+                Checkpoint::from_bytes(&master, &bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
         }
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xFF;
-        assert!(Checkpoint::from_bytes(&bad).is_err());
-        // Length fields at their maximum: typed errors, never an
-        // allocation sized by the file. Layout: magic 0..4, version 4..8,
-        // epoch 8..16, snapshot_len 16..24, snapshot 24..27, count 27..31,
-        // then the entry's two ids 31..47 and its frame_len 47..51.
-        for (field, at, width) in [
-            ("snapshot_len", 16, 8),
-            ("count", 27, 4),
-            ("frame_len", 47, 4),
-        ] {
-            let mut bad = bytes.clone();
-            bad[at..at + width].fill(0xFF);
-            let error = Checkpoint::from_bytes(&bad).expect_err(field);
+        // An edited window entry (the body's last byte, just before the
+        // 8-byte tag) is a typed error, never a forged replay.
+        let mut edited = bytes.clone();
+        let at = edited.len() - 9;
+        edited[at] ^= 0x01;
+        let error = Checkpoint::from_bytes(&master, &edited).expect_err("edited window");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        // Length fields at their maximum inside a validly sealed body:
+        // typed errors, never an allocation sized by the file. Body
+        // layout: epoch 0..8, snapshot_len 8..16, snapshot 16..19, count
+        // 19..27, then the entry's two ids 27..43 and its frame_len 43..51.
+        let mut body = StateWriter::new();
+        body.put_u64(checkpoint.epoch);
+        body.put_bytes(&checkpoint.snapshot);
+        body.put_usize(1);
+        body.put_u64(1);
+        body.put_u64(2);
+        body.put_bytes(&crate::wire::encode_frame(&checkpoint.window[0].response));
+        let body = body.into_bytes();
+        assert_eq!(
+            Checkpoint::from_bytes(&master, &seal_checkpoint(&master, &body)).expect("parses"),
+            checkpoint
+        );
+        for (field, at) in [("snapshot_len", 8), ("count", 19), ("frame_len", 43)] {
+            let mut bad = body.clone();
+            bad[at..at + 8].fill(0xFF);
+            let error =
+                Checkpoint::from_bytes(&master, &seal_checkpoint(&master, &bad)).expect_err(field);
             assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{field}");
         }
-        // Trailing garbage.
+        // Trailing garbage, sealed or not.
+        let mut long = body;
+        long.push(0);
+        assert!(Checkpoint::from_bytes(&master, &seal_checkpoint(&master, &long)).is_err());
         let mut long = bytes;
         long.push(0);
-        assert!(Checkpoint::from_bytes(&long).is_err());
+        assert!(Checkpoint::from_bytes(&master, &long).is_err());
     }
 
     #[test]

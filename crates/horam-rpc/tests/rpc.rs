@@ -54,6 +54,11 @@ fn payload(tag: u64) -> Vec<u8> {
     tag.to_le_bytes().to_vec()
 }
 
+/// The master key that seals the engine and the drain checkpoint.
+fn master() -> MasterKey {
+    MasterKey::from_bytes([0xA7; 32])
+}
+
 /// Builds the canonical test service — fresh, or restored from a drain
 /// checkpoint's engine snapshot. Identical construction is what makes
 /// the in-process-vs-RPC and run-twice comparisons byte-exact.
@@ -62,11 +67,10 @@ fn make_service(snapshot: Option<&[u8]>) -> OramService<ShardedOram> {
     let base = config
         .engine_config(HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS))
         .with_seed(ENGINE_SEED);
-    let master = MasterKey::from_bytes([0xA7; 32]);
     let oram = match snapshot {
-        Some(bytes) => ShardedOram::restore(master, |_| MemoryHierarchy::dac2019(), bytes)
+        Some(bytes) => ShardedOram::restore(master(), |_| MemoryHierarchy::dac2019(), bytes)
             .expect("snapshot restores"),
-        None => ShardedOram::new(ShardedConfig::new(base, SHARDS), master, |_| {
+        None => ShardedOram::new(ShardedConfig::new(base, SHARDS), master(), |_| {
             MemoryHierarchy::dac2019()
         })
         .expect("engine builds"),
@@ -461,7 +465,8 @@ fn drain_checkpoint_restore_replays_across_restart() {
     assert_eq!(outcome.counters.served, 8);
 
     // The checkpoint file format roundtrips exactly.
-    let reparsed = Checkpoint::from_bytes(&outcome.checkpoint.to_bytes()).expect("reparse");
+    let reparsed = Checkpoint::from_bytes(&master(), &outcome.checkpoint.to_bytes(&master()))
+        .expect("reparse");
     assert_eq!(reparsed, outcome.checkpoint);
 
     let restored = make_service(Some(&outcome.checkpoint.snapshot));

@@ -51,14 +51,6 @@ impl LatencySummary {
             max: *sorted.last().expect("non-empty"),
         }
     }
-
-    /// One-line rendering for reports.
-    pub fn render(&self) -> String {
-        format!(
-            "n={} min={} mean={} p50={} p95={} p99={} max={}",
-            self.count, self.min, self.mean, self.p50, self.p95, self.p99, self.max
-        )
-    }
 }
 
 /// Nearest-rank percentile of a sorted sample.
@@ -120,12 +112,5 @@ mod tests {
         assert_eq!(summary.p95, us(10));
         assert_eq!(summary.max, us(10_000));
         assert!(summary.mean > us(10) && summary.mean < us(200));
-    }
-
-    #[test]
-    fn render_mentions_percentiles() {
-        let text = LatencySummary::of(&[us(1), us(2)]).render();
-        assert!(text.contains("p95"));
-        assert!(text.contains("n=2"));
     }
 }

@@ -13,9 +13,8 @@
 //! equal-length blocks opened, then as many sealed — so the sealer's real
 //! entry points are [`BlockSealer::open_blocks`] and
 //! [`BlockSealer::seal_blocks`], in place over a slice the caller reuses
-//! (the memory tree's path buffer), and [`BlockSealer::seal_batch`] /
-//! [`BlockSealer::open_batch`] over owned vectors; the one-block calls
-//! are the same routines on a batch of one. A batch takes its SIMD lanes
+//! (the memory tree's path buffer); the one-block calls are the same
+//! routines on a batch of one. A batch takes its SIMD lanes
 //! *across* its blocks: ChaCha20 ×16 over the bodies' keystream blocks
 //! (×8 or ×4 on hosts without AVX-512F; [`ChaChaKey::apply_keystreams`])
 //! and SipHash-2-4 ×4 over the blocks
@@ -25,7 +24,7 @@
 //!   [`BlockSealer::open_in_place`] per item, in order. A caller that
 //!   draws its epochs (seal sequence numbers) in the order it always did
 //!   writes the bytes it always did;
-//! * **verify all, then decrypt** — `open_batch` checks every tag before
+//! * **verify all, then decrypt** — `open_blocks` checks every tag before
 //!   it decrypts any body. If a block fails it returns the
 //!   [`CryptoError::TagMismatch`] of the first failing block in order and
 //!   releases no plaintext, of that block or of any other;
@@ -226,22 +225,6 @@ impl BlockSealer {
         block
     }
 
-    /// Seals every `(block_id, epoch, plaintext)` item, each buffer in
-    /// place, as one batch — see the [module docs](self) for the contract.
-    /// Byte-identical to one [`seal_into`](Self::seal_into) per item in
-    /// order.
-    pub fn seal_batch(
-        &self,
-        items: impl IntoIterator<Item = (u64, u64, Vec<u8>)>,
-    ) -> Vec<SealedBlock> {
-        let mut blocks: Vec<SealedBlock> = items
-            .into_iter()
-            .map(|(block_id, epoch, body)| SealedBlock::from_parts(block_id, epoch, body, 0))
-            .collect();
-        self.seal_blocks(&mut blocks);
-        blocks
-    }
-
     /// Verifies and decrypts a sealed block.
     ///
     /// # Errors
@@ -271,26 +254,12 @@ impl BlockSealer {
         Ok(block.body)
     }
 
-    /// Verifies and decrypts every block, each buffer in place, as one
-    /// batch — see the [module docs](self) for the contract. On success
-    /// plaintext `i` is what [`open_in_place`](Self::open_in_place) gives
-    /// for block `i`.
-    ///
-    /// # Errors
-    ///
-    /// [`CryptoError::TagMismatch`] carrying the `block_id` of the first
-    /// block in order whose tag does not verify. Every tag is checked
-    /// before any body is decrypted, so no plaintext exists on this path
-    /// and the buffers are dropped as ciphertext.
-    pub fn open_batch(&self, mut blocks: Vec<SealedBlock>) -> Result<Vec<Vec<u8>>, CryptoError> {
-        self.open_blocks(&mut blocks)?;
-        Ok(blocks.into_iter().map(SealedBlock::into_body).collect())
-    }
-
-    /// Seals every block in place as one batch: each body comes in as
+    /// Seals every block in place as one batch — see the
+    /// [module docs](self) for the contract: each body comes in as
     /// plaintext bound to its block's id and epoch (see
-    /// [`SealedBlock::rebind`]) and leaves as ciphertext under a fresh tag.
-    /// [`seal_batch`](Self::seal_batch) is this over owned items.
+    /// [`SealedBlock::rebind`]) and leaves as ciphertext under a fresh tag,
+    /// byte-identical to one [`seal_into`](Self::seal_into) per block in
+    /// order.
     pub fn seal_blocks(&self, blocks: &mut [SealedBlock]) {
         self.apply_keystreams(blocks);
         for group in blocks.chunks_mut(MAC_LANES) {
@@ -302,13 +271,15 @@ impl BlockSealer {
     }
 
     /// Verifies and decrypts every block in place as one batch; on success
-    /// each body ([`SealedBlock::ciphertext`]) holds its plaintext.
-    /// [`open_batch`](Self::open_batch) is this over an owned vector.
+    /// each body ([`SealedBlock::ciphertext`]) holds its plaintext, what
+    /// [`open_in_place`](Self::open_in_place) gives for that block.
     ///
     /// # Errors
     ///
-    /// As [`open_batch`](Self::open_batch): every tag is checked before
-    /// any body is decrypted, so on error every body is still ciphertext.
+    /// [`CryptoError::TagMismatch`] carrying the `block_id` of the first
+    /// block in order whose tag does not verify. Every tag is checked
+    /// before any body is decrypted, so on error every body is still
+    /// ciphertext.
     pub fn open_blocks(&self, blocks: &mut [SealedBlock]) -> Result<(), CryptoError> {
         self.verify(blocks)?;
         self.apply_keystreams(blocks);
@@ -432,10 +403,23 @@ mod tests {
         )
     }
 
+    /// `items` as plaintext blocks bound to their ids and epochs, ready
+    /// for [`BlockSealer::seal_blocks`].
+    fn unsealed(items: &[(u64, u64, Vec<u8>)]) -> Vec<SealedBlock> {
+        items
+            .iter()
+            .map(|(id, epoch, body)| SealedBlock::from_parts(*id, *epoch, body.clone(), 0))
+            .collect()
+    }
+
+    fn bodies(blocks: Vec<SealedBlock>) -> Vec<Vec<u8>> {
+        blocks.into_iter().map(SealedBlock::into_body).collect()
+    }
+
     /// The batch contract's first clause: for every count 0..=19 (no
     /// block, a scalar remainder, full MAC groups, full and partial
-    /// keystream passes) at every length the stack seals, `seal_batch` is
-    /// one `seal` per item and `open_batch` gives the plaintexts back.
+    /// keystream passes) at every length the stack seals, `seal_blocks`
+    /// is one `seal` per item and `open_blocks` gives the plaintexts back.
     #[test]
     fn batch_matches_one_call_per_item() {
         let sealer = sealer();
@@ -446,11 +430,12 @@ mod tests {
                     .iter()
                     .map(|(id, epoch, body)| sealer.seal(*id, *epoch, body))
                     .collect();
-                let batch = sealer.seal_batch(items.clone());
+                let mut batch = unsealed(&items);
+                sealer.seal_blocks(&mut batch);
                 assert_eq!(batch, singly, "{count} blocks of {len} bytes");
-                let opened = sealer.open_batch(batch).unwrap();
+                sealer.open_blocks(&mut batch).unwrap();
                 let plain: Vec<Vec<u8>> = items.into_iter().map(|(_, _, body)| body).collect();
-                assert_eq!(opened, plain, "{count} blocks of {len} bytes");
+                assert_eq!(bodies(batch), plain, "{count} blocks of {len} bytes");
             }
         }
     }
@@ -477,10 +462,12 @@ mod tests {
             .iter()
             .map(|(id, epoch, body)| sealer.seal(*id, *epoch, body))
             .collect();
-        let batch = sealer.seal_batch(items.clone());
+        let mut batch = unsealed(&items);
+        sealer.seal_blocks(&mut batch);
         assert_eq!(batch, singly);
         let plain: Vec<Vec<u8>> = items.into_iter().map(|(_, _, body)| body).collect();
-        assert_eq!(sealer.open_batch(batch).unwrap(), plain);
+        sealer.open_blocks(&mut batch).unwrap();
+        assert_eq!(bodies(batch), plain);
 
         // A group of four equal-length blocks, one of which came back from
         // the device a byte short / a byte long: its tag must fail, and it
@@ -499,7 +486,7 @@ mod tests {
             blocks[k] =
                 SealedBlock::from_parts(damaged.block_id(), damaged.epoch(), body, damaged.tag());
             assert_eq!(
-                sealer.open_batch(blocks).unwrap_err(),
+                sealer.open_blocks(&mut blocks).unwrap_err(),
                 CryptoError::TagMismatch {
                     block_id: 1000 + k as u64
                 },
@@ -513,15 +500,17 @@ mod tests {
     /// as `k`'s block id; with two bad items the first in order wins; and
     /// no body was decrypted when the error came back.
     #[test]
-    fn open_batch_reports_the_first_bad_block_and_releases_nothing() {
+    fn open_blocks_reports_the_first_bad_block_and_releases_nothing() {
         let sealer = sealer();
         let count = 11;
-        let sealed = sealer.seal_batch((0..count).map(|i| item(i, 81)));
+        let items: Vec<_> = (0..count).map(|i| item(i, 81)).collect();
+        let mut sealed = unsealed(&items);
+        sealer.seal_blocks(&mut sealed);
         for k in 0..count {
             let mut blocks = sealed.clone();
             blocks[k].corrupt_bit(5 * k + 1);
             assert_eq!(
-                sealer.open_batch(blocks).unwrap_err(),
+                sealer.open_blocks(&mut blocks).unwrap_err(),
                 CryptoError::TagMismatch {
                     block_id: 1000 + k as u64
                 }
@@ -531,7 +520,7 @@ mod tests {
         blocks[9].corrupt_bit(0);
         blocks[6].corrupt_bit(0);
         assert_eq!(
-            sealer.open_batch(blocks).unwrap_err(),
+            sealer.open_blocks(&mut blocks).unwrap_err(),
             CryptoError::TagMismatch { block_id: 1006 }
         );
 

@@ -13,8 +13,8 @@
 //! The HDD seek constants (55 µs base + 1 ms × √(span fraction)) are fitted
 //! to the per-access I/O latencies the paper measures in Tables 5-3/5-4
 //! (77 µs and 107 µs for single-block reads over 64 MB and 1 GB spans);
-//! the `table_5_3` and `table_5_4` bench binaries print the simulated
-//! latency beside the paper's, so every run shows the fit.
+//! the `table_5_3` and `table_5_4` rows of the bench `suite` report the
+//! simulated latency beside the paper's, so every run shows the fit.
 
 use crate::clock::SimClock;
 use crate::device::Device;
@@ -60,8 +60,6 @@ pub enum StorageKind {
 /// A full machine description for one experiment run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
-    /// Human-readable label used in reports.
-    pub label: String,
     /// Storage backend technology.
     pub storage: StorageKind,
     /// Logical ORAM block size in bytes, charged per block access
@@ -73,7 +71,6 @@ impl MachineConfig {
     /// The machine of the paper's Table 5-2 with 1 KB blocks.
     pub fn dac2019() -> Self {
         Self {
-            label: "DAC'19 testbed (Table 5-2)".into(),
             storage: StorageKind::PaperHdd,
             block_bytes: 1024,
         }
@@ -82,7 +79,6 @@ impl MachineConfig {
     /// Same machine with an SSD storage backend (ablation).
     pub fn dac2019_ssd() -> Self {
         Self {
-            label: "DAC'19 testbed, SSD ablation".into(),
             storage: StorageKind::Ssd,
             block_bytes: 1024,
         }
@@ -142,36 +138,6 @@ impl MachineConfig {
         dev.set_charged_block_bytes(self.block_bytes);
         dev
     }
-
-    /// Rows of the machine-setup table (reproduces Table 5-2 in reports).
-    pub fn setup_rows(&self) -> Vec<(String, String)> {
-        let mut rows = vec![
-            ("Simulation".into(), self.label.clone()),
-            (
-                "Memory".into(),
-                "DDR4 PC4-2133 model (70 ns + 15 GB/s)".into(),
-            ),
-        ];
-        match self.storage {
-            StorageKind::PaperHdd => {
-                rows.push(("Disk".into(), "HDD 7200RPM 500GB model".into()));
-                rows.push((
-                    "Read/Write Throughput".into(),
-                    "102.7 MB/s, 55.2 MB/s (random); streaming writes coalesce to 102.7 MB/s"
-                        .into(),
-                ));
-                rows.push((
-                    "Seek model".into(),
-                    "55 us + 1 ms x sqrt(distance/500GB)".into(),
-                ));
-            }
-            StorageKind::Ssd => {
-                rows.push(("Disk".into(), "SATA SSD model (80 us, 520/480 MB/s)".into()));
-            }
-        }
-        rows.push(("Block size".into(), format!("{} B", self.block_bytes)));
-        rows
-    }
 }
 
 #[cfg(test)]
@@ -196,14 +162,5 @@ mod tests {
         let config = MachineConfig::dac2019_ssd();
         let storage = config.build_storage(SimClock::new(), None);
         assert_eq!(storage.name(), "ssd");
-    }
-
-    #[test]
-    fn setup_rows_mention_the_paper_throughputs() {
-        let rows = MachineConfig::dac2019().setup_rows();
-        let text: String = rows.iter().map(|(k, v)| format!("{k}: {v}\n")).collect();
-        assert!(text.contains("102.7 MB/s"));
-        assert!(text.contains("55.2 MB/s"));
-        assert!(text.contains("1024 B"));
     }
 }

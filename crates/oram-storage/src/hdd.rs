@@ -19,8 +19,8 @@
 //!   previous one ended is sequential and pays no seek.
 //!
 //! Calibration constants live in [`crate::calibration`]; the `table_5_3`
-//! and `table_5_4` bench binaries print the paper-vs-simulated latency
-//! comparison.
+//! and `table_5_4` rows of the bench `suite` report the paper-vs-simulated
+//! latency comparison.
 
 use crate::clock::SimDuration;
 use crate::device::{AccessKind, TimingModel};

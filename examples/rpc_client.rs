@@ -31,6 +31,11 @@ const CAPACITY: u64 = 256;
 const PAYLOAD_LEN: usize = 16;
 const TENANTS: u32 = 2;
 
+/// The master key that seals the engine and the drain checkpoint.
+fn master() -> MasterKey {
+    MasterKey::from_bytes([0x5A; 32])
+}
+
 /// The canonical service, fresh or restored from a drain checkpoint's
 /// engine snapshot. Building it identically on both sides of the
 /// restart is what makes the replay byte-identical: the checkpoint
@@ -42,11 +47,10 @@ fn make_service(snapshot: Option<&[u8]>) -> OramService<ShardedOram> {
         ..ServiceConfig::default()
     };
     let base = HOramConfig::new(CAPACITY, PAYLOAD_LEN, 64).with_seed(9);
-    let master = MasterKey::from_bytes([0x5A; 32]);
     let oram = match snapshot {
-        Some(bytes) => ShardedOram::restore(master, |_| MemoryHierarchy::dac2019(), bytes)
+        Some(bytes) => ShardedOram::restore(master(), |_| MemoryHierarchy::dac2019(), bytes)
             .expect("checkpoint restores"),
-        None => ShardedOram::new(ShardedConfig::new(base, 2), master, |_| {
+        None => ShardedOram::new(ShardedConfig::new(base, 2), master(), |_| {
             MemoryHierarchy::dac2019()
         })
         .expect("engine builds"),
@@ -118,7 +122,7 @@ fn main() {
     println!(
         "drained: served {} requests, checkpoint {} bytes ({} idempotency-window entries)",
         outcome.counters.served,
-        checkpoint.to_bytes().len(),
+        checkpoint.to_bytes(&master()).len(),
         checkpoint.window.len(),
     );
 

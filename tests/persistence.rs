@@ -194,8 +194,9 @@ fn corrupted_and_wrong_key_snapshots_error() {
 
 /// Envelope versions 2 through 7 each dropped fields from the embedded
 /// config codec (7 also moved the memory tree's seal sequence and stash
-/// behind its statistics and position map), which shifts every later
-/// byte: a snapshot or drain checkpoint of an older version must be refused with the typed version error by every
+/// behind its statistics and position map; 8 stores one slot per block
+/// in the flat permutation list and drops the recursive map's resident
+/// count), which shifts every later byte: a snapshot or drain checkpoint of an older version must be refused with the typed version error by every
 /// restore path, never mis-parsed. The reader checks the version before
 /// anything else it trusts, so rewriting the field on a fresh snapshot
 /// takes exactly the path a genuine old one does.
@@ -233,14 +234,16 @@ fn assert_old_envelopes_are_refused(version: u32) {
         |snapshot: &[u8]| ShardedOram::restore(master(), |_| MemoryHierarchy::dac2019(), snapshot);
     assert_refused(restore(&manifest).err(), "ShardedOram::restore");
 
-    // The daemon's drain-checkpoint container is unchanged, so it still
-    // parses; the sealed engine state inside it is what gets refused.
+    // A current drain checkpoint around the old engine state still
+    // opens; the sealed engine state inside it is what gets refused.
     let checkpoint = horam_rpc::server::Checkpoint {
         snapshot: manifest,
         window: Vec::new(),
         epoch: 0,
     };
-    let parsed = horam_rpc::server::Checkpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
+    let parsed =
+        horam_rpc::server::Checkpoint::from_bytes(&master(), &checkpoint.to_bytes(&master()))
+            .unwrap();
     assert_refused(restore(&parsed.snapshot).err(), "Checkpoint → restore");
 }
 
@@ -272,6 +275,11 @@ fn version_5_envelopes_are_refused_by_every_restore_path() {
 #[test]
 fn version_6_envelopes_are_refused_by_every_restore_path() {
     assert_old_envelopes_are_refused(6);
+}
+
+#[test]
+fn version_7_envelopes_are_refused_by_every_restore_path() {
+    assert_old_envelopes_are_refused(7);
 }
 
 /// The worker-thread count is a property of the host that runs the

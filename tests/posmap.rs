@@ -4,7 +4,7 @@
 //! either map must be response-identical — at one shard and at four.
 
 use horam::core::shard::{ShardedConfig, ShardedOram};
-use horam::core::{build_posmap, Location, PositionMap};
+use horam::core::{build_posmap, PositionMap};
 use horam::prelude::*;
 
 fn config(capacity: u64, seed: u64) -> HOramConfig {
@@ -13,11 +13,11 @@ fn config(capacity: u64, seed: u64) -> HOramConfig {
 
 /// Both implementations over the same geometry, boxed behind the trait.
 ///
-/// Construction state is owned by the storage layer (the flat map starts
-/// on its seed permutation, the recursive map all-in-memory, and the
-/// layer's initial layout overwrites both) — so conformance scripts first
-/// normalize through the public contract: one full-image rebuild placing
-/// block `i` at slot `i`.
+/// Construction state is owned by the storage layer (both maps start with
+/// every block at slot 0 and every slot unowned, and the layer's initial
+/// layout overwrites both) — so conformance scripts first normalize
+/// through the public contract: one full-image rebuild placing block `i`
+/// at slot `i`.
 fn both(capacity: u64, seed: u64) -> Vec<Box<dyn PositionMap>> {
     let master = MasterKey::from_bytes([0x77; 32]);
     let flat = build_posmap(&config(capacity, seed), &master, false).expect("flat builds");
@@ -45,18 +45,14 @@ fn both(capacity: u64, seed: u64) -> Vec<Box<dyn PositionMap>> {
 enum Step {
     Place(u64, u64),
     TakeOwner(u64),
-    SetInMemory(u64),
     Location(u64),
-    InMemoryCount,
 }
 
 fn apply(map: &mut dyn PositionMap, step: Step) -> String {
     match step {
         Step::Place(id, slot) => format!("{:?}", map.place(BlockId(id), slot)),
         Step::TakeOwner(slot) => format!("{:?}", map.take_owner(slot)),
-        Step::SetInMemory(id) => format!("{:?}", map.set_in_memory(BlockId(id))),
         Step::Location(id) => format!("{:?}", map.location(BlockId(id))),
-        Step::InMemoryCount => format!("{}", map.in_memory_count()),
     }
 }
 
@@ -64,31 +60,21 @@ fn apply(map: &mut dyn PositionMap, step: Step) -> String {
 fn scripted_sequences_agree_across_implementations() {
     // From the normalized layout (block `i` at slot `i`, slots 64..79
     // free), walk the storage layer's real call discipline: misses
-    // (`location` → `take_owner` → `set_in_memory`), dummy prefetches
-    // (`take_owner` on an empty slot), and re-homing (`place` into a free
-    // slot).
+    // (`location` → `take_owner`), dummy prefetches (`take_owner` on an
+    // empty slot), and re-homing (`place` into a free slot).
     let script = [
-        Step::InMemoryCount,
         Step::Location(0),
         Step::Location(63),
         Step::TakeOwner(0),
-        Step::SetInMemory(0),
         Step::Location(0),
-        Step::InMemoryCount,
         Step::TakeOwner(0),
         Step::Place(0, 70),
         Step::Location(0),
-        Step::InMemoryCount,
         Step::TakeOwner(5),
-        Step::SetInMemory(5),
-        Step::InMemoryCount,
         Step::Place(5, 0),
         Step::Location(5),
-        Step::InMemoryCount,
         Step::TakeOwner(70),
-        Step::SetInMemory(0),
         Step::Location(0),
-        Step::InMemoryCount,
     ];
     let mut maps = both(64, 11);
     let mut transcripts: Vec<Vec<String>> = vec![Vec::new(); maps.len()];
@@ -111,47 +97,42 @@ fn randomized_sequences_agree_with_a_naive_model() {
     let capacity = 128u64;
     let mut maps = both(capacity, 7);
     let total_slots = maps[0].total_slots();
-    // The naive model of the normalized layout: block `i` at slot `i`.
-    let mut model: Vec<Option<u64>> = (0..capacity).map(Some).collect();
+    // The naive model of the normalized layout: block `i` at slot `i`. A
+    // block keeps naming the slot it left; it is resident while that
+    // slot's owner does not name it back.
+    let mut model: Vec<u64> = (0..capacity).collect();
     let mut owners: Vec<Option<u64>> = (0..total_slots)
         .map(|s| (s < capacity).then_some(s))
         .collect();
 
     let mut rng = DeterministicRng::from_u64_seed(0xBEEF);
     for _ in 0..600 {
-        // Each iteration follows the storage layer's discipline: a take
-        // of a real owner is followed by its promotion to memory.
-        let steps: Vec<Step> = match rng.gen_range(0..4u8) {
+        // Each iteration follows the storage layer's discipline.
+        let steps: Vec<Step> = match rng.gen_range(0..3u8) {
             0 => {
-                // Re-home a currently-in-memory block into a free slot.
+                // Re-home a currently resident block into a free slot.
                 let free: Vec<u64> = (0..total_slots)
                     .filter(|&s| owners[s as usize].is_none())
                     .collect();
                 let homeless: Vec<u64> = (0..capacity)
-                    .filter(|&id| model[id as usize].is_none())
+                    .filter(|&id| owners[model[id as usize] as usize] != Some(id))
                     .collect();
                 if free.is_empty() || homeless.is_empty() {
                     continue;
                 }
                 let id = homeless[rng.gen_range(0..homeless.len())];
                 let slot = free[rng.gen_range(0..free.len())];
-                model[id as usize] = Some(slot);
+                model[id as usize] = slot;
                 owners[slot as usize] = Some(id);
                 vec![Step::Place(id, slot)]
             }
             1 => {
                 // A miss or dummy prefetch on a random slot.
                 let slot = rng.gen_range(0..total_slots);
-                match owners[slot as usize].take() {
-                    Some(id) => {
-                        model[id as usize] = None;
-                        vec![Step::TakeOwner(slot), Step::SetInMemory(id)]
-                    }
-                    None => vec![Step::TakeOwner(slot)],
-                }
+                owners[slot as usize] = None;
+                vec![Step::TakeOwner(slot)]
             }
-            2 => vec![Step::Location(rng.gen_range(0..capacity))],
-            _ => vec![Step::InMemoryCount],
+            _ => vec![Step::Location(rng.gen_range(0..capacity))],
         };
         for step in steps {
             let outcomes: Vec<String> = maps
@@ -167,12 +148,8 @@ fn randomized_sequences_agree_with_a_naive_model() {
 
     // Final sweep: every block's location matches the model in both maps.
     for id in 0..capacity {
-        let expected = match model[id as usize] {
-            Some(slot) => Location::Storage { slot },
-            None => Location::Memory,
-        };
         for map in &mut maps {
-            assert_eq!(map.location(BlockId(id)).unwrap(), expected);
+            assert_eq!(map.location(BlockId(id)).unwrap(), model[id as usize]);
         }
     }
 }
@@ -184,26 +161,22 @@ fn rebuild_all_agrees_across_implementations() {
     let total_slots = maps[0].total_slots();
 
     // A full image placing every other block (at spread-out slots),
-    // leaving the rest in memory.
+    // leaving the rest resident: they get slot 0.
     let mut image: Vec<Option<BlockId>> = vec![None; total_slots as usize];
     for id in (0..capacity).step_by(2) {
         image[id as usize] = Some(BlockId(id));
     }
-    let placed = image.iter().flatten().count() as u64;
     for map in &mut maps {
         map.rebuild_all(&image).expect("full rebuild");
     }
     for id in 0..capacity {
-        let expected = match image.iter().position(|o| *o == Some(BlockId(id))) {
-            Some(slot) => Location::Storage { slot: slot as u64 },
-            None => Location::Memory,
-        };
+        let expected = image
+            .iter()
+            .position(|o| *o == Some(BlockId(id)))
+            .unwrap_or(0) as u64;
         for map in &mut maps {
             assert_eq!(map.location(BlockId(id)).unwrap(), expected);
         }
-    }
-    for map in &maps {
-        assert_eq!(map.in_memory_count(), capacity - placed);
     }
 
     // Pass-sized owner sweeps agree with the image too.
