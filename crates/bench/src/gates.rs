@@ -1524,6 +1524,7 @@ mod capacity {
 /// shed writes must reach the uninterrupted run's state.
 mod rpc {
     use super::*;
+    use horam::crypto::persist::StateReader;
     use horam_rpc::server::{
         bind_signals_to_drain, run_server, Checkpoint, ServerConfig, ServerOutcome,
     };
@@ -1613,14 +1614,20 @@ mod rpc {
     }
 
     /// The service every side serves: gate, reference and server role.
-    fn fresh_service(snapshot: Option<&[u8]>) -> OramService {
+    fn fresh_service(engine: Option<&[u8]>) -> OramService {
         let config = batched();
         let base = config
             .engine_config(HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS))
             .with_seed(SEED);
-        let oram = match snapshot {
-            Some(bytes) => ShardedOram::restore(master(), |_| MemoryHierarchy::dac2019(), bytes)
-                .expect("checkpoint restores"),
+        let oram = match engine {
+            Some(engine) => {
+                let mut r = StateReader::new(engine);
+                let oram =
+                    ShardedOram::load_state(master(), |_| MemoryHierarchy::dac2019(), &mut r)
+                        .expect("checkpoint restores");
+                r.finish().expect("nothing follows the engine body");
+                oram
+            }
             None => sharded(base, SHARDS, 0xEC),
         };
         let mut service = OramService::new(oram, Box::new(FifoPolicy), config);
@@ -1956,7 +1963,7 @@ mod rpc {
 
         let restored_epoch = checkpoint.epoch + 1;
         let restored = spawn_server(
-            fresh_service(Some(&checkpoint.snapshot)),
+            fresh_service(Some(&checkpoint.engine)),
             ServerConfig {
                 epoch: restored_epoch,
                 preload_window: checkpoint.window,

@@ -22,9 +22,11 @@ pub enum HOramError {
     /// geometry violations, storage faults, authentication failures,
     /// snapshot problems, or internal invariant violations.
     Protocol(OramError),
-    /// The shard that owns the request has been quarantined and could not
-    /// be restored (permanent media failure, no recovery checkpoint, or a
-    /// failed restore). Requests routed to other shards keep serving.
+    /// The shard that owns the request failed and has been quarantined:
+    /// its uncollected tickets and every later request routed to it fail
+    /// with this error, while requests routed to other shards keep
+    /// serving. The shard stays out of service until an operator
+    /// restores the whole instance from its last snapshot.
     ShardDegraded {
         /// The degraded shard's index.
         shard: usize,

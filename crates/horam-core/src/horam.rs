@@ -168,7 +168,8 @@ impl HOram {
     /// **commits the storage device** first (a durable device flushes its
     /// write-back buffer, fsyncs, and truncates its undo journal), so the
     /// on-disk image a later recovery adopts is exactly the one this
-    /// snapshot describes.
+    /// snapshot describes. The snapshot is one envelope around the
+    /// instance's plain state body.
     ///
     /// The snapshot leaks nothing beyond its size (and whether two
     /// snapshots captured identical state — the envelope nonce is a
@@ -181,6 +182,17 @@ impl HOram {
     /// (snapshots are taken at batch boundaries — the serving layer's
     /// checkpoint drains first); storage backend errors propagate.
     pub fn snapshot(&mut self) -> Result<Vec<u8>, OramError> {
+        let mut w = StateWriter::new();
+        self.save_state(&mut w)?;
+        let body = w.into_bytes();
+        let seq = persist::envelope_seq(&self.snapshot_keys, &body);
+        Ok(seal_envelope(&self.snapshot_keys, KIND_SINGLE, seq, &body))
+    }
+
+    /// Commits the devices and writes the plain state body that
+    /// [`snapshot`](Self::snapshot) seals, or a sharded snapshot inlines.
+    /// Errors as `snapshot`'s; on error `w` may hold a partial body.
+    pub(crate) fn save_state(&mut self, w: &mut StateWriter) -> Result<(), OramError> {
         if !self.queue.is_drained() {
             return Err(OramError::SnapshotInvalid {
                 reason: format!(
@@ -201,19 +213,14 @@ impl HOram {
             .map_err(OramError::Storage)?;
         self.storage.posmap_mut().sync()?;
 
-        let mut w = StateWriter::new();
-        persist::save_config(&self.config, &mut w);
+        persist::save_config(&self.config, w);
         w.put_u64(self.clock.now().as_nanos());
         w.put_u64(self.io_used_in_period);
         w.put_u64(self.period_seq);
-        self.stats.save_state(&mut w);
-        self.queue.save_state(&mut w);
-        self.memory.save_state(&mut w)?;
-        self.storage.save_state(&mut w)?;
-
-        let body = w.into_bytes();
-        let seq = persist::envelope_seq(&self.snapshot_keys, &body);
-        Ok(seal_envelope(&self.snapshot_keys, KIND_SINGLE, seq, &body))
+        self.stats.save_state(w);
+        self.queue.save_state(w);
+        self.memory.save_state(w)?;
+        self.storage.save_state(w)
     }
 
     /// Rebuilds an instance from a snapshot sealed by
@@ -243,23 +250,22 @@ impl HOram {
         master: MasterKey,
         snapshot: &[u8],
     ) -> Result<Self, OramError> {
-        Self::restore_with_threads(hierarchy, master, snapshot, crate::config::host_threads())
+        let body = open_envelope(&master.derive(SNAPSHOT_DOMAIN, 0), KIND_SINGLE, snapshot)?;
+        let mut r = StateReader::new(&body);
+        let oram = Self::load_state(hierarchy, master, &mut r, crate::config::host_threads())?;
+        r.finish()?;
+        Ok(oram)
     }
 
-    /// [`restore`](Self::restore) at a given worker-thread count: a
-    /// sharded instance restores its shards at the count
-    /// [`ShardedConfig::shard_config`](crate::shard::ShardedConfig::shard_config)
-    /// gives them.
-    pub(crate) fn restore_with_threads(
+    /// [`restore`](Self::restore) from a plain [`save_state`](Self::save_state)
+    /// body, at the `worker_threads` a sharded instance gives its shards.
+    pub(crate) fn load_state(
         hierarchy: MemoryHierarchy,
         master: MasterKey,
-        snapshot: &[u8],
+        r: &mut StateReader<'_>,
         worker_threads: usize,
     ) -> Result<Self, OramError> {
-        let snapshot_keys = master.derive(SNAPSHOT_DOMAIN, 0);
-        let body = open_envelope(&snapshot_keys, KIND_SINGLE, snapshot)?;
-        let mut r = StateReader::new(&body);
-        let config = persist::load_config(&mut r)?.with_worker_threads(worker_threads);
+        let config = persist::load_config(r)?.with_worker_threads(worker_threads);
         config.validate();
 
         let clock = hierarchy.clock().clone();
@@ -273,20 +279,19 @@ impl HOram {
         let clock_nanos = r.get_u64()?;
         let io_used_in_period = r.get_u64()?;
         let period_seq = r.get_u64()?;
-        let stats = HOramStats::load_state(&mut r)?;
+        let stats = HOramStats::load_state(r)?;
         let mut queue = RequestQueue::new(config.capacity, config.payload_len);
-        queue.load_state(&mut r)?;
+        queue.load_state(r)?;
         let mut memory = Self::build_memory_layer(&config, memory_device, &master)?;
-        memory.load_state(&mut r)?;
+        memory.load_state(r)?;
         let posmap = crate::posmap::build_posmap_on(&config, &master, true, &trace)?;
         let storage = StorageLayer::restore(
             &config,
             storage_device,
             KeyHierarchy::new(master.clone(), "horam/storage"),
             posmap,
-            &mut r,
+            r,
         )?;
-        r.finish()?;
 
         // The hierarchy's accounting restarts at the snapshot's instant:
         // the trace is empty (the adversary's pre-crash view is already
@@ -298,6 +303,7 @@ impl HOram {
         clock.advance(SimDuration::from_nanos(clock_nanos));
 
         let seed_prf = Prf::new(master.derive("horam/seeds", 0).prf().to_owned());
+        let snapshot_keys = master.derive(SNAPSHOT_DOMAIN, 0);
         Ok(Self {
             config,
             memory,

@@ -34,7 +34,8 @@ use oram_storage::cache::CacheConfig;
 
 /// Envelope kind of a single-instance snapshot.
 pub const KIND_SINGLE: u32 = 1;
-/// Envelope kind of a sharded manifest (N embedded shard snapshots).
+/// Envelope kind of a sharded snapshot (a manifest and N inline shard
+/// bodies).
 pub const KIND_SHARDED: u32 = 2;
 
 /// Key-derivation domain for snapshot sealing.

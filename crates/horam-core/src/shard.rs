@@ -238,25 +238,9 @@ struct TicketRoute {
     local_ticket: u64,
 }
 
-/// The quarantine-and-restore machinery: a factory for fresh per-shard
-/// hierarchies plus the last per-shard checkpoint, captured by
-/// [`ShardedOram::enable_recovery`] /
-/// [`ShardedOram::refresh_checkpoints`]. With a kit installed, a shard
-/// that fails authentication (or any other non-permanent fault) is
-/// rebuilt from its checkpoint instead of degrading.
-struct RecoveryKit {
-    hierarchy_for: Box<dyn FnMut(u64) -> MemoryHierarchy + Send>,
-    /// One sealed [`HOram::snapshot`] per shard.
-    checkpoints: Vec<Vec<u8>>,
-}
-
-impl std::fmt::Debug for RecoveryKit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecoveryKit")
-            .field("checkpoints", &self.checkpoints.len())
-            .finish_non_exhaustive()
-    }
-}
+/// One ticket route's size in a manifest body: ticket, shard and
+/// shard-local ticket, a `u64` each.
+const ROUTE_BYTES: usize = 3 * 8;
 
 /// `N` independent H-ORAM instances behind one address space.
 ///
@@ -294,20 +278,12 @@ pub struct ShardedOram {
     workers: WorkerPool,
     /// Keys sealing this instance's manifest snapshots.
     snapshot_keys: SubKeys,
-    /// Per-shard derived master keys, retained so a quarantined shard can
-    /// be restored from its checkpoint without the instance master.
-    shard_masters: Vec<MasterKey>,
-    /// Quarantine-and-restore state; `None` until
-    /// [`enable_recovery`](Self::enable_recovery).
-    recovery: Option<RecoveryKit>,
     /// Per-shard degradation reason; `Some` marks the shard out of
     /// service (its requests fail typed, the rest keep serving).
     degraded: Vec<Option<String>>,
     /// Failures recorded for tickets lost to a shard failure, collected
     /// via [`take_failure`](Self::take_failure).
     failures: HashMap<u64, HOramError>,
-    /// Checkpoint restores performed after shard failures.
-    recoveries: u64,
 }
 
 /// Shard instances are moved onto pool workers by reference; everything
@@ -360,17 +336,14 @@ impl ShardedOram {
             config.shards,
         )?;
         let mut shards = Vec::with_capacity(config.shards as usize);
-        let mut shard_masters = Vec::with_capacity(config.shards as usize);
         for shard in 0..config.shards {
             // Each shard gets a computationally independent master key, so
             // shard devices never share encryption/PRP material.
-            let shard_master = Self::derive_shard_master(&master, shard);
             shards.push(HOram::new(
                 config.shard_config(shard),
                 hierarchy_for(shard),
-                shard_master.clone(),
+                Self::derive_shard_master(&master, shard),
             )?);
-            shard_masters.push(shard_master);
         }
         let workers = WorkerPool::new(config.base.worker_width());
         let snapshot_keys = master.derive(SNAPSHOT_DOMAIN, 0);
@@ -384,26 +357,38 @@ impl ShardedOram {
             next_ticket: 0,
             workers,
             snapshot_keys,
-            shard_masters,
-            recovery: None,
             degraded,
             failures: HashMap::new(),
-            recoveries: 0,
         })
     }
 
-    /// Seals the sharded instance's trusted state: a manifest (geometry,
-    /// ticket routing, shared clock) plus one embedded
-    /// [`HOram::snapshot`] per shard, each sealed under its own shard's
-    /// derived keys. Every shard's durable device commits before its
-    /// snapshot is taken, so one manifest describes one consistent
-    /// checkpoint across all shards.
+    /// Seals the sharded instance's trusted state: one envelope around
+    /// the [`save_state`](Self::save_state) body, the manifest with every
+    /// shard's body inline.
     ///
     /// # Errors
     ///
-    /// [`OramError::SnapshotInvalid`] if any shard has requests queued;
-    /// storage backend errors propagate.
+    /// As [`save_state`](Self::save_state).
     pub fn snapshot(&mut self) -> Result<Vec<u8>, OramError> {
+        let mut w = StateWriter::new();
+        self.save_state(&mut w)?;
+        let body = w.into_bytes();
+        let seq = persist::envelope_seq(&self.snapshot_keys, &body);
+        Ok(seal_envelope(&self.snapshot_keys, KIND_SHARDED, seq, &body))
+    }
+
+    /// Writes the trusted state as a plain body for whoever writes the
+    /// file to seal once: a manifest (geometry, shared clock, ticket
+    /// routing), then each shard's [`HOram`] body inline, after that
+    /// shard's durable device commits — one consistent checkpoint across
+    /// all shards. Shard blocks stay under each shard's derived keys.
+    ///
+    /// # Errors
+    ///
+    /// [`OramError::SnapshotInvalid`] if any shard is degraded or has
+    /// requests queued; storage backend errors propagate. On error `w`
+    /// may hold a partial body.
+    pub fn save_state(&mut self, w: &mut StateWriter) -> Result<(), OramError> {
         if let Some(shard) = self.degraded_shards().first() {
             return Err(OramError::SnapshotInvalid {
                 reason: format!("shard {shard} is degraded; a checkpoint would lose its blocks"),
@@ -417,29 +402,23 @@ impl ShardedOram {
                 ),
             });
         }
-        let mut w = StateWriter::new();
-        persist::save_config(&self.config.base, &mut w);
+        persist::save_config(&self.config.base, w);
         w.put_u64(self.config.shards);
         w.put_u64(self.clock.now().as_nanos());
         w.put_u64(self.next_ticket);
         // Outstanding ticket routes (responses produced but not yet
         // collected), in ticket order for byte-stable manifests.
-        let mut routes: Vec<(u64, TicketRoute)> =
-            self.routes.iter().map(|(t, r)| (*t, *r)).collect();
-        routes.sort_unstable_by_key(|(t, _)| *t);
+        let routes: std::collections::BTreeMap<_, _> = self.routes.iter().collect();
         w.put_usize(routes.len());
         for (ticket, route) in routes {
-            w.put_u64(ticket);
+            w.put_u64(*ticket);
             w.put_usize(route.shard);
             w.put_u64(route.local_ticket);
         }
         for shard in &mut self.shards {
-            let sealed = shard.snapshot()?;
-            w.put_bytes(&sealed);
+            shard.save_state(w)?;
         }
-        let body = w.into_bytes();
-        let seq = persist::envelope_seq(&self.snapshot_keys, &body);
-        Ok(seal_envelope(&self.snapshot_keys, KIND_SHARDED, seq, &body))
+        Ok(())
     }
 
     /// Rebuilds a sharded instance from a manifest sealed by
@@ -455,19 +434,47 @@ impl ShardedOram {
     /// closed.
     pub fn restore(
         master: MasterKey,
-        mut hierarchy_for: impl FnMut(u64) -> MemoryHierarchy,
+        hierarchy_for: impl FnMut(u64) -> MemoryHierarchy,
         snapshot: &[u8],
     ) -> Result<Self, OramError> {
-        let snapshot_keys = master.derive(SNAPSHOT_DOMAIN, 0);
-        let body = open_envelope(&snapshot_keys, KIND_SHARDED, snapshot)?;
+        let body = open_envelope(&master.derive(SNAPSHOT_DOMAIN, 0), KIND_SHARDED, snapshot)?;
         let mut r = StateReader::new(&body);
-        let base = persist::load_config(&mut r)?;
+        let oram = Self::load_state(master, hierarchy_for, &mut r)?;
+        r.finish()?;
+        Ok(oram)
+    }
+
+    /// [`restore`](Self::restore) from a [`save_state`](Self::save_state)
+    /// body the caller has opened; it then checks with
+    /// [`StateReader::finish`] that nothing follows the body.
+    ///
+    /// # Errors
+    ///
+    /// [`OramError::SnapshotInvalid`] for a truncated or malformed body
+    /// (a shard or route count is checked before anything is sized by
+    /// it), or one of another key or geometry.
+    pub fn load_state(
+        master: MasterKey,
+        mut hierarchy_for: impl FnMut(u64) -> MemoryHierarchy,
+        r: &mut StateReader<'_>,
+    ) -> Result<Self, OramError> {
+        let base = persist::load_config(r)?;
         let shard_count = r.get_u64()?;
+        if shard_count == 0 || shard_count > base.capacity {
+            return Err(OramError::SnapshotInvalid {
+                reason: format!("{shard_count} shards over {} blocks", base.capacity),
+            });
+        }
         let config = ShardedConfig::new(base, shard_count);
         config.validate();
         let clock_nanos = r.get_u64()?;
         let next_ticket = r.get_u64()?;
         let route_count = r.get_usize()?;
+        if route_count > r.remaining() / ROUTE_BYTES {
+            return Err(OramError::SnapshotInvalid {
+                reason: format!("{route_count} ticket routes exceed the body"),
+            });
+        }
         let mut routes = HashMap::with_capacity(route_count);
         for _ in 0..route_count {
             let ticket = r.get_u64()?;
@@ -491,20 +498,15 @@ impl ShardedOram {
             config.base.capacity,
             config.shards,
         )?;
-        let mut shards = Vec::with_capacity(shard_count as usize);
-        let mut shard_masters = Vec::with_capacity(shard_count as usize);
+        let mut shards = Vec::new();
         for shard in 0..shard_count {
-            let sealed = r.get_bytes()?;
-            let shard_master = Self::derive_shard_master(&master, shard);
-            shards.push(HOram::restore_with_threads(
+            shards.push(HOram::load_state(
                 hierarchy_for(shard),
-                shard_master.clone(),
-                sealed,
+                Self::derive_shard_master(&master, shard),
+                r,
                 config.shard_config(shard).worker_threads,
             )?);
-            shard_masters.push(shard_master);
         }
-        r.finish()?;
         let clock = SimClock::new();
         clock.advance(oram_storage::clock::SimDuration::from_nanos(clock_nanos));
         let workers = WorkerPool::new(config.base.worker_width());
@@ -517,12 +519,9 @@ impl ShardedOram {
             routes,
             next_ticket,
             workers,
-            snapshot_keys,
-            shard_masters,
-            recovery: None,
+            snapshot_keys: master.derive(SNAPSHOT_DOMAIN, 0),
             degraded,
             failures: HashMap::new(),
-            recoveries: 0,
         })
     }
 
@@ -683,12 +682,10 @@ impl ShardedOram {
     /// # Errors
     ///
     /// Per-shard failures do **not** propagate: a shard whose window
-    /// errors is handed to the quarantine machinery — every uncollected
-    /// ticket routed to it resolves to a typed failure (see
-    /// [`take_failure`](Self::take_failure)), and the shard is either
-    /// restored from its checkpoint (when a [recovery
-    /// kit](Self::enable_recovery) is installed and the fault is not
-    /// permanent media failure) or marked degraded while the remaining
+    /// errors is quarantined — marked degraded, with every uncollected
+    /// ticket routed to it resolving to
+    /// [`HOramError::ShardDegraded`] (see
+    /// [`take_failure`](Self::take_failure)) — while the remaining
     /// shards keep serving. `Err` from this method therefore means the
     /// engine as a whole cannot continue, which the current absorption
     /// policy never concludes — the signature reserves the channel.
@@ -732,56 +729,27 @@ impl ShardedOram {
         Ok(executed)
     }
 
-    /// Absorbs one shard's window failure: fails every uncollected ticket
-    /// routed to it with a typed error, then either restores the shard
-    /// from its checkpoint or quarantines it. Permanent media failures
-    /// ([`StorageError::PermanentFault`](oram_storage::StorageError))
-    /// always degrade — re-mounting the same dead device would fail the
-    /// same way; anything else (authentication failures from corrupted
-    /// blocks, exhausted transient faults, invariant violations) is
-    /// recoverable from the last checkpoint when a kit is installed.
+    /// Absorbs one shard's window failure: the shard degrades and every
+    /// uncollected ticket routed to it fails with
+    /// [`HOramError::ShardDegraded`]. The failed window may have left the
+    /// shard half applied, so it never serves again; the way back is an
+    /// operator's [`restore`](Self::restore) of the whole instance from
+    /// its last snapshot, which `horam-serverd` does on restart.
     fn handle_shard_failure(&mut self, shard: usize, error: OramError) {
-        let lost: Vec<u64> = self
-            .routes
-            .iter()
-            .filter(|(_, route)| route.shard == shard)
-            .map(|(ticket, _)| *ticket)
-            .collect();
-        let permanent = matches!(
-            &error,
-            OramError::Storage(oram_storage::StorageError::PermanentFault { .. })
-        );
-        let restored = !permanent
-            && match self.recovery.as_mut() {
-                Some(kit) => {
-                    let hierarchy = (kit.hierarchy_for)(shard as u64);
-                    match HOram::restore_with_threads(
-                        hierarchy,
-                        self.shard_masters[shard].clone(),
-                        &kit.checkpoints[shard],
-                        self.config.shard_config(shard as u64).worker_threads,
-                    ) {
-                        Ok(fresh) => {
-                            self.shards[shard] = fresh;
-                            self.recoveries += 1;
-                            true
-                        }
-                        Err(_) => false,
-                    }
-                }
-                None => false,
-            };
-        let ticket_error = if restored {
-            HOramError::Protocol(error)
-        } else {
-            let reason = error.to_string();
-            self.degraded[shard] = Some(reason.clone());
-            HOramError::ShardDegraded { shard, reason }
+        let reason = error.to_string();
+        let lost = HOramError::ShardDegraded {
+            shard,
+            reason: reason.clone(),
         };
-        for ticket in lost {
-            self.routes.remove(&ticket);
-            self.failures.insert(ticket, ticket_error.clone());
-        }
+        let failures = &mut self.failures;
+        self.routes.retain(|ticket, route| {
+            let keep = route.shard != shard;
+            if !keep {
+                failures.insert(*ticket, lost.clone());
+            }
+            keep
+        });
+        self.degraded[shard] = Some(reason);
     }
 
     /// Advances the shared clock to the busiest shard's timeline. Each
@@ -840,72 +808,6 @@ impl ShardedOram {
         self.drain(&tickets)
     }
 
-    /// Installs the quarantine-and-restore machinery: a factory producing
-    /// a fresh hierarchy for any shard index, plus one checkpoint per
-    /// shard captured *now*. After this, a shard failing with anything
-    /// other than permanent media failure is rebuilt from its checkpoint
-    /// (rolling back to it) instead of degrading; call
-    /// [`refresh_checkpoints`](Self::refresh_checkpoints) after writes
-    /// you want a future restore to keep.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::SnapshotInvalid`] while requests are in flight or a
-    /// shard is already degraded; storage errors propagate.
-    pub fn enable_recovery(
-        &mut self,
-        hierarchy_for: impl FnMut(u64) -> MemoryHierarchy + Send + 'static,
-    ) -> Result<(), OramError> {
-        let mut kit = RecoveryKit {
-            hierarchy_for: Box::new(hierarchy_for),
-            checkpoints: Vec::new(),
-        };
-        self.recovery = None;
-        kit.checkpoints = self.capture_checkpoints()?;
-        self.recovery = Some(kit);
-        Ok(())
-    }
-
-    /// Re-captures every shard's checkpoint so future restores roll back
-    /// to the current state rather than the one
-    /// [`enable_recovery`](Self::enable_recovery) saw.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::SnapshotInvalid`] while requests are in flight, a
-    /// shard is degraded, or no kit is installed; on error the previous
-    /// checkpoints stay in effect.
-    pub fn refresh_checkpoints(&mut self) -> Result<(), OramError> {
-        if self.recovery.is_none() {
-            return Err(OramError::SnapshotInvalid {
-                reason: "no recovery kit installed".into(),
-            });
-        }
-        let checkpoints = self.capture_checkpoints()?;
-        if let Some(kit) = self.recovery.as_mut() {
-            kit.checkpoints = checkpoints;
-        }
-        Ok(())
-    }
-
-    /// One [`HOram::snapshot`] per shard, for the recovery kit.
-    fn capture_checkpoints(&mut self) -> Result<Vec<Vec<u8>>, OramError> {
-        if let Some(shard) = self.degraded_shards().first() {
-            return Err(OramError::SnapshotInvalid {
-                reason: format!("shard {shard} is degraded; nothing left to checkpoint"),
-            });
-        }
-        if !self.is_drained() {
-            return Err(OramError::SnapshotInvalid {
-                reason: format!(
-                    "{} requests still queued; drain before checkpointing",
-                    self.pending()
-                ),
-            });
-        }
-        self.shards.iter_mut().map(HOram::snapshot).collect()
-    }
-
     /// Removes and returns the typed failure recorded for `ticket`, if
     /// its request was lost to a shard failure. A ticket resolves through
     /// exactly one of [`take_response`](Self::take_response) or this.
@@ -921,11 +823,6 @@ impl ShardedOram {
             .filter(|(_, d)| d.is_some())
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Checkpoint restores performed after shard failures so far.
-    pub fn recoveries(&self) -> u64 {
-        self.recoveries
     }
 
     /// Wraps one shard's storage store in a deterministic fault injector
@@ -1008,6 +905,7 @@ impl Oram for ShardedOram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oram_crypto::persist::{ENVELOPE_MAGIC, ENVELOPE_OVERHEAD};
     use oram_crypto::rng::DeterministicRng;
     use rand::Rng;
     use std::collections::HashMap;
@@ -1360,7 +1258,7 @@ mod tests {
             oram.run_cycle_window(4).unwrap();
         }
 
-        // No kit installed: the shard quarantines, its ticket fails typed.
+        // The shard quarantines, its ticket fails typed.
         assert_eq!(oram.degraded_shards(), vec![2]);
         assert_eq!(oram.take_response(doomed), None);
         assert!(matches!(
@@ -1385,87 +1283,65 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn recovery_kit_restores_a_failed_shard_from_its_checkpoint() {
-        let mut oram = build(256, 64, 4);
-        let (on, off) = pick_blocks(&mut oram, 1);
-        oram.write(on, &[5u8; 8]).unwrap();
-        oram.write(off, &[6u8; 8]).unwrap();
-        oram.enable_recovery(|_| MemoryHierarchy::dac2019())
-            .unwrap();
-
-        oram.inject_storage_faults(1, dead_reads());
-        let doomed = oram.enqueue(Request::read(on)).unwrap();
-        while !oram.is_drained() {
-            oram.run_cycle_window(4).unwrap();
-        }
-
-        // The transient-exhaustion failure is recoverable: the shard was
-        // rebuilt from its checkpoint and stays in service.
-        assert_eq!(oram.recoveries(), 1);
-        assert!(oram.degraded_shards().is_empty());
-        // The in-flight ticket still failed — the restore rolled the
-        // shard back, so its answer cannot be produced.
-        assert!(matches!(
-            oram.take_failure(doomed),
-            Some(HOramError::Protocol(OramError::Storage(
-                oram_storage::StorageError::TransientFault { .. }
-            )))
-        ));
-        // Post-restore the shard serves the checkpointed bytes again.
-        assert_eq!(oram.read(on).unwrap(), vec![5u8; 8]);
-        assert_eq!(oram.read(off).unwrap(), vec![6u8; 8]);
+    /// Seals `body` as a manifest under `master`, as
+    /// [`ShardedOram::snapshot`] does.
+    fn seal_manifest(master: &MasterKey, body: &[u8]) -> Vec<u8> {
+        let keys = master.derive(SNAPSHOT_DOMAIN, 0);
+        seal_envelope(
+            &keys,
+            KIND_SHARDED,
+            persist::envelope_seq(&keys, body),
+            body,
+        )
     }
 
+    /// A snapshot is exactly one envelope: sealing its opened body again
+    /// gives the same bytes, and no shard body inside it is an envelope.
     #[test]
-    fn permanent_faults_degrade_even_with_a_recovery_kit() {
+    fn snapshot_is_one_envelope_around_inline_shard_bodies() {
+        let master = MasterKey::from_bytes([9; 32]);
         let mut oram = build(256, 64, 4);
-        let (on, _) = pick_blocks(&mut oram, 3);
-        oram.write(on, &[4u8; 8]).unwrap();
-        oram.enable_recovery(|_| MemoryHierarchy::dac2019())
-            .unwrap();
-
-        // Every slot permanently dead: re-mounting the device would fail
-        // identically, so restore is pointless and the shard degrades.
-        oram.inject_storage_faults(
-            3,
-            oram_storage::fault::FaultConfig {
-                seed: 7,
-                permanent_slots: (0..8192).collect(),
-                ..Default::default()
-            },
-        );
-        let doomed = oram.enqueue(Request::read(on)).unwrap();
-        while !oram.is_drained() {
-            oram.run_cycle_window(4).unwrap();
-        }
-        assert_eq!(oram.recoveries(), 0);
-        assert_eq!(oram.degraded_shards(), vec![3]);
-        assert!(matches!(
-            oram.take_failure(doomed),
-            Some(HOramError::ShardDegraded { shard: 3, .. })
-        ));
+        oram.write(BlockId(5), &[3u8; 8]).unwrap();
+        let sealed = oram.snapshot().unwrap();
+        let body =
+            open_envelope(&master.derive(SNAPSHOT_DOMAIN, 0), KIND_SHARDED, &sealed).unwrap();
+        assert_eq!(sealed.len(), body.len() + ENVELOPE_OVERHEAD);
+        assert_eq!(seal_manifest(&master, &body), sealed);
+        assert!(!body
+            .windows(ENVELOPE_MAGIC.len())
+            .any(|w| w == ENVELOPE_MAGIC));
     }
 
-    #[test]
-    fn refreshed_checkpoints_preserve_later_writes() {
-        let mut oram = build(256, 64, 2);
-        let (on, _) = pick_blocks(&mut oram, 0);
-        oram.write(on, &[1u8; 8]).unwrap();
-        oram.enable_recovery(|_| MemoryHierarchy::dac2019())
-            .unwrap();
-        oram.write(on, &[2u8; 8]).unwrap();
-        // Without a refresh a restore would roll back to [1; 8]; the
-        // refreshed checkpoint keeps the later write.
-        oram.refresh_checkpoints().unwrap();
+    /// A manifest body cut right after its route count.
+    fn manifest_head(shards: u64, route_count: u64) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        persist::save_config(&HOramConfig::new(256, 8, 64), &mut w);
+        w.put_u64(shards);
+        w.put_u64(0); // clock
+        w.put_u64(0); // next ticket
+        w.put_u64(route_count);
+        w.into_bytes()
+    }
 
-        oram.inject_storage_faults(0, dead_reads());
-        let doomed = oram.enqueue(Request::read(on)).unwrap();
-        while !oram.is_drained() {
-            oram.run_cycle_window(4).unwrap();
+    /// The shard and route counts of an authentic body are checked before
+    /// anything asserts on them or allocates by them.
+    #[test]
+    fn manifest_counts_are_typed_errors_before_use() {
+        let master = MasterKey::from_bytes([9; 32]);
+        for (label, body) in [
+            ("no shards", manifest_head(0, 0)),
+            ("more shards than blocks", manifest_head(257, 0)),
+            ("route count u64::MAX", manifest_head(4, u64::MAX)),
+        ] {
+            let result = ShardedOram::restore(
+                master.clone(),
+                |_| MemoryHierarchy::dac2019(),
+                &seal_manifest(&master, &body),
+            );
+            assert!(
+                matches!(result, Err(OramError::SnapshotInvalid { .. })),
+                "{label}: {result:?}"
+            );
         }
-        assert_eq!(oram.recoveries(), 1);
-        assert!(oram.take_failure(doomed).is_some());
-        assert_eq!(oram.read(on).unwrap(), vec![2u8; 8]);
     }
 }

@@ -1,11 +1,11 @@
 //! `horam-serverd` — the H-ORAM network server daemon.
 //!
 //! Serves a sharded H-ORAM engine over TCP or a Unix socket until a
-//! graceful drain (SIGTERM, or a client `Drain` frame), then writes the
-//! drain checkpoint — sealed engine snapshot plus the idempotency
-//! window — to `--checkpoint`. Started again with the same flags, it
-//! restores from that file and resumes byte-identically; a checkpoint
-//! whose geometry differs from the flags is refused. See
+//! graceful drain (SIGTERM, or a client `Drain` frame), then replaces
+//! `--checkpoint` atomically with the drain checkpoint — engine state
+//! plus the idempotency window, sealed once. Started again with the same
+//! flags, it restores from that file and resumes byte-identically; a
+//! checkpoint whose geometry differs from the flags is refused. See
 //! `docs/OPERATIONS.md` for the runbook.
 //!
 //! ```text
@@ -22,8 +22,10 @@ use horam_rpc::{Endpoint, Listener};
 use horam_server::service::{OramService, ServiceConfig};
 use horam_server::FifoPolicy;
 use oram_crypto::keys::MasterKey;
+use oram_crypto::persist::StateReader;
 use oram_storage::hierarchy::MemoryHierarchy;
-use std::path::PathBuf;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -150,7 +152,7 @@ const USAGE: &str = "horam-serverd — H-ORAM network server
 
 /// The engine to serve, with the epoch and idempotency window to resume:
 /// restored from `--checkpoint` when that file exists (a checkpoint from
-/// a previous drain carries the sealed engine state and the window;
+/// a previous drain carries the engine state and the window;
 /// tenants and grants are configuration, re-registered from the flags),
 /// fresh at epoch 0 otherwise.
 fn open_engine(args: &Args) -> Result<(ShardedOram, u64, Vec<WindowEntry>), String> {
@@ -172,8 +174,10 @@ fn open_engine(args: &Args) -> Result<(ShardedOram, u64, Vec<WindowEntry>), Stri
         path.display(),
         checkpoint.window.len()
     );
-    let oram = ShardedOram::restore(master, |_| MemoryHierarchy::dac2019(), &checkpoint.snapshot)
+    let mut engine = StateReader::new(&checkpoint.engine);
+    let oram = ShardedOram::load_state(master, |_| MemoryHierarchy::dac2019(), &mut engine)
         .map_err(|e| format!("restore: {e}"))?;
+    engine.finish().map_err(|e| format!("restore: {e}"))?;
     // Tenant ranges come from the flags: serving the checkpoint's
     // geometry under other flags would grant blocks of the wrong tenant.
     let stored = &oram.config().base;
@@ -195,6 +199,26 @@ fn open_engine(args: &Args) -> Result<(ShardedOram, u64, Vec<WindowEntry>), Stri
         }
     }
     Ok((oram, epoch, checkpoint.window))
+}
+
+/// Replaces the checkpoint at `path` with `bytes` atomically: the bytes
+/// go to a sibling temp file, which is synced and renamed over `path`,
+/// and then the directory is synced. The file is the only copy of a
+/// volatile engine's data, so a crash mid-write must leave the previous
+/// checkpoint whole rather than a torn file the next start refuses.
+fn write_checkpoint(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut temp = path.as_os_str().to_owned();
+    temp.push(".tmp");
+    let temp = PathBuf::from(temp);
+    let mut file = std::fs::File::create(&temp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    std::fs::rename(&temp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
 }
 
 fn parse<T: std::str::FromStr>(raw: &str) -> Result<T, String>
@@ -254,7 +278,6 @@ fn run() -> Result<(), String> {
         // Machine-readable readiness for process supervisors and the
         // bench gate's spawner.
         println!("READY {bound} {epoch}");
-        use std::io::Write as _;
         let _ = std::io::stdout().flush();
     }
     eprintln!("horam-serverd: serving {bound} (epoch {epoch})");
@@ -276,7 +299,7 @@ fn run() -> Result<(), String> {
     );
     if let Some(path) = &args.checkpoint {
         let master = MasterKey::from_bytes([args.key; 32]);
-        std::fs::write(path, outcome.checkpoint.to_bytes(&master))
+        write_checkpoint(path, &outcome.checkpoint.to_bytes(&master))
             .map_err(|e| format!("write {}: {e}", path.display()))?;
         eprintln!("horam-serverd: checkpoint written to {}", path.display());
     }
@@ -289,6 +312,7 @@ fn run() -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oram_crypto::persist::StateWriter;
     use oram_storage::file::scratch_dir;
 
     fn args(flags: &[&str]) -> Result<Args, String> {
@@ -320,13 +344,16 @@ mod tests {
         let first = args(&["--checkpoint", path]).expect("defaults: 4096 blocks, 4 shards");
         let (mut oram, epoch, _) = open_engine(&first).expect("fresh engine");
         assert_eq!(epoch, 0);
+        let mut engine = StateWriter::new();
+        oram.save_state(&mut engine).expect("idle engine writes");
         let checkpoint = Checkpoint {
-            snapshot: oram.snapshot().expect("idle engine snapshots"),
+            engine: engine.into_bytes(),
             window: Vec::new(),
             epoch,
         };
         let master = MasterKey::from_bytes([first.key; 32]);
-        std::fs::write(path, checkpoint.to_bytes(&master)).expect("checkpoint written");
+        write_checkpoint(Path::new(path), &checkpoint.to_bytes(&master))
+            .expect("checkpoint written");
 
         let resized = args(&["--checkpoint", path, "--capacity", "8192", "--shards", "2"])
             .expect("valid flags on their own");
@@ -337,6 +364,43 @@ mod tests {
         );
         let (_, epoch, _) = open_engine(&first).expect("matching flags restore");
         assert_eq!(epoch, 1);
+        std::fs::remove_dir_all(dir).expect("scratch removed");
+    }
+
+    /// A failed checkpoint write leaves the previous checkpoint whole,
+    /// and a successful one leaves no temp file beside it.
+    #[test]
+    fn checkpoint_writes_replace_the_file_atomically() {
+        let dir = scratch_dir("serverd-atomic");
+        let path = dir.join("checkpoint");
+        let flags = args(&["--checkpoint", path.to_str().expect("utf-8 path")])
+            .expect("defaults are valid");
+        let master = MasterKey::from_bytes([flags.key; 32]);
+        let (mut oram, _, _) = open_engine(&flags).expect("fresh engine");
+        let mut engine = StateWriter::new();
+        oram.save_state(&mut engine).expect("idle engine writes");
+        let checkpoint = Checkpoint {
+            engine: engine.into_bytes(),
+            window: Vec::new(),
+            epoch: 0,
+        };
+        write_checkpoint(&path, &checkpoint.to_bytes(&master)).expect("first write");
+        let temp = dir.join("checkpoint.tmp");
+        assert!(!temp.exists(), "no temp file after a successful write");
+
+        // A directory where the temp file goes makes the next write fail
+        // before it touches the checkpoint.
+        std::fs::create_dir(&temp).expect("blocker made");
+        let later = Checkpoint {
+            epoch: 5,
+            ..checkpoint
+        };
+        assert!(write_checkpoint(&path, &later.to_bytes(&master)).is_err());
+        let (_, epoch, _) = open_engine(&flags).expect("previous checkpoint still opens");
+        assert_eq!(
+            epoch, 1,
+            "the previous checkpoint, epoch 0, is the one on disk"
+        );
         std::fs::remove_dir_all(dir).expect("scratch removed");
     }
 }

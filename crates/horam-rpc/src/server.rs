@@ -42,11 +42,12 @@
 //! [`Frame::Drain`]): stop accepting, shed new requests with
 //! `SHUTTING_DOWN`, finish every in-flight request and deliver its
 //! response, then [`OramService::checkpoint`]. The checkpoint bundles
-//! the sealed engine snapshot **and** the idempotency window, so a
-//! restarted server still recognizes retries of work the old process
-//! executed. Because drain completes or sheds everything, no request is
-//! ever half-applied at the checkpoint boundary — which is what makes
-//! restart + restore + replay byte-identical to an uninterrupted run.
+//! the engine's state body **and** the idempotency window under one
+//! seal, so a restarted server still recognizes retries of work the old
+//! process executed. Because drain completes or sheds everything, no
+//! request is ever half-applied at the checkpoint boundary — which is
+//! what makes restart + restore + replay byte-identical to an
+//! uninterrupted run.
 
 use crate::net::{Listener, NetStream};
 use crate::status;
@@ -131,14 +132,21 @@ pub struct WindowEntry {
     pub response: Frame,
 }
 
-/// What a graceful drain produces: the sealed engine snapshot plus the
+/// What a graceful drain produces: the engine's state body plus the
 /// idempotency window, serialized together so a restarted server
 /// resumes with both the data *and* the memory of what it already
 /// executed.
+///
+/// The restart file holds one envelope: `epoch: u64`, the engine body
+/// as a length-prefixed byte string, the window count, then per entry
+/// `client_id: u64`, `req_id: u64` and the encoded response frame as a
+/// byte string. Restore the engine with
+/// [`ShardedOram::load_state`](horam_core::ShardedOram::load_state) over
+/// [`engine`](Self::engine).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
-    /// Sealed engine state from [`OramService::checkpoint`].
-    pub snapshot: Vec<u8>,
+    /// The engine's plain state body from [`OramService::checkpoint`].
+    pub engine: Vec<u8>,
     /// Idempotency-window entries, oldest first.
     pub window: Vec<WindowEntry>,
     /// The epoch of the process that took the checkpoint.
@@ -153,29 +161,27 @@ const KIND_CHECKPOINT: u32 = 3;
 /// frame's 5-byte header.
 const MIN_ENTRY_BYTES: usize = 8 + 8 + 8 + 5;
 
-/// Seals a checkpoint body under the checkpoint key derived from `master`.
-fn seal_checkpoint(master: &MasterKey, body: &[u8]) -> Vec<u8> {
-    let keys = master.derive(CHECKPOINT_DOMAIN, 0);
-    seal_envelope(&keys, KIND_CHECKPOINT, envelope_seq(&keys, body), body)
-}
-
 impl Checkpoint {
     /// Serializes the checkpoint for the restart file: the epoch, the
-    /// engine snapshot and the window in one authenticated, encrypted
-    /// envelope under a key derived from the daemon's `master` key. The
-    /// window's frames carry recent reads' payloads and recent writes'
-    /// previous bytes, so they are neither readable nor editable at rest.
+    /// engine body and the window in one authenticated, encrypted
+    /// envelope under a key derived from the daemon's `master` key — the
+    /// file's only seal. The engine body carries the whole trusted state
+    /// and the window's frames carry recent reads' payloads and recent
+    /// writes' previous bytes, so neither is readable nor editable at
+    /// rest.
     pub fn to_bytes(&self, master: &MasterKey) -> Vec<u8> {
         let mut w = StateWriter::new();
         w.put_u64(self.epoch);
-        w.put_bytes(&self.snapshot);
+        w.put_bytes(&self.engine);
         w.put_usize(self.window.len());
         for entry in &self.window {
             w.put_u64(entry.client_id);
             w.put_u64(entry.req_id);
             w.put_bytes(&crate::wire::encode_frame(&entry.response));
         }
-        seal_checkpoint(master, &w.into_bytes())
+        let body = w.into_bytes();
+        let keys = master.derive(CHECKPOINT_DOMAIN, 0);
+        seal_envelope(&keys, KIND_CHECKPOINT, envelope_seq(&keys, &body), &body)
     }
 
     /// Opens a checkpoint file sealed by [`to_bytes`](Self::to_bytes)
@@ -194,7 +200,7 @@ impl Checkpoint {
         let body = open_envelope(&keys, KIND_CHECKPOINT, bytes).map_err(bad)?;
         let mut r = StateReader::new(&body);
         let epoch = r.get_u64().map_err(bad)?;
-        let snapshot = r.get_bytes().map_err(bad)?.to_vec();
+        let engine = r.get_bytes().map_err(bad)?.to_vec();
         let count = r.get_usize().map_err(bad)?;
         // Bound the count by what is left before allocating for it.
         if count > r.remaining() / MIN_ENTRY_BYTES {
@@ -218,7 +224,7 @@ impl Checkpoint {
         }
         r.finish().map_err(bad)?;
         Ok(Self {
-            snapshot,
+            engine,
             window,
             epoch,
         })
@@ -230,7 +236,7 @@ impl Checkpoint {
 pub struct ServerOutcome {
     /// Final counter values.
     pub counters: ServerCounters,
-    /// The drain checkpoint (engine snapshot + idempotency window).
+    /// The drain checkpoint (engine body + idempotency window).
     pub checkpoint: Checkpoint,
 }
 
@@ -515,11 +521,12 @@ pub fn run_server(
 
                 // 4. Drain completion.
                 if finishing {
-                    let snapshot = service.checkpoint()?;
+                    let mut engine = StateWriter::new();
+                    service.checkpoint(&mut engine)?;
                     return Ok(ServerOutcome {
                         counters: counters.snapshot(true),
                         checkpoint: Checkpoint {
-                            snapshot,
+                            engine: engine.into_bytes(),
                             window: window.to_entries(),
                             epoch: config.epoch,
                         },
@@ -846,6 +853,7 @@ mod tests {
     use horam_core::access_control::Permission;
     use horam_core::{HOramConfig, ShardedConfig, ShardedOram};
     use horam_server::{FifoPolicy, ServiceConfig};
+    use oram_crypto::persist::{ENVELOPE_MAGIC, ENVELOPE_OVERHEAD};
     use oram_storage::hierarchy::MemoryHierarchy;
     use std::net::TcpStream;
 
@@ -853,10 +861,17 @@ mod tests {
         MasterKey::from_bytes([0x42; 32])
     }
 
+    /// Seals a checkpoint body under `master`, as
+    /// [`Checkpoint::to_bytes`] does.
+    fn seal_checkpoint(master: &MasterKey, body: &[u8]) -> Vec<u8> {
+        let keys = master.derive(CHECKPOINT_DOMAIN, 0);
+        seal_envelope(&keys, KIND_CHECKPOINT, envelope_seq(&keys, body), body)
+    }
+
     #[test]
     fn checkpoint_roundtrips() {
         let checkpoint = Checkpoint {
-            snapshot: vec![7u8; 129],
+            engine: vec![7u8; 129],
             window: vec![
                 WindowEntry {
                     client_id: 1,
@@ -886,13 +901,41 @@ mod tests {
         assert!(Checkpoint::from_bytes(&other, &bytes).is_err());
     }
 
+    /// A drain checkpoint file is exactly one envelope: sealing its opened
+    /// body again gives the same bytes, and the engine body inside holds
+    /// no envelope of its own.
+    #[test]
+    fn checkpoint_is_one_envelope_around_the_engine_body() {
+        let master = checkpoint_master();
+        let mut service = test_service(8);
+        let ticket = service
+            .submit(UserId(0), Request::write(3, vec![7u8; 8]))
+            .expect("admitted");
+        let mut engine = StateWriter::new();
+        service.checkpoint(&mut engine).expect("drains and writes");
+        assert!(service.take_response(ticket).is_some());
+        let checkpoint = Checkpoint {
+            engine: engine.into_bytes(),
+            window: Vec::new(),
+            epoch: 1,
+        };
+        let bytes = checkpoint.to_bytes(&master);
+        let keys = master.derive(CHECKPOINT_DOMAIN, 0);
+        let body = open_envelope(&keys, KIND_CHECKPOINT, &bytes).expect("opens");
+        assert_eq!(bytes.len(), body.len() + ENVELOPE_OVERHEAD);
+        assert_eq!(seal_checkpoint(&master, &body), bytes);
+        assert!(!body
+            .windows(ENVELOPE_MAGIC.len())
+            .any(|w| w == ENVELOPE_MAGIC));
+    }
+
     /// The window's response payloads (recent reads' data, recent writes'
     /// previous bytes) never reach the file in the clear.
     #[test]
     fn checkpoint_hides_the_window() {
         let payload = b"a payload the checkpoint file must not show".to_vec();
         let checkpoint = Checkpoint {
-            snapshot: Vec::new(),
+            engine: Vec::new(),
             window: vec![WindowEntry {
                 client_id: 1,
                 req_id: 2,
@@ -916,7 +959,7 @@ mod tests {
     fn checkpoint_rejects_corruption() {
         let master = checkpoint_master();
         let checkpoint = Checkpoint {
-            snapshot: vec![1, 2, 3],
+            engine: vec![1, 2, 3],
             window: vec![WindowEntry {
                 client_id: 1,
                 req_id: 2,
@@ -947,11 +990,11 @@ mod tests {
         assert_eq!(error.kind(), io::ErrorKind::InvalidData);
         // Length fields at their maximum inside a validly sealed body:
         // typed errors, never an allocation sized by the file. Body
-        // layout: epoch 0..8, snapshot_len 8..16, snapshot 16..19, count
+        // layout: epoch 0..8, engine_len 8..16, engine 16..19, count
         // 19..27, then the entry's two ids 27..43 and its frame_len 43..51.
         let mut body = StateWriter::new();
         body.put_u64(checkpoint.epoch);
-        body.put_bytes(&checkpoint.snapshot);
+        body.put_bytes(&checkpoint.engine);
         body.put_usize(1);
         body.put_u64(1);
         body.put_u64(2);
@@ -961,7 +1004,7 @@ mod tests {
             Checkpoint::from_bytes(&master, &seal_checkpoint(&master, &body)).expect("parses"),
             checkpoint
         );
-        for (field, at) in [("snapshot_len", 8), ("count", 19), ("frame_len", 43)] {
+        for (field, at) in [("engine_len", 8), ("count", 19), ("frame_len", 43)] {
             let mut bad = body.clone();
             bad[at..at + 8].fill(0xFF);
             let error =

@@ -25,6 +25,7 @@ use horam_rpc::{Accept, ClientConfig, Endpoint, Listener, RpcClient, RpcError};
 use horam_server::service::{OramService, ServiceConfig};
 use horam_server::FifoPolicy;
 use oram_crypto::keys::MasterKey;
+use oram_crypto::persist::StateReader;
 use oram_protocols::types::Request;
 use oram_storage::fault::{ConnFaultConfig, ConnFaultPlan};
 use oram_storage::hierarchy::MemoryHierarchy;
@@ -60,16 +61,21 @@ fn master() -> MasterKey {
 }
 
 /// Builds the canonical test service — fresh, or restored from a drain
-/// checkpoint's engine snapshot. Identical construction is what makes
+/// checkpoint's engine body. Identical construction is what makes
 /// the in-process-vs-RPC and run-twice comparisons byte-exact.
-fn make_service(snapshot: Option<&[u8]>) -> OramService<ShardedOram> {
+fn make_service(engine: Option<&[u8]>) -> OramService<ShardedOram> {
     let config = service_config();
     let base = config
         .engine_config(HOramConfig::new(CAPACITY, PAYLOAD_LEN, MEMORY_SLOTS))
         .with_seed(ENGINE_SEED);
-    let oram = match snapshot {
-        Some(bytes) => ShardedOram::restore(master(), |_| MemoryHierarchy::dac2019(), bytes)
-            .expect("snapshot restores"),
+    let oram = match engine {
+        Some(engine) => {
+            let mut r = StateReader::new(engine);
+            let oram = ShardedOram::load_state(master(), |_| MemoryHierarchy::dac2019(), &mut r)
+                .expect("engine restores");
+            r.finish().expect("nothing follows the engine body");
+            oram
+        }
         None => ShardedOram::new(ShardedConfig::new(base, SHARDS), master(), |_| {
             MemoryHierarchy::dac2019()
         })
@@ -469,7 +475,7 @@ fn drain_checkpoint_restore_replays_across_restart() {
         .expect("reparse");
     assert_eq!(reparsed, outcome.checkpoint);
 
-    let restored = make_service(Some(&outcome.checkpoint.snapshot));
+    let restored = make_service(Some(&outcome.checkpoint.engine));
     let config = ServerConfig {
         epoch: outcome.checkpoint.epoch + 1,
         preload_window: outcome.checkpoint.window.clone(),

@@ -36,6 +36,7 @@ use horam_core::access_control::{AccessControl, AccessDenied, Permission, UserId
 use horam_core::error::HOramError;
 use horam_core::shard::ShardedOram;
 use horam_core::stats::HOramStats;
+use oram_crypto::persist::StateWriter;
 use oram_protocols::error::OramError;
 use oram_protocols::types::{BlockId, Request, RequestOp};
 use oram_storage::clock::{SimDuration, SimTime};
@@ -598,14 +599,16 @@ impl OramService {
     }
 
     /// Checkpoint: drains every in-flight batch and queued request
-    /// ([`pump_until_idle`](Self::pump_until_idle)), then seals the
-    /// engine's complete trusted state into an encrypted, authenticated
-    /// snapshot ([`ShardedOram::snapshot`]) — committing durable storage
-    /// devices first, so snapshot and device file describe one consistent
-    /// recovery point.
+    /// ([`pump_until_idle`](Self::pump_until_idle)), then writes the
+    /// engine's complete trusted state into `w` as a plain body
+    /// ([`ShardedOram::save_state`]) — committing durable storage devices
+    /// first, so body and device file describe one consistent recovery
+    /// point. Nothing here seals: the caller writes the body into its
+    /// file and seals that file once, as `horam-rpc`'s drain checkpoint
+    /// does.
     ///
-    /// Deployment-side restore builds a fresh engine from the snapshot
-    /// ([`ShardedOram::restore`]) and wraps it in a new
+    /// Deployment-side restore builds a fresh engine from the body
+    /// ([`ShardedOram::load_state`]) and wraps it in a new
     /// service. Service-level state — tenant registrations, grants,
     /// uncollected [`ServiceTicket`] responses — is configuration and
     /// delivery state outside the ORAM trust boundary; re-register
@@ -616,10 +619,11 @@ impl OramService {
     ///
     /// ORAM storage/crypto errors propagate; the engine reports
     /// `SnapshotInvalid` if an admission-policy stall left requests
-    /// queued (see [`pump_until_idle`](Self::pump_until_idle)).
-    pub fn checkpoint(&mut self) -> Result<Vec<u8>, ServeError> {
+    /// queued (see [`pump_until_idle`](Self::pump_until_idle)). On error
+    /// `w` may hold a partial body.
+    pub fn checkpoint(&mut self, w: &mut StateWriter) -> Result<(), ServeError> {
         self.pump_until_idle()?;
-        Ok(self.oram.snapshot()?)
+        Ok(self.oram.save_state(w)?)
     }
 
     /// Submits a whole arrival sequence and serves it to completion,

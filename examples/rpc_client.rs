@@ -18,6 +18,7 @@
 
 use horam::core::shard::{ShardedConfig, ShardedOram};
 use horam::core::{Permission, UserId};
+use horam::crypto::persist::StateReader;
 use horam::prelude::*;
 use horam::storage::file::scratch_dir;
 use horam_rpc::server::{run_server, ServerConfig, ServerOutcome};
@@ -37,19 +38,24 @@ fn master() -> MasterKey {
 }
 
 /// The canonical service, fresh or restored from a drain checkpoint's
-/// engine snapshot. Building it identically on both sides of the
+/// engine body. Building it identically on both sides of the
 /// restart is what makes the replay byte-identical: the checkpoint
 /// seals *state*, while tenancy and geometry are *configuration*,
 /// re-applied here.
-fn make_service(snapshot: Option<&[u8]>) -> OramService<ShardedOram> {
+fn make_service(engine: Option<&[u8]>) -> OramService<ShardedOram> {
     let config = ServiceConfig {
         batch_size: 16,
         ..ServiceConfig::default()
     };
     let base = HOramConfig::new(CAPACITY, PAYLOAD_LEN, 64).with_seed(9);
-    let oram = match snapshot {
-        Some(bytes) => ShardedOram::restore(master(), |_| MemoryHierarchy::dac2019(), bytes)
-            .expect("checkpoint restores"),
+    let oram = match engine {
+        Some(engine) => {
+            let mut r = StateReader::new(engine);
+            let oram = ShardedOram::load_state(master(), |_| MemoryHierarchy::dac2019(), &mut r)
+                .expect("checkpoint restores");
+            r.finish().expect("nothing follows the engine body");
+            oram
+        }
         None => ShardedOram::new(ShardedConfig::new(base, 2), master(), |_| {
             MemoryHierarchy::dac2019()
         })
@@ -127,8 +133,9 @@ fn main() {
     );
 
     // ---- Epoch 1: restore and replay -------------------------------
-    // The checkpoint bundles the sealed engine snapshot AND the
-    // idempotency window, so retries of pre-drain work stay recognized.
+    // The checkpoint bundles the engine state AND the idempotency
+    // window under one seal, so retries of pre-drain work stay
+    // recognized.
     let drain = Arc::new(AtomicBool::new(false));
     let config = ServerConfig {
         epoch: checkpoint.epoch + 1,
@@ -136,7 +143,7 @@ fn main() {
         drain: Arc::clone(&drain),
         ..ServerConfig::default()
     };
-    let restored = make_service(Some(&checkpoint.snapshot));
+    let restored = make_service(Some(&checkpoint.engine));
     let (endpoint, server) = spawn_server(restored, config, &socket);
 
     // A *new* client session needs a new identity: client 42's pre-drain

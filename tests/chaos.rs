@@ -1,30 +1,27 @@
 //! Chaos battery: the end-to-end failure-hardening contract under
 //! property-based fault schedules.
 //!
-//! The contract (ISSUE: robustness tentpole): under **any** seeded fault
-//! schedule the sharded engine produces, for every submitted request,
-//! either a clean typed error or a byte-identical recovered answer —
-//! never a panic, never a wrong answer. The battery drives `ShardedOram`
-//! at 1 and 4 shards through proptest-generated workloads with
-//! mid-run storage-fault injection (transient read faults up to a full
-//! outage, or permanent media failure), a recovery kit installed, and
-//! checks:
+//! The contract: under **any** seeded fault schedule the sharded engine
+//! produces, for every submitted request, either a clean typed error or
+//! the exact answer — never a panic, never a wrong answer. The battery
+//! drives `ShardedOram` at 1 and 4 shards through proptest-generated
+//! workloads with mid-run storage-fault injection (transient read faults
+//! up to a full outage, or permanent media failure) and checks:
 //!
 //! 1. **Totality** — every ticket resolves exactly once: a response or a
 //!    typed failure (`take_failure`), no lost tickets, no panics.
-//! 2. **No wrong answers** — reads on never-faulted shards are byte-
-//!    exact against a reference `HashMap` model; reads on the faulted
-//!    shard may only return a value that was actually associated with
-//!    that block (its checkpointed value or a value written to it this
-//!    batch) — garbage or another block's payload fails the property.
-//! 3. **Checkpoint-rollback awareness** — after a kit restore, the shard
-//!    serves exactly its checkpointed contents (writes since the
-//!    checkpoint rolled back with the failed window); after a permanent
-//!    fault the shard degrades and every access to it fails typed while
-//!    the other shards keep serving byte-exact answers.
-//! 4. **Determinism** — the entire case (responses, failures, recovery
-//!    count, degraded set) is byte-identical when re-run with the same
-//!    seeds: fault injection is replayable, not flaky.
+//! 2. **No wrong answers** — every answered request equals the sequential
+//!    model: the last earlier-submitted write to its block, or else the
+//!    block's initial value. A failed shard never serves again, so there
+//!    is no older state an answer could come from.
+//! 3. **Quarantine** — a shard whose window fails degrades: every access
+//!    to it fails typed, while the other shards keep serving answers
+//!    byte-exact against a reference `HashMap` model. The way back is a
+//!    restore of the whole instance from its last snapshot
+//!    (`tests/persistence.rs`).
+//! 4. **Determinism** — the entire case (responses, failures, degraded
+//!    set) is byte-identical when re-run with the same seeds: fault
+//!    injection is replayable, not flaky.
 //!
 //! Every case logs its generative seeds (`fault_seed`, permille, mode)
 //! so a failure reproduces from the test output alone.
@@ -65,14 +62,26 @@ enum Fate {
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct CaseOutcome {
     fates: Vec<Fate>,
-    recoveries: u64,
     degraded: Vec<usize>,
 }
 
-/// Drives one full chaos case: init writes → checkpoint → fault
-/// injection on one shard → generated workload → pump to drain →
-/// resolve every ticket. Panics (failing the property) if a ticket is
-/// lost or the pump stalls.
+/// The shard each block routes to (the routing is a function of the key
+/// alone, so every instance `build` makes agrees).
+fn shard_map(shards: u64) -> Vec<usize> {
+    let oram = build(shards);
+    (0..CAPACITY)
+        .map(|id| oram.mapper().shard_of(BlockId(id)).expect("id in domain") as usize)
+        .collect()
+}
+
+/// The shard `run_case` injects faults into.
+fn target_of(shards: u64, fault_seed: u64) -> usize {
+    (fault_seed % shards) as usize
+}
+
+/// Drives one full chaos case: init writes → fault injection on one
+/// shard → generated workload → pump to drain → resolve every ticket.
+/// Panics (failing the property) if a ticket is lost or the pump stalls.
 fn run_case(
     shards: u64,
     ops: &[(u64, Option<u8>)],
@@ -82,15 +91,13 @@ fn run_case(
 ) -> CaseOutcome {
     let mut oram = build(shards);
 
-    // Ground truth for every block, then checkpoint it.
+    // Ground truth for every block.
     let init: Vec<Request> = (0..CAPACITY)
         .map(|id| Request::write(id, vec![id as u8; PAYLOAD]))
         .collect();
     oram.run_batch(&init).expect("fault-free init");
-    oram.enable_recovery(|_| MemoryHierarchy::dac2019())
-        .expect("recovery kit installs");
 
-    let target = (fault_seed % shards) as usize;
+    let target = target_of(shards, fault_seed);
     let config = if permanent {
         FaultConfig {
             seed: fault_seed,
@@ -142,14 +149,11 @@ fn run_case(
 
     let outcome = CaseOutcome {
         fates,
-        recoveries: oram.recoveries(),
         degraded: oram.degraded_shards(),
     };
 
     // Post-run probes: the surviving system still answers correctly.
-    let shard_of: Vec<usize> = (0..CAPACITY)
-        .map(|id| oram.mapper().shard_of(BlockId(id)).expect("id in domain") as usize)
-        .collect();
+    let shard_of = shard_map(shards);
 
     // Reference model on the healthy shards: init plus this batch's
     // writes, in submission order.
@@ -168,13 +172,6 @@ fn run_case(
                 oram.read(BlockId(id)).is_err(),
                 "reads on a degraded shard must fail typed"
             );
-        } else if shard == target && (outcome.recoveries > 0 || !outcome.degraded.is_empty()) {
-            // Restored from checkpoint: the batch's writes rolled back.
-            assert_eq!(
-                oram.read(BlockId(id)).expect("restored shard serves"),
-                vec![id as u8; PAYLOAD],
-                "restored shard must serve exactly its checkpoint"
-            );
         } else if shard != target {
             assert_eq!(
                 oram.read(BlockId(id)).expect("healthy shard serves"),
@@ -190,27 +187,26 @@ fn run_case(
     outcome
 }
 
-/// The no-wrong-answers check: every `Ok` read returned a value that was
-/// actually associated with its block — its init/checkpoint payload or a
-/// value some earlier-submitted write in this batch gave it.
+/// The no-wrong-answers check: every `Ok` read returned exactly the
+/// sequential model's value — the last earlier-submitted write to its
+/// block, or else the block's initial value.
 fn assert_no_wrong_answers(ops: &[(u64, Option<u8>)], outcome: &CaseOutcome, label: &str) {
-    let mut seen: HashMap<u64, Vec<Vec<u8>>> = HashMap::new();
+    let mut model: HashMap<u64, Vec<u8>> = (0..CAPACITY)
+        .map(|id| (id, vec![id as u8; PAYLOAD]))
+        .collect();
     for (index, (id, write)) in ops.iter().enumerate() {
-        let candidates = seen
-            .entry(*id)
-            .or_insert_with(|| vec![vec![*id as u8; PAYLOAD]]);
         match (&outcome.fates[index], write) {
-            (Fate::Response(bytes), None) => {
-                assert!(
-                    candidates.contains(bytes),
-                    "{label}: read of block {id} returned {bytes:?}, \
-                     never a value of that block (candidates {candidates:?})"
-                );
-            }
-            (Fate::Response(_), Some(byte)) => candidates.push(vec![*byte; PAYLOAD]),
+            (Fate::Response(bytes), None) => assert_eq!(
+                bytes, &model[id],
+                "{label}: read {index} of block {id} differs from the sequential model"
+            ),
             (Fate::Failed(reason), _) => {
                 assert!(!reason.is_empty(), "{label}: typed failures carry a reason");
             }
+            (Fate::Response(_), Some(_)) => {}
+        }
+        if let Some(byte) = write {
+            model.insert(*id, vec![*byte; PAYLOAD]);
         }
     }
 }
@@ -239,14 +235,13 @@ proptest! {
             "fault schedule must be deterministic: same seeds, same fates"
         );
         println!(
-            "chaos case: shards=4 fault_seed={fault_seed} → recoveries={} degraded={:?}",
-            outcome.recoveries, outcome.degraded
+            "chaos case: shards=4 fault_seed={fault_seed} → degraded={:?}",
+            outcome.degraded
         );
     }
 
     /// One shard: no healthy siblings to hide behind — a failure
-    /// either restores from the checkpoint or degrades the whole
-    /// instance, and both paths stay typed and deterministic.
+    /// degrades the whole instance, typed and deterministic.
     #[test]
     fn single_shard_survives_any_fault_schedule(
         ops in proptest::collection::vec(
@@ -268,40 +263,43 @@ proptest! {
     }
 }
 
-/// A full outage mid-run (every read faults, retries exhausted) with a
-/// recovery kit: the kit restores the shard from its checkpoint, the
-/// batch's lost tickets fail typed, and the restored shard serves its
-/// checkpointed contents byte-exactly — the deterministic pin under the
-/// proptest umbrella above.
+/// A full outage mid-run (every read faults, retries exhausted) degrades
+/// exactly the target shard: every ticket routed to it fails with
+/// `ShardDegraded`, and every other shard answers byte-exactly — the
+/// deterministic pin under the proptest umbrella above.
 #[test]
-fn full_read_outage_restores_from_checkpoint() {
+fn full_read_outage_degrades_only_the_target_shard() {
     let ops: Vec<(u64, Option<u8>)> = (0..CAPACITY).map(|id| (id, None)).collect();
     let outcome = run_case(4, &ops, 7, 1000, false);
-    assert_eq!(outcome.recoveries, 1, "the kit must restore the dead shard");
-    assert!(
-        outcome.degraded.is_empty(),
-        "a restored shard is not degraded"
+    let target = target_of(4, 7);
+    assert_eq!(
+        outcome.degraded,
+        vec![target],
+        "exactly the target degrades"
     );
-    assert!(
-        outcome.fates.iter().any(|f| matches!(f, Fate::Failed(_))),
-        "the failed window's tickets must resolve to typed failures"
-    );
+    for ((id, _), (fate, shard)) in ops.iter().zip(outcome.fates.iter().zip(shard_map(4))) {
+        match fate {
+            Fate::Failed(reason) => assert!(
+                shard == target && reason.starts_with(&format!("shard {target} degraded")),
+                "block {id} on shard {shard} failed: {reason}"
+            ),
+            Fate::Response(bytes) => {
+                assert_ne!(shard, target, "block {id} answered by the dead shard");
+                assert_eq!(bytes, &vec![*id as u8; PAYLOAD], "block {id}");
+            }
+        }
+    }
 }
 
-/// Permanent media failure degrades the shard even with a kit installed
-/// (restoring onto dead media would fail again), and the other shards
-/// keep serving.
+/// Permanent media failure degrades exactly the faulted shard, and the
+/// other shards keep serving.
 #[test]
-fn permanent_media_failure_degrades_despite_recovery_kit() {
+fn permanent_media_failure_degrades_the_shard() {
     let ops: Vec<(u64, Option<u8>)> = (0..CAPACITY).map(|id| (id, None)).collect();
     let outcome = run_case(4, &ops, 3, 0, true);
     assert_eq!(
-        outcome.recoveries, 0,
-        "dead media must not be restored onto"
-    );
-    assert_eq!(
-        outcome.degraded.len(),
-        1,
+        outcome.degraded,
+        vec![target_of(4, 3)],
         "exactly the faulted shard degrades"
     );
 }

@@ -18,6 +18,7 @@
 //!   back to the checkpoint and replay matches the uninterrupted run.
 
 use horam::core::shard::{ShardedConfig, ShardedOram};
+use horam::crypto::persist::{StateReader, StateWriter};
 use horam::crypto::rng::DeterministicRng;
 use horam::prelude::*;
 use horam::protocols::types::BlockContent;
@@ -196,10 +197,14 @@ fn corrupted_and_wrong_key_snapshots_error() {
 /// config codec (7 also moved the memory tree's seal sequence and stash
 /// behind its statistics and position map; 8 stores one slot per block
 /// in the flat permutation list and drops the recursive map's resident
-/// count), which shifts every later byte: a snapshot or drain checkpoint of an older version must be refused with the typed version error by every
-/// restore path, never mis-parsed. The reader checks the version before
-/// anything else it trusts, so rewriting the field on a fresh snapshot
-/// takes exactly the path a genuine old one does.
+/// count; 9 writes shard bodies inline in the sharded manifest and the
+/// engine body inline in the drain checkpoint, where each was a sealed
+/// envelope of its own), which shifts every later byte: a snapshot or
+/// drain checkpoint of an older version must be refused with the typed
+/// version error by every restore path, never mis-parsed. The reader
+/// checks the version before anything else it trusts, so rewriting the
+/// field on a fresh snapshot takes exactly the path a genuine old one
+/// does.
 fn assert_old_envelopes_are_refused(version: u32) {
     let as_old = |mut sealed: Vec<u8>| {
         sealed[8..12].copy_from_slice(&version.to_le_bytes());
@@ -230,21 +235,29 @@ fn assert_old_envelopes_are_refused(version: u32) {
     .unwrap();
     sharded.run_batch(&workload(16, 5)).unwrap();
     let manifest = as_old(sharded.snapshot().unwrap());
-    let restore =
-        |snapshot: &[u8]| ShardedOram::restore(master(), |_| MemoryHierarchy::dac2019(), snapshot);
-    assert_refused(restore(&manifest).err(), "ShardedOram::restore");
+    assert_refused(
+        ShardedOram::restore(master(), |_| MemoryHierarchy::dac2019(), &manifest).err(),
+        "ShardedOram::restore",
+    );
 
-    // A current drain checkpoint around the old engine state still
-    // opens; the sealed engine state inside it is what gets refused.
+    // The drain checkpoint's one envelope carries the engine body, so an
+    // old checkpoint is refused as it is opened.
+    let mut engine = StateWriter::new();
+    sharded.save_state(&mut engine).unwrap();
     let checkpoint = horam_rpc::server::Checkpoint {
-        snapshot: manifest,
+        engine: engine.into_bytes(),
         window: Vec::new(),
         epoch: 0,
     };
-    let parsed =
-        horam_rpc::server::Checkpoint::from_bytes(&master(), &checkpoint.to_bytes(&master()))
-            .unwrap();
-    assert_refused(restore(&parsed.snapshot).err(), "Checkpoint → restore");
+    let old = as_old(checkpoint.to_bytes(&master()));
+    match horam_rpc::server::Checkpoint::from_bytes(&master(), &old) {
+        Err(error) => assert!(
+            error.kind() == std::io::ErrorKind::InvalidData
+                && error.to_string().contains(&format!("version {version}")),
+            "Checkpoint::from_bytes: {error}"
+        ),
+        Ok(_) => panic!("Checkpoint::from_bytes: version-{version} envelope accepted"),
+    }
 }
 
 #[test]
@@ -280,6 +293,11 @@ fn version_6_envelopes_are_refused_by_every_restore_path() {
 #[test]
 fn version_7_envelopes_are_refused_by_every_restore_path() {
     assert_old_envelopes_are_refused(7);
+}
+
+#[test]
+fn version_8_envelopes_are_refused_by_every_restore_path() {
+    assert_old_envelopes_are_refused(8);
 }
 
 /// The worker-thread count is a property of the host that runs the
@@ -685,7 +703,8 @@ mod sharded {
         oram.run_batch(&sharded_workload(30, 77)).unwrap();
         let manifest = oram.snapshot().unwrap();
         // Stride through boundaries (every byte is covered by the single-
-        // instance torn test; the manifest adds the nested layer).
+        // instance torn test; the manifest adds its own fields and the
+        // inline shard bodies).
         for cut in (0..manifest.len()).step_by(97).chain([manifest.len() - 1]) {
             assert!(
                 ShardedOram::restore(master(), |_| MemoryHierarchy::dac2019(), &manifest[..cut])
@@ -882,7 +901,9 @@ mod service {
             tickets.push(service.submit(UserId(0), request).unwrap());
         }
         // Checkpoint with everything still queued: it must drain first.
-        let snapshot = service.checkpoint().unwrap();
+        let mut engine = StateWriter::new();
+        service.checkpoint(&mut engine).unwrap();
+        let engine = engine.into_bytes();
         for ticket in tickets {
             assert!(
                 service.take_response(ticket).is_some(),
@@ -890,10 +911,12 @@ mod service {
             );
         }
 
-        // The snapshot restores into a working engine that continues the
+        // The body restores into a working engine that continues the
         // same timeline.
+        let mut r = StateReader::new(&engine);
         let mut restored =
-            ShardedOram::restore(master(), |_| MemoryHierarchy::dac2019(), &snapshot).unwrap();
+            ShardedOram::load_state(master(), |_| MemoryHierarchy::dac2019(), &mut r).unwrap();
+        r.finish().unwrap();
         let continuation = workload(20, 62);
         let responses = restored.run_batch(&continuation).unwrap();
         assert_eq!(responses.len(), continuation.len());
