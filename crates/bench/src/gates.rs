@@ -1146,7 +1146,6 @@ mod cache {
 /// typed error or the fault-free response, at ≥ 90 % of its throughput.
 mod chaos {
     use super::*;
-    use horam::core::error::HOramError;
     use horam::storage::fault::FaultConfig;
 
     const SEED: u64 = 0xC4A0;
@@ -1203,7 +1202,7 @@ mod chaos {
     /// Runs the trace to completion: each ticket resolves to a response
     /// or, as `None`, to a typed failure.
     fn drive(oram: &mut ShardedOram, trace: &[Request]) -> Vec<Option<Vec<u8>>> {
-        let tickets: Vec<Result<u64, HOramError>> = trace
+        let tickets: Vec<Result<u64, OramError>> = trace
             .iter()
             .map(|request| oram.enqueue(request.clone()))
             .collect();

@@ -52,7 +52,7 @@ pub struct HOramConfig {
     /// Partial-shuffle ratio `r` (§5.3.1): shuffle `⌈r·√N⌉` partitions per
     /// period. `None` (the default) shuffles every partition.
     pub partial_shuffle_ratio: Option<f64>,
-    /// I/O loads issued per [`StorageLayer::load_batch`] scatter read when
+    /// I/O loads issued per [`StorageLayer::commit_io`] scatter read when
     /// the scheduler drains in windowed mode: up to `io_batch` scheduling
     /// cycles are planned control-side, their loads submitted to the
     /// device as one queued batch, and their memory halves executed in
@@ -60,7 +60,7 @@ pub struct HOramConfig {
     /// path cycle for cycle; higher values coalesce per-op device overhead
     /// without changing the observable access pattern.
     ///
-    /// [`StorageLayer::load_batch`]: crate::storage_layer::StorageLayer::load_batch
+    /// [`StorageLayer::commit_io`]: crate::storage_layer::StorageLayer::commit_io
     pub io_batch: u64,
     /// Wall-clock worker threads for the parallel execution engine:
     /// per-shard cycle windows (`ShardedOram`) and the shuffle's

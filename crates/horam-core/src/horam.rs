@@ -482,29 +482,19 @@ impl HOram {
         self.drain(&tickets)
     }
 
-    /// Executes one scheduling cycle: up to `c` memory accesses overlapped
-    /// with exactly one I/O load (real or dummy), then period bookkeeping.
-    /// Equivalent to [`run_cycle_window`](Self::run_cycle_window) with a
-    /// window of one.
-    ///
-    /// # Errors
-    ///
-    /// Storage/crypto/protocol errors propagate.
-    pub fn run_cycle(&mut self) -> Result<(), OramError> {
-        self.run_cycle_window(1).map(|_| ())
-    }
-
     /// Executes up to `max_cycles` scheduling cycles as one I/O window —
     /// the only cycle driver; [`drain`](Self::drain) and the serving
-    /// layer's pump loop over it:
+    /// layer's pump loop over it. One cycle is up to `c` memory accesses
+    /// overlapped with exactly one I/O load (real or dummy); a window of
+    /// one runs a single cycle and commits its load on its own:
     ///
     /// 1. **plan** — each cycle is planned exactly as in the sequential
     ///    path (hit hoisting, miss selection, padding). Planning mutates
     ///    control-layer state only — the ROB, the permutation list, the
     ///    period markers ([`StorageLayer::plan_io`]) — and cycle `j+1`'s
     ///    hit test counts cycle `j`'s staged load as resident, so the per-cycle
-    ///    decisions are *identical* to running
-    ///    [`run_cycle`](Self::run_cycle) `max_cycles` times. Each cycle's
+    ///    decisions are *identical* to running `max_cycles` windows of
+    ///    one. Each cycle's
     ///    memory-layer leaves (hit remaps, padding paths, the arrival's
     ///    position) are drawn here, in plan order;
     /// 2. **commit** — the window's loads go to the storage device as one
@@ -1038,12 +1028,67 @@ mod tests {
         ));
     }
 
+    /// Every count an authentic body sizes an allocation by is checked
+    /// against the bytes left first: a count of `u64::MAX` at each such
+    /// site, sealed under the right key, is a typed `SnapshotInvalid`.
+    #[test]
+    fn state_counts_are_bounded_before_allocating() {
+        let master = MasterKey::from_bytes([9; 32]);
+        let mut oram = build(256, 64);
+        oram.run_batch(&(0..40u64).map(Request::read).collect::<Vec<_>>())
+            .unwrap();
+        oram.enqueue(Request::read(3u64)).unwrap();
+        while !oram.queue().is_drained() {
+            oram.run_cycle_window(1).unwrap();
+        }
+        let keys = master.derive(SNAPSHOT_DOMAIN, 0);
+        let body = open_envelope(&keys, KIND_SINGLE, &oram.snapshot().unwrap()).unwrap();
+        let field = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+
+        // The queue's response count follows the config, clock, I/O
+        // budget, period, stats, and the queue's geometry, ticket counter
+        // and submission counters.
+        let mut head = StateWriter::new();
+        persist::save_config(&oram.config, &mut head);
+        (0..3).for_each(|_| head.put_u64(0));
+        oram.stats.save_state(&mut head);
+        let responses_at = head.len() + 5 * 8;
+        assert_eq!(field(responses_at), 1, "one uncollected response");
+        // The storage device's state closes the body: seven stats words,
+        // the timing-word count and words, the charged bytes, the
+        // durability flag, then the volatile store's block count.
+        let mut device = StateWriter::new();
+        oram.storage.device_mut().save_state(&mut device).unwrap();
+        let device = device.into_bytes();
+        assert!(body.ends_with(&device));
+        let words_at = body.len() - device.len() + 7 * 8;
+        let blocks_at = words_at + 8 + 8 * field(words_at) as usize + 8 + 1;
+        assert_eq!(body[blocks_at - 1], 0, "volatile store");
+        assert!(field(blocks_at) > 0, "stored blocks");
+
+        for (site, at) in [
+            ("queue responses", responses_at),
+            ("device timing words", words_at),
+            ("device blocks", blocks_at),
+        ] {
+            let mut bad = body.clone();
+            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let seq = persist::envelope_seq(&keys, &bad);
+            let sealed = seal_envelope(&keys, KIND_SINGLE, seq, &bad);
+            let result = HOram::restore(MemoryHierarchy::dac2019(), master.clone(), &sealed);
+            assert!(
+                matches!(result, Err(OramError::SnapshotInvalid { .. })),
+                "{site}: {result:?}"
+            );
+        }
+    }
+
     #[test]
     fn drain_of_collected_or_unknown_ticket_is_an_error() {
         let mut oram = build(256, 64);
         let ticket = oram.enqueue(Request::read(1u64)).unwrap();
         while !oram.queue().is_drained() {
-            oram.run_cycle().unwrap();
+            oram.run_cycle_window(1).unwrap();
         }
         assert_eq!(oram.take_response(ticket), Some(vec![0u8; 8]));
         // Already collected incrementally: a later drain must not panic.

@@ -37,7 +37,6 @@
 
 pub mod access_control;
 pub mod config;
-pub mod error;
 pub mod evict;
 pub mod horam;
 pub mod persist;
@@ -52,7 +51,6 @@ pub mod storage_layer;
 
 pub use access_control::{AccessControl, AccessDenied, Permission, UserId};
 pub use config::{HOramConfig, PosmapMode, RecursivePosmapConfig, StagePlan};
-pub use error::HOramError;
 pub use evict::{oblivious_tree_evict, EvictOutcome};
 pub use horam::HOram;
 pub use posmap::{

@@ -19,6 +19,34 @@ use oram_protocols::error::OramError;
 use oram_protocols::types::{BlockId, Request, RequestOp};
 use std::collections::HashMap;
 
+/// Checks a request against a `capacity`-block geometry whose writes carry
+/// `payload_len` bytes, without queueing it.
+///
+/// # Errors
+///
+/// [`OramError::BlockOutOfRange`] for ids beyond the capacity and
+/// [`OramError::PayloadSize`] for mis-sized write payloads.
+pub fn validate(request: &Request, capacity: u64, payload_len: usize) -> Result<(), OramError> {
+    if request.id.0 >= capacity {
+        return Err(OramError::BlockOutOfRange {
+            id: request.id.0,
+            capacity,
+        });
+    }
+    if let RequestOp::Write(payload) = &request.op {
+        if payload.len() != payload_len {
+            return Err(OramError::PayloadSize {
+                expected: payload_len,
+                got: payload.len(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Smallest serialized buffered response: its ticket and a length prefix.
+const MIN_RESPONSE_BYTES: usize = 8 + 8;
+
 /// Validated admission queue + response buffer in front of the ROB.
 ///
 /// See the [module docs](self) for where this sits in the system.
@@ -55,39 +83,15 @@ impl RequestQueue {
         self.payload_len
     }
 
-    /// Checks a request against the geometry without queueing it.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::BlockOutOfRange`] for ids beyond the capacity and
-    /// [`OramError::PayloadSize`] for mis-sized write payloads.
-    pub fn validate(&self, request: &Request) -> Result<(), OramError> {
-        if request.id.0 >= self.capacity {
-            return Err(OramError::BlockOutOfRange {
-                id: request.id.0,
-                capacity: self.capacity,
-            });
-        }
-        if let RequestOp::Write(payload) = &request.op {
-            if payload.len() != self.payload_len {
-                return Err(OramError::PayloadSize {
-                    expected: self.payload_len,
-                    got: payload.len(),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Validates and queues a request, returning the ticket that will
     /// collect its response.
     ///
     /// # Errors
     ///
-    /// As [`validate`](Self::validate) — invalid requests never reach the
-    /// ROB, so they cannot generate observable accesses.
+    /// As [`validate`] — invalid requests never reach the ROB, so they
+    /// cannot generate observable accesses.
     pub fn submit(&mut self, request: Request) -> Result<u64, OramError> {
-        self.validate(&request)?;
+        validate(&request, self.capacity, self.payload_len)?;
         self.submitted += 1;
         Ok(self.rob.push(request))
     }
@@ -127,6 +131,11 @@ impl RequestQueue {
     /// Whether `ticket`'s response is buffered and ready to take.
     pub fn response_ready(&self, ticket: u64) -> bool {
         self.responses.contains_key(&ticket)
+    }
+
+    /// Whether `ticket` was ever handed out by [`submit`](Self::submit).
+    pub fn issued(&self, ticket: u64) -> bool {
+        ticket < self.rob.next_ticket()
     }
 
     /// Removes and returns the response for `ticket`, if ready.
@@ -191,7 +200,7 @@ impl RequestQueue {
         let next_ticket = r.get_u64()?;
         let submitted = r.get_u64()?;
         let completed = r.get_u64()?;
-        let count = r.get_usize()?;
+        let count = r.get_count(MIN_RESPONSE_BYTES)?;
         let mut responses = HashMap::with_capacity(count);
         for _ in 0..count {
             let ticket = r.get_u64()?;
@@ -239,6 +248,7 @@ mod tests {
         queue.complete(b, vec![2]);
         queue.complete(a, vec![1]);
         assert!(queue.response_ready(a));
+        assert!(queue.issued(b) && !queue.issued(b + 1));
         assert_eq!(queue.take_response(b), Some(vec![2]));
         assert_eq!(queue.take_response(a), Some(vec![1]));
         assert_eq!(queue.take_response(a), None, "responses are taken once");

@@ -38,7 +38,6 @@
 //! deep-queue regime the serving layer and benches operate in.
 
 use crate::config::HOramConfig;
-use crate::error::HOramError;
 use crate::horam::HOram;
 use crate::persist::{self, KIND_SHARDED, SNAPSHOT_DOMAIN};
 use crate::pool::WorkerPool;
@@ -48,10 +47,9 @@ use oram_crypto::persist::{open_envelope, seal_envelope, StateReader, StateWrite
 use oram_crypto::prp::FeistelPrp;
 use oram_protocols::error::OramError;
 use oram_protocols::oram_trait::Oram;
-use oram_protocols::types::{BlockId, Request, RequestOp};
+use oram_protocols::types::{BlockId, Request};
 use oram_storage::clock::{SimClock, SimTime};
 use oram_storage::hierarchy::MemoryHierarchy;
-use std::collections::HashMap;
 
 /// Configuration of a sharded instance: the aggregate geometry plus the
 /// shard count.
@@ -230,21 +228,24 @@ impl ShardMapper {
     }
 }
 
-/// A response ticket's routing entry: which shard carries it, under which
-/// shard-local ticket.
-#[derive(Debug, Clone, Copy)]
-struct TicketRoute {
-    shard: usize,
-    local_ticket: u64,
+/// The sharded ticket for shard-local ticket `local` on `shard` of
+/// `shards`: `local · shards + shard`, so the ticket itself names its
+/// shard and the router keeps no table of its own.
+fn pack_ticket(shards: u64, shard: usize, local: u64) -> u64 {
+    local * shards + shard as u64
 }
 
-/// One ticket route's size in a manifest body: ticket, shard and
-/// shard-local ticket, a `u64` each.
-const ROUTE_BYTES: usize = 3 * 8;
+/// The `(shard, shard-local ticket)` a [`pack_ticket`] ticket names.
+fn unpack_ticket(shards: u64, ticket: u64) -> (usize, u64) {
+    ((ticket % shards) as usize, ticket / shards)
+}
 
 /// `N` independent H-ORAM instances behind one address space.
 ///
-/// See the [module docs](self) for the partitioning and timing model.
+/// See the [module docs](self) for the partitioning and timing model. The
+/// router keeps no ticket ledger: a ticket is its shard-local ticket
+/// times the shard count plus the shard, and each shard's queue buffers
+/// its own uncollected responses.
 ///
 /// # Example
 ///
@@ -271,8 +272,6 @@ pub struct ShardedOram {
     mapper: ShardMapper,
     shards: Vec<HOram>,
     clock: SimClock,
-    routes: HashMap<u64, TicketRoute>,
-    next_ticket: u64,
     /// Wall-clock worker pool the pump runs busy shards' windows on,
     /// [`HOramConfig::worker_width`] of the base config wide.
     workers: WorkerPool,
@@ -281,9 +280,6 @@ pub struct ShardedOram {
     /// Per-shard degradation reason; `Some` marks the shard out of
     /// service (its requests fail typed, the rest keep serving).
     degraded: Vec<Option<String>>,
-    /// Failures recorded for tickets lost to a shard failure, collected
-    /// via [`take_failure`](Self::take_failure).
-    failures: HashMap<u64, HOramError>,
 }
 
 /// Shard instances are moved onto pool workers by reference; everything
@@ -353,12 +349,9 @@ impl ShardedOram {
             mapper,
             shards,
             clock: SimClock::new(),
-            routes: HashMap::new(),
-            next_ticket: 0,
             workers,
             snapshot_keys,
             degraded,
-            failures: HashMap::new(),
         })
     }
 
@@ -378,8 +371,9 @@ impl ShardedOram {
     }
 
     /// Writes the trusted state as a plain body for whoever writes the
-    /// file to seal once: a manifest (geometry, shared clock, ticket
-    /// routing), then each shard's [`HOram`] body inline, after that
+    /// file to seal once: a manifest (geometry, shared clock), then each
+    /// shard's [`HOram`] body inline — its queue carries the shard's
+    /// ticket counter and uncollected responses — after that
     /// shard's durable device commits — one consistent checkpoint across
     /// all shards. Shard blocks stay under each shard's derived keys.
     ///
@@ -405,16 +399,6 @@ impl ShardedOram {
         persist::save_config(&self.config.base, w);
         w.put_u64(self.config.shards);
         w.put_u64(self.clock.now().as_nanos());
-        w.put_u64(self.next_ticket);
-        // Outstanding ticket routes (responses produced but not yet
-        // collected), in ticket order for byte-stable manifests.
-        let routes: std::collections::BTreeMap<_, _> = self.routes.iter().collect();
-        w.put_usize(routes.len());
-        for (ticket, route) in routes {
-            w.put_u64(*ticket);
-            w.put_usize(route.shard);
-            w.put_u64(route.local_ticket);
-        }
         for shard in &mut self.shards {
             shard.save_state(w)?;
         }
@@ -451,8 +435,8 @@ impl ShardedOram {
     /// # Errors
     ///
     /// [`OramError::SnapshotInvalid`] for a truncated or malformed body
-    /// (a shard or route count is checked before anything is sized by
-    /// it), or one of another key or geometry.
+    /// (the shard count is checked before anything is sized by it), or
+    /// one of another key or geometry.
     pub fn load_state(
         master: MasterKey,
         mut hierarchy_for: impl FnMut(u64) -> MemoryHierarchy,
@@ -468,31 +452,6 @@ impl ShardedOram {
         let config = ShardedConfig::new(base, shard_count);
         config.validate();
         let clock_nanos = r.get_u64()?;
-        let next_ticket = r.get_u64()?;
-        let route_count = r.get_usize()?;
-        if route_count > r.remaining() / ROUTE_BYTES {
-            return Err(OramError::SnapshotInvalid {
-                reason: format!("{route_count} ticket routes exceed the body"),
-            });
-        }
-        let mut routes = HashMap::with_capacity(route_count);
-        for _ in 0..route_count {
-            let ticket = r.get_u64()?;
-            let shard = r.get_usize()?;
-            let local_ticket = r.get_u64()?;
-            if shard >= shard_count as usize {
-                return Err(OramError::SnapshotInvalid {
-                    reason: format!("ticket route to shard {shard} of {shard_count}"),
-                });
-            }
-            routes.insert(
-                ticket,
-                TicketRoute {
-                    shard,
-                    local_ticket,
-                },
-            );
-        }
         let mapper = ShardMapper::new(
             Self::derive_map_key(&master),
             config.base.capacity,
@@ -516,12 +475,9 @@ impl ShardedOram {
             mapper,
             shards,
             clock,
-            routes,
-            next_ticket,
             workers,
             snapshot_keys: master.derive(SNAPSHOT_DOMAIN, 0),
             degraded,
-            failures: HashMap::new(),
         })
     }
 
@@ -578,71 +534,52 @@ impl ShardedOram {
     ///
     /// # Errors
     ///
-    /// [`OramError::BlockOutOfRange`] / [`OramError::PayloadSize`], as
-    /// [`enqueue`](Self::enqueue).
+    /// As [`queue::validate`](crate::queue::validate).
     pub fn validate(&self, request: &Request) -> Result<(), OramError> {
-        if request.id.0 >= self.config.base.capacity {
-            return Err(OramError::BlockOutOfRange {
-                id: request.id.0,
-                capacity: self.config.base.capacity,
-            });
-        }
-        if let RequestOp::Write(payload) = &request.op {
-            if payload.len() != self.config.base.payload_len {
-                return Err(OramError::PayloadSize {
-                    expected: self.config.base.payload_len,
-                    got: payload.len(),
-                });
-            }
-        }
-        Ok(())
+        crate::queue::validate(
+            request,
+            self.config.base.capacity,
+            self.config.base.payload_len,
+        )
     }
 
     /// Routes and queues a request on its owning shard; returns a ticket
-    /// scoped to the sharded instance.
+    /// scoped to the sharded instance, which names that shard.
     ///
     /// # Errors
     ///
     /// As [`validate`](Self::validate) — invalid requests are rejected
     /// before routing, so they never reach (or reveal) a shard.
-    /// [`HOramError::ShardDegraded`] when the owning shard is quarantined;
+    /// [`OramError::ShardDegraded`] when the owning shard is quarantined;
     /// the request is rejected without any observable access, and requests
     /// to healthy shards keep flowing.
-    pub fn enqueue(&mut self, request: Request) -> Result<u64, HOramError> {
-        self.validate(&request).map_err(HOramError::from)?;
-        let slot = self.mapper.route(request.id).map_err(HOramError::from)?;
-        if let Some(reason) = &self.degraded[slot.shard as usize] {
-            return Err(HOramError::ShardDegraded {
-                shard: slot.shard as usize,
+    pub fn enqueue(&mut self, request: Request) -> Result<u64, OramError> {
+        self.validate(&request)?;
+        let slot = self.mapper.route(request.id)?;
+        let shard = slot.shard as usize;
+        if let Some(reason) = &self.degraded[shard] {
+            return Err(OramError::ShardDegraded {
+                shard,
                 reason: reason.clone(),
             });
         }
-        let local = Request {
+        let local = self.shards[shard].enqueue(Request {
             id: slot.local,
             op: request.op,
-        };
-        let local_ticket = self.shards[slot.shard as usize]
-            .enqueue(local)
-            .map_err(HOramError::from)?;
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        self.routes.insert(
-            ticket,
-            TicketRoute {
-                shard: slot.shard as usize,
-                local_ticket,
-            },
-        );
-        Ok(ticket)
+        })?;
+        Ok(pack_ticket(self.config.shards, shard, local))
     }
 
     /// Removes and returns the response for `ticket`, if it has been
-    /// serviced.
+    /// serviced. A degraded shard serves nothing, not even responses it
+    /// buffered before it failed: its tickets resolve through
+    /// [`take_failure`](Self::take_failure).
     pub fn take_response(&mut self, ticket: u64) -> Option<Vec<u8>> {
-        let route = *self.routes.get(&ticket)?;
-        let response = self.shards[route.shard].take_response(route.local_ticket)?;
-        self.routes.remove(&ticket);
-        Some(response)
+        let (shard, local) = unpack_ticket(self.config.shards, ticket);
+        if self.degraded[shard].is_some() {
+            return None;
+        }
+        self.shards[shard].take_response(local)
     }
 
     /// Total requests queued and not yet serviced, across *healthy*
@@ -683,10 +620,12 @@ impl ShardedOram {
     ///
     /// Per-shard failures do **not** propagate: a shard whose window
     /// errors is quarantined — marked degraded, with every uncollected
-    /// ticket routed to it resolving to
-    /// [`HOramError::ShardDegraded`] (see
+    /// ticket it issued resolving to [`OramError::ShardDegraded`] (see
     /// [`take_failure`](Self::take_failure)) — while the remaining
-    /// shards keep serving. `Err` from this method therefore means the
+    /// shards keep serving. The failed window may have left the shard
+    /// half applied, so it never serves again; the way back is an
+    /// operator's [`restore`](Self::restore) of the whole instance from
+    /// its last snapshot, which `horam-serverd` does on restart. `Err` from this method therefore means the
     /// engine as a whole cannot continue, which the current absorption
     /// policy never concludes — the signature reserves the channel.
     /// When several shards fail in one round they are processed in
@@ -697,7 +636,7 @@ impl ShardedOram {
     /// Panics if `max_cycles` is zero. A panic inside a shard's window
     /// propagates to this caller after the round's barrier — it cannot
     /// deadlock the pump.
-    pub fn run_cycle_window(&mut self, max_cycles: u64) -> Result<u64, HOramError> {
+    pub fn run_cycle_window(&mut self, max_cycles: u64) -> Result<u64, OramError> {
         assert!(
             max_cycles >= 1,
             "a cycle window must cover at least one cycle"
@@ -715,41 +654,14 @@ impl ShardedOram {
         // Merge in shard-index order — deterministic totals and
         // deterministic failure-handling order.
         let mut executed = 0;
-        let mut failed: Vec<(usize, OramError)> = Vec::new();
         for ((index, _), result) in busy.into_iter().zip(results) {
             match result {
                 Ok(cycles) => executed += cycles,
-                Err(e) => failed.push((index, e)),
+                Err(error) => self.degraded[index] = Some(error.to_string()),
             }
-        }
-        for (index, error) in failed {
-            self.handle_shard_failure(index, error);
         }
         self.advance_to_frontier();
         Ok(executed)
-    }
-
-    /// Absorbs one shard's window failure: the shard degrades and every
-    /// uncollected ticket routed to it fails with
-    /// [`HOramError::ShardDegraded`]. The failed window may have left the
-    /// shard half applied, so it never serves again; the way back is an
-    /// operator's [`restore`](Self::restore) of the whole instance from
-    /// its last snapshot, which `horam-serverd` does on restart.
-    fn handle_shard_failure(&mut self, shard: usize, error: OramError) {
-        let reason = error.to_string();
-        let lost = HOramError::ShardDegraded {
-            shard,
-            reason: reason.clone(),
-        };
-        let failures = &mut self.failures;
-        self.routes.retain(|ticket, route| {
-            let keep = route.shard != shard;
-            if !keep {
-                failures.insert(*ticket, lost.clone());
-            }
-            keep
-        });
-        self.degraded[shard] = Some(reason);
     }
 
     /// Advances the shared clock to the busiest shard's timeline. Each
@@ -773,25 +685,23 @@ impl ShardedOram {
     ///
     /// # Errors
     ///
-    /// A ticket lost to a shard failure reports its recorded typed
-    /// failure; [`OramError::UnknownTicket`] for tickets never issued or
-    /// already collected.
-    pub fn drain(&mut self, tickets: &[u64]) -> Result<Vec<Vec<u8>>, HOramError> {
+    /// A ticket of a degraded shard reports
+    /// [`take_failure`](Self::take_failure)'s typed failure;
+    /// [`OramError::UnknownTicket`] for tickets never issued or already
+    /// collected.
+    pub fn drain(&mut self, tickets: &[u64]) -> Result<Vec<Vec<u8>>, OramError> {
         while !self.is_drained() {
             self.run_cycle_window(self.config.base.io_batch)?;
         }
-        let mut out = Vec::with_capacity(tickets.len());
-        for ticket in tickets {
-            match self.take_response(*ticket) {
-                Some(response) => out.push(response),
-                None => {
-                    return Err(self.take_failure(*ticket).unwrap_or(HOramError::Protocol(
-                        OramError::UnknownTicket { ticket: *ticket },
-                    )));
-                }
-            }
-        }
-        Ok(out)
+        tickets
+            .iter()
+            .map(|&ticket| {
+                self.take_response(ticket).ok_or_else(|| {
+                    self.take_failure(ticket)
+                        .unwrap_or(OramError::UnknownTicket { ticket })
+                })
+            })
+            .collect()
     }
 
     /// Queues a whole batch and drains it — the shard-level counterpart
@@ -800,7 +710,7 @@ impl ShardedOram {
     /// # Errors
     ///
     /// As [`drain`](Self::drain).
-    pub fn run_batch(&mut self, requests: &[Request]) -> Result<Vec<Vec<u8>>, HOramError> {
+    pub fn run_batch(&mut self, requests: &[Request]) -> Result<Vec<Vec<u8>>, OramError> {
         let tickets: Vec<u64> = requests
             .iter()
             .map(|r| self.enqueue(r.clone()))
@@ -808,11 +718,21 @@ impl ShardedOram {
         self.drain(&tickets)
     }
 
-    /// Removes and returns the typed failure recorded for `ticket`, if
-    /// its request was lost to a shard failure. A ticket resolves through
-    /// exactly one of [`take_response`](Self::take_response) or this.
-    pub fn take_failure(&mut self, ticket: u64) -> Option<HOramError> {
-        self.failures.remove(&ticket)
+    /// The typed failure of `ticket`, if its shard is degraded and issued
+    /// it: [`OramError::ShardDegraded`]. `None` for a healthy shard's
+    /// ticket and for one never issued. A degraded shard's tickets never
+    /// resolve through [`take_response`](Self::take_response), so every
+    /// one it left uncollected resolves here.
+    pub fn take_failure(&self, ticket: u64) -> Option<OramError> {
+        let (shard, local) = unpack_ticket(self.config.shards, ticket);
+        let reason = self.degraded[shard].as_ref()?;
+        self.shards[shard]
+            .queue()
+            .issued(local)
+            .then(|| OramError::ShardDegraded {
+                shard,
+                reason: reason.clone(),
+            })
     }
 
     /// Indices of quarantined shards, ascending. Empty while healthy.
@@ -886,17 +806,13 @@ impl Oram for ShardedOram {
     }
 
     fn read(&mut self, id: BlockId) -> Result<Vec<u8>, OramError> {
-        let mut out = self
-            .run_batch(&[Request::read(id)])
-            .map_err(HOramError::into_protocol)?;
+        let mut out = self.run_batch(&[Request::read(id)])?;
         out.pop()
             .ok_or_else(|| OramError::internal("one-request batch returned no response"))
     }
 
     fn write(&mut self, id: BlockId, data: &[u8]) -> Result<Vec<u8>, OramError> {
-        let mut out = self
-            .run_batch(&[Request::write(id, data.to_vec())])
-            .map_err(HOramError::into_protocol)?;
+        let mut out = self.run_batch(&[Request::write(id, data.to_vec())])?;
         out.pop()
             .ok_or_else(|| OramError::internal("one-request batch returned no response"))
     }
@@ -989,17 +905,17 @@ mod tests {
         let mut oram = build(256, 64, 4);
         assert!(matches!(
             oram.enqueue(Request::read(999u64)),
-            Err(HOramError::Protocol(OramError::BlockOutOfRange {
+            Err(OramError::BlockOutOfRange {
                 id: 999,
                 capacity: 256
-            }))
+            })
         ));
         assert!(matches!(
             oram.enqueue(Request::write(3u64, vec![0; 2])),
-            Err(HOramError::Protocol(OramError::PayloadSize {
+            Err(OramError::PayloadSize {
                 expected: 8,
                 got: 2
-            }))
+            })
         ));
         assert_eq!(oram.pending(), 0);
     }
@@ -1080,13 +996,11 @@ mod tests {
         assert_eq!(oram.take_response(ticket), Some(vec![0u8; 8]));
         assert!(matches!(
             oram.drain(&[ticket]),
-            Err(HOramError::Protocol(OramError::UnknownTicket { ticket: t })) if t == ticket
+            Err(OramError::UnknownTicket { ticket: t }) if t == ticket
         ));
         assert!(matches!(
             oram.drain(&[999]),
-            Err(HOramError::Protocol(OramError::UnknownTicket {
-                ticket: 999
-            }))
+            Err(OramError::UnknownTicket { ticket: 999 })
         ));
     }
 
@@ -1263,7 +1177,7 @@ mod tests {
         assert_eq!(oram.take_response(doomed), None);
         assert!(matches!(
             oram.take_failure(doomed),
-            Some(HOramError::ShardDegraded { shard: 2, .. })
+            Some(OramError::ShardDegraded { shard: 2, .. })
         ));
         // The healthy shard's response is unaffected.
         assert_eq!(oram.take_response(healthy), Some(vec![9u8; 8]));
@@ -1272,7 +1186,7 @@ mod tests {
         // the rest of the address space keeps serving.
         assert!(matches!(
             oram.enqueue(Request::read(on)),
-            Err(HOramError::ShardDegraded { shard: 2, .. })
+            Err(OramError::ShardDegraded { shard: 2, .. })
         ));
         assert_eq!(oram.read(off).unwrap(), vec![9u8; 8]);
 
@@ -1281,6 +1195,72 @@ mod tests {
             oram.snapshot(),
             Err(OramError::SnapshotInvalid { .. })
         ));
+        // The plain interface reports the degraded shard as such.
+        assert!(matches!(
+            oram.read(on),
+            Err(OramError::ShardDegraded { shard: 2, .. })
+        ));
+    }
+
+    /// A response the shard buffered before it failed is lost with the
+    /// shard: its ticket resolves through `take_failure`, never as bytes,
+    /// while a ticket the shard never issued stays unknown.
+    #[test]
+    fn buffered_response_of_a_failed_shard_resolves_as_a_failure() {
+        let mut oram = build(256, 64, 4);
+        let (on, off) = pick_blocks(&mut oram, 1);
+        oram.write(on, &[5u8; 8]).unwrap();
+        let buffered = oram.enqueue(Request::read(on)).unwrap();
+        let healthy = oram.enqueue(Request::read(off)).unwrap();
+        while !oram.is_drained() {
+            oram.run_cycle_window(4).unwrap();
+        }
+        assert_eq!(oram.take_failure(buffered), None, "setup: shard healthy");
+
+        oram.inject_storage_faults(1, dead_reads());
+        let doomed = oram.enqueue(Request::read(on)).unwrap();
+        while !oram.is_drained() {
+            oram.run_cycle_window(4).unwrap();
+        }
+        assert_eq!(oram.degraded_shards(), vec![1]);
+        for ticket in [buffered, doomed] {
+            assert_eq!(oram.take_response(ticket), None, "ticket {ticket}");
+            assert!(
+                matches!(
+                    oram.take_failure(ticket),
+                    Some(OramError::ShardDegraded { shard: 1, .. })
+                ),
+                "ticket {ticket}"
+            );
+        }
+        assert!(matches!(
+            oram.drain(&[buffered]),
+            Err(OramError::ShardDegraded { shard: 1, .. })
+        ));
+        assert_eq!(oram.take_response(healthy), Some(vec![0u8; 8]));
+        let never_issued = doomed + 4;
+        assert_eq!(oram.take_failure(never_issued), None);
+        assert!(matches!(
+            oram.drain(&[never_issued]),
+            Err(OramError::UnknownTicket { ticket }) if ticket == never_issued
+        ));
+    }
+
+    #[test]
+    fn tickets_name_their_shard() {
+        for shards in [1u64, 3, 8] {
+            for shard in 0..shards as usize {
+                for local in [0u64, 1, 7, 1 << 40] {
+                    let ticket = pack_ticket(shards, shard, local);
+                    assert_eq!(unpack_ticket(shards, ticket), (shard, local));
+                }
+            }
+        }
+        // Distinct (shard, local) pairs never share a ticket.
+        let tickets: std::collections::HashSet<u64> = (0..4)
+            .flat_map(|shard| (0..16).map(move |local| pack_ticket(4, shard, local)))
+            .collect();
+        assert_eq!(tickets.len(), 64);
     }
 
     /// Seals `body` as a manifest under `master`, as
@@ -1312,26 +1292,23 @@ mod tests {
             .any(|w| w == ENVELOPE_MAGIC));
     }
 
-    /// A manifest body cut right after its route count.
-    fn manifest_head(shards: u64, route_count: u64) -> Vec<u8> {
+    /// A manifest body cut right after its shared clock.
+    fn manifest_head(shards: u64) -> Vec<u8> {
         let mut w = StateWriter::new();
         persist::save_config(&HOramConfig::new(256, 8, 64), &mut w);
         w.put_u64(shards);
         w.put_u64(0); // clock
-        w.put_u64(0); // next ticket
-        w.put_u64(route_count);
         w.into_bytes()
     }
 
-    /// The shard and route counts of an authentic body are checked before
-    /// anything asserts on them or allocates by them.
+    /// The shard count of an authentic body is checked before anything
+    /// asserts on it or allocates by it.
     #[test]
     fn manifest_counts_are_typed_errors_before_use() {
         let master = MasterKey::from_bytes([9; 32]);
         for (label, body) in [
-            ("no shards", manifest_head(0, 0)),
-            ("more shards than blocks", manifest_head(257, 0)),
-            ("route count u64::MAX", manifest_head(4, u64::MAX)),
+            ("no shards", manifest_head(0)),
+            ("more shards than blocks", manifest_head(257)),
         ] {
             let result = ShardedOram::restore(
                 master.clone(),

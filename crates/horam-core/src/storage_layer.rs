@@ -17,12 +17,11 @@
 //! without touching the device, and [`StorageLayer::commit_io`] issues
 //! every planned load as **one scatter read**
 //! ([`Device::read_scatter`]) so per-op device overhead coalesces.
-//! [`StorageLayer::load_batch`] wraps the two, and
-//! [`StorageLayer::fetch`] / [`StorageLayer::dummy_load`] are
-//! single-element batches — the sequential and batched paths are the same
-//! code, which is what the trace-equality tests pin down: a batch records
-//! the identical adversary view (device, direction, slot, bytes, order) as
-//! the per-block path, only its simulated cost shrinks.
+//! A window of one cycle commits a single load — the sequential and
+//! batched paths are the same code, which is what the trace-equality
+//! tests pin down: a batch records the identical adversary view (device,
+//! direction, slot, bytes, order) as per-load commits, only its simulated
+//! cost shrinks.
 //!
 //! Decryption is zero-copy end to end: scattered blocks are opened in
 //! place ([`BlockSealer::open_in_place`]), the shuffle re-seals decrypted
@@ -710,11 +709,6 @@ impl StorageLayer {
         Ok(planned)
     }
 
-    /// Number of loads staged and not yet committed.
-    pub fn pending_io(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Issues every staged load as one scatter read and returns the
     /// per-load results in planning order. Blocks expected live are
     /// verified and decrypted (in place); stale/dummy reads discard their
@@ -801,63 +795,6 @@ impl StorageLayer {
             } if stored == id => Ok(Some((id, payload))),
             _ => Err(OramError::MalformedBlock { slot }),
         }
-    }
-
-    /// Plans and commits `plans` as one batch — the one-call form of
-    /// [`plan_io`](Self::plan_io) + [`commit_io`](Self::commit_io).
-    ///
-    /// # Errors
-    ///
-    /// As [`plan_io`](Self::plan_io) and [`commit_io`](Self::commit_io) —
-    /// fail-stop, not retryable; also [`OramError::Internal`] if loads are
-    /// already staged (mixing the two interfaces mid-batch is a caller
-    /// bug).
-    pub fn load_batch(&mut self, plans: &[LoadPlan]) -> Result<BatchLoad, OramError> {
-        if !self.pending.is_empty() {
-            return Err(OramError::internal(
-                "load_batch while a planned batch is uncommitted",
-            ));
-        }
-        for &plan in plans {
-            self.plan_io(plan)?;
-        }
-        self.commit_io()
-    }
-
-    /// Fetches the block `id` from its permuted slot (a **miss** load).
-    /// Releases the slot's ownership; the caller inserts the block into
-    /// the memory ORAM's stash. Equivalent to a single-element
-    /// [`load_batch`](Self::load_batch).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OramError::MalformedBlock`] if the slot does not hold the
-    /// expected block (protocol invariant violation); storage/crypto
-    /// errors propagate; invariant violations surface as
-    /// [`OramError::Internal`] (see [`plan_io`](Self::plan_io)).
-    pub fn fetch(&mut self, id: BlockId) -> Result<IoLoad, OramError> {
-        let mut batch = self.load_batch(&[LoadPlan::Miss(id)])?;
-        batch
-            .loads
-            .pop()
-            .ok_or_else(|| OramError::internal("one-load batch committed no load"))
-    }
-
-    /// A **dummy** load: reads the next untouched slot in the PRP order.
-    /// If the slot holds a live block, that block migrates to memory as an
-    /// opportunistic prefetch (the caller inserts it); stale or dummy
-    /// slots produce no block but an indistinguishable bus access.
-    /// Equivalent to a single-element [`load_batch`](Self::load_batch).
-    ///
-    /// # Errors
-    ///
-    /// Storage/crypto errors propagate.
-    pub fn dummy_load(&mut self) -> Result<IoLoad, OramError> {
-        let mut batch = self.load_batch(&[LoadPlan::Dummy])?;
-        batch
-            .loads
-            .pop()
-            .ok_or_else(|| OramError::internal("one-load batch committed no load"))
     }
 
     /// Full group+partition shuffle (§4.3.2): rebuild every partition in
@@ -1206,6 +1143,20 @@ mod tests {
         build_with(capacity, None)
     }
 
+    /// Plans `plans` and commits them as one scatter read.
+    fn load(layer: &mut StorageLayer, plans: &[LoadPlan]) -> Result<BatchLoad, OramError> {
+        for &plan in plans {
+            layer.plan_io(plan)?;
+        }
+        layer.commit_io()
+    }
+
+    /// Plans one load and commits it on its own.
+    fn load_one(layer: &mut StorageLayer, plan: LoadPlan) -> Result<IoLoad, OramError> {
+        let mut batch = load(layer, &[plan])?;
+        Ok(batch.loads.pop().expect("one load per plan"))
+    }
+
     fn build_traced(capacity: u64) -> (StorageLayer, AccessTrace) {
         let trace = AccessTrace::recording();
         let layer = build_with(capacity, Some(trace.clone()));
@@ -1233,7 +1184,7 @@ mod tests {
     #[test]
     fn fetch_returns_payload_and_migrates() {
         let mut layer = build(64);
-        let load = layer.fetch(BlockId(5)).unwrap();
+        let load = load_one(&mut layer, LoadPlan::Miss(BlockId(5))).unwrap();
         let (id, payload) = load.block.unwrap();
         assert_eq!(id, BlockId(5));
         assert_eq!(payload, vec![0u8; 8]);
@@ -1244,8 +1195,8 @@ mod tests {
     #[test]
     fn double_fetch_is_a_typed_invariant_error() {
         let mut layer = build(64);
-        layer.fetch(BlockId(5)).unwrap();
-        let err = layer.fetch(BlockId(5)).unwrap_err();
+        load_one(&mut layer, LoadPlan::Miss(BlockId(5))).unwrap();
+        let err = load_one(&mut layer, LoadPlan::Miss(BlockId(5))).unwrap_err();
         let OramError::Internal { context } = err else {
             panic!("expected Internal, got {err:?}");
         };
@@ -1260,7 +1211,7 @@ mod tests {
         let id = BlockId(5);
         let slot = layer.posmap_mut().location(id).unwrap();
         assert_eq!(layer.posmap_mut().take_owner(slot).unwrap(), Some(id));
-        let err = layer.fetch(id).unwrap_err();
+        let err = load_one(&mut layer, LoadPlan::Miss(id)).unwrap_err();
         let OramError::Internal { context } = err else {
             panic!("expected Internal, got {err:?}");
         };
@@ -1277,7 +1228,7 @@ mod tests {
         let slot = posmap.location(b).unwrap();
         assert_eq!(posmap.take_owner(slot).unwrap(), Some(b));
         posmap.place(a, slot).unwrap();
-        let err = layer.fetch(a).unwrap_err();
+        let err = load_one(&mut layer, LoadPlan::Miss(a)).unwrap_err();
         assert!(
             matches!(err, OramError::MalformedBlock { slot: s } if s == slot),
             "expected MalformedBlock {{ slot: {slot} }}, got {err:?}"
@@ -1290,7 +1241,11 @@ mod tests {
         let trace_start = layer.device().stats().reads;
         let mut produced = 0;
         for _ in 0..30 {
-            if layer.dummy_load().unwrap().block.is_some() {
+            if load_one(&mut layer, LoadPlan::Dummy)
+                .unwrap()
+                .block
+                .is_some()
+            {
                 produced += 1;
             }
         }
@@ -1307,8 +1262,8 @@ mod tests {
         let (mut b, trace_b) = build_traced(49);
         let total = a.total_slots();
         for _ in 0..total {
-            a.dummy_load().unwrap();
-            b.dummy_load().unwrap();
+            load_one(&mut a, LoadPlan::Dummy).unwrap();
+            load_one(&mut b, LoadPlan::Dummy).unwrap();
         }
         let order_a = trace_a.address_sequence(a.device().id());
         assert_eq!(
@@ -1323,7 +1278,7 @@ mod tests {
             "each slot consumed exactly once"
         );
         // Exhausted period: further dummies are zero-cost no-ops.
-        let exhausted = a.dummy_load().unwrap();
+        let exhausted = load_one(&mut a, LoadPlan::Dummy).unwrap();
         assert_eq!(
             exhausted,
             IoLoad {
@@ -1336,7 +1291,7 @@ mod tests {
         a.rebuild_full(Vec::new(), 3).unwrap();
         trace_a.clear();
         for _ in 0..8 {
-            a.dummy_load().unwrap();
+            load_one(&mut a, LoadPlan::Dummy).unwrap();
         }
         assert_ne!(
             trace_a.address_sequence(a.device().id()),
@@ -1345,7 +1300,7 @@ mod tests {
     }
 
     #[test]
-    fn load_batch_matches_sequential_path_exactly() {
+    fn one_batched_commit_matches_per_plan_commits_exactly() {
         use LoadPlan::{Dummy, Miss};
         let plan: Vec<LoadPlan> = vec![
             Miss(BlockId(3)),
@@ -1361,16 +1316,13 @@ mod tests {
         let mut seq_loads = Vec::new();
         let seq_before = *sequential.device().stats();
         for &step in &plan {
-            seq_loads.push(match step {
-                Miss(id) => sequential.fetch(id).unwrap(),
-                Dummy => sequential.dummy_load().unwrap(),
-            });
+            seq_loads.push(load_one(&mut sequential, step).unwrap());
         }
         let seq_stats = sequential.device().stats().delta_since(&seq_before);
 
         let (mut batched, bat_trace) = build_traced(64);
         let bat_before = *batched.device().stats();
-        let batch = batched.load_batch(&plan).unwrap();
+        let batch = load(&mut batched, &plan).unwrap();
         let bat_stats = batched.device().stats().delta_since(&bat_before);
 
         // Byte-identical results (timing aside) ...
@@ -1396,12 +1348,12 @@ mod tests {
     fn batched_loads_honor_once_per_period() {
         use LoadPlan::{Dummy, Miss};
         let (mut layer, trace) = build_traced(64);
-        layer
-            .load_batch(&[Miss(BlockId(1)), Dummy, Dummy, Miss(BlockId(9)), Dummy])
-            .unwrap();
-        layer
-            .load_batch(&[Dummy, Dummy, Miss(BlockId(30)), Dummy])
-            .unwrap();
+        load(
+            &mut layer,
+            &[Miss(BlockId(1)), Dummy, Dummy, Miss(BlockId(9)), Dummy],
+        )
+        .unwrap();
+        load(&mut layer, &[Dummy, Dummy, Miss(BlockId(30)), Dummy]).unwrap();
         let addrs = trace.address_sequence(layer.device().id());
         let distinct: HashSet<u64> = addrs.iter().copied().collect();
         assert_eq!(
@@ -1420,7 +1372,7 @@ mod tests {
                 5,
             )
             .unwrap();
-        layer.load_batch(&[Miss(BlockId(1)), Dummy]).unwrap();
+        load(&mut layer, &[Miss(BlockId(1)), Dummy]).unwrap();
     }
 
     #[test]
@@ -1429,7 +1381,7 @@ mod tests {
         let total = layer.total_slots() as usize;
         let plan: Vec<LoadPlan> = std::iter::repeat_n(LoadPlan::Dummy, total + 5).collect();
         let before_reads = layer.device().stats().reads;
-        let batch = layer.load_batch(&plan).unwrap();
+        let batch = load(&mut layer, &plan).unwrap();
         assert_eq!(batch.loads.len(), total + 5);
         assert_eq!(layer.device().stats().reads - before_reads, total as u64);
         for load in &batch.loads[total..] {
@@ -1443,33 +1395,32 @@ mod tests {
         }
     }
 
+    /// Planning touches only control state: the device sees nothing until
+    /// the commit, which issues every staged load in planning order.
     #[test]
-    fn plan_commit_interface_matches_load_batch() {
+    fn planned_loads_reach_the_device_only_at_commit() {
         let (mut split, split_trace) = build_traced(64);
+        let before = split.device().stats().reads;
         split.plan_io(LoadPlan::Miss(BlockId(2))).unwrap();
         split.plan_io(LoadPlan::Dummy).unwrap();
-        assert_eq!(split.pending_io(), 2);
+        assert_eq!(split.device().stats().reads, before);
+        assert_eq!(split_trace.len(), 0);
         let split_batch = split.commit_io().unwrap();
-        assert_eq!(split.pending_io(), 0);
-
-        let (mut whole, whole_trace) = build_traced(64);
-        let whole_batch = whole
-            .load_batch(&[LoadPlan::Miss(BlockId(2)), LoadPlan::Dummy])
-            .unwrap();
-        assert_eq!(split_batch, whole_batch);
-        assert_eq!(
-            split_trace.address_sequence(split.device().id()),
-            whole_trace.address_sequence(whole.device().id())
-        );
+        assert_eq!(split.device().stats().reads, before + 2);
+        assert_eq!(split_batch.loads.len(), 2);
+        assert_eq!(split_batch.loads[0].block.as_ref().unwrap().0, BlockId(2));
+        // A second commit has nothing staged.
+        assert!(split.commit_io().unwrap().loads.is_empty());
+        assert_eq!(split_trace.len(), 2);
     }
 
     #[test]
     fn partition_live_counts_stay_consistent() {
         let mut layer = build(256);
-        layer.fetch(BlockId(3)).unwrap();
-        layer.fetch(BlockId(77)).unwrap();
+        load_one(&mut layer, LoadPlan::Miss(BlockId(3))).unwrap();
+        load_one(&mut layer, LoadPlan::Miss(BlockId(77))).unwrap();
         for _ in 0..12 {
-            layer.dummy_load().unwrap();
+            load_one(&mut layer, LoadPlan::Dummy).unwrap();
         }
         layer
             .rebuild_partial(vec![(BlockId(3), vec![0u8; 8])], 4, 6)
@@ -1504,11 +1455,16 @@ mod tests {
             let mut hot = Vec::new();
             for id in [seed % 256, (seed + 100) % 256] {
                 if !layer.is_resident(BlockId(id)) {
-                    hot.push(layer.fetch(BlockId(id)).unwrap().block.unwrap());
+                    hot.push(
+                        load_one(layer, LoadPlan::Miss(BlockId(id)))
+                            .unwrap()
+                            .block
+                            .unwrap(),
+                    );
                 }
             }
             for _ in 0..6 {
-                if let Some(block) = layer.dummy_load().unwrap().block {
+                if let Some(block) = load_one(layer, LoadPlan::Dummy).unwrap().block {
                     hot.push(block);
                 }
             }
@@ -1543,16 +1499,25 @@ mod tests {
     fn shuffle_fingerprint(layer: &mut StorageLayer, trace: &AccessTrace) -> (Vec<u64>, Vec<u8>) {
         let mut hot = Vec::new();
         for id in [3u64, 77, 150] {
-            hot.push(layer.fetch(BlockId(id)).unwrap().block.unwrap());
+            hot.push(
+                load_one(layer, LoadPlan::Miss(BlockId(id)))
+                    .unwrap()
+                    .block
+                    .unwrap(),
+            );
         }
         for _ in 0..10 {
-            if let Some(block) = layer.dummy_load().unwrap().block {
+            if let Some(block) = load_one(layer, LoadPlan::Dummy).unwrap().block {
                 hot.push(block);
             }
         }
         hot[0].1 = vec![9u8; 8];
         layer.rebuild_full(hot, 21).unwrap();
-        let probe = layer.fetch(BlockId(3)).unwrap().block.unwrap().1;
+        let probe = load_one(layer, LoadPlan::Miss(BlockId(3)))
+            .unwrap()
+            .block
+            .unwrap()
+            .1;
         (trace.address_sequence(layer.device().id()), probe)
     }
 
@@ -1581,7 +1546,12 @@ mod tests {
         let mut layer = build(64);
         let mut hot = Vec::new();
         for id in [1u64, 7, 30, 63] {
-            hot.push(layer.fetch(BlockId(id)).unwrap().block.unwrap());
+            hot.push(
+                load_one(&mut layer, LoadPlan::Miss(BlockId(id)))
+                    .unwrap()
+                    .block
+                    .unwrap(),
+            );
         }
         // Overwrite one payload as the memory layer would.
         hot[0].1 = vec![9u8; 8];
@@ -1589,7 +1559,7 @@ mod tests {
         assert_eq!(report.partitions, layer.partition_count);
         assert!((0..64).all(|id| !layer.is_resident(BlockId(id))));
         // Refetch the updated block and verify the new payload survived.
-        let load = layer.fetch(BlockId(1)).unwrap();
+        let load = load_one(&mut layer, LoadPlan::Miss(BlockId(1))).unwrap();
         assert_eq!(load.block.unwrap().1, vec![9u8; 8]);
     }
 
@@ -1612,12 +1582,12 @@ mod tests {
     fn rebuild_rotates_epoch_and_resets_touched() {
         let mut layer = build(64);
         let epoch = layer.epoch();
-        layer.fetch(BlockId(3)).unwrap();
+        load_one(&mut layer, LoadPlan::Miss(BlockId(3))).unwrap();
         let hot = vec![(BlockId(3), vec![0u8; 8])];
         layer.rebuild_full(hot, 1).unwrap();
         assert_eq!(layer.epoch(), epoch + 1);
         // The block is fetchable again (its new slot is untouched).
-        layer.fetch(BlockId(3)).unwrap();
+        load_one(&mut layer, LoadPlan::Miss(BlockId(3))).unwrap();
     }
 
     #[test]
@@ -1648,12 +1618,12 @@ mod tests {
         // Fetch a block, then partially shuffle a window. The fetched
         // block's home partition may not be rewritten; it must remain
         // resident either way.
-        layer.fetch(BlockId(100)).unwrap();
+        load_one(&mut layer, LoadPlan::Miss(BlockId(100))).unwrap();
         let hot = vec![(BlockId(100), vec![0u8; 8])];
         layer.rebuild_partial(hot, 2, 3).unwrap();
         // Block 100 went into the window, so it is on storage again.
         assert!(!layer.is_resident(BlockId(100)));
-        layer.fetch(BlockId(100)).unwrap();
+        load_one(&mut layer, LoadPlan::Miss(BlockId(100))).unwrap();
     }
 
     #[test]
@@ -1676,7 +1646,7 @@ mod tests {
             /// identical blocks, identical device trace, identical op and
             /// byte counts, never more simulated time than sequential.
             #[test]
-            fn load_batch_equals_sequential(
+            fn one_commit_equals_per_load_commits(
                 miss_ids in proptest::collection::vec(0u64..64, 0..12),
                 gaps in proptest::collection::vec(0usize..4, 0..13),
             ) {
@@ -1708,14 +1678,10 @@ mod tests {
                         other => other,
                     };
                     plan.push(step);
-                    let load = match step {
-                        LoadPlan::Miss(id) => sequential.fetch(id).unwrap(),
-                        LoadPlan::Dummy => sequential.dummy_load().unwrap(),
-                    };
-                    seq_blocks.push(load.block);
+                    seq_blocks.push(load_one(&mut sequential, step).unwrap().block);
                 }
                 let (mut batched, bat_trace) = build_traced(64);
-                let batch = batched.load_batch(&plan).unwrap();
+                let batch = load(&mut batched, &plan).unwrap();
 
                 let bat_blocks: Vec<_> = batch.loads.iter().map(|l| l.block.clone()).collect();
                 prop_assert_eq!(seq_blocks, bat_blocks);

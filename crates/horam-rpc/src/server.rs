@@ -201,11 +201,7 @@ impl Checkpoint {
         let mut r = StateReader::new(&body);
         let epoch = r.get_u64().map_err(bad)?;
         let engine = r.get_bytes().map_err(bad)?.to_vec();
-        let count = r.get_usize().map_err(bad)?;
-        // Bound the count by what is left before allocating for it.
-        if count > r.remaining() / MIN_ENTRY_BYTES {
-            return Err(bad("window count exceeds the file"));
-        }
+        let count = r.get_count(MIN_ENTRY_BYTES).map_err(bad)?;
         let mut window = Vec::with_capacity(count);
         for _ in 0..count {
             let client_id = r.get_u64().map_err(bad)?;

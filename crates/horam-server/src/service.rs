@@ -33,7 +33,6 @@
 use crate::admission::{AdmissionPolicy, QueuedSnapshot};
 use crate::stats::{ServiceStats, TenantStats};
 use horam_core::access_control::{AccessControl, AccessDenied, Permission, UserId};
-use horam_core::error::HOramError;
 use horam_core::shard::ShardedOram;
 use horam_core::stats::HOramStats;
 use oram_crypto::persist::StateWriter;
@@ -127,7 +126,9 @@ pub enum ServeError {
     /// [`OramService::take_result_timeout`]; the ticket stays collectable
     /// by a later wait (the request is *not* cancelled — an admitted
     /// write may already have been applied, so cancellation could never
-    /// be idempotent).
+    /// be idempotent). The RPC server never raises it: it sheds spent
+    /// deadlines at admission and collects with
+    /// [`take_result`](OramService::take_result).
     Timeout {
         /// The ticket that failed to resolve within the budget.
         ticket: ServiceTicket,
@@ -163,18 +164,9 @@ impl Error for ServeError {}
 
 impl From<OramError> for ServeError {
     fn from(error: OramError) -> Self {
-        ServeError::Oram(error)
-    }
-}
-
-impl From<HOramError> for ServeError {
-    fn from(error: HOramError) -> Self {
         match error {
-            HOramError::Protocol(e) => ServeError::Oram(e),
-            HOramError::ShardDegraded { shard, reason } => ServeError::Degraded { shard, reason },
-            // `HOramError` is non-exhaustive; future variants collapse to
-            // their protocol view.
-            other => ServeError::Oram(other.into_protocol()),
+            OramError::ShardDegraded { shard, reason } => ServeError::Degraded { shard, reason },
+            other => ServeError::Oram(other),
         }
     }
 }
@@ -302,7 +294,7 @@ pub struct OramService<E = ShardedOram> {
     /// Typed failures for tickets that will never produce a response
     /// (shard degraded at admission or failed in flight); delivered
     /// through [`take_result`](Self::take_result).
-    failures: HashMap<ServiceTicket, HOramError>,
+    failures: HashMap<ServiceTicket, OramError>,
     stats: ServiceStats,
 }
 
@@ -524,7 +516,7 @@ impl OramService {
         let now = self.oram.clock().now();
         let mut completed = 0u64;
         let mut ready: HashMap<u64, Vec<u8>> = HashMap::new();
-        let mut lost: HashMap<u64, HOramError> = HashMap::new();
+        let mut lost: HashMap<u64, OramError> = HashMap::new();
         for flight in &self.in_flight {
             if ready.contains_key(&flight.oram_ticket) || lost.contains_key(&flight.oram_ticket) {
                 continue;
@@ -721,8 +713,8 @@ impl OramService {
     /// admitted write may already have been applied, so the only
     /// idempotent behaviour is to leave the ticket collectable by a later
     /// [`take_result`](Self::take_result) or a retried wait. The RPC
-    /// front end builds its server-side deadline machinery on exactly
-    /// this contract.
+    /// server does not use this wait: it sheds requests whose deadline
+    /// is spent before admission and collects with `take_result`.
     ///
     /// # Errors
     ///

@@ -35,7 +35,7 @@ use std::fmt;
 pub const ENVELOPE_MAGIC: [u8; 8] = *b"HORAMSNP";
 /// Envelope format version. Bumped on any layout change; readers reject
 /// versions they do not know.
-pub const ENVELOPE_VERSION: u32 = 9;
+pub const ENVELOPE_VERSION: u32 = 10;
 /// Plaintext header length: magic + version + kind + seq + body length.
 const HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8;
 /// Authentication tag length.
@@ -233,6 +233,25 @@ impl<'a> StateReader<'a> {
             .map_err(|_| PersistError::Malformed("usize beyond host width".into()))
     }
 
+    /// Reads an item count and checks it against the bytes left, at
+    /// `min_item_bytes` (at least 1) per item, so that nothing is ever
+    /// sized by a count the body cannot hold.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Malformed`] for a count the remaining bytes cannot
+    /// hold.
+    pub fn get_count(&mut self, min_item_bytes: usize) -> Result<usize, PersistError> {
+        let count = self.get_usize()?;
+        if count > self.remaining() / min_item_bytes {
+            return Err(PersistError::Malformed(format!(
+                "{count} items of at least {min_item_bytes} B exceed the {} B left",
+                self.remaining()
+            )));
+        }
+        Ok(count)
+    }
+
     /// Reads an `f64` by bit pattern.
     pub fn get_f64(&mut self) -> Result<f64, PersistError> {
         Ok(f64::from_bits(self.get_u64()?))
@@ -335,14 +354,15 @@ pub fn open_envelope(
     }
     let kind = header.get_u32()?;
     let seq = header.get_u64()?;
-    let body_len = header.get_u64()? as usize;
-    let expected_total = HEADER_LEN + body_len + TAG_LEN;
-    if sealed.len() != expected_total {
+    let body_len = header.get_u64()?;
+    if body_len != (sealed.len() - HEADER_LEN - TAG_LEN) as u64 {
         // Truncated or padded relative to its own header. The tag check
         // below would also catch it, but failing early keeps the error
-        // precise for torn-write diagnostics.
+        // precise for torn-write diagnostics. The length field is not yet
+        // authenticated, so it is only compared, never added to.
         return Err(PersistError::UnexpectedEof);
     }
+    let body_len = body_len as usize;
     let ciphertext = &sealed[HEADER_LEN..HEADER_LEN + body_len];
     let tag = u64::from_le_bytes(
         sealed[HEADER_LEN + body_len..]
@@ -411,6 +431,44 @@ mod tests {
     }
 
     #[test]
+    fn counts_are_bounded_by_the_bytes_left() {
+        let mut w = StateWriter::new();
+        w.put_usize(2);
+        w.put_u64(1);
+        w.put_u64(2);
+        let bytes = w.into_bytes();
+        assert_eq!(StateReader::new(&bytes).get_count(8).unwrap(), 2);
+        assert!(matches!(
+            StateReader::new(&bytes).get_count(9),
+            Err(PersistError::Malformed(_))
+        ));
+        let huge = u64::MAX.to_le_bytes();
+        assert!(matches!(
+            StateReader::new(&huge).get_count(1),
+            Err(PersistError::Malformed(_))
+        ));
+    }
+
+    /// The body length in the header is not authenticated when it is read:
+    /// a value whose `header + body + tag` sum overflows (wholly, or in
+    /// its first addition, which wraps to zero) or merely disagrees with
+    /// the envelope's size is a typed error, never an arithmetic panic.
+    #[test]
+    fn forged_body_lengths_are_typed_errors() {
+        let sealed = seal_envelope(&keys(), 1, 5, b"some body bytes");
+        let wraps_to_zero = u64::MAX - HEADER_LEN as u64 + 1;
+        for forged in [u64::MAX, wraps_to_zero, 1 << 63] {
+            let mut bad = sealed.clone();
+            bad[24..32].copy_from_slice(&forged.to_le_bytes());
+            assert_eq!(
+                open_envelope(&keys(), 1, &bad).unwrap_err(),
+                PersistError::UnexpectedEof,
+                "length field {forged:#x}"
+            );
+        }
+    }
+
+    #[test]
     fn envelope_roundtrip() {
         let body = b"trusted state bytes".to_vec();
         let sealed = seal_envelope(&keys(), 3, 17, &body);
@@ -419,7 +477,7 @@ mod tests {
 
     /// The snapshot envelope, pinned like `seal::tests::sealed_bytes_are_pinned`:
     /// ciphertext recorded from the scalar-keystream build (PR 11); the tag
-    /// covers the header, so it was re-recorded at `ENVELOPE_VERSION` 9.
+    /// covers the header, so it was re-recorded at `ENVELOPE_VERSION` 10.
     #[test]
     fn envelope_bytes_are_pinned() {
         let body: Vec<u8> = (0..1041).map(|i| (i * 7 + 3) as u8).collect();
@@ -436,7 +494,7 @@ mod tests {
         );
         assert_eq!(
             sealed[HEADER_LEN + 1041..],
-            0x8b39_a0cb_f1cf_0c0d_u64.to_le_bytes()
+            0xf7f9_2e2c_3e0f_e3e0_u64.to_le_bytes()
         );
         assert_eq!(open_envelope(&keys(), 3, &sealed).unwrap(), body);
     }

@@ -63,6 +63,17 @@ pub enum OramError {
         /// Which invariant broke, and where.
         context: String,
     },
+    /// The shard that owns the request failed and is out of service: its
+    /// uncollected tickets and every later request routed to it fail with
+    /// this error, while requests routed to other shards keep serving.
+    /// The shard stays out until the whole instance is restored from its
+    /// last snapshot.
+    ShardDegraded {
+        /// The degraded shard's index.
+        shard: usize,
+        /// Why the shard was taken out of service.
+        reason: String,
+    },
 }
 
 impl OramError {
@@ -102,6 +113,9 @@ impl fmt::Display for OramError {
             }
             OramError::Internal { context } => {
                 write!(f, "internal invariant violated: {context}")
+            }
+            OramError::ShardDegraded { shard, reason } => {
+                write!(f, "shard {shard} degraded: {reason}")
             }
         }
     }
@@ -155,6 +169,11 @@ mod tests {
         assert!(e.to_string().contains("64"));
         let e = OramError::StashOverflow { limit: 100 };
         assert!(e.to_string().contains("100"));
+        let e = OramError::ShardDegraded {
+            shard: 2,
+            reason: "dead sector".into(),
+        };
+        assert_eq!(e.to_string(), "shard 2 degraded: dead sector");
     }
 
     #[test]

@@ -862,7 +862,7 @@ impl Device {
             busy_read: SimDuration::from_nanos(r.get_u64()?),
             busy_write: SimDuration::from_nanos(r.get_u64()?),
         };
-        let word_count = r.get_usize()?;
+        let word_count = r.get_count(8)?;
         let mut words = Vec::with_capacity(word_count);
         for _ in 0..word_count {
             words.push(r.get_u64()?);
@@ -901,7 +901,8 @@ impl Device {
                 ));
             }
         } else {
-            let count = r.get_usize()?;
+            // Address, id, epoch and tag, then the ciphertext's length.
+            let count = r.get_count(5 * 8)?;
             let mut blocks = Vec::with_capacity(count);
             for _ in 0..count {
                 let addr = r.get_u64()?;

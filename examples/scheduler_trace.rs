@@ -54,7 +54,7 @@ fn main() -> Result<(), OramError> {
     let mut cycle = 0;
     while {
         let before = oram.stats();
-        oram.run_cycle()?;
+        oram.run_cycle_window(1)?;
         cycle += 1;
         let after = oram.stats();
         let hits = after.memory_hits - before.memory_hits;

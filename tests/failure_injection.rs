@@ -126,6 +126,16 @@ fn sealer_contract_rejects_any_corruption() {
     }
 }
 
+/// A miss load of `id`, planned and committed on its own.
+fn fetch(
+    layer: &mut horam::core::StorageLayer,
+    id: BlockId,
+) -> Result<horam::core::IoLoad, OramError> {
+    layer.plan_io(horam::core::LoadPlan::Miss(id))?;
+    let mut loads = layer.commit_io()?.loads;
+    Ok(loads.pop().expect("one load"))
+}
+
 #[test]
 fn horam_storage_corruption_is_detected_on_fetch() {
     use horam::core::StorageLayer;
@@ -139,7 +149,7 @@ fn horam_storage_corruption_is_detected_on_fetch() {
     // Corrupt the slot of block 9, then fetch it.
     let slot = layer.posmap_mut().location(BlockId(9)).unwrap();
     corrupt_one_block(layer.device_mut(), slot);
-    let result = layer.fetch(BlockId(9));
+    let result = fetch(&mut layer, BlockId(9));
     assert!(
         matches!(
             result,
@@ -183,10 +193,10 @@ fn horam_remains_usable_for_other_blocks_after_detecting_corruption() {
 
     let slot = layer.posmap_mut().location(BlockId(2)).unwrap();
     corrupt_one_block(layer.device_mut(), slot);
-    assert!(layer.fetch(BlockId(2)).is_err());
+    assert!(fetch(&mut layer, BlockId(2)).is_err());
 
     // Undamaged blocks still fetch fine.
-    let load = layer.fetch(BlockId(3)).expect("clean block fetches");
+    let load = fetch(&mut layer, BlockId(3)).expect("clean block fetches");
     assert_eq!(load.block.unwrap().0, BlockId(3));
 }
 

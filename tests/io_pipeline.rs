@@ -110,10 +110,10 @@ fn batched_loads_keep_the_once_per_period_invariant() {
     );
 }
 
-/// The storage layer's `load_batch` drives the same machinery as
-/// `fetch`/`dummy_load` — spot-check at this level too, over a fresh
-/// layer with misses and dummies interleaved (the crate-level property
-/// test covers arbitrary interleavings).
+/// One `plan_io` + `commit_io` batch at the storage layer matches one
+/// commit per plan — spot-check at this level too, over a fresh layer
+/// with misses and dummies interleaved (the crate-level property test
+/// covers arbitrary interleavings).
 #[test]
 fn storage_layer_load_batch_equals_sequential_calls() {
     let build_layer = || {
@@ -135,14 +135,15 @@ fn storage_layer_load_batch_equals_sequential_calls() {
     let mut sequential = build_layer();
     let mut seq_blocks = Vec::new();
     for &step in &plan {
-        let load = match step {
-            LoadPlan::Miss(id) => sequential.fetch(id).expect("fetch"),
-            LoadPlan::Dummy => sequential.dummy_load().expect("dummy"),
-        };
-        seq_blocks.push(load.block);
+        sequential.plan_io(step).expect("plan");
+        let mut load = sequential.commit_io().expect("commit").loads;
+        seq_blocks.push(load.pop().expect("one load").block);
     }
     let mut batched = build_layer();
-    let batch = batched.load_batch(&plan).expect("batch");
+    for &step in &plan {
+        batched.plan_io(step).expect("plan");
+    }
+    let batch = batched.commit_io().expect("batch");
     let bat_blocks: Vec<_> = batch.loads.iter().map(|l| l.block.clone()).collect();
     assert_eq!(seq_blocks, bat_blocks);
     assert_eq!(

@@ -153,7 +153,7 @@ fn snapshot_requires_a_drained_queue() {
     ));
     // Draining unblocks it.
     while !oram.queue().is_drained() {
-        oram.run_cycle().unwrap();
+        oram.run_cycle_window(1).unwrap();
     }
     oram.snapshot().unwrap();
 }
@@ -300,6 +300,14 @@ fn version_8_envelopes_are_refused_by_every_restore_path() {
     assert_old_envelopes_are_refused(8);
 }
 
+/// Version 10 drops the ticket counter and the ticket-route section from
+/// the sharded manifest: a ticket names its shard, and each shard's body
+/// already carries its own counter and uncollected responses.
+#[test]
+fn version_9_envelopes_are_refused_by_every_restore_path() {
+    assert_old_envelopes_are_refused(9);
+}
+
 /// The worker-thread count is a property of the host that runs the
 /// engine, not of the engine's state: a snapshot does not carry it, so a
 /// restore takes the restoring host's default — and a sharded restore
@@ -376,7 +384,7 @@ fn kill_at_arbitrary_cycle_boundary_with_file_backend() {
             if engine.queue().is_drained() {
                 break;
             }
-            engine.run_cycle().unwrap();
+            engine.run_cycle_window(1).unwrap();
         }
         drop(engine); // the kill: no sync, no checkpoint
 
@@ -486,7 +494,7 @@ mod cached {
                 if engine.queue().is_drained() {
                     break;
                 }
-                engine.run_cycle().unwrap();
+                engine.run_cycle_window(1).unwrap();
             }
             drop(engine); // the kill: cached state dies with the process
 
@@ -1002,7 +1010,7 @@ mod recursive_posmap {
                 if engine.queue().is_drained() {
                     break;
                 }
-                engine.run_cycle().unwrap();
+                engine.run_cycle_window(1).unwrap();
             }
             drop(engine); // the kill: no sync, no checkpoint
 
